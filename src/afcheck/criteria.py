@@ -266,7 +266,10 @@ def check_thm_5_2(field: NumberField, bound: int, *,
         diagnostics_unknown = True
 
     primes = s_k(field)
-    search = solve_sunit(field, primes, bound, **solver_kw)
+    # user_class_number is K's class number, so only the search over K gets
+    # it; the searches over the extensions L below do not
+    search = solve_sunit(field, primes, bound,
+                         user_class_number=user_class_number, **solver_kw)
     holds, witnesses, counter = _check_box_condition(
         field, search.solutions, primes,
         lambda sol, P: max(abs(v) for v in sol.val_profile[P]) <= 4 * P.e,

@@ -1,10 +1,14 @@
-"""Small exact linear algebra over the rationals (matrices as row lists)."""
+"""Small exact linear algebra over the integers (matrices as row lists).
 
-from fractions import Fraction
+Everything here is fraction-free: determinants and solutions use Bareiss
+elimination (Math. Comp. 22, 1968), whose every division is exact, and the
+characteristic polynomial uses Faddeev-LeVerrier, whose divisions are exact
+on integer matrices.
+"""
 
 
 def identity(n):
-    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
 def mat_mul(a, b):
@@ -13,56 +17,79 @@ def mat_mul(a, b):
             for i in range(n)]
 
 
-def mat_vec(a, v):
-    return [sum(row[j] * v[j] for j in range(len(v))) for row in a]
-
-
-def mat_add(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_scale(a, c):
-    return [[x * c for x in row] for row in a]
-
-
 def trace(a):
     return sum(a[i][i] for i in range(len(a)))
 
 
+def _pivot(m, k):
+    """Swap a row with a nonzero entry in column k into row k; False if none."""
+    if m[k][k]:
+        return True
+    swap = next((r for r in range(k + 1, len(m)) if m[r][k]), None)
+    if swap is None:
+        return False
+    m[k], m[swap] = m[swap], m[k]
+    return True
+
+
 def det(a):
-    """Determinant by exact Gaussian elimination."""
+    """Determinant of an integer matrix by fraction-free Bareiss elimination."""
     n = len(a)
-    m = [[Fraction(x) for x in row] for row in a]
-    result = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            result = -result
-        result *= m[col][col]
-        inv = Fraction(1) / m[col][col]
-        for r in range(col + 1, n):
-            factor = m[r][col] * inv
-            if factor:
-                for c in range(col, n):
-                    m[r][c] -= factor * m[col][c]
-    return result
+    m = [list(row) for row in a]
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        row_k = m[k]
+        if not row_k[k]:
+            if not _pivot(m, k):
+                return 0
+            sign, row_k = -sign, m[k]
+        pivot = row_k[k]
+        for row in m[k + 1:]:
+            f = row[k]
+            for j in range(k + 1, n):
+                row[j] = (pivot * row[j] - f * row_k[j]) // prev
+        prev = pivot
+    return sign * m[-1][-1] if n else 1
+
+
+def solve(a, b):
+    """(d, y) with a*y = d*b for a nonsingular integer matrix a and integer
+    vector b, d = +-det(a), by fraction-free Gauss-Jordan elimination.
+
+    Raises ZeroDivisionError when a is singular."""
+    n = len(a)
+    m = [list(row) + [v] for row, v in zip(a, b)]
+    prev = 1
+    for k in range(n):
+        if not _pivot(m, k):
+            raise ZeroDivisionError("singular matrix")
+        row_k = m[k]
+        pivot = row_k[k]
+        for i, row in enumerate(m):
+            if i == k:
+                continue
+            f = row[k]
+            for j in range(k + 1, n + 1):
+                row[j] = (pivot * row[j] - f * row_k[j]) // prev
+            row[k] = 0
+        prev = pivot
+    return prev, [row[n] for row in m]
 
 
 def charpoly(a):
-    """Characteristic polynomial det(xI - A), low-degree-first, monic.
+    """Characteristic polynomial det(xI - A) of an integer matrix,
+    low-degree-first, monic, with integer coefficients.
 
-    Faddeev-LeVerrier recursion; exact over Fraction entries.
+    Faddeev-LeVerrier recursion; on integer matrices each step's division
+    by k is exact.
     """
     n = len(a)
-    coeffs = [Fraction(1)]  # c_0 = 1 for x^n
-    m = [[Fraction(x) for x in row] for row in a]
+    coeffs = [1]  # c_0 = 1 for x^n
     mk = identity(n)
     for k in range(1, n + 1):
-        mk = mat_mul(m, mk)
-        ck = -trace(mk) / k
+        mk = mat_mul(a, mk)
+        ck, rem = divmod(-trace(mk), k)
+        assert rem == 0, "Faddeev-LeVerrier division not exact"
         coeffs.append(ck)
         if k < n:
             for i in range(n):

@@ -1,19 +1,26 @@
 """Exact arithmetic in a number field K = Q[x]/(f).
 
-A field is presented by a monic irreducible integer polynomial; elements are
-coordinate vectors of rationals in the power basis 1, theta, ..., theta^(n-1).
-All arithmetic is exact, every embedding question is decided through Sturm
-isolation and rational interval refinement.
+A field is presented by a monic irreducible integer polynomial.  An element
+is stored as an integer numerator vector ``num`` in the power basis
+1, theta, ..., theta^(n-1) over one positive integer denominator ``den``,
+always in canonical form (``gcd(den, *num) == 1``), so equal elements have
+equal representations.  ``coords`` is the read-only view of the same element
+as a tuple of ``fractions.Fraction``.  Products reduce through a per-field
+integer table of theta^k for n <= k < 2n-1; norms, characteristic
+polynomials and inverses go through fraction-free integer linear algebra on
+the multiplication matrix of ``num``.  Every embedding question is decided
+through Sturm isolation and rational interval refinement.
 """
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from . import linalg
 from .errors import (DegreeZero, DivisionByZero, NotMonic, NotTotallyReal,
                      Reducible, Unsupported, ZeroElement)
 from .parsing import parse_poly
-from .polynomials import (interval_eval, isolate_real_roots, pdivmod, pmul,
-                          pxgcd, poly_disc, refine_interval, strip, zx_factor)
+from .polynomials import (interval_eval, isolate_real_roots, pdivmod,
+                          poly_disc, refine_interval, strip, zx_factor)
 
 MAX_DEGREE = 6
 
@@ -29,7 +36,11 @@ class NumberField:
         r1 = len(real_roots)
         self.signature = (r1, (self.degree - r1) // 2)
         self.field_disc = None  # set once the index is verified at all squares
-        self._frac_coeffs = [Fraction(c) for c in self.coeffs]
+        # integer coordinates of theta^k for n <= k < 2n-1, the powers a
+        # product of two reduced elements can reach
+        n = self.degree
+        self._reduction = tuple(self._reduce([0] * k + [1])
+                                for k in range(n, 2 * n - 1))
 
     # -- basic properties ---------------------------------------------
 
@@ -46,18 +57,29 @@ class NumberField:
     def __repr__(self):
         return f"NumberField({_poly_str(self.coeffs)})"
 
+    def _reduce(self, num):
+        """Integer polynomial num reduced mod the monic f, padded to degree n."""
+        n, f = self.degree, self.coeffs
+        num = list(num)
+        for k in range(len(num) - 1, n - 1, -1):
+            c = num[k]
+            if c:
+                for i in range(n):
+                    num[k - n + i] -= c * f[i]
+        return num[:n] + [0] * (n - len(num))
+
     # -- element constructors -----------------------------------------
 
     def element(self, coords):
         coords = [Fraction(c) for c in coords]
-        if len(coords) > self.degree:
-            _, rem = pdivmod(coords, self._frac_coeffs)
-            coords = rem
-        coords = list(coords) + [Fraction(0)] * (self.degree - len(coords))
-        return FieldElement(self, coords[:self.degree])
+        den = lcm(*(c.denominator for c in coords))
+        return FieldElement(self, self._reduce(
+            [c.numerator * (den // c.denominator) for c in coords]), den)
 
     def from_rational(self, value):
-        return self.element([Fraction(value)])
+        value = Fraction(value)
+        return FieldElement(self, [value.numerator] + [0] * (self.degree - 1),
+                            value.denominator)
 
     def zero(self):
         return self.from_rational(0)
@@ -66,8 +88,6 @@ class NumberField:
         return self.from_rational(1)
 
     def theta(self):
-        if self.degree == 1:
-            return self.from_rational(-self.coeffs[0])
         return self.element([0, 1])
 
     def element_from_str(self, text):
@@ -75,64 +95,92 @@ class NumberField:
 
 
 class FieldElement:
-    """An element of a NumberField in power-basis coordinates."""
+    """An element num/den of a NumberField in the power basis, canonical:
+    den > 0 and gcd(den, *num) == 1."""
 
-    __slots__ = ("field", "coords")
+    __slots__ = ("field", "num", "den")
 
-    def __init__(self, field, coords):
+    def __init__(self, field, num, den=1):
+        if den < 0:
+            num, den = [-c for c in num], -den
+        g = gcd(den, *num)
+        if g != 1:
+            num, den = [c // g for c in num], den // g
         self.field = field
-        self.coords = tuple(coords)
+        self.num = tuple(num)
+        self.den = den
+
+    @property
+    def coords(self):
+        """Power-basis coordinates as Fractions (a read-only view)."""
+        den = self.den
+        return tuple(Fraction(c, den) for c in self.num)
 
     # -- predicates ----------------------------------------------------
 
     def is_zero(self):
-        return all(c == 0 for c in self.coords)
+        return not any(self.num)
 
     def is_rational(self):
-        return all(c == 0 for c in self.coords[1:])
+        return not any(self.num[1:])
 
     def as_fraction(self):
         if not self.is_rational():
             raise ValueError("element is not rational")
-        return self.coords[0]
+        return Fraction(self.num[0], self.den)
 
     def in_power_order(self):
         """True when all coordinates are integers (membership in Z[theta])."""
-        return all(c.denominator == 1 for c in self.coords)
+        return self.den == 1
 
     def is_algebraic_integer(self):
-        return all(c.denominator == 1 for c in self.min_poly())
+        return self.den == 1 or all(c.denominator == 1
+                                    for c in self.min_poly())
 
     def denominator_lcm(self):
-        d = 1
-        for c in self.coords:
-            d = d * c.denominator // _gcd(d, c.denominator)
-        return d
+        return self.den
 
     def height(self):
         return max(max(abs(c.numerator), c.denominator) for c in self.coords)
 
     # -- arithmetic ----------------------------------------------------
 
-    def _wrap(self, coords):
-        return self.field.element(coords)
-
     def __add__(self, other):
         other = self._coerce(other)
-        return FieldElement(self.field,
-                            [a + b for a, b in zip(self.coords, other.coords)])
+        if self.den == other.den:
+            return FieldElement(self.field, [a + b for a, b in
+                                             zip(self.num, other.num)],
+                                self.den)
+        da, db = self.den, other.den
+        return FieldElement(self.field, [a * db + b * da for a, b in
+                                         zip(self.num, other.num)], da * db)
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        return FieldElement(self.field,
-                            [a - b for a, b in zip(self.coords, other.coords)])
+        return self.__add__(-self._coerce(other))
 
     def __neg__(self):
-        return FieldElement(self.field, [-a for a in self.coords])
+        return FieldElement(self.field, [-a for a in self.num], self.den)
 
     def __mul__(self, other):
+        if not isinstance(other, FieldElement):
+            r = Fraction(other)
+            return FieldElement(self.field, [c * r.numerator for c in self.num],
+                                self.den * r.denominator)
         other = self._coerce(other)
-        return self._wrap(pmul(list(self.coords), list(other.coords)))
+        field = self.field
+        n = field.degree
+        prod = [0] * (2 * n - 1)
+        b = other.num
+        for i, ca in enumerate(self.num):
+            if ca:
+                for j, cb in enumerate(b):
+                    prod[i + j] += ca * cb
+        out = prod[:n]
+        for c, power in zip(prod[n:], field._reduction):
+            if c:
+                for i in range(n):
+                    out[i] += c * power[i]
+        return FieldElement(field, out, self.den * other.den)
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -164,53 +212,62 @@ class FieldElement:
         return result
 
     def inverse(self):
+        """1/x = den * y for the integer solution of num * y = 1, found by
+        fraction-free elimination on the multiplication matrix of num."""
         if self.is_zero():
             raise DivisionByZero("division by zero field element")
-        g, s, _t = pxgcd(list(self.coords), self.field._frac_coeffs)
-        if len(g) != 1:
-            raise ArithmeticError("defining polynomial not irreducible?")
-        return self._wrap([c / g[0] for c in s])
+        n = self.field.degree
+        d, y = linalg.solve(self.num_matrix(), [1] + [0] * (n - 1))
+        return FieldElement(self.field, [self.den * c for c in y], d)
 
     def _coerce(self, other):
         if isinstance(other, FieldElement):
-            if other.field != self.field:
+            if other.field is not self.field and other.field != self.field:
                 raise ValueError("elements of different fields")
             return other
         return self.field.from_rational(other)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = self.field.from_rational(other)
+            return self.is_rational() and self.as_fraction() == other
         return (isinstance(other, FieldElement)
-                and self.field == other.field and self.coords == other.coords)
+                and self.den == other.den and self.num == other.num
+                and self.field == other.field)
 
     def __hash__(self):
-        return hash((self.field.coeffs, self.coords))
+        return hash((self.field.coeffs, self.num, self.den))
 
     def __repr__(self):
         return _poly_str(self.coords)
 
     # -- invariants ----------------------------------------------------
 
-    def mult_matrix(self):
-        """Matrix of multiplication by self in the power basis (column j is
-        the image of theta^j)."""
-        n = self.field.degree
-        cols = []
-        power = self.field.one()
-        for _ in range(n):
-            cols.append((self * power).coords)
-            power = power * self.field.theta()
+    def num_matrix(self):
+        """Integer matrix of multiplication by num = den * self in the power
+        basis (column j is the image of theta^j)."""
+        field = self.field
+        n, f = field.degree, field.coeffs
+        col = list(self.num)
+        cols = [col]
+        for _ in range(n - 1):
+            top = col[-1]
+            col = [-top * f[0]] + [col[i - 1] - top * f[i] for i in range(1, n)]
+            cols.append(col)
         return [[cols[j][i] for j in range(n)] for i in range(n)]
 
     def norm(self):
-        return linalg.det(self.mult_matrix())
+        return Fraction(linalg.det(self.num_matrix()),
+                        self.den ** self.field.degree)
 
     def trace(self):
-        return sum(self.mult_matrix()[i][i] for i in range(self.field.degree))
+        return Fraction(linalg.trace(self.num_matrix()), self.den)
 
     def char_poly(self):
-        return linalg.charpoly(self.mult_matrix())
+        """det(t - x) low-degree-first: the coefficient of t^(n-k) of the
+        integer charpoly of num, divided by den^k."""
+        ch = linalg.charpoly(self.num_matrix())
+        n = len(ch) - 1
+        return [Fraction(c, self.den ** (n - i)) for i, c in enumerate(ch)]
 
     def min_poly(self):
         """Monic minimal polynomial over Q (squarefree part of char_poly)."""
@@ -220,12 +277,6 @@ class FieldElement:
         if len(g) == 1:
             return pmonic(ch)
         return pmonic(pdivmod(ch, g)[0])
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _poly_str(coords):
@@ -290,8 +341,9 @@ def make_field(spec):
 
 def norm_trace(x: FieldElement):
     """(Norm, Trace) of x, exact rationals."""
-    m = x.mult_matrix()
-    return linalg.det(m), sum(m[i][i] for i in range(len(m)))
+    m = x.num_matrix()
+    return (Fraction(linalg.det(m), x.den ** len(m)),
+            Fraction(linalg.trace(m), x.den))
 
 
 def embedding_sign(x: FieldElement, root_index: int) -> int:
@@ -300,8 +352,8 @@ def embedding_sign(x: FieldElement, root_index: int) -> int:
         raise ZeroElement("sign of zero is undefined")
     field = x.field
     lo, hi = field.real_roots[root_index]
-    g = list(x.coords)
-    f = field._frac_coeffs
+    g = list(x.num)  # den > 0, so num has the sign of x
+    f = field.coeffs
     while True:
         vlo, vhi = interval_eval(g, lo, hi)
         if vlo > 0:
@@ -322,7 +374,7 @@ def embedding_interval(x: FieldElement, root_index: int, max_width: Fraction):
     field = x.field
     lo, hi = field.real_roots[root_index]
     g = list(x.coords)
-    f = field._frac_coeffs
+    f = field.coeffs
     vlo, vhi = interval_eval(g, lo, hi)
     while vhi - vlo > max_width:
         lo, hi = refine_interval(f, lo, hi)

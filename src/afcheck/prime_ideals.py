@@ -13,8 +13,7 @@ from math import gcd
 
 from .errors import IndexDivisor, ZeroElement
 from .numberfield import FieldElement, NumberField
-from .polynomials import (degree, fp_factor, fp_gcd, fp_mul, fp_norm,
-                          psub, strip)
+from .polynomials import degree, fp_factor, fp_gcd, fp_mul, fp_norm, pmul, psub
 
 
 class PrimeIdeal:
@@ -132,7 +131,7 @@ def _dedekind_gate(field, q, factors):
             h_cof = fp_mul(h_cof, gbar, q)
     g_lift = [c % q for c in g_rad]
     h_lift = [c % q for c in h_cof]
-    prod = _zmul(g_lift, h_lift)
+    prod = pmul(g_lift, h_lift)
     diff = psub(prod, list(field.coeffs))
     if any(c % q for c in diff):
         raise ArithmeticError("lift product not congruent to f")
@@ -140,14 +139,6 @@ def _dedekind_gate(field, q, factors):
     common = fp_gcd(fp_gcd(t_bar if t_bar else [], g_rad, q), h_cof, q)
     if degree(common) > 0:
         raise IndexDivisor(q)
-
-
-def _zmul(a, b):
-    out = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, ca in enumerate(a):
-        for j, cb in enumerate(b):
-            out[i + j] += ca * cb
-    return strip(out)
 
 
 def splitting_type(field: NumberField, q: int) -> SplittingType:
@@ -208,7 +199,7 @@ def u_k(field: NumberField):
 def _is_q_integral(x: FieldElement, q: int) -> bool:
     """Denominators coprime to q; equals local integrality at primes over q
     whenever the power basis is q-maximal (guaranteed by the Dedekind gate)."""
-    return all(c.denominator % q != 0 for c in x.coords)
+    return x.den % q != 0
 
 
 def _build_anti_uniformizer(prime: PrimeIdeal):
@@ -221,7 +212,7 @@ def _build_anti_uniformizer(prime: PrimeIdeal):
     # lift tweaks of the cofactor, in case the canonical lift lands in O_K
     for k in range(field.degree):
         tweak = [0] * k + [1]
-        candidates.append(fp_norm(_zmul(quot, [c for c in _addp(prime.gen_coeffs, tweak, q)]), q))
+        candidates.append(fp_norm(pmul(quot, [c for c in _addp(prime.gen_coeffs, tweak, q)]), q))
     for cof in candidates:
         beta = field.element([Fraction(c, q) for c in cof])
         if _is_q_integral(beta, q):
@@ -244,7 +235,8 @@ def _fp_div(a, b, q):
     return fp_divmod(list(a), list(b), q)
 
 
-def _int_q_valuation(n: int, q: int) -> int:
+def int_valuation(n: int, q: int) -> int:
+    """Exponent of q in the nonzero integer n."""
     v = 0
     while n % q == 0:
         n //= q
@@ -265,4 +257,4 @@ def valuation(x: FieldElement, prime: PrimeIdeal) -> int:
     while _is_q_integral(z, q):
         v += 1
         z = z * beta
-    return v - prime.e * _int_q_valuation(d, q)
+    return v - prime.e * int_valuation(d, q)

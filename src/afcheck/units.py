@@ -18,7 +18,8 @@ from .errors import (MissingUserClassNumber, NotTotallyReal, SearchExhausted,
 from .integerfactor import factorint, squarefree_part
 from .numberfield import (FieldElement, NumberField, embedding_interval,
                           embedding_sign)
-from .prime_ideals import PrimeIdeal, factor_rational_prime, valuation
+from .prime_ideals import (PrimeIdeal, factor_rational_prime, int_valuation,
+                           valuation)
 
 # give-up cap on coordinate magnitude in unit searches; searches stop at the
 # first certified pair, so this only bounds the hopeless case
@@ -625,7 +626,7 @@ def normalize_solution(field: NumberField, a, b, c, *,
     profile = {}
     for q in {p.q for p in target} | {q for q in _int_primes(denom)}:
         for p in factor_rational_prime(field, q):
-            v = target.get(p, 0) + p.e * _val_int(denom, q)
+            v = target.get(p, 0) + p.e * int_valuation(denom, q)
             if v:
                 profile[p] = v
     eta = _find_generator(field, profile, gen_bound)
@@ -636,14 +637,6 @@ def normalize_solution(field: NumberField, a, b, c, *,
 
 def _int_primes(n):
     return set(factorint(n))
-
-
-def _val_int(n, q):
-    v = 0
-    while n % q == 0:
-        n //= q
-        v += 1
-    return v
 
 
 def _gcd_ideal_profile(field, elements):

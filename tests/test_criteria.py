@@ -123,6 +123,15 @@ class TestThm52:
         v = check_thm_5_2(Q, 0)
         assert v.applies == "unknown"
 
+    def test_user_class_number_reaches_base_search(self):
+        # the cubic's class data needs the supplied class number; the S_K
+        # search over K must get it instead of raising BasisUnavailable
+        K = make_field("x^3 - x^2 - 2*x + 1")
+        v = check_thm_5_2(K, 3, user_class_number=1)
+        assert v.applies == "unknown"
+        base = next(h for h in v.hypotheses if "over the base field" in h.name)
+        assert base.holds and not base.assumed and base.witness
+
 
 class TestLocalCriteria:
     def test_cor_7_2_rationals(self):

@@ -1,0 +1,210 @@
+"""The integer arithmetic core of FieldElement against sympy oracles.
+
+Elements are drawn with random rational coordinates (denominators included)
+in fields of degree 1 to 6; every operation is checked against sympy
+polynomial arithmetic modulo the defining polynomial, and the fraction-free
+determinant and solver against sympy's exact linear algebra.
+"""
+
+from fractions import Fraction
+from math import gcd, lcm
+
+import pytest
+import sympy
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from afcheck import linalg, make_field, norm_trace
+from afcheck.errors import DivisionByZero
+
+X = sympy.symbols("x")
+
+FIELDS = {spec: make_field(spec) for spec in (
+    "x + 2", "x^2 - x - 4", "x^2 + 5", "x^3 - x^2 - 2*x + 1", "x^3 - 2",
+    "x^4 - 10*x^2 + 1", "x^4 + x^3 + x^2 + x + 1", "x^5 - x + 1",
+    "x^6 + x^5 + x^4 + x^3 + x^2 + x + 1", "x^6 - 2")}
+
+SETTINGS = settings(max_examples=60, deadline=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+coordinate = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 12))
+
+
+@st.composite
+def field_and_coords(draw, count=1):
+    field = FIELDS[draw(st.sampled_from(sorted(FIELDS)))]
+    n = field.degree
+    return field, [draw(st.lists(coordinate, min_size=n, max_size=n))
+                   for _ in range(count)]
+
+
+def f_poly(field):
+    return sympy.Poly(list(reversed(field.coeffs)), X, domain=sympy.QQ)
+
+
+def to_poly(coords):
+    return sympy.Poly([sympy.Rational(c.numerator, c.denominator)
+                       for c in reversed(coords)], X, domain=sympy.QQ)
+
+
+def from_poly(poly, n):
+    coeffs = [Fraction(int(c.p), int(c.q)) for c in reversed(poly.all_coeffs())]
+    return tuple(coeffs + [Fraction(0)] * (n - len(coeffs)))
+
+
+def mult_matrix(field, coords):
+    """Rational matrix of multiplication by the element, built in sympy."""
+    f, g = f_poly(field), to_poly(coords)
+    n = field.degree
+    cols = [from_poly((g * sympy.Poly(X ** j, X, domain=sympy.QQ)).rem(f), n)
+            for j in range(n)]
+    return sympy.Matrix(n, n, lambda i, j: sympy.Rational(
+        cols[j][i].numerator, cols[j][i].denominator))
+
+
+class TestArithmeticOracle:
+    @SETTINGS
+    @given(field_and_coords(count=2))
+    def test_mul_add_sub(self, drawn):
+        field, (a, b) = drawn
+        x, y = field.element(a), field.element(b)
+        f, ga, gb = f_poly(field), to_poly(a), to_poly(b)
+        n = field.degree
+        assert (x * y).coords == from_poly((ga * gb).rem(f), n)
+        assert (x + y).coords == from_poly(ga + gb, n)
+        assert (x - y).coords == from_poly(ga - gb, n)
+        assert (-x).coords == from_poly(-ga, n)
+
+    @SETTINGS
+    @given(field_and_coords())
+    def test_inverse(self, drawn):
+        field, (a,) = drawn
+        x = field.element(a)
+        if x.is_zero():
+            with pytest.raises(DivisionByZero):
+                x.inverse()
+            return
+        inv = sympy.invert(to_poly(a), f_poly(field))
+        assert x.inverse().coords == from_poly(inv, field.degree)
+        assert x * x.inverse() == 1
+
+    @SETTINGS
+    @given(field_and_coords())
+    def test_norm_is_scaled_resultant(self, drawn):
+        field, (a,) = drawn
+        x = field.element(a)
+        d = lcm(*(c.denominator for c in a))
+        integral = sympy.Poly([int(c * d) for c in reversed(a)], X)
+        f = sympy.Poly(list(reversed(field.coeffs)), X)
+        res = int(f.resultant(integral)) if not integral.is_zero else 0
+        assert x.norm() == Fraction(res, d ** field.degree)
+        assert norm_trace(x) == (x.norm(), x.trace())
+
+    @SETTINGS
+    @given(field_and_coords())
+    def test_char_poly(self, drawn):
+        field, (a,) = drawn
+        x = field.element(a)
+        t = sympy.symbols("t")
+        expected = mult_matrix(field, a).charpoly(t).all_coeffs()
+        assert x.char_poly() == [Fraction(int(c.p), int(c.q))
+                                 for c in reversed(expected)]
+        assert x.trace() == -x.char_poly()[-2]
+
+
+class TestCanonicalForm:
+    @SETTINGS
+    @given(field_and_coords(count=2))
+    def test_invariants_and_coords_view(self, drawn):
+        field, (a, b) = drawn
+        x, y = field.element(a), field.element(b)
+        for z in (x, y, x * y, x + y, x - y, -x):
+            assert z.den > 0
+            assert gcd(z.den, *z.num) == 1
+            assert len(z.num) == field.degree
+            assert z.coords == tuple(Fraction(c, z.den) for c in z.num)
+            assert z.denominator_lcm() == lcm(*(c.denominator for c in z.coords))
+            assert z.in_power_order() == all(c.denominator == 1
+                                             for c in z.coords)
+        assert x.coords == tuple(a)
+
+    @SETTINGS
+    @given(field_and_coords(count=2))
+    def test_equal_elements_hash_equal(self, drawn):
+        field, (a, b) = drawn
+        x, y = field.element(a), field.element(b)
+        pairs = [(x * y, y * x), ((x + y) - y, x), (x * 2 / 2, x),
+                 (field.element(list(a) + [0, 0]), x)]
+        for u, v in pairs:
+            assert u == v
+            assert (u.num, u.den) == (v.num, v.den)
+            assert hash(u) == hash(v)
+
+    def test_rational_comparisons(self):
+        field = FIELDS["x^3 - 2"]
+        half = field.from_rational(Fraction(3, 6))
+        assert (half.num, half.den) == ((1, 0, 0), 2)
+        assert half == Fraction(1, 2) and half != 1
+        assert field.zero().den == 1 and field.zero() == 0
+        assert field.theta() != 0
+
+
+square = st.integers(1, 6).flatmap(lambda n: st.lists(
+    st.lists(st.integers(-20, 20), min_size=n, max_size=n),
+    min_size=n, max_size=n))
+
+
+class TestBareiss:
+    @settings(max_examples=150, deadline=None)
+    @given(square)
+    def test_det_matches_sympy(self, m):
+        assert linalg.det(m) == sympy.Matrix(m).det()
+
+    @settings(max_examples=80, deadline=None)
+    @given(square, st.data())
+    def test_det_of_singular_matrix(self, m, data):
+        n = len(m)
+        if n == 1:
+            m = [[0]]
+        else:
+            i, j = data.draw(st.permutations(range(n)))[:2]
+            k = data.draw(st.integers(-3, 3))
+            m[i] = [k * c for c in m[j]]
+        assert linalg.det(m) == 0 == sympy.Matrix(m).det()
+
+    @settings(max_examples=80, deadline=None)
+    @given(square)
+    def test_det_with_pivot_swaps(self, m):
+        for row in m:
+            row[0] = 0
+        m[-1][0] = 7
+        if len(m) > 1:
+            m[0][1] = 0
+        assert linalg.det(m) == sympy.Matrix(m).det()
+
+    def test_det_needing_swaps(self):
+        m = [[0, 2, 1], [0, 0, 3], [5, 1, 1]]
+        assert linalg.det(m) == sympy.Matrix(m).det() == 30
+        assert linalg.det([]) == 1
+
+    @settings(max_examples=100, deadline=None)
+    @given(square, st.data())
+    def test_solve(self, m, data):
+        n = len(m)
+        b = data.draw(st.lists(st.integers(-20, 20), min_size=n, max_size=n))
+        det = sympy.Matrix(m).det()
+        if det == 0:
+            with pytest.raises(ZeroDivisionError):
+                linalg.solve(m, b)
+            return
+        d, y = linalg.solve(m, b)
+        assert abs(d) == abs(det)
+        assert [sum(r * c for r, c in zip(row, y)) for row in m] == \
+            [d * v for v in b]
+
+    @settings(max_examples=80, deadline=None)
+    @given(square)
+    def test_charpoly_matches_sympy(self, m):
+        t = sympy.symbols("t")
+        expected = sympy.Matrix(m).charpoly(t).all_coeffs()
+        assert linalg.charpoly(m) == [int(c) for c in reversed(expected)]
