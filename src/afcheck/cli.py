@@ -11,13 +11,14 @@ import sys
 import time
 from dataclasses import dataclass
 
-from .criteria import (check_cor_3_4, check_cor_7_2, check_thm_3_2,
-                       check_thm_3_3, check_thm_5_2, check_thm_7_1,
-                       check_thm_7_3, scan_ramified_l)
+from .criteria import (CONCLUSIONS, check_cor_3_4, check_cor_7_2,
+                       check_thm_3_2, check_thm_3_3, check_thm_5_2,
+                       check_thm_7_1, check_thm_7_3, scan_ramified_l)
 from .errors import AfcheckError
 from .frey import (FAMILY_SQUARE, FAMILY_TWO_POWER, FreySpec,
                    concrete_cross_check, conductor_shape, invariants,
                    odd_multiplicative_primes, valuation_profile)
+from .integerfactor import is_prime
 from .numberfield import make_field
 from .parsing import ParseError
 from .prime_ideals import factor_rational_prime, s_k, splitting_type, u_k, valuation
@@ -32,8 +33,14 @@ EXIT_UNKNOWN = 3
 
 _VERDICT_EXIT = {"yes": EXIT_OK, "no": EXIT_NO, "unknown": EXIT_UNKNOWN}
 
-_CHECKS = ("thm-3-2", "thm-3-3", "cor-3-4", "thm-5-2", "thm-7-1", "cor-7-2",
-           "thm-7-3", "thm-7-3-1", "thm-7-3-2")
+# S-unit criteria, called as check(field, bound, **solver_kw)
+_SUNIT_CHECKS = {"thm-3-2": check_thm_3_2, "thm-3-3": check_thm_3_3,
+                 "cor-3-4": check_cor_3_4, "thm-5-2": check_thm_5_2}
+# local criteria, called as check(field, l) with l None unless --l is given
+_LOCAL_CHECKS = {"thm-7-1": check_thm_7_1,
+                 "cor-7-2": lambda field, ell: check_cor_7_2(field),
+                 "thm-7-3-1": lambda field, ell: check_thm_7_3(field, 1, ell),
+                 "thm-7-3-2": lambda field, ell: check_thm_7_3(field, 2)}
 
 
 @dataclass
@@ -44,17 +51,13 @@ class RunConfig:
     l_max: int = 1000
     max_candidates: int = 500_000
     user_class_number: int = None
-    allow_trivial_ideal: bool = False
     seed: int = 0
     output: str = "human"
-
-    def to_dict(self):
-        return {k: v for k, v in vars(self).items()}
 
 
 _CONFIG_KEYS = ("sunit_exponent_bound", "unit_height_bound",
                 "class_enum_bound", "l_max", "max_candidates",
-                "user_class_number", "allow_trivial_ideal", "seed")
+                "user_class_number", "seed")
 
 
 def _load_config_file(path, cfg: RunConfig):
@@ -69,10 +72,7 @@ def _load_config_file(path, cfg: RunConfig):
             if key not in _CONFIG_KEYS:
                 raise ParseError(f"unknown config key {key!r}")
             try:
-                if key == "allow_trivial_ideal":
-                    setattr(cfg, key, value.lower() in ("1", "true", "yes"))
-                else:
-                    setattr(cfg, key, int(value))
+                setattr(cfg, key, int(value))
             except ValueError as exc:
                 raise ParseError(f"bad value for {key}: {value!r}") from exc
 
@@ -113,7 +113,8 @@ def _parser():
                    help="rational prime at which to emit reduction reports")
 
     p = sub.add_parser("check", help="evaluate a criterion's hypotheses")
-    p.add_argument("theorem", choices=_CHECKS)
+    # thm-7-3 is resolved to thm-7-3-1 or thm-7-3-2 by --mode
+    p.add_argument("theorem", choices=(*CONCLUSIONS, "thm-7-3"))
     p.add_argument("poly")
     p.add_argument("--r", type=int, default=2)
     p.add_argument("--l", type=int, default=None)
@@ -160,6 +161,8 @@ def _cmd_selmer(field, args, cfg):
 
 
 def _cmd_frey(field, args, cfg):
+    if args.prime is not None and not is_prime(args.prime):
+        raise ParseError(f"--prime must be a prime, got {args.prime}")
     a = field.element_from_str(args.a)
     b = field.element_from_str(args.b)
     c = field.element_from_str(args.c)
@@ -201,40 +204,21 @@ def _cmd_frey(field, args, cfg):
 
 
 def _cmd_check(field, args, cfg):
-    bound = args.bound if args.bound is not None else cfg.sunit_exponent_bound
-    ucn = args.user_class_number or cfg.user_class_number
-    solver_kw = {"max_candidates": cfg.max_candidates,
-                 "user_class_number": ucn,
-                 "height_bound": cfg.unit_height_bound}
     theorem = args.theorem
     if theorem == "thm-7-3":
         if args.mode not in (1, 2):
             raise ParseError("check thm-7-3 needs --mode 1 or --mode 2")
         theorem = f"thm-7-3-{args.mode}"
-    if theorem == "thm-3-2":
-        verdict = check_thm_3_2(field, bound, **solver_kw)
-    elif theorem == "thm-3-3":
-        verdict = check_thm_3_3(field, bound, **solver_kw)
-    elif theorem == "cor-3-4":
-        verdict = check_cor_3_4(field, bound, **solver_kw)
-    elif theorem == "thm-5-2":
-        verdict = check_thm_5_2(field, bound, user_class_number=ucn,
-                                max_candidates=cfg.max_candidates,
-                                height_bound=cfg.unit_height_bound)
-    elif theorem == "thm-7-1":
-        if args.l is None:
-            raise ParseError("check thm-7-1 needs --l")
-        verdict = check_thm_7_1(field, args.l)
-    elif theorem == "cor-7-2":
-        verdict = check_cor_7_2(field)
-    elif theorem == "thm-7-3-1":
-        if args.l is None:
-            raise ParseError("check thm-7-3-1 needs --l")
-        verdict = check_thm_7_3(field, 1, ell=args.l)
-    elif theorem == "thm-7-3-2":
-        verdict = check_thm_7_3(field, 2)
-    else:  # pragma: no cover
-        raise ParseError(f"unhandled theorem {theorem}")
+    if theorem in _SUNIT_CHECKS:
+        bound = args.bound if args.bound is not None else cfg.sunit_exponent_bound
+        verdict = _SUNIT_CHECKS[theorem](
+            field, bound, max_candidates=cfg.max_candidates,
+            user_class_number=args.user_class_number or cfg.user_class_number,
+            height_bound=cfg.unit_height_bound)
+    else:
+        if args.l is None and theorem in ("thm-7-1", "thm-7-3-1"):
+            raise ParseError(f"check {theorem} needs --l")
+        verdict = _LOCAL_CHECKS[theorem](field, args.l)
     if args.r is not None and verdict.r is None:
         verdict.r = args.r
     return verdict.to_dict(), list(verdict.caveats), _VERDICT_EXIT[verdict.applies]

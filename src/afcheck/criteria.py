@@ -15,31 +15,26 @@ from .errors import (BasisUnavailable, IndexDivisor, MissingUserClassNumber,
                      Unsupported)
 from .integerfactor import factorint, is_prime
 from .numberfield import NumberField
-from .prime_ideals import s_k, splitting_type, u_k
+from .prime_ideals import factor_rational_prime, s_k, splitting_type, u_k
 from .sunits import quadratic_extension, selmer_group, solve_sunit
 from .units import class_data
 
+_ALL_SOLUTIONS = ("for r in {2, 3} and all sufficiently large prime exponents p, "
+                  "x^p + y^p = 2^r z^p has no non-trivial solution over the field")
+_ABC_OVER_2 = ("for all sufficiently large prime exponents p, "
+               "x^p + y^p = 2^r z^p has no non-trivial solution in which "
+               "every prime over 2 divides a*b*c")
 CONCLUSIONS = {
-    "thm-3-2": ("for all sufficiently large prime exponents p, "
-                "x^p + y^p = 2^r z^p has no non-trivial solution in which "
-                "every prime over 2 divides a*b*c"),
-    "thm-3-3": ("for r in {2, 3} and all sufficiently large prime exponents p, "
-                "x^p + y^p = 2^r z^p has no non-trivial solution over the field"),
-    "cor-3-4": ("for r in {2, 3} and all sufficiently large prime exponents p, "
-                "x^p + y^p = 2^r z^p has no non-trivial solution over the field"),
+    "thm-3-2": _ABC_OVER_2,
+    "thm-3-3": _ALL_SOLUTIONS,
+    "cor-3-4": _ALL_SOLUTIONS,
     "thm-5-2": ("for all sufficiently large prime exponents p, "
                 "x^p + y^p = z^2 has no non-trivial solution in which "
                 "every prime over 2 divides a*b"),
-    "thm-7-1": ("for r in {2, 3} and all sufficiently large prime exponents p, "
-                "x^p + y^p = 2^r z^p has no non-trivial solution over the field"),
-    "cor-7-2": ("for r in {2, 3} and all sufficiently large prime exponents p, "
-                "x^p + y^p = 2^r z^p has no non-trivial solution over the field"),
-    "thm-7-3-1": ("for all sufficiently large prime exponents p, "
-                  "x^p + y^p = 2^r z^p has no non-trivial solution in which "
-                  "every prime over 2 divides a*b*c"),
-    "thm-7-3-2": ("for all sufficiently large prime exponents p, "
-                  "x^p + y^p = 2^r z^p has no non-trivial solution in which "
-                  "every prime over 2 divides a*b*c"),
+    "thm-7-1": _ALL_SOLUTIONS,
+    "cor-7-2": _ALL_SOLUTIONS,
+    "thm-7-3-1": _ABC_OVER_2,
+    "thm-7-3-2": _ABC_OVER_2,
 }
 
 
@@ -86,37 +81,80 @@ class Verdict:
         return out
 
 
+def _hyp(name, holds, witness=None, note=None):
+    """A checked hypothesis; the note explains a failure, so it is kept only
+    when the hypothesis fails."""
+    return HypothesisStatus(name, holds, witness=witness,
+                            note=None if holds else note)
+
+
 def _hyp_totally_real(field):
-    return HypothesisStatus(
-        "field is totally real", field.is_totally_real,
-        witness={"signature": list(field.signature)},
-        note=None if field.is_totally_real
-        else f"computed signature {field.signature}")
+    return _hyp("field is totally real", field.is_totally_real,
+                {"signature": list(field.signature)},
+                f"computed signature {field.signature}")
 
 
-def _finalize(theorem_id, field, hypotheses, *, r=None, bounded=False,
-              bound=None, notes=None, diagnostics_unknown=False):
-    notes = notes or []
-    for h in hypotheses:
-        if not h.holds and not h.assumed and h.note:
-            notes.append(h.note)
-    failed = [h for h in hypotheses if not h.holds and not h.assumed]
-    caveats = []
-    if bounded:
-        caveats.append(f"bounded-search:B={bound}")
-    for h in hypotheses:
-        if h.caveat:
-            caveats.append(f"{h.name}: {h.caveat[0]}={h.caveat[1]}")
-    if any(h.assumed for h in hypotheses):
-        caveats.append("modularity-lift conjecture assumed-if-needed")
-    if failed:
+def _hyp_odd_degree(field):
+    n = field.degree
+    return _hyp("degree is odd", n % 2 == 1, {"degree": n}, f"degree {n} is even")
+
+
+def _hyp_shape(field, q, name, predicate):
+    """q factors with the shape named by `predicate`, an attribute of
+    SplittingType; the witness lists every prime over q."""
+    st = splitting_type(field, q)
+    wit = st.to_dict()
+    wit["primes"] = []
+    for P in factor_rational_prime(field, q):
+        entry = P.to_dict()
+        if (root := P.residue_root()) is not None:
+            entry["root"] = root
+        wit["primes"].append(entry)
+    return _hyp(name, getattr(st, predicate), wit,
+                f"{q} factors with shape {list(st.pattern)}")
+
+
+_TWO_INERT = (2, "2 is inert", "inert")
+_THREE_SPLIT = (3, "3 is totally split", "totally_split")
+
+
+def _hyps_aux_prime(field, ell):
+    """The conditions on the auxiliary prime l: l > 5 prime, gcd(n, l-1) = 1
+    and l totally ramified.  A non-prime l is never factored."""
+    n, g, prime = field.degree, gcd(field.degree, ell - 1), is_prime(ell)
+    ramified = "l is totally ramified"
+    return [
+        _hyp("l is a prime larger than 5", prime and ell > 5,
+             {"l": ell}, f"l = {ell}"),
+        _hyp("gcd(degree, l - 1) = 1", g == 1,
+             {"degree": n, "l": ell, "gcd": g}, f"gcd({n}, {ell - 1}) = {g}"),
+        _hyp_shape(field, ell, ramified, "totally_ramified") if prime
+        else _hyp(ramified, False,
+                  note=f"{ell} is not a prime; ramification not evaluated"),
+    ]
+
+
+_MODULARITY_LIFT = "modularity-lift statement for even-degree fields"
+
+
+def _finalize(theorem_id, field, hypotheses, *, bound=None, notes=()):
+    """Verdict from the hypotheses: "no" if one fails, else "unknown" for a
+    bounded search (bound given), else "yes"."""
+    notes = list(notes) + [h.note for h in hypotheses if not h.holds and h.note]
+    caveats = [] if bound is None else [f"bounded-search:B={bound}"]
+    caveats += [f"{h.name}: {h.caveat[0]}={h.caveat[1]}"
+                for h in hypotheses if h.caveat]
+    caveats += ["modularity-lift conjecture assumed-if-needed"
+                if h.name == _MODULARITY_LIFT else f"assumed {h.name}: {h.note}"
+                for h in hypotheses if h.assumed]
+    if any(not h.holds for h in hypotheses):
         applies = "no"
-    elif bounded or diagnostics_unknown or any(h.caveat for h in hypotheses):
+    elif bound is not None or any(h.assumed for h in hypotheses):
         applies = "unknown"
     else:
         applies = "yes"
     return Verdict(theorem_id, field, applies, hypotheses,
-                   CONCLUSIONS[theorem_id], r=r, caveats=caveats, notes=notes)
+                   CONCLUSIONS[theorem_id], caveats=caveats, notes=notes)
 
 
 # ----------------------------------------------------- S-unit based criteria
@@ -129,101 +167,88 @@ def _solution_witness(sol, prime, bound_val):
             "bound": bound_val}
 
 
-def _check_box_condition(field, solutions, primes, predicate, bound_desc):
-    """Per-solution existential check; returns (holds, witnesses, counterexample)."""
+def _within_4v2(sol, P):
+    return max(abs(v) for v in sol.val_profile[P]) <= 4 * P.e
+
+
+def _box_hypothesis(name, search, primes, predicate, bound, bound_desc=None):
+    """Every solution in the box of exponent bound `bound` meets `predicate`
+    at some prime of `primes`.  The witness is one entry per solution, or the
+    first solution that fails.  `bound_desc(P)` replaces `bound` in the
+    entry of a solution that meets it at P."""
     witnesses = []
-    for sol in solutions:
-        hit = None
-        for P in primes:
-            if predicate(sol, P):
-                hit = P
-                break
+    for sol in search.solutions:
+        hit = next((P for P in primes if predicate(sol, P)), None)
         if hit is None:
-            return False, witnesses, _solution_witness(sol, None, bound_desc)
-        witnesses.append(_solution_witness(sol, hit, bound_desc(sol, hit)
-                                           if callable(bound_desc) else bound_desc))
-    return True, witnesses, None
+            return HypothesisStatus(name, False,
+                                    witness=_solution_witness(sol, None, bound),
+                                    caveat=("bounded-search", bound))
+        witnesses.append(_solution_witness(
+            sol, hit, bound if bound_desc is None else bound_desc(hit)))
+    return HypothesisStatus(name, True, witness=witnesses,
+                            caveat=("bounded-search", bound))
+
+
+def _empty_box_note(search, bound):
+    if not search.solutions:
+        return [f"no S-unit solutions found in the box (B={bound})"]
+    return []
 
 
 def check_thm_3_2(field: NumberField, bound: int, **solver_kw) -> Verdict:
     """Every S_K-unit solution must satisfy max(|v(lam)|,|v(mu)|) <= 4 v(2)
     at some prime over 2; bounded box, so confirmation is always 'unknown'."""
-    hyps = [_hyp_totally_real(field)]
     primes = s_k(field)
     search = solve_sunit(field, primes, bound, **solver_kw)
-    holds, witnesses, counter = _check_box_condition(
-        field, search.solutions, primes,
-        lambda sol, P: max(abs(v) for v in sol.val_profile[P]) <= 4 * P.e,
-        lambda sol, P: 4 * P.e)
-    notes = []
-    if not search.solutions:
-        notes.append(f"no S-unit solutions found in the box (B={bound}); "
-                     "condition is vacuously satisfied there")
-    hyps.append(HypothesisStatus(
+    hyps = [_hyp_totally_real(field), _box_hypothesis(
         "every solution of lambda + mu = 1 in S_K-units meets "
         "max(|v(lambda)|, |v(mu)|) <= 4*v(2) at some prime over 2",
-        holds, witness=witnesses if holds else counter,
-        caveat=("bounded-search", bound)))
-    return _finalize("thm-3-2", field, hyps, bounded=True, bound=bound,
-                     notes=notes)
+        search, primes, _within_4v2, bound, lambda P: 4 * P.e)]
+    notes = [n + "; condition is vacuously satisfied there"
+             for n in _empty_box_note(search, bound)]
+    return _finalize("thm-3-2", field, hyps, bound=bound, notes=notes)
 
 
-def _es_hypotheses(field):
-    odd_degree = field.degree % 2 == 1
-    if odd_degree:
-        return [HypothesisStatus("degree of the field is odd (lifting "
-                                 "hypothesis satisfied unconditionally)", True,
-                                 witness={"degree": field.degree})]
-    return [HypothesisStatus(
-        "modularity-lift statement for even-degree fields", True,
-        assumed=True,
+def _hyp_lifting(field):
+    if field.degree % 2 == 1:
+        return _hyp("degree of the field is odd (lifting hypothesis satisfied "
+                    "unconditionally)", True, {"degree": field.degree})
+    return HypothesisStatus(
+        _MODULARITY_LIFT, True, assumed=True,
         note=f"[K:Q] = {field.degree} is even; the Hilbert-newform lifting "
-              "statement is assumed-if-needed")]
+             "statement is assumed-if-needed")
 
 
 def check_thm_3_3(field: NumberField, bound: int, **solver_kw) -> Verdict:
     """U_K version: the witness prime must also satisfy
     v(lambda*mu) = v(2) mod 3."""
-    hyps = [_hyp_totally_real(field)] + _es_hypotheses(field)
     primes_u = u_k(field)
     search = solve_sunit(field, s_k(field), bound, **solver_kw)
-    notes = []
-    if not primes_u:
-        notes.append("U_K is empty: no prime over 2 has v(2) coprime to 3")
 
     def pred(sol, P):
         vl, vm = sol.val_profile[P]
-        return (max(abs(vl), abs(vm)) <= 4 * P.e
-                and (vl + vm - P.e) % 3 == 0)
+        return _within_4v2(sol, P) and (vl + vm - P.e) % 3 == 0
 
-    holds, witnesses, counter = _check_box_condition(
-        field, search.solutions, primes_u, pred, bound)
-    if not search.solutions:
-        notes.append(f"no S-unit solutions found in the box (B={bound})")
-    hyps.append(HypothesisStatus(
+    hyps = [_hyp_totally_real(field), _hyp_lifting(field), _box_hypothesis(
         "every solution of lambda + mu = 1 in S_K-units meets, at some prime "
         "over 2 with v(2) coprime to 3, max(|v|) <= 4*v(2) and "
-        "v(lambda*mu) = v(2) (mod 3)",
-        holds, witness=witnesses if holds else counter,
-        caveat=("bounded-search", bound)))
-    return _finalize("thm-3-3", field, hyps, bounded=True, bound=bound,
-                     notes=notes)
+        "v(lambda*mu) = v(2) (mod 3)", search, primes_u, pred, bound)]
+    notes = [] if primes_u else ["U_K is empty: no prime over 2 has v(2) "
+                                 "coprime to 3"]
+    return _finalize("thm-3-3", field, hyps, bound=bound,
+                     notes=notes + _empty_box_note(search, bound))
 
 
 def check_cor_3_4(field: NumberField, bound: int, **solver_kw) -> Verdict:
     """Single equality condition max(|v(lambda)|,|v(mu)|) = v(2) at a prime
     of U_K; the mod-3 congruence of the parent theorem is re-derived and
     re-checked on every witness."""
-    hyps = [_hyp_totally_real(field)] + _es_hypotheses(field)
     primes_u = u_k(field)
     search = solve_sunit(field, s_k(field), bound, **solver_kw)
 
     def pred(sol, P):
-        vl, vm = sol.val_profile[P]
-        return max(abs(vl), abs(vm)) == P.e
+        return max(abs(v) for v in sol.val_profile[P]) == P.e
 
-    holds, witnesses, counter = _check_box_condition(
-        field, search.solutions, primes_u, pred, bound)
     derivation_ok = True
     for sol in search.solutions:
         for P in primes_u:
@@ -231,19 +256,14 @@ def check_cor_3_4(field: NumberField, bound: int, **solver_kw) -> Verdict:
             t = max(abs(vl), abs(vm))
             if t > 0 and (vl + vm - t) % 3 != 0:
                 derivation_ok = False
-    hyps.append(HypothesisStatus(
+    hyps = [_hyp_totally_real(field), _hyp_lifting(field), _box_hypothesis(
         "every solution meets max(|v(lambda)|, |v(mu)|) = v(2) exactly at "
         "some prime over 2 with v(2) coprime to 3",
-        holds, witness=witnesses if holds else counter,
-        caveat=("bounded-search", bound)))
-    hyps.append(HypothesisStatus(
-        "derived congruence v(lambda*mu) = t (mod 3) for t > 0",
-        derivation_ok))
-    notes = []
-    if not search.solutions:
-        notes.append(f"no S-unit solutions found in the box (B={bound})")
-    return _finalize("cor-3-4", field, hyps, bounded=True, bound=bound,
-                     notes=notes)
+        search, primes_u, pred, bound),
+        _hyp("derived congruence v(lambda*mu) = t (mod 3) for t > 0",
+             derivation_ok)]
+    return _finalize("cor-3-4", field, hyps, bound=bound,
+                     notes=_empty_box_note(search, bound))
 
 
 def check_thm_5_2(field: NumberField, bound: int, *,
@@ -251,34 +271,24 @@ def check_thm_5_2(field: NumberField, bound: int, *,
     """Narrow class number one, the S_K condition on K, and the S_L condition
     on every quadratic extension K(sqrt(a)) over the 2-Selmer classes."""
     hyps = [_hyp_totally_real(field)]
-    notes = []
-    diagnostics_unknown = False
+    narrow = "narrow class number equals 1"
     try:
         info = class_data(field, user_class_number=user_class_number)
-        hyps.append(HypothesisStatus(
-            "narrow class number equals 1", info.h_plus == 1,
-            witness={"h": info.h, "h_plus": info.h_plus},
-            note=None if info.h_plus == 1
-            else f"computed h+ = {info.h_plus}"))
+        hyps.append(_hyp(narrow, info.h_plus == 1,
+                         {"h": info.h, "h_plus": info.h_plus},
+                         f"computed h+ = {info.h_plus}"))
     except (MissingUserClassNumber, Unsupported) as exc:
-        hyps.append(HypothesisStatus("narrow class number equals 1", True,
-                                     assumed=True, note=str(exc)))
-        diagnostics_unknown = True
+        hyps.append(HypothesisStatus(narrow, True, assumed=True, note=str(exc)))
 
     primes = s_k(field)
     # user_class_number is K's class number, so only the search over K gets
     # it; the searches over the extensions L below do not
     search = solve_sunit(field, primes, bound,
                          user_class_number=user_class_number, **solver_kw)
-    holds, witnesses, counter = _check_box_condition(
-        field, search.solutions, primes,
-        lambda sol, P: max(abs(v) for v in sol.val_profile[P]) <= 4 * P.e,
-        bound)
-    hyps.append(HypothesisStatus(
+    hyps.append(_box_hypothesis(
         "every S_K-unit solution over the base field meets "
         "max(|v(lambda)|, |v(mu)|) <= 4*v(2) at some prime over 2",
-        holds, witness=witnesses if holds else counter,
-        caveat=("bounded-search", bound)))
+        search, primes, _within_4v2, bound))
 
     selmer = selmer_group(field, primes, 2, user_class_number=user_class_number)
     for rep in selmer.representatives:
@@ -289,129 +299,56 @@ def check_thm_5_2(field: NumberField, bound: int, *,
             ext = quadratic_extension(field, rep)
             ext_primes = s_k(ext)
             ext_search = solve_sunit(ext, ext_primes, bound, **solver_kw)
-        except IndexDivisor as exc:
+        except (IndexDivisor, BasisUnavailable) as exc:
+            note = (f"index divisor at {exc.q} while factoring 2 in the "
+                    "extension; diagnostic: defining polynomial unusable"
+                    if isinstance(exc, IndexDivisor)
+                    else f"S-unit basis unavailable over the extension: {exc}")
             hyps.append(HypothesisStatus(
                 f"S_L-unit condition over K({label})", True, assumed=True,
-                note=f"index divisor at {exc.q} while factoring 2 in the "
-                     f"extension; diagnostic: defining polynomial unusable"))
-            diagnostics_unknown = True
+                note=note))
             continue
-        except BasisUnavailable as exc:
-            hyps.append(HypothesisStatus(
-                f"S_L-unit condition over K({label})", True, assumed=True,
-                note=f"S-unit basis unavailable over the extension: {exc}"))
-            diagnostics_unknown = True
-            continue
-        ok, wit, cnt = _check_box_condition(
-            field, ext_search.solutions, ext_primes,
-            lambda sol, P: max(abs(v) for v in sol.val_profile[P]) <= 4 * P.e,
-            bound)
-        hyps.append(HypothesisStatus(
+        hyp = _box_hypothesis(
             f"every S_L-unit solution over K({label}) meets "
             "max(|v(lambda)|, |v(mu)|) <= 4*v(2) at some prime of S_L",
-            ok, witness={"extension_poly": list(ext.coeffs),
-                         "witnesses": wit} if ok
-            else {"extension_poly": list(ext.coeffs), "counterexample": cnt},
-            caveat=("bounded-search", bound)))
-    return _finalize("thm-5-2", field, hyps, bounded=True, bound=bound,
-                     notes=notes, diagnostics_unknown=diagnostics_unknown)
+            ext_search, ext_primes, _within_4v2, bound)
+        hyp.witness = {"extension_poly": list(ext.coeffs),
+                       "witnesses" if hyp.holds else "counterexample": hyp.witness}
+        hyps.append(hyp)
+    return _finalize("thm-5-2", field, hyps, bound=bound)
 
 
 # ------------------------------------------------------------ local criteria
 
-def _splitting_witness(field, q):
-    from .prime_ideals import factor_rational_prime
-    st = splitting_type(field, q)
-    wit = st.to_dict()
-    wit["primes"] = []
-    for p in factor_rational_prime(field, q):
-        entry = p.to_dict()
-        root = p.residue_root()
-        if root is not None:
-            entry["root"] = root
-        wit["primes"].append(entry)
-    return st, wit
-
-
 def check_thm_7_1(field: NumberField, ell: int) -> Verdict:
     """Purely local: gcd(n, l-1) = 1, l totally ramified, 2 inert."""
-    n = field.degree
-    hyps = [_hyp_totally_real(field)]
-    hyps.append(HypothesisStatus(
-        "l is a prime larger than 5", is_prime(ell) and ell > 5,
-        witness={"l": ell},
-        note=None if is_prime(ell) and ell > 5 else f"l = {ell}"))
-    ok_gcd = gcd(n, ell - 1) == 1
-    hyps.append(HypothesisStatus(
-        "gcd(degree, l - 1) = 1", ok_gcd,
-        witness={"degree": n, "l": ell, "gcd": gcd(n, ell - 1)},
-        note=None if ok_gcd else f"gcd({n}, {ell - 1}) = {gcd(n, ell - 1)}"))
-    st_l, wit_l = _splitting_witness(field, ell)
-    hyps.append(HypothesisStatus(
-        "l is totally ramified", st_l.totally_ramified, witness=wit_l,
-        note=None if st_l.totally_ramified
-        else f"{ell} factors with shape {list(st_l.pattern)}"))
-    st_2, wit_2 = _splitting_witness(field, 2)
-    hyps.append(HypothesisStatus(
-        "2 is inert", st_2.inert, witness=wit_2,
-        note=None if st_2.inert else f"2 factors with shape {list(st_2.pattern)}"))
+    hyps = [_hyp_totally_real(field), *_hyps_aux_prime(field, ell),
+            _hyp_shape(field, *_TWO_INERT)]
     return _finalize("thm-7-1", field, hyps)
 
 
 def check_cor_7_2(field: NumberField) -> Verdict:
     """Purely local: odd degree prime to 3, 2 inert, 3 totally split."""
     n = field.degree
-    hyps = [_hyp_totally_real(field)]
-    hyps.append(HypothesisStatus("degree is odd", n % 2 == 1,
-                                 witness={"degree": n},
-                                 note=None if n % 2 else f"degree {n} is even"))
-    hyps.append(HypothesisStatus("3 does not divide the degree", n % 3 != 0,
-                                 witness={"degree": n},
-                                 note=None if n % 3 else f"3 divides degree {n}"))
-    st_2, wit_2 = _splitting_witness(field, 2)
-    hyps.append(HypothesisStatus(
-        "2 is inert", st_2.inert, witness=wit_2,
-        note=None if st_2.inert else f"2 factors with shape {list(st_2.pattern)}"))
-    st_3, wit_3 = _splitting_witness(field, 3)
-    hyps.append(HypothesisStatus(
-        "3 is totally split", st_3.totally_split, witness=wit_3,
-        note=None if st_3.totally_split
-        else f"3 factors with shape {list(st_3.pattern)}"))
+    hyps = [_hyp_totally_real(field), _hyp_odd_degree(field),
+            _hyp("3 does not divide the degree", n % 3 != 0, {"degree": n},
+                 f"3 divides degree {n}"),
+            _hyp_shape(field, *_TWO_INERT), _hyp_shape(field, *_THREE_SPLIT)]
     return _finalize("cor-7-2", field, hyps)
 
 
 def check_thm_7_3(field: NumberField, mode: int, ell: int = None) -> Verdict:
     """W_K-restricted local criteria: (1) l > 5 totally ramified with
     gcd(n, l-1) = 1, or (2) odd degree with 3 totally split."""
-    n = field.degree
-    hyps = [_hyp_totally_real(field)]
     if mode == 1:
         if ell is None:
             raise ValueError("mode 1 needs the auxiliary prime l")
-        hyps.append(HypothesisStatus(
-            "l is a prime larger than 5", is_prime(ell) and ell > 5,
-            witness={"l": ell}))
-        ok_gcd = gcd(n, ell - 1) == 1
-        hyps.append(HypothesisStatus(
-            "gcd(degree, l - 1) = 1", ok_gcd,
-            witness={"degree": n, "l": ell, "gcd": gcd(n, ell - 1)},
-            note=None if ok_gcd else f"gcd({n}, {ell - 1}) != 1"))
-        st_l, wit_l = _splitting_witness(field, ell)
-        hyps.append(HypothesisStatus(
-            "l is totally ramified", st_l.totally_ramified, witness=wit_l,
-            note=None if st_l.totally_ramified
-            else f"{ell} factors with shape {list(st_l.pattern)}"))
-        return _finalize("thm-7-3-1", field, hyps)
+        return _finalize("thm-7-3-1", field, [_hyp_totally_real(field),
+                                              *_hyps_aux_prime(field, ell)])
     if mode == 2:
-        hyps.append(HypothesisStatus("degree is odd", n % 2 == 1,
-                                     witness={"degree": n},
-                                     note=None if n % 2 else f"degree {n} is even"))
-        st_3, wit_3 = _splitting_witness(field, 3)
-        hyps.append(HypothesisStatus(
-            "3 is totally split", st_3.totally_split, witness=wit_3,
-            note=None if st_3.totally_split
-            else f"3 factors with shape {list(st_3.pattern)}"))
-        return _finalize("thm-7-3-2", field, hyps)
+        return _finalize("thm-7-3-2", field, [
+            _hyp_totally_real(field), _hyp_odd_degree(field),
+            _hyp_shape(field, *_THREE_SPLIT)])
     raise ValueError(f"mode must be 1 or 2, got {mode}")
 
 

@@ -12,6 +12,7 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import IndexDivisor, ZeroElement
+from .integerfactor import is_prime
 from .numberfield import FieldElement, NumberField
 from .polynomials import degree, fp_factor, fp_gcd, fp_mul, fp_norm, pmul, psub
 
@@ -107,10 +108,13 @@ def factor_rational_prime(field: NumberField, q: int):
     """Primes of O_K above q via Dedekind factorization, canonically sorted.
 
     Runs the index criterion at q first; failure raises IndexDivisor(q).
+    A q that is not prime raises ValueError.
     """
     cache_key = (field.coeffs, q)
     if cache_key in _factor_cache:
         return list(_factor_cache[cache_key])
+    if not is_prime(q):
+        raise ValueError(f"{q} is not a prime")
     fbar = fp_norm(list(field.coeffs), q)
     if degree(fbar) != field.degree:
         raise ArithmeticError("monic polynomial degenerated mod q")

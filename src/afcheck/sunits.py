@@ -267,27 +267,26 @@ def _sqrt_fraction(r: Fraction):
 def is_square(x: FieldElement):
     """Exact square test in K; returns (bool, witness-or-None).
 
-    Quadratic fields get an explicit square root; cubic fields decide through
-    the factorization of minpoly(x)(t^2) (an odd-degree factor certifies a
-    root in the field), rationals reduce to perfect-square checks.
+    Quadratic fields get an explicit square root; fields of odd degree decide
+    through the factorization of minpoly(x)(t^2) (an odd-degree factor
+    certifies a root in the field), rationals reduce to perfect-square checks.
+    Even degree >= 4 raises Unsupported: both shortcuts need odd degree.
     """
     field = x.field
+    if field.degree % 2 == 0 and field.degree >= 4:
+        raise Unsupported(f"square test in even degree {field.degree} > 2")
     if x.is_zero():
         return True, field.zero()
     if x.is_rational() and field.degree != 2:
         r = _sqrt_fraction(x.as_fraction())
         if r is not None:
             return True, field.from_rational(r)
-        if field.degree == 1:
-            return False, None
-        # a cubic field has no quadratic subfield, so rational non-squares stay non-squares
+        # a field of odd degree has no quadratic subfield, so rational
+        # non-squares stay non-squares
         return False, None
-    if field.degree == 1:
-        r = _sqrt_fraction(x.as_fraction())
-        return (True, field.from_rational(r)) if r is not None else (False, None)
     if field.degree == 2:
         return _is_square_quadratic(x)
-    return _is_square_cubic(x)
+    return _is_square_odd(x)
 
 
 def _is_square_quadratic(x: FieldElement):
@@ -320,7 +319,7 @@ def _is_square_quadratic(x: FieldElement):
     return False, None
 
 
-def _is_square_cubic(x: FieldElement):
+def _is_square_odd(x: FieldElement):
     den = x.denominator_lcm()
     z = x * (den * den)
     mp = z.min_poly()

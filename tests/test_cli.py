@@ -132,6 +132,12 @@ class TestCommands:
         assert reports[0]["v_j"] == {"alpha": 4, "beta": -2, "threshold": 2}
         assert reports[0]["type"] == "potentially-multiplicative"
 
+    def test_frey_non_prime_rejected(self, capsys):
+        code, rep = run_json(capsys, ["frey", "2r", "x^2 - 2", "--a", "2", "--b",
+                                      "1", "--c", "1", "--r", "2", "--prime", "9"])
+        assert code == 1
+        assert rep["result"]["error"]["type"] == "ParseError"
+
     def test_frey_relation_violation(self, capsys):
         code, rep = run_json(capsys, ["frey", "2r", "x", "--a", "1", "--b", "1",
                                       "--c", "1", "--r", "2", "--p", "5"])
@@ -151,9 +157,11 @@ class TestCommands:
         assert rep["result"]["bound"] == 2
         assert rep["command"]["seed"] == 7
 
-    def test_bad_config_key(self, capsys, tmp_path):
+    @pytest.mark.parametrize("line", ["nope = 1", "allow_trivial_ideal = true"],
+                             ids=["unknown", "ignored"])
+    def test_bad_config_key(self, capsys, tmp_path, line):
         cfg = tmp_path / "bad.conf"
-        cfg.write_text("nope = 1\n")
+        cfg.write_text(line + "\n")
         code, _ = run_json(capsys, ["--config", str(cfg), "field", "x"])
         assert code == 1
 

@@ -2,11 +2,14 @@
 
 from fractions import Fraction
 
+import pytest
+
 from afcheck import make_field
 from afcheck.criteria import (check_cor_3_4, check_cor_7_2, check_thm_3_2,
                               check_thm_3_3, check_thm_5_2, check_thm_7_1,
                               check_thm_7_3, scan_ramified_l)
-from afcheck.prime_ideals import s_k, splitting_type, valuation
+from afcheck.prime_ideals import (factor_rational_prime, s_k,
+                                  splitting_type, valuation)
 from afcheck.sunits import SUnitSearch, SUnitSolution
 
 
@@ -132,6 +135,16 @@ class TestThm52:
         base = next(h for h in v.hypotheses if "over the base field" in h.name)
         assert base.holds and not base.assumed and base.witness
 
+    def test_caveats_name_assumptions(self):
+        # the assumptions over Q(sqrt 2) are an index divisor and unit groups
+        # of quartic extensions, not the modularity lift
+        v = check_thm_5_2(K2, 2)
+        assumed = [h for h in v.hypotheses if h.assumed]
+        assert assumed
+        assert not any("modularity" in c for c in v.caveats)
+        for h in assumed:
+            assert any(h.name in c and h.note in c for c in v.caveats)
+
 
 class TestLocalCriteria:
     def test_cor_7_2_rationals(self):
@@ -175,6 +188,16 @@ class TestLocalCriteria:
     def test_small_l_rejected(self):
         v = check_thm_7_1(CUBIC, 5)
         assert not next(h for h in v.hypotheses if "larger than 5" in h.name).holds
+
+    @pytest.mark.parametrize("ell", [-7, 0, 1, 4, 9])
+    def test_non_prime_l_not_factored(self, ell):
+        for v in (check_thm_7_1(K2, ell), check_thm_7_3(K2, 1, ell=ell)):
+            assert v.applies == "no"
+            ram = next(h for h in v.hypotheses if h.name == "l is totally ramified")
+            assert not ram.holds and ram.witness is None
+            assert ram.note == f"{ell} is not a prime; ramification not evaluated"
+        with pytest.raises(ValueError):
+            factor_rational_prime(K2, ell)
 
 
 class TestScan:

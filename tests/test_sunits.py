@@ -301,6 +301,19 @@ class TestIsSquare:
         assert is_square(K.from_rational(Fraction(9, 4)))[0]
         assert not is_square(K.from_rational(2))[0]
 
+    def test_even_degree_four_unsupported(self):
+        # theta^2 and 2 are squares in these quartics; the odd-degree
+        # shortcuts would answer no
+        K = make_field("x^4 - 2")
+        with pytest.raises(Unsupported):
+            is_square(K.theta() ** 2)
+        L = make_field("x^4 - 10*x^2 + 1")
+        with pytest.raises(Unsupported):
+            is_square(L.from_rational(2))
+        M = make_field("x^5 - x - 1")
+        assert is_square(M.theta() ** 2)[0]
+        assert is_square(M.from_rational(4))[0]
+
 
 class TestQuadraticExtension:
     def test_sqrt2_over_q(self):
