@@ -21,7 +21,8 @@ from .frey import (FAMILY_SQUARE, FAMILY_TWO_POWER, FreySpec,
 from .integerfactor import is_prime
 from .numberfield import make_field
 from .parsing import ParseError
-from .prime_ideals import factor_rational_prime, s_k, splitting_type, u_k, valuation
+from .prime_ideals import (factor_rational_prime, s_k, splitting_type, u_k,
+                           valuation, verified_field_disc)
 from .report import build_report, emit_human, emit_json
 from .sunits import selmer_group, solve_sunit
 from .units import class_data
@@ -129,7 +130,6 @@ def _parser():
 
 
 def _cmd_field(field, args, cfg):
-    from .prime_ideals import verified_field_disc
     verified_field_disc(field)
     payload = {"signature": list(field.signature),
                "poly_disc": field.poly_disc,
@@ -145,8 +145,7 @@ def _cmd_sunit(field, args, cfg):
     bound = args.bound if args.bound is not None else cfg.sunit_exponent_bound
     search = solve_sunit(field, s_k(field), bound,
                          max_candidates=cfg.max_candidates,
-                         user_class_number=args.user_class_number
-                         or cfg.user_class_number,
+                         user_class_number=cfg.user_class_number,
                          height_bound=cfg.unit_height_bound)
     caveats = [f"bounded-search:B={bound}"]
     return search.to_dict(), caveats, EXIT_OK
@@ -154,8 +153,7 @@ def _cmd_sunit(field, args, cfg):
 
 def _cmd_selmer(field, args, cfg):
     group = selmer_group(field, s_k(field), 2,
-                         user_class_number=args.user_class_number
-                         or cfg.user_class_number,
+                         user_class_number=cfg.user_class_number,
                          height_bound=cfg.unit_height_bound)
     return group.to_dict(), [], EXIT_OK
 
@@ -213,7 +211,7 @@ def _cmd_check(field, args, cfg):
         bound = args.bound if args.bound is not None else cfg.sunit_exponent_bound
         verdict = _SUNIT_CHECKS[theorem](
             field, bound, max_candidates=cfg.max_candidates,
-            user_class_number=args.user_class_number or cfg.user_class_number,
+            user_class_number=cfg.user_class_number,
             height_bound=cfg.unit_height_bound)
     else:
         if args.l is None and theorem in ("thm-7-1", "thm-7-3-1"):
@@ -244,6 +242,11 @@ def run(argv) -> int:
     try:
         if args.config:
             _load_config_file(args.config, cfg)
+        if getattr(args, "user_class_number", None) is not None:
+            cfg.user_class_number = args.user_class_number
+        if cfg.user_class_number is not None and cfg.user_class_number < 1:
+            raise ParseError("user_class_number must be at least 1, "
+                             f"got {cfg.user_class_number}")
         field = make_field(args.poly)
         payload, caveats, code = _HANDLERS[args.command](field, args, cfg)
     except (AfcheckError, ParseError) as exc:

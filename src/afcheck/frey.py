@@ -17,7 +17,7 @@ from fractions import Fraction
 from .errors import (DegenerateLambda, InconsistentDivisibility,
                      RelationViolated, UnsupportedCase)
 from .numberfield import FieldElement, NumberField
-from .prime_ideals import PrimeIdeal, factor_rational_prime, s_k, valuation
+from .prime_ideals import PrimeIdeal, element_valuations, s_k, valuation
 
 FAMILY_TWO_POWER = "2r"
 FAMILY_SQUARE = "pp2"
@@ -378,26 +378,15 @@ def conductor_shape(field: NumberField, family: str,
 
 def odd_multiplicative_primes(spec: FreySpec):
     """Odd primes where the concrete triple forces multiplicative reduction."""
-    from .integerfactor import factorint
     elems = [spec.a, spec.b, spec.c] if spec.family == FAMILY_TWO_POWER \
         else [spec.a, spec.b]
-    field = spec.field
-    qs = set()
+    # v_P of the product is the sum of the entries' valuations; 2 is skipped
+    # unfactored, so an index divisor at 2 does not block the odd primes
+    prod = spec.field.one()
     for x in elems:
-        if x.is_zero():
-            continue
-        den = x.denominator_lcm()
-        qs |= set(factorint(den))
-        qs |= set(factorint(int((x * den).norm())))
-    out = []
-    for q in sorted(qs):
-        if q == 2:
-            continue
-        for P in factor_rational_prime(field, q):
-            v = sum(valuation(x, P) for x in elems if not x.is_zero())
-            if v > 0:
-                out.append(P)
-    return out
+        if not x.is_zero():
+            prod = prod * x
+    return [P for P, v in element_valuations(prod, skip=(2,)) if v > 0]
 
 
 # ----------------------------------------------------- Legendre lambda maps

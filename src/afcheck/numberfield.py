@@ -19,8 +19,9 @@ from . import linalg
 from .errors import (DegreeZero, DivisionByZero, NotMonic, NotTotallyReal,
                      Reducible, Unsupported, ZeroElement)
 from .parsing import parse_poly
-from .polynomials import (interval_eval, isolate_real_roots, pdivmod,
-                          poly_disc, refine_interval, strip, zx_factor)
+from .polynomials import (interval_eval, isolate_real_roots, pderiv,
+                          pdivmod, pgcd, pmonic, poly_disc, refine_interval,
+                          strip, zx_factor)
 
 MAX_DEGREE = 6
 
@@ -271,7 +272,6 @@ class FieldElement:
 
     def min_poly(self):
         """Monic minimal polynomial over Q (squarefree part of char_poly)."""
-        from .polynomials import pgcd, pderiv, pmonic
         ch = self.char_poly()
         g = pgcd(ch, pderiv(ch))
         if len(g) == 1:

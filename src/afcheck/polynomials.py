@@ -7,7 +7,10 @@ is exact; no floating point enters any decision.
 """
 
 from fractions import Fraction
+from itertools import combinations
 from math import isqrt
+
+from . import linalg
 
 __all__ = [
     "strip", "degree", "padd", "psub", "pneg", "pmul", "pscale", "pdivmod",
@@ -394,13 +397,6 @@ def fp_factor(f, q):
 
 # -------------------------------------------------- factorization over Z
 
-def _add_scaled(a, b, m):
-    """a + m*b over Z."""
-    n = max(len(a), len(b))
-    return strip([(a[i] if i < len(a) else 0) + m * (b[i] if i < len(b) else 0)
-                  for i in range(n)])
-
-
 def _hensel_pair(f, g, h, p, pk):
     """Lift f = g*h (mod p) with gcd(g,h)=1 mod p to mod pk; all monic.
 
@@ -419,8 +415,8 @@ def _hensel_pair(f, g, h, p, pk):
             dh, rem = fp_divmod(psub_mod(e, fp_mul(dg, hp, p), p), gp, p)
             if rem:
                 raise AssertionError("hensel correction not divisible")
-            g = _add_scaled(g, dg, m)
-            h = _add_scaled(h, dh, m)
+            g = padd(g, pscale(dg, m))
+            h = padd(h, pscale(dh, m))
         m *= p
         g = [c % m for c in g[:-1]] + [g[-1]]
         h = [c % m for c in h[:-1]] + [h[-1]]
@@ -500,7 +496,7 @@ def _zx_factor_squarefree(f):
     size = 1
     while 2 * size <= len(remaining):
         found = False
-        for subset in _subsets(remaining, size):
+        for subset in combinations(remaining, size):
             prod = [1]
             for i in subset:
                 prod = pmul(prod, lifted[i])
@@ -519,11 +515,6 @@ def _zx_factor_squarefree(f):
     if degree(current) > 0:
         factors.append(current)
     return factors
-
-
-def _subsets(items, size):
-    from itertools import combinations
-    return combinations(items, size)
 
 
 def _yun_squarefree(f):
@@ -578,7 +569,7 @@ def zx_is_irreducible(f):
 # ------------------------------------------------------------- resultants
 
 def resultant(f, g):
-    """Resultant of integer polynomials via Bareiss on the Sylvester matrix."""
+    """Resultant of integer polynomials: the determinant of the Sylvester matrix."""
     m, n = degree(f), degree(g)
     if m < 0 or n < 0:
         return 0
@@ -594,22 +585,7 @@ def resultant(f, g):
         rows.append([0] * i + fr + [0] * (size - m - 1 - i))
     for i in range(m):
         rows.append([0] * i + gr + [0] * (size - n - 1 - i))
-    # Bareiss fraction-free elimination
-    sign_acc = 1
-    prev = 1
-    for k in range(size - 1):
-        if rows[k][k] == 0:
-            swap = next((i for i in range(k + 1, size) if rows[i][k] != 0), None)
-            if swap is None:
-                return 0
-            rows[k], rows[swap] = rows[swap], rows[k]
-            sign_acc = -sign_acc
-        for i in range(k + 1, size):
-            for j in range(k + 1, size):
-                rows[i][j] = (rows[i][j] * rows[k][k] - rows[i][k] * rows[k][j]) // prev
-            rows[i][k] = 0
-        prev = rows[k][k]
-    return sign_acc * rows[size - 1][size - 1]
+    return linalg.det(rows)
 
 
 def poly_disc(f):

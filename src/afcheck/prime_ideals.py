@@ -11,10 +11,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .errors import IndexDivisor, ZeroElement
-from .integerfactor import is_prime
+from .errors import FactorizationIncomplete, IndexDivisor, ZeroElement
+from .integerfactor import factorint, is_prime
 from .numberfield import FieldElement, NumberField
-from .polynomials import degree, fp_factor, fp_gcd, fp_mul, fp_norm, pmul, psub
+from .polynomials import (degree, fp_divmod, fp_factor, fp_gcd, fp_mul,
+                          fp_norm, padd, pmul, psub)
 
 
 class PrimeIdeal:
@@ -172,8 +173,6 @@ def verified_field_disc(field: NumberField):
     undetermined here (reported as None, never guessed)."""
     if field.field_disc is not None:
         return field.field_disc
-    from .errors import FactorizationIncomplete
-    from .integerfactor import factorint
     try:
         factors = factorint(field.poly_disc)
     except FactorizationIncomplete:
@@ -209,14 +208,14 @@ def _is_q_integral(x: FieldElement, q: int) -> bool:
 def _build_anti_uniformizer(prime: PrimeIdeal):
     field, q = prime.field, prime.q
     fbar = fp_norm(list(field.coeffs), q)
-    quot, rem = _fp_div(fbar, prime.gen_coeffs, q)
+    quot, rem = fp_divmod(fbar, prime.gen_coeffs, q)
     if rem:
         raise ArithmeticError("generator does not divide f mod q")
     candidates = [quot]
     # lift tweaks of the cofactor, in case the canonical lift lands in O_K
     for k in range(field.degree):
         tweak = [0] * k + [1]
-        candidates.append(fp_norm(pmul(quot, [c for c in _addp(prime.gen_coeffs, tweak, q)]), q))
+        candidates.append(fp_norm(pmul(quot, padd(prime.gen_coeffs, tweak)), q))
     for cof in candidates:
         beta = field.element([Fraction(c, q) for c in cof])
         if _is_q_integral(beta, q):
@@ -226,17 +225,6 @@ def _build_anti_uniformizer(prime: PrimeIdeal):
             return beta
     raise ArithmeticError(
         f"anti-uniformizer search failed at q={q} (unexpected after index gate)")
-
-
-def _addp(a, b, q):
-    n = max(len(a), len(b))
-    return [((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)) % q
-            for i in range(n)]
-
-
-def _fp_div(a, b, q):
-    from .polynomials import fp_divmod
-    return fp_divmod(list(a), list(b), q)
 
 
 def int_valuation(n: int, q: int) -> int:
@@ -262,3 +250,23 @@ def valuation(x: FieldElement, prime: PrimeIdeal) -> int:
         v += 1
         z = z * beta
     return v - prime.e * int_valuation(d, q)
+
+
+def element_valuations(x: FieldElement, *, skip=()):
+    """Yield (P, v_P(x)) for each prime P with v_P(x) != 0, lazily.
+
+    Only rational primes q dividing the denominator of x or the norm of its
+    integral multiple x * den can occur.  They come in increasing order, and
+    the primes above each q in factor_rational_prime order, so a caller can
+    stop at the first prime it rejects.  Rational primes in skip are left
+    out unfactored.  FactorizationIncomplete and IndexDivisor propagate;
+    zero raises ZeroElement."""
+    if x.is_zero():
+        raise ZeroElement("valuations of zero are undefined")
+    den = x.denominator_lcm()
+    qs = set(factorint(den)) | set(factorint(int((x * den).norm())))
+    for q in sorted(qs.difference(skip)):
+        for prime in factor_rational_prime(x.field, q):
+            v = valuation(x, prime)
+            if v:
+                yield prime, v

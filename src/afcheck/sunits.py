@@ -13,16 +13,17 @@ from fractions import Fraction
 from itertools import product
 from math import isqrt
 
-from .errors import (BasisUnavailable, FactorizationIncomplete, IndexDivisor,
-                     IsSquare, MissingUserClassNumber, SearchExhausted,
-                     Unsupported, WorkExceeded, ZeroElement)
-from .integerfactor import factorint
+from .errors import (BasisUnavailable, FactorizationIncomplete,
+                     GeneratorNotFound, IndexDivisor, IsSquare,
+                     MissingUserClassNumber, SearchExhausted, Unsupported,
+                     WorkExceeded, ZeroElement)
 from .linalg import charpoly
 from .numberfield import FieldElement, NumberField, make_field
-from .polynomials import zx_is_irreducible
-from .prime_ideals import factor_rational_prime, valuation
+from .polynomials import zx_factor, zx_is_irreducible
+from .prime_ideals import element_valuations, valuation
 from .units import (DEFAULT_UNIT_HEIGHT_BOUND, ClassData, class_data,
-                    principal_generator, unit_generators, _find_generator)
+                    principal_generator, sqrt_core_element, unit_generators,
+                    _find_generator, _quad_data)
 
 log = logging.getLogger("afcheck")
 
@@ -79,7 +80,6 @@ def _prime_power_generator(field, P, info: ClassData, gen_bound):
         if field.degree == 2:
             gen = principal_generator(field, {P: k})
         else:
-            from .errors import GeneratorNotFound
             try:
                 gen = _find_generator(field, {P: k}, gen_bound)
             except GeneratorNotFound:
@@ -185,7 +185,7 @@ def solve_sunit(field: NumberField, S, bound: int, *,
             if key in found:
                 continue
             mu = 1 - lam
-            mu_profile = _s_unit_valuations(field, mu, S, warnings)
+            mu_profile = _s_unit_valuations(mu, S, warnings)
             if mu_profile is None:
                 continue
             lam_profile = {P: sum(e * gen_valuations[i][P]
@@ -220,35 +220,23 @@ def _verify_solution(sol: SUnitSolution):
                     f"case analysis violated at {P}: v(lambda*mu)={vlm}, t={t}")
 
 
-def _s_unit_valuations(field, x: FieldElement, S, warnings):
+def _s_unit_valuations(x: FieldElement, S, warnings):
     """{P: v_P(x)} over S when x is an S-unit, else None.  Sound rejections:
     factorization failures reject the candidate with a logged warning."""
-    den = x.denominator_lcm()
-    num = x * den
-    nrm = num.norm()
+    profile = dict.fromkeys(S, 0)
     try:
-        qs = set(factorint(den)) | set(factorint(int(nrm)))
-    except FactorizationIncomplete as exc:
-        msg = f"candidate rejected: incomplete factorization ({exc.leftover})"
+        for P, v in element_valuations(x):
+            if P not in profile:
+                return None
+            profile[P] = v
+    except (FactorizationIncomplete, IndexDivisor) as exc:
+        reason = (f"index divisor at {exc.q} blocks valuation"
+                  if isinstance(exc, IndexDivisor)
+                  else f"incomplete factorization ({exc.leftover})")
+        msg = f"candidate rejected: {reason}"
         log.warning(msg)
         warnings.append(msg)
         return None
-    s_primes = {P for P in S}
-    profile = {P: 0 for P in S}
-    for q in sorted(qs):
-        try:
-            primes = factor_rational_prime(field, q)
-        except IndexDivisor:
-            msg = f"candidate rejected: index divisor at {q} blocks valuation"
-            log.warning(msg)
-            warnings.append(msg)
-            return None
-        for P in primes:
-            v = valuation(x, P)
-            if P in s_primes:
-                profile[P] = v
-            elif v != 0:
-                return None
     return profile
 
 
@@ -290,7 +278,6 @@ def is_square(x: FieldElement):
 
 
 def _is_square_quadratic(x: FieldElement):
-    from .units import sqrt_core_element, _quad_data
     field = x.field
     d, m, b = _quad_data(field)
     c0, c1 = x.coords
@@ -328,7 +315,6 @@ def _is_square_odd(x: FieldElement):
     doubled = []
     for i, c in enumerate(mp):
         doubled.extend([int(c)] + ([0] if i < len(mp) - 1 else []))
-    from .polynomials import zx_factor
     for fac, _ in zx_factor(doubled):
         if (len(fac) - 1) % 2 == 1:
             return True, None

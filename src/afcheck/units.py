@@ -11,15 +11,16 @@ within a proven, unit-scaled coordinate bound.
 
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from itertools import product
 from math import gcd, isqrt
 
-from .errors import (MissingUserClassNumber, NotTotallyReal, SearchExhausted,
-                     Unsupported, ZeroElement)
-from .integerfactor import factorint, squarefree_part
+from .errors import (GeneratorNotFound, IndexDivisor, MissingUserClassNumber,
+                     NotTotallyReal, SearchExhausted, Unsupported, ZeroElement)
+from .integerfactor import SMALL_PRIMES, factorint, squarefree_part
 from .numberfield import (FieldElement, NumberField, embedding_interval,
                           embedding_sign)
-from .prime_ideals import (PrimeIdeal, factor_rational_prime, int_valuation,
-                           valuation)
+from .prime_ideals import (PrimeIdeal, element_valuations,
+                           factor_rational_prime, int_valuation, valuation)
 
 # give-up cap on coordinate magnitude in unit searches; searches stop at the
 # first certified pair, so this only bounds the hopeless case
@@ -241,22 +242,9 @@ def _small_relation(u: FieldElement, v: FieldElement, box=6):
 # ----------------------------------------------------------- fundamental units
 
 def _shell(dim, h):
-    """Coordinate tuples with max coordinate magnitude exactly h, sorted."""
-    rng = range(-h, h + 1)
-    out = []
-    if dim == 2:
-        for a in rng:
-            for b in rng:
-                if max(abs(a), abs(b)) == h:
-                    out.append((a, b))
-    else:
-        for a in rng:
-            for b in rng:
-                for c in rng:
-                    if max(abs(a), abs(b), abs(c)) == h:
-                        out.append((a, b, c))
-    out.sort()
-    return out
+    """Coordinate dim-tuples with max coordinate magnitude exactly h, sorted."""
+    return [t for t in product(range(-h, h + 1), repeat=dim)
+            if max(map(abs, t)) == h]
 
 
 def _cubic_fundamental_pair(field: NumberField, height_bound: int):
@@ -516,8 +504,6 @@ def _quadratic_class_data(field, enum_bound):
 
 
 def _odd_prime_ideals_by_norm(field, enum_bound):
-    from .integerfactor import SMALL_PRIMES
-    from .errors import IndexDivisor
     out = []
     skipped = []
     for q in SMALL_PRIMES:
@@ -610,7 +596,7 @@ def normalize_solution(field: NumberField, a, b, c, *,
     info = class_info if class_info is not None else class_data(field)
     if info.h != 1:
         raise Unsupported(f"normalization requires class number 1, got {info.h}")
-    support = _gcd_ideal_profile(field, nonzero)
+    support = _gcd_ideal_profile(nonzero)
     rep = None if allow_trivial_ideal else info.reps_H[0]
     target = {p: -v for p, v in support.items()}
     if rep is not None:
@@ -624,7 +610,7 @@ def normalize_solution(field: NumberField, a, b, c, *,
                 shift = max(shift, (-v + p.e - 1) // p.e)
         denom *= q ** shift
     profile = {}
-    for q in {p.q for p in target} | {q for q in _int_primes(denom)}:
+    for q in {p.q for p in target} | set(factorint(denom)):
         for p in factor_rational_prime(field, q):
             v = target.get(p, 0) + p.e * int_valuation(denom, q)
             if v:
@@ -635,37 +621,25 @@ def normalize_solution(field: NumberField, a, b, c, *,
     return NormalizedSolution(out[0], out[1], out[2], rep, xi)
 
 
-def _int_primes(n):
-    return set(factorint(n))
-
-
-def _gcd_ideal_profile(field, elements):
+def _gcd_ideal_profile(elements):
     """Valuation vector of the ideal generated by the elements."""
-    qs = set()
-    for x in elements:
-        den = x.denominator_lcm()
-        qs |= _int_primes(den)
-        num = (x * den).norm()
-        qs |= _int_primes(num.numerator)
+    supports = [dict(element_valuations(x)) for x in elements]
     profile = {}
-    for q in sorted(qs):
-        for p in factor_rational_prime(field, q):
-            v = min(valuation(x, p) for x in elements)
-            if v:
-                profile[p] = v
+    for p in set().union(*supports):
+        v = min(s.get(p, 0) for s in supports)
+        if v:
+            profile[p] = v
     return profile
 
 
 def _find_generator(field, profile, gen_bound):
-    from .errors import GeneratorNotFound
     target = 1
     for p, v in profile.items():
         target *= p.norm() ** v
     if field.degree == 1:
         return field.from_rational(target)
     for h in range(0, gen_bound + 1):
-        shell = [(0,) * field.degree] if h == 0 else _shell(field.degree, h)
-        for coords in shell:
+        for coords in _shell(field.degree, h):
             x = field.element(coords)
             if x.is_zero():
                 continue

@@ -165,6 +165,40 @@ class TestCommands:
         code, _ = run_json(capsys, ["--config", str(cfg), "field", "x"])
         assert code == 1
 
+    @pytest.mark.parametrize("h", [0, -1])
+    @pytest.mark.parametrize("argv", [
+        ["sunit", "x^2-2", "--bound", "2"],
+        ["selmer", "x^2-2"],
+        ["check", "thm-3-2", "x^2-2", "--bound", "2"],
+    ], ids=["sunit", "selmer", "check"])
+    def test_class_number_flag_below_one(self, capsys, argv, h):
+        code, rep = run_json(capsys, argv + ["--user-class-number", str(h)])
+        assert code == 1
+        assert rep["result"]["error"]["type"] == "ParseError"
+        assert "at least 1" in rep["result"]["error"]["message"]
+
+    FREY_CUBIC = ["frey", "2r", "x^3-x^2-2*x+1", "--a", "1", "--b", "1",
+                  "--c", "1", "--r", "1", "--p", "5"]
+
+    @pytest.mark.parametrize("h", [0, -1])
+    @pytest.mark.parametrize("argv", [
+        ["sunit", "x^2-2", "--bound", "2"], FREY_CUBIC,
+    ], ids=["sunit", "frey"])
+    def test_class_number_config_below_one(self, capsys, tmp_path, argv, h):
+        cfg = tmp_path / "h.conf"
+        cfg.write_text(f"user_class_number = {h}\n")
+        code, rep = run_json(capsys, ["--config", str(cfg)] + argv)
+        assert code == 1
+        assert rep["result"]["error"]["type"] == "ParseError"
+
+    def test_class_number_config_reaches_frey(self, capsys, tmp_path):
+        cfg = tmp_path / "h.conf"
+        cfg.write_text("user_class_number = 1\n")
+        code, rep = run_json(capsys, ["--config", str(cfg)] + self.FREY_CUBIC)
+        assert code == 0
+        qs = [f["prime"]["q"] for f in rep["result"]["conductor"]["conductor"]]
+        assert qs == [2, 7]
+
     def test_check_thm_7_3_mode_alias(self, capsys):
         code, rep = run_json(capsys, ["check", "thm-7-3", "x", "--mode", "2"])
         assert code == 0

@@ -210,6 +210,15 @@ class TestConductor:
         qs = {P.q for P in odd_multiplicative_primes(spec2)}
         assert qs == {3, 5, 7}
 
+    def test_odd_support_past_an_index_divisor_at_two(self):
+        K = make_field("x^2 - 5")  # 2 divides the index of Z[sqrt 5]
+        a, b, c = (K.from_rational(v) for v in (1, 2, 3))
+        spec = FreySpec(FAMILY_TWO_POWER, a, b, c, r=1)
+        assert odd_multiplicative_primes(spec) == factor_rational_prime(K, 3)
+        spec = FreySpec(FAMILY_TWO_POWER, a, K.from_rational(Fraction(5, 4)),
+                        K.from_rational(Fraction(7, 9)), r=1)
+        assert [P.q for P in odd_multiplicative_primes(spec)] == [5, 7]
+
 
 class TestLegendre:
     def test_j_at_minus_one(self):

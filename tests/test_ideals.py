@@ -5,12 +5,15 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from afcheck import make_field
 from afcheck.errors import IndexDivisor, ZeroElement
 from afcheck.integerfactor import SMALL_PRIMES
-from afcheck.prime_ideals import (factor_rational_prime, s_k, splitting_type,
-                                  u_k, valuation, verified_field_disc)
+from afcheck.prime_ideals import (element_valuations, factor_rational_prime,
+                                  s_k, splitting_type, u_k, valuation,
+                                  verified_field_disc)
 
 
 def legendre(a, p):
@@ -215,3 +218,61 @@ class TestValuation:
             for P in factor_rational_prime(K, q):
                 total *= Fraction(P.norm()) ** valuation(x, P)
         assert abs(x.norm()) == total
+
+
+VALUATION_FIELDS = {spec: make_field(spec) for spec in (
+    "x", "x^2 - 2", "x^2 - x - 1", "x^2 + 1", "x^3 - x^2 - 2*x + 1")}
+
+
+@st.composite
+def nonzero_element(draw):
+    field = VALUATION_FIELDS[draw(st.sampled_from(sorted(VALUATION_FIELDS)))]
+    coords = draw(st.lists(st.builds(Fraction, st.integers(-60, 60),
+                                     st.integers(1, 30)),
+                           min_size=field.degree, max_size=field.degree))
+    x = field.element(coords)
+    if x.is_zero():
+        x = field.one()
+    return x
+
+
+class TestElementValuations:
+    @settings(max_examples=80, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(nonzero_element())
+    def test_support_against_norm(self, x):
+        try:
+            support = list(element_valuations(x))
+        except IndexDivisor:
+            return
+        assert all(v != 0 for _, v in support)
+        keys = [(P.q, P.sort_key()) for P, _ in support]
+        assert keys == sorted(keys) and len(set(keys)) == len(keys)
+        total = Fraction(1)
+        for P, v in support:
+            assert valuation(x, P) == v
+            total *= Fraction(P.norm()) ** v
+        assert total == abs(x.norm())
+
+    def test_rational_times_unit(self):
+        # 2 ramifies, 3 is inert and 7 splits in Q(sqrt 2)
+        K = make_field("x^2 - 2")
+        x = K.from_rational(Fraction(14, 9)) * (1 + K.theta())
+        assert [(P.q, v) for P, v in element_valuations(x)] == \
+            [(2, 2), (3, -2), (7, 1), (7, 1)]
+
+    def test_unit_has_empty_support(self):
+        K = make_field("x^2 - 2")
+        assert list(element_valuations(1 + K.theta())) == []
+
+    def test_skipped_prime_is_not_factored(self):
+        K = make_field("x^2 - 5")  # 2 divides the index of Z[sqrt 5]
+        with pytest.raises(IndexDivisor):
+            list(element_valuations(K.from_rational(6)))
+        assert list(element_valuations(K.from_rational(6), skip=(2,))) == \
+            [(P, 1) for P in factor_rational_prime(K, 3)]
+
+    def test_zero_rejected(self):
+        Q = make_field("x")
+        with pytest.raises(ZeroElement):
+            list(element_valuations(Q.zero()))

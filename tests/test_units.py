@@ -8,7 +8,8 @@ from afcheck import make_field
 from afcheck.errors import (MissingUserClassNumber, Unsupported, ZeroElement)
 from afcheck.prime_ideals import valuation, factor_rational_prime
 from afcheck.units import (class_data, fundamental_units, normalize_solution,
-                           unit_generators, _quad_fundamental_unit)
+                           unit_generators, _find_generator,
+                           _quad_fundamental_unit, _shell)
 
 
 def quad_cmp_positive(a, b, d):
@@ -195,6 +196,22 @@ class TestNormalize:
                     assert min(vals) == 1
                 else:
                     assert min(vals) == 0
+
+
+class TestGeneratorSearch:
+    def test_shell_covers_every_coordinate_in_degree_four(self):
+        shell = _shell(4, 1)
+        assert len(shell) == 3 ** 4 - 1
+        assert all(len(t) == 4 for t in shell)
+        assert shell == sorted(shell)
+
+    def test_quartic_generator_uses_the_theta_cubed_coordinate(self):
+        K = make_field("x^4 + x + 1")
+        P = next(p for p in factor_rational_prime(K, 3) if p.f == 3)
+        assert P.gen_coeffs == (2, 1, 1, 1)
+        gen = _find_generator(K, {P: 1}, 1)
+        assert gen == K.element([-1, 1, 1, 1])
+        assert gen.norm() == 27 and valuation(gen, P) == 1
 
 
 def Fraction_(a, b):
