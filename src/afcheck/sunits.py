@@ -1,23 +1,25 @@
 """S-unit equation solutions, 2-Selmer square classes, quadratic extensions.
 
-solve_sunit enumerates lambda over a bounded exponent box on the S-unit
-generators and tests mu = 1 - lambda for S-unit membership by factoring its
-norm support; rejections on incomplete factorizations are logged, never
-silently accepted, so the search has false negatives only.  Completeness is
+solve_sunit walks a bounded exponent box on the S-unit generators, one
+multiplication per candidate lambda, and tests mu = 1 - lambda for S-unit
+membership.  The norm test rejects mu without factoring anything when its
+norm has a prime below no prime of S; only the rest are factored into prime
+ideals.  Rejections on incomplete factorizations or index divisors are
+logged, never silently accepted, so the search has false negatives only, and
+its warnings name only candidates that could be S-units.  Completeness is
 always reported as a bounded-search caveat, never claimed.
 """
 
 import logging
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from itertools import product
 from math import isqrt
 
 from .errors import (BasisUnavailable, FactorizationIncomplete,
                      GeneratorNotFound, IndexDivisor, IsSquare,
                      MissingUserClassNumber, SearchExhausted, Unsupported,
                      WorkExceeded, ZeroElement)
-from .linalg import charpoly
+from . import linalg
 from .numberfield import FieldElement, NumberField, make_field
 from .polynomials import zx_factor, zx_is_irreducible
 from .prime_ideals import element_valuations, valuation
@@ -158,33 +160,29 @@ def solve_sunit(field: NumberField, S, bound: int, *,
         raise WorkExceeded(f"{n_boxes} candidates exceed limit {max_candidates}")
     warnings = []
     gen_valuations = [{P: valuation(g, P) for P in S} for g in gens]
-    powers = []
+    # (e, g^e) in exponent order; e = 0 carries None so the walk skips it
+    tables = []
     for g in gens:
-        table = {0: field.one()}
-        for e in range(1, bound + 1):
+        table = {0: None, 1: g, -1: g.inverse()}
+        for e in range(2, bound + 1):
             table[e] = table[e - 1] * g
-        inv = g.inverse()
-        for e in range(1, bound + 1):
-            table[-e] = table[-(e - 1)] * inv
-        powers.append(table)
+            table[-e] = table[1 - e] * table[-1]
+        tables.append([(e, table[e]) for e in range(-bound, bound + 1)])
     torsion_powers = [field.one()]
     for _ in range(1, basis.torsion_order):
         torsion_powers.append(torsion_powers[-1] * basis.torsion_gen)
 
-    found = {}
-    for tors in range(basis.torsion_order):
-        base = torsion_powers[tors]
-        for exps in product(range(-bound, bound + 1), repeat=len(gens)):
-            lam = base
-            for g_idx, e in enumerate(exps):
-                if e:
-                    lam = lam * powers[g_idx][e]
-            if lam == 1:
+    one = field.one()
+    one_key = (one.num, one.den)
+    found = {}   # (num, den) of lambda -> solution, in walk order
+    for base in torsion_powers:
+        for exps, lam in _box_walk(base, tables):
+            key = (lam.num, lam.den)
+            if key == one_key or key in found:
                 continue
-            key = _coords_key(lam)
-            if key in found:
-                continue
-            mu = 1 - lam
+            # mu = 1 - lambda, over the same denominator
+            mu = FieldElement(field, [lam.den - lam.num[0]]
+                              + [-c for c in lam.num[1:]], lam.den)
             mu_profile = _s_unit_valuations(mu, S, warnings)
             if mu_profile is None:
                 continue
@@ -194,6 +192,8 @@ def solve_sunit(field: NumberField, S, bound: int, *,
             profile = {P: (lam_profile[P], mu_profile[P]) for P in S}
             found[key] = SUnitSolution(lam, mu, profile, True)
 
+    # Fraction keys fix the output order; only kept solutions need one
+    found = {_coords_key(sol.lam): sol for sol in found.values()}
     for key in sorted(found):
         sol = found[key]
         mu_key = _coords_key(sol.mu)
@@ -206,6 +206,23 @@ def solve_sunit(field: NumberField, S, bound: int, *,
         sol.partner_key = _coords_key(sol.mu)
         _verify_solution(sol)
     return SUnitSearch(field, list(S), bound, solutions, warnings)
+
+
+def _box_walk(prefix, tables, exps=()):
+    """Yield (exps, prefix * prod_i g_i^e_i) over the exponent box, in
+    itertools.product order.  Each step multiplies the running prefix by
+    one power-table entry, and e = 0 multiplies nothing, so the walk costs
+    about one multiplication per candidate."""
+    if not tables:
+        yield exps, prefix
+        return
+    table, rest = tables[0], tables[1:]
+    for e, power in table:
+        lam = prefix if power is None else prefix * power
+        if rest:
+            yield from _box_walk(lam, rest, exps + (e,))
+        else:
+            yield exps + (e,), lam
 
 
 def _verify_solution(sol: SUnitSolution):
@@ -221,8 +238,24 @@ def _verify_solution(sol: SUnitSolution):
 
 
 def _s_unit_valuations(x: FieldElement, S, warnings):
-    """{P: v_P(x)} over S when x is an S-unit, else None.  Sound rejections:
-    factorization failures reject the candidate with a logged warning."""
+    """{P: v_P(x)} over S when x is an S-unit, else None.
+
+    The norm test comes first: N(x) = +-prod N(P)^v_P(x), so a prime outside
+    Q = {P.q for P in S} in the reduced rational N(x) means v_P(x) != 0 at
+    some P outside S, and x is rejected without factoring anything.  In
+    integers, with the primes of Q stripped from a = |det(num matrix)| and
+    from d = den, that prime exists unless a == d^n.  (N(den * x) alone
+    would not do: a prime of den outside Q, such as an index divisor,
+    divides it even when x is a unit.)  Survivors are factored; factorization failures reject the candidate with
+    a logged warning, so rejections stay sound."""
+    a, d = abs(linalg.det(x.num_matrix())), x.den
+    for q in {P.q for P in S}:
+        while a % q == 0:
+            a //= q
+        while d % q == 0:
+            d //= q
+    if a != d ** x.field.degree:
+        return None
     profile = dict.fromkeys(S, 0)
     try:
         for P, v in element_valuations(x):
@@ -411,7 +444,7 @@ def quadratic_extension(base: NumberField, a: FieldElement) -> NumberField:
     theta = base.theta()
     for t in _GENERATOR_SHIFTS:
         mat = _gamma_matrix(base, a_int, t)
-        poly = charpoly(mat)
+        poly = linalg.charpoly(mat)
         if any(c.denominator != 1 for c in poly):
             raise ArithmeticError("characteristic polynomial not integral")
         ipoly = [int(c) for c in poly]

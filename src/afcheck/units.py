@@ -26,6 +26,11 @@ from .prime_ideals import (PrimeIdeal, element_valuations,
 # first certified pair, so this only bounds the hopeless case
 DEFAULT_UNIT_HEIGHT_BOUND = 10 ** 6
 
+# give-up cap on the candidates one generator search tests: the full
+# degree-3 box at the default coordinate bound 64, so searches in degree
+# <= 3 never reach it, while degree >= 4 stops long before (2*64+1)^n
+GENERATOR_SEARCH_LIMIT = 129 ** 3
+
 
 # --------------------------------------------------------------- containers
 
@@ -638,8 +643,15 @@ def _find_generator(field, profile, gen_bound):
         target *= p.norm() ** v
     if field.degree == 1:
         return field.from_rational(target)
+    tested = 0
     for h in range(0, gen_bound + 1):
         for coords in _shell(field.degree, h):
+            tested += 1
+            if tested > GENERATOR_SEARCH_LIMIT:
+                raise GeneratorNotFound(
+                    h - 1, f"no generator found within coordinate bound "
+                    f"{h - 1}; search stopped after {GENERATOR_SEARCH_LIMIT} "
+                    f"candidates")
             x = field.element(coords)
             if x.is_zero():
                 continue

@@ -6,15 +6,20 @@ check the cofactor is a unit), sharing no code with the package paths.
 """
 
 from fractions import Fraction
+from functools import lru_cache
+from itertools import product
+from math import lcm
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from afcheck import make_field
 from afcheck.errors import (BasisUnavailable, IsSquare, Unsupported,
                             WorkExceeded, ZeroElement)
-from afcheck.prime_ideals import s_k, valuation
-from afcheck.sunits import (is_square, quadratic_extension, selmer_group,
-                            solve_sunit)
+from afcheck.prime_ideals import element_valuations, s_k, valuation
+from afcheck.sunits import (build_sunit_basis, is_square, quadratic_extension,
+                            selmer_group, solve_sunit, _s_unit_valuations)
 
 
 # ----------------------------------------------------------------- oracles
@@ -226,6 +231,144 @@ class TestSolveSUnit:
         res = solve_sunit(K, s_k(K), 2, user_class_number=1)
         for sol in res.solutions:
             assert sol.lam + sol.mu == 1
+
+
+# -------------------------------------------- box walk and membership test
+
+def box_lambdas(basis, bound):
+    """Every zeta^j * prod g_i^e_i of the box but 1, built with ** and no
+    running products."""
+    out = []
+    for j in range(basis.torsion_order):
+        for exps in product(range(-bound, bound + 1),
+                            repeat=len(basis.free_generators)):
+            lam = basis.torsion_gen ** j
+            for g, e in zip(basis.free_generators, exps):
+                lam = lam * g ** e
+            if lam != 1:
+                out.append(lam)
+    return out
+
+
+def reference_profile(x, S):
+    """{P: v_P(x)} over S when every prime outside S has v_P(x) = 0, else
+    None, from the full factorization of x."""
+    vals = dict(element_valuations(x))
+    if any(P not in S for P in vals):
+        return None
+    return {P: vals.get(P, 0) for P in S}
+
+
+def is_power_of_two(n):
+    return n > 0 and n & (n - 1) == 0
+
+
+class TestNormTestWarnings:
+    """Over x^2 - 18 the prime 3 divides the index of Z[theta].  Candidates
+    whose N(mu) is a unit away from 2 can still be S-units, and those with
+    3 in the denominator of mu must be reported as unresolved; candidates
+    with another prime in N(mu) are provably not S-units."""
+
+    def test_warnings_name_only_possible_s_units(self):
+        K = make_field("x^2 - 18")
+        S = s_k(K)
+        res = solve_sunit(K, S, 4)
+        a, b = Fraction(-16), Fraction(4)
+        assert as_pairs(res) == {
+            ((a, -b), (1 - a, b)), ((a, b), (1 - a, -b)),
+            ((Fraction(-1), 0), (Fraction(2), 0)),
+            ((Fraction(1, 2), 0), (Fraction(1, 2), 0)),
+            ((Fraction(2), 0), (Fraction(-1), 0)),
+            ((1 - a, -b), (a, b)), ((1 - a, b), (a, -b))}
+        expected = 0
+        lams = set(box_lambdas(build_sunit_basis(K, S, 4), 4))
+        for lam in lams:
+            c0, c1 = (1 - lam).coords
+            norm = c0 * c0 - 18 * c1 * c1
+            if (is_power_of_two(abs(norm.numerator))
+                    and is_power_of_two(norm.denominator)
+                    and lcm(c0.denominator, c1.denominator) % 3 == 0):
+                expected += 1
+        assert expected == 24
+        assert len(res.warnings) == expected
+        assert set(res.warnings) == {
+            "candidate rejected: index divisor at 3 blocks valuation"}
+
+
+ORACLE_FIELDS = ("x^2 - 2", "x^2 - x - 4", "x^3 - x^2 - 2*x + 1")
+
+
+@lru_cache(maxsize=None)
+def oracle_setup(poly):
+    K = make_field(poly)
+    S = s_k(K)
+    basis = build_sunit_basis(K, S, 1, user_class_number=1)
+    # one prime of a split 2 alone: S is not closed under conjugation
+    choices = [S] + ([[P] for P in S] if len(S) > 1 else [])
+    return K, basis, choices
+
+
+@st.composite
+def membership_case(draw):
+    K, basis, choices = oracle_setup(draw(st.sampled_from(ORACLE_FIELDS)))
+    S = draw(st.sampled_from(choices))
+    if draw(st.booleans()):
+        lam = basis.torsion_gen ** draw(
+            st.integers(0, basis.torsion_order - 1))
+        for g in basis.free_generators:
+            lam = lam * g ** draw(st.integers(-3, 3))
+        x = 1 - lam
+    else:
+        x = K.element([Fraction(draw(st.integers(-30, 30)),
+                                draw(st.integers(1, 12)))
+                       for _ in range(K.degree)])
+    return x, S
+
+
+class TestMembershipOracle:
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(membership_case())
+    def test_matches_full_factorization(self, case):
+        x, S = case
+        if x.is_zero():
+            return
+        warnings = []
+        assert _s_unit_valuations(x, S, warnings) == reference_profile(x, S)
+        assert warnings == []
+
+
+class TestBoxWalkCoverage:
+    @pytest.mark.parametrize("poly, bound", [("x^2 - x - 4", 2),
+                                             ("x^3 - x^2 - 2*x + 1", 1)])
+    def test_matches_brute_force(self, poly, bound):
+        K = make_field(poly)
+        S = s_k(K)
+        basis = build_sunit_basis(K, S, bound, user_class_number=1)
+        ref = {}
+        for lam in box_lambdas(basis, bound):
+            mu = 1 - lam
+            mu_profile = reference_profile(mu, S)
+            if mu_profile is not None:
+                profile = {P: (valuation(lam, P), mu_profile[P]) for P in S}
+                ref[lam.coords] = (lam.coords, mu.coords, profile, True)
+        for lam, mu, profile, _ in list(ref.values()):
+            if mu not in ref:
+                swapped = {P: (v[1], v[0]) for P, v in profile.items()}
+                ref[mu] = (mu, lam, swapped, False)
+        res = solve_sunit(K, S, bound, user_class_number=1)
+        got = [(s.lam.coords, s.mu.coords, s.val_profile, s.from_box)
+               for s in res.solutions]
+        assert sorted(got, key=lambda t: t[0]) == sorted(
+            ref.values(), key=lambda t: t[0])
+        assert res.warnings == []
+
+    @pytest.mark.parametrize("poly, bound, count", [
+        ("x^2-2", 20, 33), ("x^2-x-4", 6, 123), ("x^3-x^2-2*x+1", 3, 89)])
+    def test_benchmark_field_counts(self, poly, bound, count):
+        K = make_field(poly)
+        res = solve_sunit(K, s_k(K), bound, user_class_number=1)
+        assert len(res.solutions) == count
 
 
 class TestSelmer:

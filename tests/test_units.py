@@ -4,8 +4,9 @@ import math
 
 import pytest
 
-from afcheck import make_field
-from afcheck.errors import (MissingUserClassNumber, Unsupported, ZeroElement)
+from afcheck import make_field, units
+from afcheck.errors import (GeneratorNotFound, MissingUserClassNumber,
+                            Unsupported, ZeroElement)
 from afcheck.prime_ideals import valuation, factor_rational_prime
 from afcheck.units import (class_data, fundamental_units, normalize_solution,
                            unit_generators, _find_generator,
@@ -212,6 +213,18 @@ class TestGeneratorSearch:
         gen = _find_generator(K, {P: 1}, 1)
         assert gen == K.element([-1, 1, 1, 1])
         assert gen.norm() == 27 and valuation(gen, P) == 1
+        assert _find_generator(K, {P: 1}, 64) == gen
+
+    def test_quartic_search_stops_at_the_candidate_cap(self, monkeypatch):
+        # norm 27^5 needs coordinates far beyond 3, so the search cannot
+        # succeed early; uncapped, bound 64 means 129^4 candidates
+        K = make_field("x^4 + x + 1")
+        P = next(p for p in factor_rational_prime(K, 3) if p.f == 3)
+        monkeypatch.setattr(units, "GENERATOR_SEARCH_LIMIT", 1000)
+        with pytest.raises(GeneratorNotFound) as exc:
+            _find_generator(K, {P: 5}, 64)
+        # shells 0..2 hold 5^4 = 625 candidates, shell 3 passes 1000
+        assert exc.value.bound == 2
 
 
 def Fraction_(a, b):
