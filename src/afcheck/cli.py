@@ -10,6 +10,7 @@ import argparse
 import sys
 import time
 from dataclasses import dataclass
+from functools import cache
 
 from .criteria import (CONCLUSIONS, check_cor_3_4, check_cor_7_2,
                        check_thm_3_2, check_thm_3_3, check_thm_5_2,
@@ -78,7 +79,10 @@ def _load_config_file(path, cfg: RunConfig):
                 raise ParseError(f"bad value for {key}: {value!r}") from exc
 
 
+@cache
 def _parser():
+    """The argparse tree, built on first use and kept for the process:
+    parse_args leaves a parser unchanged, so later run() calls reuse it."""
     top = argparse.ArgumentParser(
         prog="afcheck",
         description="Exact checker for asymptotic Fermat criteria over "

@@ -19,9 +19,9 @@ from . import linalg
 from .errors import (DegreeZero, DivisionByZero, NotMonic, NotTotallyReal,
                      Reducible, Unsupported, ZeroElement)
 from .parsing import parse_poly
-from .polynomials import (interval_eval, isolate_real_roots, pderiv,
-                          pdivmod, pgcd, pmonic, poly_disc, refine_interval,
-                          strip, zx_factor)
+from .polynomials import (interval_eval, irreducible_by_degree_patterns,
+                          isolate_real_roots, pderiv, pdivmod, pgcd, pmonic,
+                          poly_disc, refine_interval, strip, zx_factor)
 
 MAX_DEGREE = 6
 
@@ -307,8 +307,9 @@ def _poly_str(coords):
 def make_field(spec):
     """Build a NumberField from a polynomial string or coefficient list.
 
-    Verifies monicity, irreducibility over Q (bounded Hensel factor search),
-    and computes the exact discriminant and the signature by Sturm isolation.
+    Verifies monicity and irreducibility over Q (degree patterns modulo small
+    primes, Hensel factoring where they leave it open), and computes the exact
+    discriminant and the signature by integer Sturm isolation.
     """
     if isinstance(spec, str):
         coeffs = parse_poly(spec)
@@ -324,13 +325,16 @@ def make_field(spec):
     n = len(coeffs) - 1
     if n > MAX_DEGREE:
         raise Unsupported(f"degree {n} > {MAX_DEGREE} not supported")
-    factors = zx_factor(coeffs)
-    if len(factors) != 1 or factors[0][1] != 1:
-        witness = min((f for f, _ in factors), key=len)
-        raise Reducible(f"polynomial factors; witness {_poly_str(witness)}",
-                        factor=witness)
     disc = poly_disc(coeffs)
-    roots = isolate_real_roots([Fraction(c) for c in coeffs])
+    # disc = 0 means a repeated factor; Hensel factoring decides what the
+    # degree patterns leave open and names the witness
+    if disc == 0 or not irreducible_by_degree_patterns(coeffs, disc):
+        factors = zx_factor(coeffs)
+        if len(factors) != 1 or factors[0][1] != 1:
+            witness = min((f for f, _ in factors), key=len)
+            raise Reducible(f"polynomial factors; witness {_poly_str(witness)}",
+                            factor=witness)
+    roots = isolate_real_roots(coeffs)
     field = NumberField(coeffs, disc, roots)
     if field.degree == 1:
         field.field_disc = 1

@@ -4,21 +4,29 @@ Polynomials are dense coefficient lists, lowest degree first, with no
 trailing zeros; [] is the zero polynomial.  Rational polynomials hold
 Fraction coefficients, modular ones plain ints in [0, p).  Everything here
 is exact; no floating point enters any decision.
+
+Real roots are isolated over Z: the Sturm chain is a sequence of scaled
+pseudo-remainders freed of their content, and signs at a rational n/d come
+from integer Horner on d^k * p(n/d).  Irreducibility over Z is proven from
+the factor degrees modulo small primes (distinct-degree factorization only);
+Zassenhaus factoring with Hensel lifting covers what those leave open and
+produces the factors.
 """
 
 from fractions import Fraction
 from itertools import combinations
-from math import isqrt
+from math import gcd, isqrt, lcm
 
 from . import linalg
 
 __all__ = [
     "strip", "degree", "padd", "psub", "pneg", "pmul", "pscale", "pdivmod",
     "peval", "pderiv", "pmonic", "pgcd", "pxgcd", "sign",
-    "sturm_chain", "count_real_roots", "count_roots_between",
+    "sturm_chain", "count_real_roots",
     "isolate_real_roots", "refine_interval", "interval_eval", "cauchy_bound",
     "fp_factor", "fp_gcd", "fp_mul", "fp_divmod", "fp_pow_mod",
-    "zx_factor", "zx_is_irreducible", "resultant", "poly_disc",
+    "zx_factor", "zx_is_irreducible", "irreducible_by_degree_patterns",
+    "resultant", "poly_disc",
 ]
 
 
@@ -134,15 +142,64 @@ def sign(x) -> int:
 
 # ---------------------------------------------------- Sturm and isolation
 
+def _integral(p):
+    """p scaled by the lcm of its denominators: integer coefficients with the
+    same roots and, since the scale is positive, the same signs."""
+    if all(type(c) is int for c in p):
+        return list(p)
+    p = [Fraction(c) for c in p]
+    den = lcm(*(c.denominator for c in p))
+    return [int(c * den) for c in p]
+
+
+def _primitive(p):
+    """Integer p divided by its positive content."""
+    g = gcd(*p)
+    return [c // g for c in p] if g > 1 else p
+
+
+def _scaled_rem(a, b):
+    """Remainder of |lc(b)|^k * a by b over Z for the least k that keeps it
+    integral: a positive multiple of the remainder of a by b over Q."""
+    a = list(a)
+    lead = b[-1]
+    scale, flip = abs(lead), 1 if lead > 0 else -1
+    while len(a) >= len(b):
+        c, k = a[-1] * flip, len(a) - len(b)
+        if scale != 1:
+            a = [scale * x for x in a]
+        for i, cb in enumerate(b):
+            a[i + k] -= c * cb
+        a = strip(a)
+    return a
+
+
 def sturm_chain(p):
-    """Sturm sequence of a squarefree polynomial."""
-    chain = [list(p), pderiv(p)]
-    while chain[-1]:
-        rem = pdivmod(chain[-2], chain[-1])[1]
+    """Sturm sequence of a squarefree polynomial, over Z.
+
+    Each member is a positive multiple of the classical member over Q (the
+    remainders are scaled by powers of |lc| and freed of their content), so
+    the two chains have the same signs everywhere."""
+    p = _primitive(_integral(p))
+    if degree(p) < 1:
+        return [p] if p else []
+    chain = [p, _primitive(pderiv(p))]
+    while True:
+        rem = _scaled_rem(chain[-2], chain[-1])
         if not rem:
-            break
-        chain.append(pneg(rem))
-    return [c for c in chain if c]
+            return chain
+        chain.append(_primitive(pneg(rem)))
+
+
+def _sign_at(p, x):
+    """Sign of p at a rational x = n/d (d > 0) by integer Horner on
+    d^k * p(n/d) = sum c_i n^i d^(k-i), k = deg p."""
+    n, d = x.numerator, x.denominator
+    acc, dk = 0, 1
+    for c in reversed(p):
+        acc = acc * n + c * dk
+        dk *= d
+    return sign(acc)
 
 
 def _variations(signs):
@@ -151,7 +208,7 @@ def _variations(signs):
 
 
 def _variations_at(chain, x):
-    return _variations([sign(peval(p, x)) for p in chain])
+    return _variations([_sign_at(p, x) for p in chain])
 
 
 def _variations_at_inf(chain, direction):
@@ -169,11 +226,6 @@ def count_real_roots(p):
     return _variations_at_inf(chain, -1) - _variations_at_inf(chain, +1)
 
 
-def count_roots_between(chain, lo, hi):
-    """Number of real roots in (lo, hi]."""
-    return _variations_at(chain, lo) - _variations_at(chain, hi)
-
-
 def cauchy_bound(p):
     """Rational B with every real root of p inside (-B, B)."""
     lead = abs(Fraction(p[-1]))
@@ -188,8 +240,10 @@ def isolate_real_roots(p):
     (r, r).  For degree >= 2 the input must have no rational roots (true for
     irreducible defining polynomials), so interval endpoints never collide
     with a root and each open interval holds exactly one simple root with a
-    sign change between its endpoints.
+    sign change between its endpoints.  Rational coefficients are scaled to
+    integers first; all sign evaluation is integer arithmetic.
     """
+    p = _integral(p)
     if degree(p) <= 0:
         return []
     if degree(p) == 1:
@@ -198,20 +252,23 @@ def isolate_real_roots(p):
     chain = sturm_chain(p)
     b = cauchy_bound(p)
     out = []
-    work = [(-b, b, count_roots_between(chain, -b, b))]
+    # (lo, hi, sign variations at lo, at hi): the interval holds the
+    # difference in roots, in (lo, hi]
+    work = [(-b, b, _variations_at(chain, -b), _variations_at(chain, b))]
     while work:
-        lo, hi, cnt = work.pop()
+        lo, hi, vlo, vhi = work.pop()
+        cnt = vlo - vhi
         if cnt == 0:
             continue
         if cnt == 1:
-            if sign(peval(p, lo)) * sign(peval(p, hi)) >= 0:
+            if _sign_at(p, lo) * _sign_at(p, hi) >= 0:
                 raise ArithmeticError("isolation endpoint touched a root")
             out.append((lo, hi))
             continue
         mid = (lo + hi) / 2
-        cl = count_roots_between(chain, lo, mid)
-        work.append((lo, mid, cl))
-        work.append((mid, hi, cnt - cl))
+        vmid = _variations_at(chain, mid)
+        work.append((lo, mid, vlo, vmid))
+        work.append((mid, hi, vmid, vhi))
     out.sort()
     return out
 
@@ -221,7 +278,7 @@ def refine_interval(p, lo, hi):
     if lo == hi:
         return lo, hi
     mid = (lo + hi) / 2
-    if sign(peval(p, lo)) * sign(peval(p, mid)) < 0:
+    if _sign_at(p, lo) * _sign_at(p, mid) < 0:
         return lo, mid
     return mid, hi
 
@@ -456,12 +513,16 @@ def _center(c, pk):
 
 
 def _zx_divides(cand, f):
-    q, r = pdivmod([Fraction(c) for c in f], [Fraction(c) for c in cand])
-    if r:
-        return None
-    if any(c.denominator != 1 for c in q):
-        return None
-    return [int(c) for c in q]
+    """f / cand over Z for a monic cand, or None when cand does not divide f."""
+    f = list(f)
+    n = degree(cand)
+    quo = [0] * (len(f) - n)
+    for k in range(len(quo) - 1, -1, -1):
+        c = quo[k] = f[k + n]
+        if c:
+            for i, cb in enumerate(cand):
+                f[i + k] -= c * cb
+    return None if any(f[:n]) else quo
 
 
 _FACTOR_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
@@ -564,6 +625,40 @@ def zx_factor(f):
 def zx_is_irreducible(f):
     facs = zx_factor(f)
     return len(facs) == 1 and facs[0][1] == 1
+
+
+# Musser, "On the efficiency of a polynomial irreducibility test" (JACM
+# 1978): a handful of primes usually leaves no proper factor degree.
+_PATTERN_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
+_PATTERN_TRIES = 6
+
+
+def irreducible_by_degree_patterns(f, disc):
+    """True when the factor degrees of the monic f modulo small primes prove
+    it irreducible over Z; False when they leave the question open.
+
+    disc = poly_disc(f) must be nonzero.  Modulo a prime q not dividing disc,
+    f is squarefree, and a factor of f over Z of degree k reduces to a product
+    of some of the irreducible factors of f modulo q, so k is a sum of some of
+    their degrees (distinct-degree factorization gives those degrees without
+    splitting).  f is irreducible once no degree 0 < k < deg f is such a sum
+    at every prime tried.
+    """
+    n = degree(f)
+    possible = set(range(1, n))
+    tries = 0
+    for q in _PATTERN_PRIMES:
+        if not possible or tries == _PATTERN_TRIES:
+            break
+        if disc % q == 0:
+            continue
+        tries += 1
+        sums = {0}
+        for prod, d in _fp_ddf(fp_norm(f, q), q):
+            for _ in range(degree(prod) // d):
+                sums |= {s + d for s in sums}
+        possible &= sums
+    return not possible
 
 
 # ------------------------------------------------------------- resultants

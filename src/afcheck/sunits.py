@@ -17,11 +17,11 @@ from math import isqrt
 
 from .errors import (BasisUnavailable, FactorizationIncomplete,
                      GeneratorNotFound, IndexDivisor, IsSquare,
-                     MissingUserClassNumber, SearchExhausted, Unsupported,
-                     WorkExceeded, ZeroElement)
+                     MissingUserClassNumber, Reducible, SearchExhausted,
+                     Unsupported, WorkExceeded, ZeroElement)
 from . import linalg
 from .numberfield import FieldElement, NumberField, make_field
-from .polynomials import zx_factor, zx_is_irreducible
+from .polynomials import zx_factor
 from .prime_ideals import element_valuations, valuation
 from .units import (DEFAULT_UNIT_HEIGHT_BOUND, ClassData, class_data,
                     principal_generator, sqrt_core_element, unit_generators,
@@ -441,20 +441,17 @@ def quadratic_extension(base: NumberField, a: FieldElement) -> NumberField:
         raise Unsupported(f"extension degree {2 * n} > 6")
     den = a.denominator_lcm()
     a_int = a * (den * den)
-    theta = base.theta()
     for t in _GENERATOR_SHIFTS:
-        mat = _gamma_matrix(base, a_int, t)
-        poly = linalg.charpoly(mat)
-        if any(c.denominator != 1 for c in poly):
-            raise ArithmeticError("characteristic polynomial not integral")
-        ipoly = [int(c) for c in poly]
-        if zx_is_irreducible(ipoly):
-            return make_field(ipoly)
+        try:
+            return make_field(linalg.charpoly(_gamma_matrix(base, a_int, t)))
+        except Reducible:
+            continue
     raise ArithmeticError("no primitive generator among the shift candidates")
 
 
 def _gamma_matrix(base: NumberField, a_int: FieldElement, t: int):
-    """Multiplication matrix of gamma = z + t*theta on K[z]/(z^2 - a_int)."""
+    """Integer multiplication matrix of gamma = z + t*theta on
+    K[z]/(z^2 - a_int); a_int lies in Z[theta], so every entry is an integer."""
     n = base.degree
     theta = base.theta()
     cols = []
@@ -466,5 +463,5 @@ def _gamma_matrix(base: NumberField, a_int: FieldElement, t: int):
             # gamma * (u + v z) = (t*theta*u + a*v) + (u + t*theta*v) z
             ru = theta * t * u + a_int * v
             rv = u + theta * t * v
-            cols.append(list(ru.coords) + list(rv.coords))
+            cols.append(list(ru.num) + list(rv.num))
     return [[cols[j][i] for j in range(2 * n)] for i in range(2 * n)]

@@ -14,6 +14,7 @@ from fractions import Fraction
 from itertools import product
 from math import gcd, isqrt
 
+from . import linalg
 from .errors import (GeneratorNotFound, IndexDivisor, MissingUserClassNumber,
                      NotTotallyReal, SearchExhausted, Unsupported, ZeroElement)
 from .integerfactor import SMALL_PRIMES, factorint, squarefree_part
@@ -247,9 +248,16 @@ def _small_relation(u: FieldElement, v: FieldElement, box=6):
 # ----------------------------------------------------------- fundamental units
 
 def _shell(dim, h):
-    """Coordinate dim-tuples with max coordinate magnitude exactly h, sorted."""
-    return [t for t in product(range(-h, h + 1), repeat=dim)
-            if max(map(abs, t)) == h]
+    """Coordinate dim-tuples with max coordinate magnitude exactly h, sorted:
+    the surface of the box [-h, h]^dim, enumerated without its interior.
+    A tuple whose first coordinate is +-h may continue with any tuple of the
+    box; any other first coordinate needs a continuation on the surface."""
+    if dim == 0:
+        return [()] if h == 0 else []
+    surface = _shell(dim - 1, h)
+    return [(c,) + t for c in range(-h, h + 1)
+            for t in (product(range(-h, h + 1), repeat=dim - 1)
+                      if abs(c) == h else surface)]
 
 
 def _cubic_fundamental_pair(field: NumberField, height_bound: int):
@@ -257,7 +265,7 @@ def _cubic_fundamental_pair(field: NumberField, height_bound: int):
     h = 1
     while h <= height_bound:
         for coords in _shell(3, h):
-            x = field.element(coords)
+            x = FieldElement(field, coords)
             if x.is_rational():
                 continue
             if abs(x.norm()) != 1:
@@ -652,10 +660,11 @@ def _find_generator(field, profile, gen_bound):
                     h - 1, f"no generator found within coordinate bound "
                     f"{h - 1}; search stopped after {GENERATOR_SEARCH_LIMIT} "
                     f"candidates")
-            x = field.element(coords)
+            x = FieldElement(field, coords)
             if x.is_zero():
                 continue
-            if abs(x.norm()) != target:
+            # x is integral, so its norm is the determinant itself
+            if abs(linalg.det(x.num_matrix())) != target:
                 continue
             if all(valuation(x, p) >= v for p, v in profile.items()):
                 return x

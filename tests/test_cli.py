@@ -1,11 +1,16 @@
 """CLI exit codes, canonical JSON and report round-trips."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from afcheck.cli import run
+import afcheck
+from afcheck.cli import _parser, run
 from afcheck.frey import ValuationForm
 from afcheck.report import build_report, emit_json, parse_report, to_jsonable
 
@@ -208,3 +213,45 @@ class TestCommands:
         assert run(["field", "x^2 - 2"]) == 0
         out = capsys.readouterr().out
         assert "signature" in out and "totally-ramified" in out
+
+
+def run_fresh(argv):
+    """(exit code, stdout) of one run in a new interpreter."""
+    src = str(Path(afcheck.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from afcheck.cli import run; sys.exit(run(sys.argv[1:]))",
+         *argv], capture_output=True, text=True, env=env, timeout=120,
+        check=False)
+    return proc.returncode, proc.stdout
+
+
+class TestParserReuse:
+    """run() keeps one argparse tree per process; consecutive calls must
+    answer as if each ran alone."""
+
+    def sequence_matches_fresh_runs(self, capsys, argvs):
+        assert _parser() is _parser()
+        for argv in argvs:
+            code = run(argv)
+            assert (code, capsys.readouterr().out) == run_fresh(argv), argv
+
+    def test_bound_does_not_carry_over(self, capsys):
+        first = ["--output", "json", "sunit", "x^2-2", "--bound", "3"]
+        second = ["--output", "json", "sunit", "x^2-2"]
+        self.sequence_matches_fresh_runs(capsys, [first, second])
+        run(second)
+        assert "bound" not in json.loads(capsys.readouterr().out)["command"]
+
+    def test_usage_error_then_valid_request(self, capsys):
+        self.sequence_matches_fresh_runs(capsys, [
+            ["--output", "json", "check", "nonsense-theorem", "x"],
+            ["--output", "json", "field", "x^2 - 2"]])
+
+    def test_config_does_not_carry_over(self, capsys, tmp_path):
+        cfg = tmp_path / "bounds.cfg"
+        cfg.write_text("sunit_exponent_bound = 3\n")
+        self.sequence_matches_fresh_runs(capsys, [
+            ["--output", "json", "--config", str(cfg), "sunit", "x"],
+            ["--output", "json", "sunit", "x"]])

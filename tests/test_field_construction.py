@@ -1,0 +1,141 @@
+"""Field construction against sympy: integer Sturm isolation of the real
+roots and the degree-pattern proof of irreducibility in make_field."""
+
+from fractions import Fraction
+from math import gcd
+
+import pytest
+import sympy
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from afcheck.errors import Reducible
+from afcheck.numberfield import make_field
+from afcheck.polynomials import (cauchy_bound, count_real_roots,
+                                 irreducible_by_degree_patterns,
+                                 isolate_real_roots, pderiv, pdivmod, peval,
+                                 poly_disc, sign, sturm_chain)
+
+X = sympy.symbols("x")
+
+# monic integer polynomials of degree 2-6, coefficients in [-9, 9], lowest
+# degree first
+MONIC = st.integers(2, 6).flatmap(
+    lambda n: st.lists(st.integers(-9, 9), min_size=n, max_size=n)
+    .map(lambda low: low + [1]))
+
+
+def to_sympy(coeffs):
+    return sympy.Poly(list(reversed(coeffs)), X)
+
+
+def fraction_isolation(p):
+    """Isolation over Q as it stood before the integer chain: a Fraction
+    Sturm sequence evaluated by Fraction Horner, with the same bound and the
+    same bisection.  The reference the integer code must reproduce."""
+    chain = [[Fraction(c) for c in p], pderiv(p)]
+    while True:
+        rem = pdivmod(chain[-2], chain[-1])[1]
+        if not rem:
+            break
+        chain.append([-c for c in rem])
+
+    def variations(x):
+        signs = [s for s in (sign(peval(q, x)) for q in chain) if s]
+        return sum(1 for a, b in zip(signs, signs[1:]) if a * b < 0)
+
+    b = cauchy_bound(p)
+    out, work = [], [(-b, b)]
+    while work:
+        lo, hi = work.pop()
+        count = variations(lo) - variations(hi)
+        if count == 1:
+            out.append((lo, hi))
+        elif count > 1:
+            mid = (lo + hi) / 2
+            work += [(lo, mid), (mid, hi)]
+    return sorted(out)
+
+
+def contains(lo, hi, root):
+    return bool(sympy.Rational(lo.numerator, lo.denominator) < root
+                < sympy.Rational(hi.numerator, hi.denominator))
+
+
+class TestIntegerSturm:
+    @settings(max_examples=150, deadline=None)
+    @given(MONIC)
+    def test_root_count_matches_sympy(self, coeffs):
+        assume(poly_disc(coeffs) != 0)
+        assert count_real_roots(coeffs) == len(to_sympy(coeffs).real_roots())
+
+    @settings(max_examples=150, deadline=None)
+    @given(MONIC)
+    def test_chain_members_are_primitive_integer_polys(self, coeffs):
+        assume(poly_disc(coeffs) != 0)
+        chain = sturm_chain(coeffs)
+        assert [len(p) - 1 for p in chain] == sorted(
+            (len(p) - 1 for p in chain), reverse=True)
+        for p in chain:
+            assert all(type(c) is int for c in p)
+            assert gcd(*p) == 1
+
+    @settings(max_examples=100, deadline=None)
+    @given(MONIC)
+    def test_isolation_against_sympy_roots(self, coeffs):
+        poly = to_sympy(coeffs)
+        assume(poly.is_irreducible)
+        intervals = make_field(coeffs).real_roots
+        assert list(intervals) == isolate_real_roots(coeffs)
+        assert list(intervals) == fraction_isolation(coeffs)
+        roots = poly.real_roots()
+        assert len(intervals) == len(roots)
+        for (_, hi), (lo, _) in zip(intervals, intervals[1:]):
+            assert hi <= lo
+        for root in roots:
+            assert sum(contains(lo, hi, root) for lo, hi in intervals) == 1
+
+    def test_rational_coefficients_are_scaled(self):
+        halved = [Fraction(c, 2) for c in (2, 0, -4, 0, 1)]
+        assert isolate_real_roots(halved) == isolate_real_roots([2, 0, -4, 0, 1])
+
+
+class TestIrreducibility:
+    @settings(max_examples=150, deadline=None)
+    @given(MONIC)
+    def test_verdict_matches_sympy(self, coeffs):
+        if to_sympy(coeffs).is_irreducible:
+            assert make_field(coeffs).coeffs == tuple(coeffs)
+        else:
+            with pytest.raises(Reducible):
+                make_field(coeffs)
+
+    @settings(max_examples=150, deadline=None)
+    @given(MONIC)
+    def test_patterns_prove_only_irreducible_polys(self, coeffs):
+        disc = poly_disc(coeffs)
+        assume(disc != 0)
+        if irreducible_by_degree_patterns(coeffs, disc):
+            assert to_sympy(coeffs).is_irreducible
+
+    @pytest.mark.parametrize("text, coeffs, signature", [
+        ("x^4 + 1", [1, 0, 0, 0, 1], (0, 2)),
+        ("x^4 - 10*x^2 + 1", [1, 0, -10, 0, 1], (4, 0)),
+    ])
+    def test_fields_the_patterns_leave_open(self, text, coeffs, signature):
+        # every reduction splits into factors of degree <= 2, so only the
+        # Hensel factoring proves these irreducible
+        assert not irreducible_by_degree_patterns(coeffs, poly_disc(coeffs))
+        K = make_field(text)
+        assert K.signature == signature
+
+    def test_zero_discriminant_is_reducible_with_its_witness(self):
+        # (x - 1)^2 (x + 2)
+        assert poly_disc([2, -3, 0, 1]) == 0
+        with pytest.raises(Reducible) as exc:
+            make_field("x^3 - 3*x + 2")
+        assert str(exc.value) == "polynomial factors; witness -1 + x"
+        assert exc.value.payload == {"factor": [-1, 1]}
+
+    def test_degree_one_needs_no_prime(self):
+        assert irreducible_by_degree_patterns([5, 1], 1)

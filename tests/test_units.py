@@ -1,6 +1,7 @@
 """Unit groups, class numbers, representatives and normalization."""
 
 import math
+from itertools import product
 
 import pytest
 
@@ -199,7 +200,19 @@ class TestNormalize:
                     assert min(vals) == 0
 
 
+def shell_by_filter(dim, h):
+    """The box [-h, h]^dim filtered to max coordinate magnitude h: the
+    reference _shell must reproduce, tuple for tuple and in order."""
+    return [t for t in product(range(-h, h + 1), repeat=dim)
+            if max(map(abs, t)) == h]
+
+
 class TestGeneratorSearch:
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_shell_equals_the_filtered_box(self, dim):
+        for h in range(6):
+            assert _shell(dim, h) == shell_by_filter(dim, h)
+
     def test_shell_covers_every_coordinate_in_degree_four(self):
         shell = _shell(4, 1)
         assert len(shell) == 3 ** 4 - 1
