@@ -165,10 +165,17 @@ def _cmd_selmer(field, args, cfg):
 def _cmd_frey(field, args, cfg):
     if args.prime is not None and not is_prime(args.prime):
         raise ParseError(f"--prime must be a prime, got {args.prime}")
+    p = None
+    if args.p != "symbolic":
+        try:
+            p = int(args.p)
+        except ValueError:
+            pass
+        if p is None or not is_prime(p):
+            raise ParseError(f"--p must be a prime or 'symbolic', got {args.p!r}")
     a = field.element_from_str(args.a)
     b = field.element_from_str(args.b)
     c = field.element_from_str(args.c)
-    p = None if args.p == "symbolic" else int(args.p)
     r = args.r if args.family == FAMILY_TWO_POWER else None
     spec = FreySpec(args.family, a, b, c, r=r, p=p)
     payload = {"family": args.family, "p": args.p, "r": r}

@@ -19,9 +19,10 @@ from . import linalg
 from .errors import (DegreeZero, DivisionByZero, NotMonic, NotTotallyReal,
                      Reducible, Unsupported, ZeroElement)
 from .parsing import parse_poly
-from .polynomials import (interval_eval, irreducible_by_degree_patterns,
-                          isolate_real_roots, pderiv, pdivmod, pgcd, pmonic,
-                          poly_disc, refine_interval, strip, zx_factor)
+from .polynomials import (_zx_divides, interval_eval,
+                          irreducible_by_degree_patterns, isolate_real_roots,
+                          pderiv, poly_disc, refine_interval, strip, zx_factor,
+                          zx_gcd)
 
 MAX_DEGREE = 6
 
@@ -271,12 +272,13 @@ class FieldElement:
         return [Fraction(c, self.den ** (n - i)) for i, c in enumerate(ch)]
 
     def min_poly(self):
-        """Monic minimal polynomial over Q (squarefree part of char_poly)."""
-        ch = self.char_poly()
-        g = pgcd(ch, pderiv(ch))
-        if len(g) == 1:
-            return pmonic(ch)
-        return pmonic(pdivmod(ch, g)[0])
+        """Monic minimal polynomial over Q: the squarefree part of the
+        integer charpoly of num (a power of the minimal polynomial of num),
+        with the coefficient of t^i divided by den^(k-i), k its degree."""
+        ch = linalg.charpoly(self.num_matrix())
+        mp = _zx_divides(zx_gcd(ch, pderiv(ch)), ch)
+        k = len(mp) - 1
+        return [Fraction(c, self.den ** (k - i)) for i, c in enumerate(mp)]
 
 
 def _poly_str(coords):
@@ -377,13 +379,15 @@ def embedding_interval(x: FieldElement, root_index: int, max_width: Fraction):
     """Rational interval around the real embedding of x, width <= max_width."""
     field = x.field
     lo, hi = field.real_roots[root_index]
-    g = list(x.coords)
+    # bounds on num = den * x: interval Horner commutes with the positive
+    # scale, so dividing them by den gives the bounds on x
+    g, den = x.num, x.den
     f = field.coeffs
     vlo, vhi = interval_eval(g, lo, hi)
-    while vhi - vlo > max_width:
+    while vhi - vlo > max_width * den:
         lo, hi = refine_interval(f, lo, hi)
         vlo, vhi = interval_eval(g, lo, hi)
-    return vlo, vhi
+    return vlo / den, vhi / den
 
 
 def is_totally_positive(x: FieldElement) -> bool:

@@ -2,13 +2,21 @@
 
 Accepts expressions like "x^3 - x^2 + 1", "2*x + 1/2", "(x-1)*(x+1)",
 with implicit multiplication ("2x"), and comma-separated coefficient
-lists low-to-high ("1, 0, -2").  Returns Fraction coefficient lists,
-lowest degree first.
+lists low-to-high ("1, 0, -2").  Returns coefficient lists, lowest degree
+first.  Integral coefficients are ints; a Fraction appears only for one
+that is not, which needs a division or a rational literal in the text
+("x/2", "1/2, 1").  No product or power may exceed degree
+MAX_PARSED_DEGREE (the exponent of a constant counts as its degree), so the
+work per input stays small.
 """
 
 from fractions import Fraction
 
-from .polynomials import padd, pmul, pneg, strip
+from .polynomials import degree, padd, pmul, pneg, strip
+
+# Defining polynomials stop at degree 6 and element strings are reduced mod
+# f afterwards, so no sensible input comes near this.
+MAX_PARSED_DEGREE = 64
 
 
 class ParseError(ValueError):
@@ -42,6 +50,13 @@ def _tokenize(text):
     return tokens
 
 
+def _product(a, b):
+    if degree(a) + degree(b) > MAX_PARSED_DEGREE:
+        raise ParseError("product above the parser's degree cap "
+                         f"{MAX_PARSED_DEGREE}")
+    return pmul(a, b)
+
+
 class _Parser:
     def __init__(self, tokens):
         self.tokens = tokens
@@ -71,13 +86,13 @@ class _Parser:
                 op = self.take()[0]
                 rhs = self.unary()
                 if op == "*":
-                    node = pmul(node, rhs)
+                    node = _product(node, rhs)
                 else:
                     if len(strip(rhs)) != 1:
                         raise ParseError("division only by nonzero constants")
                     node = [c / Fraction(rhs[0]) for c in node]
             elif nxt in ("int", "x", "("):
-                node = pmul(node, self.unary())  # implicit multiplication
+                node = _product(node, self.unary())  # implicit multiplication
             else:
                 return node
 
@@ -94,13 +109,16 @@ class _Parser:
         base = self.atom()
         if self.peek() == "^":
             self.take()
-            neg = False
             if self.peek() == "-":
                 raise ParseError("negative exponents not supported")
-            kind, val = self.take()
-            if kind != "int":
+            if self.peek() != "int":
                 raise ParseError("exponent must be a literal integer")
-            out = [Fraction(1)]
+            val = self.take()[1]
+            # a constant's exponent counts as its degree, so 2^k is capped too
+            if max(degree(base), 1) * val > MAX_PARSED_DEGREE:
+                raise ParseError("power above the parser's degree cap "
+                                 f"{MAX_PARSED_DEGREE}")
+            out = [1]
             for _ in range(val):
                 out = pmul(out, base)
             return out
@@ -109,9 +127,9 @@ class _Parser:
     def atom(self):
         kind, val = self.take() if self.pos < len(self.tokens) else ("eof", None)
         if kind == "int":
-            return [Fraction(val)] if val else []
+            return [val] if val else []
         if kind == "x":
-            return [Fraction(0), Fraction(1)]
+            return [0, 1]
         if kind == "(":
             inner = self.expr()
             if self.peek() != ")":
@@ -122,21 +140,22 @@ class _Parser:
 
 
 def parse_poly(text: str):
-    """Parse an expression or comma-separated coefficient list to Fractions."""
+    """Parse an expression or comma-separated coefficient list; integral
+    coefficients come back as ints, the others as Fractions."""
     text = text.strip()
     if not text:
         raise ParseError("empty polynomial")
     if "," in text:
-        out = []
+        result = []
         for part in text.split(","):
             part = part.strip()
             try:
-                out.append(Fraction(part))
+                result.append(Fraction(part))
             except (ValueError, ZeroDivisionError) as exc:
                 raise ParseError(f"bad coefficient {part!r}") from exc
-        return strip(out)
-    parser = _Parser(_tokenize(text))
-    result = parser.expr()
-    if parser.pos != len(parser.tokens):
-        raise ParseError("trailing input after polynomial")
-    return strip(result)
+    else:
+        parser = _Parser(_tokenize(text))
+        result = parser.expr()
+        if parser.pos != len(parser.tokens):
+            raise ParseError("trailing input after polynomial")
+    return [c.numerator if c.denominator == 1 else c for c in strip(result)]

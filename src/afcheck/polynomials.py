@@ -1,9 +1,12 @@
-"""Exact univariate polynomial machinery over Q, Z and F_p.
+"""Exact univariate polynomial machinery over Z and F_p.
 
 Polynomials are dense coefficient lists, lowest degree first, with no
-trailing zeros; [] is the zero polynomial.  Rational polynomials hold
-Fraction coefficients, modular ones plain ints in [0, p).  Everything here
-is exact; no floating point enters any decision.
+trailing zeros; [] is the zero polynomial.  Coefficients are ints, in
+[0, p) for modular ones; division and gcds work over Z by pseudo-remainders
+freed of their content, and over F_p by one top-down pass.  Fractions
+enter only as evaluation points and interval endpoints, and as rational
+isolation input, which is scaled to integers first.  Everything here is
+exact; no floating point enters any decision.
 
 Real roots are isolated over Z: the Sturm chain is a sequence of scaled
 pseudo-remainders freed of their content, and signs at a rational n/d come
@@ -20,12 +23,13 @@ from math import gcd, isqrt, lcm
 from . import linalg
 
 __all__ = [
-    "strip", "degree", "padd", "psub", "pneg", "pmul", "pscale", "pdivmod",
-    "peval", "pderiv", "pmonic", "pgcd", "pxgcd", "sign",
+    "strip", "degree", "padd", "psub", "pneg", "pmul", "pscale",
+    "peval", "pderiv", "sign",
     "sturm_chain", "count_real_roots",
     "isolate_real_roots", "refine_interval", "interval_eval", "cauchy_bound",
     "fp_factor", "fp_gcd", "fp_mul", "fp_divmod", "fp_pow_mod",
-    "zx_factor", "zx_is_irreducible", "irreducible_by_degree_patterns",
+    "zx_gcd", "zx_factor", "zx_is_irreducible",
+    "irreducible_by_degree_patterns",
     "resultant", "poly_disc",
 ]
 
@@ -74,26 +78,6 @@ def pscale(a, c):
     return [x * c for x in a]
 
 
-def pdivmod(a, b):
-    """Euclidean division over a field (Fraction coefficients)."""
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    a = [Fraction(c) for c in a]
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    inv = Fraction(1) / Fraction(b[-1])
-    while len(a) >= len(b) and strip(a):
-        a = strip(a)
-        if len(a) < len(b):
-            break
-        k = len(a) - len(b)
-        coef = a[-1] * inv
-        q[k] = coef
-        for i, cb in enumerate(b):
-            a[i + k] -= coef * Fraction(cb)
-        a = a[:-1]
-    return strip(q), strip(a)
-
-
 def peval(p, x):
     acc = Fraction(0)
     for c in reversed(p):
@@ -103,37 +87,6 @@ def peval(p, x):
 
 def pderiv(p):
     return strip([i * c for i, c in enumerate(p)][1:])
-
-
-def pmonic(p):
-    if not p:
-        return p
-    inv = Fraction(1) / Fraction(p[-1])
-    return [Fraction(c) * inv for c in p]
-
-
-def pgcd(a, b):
-    """Monic gcd over Q."""
-    a, b = [Fraction(c) for c in a], [Fraction(c) for c in b]
-    while b:
-        a, b = b, pdivmod(a, b)[1]
-    return pmonic(a)
-
-
-def pxgcd(a, b):
-    """Extended gcd over Q: returns (g, s, t) monic with s*a + t*b = g."""
-    r0, r1 = [Fraction(c) for c in a], [Fraction(c) for c in b]
-    s0, s1 = [Fraction(1)], []
-    t0, t1 = [], [Fraction(1)]
-    while r1:
-        q, r = pdivmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, psub(s0, pmul(q, s1))
-        t0, t1 = t1, psub(t0, pmul(q, t1))
-    if not r0:
-        return [], s0, t0
-    lead = Fraction(1) / r0[-1]
-    return pscale(r0, lead), pscale(s0, lead), pscale(t0, lead)
 
 
 def sign(x) -> int:
@@ -310,20 +263,20 @@ def fp_mul(a, b, q):
 
 
 def fp_divmod(a, b, q):
+    """Quotient and remainder of a by b over F_q, q prime: one top-down pass
+    over a copy of a."""
     if not b:
         raise ZeroDivisionError
     a = list(a)
+    n = len(b) - 1
     inv = pow(b[-1], q - 2, q)
-    quo = [0] * max(0, len(a) - len(b) + 1)
-    while len(strip(a)) >= len(b):
-        a = strip(a)
-        k = len(a) - len(b)
-        coef = a[-1] * inv % q
-        quo[k] = coef
-        for i, cb in enumerate(b):
-            a[i + k] = (a[i + k] - coef * cb) % q
-        a = a[:-1]
-    return strip(quo), strip(a)
+    quo = [0] * max(0, len(a) - n)
+    for k in range(len(quo) - 1, -1, -1):
+        c = quo[k] = a[k + n] * inv % q
+        if c:
+            for i in range(n):
+                a[i + k] = (a[i + k] - c * b[i]) % q
+    return strip(quo), strip(a[:n])
 
 
 def fp_monic(a, q):
@@ -525,6 +478,22 @@ def _zx_divides(cand, f):
     return None if any(f[:n]) else quo
 
 
+def zx_gcd(a, b):
+    """Monic gcd of a monic integer polynomial a and an integer polynomial b.
+
+    A primitive pseudo-remainder sequence over Z.  Once freed of its content,
+    a divisor of a monic integer polynomial is monic up to sign (Gauss), so
+    the result equals the monic gcd over Q."""
+    b = _primitive(strip(b))
+    if not b:
+        return list(a)
+    while True:
+        rem = _scaled_rem(a, b)
+        if not rem:
+            return b if b[-1] > 0 else pneg(b)
+        a, b = b, _primitive(rem)
+
+
 _FACTOR_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
                   59, 61, 67, 71, 73, 79, 83, 89, 97, 101, 103, 107, 109)
 
@@ -579,23 +548,23 @@ def _zx_factor_squarefree(f):
 
 
 def _yun_squarefree(f):
-    """Yun decomposition over Q of monic f: list of (monic part, multiplicity)."""
-    f = pmonic(f)
+    """Yun decomposition of a monic integer f: list of (monic integer part,
+    multiplicity).  Every gcd divides f, so every quotient is exact over Z."""
     d = pderiv(f)
-    g = pgcd(f, d)
+    g = zx_gcd(f, d)
     if degree(g) == 0:
         return [(f, 1)]
     out = []
-    w = pdivmod(f, g)[0]
-    y = pdivmod(d, g)[0]
+    w = _zx_divides(g, f)
+    y = _zx_divides(g, d)
     z = psub(y, pderiv(w))
     i = 1
     while degree(w) > 0:
-        g_i = pgcd(w, z)
+        g_i = zx_gcd(w, z)
         if degree(g_i) > 0:
             out.append((g_i, i))
-        w = pdivmod(w, g_i)[0]
-        y = pdivmod(z, g_i)[0]
+        w = _zx_divides(g_i, w)
+        y = _zx_divides(g_i, z)
         z = psub(y, pderiv(w))
         i += 1
     return out
@@ -613,10 +582,7 @@ def zx_factor(f):
         return []
     out = []
     for part, mult in _yun_squarefree(f):
-        ipart = [int(c) for c in part]
-        if any(Fraction(c).denominator != 1 for c in part):
-            raise AssertionError("squarefree part of an integer poly not integral")
-        for irr in _zx_factor_squarefree(ipart):
+        for irr in _zx_factor_squarefree(part):
             out.append((irr, mult))
     out.sort(key=lambda t: (degree(t[0]), t[0]))
     return out
@@ -690,6 +656,6 @@ def poly_disc(f):
         raise ValueError("discriminant needs degree >= 1")
     if n == 1:
         return 1
-    res = resultant(f, [int(c) for c in pderiv(f)])
+    res = resultant(f, pderiv(f))
     s = -1 if (n * (n - 1) // 2) % 2 else 1
     return s * res

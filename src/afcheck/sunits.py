@@ -340,14 +340,11 @@ def _is_square_quadratic(x: FieldElement):
 
 
 def _is_square_odd(x: FieldElement):
-    den = x.denominator_lcm()
-    z = x * (den * den)
-    mp = z.min_poly()
-    if any(c.denominator != 1 for c in mp):
-        raise ArithmeticError("integralized element with non-integral minpoly")
-    doubled = []
-    for i, c in enumerate(mp):
-        doubled.extend([int(c)] + ([0] if i < len(mp) - 1 else []))
+    # z = den^2 * x is a square iff x is, and lies in Z[theta], so its
+    # minimal polynomial mp is integral; factor mp(t^2)
+    mp = (x * (x.den * x.den)).min_poly()
+    doubled = [0] * (2 * len(mp) - 1)
+    doubled[::2] = [int(c) for c in mp]
     for fac, _ in zx_factor(doubled):
         if (len(fac) - 1) % 2 == 1:
             return True, None

@@ -137,9 +137,12 @@ class TestCommands:
         assert reports[0]["v_j"] == {"alpha": 4, "beta": -2, "threshold": 2}
         assert reports[0]["type"] == "potentially-multiplicative"
 
-    def test_frey_non_prime_rejected(self, capsys):
+    @pytest.mark.parametrize("flag, value", [
+        ("--prime", "9"), ("--p", "abc"), ("--p", "4"), ("--p", "1"),
+        ("--p", "0"), ("--p", "-3")])
+    def test_frey_non_prime_rejected(self, capsys, flag, value):
         code, rep = run_json(capsys, ["frey", "2r", "x^2 - 2", "--a", "2", "--b",
-                                      "1", "--c", "1", "--r", "2", "--prime", "9"])
+                                      "1", "--c", "1", "--r", "2", flag, value])
         assert code == 1
         assert rep["result"]["error"]["type"] == "ParseError"
 

@@ -13,8 +13,8 @@ from afcheck.errors import Reducible
 from afcheck.numberfield import make_field
 from afcheck.polynomials import (cauchy_bound, count_real_roots,
                                  irreducible_by_degree_patterns,
-                                 isolate_real_roots, pderiv, pdivmod, peval,
-                                 poly_disc, sign, sturm_chain)
+                                 isolate_real_roots, pderiv, peval, poly_disc,
+                                 sign, strip, sturm_chain)
 
 X = sympy.symbols("x")
 
@@ -27,6 +27,26 @@ MONIC = st.integers(2, 6).flatmap(
 
 def to_sympy(coeffs):
     return sympy.Poly(list(reversed(coeffs)), X)
+
+
+def pdivmod(a, b):
+    """Euclidean division over a field (Fraction coefficients)."""
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    a = [Fraction(c) for c in a]
+    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
+    inv = Fraction(1) / Fraction(b[-1])
+    while len(a) >= len(b) and strip(a):
+        a = strip(a)
+        if len(a) < len(b):
+            break
+        k = len(a) - len(b)
+        coef = a[-1] * inv
+        q[k] = coef
+        for i, cb in enumerate(b):
+            a[i + k] -= coef * Fraction(cb)
+        a = a[:-1]
+    return strip(q), strip(a)
 
 
 def fraction_isolation(p):

@@ -1,0 +1,117 @@
+"""The polynomial parser: int coefficients, a Fraction only for one that is
+not integral; error messages for malformed input; the cap on the degree it
+builds."""
+
+import json
+import time
+from fractions import Fraction
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from afcheck.cli import run
+from afcheck.parsing import MAX_PARSED_DEGREE, ParseError, parse_poly
+
+
+class TestCoefficients:
+    @pytest.mark.parametrize("text, coeffs", [
+        ("x^3 - x^2 + 1", [1, 0, -1, 1]),
+        ("(x-1)*(x+1)", [-1, 0, 1]),
+        ("2x(x + 3)", [0, 6, 2]),
+        ("x**2 - 2", [-2, 0, 1]),
+        ("1, 0, -2", [1, 0, -2]),
+        ("-(x - 1)^3", [1, -3, 3, -1]),
+        ("x^0", [1]),
+        ("x - x", []),
+    ])
+    def test_integer_text_gives_ints(self, text, coeffs):
+        got = parse_poly(text)
+        assert got == coeffs
+        assert all(type(c) is int for c in got)
+
+    @given(st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=1, max_size=8))
+    def test_written_out_polynomial_round_trips(self, coeffs):
+        text = " + ".join(f"({c})*x^{i}" for i, c in enumerate(coeffs))
+        got = parse_poly(text)
+        while coeffs and coeffs[-1] == 0:
+            coeffs = coeffs[:-1]
+        assert got == coeffs
+        assert all(type(c) is int for c in got)
+
+    @pytest.mark.parametrize("text, coeffs, fractional", [
+        ("x/2", [0, Fraction(1, 2)], [1]),
+        ("2*x + 1/2", [Fraction(1, 2), 2], [0]),
+        ("1/2, 1", [Fraction(1, 2), 1], [0]),
+        ("x^2/3 - x", [0, -1, Fraction(1, 3)], [2]),
+        ("(x/2)*2 + x/2 + x/2", [0, 2], []),
+        ("2/2, 3/2", [1, Fraction(3, 2)], [1]),
+    ])
+    def test_fractions_only_where_a_coefficient_is_not_integral(
+            self, text, coeffs, fractional):
+        got = parse_poly(text)
+        assert got == coeffs
+        assert [i for i, c in enumerate(got) if type(c) is Fraction] == fractional
+        assert all(type(c) in (int, Fraction) for c in got)
+
+
+class TestErrors:
+    @pytest.mark.parametrize("text, message", [
+        ("x^", "exponent must be a literal integer"),
+        ("x**", "exponent must be a literal integer"),
+        ("x^x", "exponent must be a literal integer"),
+        ("x^(2)", "exponent must be a literal integer"),
+        ("x^-2", "negative exponents not supported"),
+        ("", "empty polynomial"),
+        ("   ", "empty polynomial"),
+        ("x + ", "malformed polynomial expression"),
+        ("(x + 1", "unbalanced parentheses"),
+        ("x + 1)", "trailing input after polynomial"),
+        ("x % 2", "unexpected character '%' in polynomial"),
+        ("x / (x + 1)", "division only by nonzero constants"),
+        ("x / 0", "division only by nonzero constants"),
+        ("1, a", "bad coefficient 'a'"),
+        ("1, 1/0", "bad coefficient '1/0'"),
+    ])
+    def test_malformed_input(self, text, message):
+        with pytest.raises(ParseError) as exc:
+            parse_poly(text)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("argv", [
+        ["field", "x^"],
+        ["field", "x**"],
+        ["frey", "2r", "x^2 - 2", "--a", "x^", "--b", "1", "--c", "1"],
+    ])
+    def test_cli_reports_a_parse_error(self, capsys, argv):
+        code = run(["--output", "json"] + argv)
+        error = json.loads(capsys.readouterr().out)["result"]["error"]
+        assert code == 1
+        assert error == {"type": "ParseError",
+                         "message": "exponent must be a literal integer"}
+
+
+class TestDegreeCap:
+    @pytest.mark.parametrize("text, kind", [
+        ("(x+1)^2000", "power"),
+        ("x^1000000000", "power"),
+        ("2^1000000000", "power"),
+        (f"x^{MAX_PARSED_DEGREE + 1}", "power"),
+        (f"(x^2 + 1)^{MAX_PARSED_DEGREE // 2 + 1}", "power"),
+        (f"x^{MAX_PARSED_DEGREE} * x", "product"),
+        (f"x^40 (x^30 + 1)", "product"),
+    ])
+    def test_rejected_before_it_is_built(self, text, kind):
+        started = time.perf_counter()
+        with pytest.raises(ParseError) as exc:
+            parse_poly(text)
+        assert time.perf_counter() - started < 1.0
+        assert str(exc.value) == (f"{kind} above the parser's degree cap "
+                                  f"{MAX_PARSED_DEGREE}")
+
+    def test_up_to_the_cap_is_accepted(self):
+        cap = MAX_PARSED_DEGREE
+        assert parse_poly(f"x^{cap}") == [0] * cap + [1]
+        assert parse_poly(f"x^{cap - 1} * x") == [0] * cap + [1]
+        assert parse_poly(f"2^{cap}") == [2 ** cap]
+        assert len(parse_poly(f"(x^2 + 1)^{cap // 2}")) == cap + 1

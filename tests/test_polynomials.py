@@ -1,20 +1,51 @@
-"""Polynomial engine against sympy oracles: factorization, Sturm, resultants."""
+"""Polynomial engine against sympy oracles: factorization, gcds, division
+over F_p, Sturm, resultants."""
 
 import random
 from fractions import Fraction
 
+import pytest
 import sympy
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from afcheck.polynomials import (count_real_roots, fp_factor, interval_eval,
-                                 isolate_real_roots, peval, pgcd, pmul,
-                                 poly_disc, pxgcd, resultant, zx_factor,
-                                 zx_is_irreducible)
+from afcheck.polynomials import (_yun_squarefree, count_real_roots, degree,
+                                 fp_divmod, fp_factor, fp_mul, fp_norm,
+                                 interval_eval, isolate_real_roots, padd,
+                                 peval, pmul, poly_disc, resultant, strip,
+                                 zx_factor, zx_gcd, zx_is_irreducible)
 
 X = sympy.symbols("x")
 
 
 def to_sympy(coeffs):
     return sympy.Poly(sum(int(c) * X ** i for i, c in enumerate(coeffs)), X)
+
+
+def from_sympy(poly):
+    return [int(c) for c in reversed(poly.all_coeffs())]
+
+
+def monic(max_degree):
+    """Monic integer polynomials of degree 1..max_degree, coefficients in
+    [-4, 4]."""
+    return st.integers(1, max_degree).flatmap(
+        lambda n: st.lists(st.integers(-4, 4), min_size=n, max_size=n)
+        .map(lambda low: low + [1]))
+
+
+def with_repeats(max_degree):
+    """Lists of (monic factor, multiplicity): products with repeated factors."""
+    return st.lists(st.tuples(monic(max_degree), st.integers(1, 3)),
+                    min_size=1, max_size=3)
+
+
+def product(factors):
+    out = [1]
+    for fac, mult in factors:
+        for _ in range(mult):
+            out = pmul(out, fac)
+    return out
 
 
 BATTERY = [
@@ -145,16 +176,51 @@ class TestResultant:
 
 
 class TestGcd:
-    def test_bezout_identity(self):
-        rng = random.Random(21)
-        for _ in range(40):
-            a = [Fraction(rng.randint(-5, 5)) for _ in range(rng.randint(1, 5))]
-            b = [Fraction(rng.randint(-5, 5)) for _ in range(rng.randint(1, 5))]
-            if not any(a) or not any(b):
-                continue
-            g, s, t = pxgcd(a, b)
-            from afcheck.polynomials import padd
-            assert padd(pmul(s, a), pmul(t, b)) == g
-            if g:
-                assert g[-1] == 1  # monic
-            assert pgcd(a, b) == g
+    @settings(max_examples=200, deadline=None)
+    @given(with_repeats(3), with_repeats(2), st.lists(st.integers(-6, 6), max_size=4),
+           st.integers(-3, 3).filter(bool))
+    def test_zx_gcd_against_sympy(self, shared, rest, other, scale):
+        # a monic, b = scale * shared * other: a nontrivial gcd, a b that is
+        # neither monic nor primitive, and b = 0 when other is zero
+        common = product(shared)
+        a = pmul(common, product(rest))
+        b = pmul(pmul(common, strip(other)), [scale])
+        g = to_sympy(a).gcd(to_sympy(b))
+        expected = from_sympy(g if g.LC() > 0 else -g)
+        assert zx_gcd(a, b) == expected
+        assert zx_gcd(a, [-c for c in b]) == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(with_repeats(3))
+    def test_yun_against_sqf_list(self, factors):
+        f = product(factors)
+        _, theirs = to_sympy(f).sqf_list()
+        assert sorted(_yun_squarefree(f)) == sorted(
+            (from_sympy(g), m) for g, m in theirs)
+
+    @settings(max_examples=100, deadline=None)
+    @given(with_repeats(2))
+    def test_zx_factor_multiplicities_against_sympy(self, factors):
+        f = product(factors)
+        _, theirs = to_sympy(f).factor_list()
+        assert sorted((tuple(g), m) for g, m in zx_factor(f)) == sorted(
+            (tuple(from_sympy(g)), m) for g, m in theirs)
+
+
+class TestFpDivmod:
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from((2, 3, 5, 7, 11, 13, 29, 101)), st.data())
+    def test_division_identity(self, q, data):
+        residues = st.lists(st.integers(0, q - 1), max_size=9)
+        a = strip(data.draw(residues))
+        b = strip(data.draw(residues))
+        assume(b)
+        quo, rem = fp_divmod(a, b, q)
+        assert fp_norm(padd(fp_mul(quo, b, q), rem), q) == a
+        assert degree(rem) < degree(b)
+        assert all(0 <= c < q for c in quo + rem)
+        assert quo == strip(quo) and rem == strip(rem)
+
+    def test_division_by_zero(self):
+        with pytest.raises(ZeroDivisionError):
+            fp_divmod([1, 1], [], 5)
