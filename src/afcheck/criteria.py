@@ -17,7 +17,7 @@ from .integerfactor import factorint, is_prime
 from .numberfield import NumberField
 from .prime_ideals import factor_rational_prime, s_k, splitting_type, u_k
 from .sunits import quadratic_extension, selmer_group, solve_sunit
-from .units import class_data
+from .units import DEFAULT_UNIT_HEIGHT_BOUND, class_data
 
 _ALL_SOLUTIONS = ("for r in {2, 3} and all sufficiently large prime exponents p, "
                   "x^p + y^p = 2^r z^p has no non-trivial solution over the field")
@@ -267,13 +267,16 @@ def check_cor_3_4(field: NumberField, bound: int, **solver_kw) -> Verdict:
 
 
 def check_thm_5_2(field: NumberField, bound: int, *,
-                  user_class_number=None, **solver_kw) -> Verdict:
+                  user_class_number=None,
+                  height_bound: int = DEFAULT_UNIT_HEIGHT_BOUND,
+                  **solver_kw) -> Verdict:
     """Narrow class number one, the S_K condition on K, and the S_L condition
     on every quadratic extension K(sqrt(a)) over the 2-Selmer classes."""
     hyps = [_hyp_totally_real(field)]
     narrow = "narrow class number equals 1"
     try:
-        info = class_data(field, user_class_number=user_class_number)
+        info = class_data(field, user_class_number=user_class_number,
+                          height_bound=height_bound)
         hyps.append(_hyp(narrow, info.h_plus == 1,
                          {"h": info.h, "h_plus": info.h_plus},
                          f"computed h+ = {info.h_plus}"))
@@ -284,13 +287,15 @@ def check_thm_5_2(field: NumberField, bound: int, *,
     # user_class_number is K's class number, so only the search over K gets
     # it; the searches over the extensions L below do not
     search = solve_sunit(field, primes, bound,
-                         user_class_number=user_class_number, **solver_kw)
+                         user_class_number=user_class_number,
+                         height_bound=height_bound, **solver_kw)
     hyps.append(_box_hypothesis(
         "every S_K-unit solution over the base field meets "
         "max(|v(lambda)|, |v(mu)|) <= 4*v(2) at some prime over 2",
         search, primes, _within_4v2, bound))
 
-    selmer = selmer_group(field, primes, 2, user_class_number=user_class_number)
+    selmer = selmer_group(field, primes, 2, user_class_number=user_class_number,
+                          height_bound=height_bound)
     for rep in selmer.representatives:
         if rep == 1:
             continue
@@ -298,7 +303,8 @@ def check_thm_5_2(field: NumberField, bound: int, *,
         try:
             ext = quadratic_extension(field, rep)
             ext_primes = s_k(ext)
-            ext_search = solve_sunit(ext, ext_primes, bound, **solver_kw)
+            ext_search = solve_sunit(ext, ext_primes, bound,
+                                     height_bound=height_bound, **solver_kw)
         except (IndexDivisor, BasisUnavailable) as exc:
             note = (f"index divisor at {exc.q} while factoring 2 in the "
                     "extension; diagnostic: defining polynomial unusable"

@@ -43,6 +43,16 @@ class NumberField:
         n = self.degree
         self._reduction = tuple(self._reduce([0] * k + [1])
                                 for k in range(n, 2 * n - 1))
+        self._memo = {}
+
+    def memo(self, key, compute):
+        """compute() once per field and key: the value is stored on the
+        field, so it lives as long as the field does, one request of the
+        CLI.  An exception is not stored, so a failing call is repeated.
+        Callers must not mutate what they get back."""
+        if key not in self._memo:
+            self._memo[key] = compute()
+        return self._memo[key]
 
     # -- basic properties ---------------------------------------------
 

@@ -6,8 +6,10 @@ lists low-to-high ("1, 0, -2").  Returns coefficient lists, lowest degree
 first.  Integral coefficients are ints; a Fraction appears only for one
 that is not, which needs a division or a rational literal in the text
 ("x/2", "1/2, 1").  No product or power may exceed degree
-MAX_PARSED_DEGREE (the exponent of a constant counts as its degree), so the
-work per input stays small.
+MAX_PARSED_DEGREE (the exponent of a constant counts as its degree), and no
+integer literal, constant power or returned coefficient may have more than
+MAX_PARSED_DIGITS digits in its numerator or denominator, so the work per
+input stays small and every coefficient can be printed.
 """
 
 from fractions import Fraction
@@ -17,6 +19,10 @@ from .polynomials import degree, padd, pmul, pneg, strip
 # Defining polynomials stop at degree 6 and element strings are reduced mod
 # f afterwards, so no sensible input comes near this.
 MAX_PARSED_DEGREE = 64
+# int() and str() refuse integers of more than 4300 decimal digits by
+# default (Python 3.11+), and a report prints every coefficient in decimal.
+MAX_PARSED_DIGITS = 4300
+_DIGITS_BOUND = 10 ** MAX_PARSED_DIGITS
 
 
 class ParseError(ValueError):
@@ -34,6 +40,9 @@ def _tokenize(text):
             j = i
             while j < n and text[j].isdigit():
                 j += 1
+            if j - i > MAX_PARSED_DIGITS:
+                raise ParseError("integer literal above the parser's cap of "
+                                 f"{MAX_PARSED_DIGITS} digits")
             tokens.append(("int", int(text[i:j])))
             i = j
         elif ch in "xX":
@@ -48,6 +57,29 @@ def _tokenize(text):
         else:
             raise ParseError(f"unexpected character {ch!r} in polynomial")
     return tokens
+
+
+def _check_digits(c, what):
+    """Refuse a rational c whose numerator or denominator has more than
+    MAX_PARSED_DIGITS digits."""
+    c = Fraction(c)
+    if max(abs(c.numerator), c.denominator) >= _DIGITS_BOUND:
+        raise ParseError(f"{what} above the parser's cap of "
+                         f"{MAX_PARSED_DIGITS} digits")
+
+
+def _constant_power(c, k):
+    """c^k for a rational c, refused before it is built when a part of it
+    would pass MAX_PARSED_DIGITS digits."""
+    c = Fraction(c)
+    # |m|^k >= 2^(k*(b-1)) for b = bit_length(m), and 10^D < 2^(bits of 10^D)
+    if k * (max(abs(c.numerator), c.denominator).bit_length() - 1) \
+            >= _DIGITS_BOUND.bit_length():
+        raise ParseError("constant power above the parser's cap of "
+                         f"{MAX_PARSED_DIGITS} digits")
+    out = c ** k
+    _check_digits(out, "constant power")
+    return out.numerator if out.denominator == 1 else out
 
 
 def _product(a, b):
@@ -118,6 +150,8 @@ class _Parser:
             if max(degree(base), 1) * val > MAX_PARSED_DEGREE:
                 raise ParseError("power above the parser's degree cap "
                                  f"{MAX_PARSED_DEGREE}")
+            if len(base) == 1:
+                return [_constant_power(base[0], val)]
             out = [1]
             for _ in range(val):
                 out = pmul(out, base)
@@ -158,4 +192,6 @@ def parse_poly(text: str):
         result = parser.expr()
         if parser.pos != len(parser.tokens):
             raise ParseError("trailing input after polynomial")
+    for c in result:
+        _check_digits(c, "coefficient")
     return [c.numerator if c.denominator == 1 else c for c in strip(result)]

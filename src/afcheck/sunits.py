@@ -23,7 +23,7 @@ from . import linalg
 from .numberfield import FieldElement, NumberField, make_field
 from .polynomials import zx_factor
 from .prime_ideals import element_valuations, valuation
-from .units import (DEFAULT_UNIT_HEIGHT_BOUND, ClassData, class_data,
+from .units import (DEFAULT_UNIT_HEIGHT_BOUND, class_data,
                     principal_generator, sqrt_core_element, unit_generators,
                     _find_generator, _quad_data)
 
@@ -61,7 +61,7 @@ def build_sunit_basis(field: NumberField, S, bound: int, *,
         except (MissingUserClassNumber, Unsupported) as exc:
             raise BasisUnavailable(f"class data unavailable: {exc}") from exc
         for P in S:
-            o, pi = _prime_power_generator(field, P, info, gen_bound)
+            o, pi = _prime_power_generator(field, P, info.h, gen_bound)
             orders[P] = o
             pis.append(pi)
         for P, pi in zip(S, pis):
@@ -74,21 +74,27 @@ def build_sunit_basis(field: NumberField, S, bound: int, *,
                       list(units.fundamental_units) + pis, orders, bound)
 
 
-def _prime_power_generator(field, P, info: ClassData, gen_bound):
+def _prime_power_generator(field, P, h, gen_bound):
+    """(k, pi): the least k dividing h with P^k principal, and a generator
+    pi of P^k; searched once per field, P, h and gen_bound."""
     if field.degree == 1:
         return 1, field.from_rational(P.q)
-    divisors = [k for k in range(1, info.h + 1) if info.h % k == 0]
-    for k in divisors:
-        if field.degree == 2:
-            gen = principal_generator(field, {P: k})
-        else:
-            try:
-                gen = _find_generator(field, {P: k}, gen_bound)
-            except GeneratorNotFound:
-                gen = None
-        if gen is not None:
-            return k, gen
-    raise BasisUnavailable(f"no power of {P} found principal up to h={info.h}")
+
+    def search():
+        divisors = [k for k in range(1, h + 1) if h % k == 0]
+        for k in divisors:
+            if field.degree == 2:
+                gen = principal_generator(field, {P: k})
+            else:
+                try:
+                    gen = _find_generator(field, {P: k}, gen_bound)
+                except GeneratorNotFound:
+                    gen = None
+            if gen is not None:
+                return k, gen
+        raise BasisUnavailable(f"no power of {P} found principal up to h={h}")
+
+    return field.memo(("prime_power_generator", P, h, gen_bound), search)
 
 
 # -------------------------------------------------------------- solutions
@@ -426,24 +432,32 @@ def quadratic_extension(base: NumberField, a: FieldElement) -> NumberField:
     a is scaled by a rational square to be integral (same extension); the
     defining polynomial is the characteristic polynomial of sqrt(a) + t*theta
     for the first shift t making it irreducible of degree 2n.  t = 0 is the
-    resultant of the defining polynomial with x^2 - a.
+    resultant of the defining polynomial with x^2 - a.  Such a polynomial
+    proves that a is not a square, so is_square runs only when no shift
+    gives one, or when 2n > 6; a square a raises IsSquare either way.
     """
     if a.is_zero():
         raise ZeroElement("cannot adjoin sqrt(0)")
-    sq, _ = is_square(a)
-    if sq:
-        raise IsSquare("element is already a square in the base field")
     n = base.degree
     if 2 * n > 6:
+        _raise_if_square(a)
         raise Unsupported(f"extension degree {2 * n} > 6")
     den = a.denominator_lcm()
     a_int = a * (den * den)
     for t in _GENERATOR_SHIFTS:
         try:
+            # an irreducible charpoly of degree 2n proves that a is not a
+            # square: sqrt(a) + t*theta would otherwise lie in the base
             return make_field(linalg.charpoly(_gamma_matrix(base, a_int, t)))
         except Reducible:
             continue
+    _raise_if_square(a)
     raise ArithmeticError("no primitive generator among the shift candidates")
+
+
+def _raise_if_square(a: FieldElement):
+    if is_square(a)[0]:
+        raise IsSquare("element is already a square in the base field")
 
 
 def _gamma_matrix(base: NumberField, a_int: FieldElement, t: int):

@@ -4,9 +4,16 @@ Fundamental units of real quadratic fields come from the continued fraction
 of sqrt(d) (with the half-integer refinement for d = 1 mod 4); totally real
 cubic fields get a bounded-height coordinate search whose output pairs are
 certified multiplicatively independent through exact rational log intervals.
-Class numbers of quadratic fields are counted through reduced binary forms;
-principality questions are settled by a generator search that is complete
-within a proven, unit-scaled coordinate bound.
+Each new unit is paired with the earlier ones in search order: a one-round
+interval certificate comes first, since it proves most independent pairs at
+once; only a pair it leaves open is scanned for a small relation u^m v^k =
++-1 and, when none exists, certified with the full refinement schedule.  A
+certificate is a proof, so the first certified pair is the same in either
+order.  Class numbers of quadratic fields are counted through reduced binary
+forms; principality questions are settled by a generator search that is
+complete within a proven, unit-scaled coordinate bound.  The cubic unit pair
+and the class data are computed once per field and argument set
+(NumberField.memo).
 """
 
 from dataclasses import dataclass, field as dc_field
@@ -272,6 +279,10 @@ def _cubic_fundamental_pair(field: NumberField, height_bound: int):
                 continue
             found.append(x)
             for prev in found[:-1]:
+                # one round proves most independent pairs; the relation scan
+                # is only for the pairs it leaves open
+                if _certified_independent(prev, x, max_rounds=1):
+                    return [prev, x], h
                 if _small_relation(prev, x):
                     continue
                 if _certified_independent(prev, x):
@@ -300,8 +311,10 @@ def unit_generators(field: NumberField,
         unit = _quad_element(field, x, y, den)
         return UnitGroup(1, [unit], 2, field.from_rational(-1), ("proven",))
     if n == 3 and field.is_totally_real:
-        units, used = _cubic_fundamental_pair(field, height_bound)
-        return UnitGroup(2, units, 2, field.from_rational(-1),
+        units, used = field.memo(
+            ("cubic_units", height_bound),
+            lambda: _cubic_fundamental_pair(field, height_bound))
+        return UnitGroup(2, list(units), 2, field.from_rational(-1),
                          ("bounded-search", used))
     raise Unsupported(f"unit group for degree {n}, signature {field.signature}")
 
@@ -488,18 +501,25 @@ def class_data(field: NumberField, *, enum_bound: int = 100,
         rep = factor_rational_prime(field, 3)[0]
         return ClassData(1, 1, [rep], ("proven",))
     if n == 2:
-        return _quadratic_class_data(field, enum_bound)
+        return field.memo(("class_data", enum_bound),
+                          lambda: _quadratic_class_data(field, enum_bound))
     if n == 3:
         if user_class_number is None:
             raise MissingUserClassNumber(
                 "cubic class numbers are accepted from configuration only")
-        h = user_class_number
-        h_plus = _h_plus_from_unit_signs(field, h, height_bound)
-        reps, notes = ([], ["reps_H omitted: h > 1 unsupported for cubics"])
-        if h == 1:
-            reps, notes = _collect_reps(field, 1, enum_bound, trivial_only=True)
-        return ClassData(h, h_plus, reps, ("user-supplied",), notes)
+        return field.memo(
+            ("class_data", enum_bound, user_class_number, height_bound),
+            lambda: _cubic_class_data(field, user_class_number, enum_bound,
+                                      height_bound))
     raise Unsupported(f"class data for degree {n}")
+
+
+def _cubic_class_data(field, h, enum_bound, height_bound):
+    h_plus = _h_plus_from_unit_signs(field, h, height_bound)
+    reps, notes = ([], ["reps_H omitted: h > 1 unsupported for cubics"])
+    if h == 1:
+        reps, notes = _collect_reps(field, 1, enum_bound, trivial_only=True)
+    return ClassData(h, h_plus, reps, ("user-supplied",), notes)
 
 
 def _quadratic_class_data(field, enum_bound):

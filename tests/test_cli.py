@@ -258,3 +258,50 @@ class TestParserReuse:
         self.sequence_matches_fresh_runs(capsys, [
             ["--output", "json", "--config", str(cfg), "sunit", "x"],
             ["--output", "json", "sunit", "x"]])
+
+
+class TestPerRequestWork:
+    """Unit and class data of a field are computed once per request; nothing
+    is kept from one run() to the next."""
+
+    THM_5_2_CUBIC = ["check", "thm-5-2", "x^3-x^2-2*x+1", "--bound", "3",
+                     "--user-class-number", "1"]
+
+    def test_thm_5_2_cubic_units_once_per_request(self, capsys, monkeypatch):
+        from afcheck import units
+        calls = {}
+        for name in ("_cubic_fundamental_pair", "_h_plus_from_unit_signs"):
+            original = getattr(units, name)
+
+            def spy(*args, _name=name, _original=original, **kwargs):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(units, name, spy)
+        code, _ = run_json(capsys, self.THM_5_2_CUBIC)
+        assert code in (2, 3)
+        assert calls == {"_cubic_fundamental_pair": 1,
+                         "_h_plus_from_unit_signs": 1}
+        run_json(capsys, self.THM_5_2_CUBIC)
+        assert calls == {"_cubic_fundamental_pair": 2,
+                         "_h_plus_from_unit_signs": 2}
+
+    def test_thm_5_2_honours_unit_height_bound(self, capsys, monkeypatch,
+                                               tmp_path):
+        from afcheck import sunits, units
+        seen = []
+        original = units.unit_generators
+
+        def spy(field, height_bound=units.DEFAULT_UNIT_HEIGHT_BOUND):
+            if field.degree == 3:
+                seen.append(height_bound)
+            return original(field, height_bound)
+
+        monkeypatch.setattr(units, "unit_generators", spy)
+        monkeypatch.setattr(sunits, "unit_generators", spy)
+        cfg = tmp_path / "units.cfg"
+        cfg.write_text("unit_height_bound = 7\n")
+        code, _ = run_json(capsys, ["--config", str(cfg)] + self.THM_5_2_CUBIC)
+        assert code in (2, 3)
+        # class_data, the base-field search and the Selmer group
+        assert len(seen) >= 3 and set(seen) == {7}

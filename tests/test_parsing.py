@@ -1,6 +1,6 @@
 """The polynomial parser: int coefficients, a Fraction only for one that is
-not integral; error messages for malformed input; the cap on the degree it
-builds."""
+not integral; error messages for malformed input; the caps on the degree it
+builds and on the digits of its integers."""
 
 import json
 import time
@@ -11,7 +11,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from afcheck.cli import run
-from afcheck.parsing import MAX_PARSED_DEGREE, ParseError, parse_poly
+from afcheck.parsing import (MAX_PARSED_DEGREE, MAX_PARSED_DIGITS, ParseError,
+                             parse_poly)
 
 
 class TestCoefficients:
@@ -115,3 +116,64 @@ class TestDegreeCap:
         assert parse_poly(f"x^{cap - 1} * x") == [0] * cap + [1]
         assert parse_poly(f"2^{cap}") == [2 ** cap]
         assert len(parse_poly(f"(x^2 + 1)^{cap // 2}")) == cap + 1
+
+
+def digits(c):
+    """Decimal digits of the numerator and denominator of c."""
+    c = Fraction(c)
+    return [len(str(abs(c.numerator))), len(str(c.denominator))]
+
+
+class TestDigitCap:
+    D = MAX_PARSED_DIGITS
+    NINES_43 = "9" * 43
+    TEN_43 = "1" + "0" * 43
+
+    @pytest.mark.parametrize("text, kind", [
+        ("9" * (MAX_PARSED_DIGITS + 1) + " + x", "integer literal"),
+        ("x + 1/" + "7" * (MAX_PARSED_DIGITS + 1), "integer literal"),
+        ("x^" + "1" * (MAX_PARSED_DIGITS + 1), "integer literal"),
+        ("(((2^64)^64)^64)^64 + x", "constant power"),
+        ("(((1/2)^64)^64)^64", "constant power"),
+        ("((2^16)^19)^47", "constant power"),
+        # 10^4300 has one digit too many: refused after it is built
+        (f"(({TEN_43})^50)^2", "constant power"),
+        (f"(1/({TEN_43})^50)^2 * x", "constant power"),
+        (f"(x + {'9' * 4000})^2 + 1", "coefficient"),
+        (f"{'9' * 3000} * {'9' * 3000} + x", "coefficient"),
+        ("1, 1e5000", "coefficient"),
+    ])
+    def test_rejected(self, text, kind):
+        started = time.perf_counter()
+        with pytest.raises(ParseError) as exc:
+            parse_poly(text)
+        assert time.perf_counter() - started < 1.0
+        assert str(exc.value) == (f"{kind} above the parser's cap of "
+                                  f"{MAX_PARSED_DIGITS} digits")
+
+    @pytest.mark.parametrize("text, index, size", [
+        ("9" * MAX_PARSED_DIGITS + " + x", 0, [MAX_PARSED_DIGITS, 1]),
+        ("x + 1/" + "7" * MAX_PARSED_DIGITS, 0, [1, MAX_PARSED_DIGITS]),
+        # 2^14283 = ((2^27)^23)^23 and (10^43 - 1)^100 have 4300 digits
+        ("((2^27)^23)^23", 0, [MAX_PARSED_DIGITS, 1]),
+        (f"(({NINES_43})^50)^2", 0, [MAX_PARSED_DIGITS, 1]),
+        (f"(1/({NINES_43})^50)^2 * x", 1, [1, MAX_PARSED_DIGITS]),
+        (f"(x + {'9' * 2000})^2", 0, [4000, 1]),
+    ])
+    def test_just_under_the_cap_is_accepted(self, text, index, size):
+        got = parse_poly(text)
+        assert digits(got[index]) == size
+        assert all(type(c) in (int, Fraction) for c in got)
+
+    def test_constant_powers_stay_ints(self):
+        assert parse_poly("2^64 + (-3)^3 x") == [2 ** 64, -27]
+        assert all(type(c) is int for c in parse_poly("2^64 + (-3)^3 x"))
+        assert parse_poly("(2/4)^2 x") == [0, Fraction(1, 4)]
+
+    def test_cli_reports_a_parse_error(self, capsys):
+        code = run(["--output", "json", "field", "1" * 5000 + "+x"])
+        error = json.loads(capsys.readouterr().out)["result"]["error"]
+        assert code == 1
+        assert error == {"type": "ParseError",
+                         "message": "integer literal above the parser's cap "
+                                    f"of {MAX_PARSED_DIGITS} digits"}

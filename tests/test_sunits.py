@@ -492,3 +492,67 @@ class TestQuadraticExtension:
         K = make_field("x^4 - 2")  # degree 4: extension would be degree 8
         with pytest.raises(Unsupported):
             quadratic_extension(K, K.theta())
+
+    @pytest.mark.parametrize("poly, root", [
+        ("x^2 - 2", [1, 1]), ("x^2 - 2", [2, 0]), ("x^2 - 2", [0, 1]),
+        ("x^2 - x - 4", [Fraction(1, 3), -2]),
+        ("x^3 - x^2 - 2*x + 1", [0, 1, 0]), ("x^3 - x^2 - 2*x + 1", [3, 0, 0]),
+        ("x^3 - x^2 - 2*x + 1", [2, -1, Fraction(1, 2)]),
+        ("x^5 - x - 1", [1, 1, 0, 0, 0]),
+    ])
+    def test_square_rejected_over_quadratic_and_cubic(self, poly, root):
+        K = make_field(poly)
+        r = K.element(root)
+        with pytest.raises(IsSquare):
+            quadratic_extension(K, r * r)
+
+    # the extensions of the benchmark fields over their non-trivial 2-Selmer
+    # representatives, recorded when quadratic_extension still tested every
+    # a for squareness before building K(sqrt(a))
+    SELMER_EXTENSIONS = {
+        ("x", None): {
+            ("-1",): (1, 0, 1), ("2",): (-2, 0, 1), ("-2",): (2, 0, 1)},
+        ("x^2-x-1", None): {
+            ("-1", "0"): (5, 0, 1, -2, 1), ("0", "1"): (-1, 0, -1, 0, 1),
+            ("0", "-1"): (-1, 0, 1, 0, 1), ("2", "0"): (-1, 6, -5, -2, 1),
+            ("-2", "0"): (11, -2, 3, -2, 1), ("0", "2"): (-4, 0, -2, 0, 1),
+            ("0", "-2"): (-4, 0, 2, 0, 1)},
+        ("x^2-2", None): {
+            ("-1", "0"): (9, 0, -2, 0, 1), ("1", "1"): (-1, 0, -2, 0, 1),
+            ("-1", "-1"): (-1, 0, 2, 0, 1), ("0", "1"): (-2, 0, 0, 0, 1),
+            ("0", "-1"): (-2, 0, 0, 0, 1), ("2", "1"): (2, 0, -4, 0, 1),
+            ("-2", "-1"): (2, 0, 4, 0, 1)},
+        ("x^2-x-4", None): {
+            ("-1", "0"): (26, 6, -5, -2, 1), ("3", "2"): (-1, 0, -8, 0, 1),
+            ("-3", "-2"): (-1, 0, 8, 0, 1), ("1", "1"): (-2, 0, -3, 0, 1),
+            ("-1", "-1"): (-2, 0, 3, 0, 1), ("11", "7"): (2, 0, -29, 0, 1),
+            ("-11", "-7"): (2, 0, 29, 0, 1), ("2", "-1"): (-2, 0, -3, 0, 1),
+            ("-2", "1"): (-2, 0, 3, 0, 1), ("-2", "-1"): (2, 0, 5, 0, 1),
+            ("2", "1"): (2, 0, -5, 0, 1), ("-2", "0"): (38, 4, -3, -2, 1),
+            ("2", "0"): (2, 12, -11, -2, 1), ("-6", "-4"): (-4, 0, 16, 0, 1),
+            ("6", "4"): (-4, 0, -16, 0, 1)},
+        ("x^3-x^2-2*x+1", 1): {
+            ("-1", "0", "0"): (13, -8, 7, 2, 0, -2, 1),
+            ("-1", "-1", "0"): (-1, 0, 3, 0, 4, 0, 1),
+            ("1", "1", "0"): (1, 0, 3, 0, -4, 0, 1),
+            ("-1", "-1", "1"): (1, 0, -2, 0, -1, 0, 1),
+            ("1", "1", "-1"): (-1, 0, -2, 0, 1, 0, 1),
+            ("2", "0", "-1"): (1, 0, -2, 0, -1, 0, 1),
+            ("-2", "0", "1"): (-1, 0, -2, 0, 1, 0, 1),
+            ("-2", "-2", "0"): (-8, 0, 12, 0, 8, 0, 1),
+            ("2", "2", "0"): (8, 0, 12, 0, -8, 0, 1),
+            ("2", "4", "2"): (-8, 0, 68, 0, -20, 0, 1),
+            ("-2", "-4", "-2"): (8, 0, 68, 0, 20, 0, 1),
+            ("4", "0", "-2"): (8, 0, -8, 0, -2, 0, 1),
+            ("-4", "0", "2"): (-8, 0, -8, 0, 2, 0, 1),
+            ("-6", "0", "4"): (8, 0, -36, 0, -2, 0, 1),
+            ("6", "0", "-4"): (-8, 0, -36, 0, 2, 0, 1)},
+    }
+
+    @pytest.mark.parametrize("poly, h", list(SELMER_EXTENSIONS))
+    def test_selmer_extensions_unchanged(self, poly, h):
+        K = make_field(poly)
+        group = selmer_group(K, s_k(K), 2, user_class_number=h)
+        got = {tuple(str(c) for c in r.coords): quadratic_extension(K, r).coeffs
+               for r in group.representatives if r != 1}
+        assert got == self.SELMER_EXTENSIONS[poly, h]

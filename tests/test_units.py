@@ -7,11 +7,14 @@ import pytest
 
 from afcheck import make_field, units
 from afcheck.errors import (GeneratorNotFound, MissingUserClassNumber,
-                            Unsupported, ZeroElement)
-from afcheck.prime_ideals import valuation, factor_rational_prime
+                            SearchExhausted, Unsupported, ZeroElement)
+from afcheck.numberfield import FieldElement
+from afcheck.prime_ideals import valuation, factor_rational_prime, s_k
+from afcheck.sunits import build_sunit_basis
 from afcheck.units import (class_data, fundamental_units, normalize_solution,
-                           unit_generators, _find_generator,
-                           _quad_fundamental_unit, _shell)
+                           unit_generators, _certified_independent,
+                           _cubic_fundamental_pair, _find_generator,
+                           _quad_fundamental_unit, _shell, _small_relation)
 
 
 def quad_cmp_positive(a, b, d):
@@ -102,6 +105,130 @@ class TestFundamentalUnits:
         assert gi.torsion_gen ** 4 == 1 and gi.torsion_gen ** 2 == -1
         g3 = unit_generators(make_field("x^2 + 3"))
         assert g3.torsion_order == 6 and g3.torsion_gen ** 6 == 1
+
+
+def relation_first_pair(field, height_bound):
+    """The cubic pair search with the relation scan before any certificate,
+    the order used before the one-round certificate was tried first."""
+    found = []
+    for h in range(1, height_bound + 1):
+        for coords in _shell(3, h):
+            x = FieldElement(field, coords)
+            if x.is_rational() or abs(x.norm()) != 1:
+                continue
+            found.append(x)
+            for prev in found[:-1]:
+                if _small_relation(prev, x):
+                    continue
+                if _certified_independent(prev, x):
+                    return [prev, x], h
+    raise AssertionError("no pair")
+
+
+# totally real cubics, polynomial discriminants 49 to 2597; in x^3-4*x-1
+# and x^3-x^2-9*x+8 dependent pairs come before the first independent one
+TOTALLY_REAL_CUBICS = [
+    "x^3-x^2-2*x+1", "x^3-7*x-7", "x^3-3*x-1", "x^3-3*x+1", "x^3-4*x-2",
+    "x^3-x^2-3*x+1", "x^3-x^2-4*x-1", "x^3-4*x-1", "x^3-4*x+1",
+    "x^3-x^2-5*x-2", "x^3-5*x-3", "x^3-5*x+3", "x^3-x^2-10*x-9",
+    "x^3-x^2-4*x+3", "x^3-x^2-4*x+2", "x^3-x^2-6*x-3", "x^3-x^2-6*x+7",
+    "x^3-x^2-7*x+9", "x^3-x^2-7*x-4", "x^3-5*x-1", "x^3-x^2-5*x+1",
+    "x^3-x^2-6*x-2", "x^3-6*x-3", "x^3-9*x+9", "x^3-x^2-9*x+8",
+]
+
+
+class TestCubicUnitPair:
+    @pytest.mark.parametrize("poly", TOTALLY_REAL_CUBICS)
+    def test_certificate_first_equals_relation_first(self, poly):
+        K = make_field(poly)
+        assert _cubic_fundamental_pair(K, 50) == relation_first_pair(K, 50)
+
+    @pytest.mark.parametrize("poly", ["x^3-4*x-1", "x^3-x^2-9*x+8"])
+    def test_dependent_pairs_reach_the_relation_scan(self, poly, monkeypatch):
+        relations = []
+
+        def spy(u, v):
+            relations.append(_small_relation(u, v))
+            return relations[-1]
+
+        monkeypatch.setattr(units, "_small_relation", spy)
+        pair, _ = _cubic_fundamental_pair(make_field(poly), 50)
+        assert relations and all(relations)
+        assert _certified_independent(*pair)
+
+    def test_benchmark_cubic_needs_no_relation_scan(self, monkeypatch):
+        monkeypatch.setattr(units, "_small_relation", None)
+        _cubic_fundamental_pair(make_field("x^3-x^2-2*x+1"), 50)
+
+
+def count_calls(monkeypatch, module, name):
+    """Replace module.name by a wrapper; returns the list of its calls."""
+    calls = []
+    original = getattr(module, name)
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+class TestPerFieldMemo:
+    CUBIC = "x^3 - x^2 - 2*x + 1"
+
+    def test_cubic_units_once_per_field_and_height_bound(self, monkeypatch):
+        calls = count_calls(monkeypatch, units, "_cubic_fundamental_pair")
+        K = make_field(self.CUBIC)
+        first, second = unit_generators(K), unit_generators(K)
+        assert len(calls) == 1
+        assert first.fundamental_units == second.fundamental_units
+        assert first.fundamental_units is not second.fundamental_units
+        unit_generators(K, 50)
+        assert len(calls) == 2
+        unit_generators(make_field(self.CUBIC))
+        assert len(calls) == 3
+
+    def test_a_failed_search_is_not_stored(self, monkeypatch):
+        calls = count_calls(monkeypatch, units, "_cubic_fundamental_pair")
+        K = make_field("x^3 - 4*x - 1")  # its first pair needs height 2
+        for _ in range(2):
+            with pytest.raises(SearchExhausted):
+                unit_generators(K, 1)
+        assert len(calls) == 2
+
+    def test_class_data_once_per_field_and_arguments(self, monkeypatch):
+        cubic = count_calls(monkeypatch, units, "_h_plus_from_unit_signs")
+        K = make_field(self.CUBIC)
+        cd = class_data(K, user_class_number=1)
+        assert class_data(K, user_class_number=1) is cd
+        assert len(cubic) == 1
+        class_data(K, user_class_number=2)
+        class_data(K, user_class_number=1, enum_bound=50)
+        class_data(K, user_class_number=1, height_bound=50)
+        assert len(cubic) == 4
+        quad = count_calls(monkeypatch, units, "_quadratic_class_data")
+        Q2 = make_field("x^2 - 10")
+        assert class_data(Q2) is class_data(Q2, user_class_number=3)
+        class_data(Q2, enum_bound=50)
+        assert len(quad) == 2
+
+    def test_prime_power_generators_once_per_field(self, monkeypatch):
+        calls = count_calls(monkeypatch, units, "_find_generator")
+        # the sunits module binds _find_generator at import
+        from afcheck import sunits
+        monkeypatch.setattr(sunits, "_find_generator", units._find_generator)
+        K = make_field(self.CUBIC)
+        S = s_k(K)
+        first = build_sunit_basis(K, S, 1, user_class_number=1)
+        searched = len(calls)
+        assert searched >= len(S)
+        second = build_sunit_basis(K, S, 3, user_class_number=1)
+        assert len(calls) == searched
+        assert first.free_generators == second.free_generators
+        assert (first.exponent_bound, second.exponent_bound) == (1, 3)
+        build_sunit_basis(K, S, 1, user_class_number=1, gen_bound=32)
+        assert len(calls) == 2 * searched
 
 
 class TestClassData:
