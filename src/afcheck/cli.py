@@ -185,7 +185,7 @@ def _cmd_frey(field, args, cfg):
         payload["invariants"] = {
             "delta": list(inv.delta.coords), "c4": list(inv.c4.coords),
             "j": list(inv.j.coords), "forms_agree": inv.forms_agree}
-        payload["cross_check"] = concrete_cross_check(spec)
+        payload["cross_check"] = concrete_cross_check(spec, inv)
     else:
         payload["invariants"] = invariants(spec).to_dict()
     if args.prime is not None:

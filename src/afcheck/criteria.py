@@ -11,9 +11,9 @@ independently.
 from dataclasses import dataclass, field as dc_field
 from math import gcd
 
-from .errors import (BasisUnavailable, IndexDivisor, MissingUserClassNumber,
-                     Unsupported)
-from .integerfactor import factorint, is_prime
+from .errors import (BasisUnavailable, FactorizationIncomplete, IndexDivisor,
+                     MissingUserClassNumber, Unsupported)
+from .integerfactor import SMALL_PRIMES, factorint, is_prime
 from .numberfield import NumberField
 from .prime_ideals import factor_rational_prime, s_k, splitting_type, u_k
 from .sunits import quadratic_extension, selmer_group, solve_sunit
@@ -360,10 +360,20 @@ def check_thm_7_3(field: NumberField, mode: int, ell: int = None) -> Verdict:
 
 def scan_ramified_l(field: NumberField, l_max: int):
     """Candidate auxiliary primes l: only divisors of the polynomial
-    discriminant can ramify.  Reports ramification shape and the gcd test."""
-    disc = field.poly_disc
+    discriminant can ramify.  Reports ramification shape and the gcd test.
+
+    A discriminant that factorint cannot finish still yields every prime
+    factor of the trial-division table, which is all the scan needs when
+    l_max lies within the table; above it, FactorizationIncomplete
+    propagates."""
+    try:
+        primes = factorint(field.poly_disc)
+    except FactorizationIncomplete as exc:
+        if l_max > SMALL_PRIMES[-1]:
+            raise
+        primes = exc.partial
     out = []
-    for ell in sorted(factorint(disc)):
+    for ell in sorted(primes):
         if ell <= 5 or ell > l_max:
             continue
         entry = {"l": ell, "gcd_ok": gcd(field.degree, ell - 1) == 1}

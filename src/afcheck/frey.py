@@ -13,6 +13,7 @@ p not dividing v(j); potentially good with 3 not dividing v(Delta)).
 
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import (DegenerateLambda, InconsistentDivisibility,
                      RelationViolated, UnsupportedCase)
@@ -59,8 +60,10 @@ class ValuationForm:
 
 # ------------------------------------------------------------------- specs
 
-@dataclass
+@dataclass(frozen=True)
 class FreySpec:
+    """A Frey curve request; a concrete exponent p is checked against the
+    defining relation once, when the spec is built."""
     family: str
     a: FieldElement
     b: FieldElement
@@ -80,19 +83,24 @@ class FreySpec:
     def field(self) -> NumberField:
         return self.a.field
 
+    @cached_property
+    def powers(self):
+        """(a^p, b^p, c^p) for the concrete exponent, computed once."""
+        p = self.p
+        return self.a ** p, self.b ** p, self.c ** p
+
     def validate(self):
         """Exact check of the defining relation for a concrete exponent."""
         p = self.p
         if (self.a * self.b * self.c).is_zero():
             raise RelationViolated("triple with abc = 0 gives a singular curve")
+        ap, bp, cp = self.powers
         if self.family == FAMILY_TWO_POWER:
-            lhs = self.a ** p + self.b ** p
-            rhs = self.c ** p * (2 ** self.r)
-            if lhs != rhs:
+            if ap + bp != cp * (2 ** self.r):
                 raise RelationViolated(
                     f"a^{p} + b^{p} != 2^{self.r} * c^{p} for the given triple")
         else:
-            if self.a ** p + self.b ** p != self.c * self.c:
+            if ap + bp != self.c * self.c:
                 raise RelationViolated(f"a^{p} + b^{p} != c^2 for the given triple")
 
 
@@ -136,25 +144,24 @@ def invariants(spec: FreySpec):
     """
     if spec.p is None:
         return _symbolic_invariants(spec)
-    spec.validate()
-    p = spec.p
-    a, b, c = spec.a, spec.b, spec.c
+    ap, bp, cp = spec.powers
     if spec.family == FAMILY_TWO_POWER:
         r = spec.r
-        core = (a * b * c) ** (2 * p)
-        inner = a ** (2 * p) + b ** p * c ** p * (2 ** r)
-        inner_alt = a ** (2 * p) + b ** (2 * p) + a ** p * b ** p
+        a2p = ap * ap
+        core = (ap * bp * cp) ** 2
+        inner = a2p + bp * cp * (2 ** r)
+        inner_alt = a2p + bp * bp + ap * bp
         scale = Fraction(2) ** (8 - 2 * r)
         delta = core * (2 ** (4 + 2 * r))
         c4 = inner * 16
         j = inner ** 3 * scale / core
         j_alt = inner_alt ** 3 * scale / core
         return FreyInvariants(delta, c4, j, j_alt=j_alt)
-    core = (a * a * b) ** p
+    core = ap * ap * bp
     delta = core * (2 ** 12)
-    c4 = (c * c * 4 - a ** p * 3) * 64
-    c4_alt = (b ** p * 4 + a ** p) * 64
-    j = (a ** p + b ** p * 4) ** 3 * 64 / core
+    c4 = (spec.c * spec.c * 4 - ap * 3) * 64
+    c4_alt = (bp * 4 + ap) * 64
+    j = (ap + bp * 4) ** 3 * 64 / core
     return FreyInvariants(delta, c4, j, c4_alt=c4_alt)
 
 
@@ -177,19 +184,18 @@ def weierstrass_invariants(spec: FreySpec):
     """Independent route: the literal model evaluated by the b2/b4/b6 formulas.
 
     Returns (delta, c4, c6, j) and verifies c4^3 - c6^2 = 1728*Delta exactly.
+    It shares only the model's coefficients a^p, b^p with invariants().
     """
     if spec.p is None:
         raise ValueError("cross-check needs a concrete exponent")
-    spec.validate()
-    p = spec.p
-    field = spec.field
-    zero = field.zero()
+    ap, bp, _cp = spec.powers
+    zero = spec.field.zero()
     if spec.family == FAMILY_TWO_POWER:
-        a1, a2, a3 = zero, spec.b ** p - spec.a ** p, zero
-        a4, a6 = -(spec.a ** p * spec.b ** p), zero
+        a1, a2, a3 = zero, bp - ap, zero
+        a4, a6 = -(ap * bp), zero
     else:
         a1, a2, a3 = zero, spec.c * 4, zero
-        a4, a6 = spec.a ** p * 4, zero
+        a4, a6 = ap * 4, zero
     b2 = a1 * a1 + a2 * 4
     b4 = a4 * 2 + a1 * a3
     b6 = a3 * a3 + a6 * 4
@@ -205,9 +211,11 @@ def weierstrass_invariants(spec: FreySpec):
     return delta, c4, c6, c4 ** 3 / delta
 
 
-def concrete_cross_check(spec: FreySpec) -> bool:
-    """Closed forms against the literal Weierstrass computation; exact."""
-    inv = invariants(spec)
+def concrete_cross_check(spec: FreySpec, inv: FreyInvariants = None) -> bool:
+    """Closed forms against the literal Weierstrass computation; exact.
+    inv is invariants(spec) when the caller has it already."""
+    if inv is None:
+        inv = invariants(spec)
     delta, c4, _c6, j = weierstrass_invariants(spec)
     return (inv.forms_agree and inv.delta == delta
             and inv.c4 == c4 and inv.j == j)

@@ -2,9 +2,12 @@
 
 Trial division by a fixed small-prime table, then Miller-Rabin with a fixed
 base set (deterministic for n < 3.3e24), then Brent's variant of Pollard rho
-with a fixed parameter schedule.  All paths are reproducible; if the rho
-schedule is exhausted with a composite cofactor left, FactorizationIncomplete
-is raised so callers can reject soundly instead of mislabeling.
+with a fixed parameter schedule and a fixed budget of rho steps per cofactor.
+All paths are reproducible; if the schedule or its budget is exhausted with a
+composite cofactor left, FactorizationIncomplete is raised so callers can
+reject soundly instead of mislabeling.  The budget finds prime factors up to
+about 10^11 (rho needs about sqrt(p) steps for a prime factor p) and bounds
+the time a hard cofactor costs to about a second.
 """
 
 from math import gcd, isqrt
@@ -12,6 +15,8 @@ from math import gcd, isqrt
 from .errors import FactorizationIncomplete
 
 _TRIAL_LIMIT = 10_000
+# rho steps (iterations of y -> y^2 + c) one cofactor may use, over all c
+RHO_STEP_BUDGET = 1 << 20
 
 
 def _sieve(limit):
@@ -54,13 +59,19 @@ def is_prime(n: int) -> bool:
 
 
 def _brent(n: int) -> int:
-    """One nontrivial factor of composite n, or 0 if the schedule fails."""
+    """One nontrivial factor of composite n, or 0 if the schedule fails or
+    RHO_STEP_BUDGET runs out."""
     if n % 2 == 0:
         return 2
+    budget = RHO_STEP_BUDGET
     for c in range(1, 40):
         y, m, g, r, q = 2, 128, 1, 1, 1
         x = ys = y
         while g == 1:
+            # a round takes at most 2r steps: r to move x, r to compare
+            budget -= 2 * r
+            if budget < 0:
+                return 0
             x = y
             for _ in range(r):
                 y = (y * y + c) % n
@@ -87,8 +98,10 @@ def factorint(n: int) -> dict:
     """Full factorization of |n| as {prime: exponent}; ignores the sign.
 
     Raises FactorizationIncomplete when a composite cofactor survives the
-    rho schedule (astronomically unlikely at desk scale, but callers must
-    treat it as "unknown", never as "prime").
+    rho schedule or its step budget, as one with two prime factors above
+    about 10^11 does; callers must treat it as "unknown", never as "prime".
+    The exception's partial factorization holds every prime factor below
+    the trial limit 10^4.
     """
     n = abs(n)
     if n in (0, 1):

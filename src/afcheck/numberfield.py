@@ -5,11 +5,17 @@ is stored as an integer numerator vector ``num`` in the power basis
 1, theta, ..., theta^(n-1) over one positive integer denominator ``den``,
 always in canonical form (``gcd(den, *num) == 1``), so equal elements have
 equal representations.  ``coords`` is the read-only view of the same element
-as a tuple of ``fractions.Fraction``.  Products reduce through a per-field
-integer table of theta^k for n <= k < 2n-1; norms, characteristic
-polynomials and inverses go through fraction-free integer linear algebra on
-the multiplication matrix of ``num``.  Every embedding question is decided
-through Sturm isolation and rational interval refinement.
+as a tuple of ``fractions.Fraction``.  The integer kernels live on the field
+and take bare coordinate sequences: ``mul_num`` multiplies two of them,
+reducing through a per-field table of theta^k for n <= k < 2n-1 (a closed
+form in degree 2), and ``num_norm`` is their norm (closed forms in degree 1
+and 2, else the Bareiss determinant of the multiplication matrix).  The
+product and norm of a FieldElement are these on ``num``, with the
+denominator kept aside, so a caller that tests many candidates can skip
+building elements.  Characteristic polynomials and inverses go through
+fraction-free integer linear algebra on the multiplication matrix of
+``num``.  Every embedding question is decided through Sturm isolation and
+rational interval refinement.
 """
 
 from fractions import Fraction
@@ -79,6 +85,55 @@ class NumberField:
                 for i in range(n):
                     num[k - n + i] -= c * f[i]
         return num[:n] + [0] * (n - len(num))
+
+    # -- integer kernels on coordinate sequences ------------------------
+
+    def mul_num(self, a, b):
+        """Coordinates of a * b: the schoolbook product, then theta^k for
+        k >= n replaced through the reduction table; in degree 2 the closed
+        form with theta^2 = -f1*theta - f0."""
+        n = self.degree
+        if n == 2:
+            (a0, a1), (b0, b1) = a, b
+            t = a1 * b1
+            return [a0 * b0 - self.coeffs[0] * t,
+                    a0 * b1 + a1 * b0 - self.coeffs[1] * t]
+        prod = [0] * (2 * n - 1)
+        for i, ca in enumerate(a):
+            if ca:
+                for j, cb in enumerate(b):
+                    prod[i + j] += ca * cb
+        out = prod[:n]
+        for c, power in zip(prod[n:], self._reduction):
+            if c:
+                for i in range(n):
+                    out[i] += c * power[i]
+        return out
+
+    def num_matrix(self, num):
+        """Integer matrix of multiplication by num in the power basis
+        (column j is the image of theta^j)."""
+        n, f = self.degree, self.coeffs
+        col = list(num)
+        cols = [col]
+        for _ in range(n - 1):
+            top = col[-1]
+            col = [-top * f[0]] + [col[i - 1] - top * f[i] for i in range(1, n)]
+            cols.append(col)
+        return [[cols[j][i] for j in range(n)] for i in range(n)]
+
+    def num_norm(self, num):
+        """The integer norm of num: closed forms in degree 1 and 2
+        (a^2 - f1*a*b + f0*b^2 for a + b*theta), else the Bareiss
+        determinant of its multiplication matrix."""
+        n = self.degree
+        if n == 1:
+            return num[0]
+        if n == 2:
+            a, b = num
+            f0, f1 = self.coeffs[0], self.coeffs[1]
+            return a * a - f1 * a * b + f0 * b * b
+        return linalg.det(self.num_matrix(num))
 
     # -- element constructors -----------------------------------------
 
@@ -179,20 +234,8 @@ class FieldElement:
             return FieldElement(self.field, [c * r.numerator for c in self.num],
                                 self.den * r.denominator)
         other = self._coerce(other)
-        field = self.field
-        n = field.degree
-        prod = [0] * (2 * n - 1)
-        b = other.num
-        for i, ca in enumerate(self.num):
-            if ca:
-                for j, cb in enumerate(b):
-                    prod[i + j] += ca * cb
-        out = prod[:n]
-        for c, power in zip(prod[n:], field._reduction):
-            if c:
-                for i in range(n):
-                    out[i] += c * power[i]
-        return FieldElement(field, out, self.den * other.den)
+        return FieldElement(self.field, self.field.mul_num(self.num, other.num),
+                            self.den * other.den)
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -257,18 +300,10 @@ class FieldElement:
     def num_matrix(self):
         """Integer matrix of multiplication by num = den * self in the power
         basis (column j is the image of theta^j)."""
-        field = self.field
-        n, f = field.degree, field.coeffs
-        col = list(self.num)
-        cols = [col]
-        for _ in range(n - 1):
-            top = col[-1]
-            col = [-top * f[0]] + [col[i - 1] - top * f[i] for i in range(1, n)]
-            cols.append(col)
-        return [[cols[j][i] for j in range(n)] for i in range(n)]
+        return self.field.num_matrix(self.num)
 
     def norm(self):
-        return Fraction(linalg.det(self.num_matrix()),
+        return Fraction(self.field.num_norm(self.num),
                         self.den ** self.field.degree)
 
     def trace(self):
@@ -357,9 +392,7 @@ def make_field(spec):
 
 def norm_trace(x: FieldElement):
     """(Norm, Trace) of x, exact rationals."""
-    m = x.num_matrix()
-    return (Fraction(linalg.det(m), x.den ** len(m)),
-            Fraction(linalg.trace(m), x.den))
+    return x.norm(), x.trace()
 
 
 def embedding_sign(x: FieldElement, root_index: int) -> int:

@@ -1,19 +1,23 @@
 """S-unit equation solutions, 2-Selmer square classes, quadratic extensions.
 
-solve_sunit walks a bounded exponent box on the S-unit generators, one
-multiplication per candidate lambda, and tests mu = 1 - lambda for S-unit
-membership.  The norm test rejects mu without factoring anything when its
-norm has a prime below no prime of S; only the rest are factored into prime
-ideals.  Rejections on incomplete factorizations or index divisors are
-logged, never silently accepted, so the search has false negatives only, and
-its warnings name only candidates that could be S-units.  Completeness is
-always reported as a bounded-search caveat, never claimed.
+solve_sunit walks a bounded exponent box on the S-unit generators and tests
+mu = 1 - lambda for S-unit membership.  The outer exponent levels multiply
+FieldElements from power tables; the innermost level, which holds nearly all
+candidates, works on integer numerators only: one NumberField.mul_num and a
+gcd give lambda in canonical form, then the numerator of mu and its integer
+norm NumberField.num_norm.  The norm test rejects mu without factoring
+anything when its norm has a prime below no prime of S; only the survivors
+become FieldElements and are factored into prime ideals.  Rejections on
+incomplete factorizations or index divisors are logged, never silently
+accepted, so the search has false negatives only, and its warnings name only
+candidates that could be S-units.  Completeness is always reported as a
+bounded-search caveat, never claimed.
 """
 
 import logging
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 from .errors import (BasisUnavailable, FactorizationIncomplete,
                      GeneratorNotFound, IndexDivisor, IsSquare,
@@ -178,25 +182,47 @@ def solve_sunit(field: NumberField, S, bound: int, *,
     for _ in range(1, basis.torsion_order):
         torsion_powers.append(torsion_powers[-1] * basis.torsion_gen)
 
-    one = field.one()
-    one_key = (one.num, one.den)
+    # The outer levels of the box multiply FieldElements; the innermost
+    # level works on integer numerators, and only a candidate whose mu
+    # passes the norm test becomes a FieldElement.
+    *outer, last = tables or [[(0, None)]]
+    last = [(e, None if g is None else (g.num, g.den)) for e, g in last]
+    mul_num = field.mul_num
+    primes = {P.q for P in S}
+    one_key = ((1,) + (0,) * (field.degree - 1), 1)
     found = {}   # (num, den) of lambda -> solution, in walk order
     for base in torsion_powers:
-        for exps, lam in _box_walk(base, tables):
-            key = (lam.num, lam.den)
-            if key == one_key or key in found:
-                continue
-            # mu = 1 - lambda, over the same denominator
-            mu = FieldElement(field, [lam.den - lam.num[0]]
-                              + [-c for c in lam.num[1:]], lam.den)
-            mu_profile = _s_unit_valuations(mu, S, warnings)
-            if mu_profile is None:
-                continue
-            lam_profile = {P: sum(e * gen_valuations[i][P]
-                                  for i, e in enumerate(exps))
-                           for P in S}
-            profile = {P: (lam_profile[P], mu_profile[P]) for P in S}
-            found[key] = SUnitSolution(lam, mu, profile, True)
+        for exps, prefix in _prefixes(base, outer):
+            pnum, pden = prefix.num, prefix.den
+            for e, power in last:
+                if power is None:
+                    num, den = pnum, pden
+                else:
+                    num, den = mul_num(pnum, power[0]), pden * power[1]
+                    g = gcd(den, *num)
+                    if g != 1:
+                        num, den = [c // g for c in num], den // g
+                    num = tuple(num)
+                key = (num, den)
+                if key == one_key or key in found:
+                    continue
+                # mu = 1 - lambda, over the same denominator; canonical
+                # because lambda is
+                mu_num = [-c for c in num]
+                mu_num[0] += den
+                if not _norm_supported(field, mu_num, den, primes):
+                    continue
+                mu = FieldElement(field, mu_num, den)
+                mu_profile = _s_unit_profile(mu, S, warnings)
+                if mu_profile is None:
+                    continue
+                exps_e = exps + (e,)
+                lam_profile = {P: sum(x * gen_valuations[i][P]
+                                      for i, x in enumerate(exps_e))
+                               for P in S}
+                profile = {P: (lam_profile[P], mu_profile[P]) for P in S}
+                found[key] = SUnitSolution(FieldElement(field, num, den), mu,
+                                           profile, True)
 
     # Fraction keys fix the output order; only kept solutions need one
     found = {_coords_key(sol.lam): sol for sol in found.values()}
@@ -214,21 +240,17 @@ def solve_sunit(field: NumberField, S, bound: int, *,
     return SUnitSearch(field, list(S), bound, solutions, warnings)
 
 
-def _box_walk(prefix, tables, exps=()):
-    """Yield (exps, prefix * prod_i g_i^e_i) over the exponent box, in
-    itertools.product order.  Each step multiplies the running prefix by
-    one power-table entry, and e = 0 multiplies nothing, so the walk costs
-    about one multiplication per candidate."""
+def _prefixes(prefix, tables, exps=()):
+    """Yield (exps, prefix * prod_i g_i^e_i) over the box of the given
+    levels, in itertools.product order.  Each step multiplies the running
+    prefix by one power-table entry, and e = 0 multiplies nothing."""
     if not tables:
         yield exps, prefix
         return
     table, rest = tables[0], tables[1:]
     for e, power in table:
-        lam = prefix if power is None else prefix * power
-        if rest:
-            yield from _box_walk(lam, rest, exps + (e,))
-        else:
-            yield exps + (e,), lam
+        yield from _prefixes(prefix if power is None else prefix * power,
+                             rest, exps + (e,))
 
 
 def _verify_solution(sol: SUnitSolution):
@@ -243,25 +265,28 @@ def _verify_solution(sol: SUnitSolution):
                     f"case analysis violated at {P}: v(lambda*mu)={vlm}, t={t}")
 
 
-def _s_unit_valuations(x: FieldElement, S, warnings):
-    """{P: v_P(x)} over S when x is an S-unit, else None.
+def _norm_supported(field, num, den, primes):
+    """The norm test for x = num/den != 0: False when x cannot be an S-unit.
 
-    The norm test comes first: N(x) = +-prod N(P)^v_P(x), so a prime outside
-    Q = {P.q for P in S} in the reduced rational N(x) means v_P(x) != 0 at
-    some P outside S, and x is rejected without factoring anything.  In
-    integers, with the primes of Q stripped from a = |det(num matrix)| and
-    from d = den, that prime exists unless a == d^n.  (N(den * x) alone
-    would not do: a prime of den outside Q, such as an index divisor,
-    divides it even when x is a unit.)  Survivors are factored; factorization failures reject the candidate with
-    a logged warning, so rejections stay sound."""
-    a, d = abs(linalg.det(x.num_matrix())), x.den
-    for q in {P.q for P in S}:
+    N(x) = +-prod N(P)^v_P(x), so a prime outside primes = {P.q for P in S}
+    in the reduced rational N(x) means v_P(x) != 0 at some P outside S.  In
+    integers, with the primes of S stripped from a = |N(num)| and from den,
+    that prime exists unless a == den^n.  (N(num) alone would not do: a
+    prime of den outside S, such as an index divisor, divides it even when
+    x is a unit.)"""
+    a = abs(field.num_norm(num))
+    for q in primes:
         while a % q == 0:
             a //= q
-        while d % q == 0:
-            d //= q
-    if a != d ** x.field.degree:
-        return None
+        while den % q == 0:
+            den //= q
+    return a == den ** field.degree
+
+
+def _s_unit_profile(x: FieldElement, S, warnings):
+    """{P: v_P(x)} over S when x is an S-unit, else None, for an x that
+    passed the norm test.  Factorization failures reject the candidate with
+    a logged warning, so rejections stay sound."""
     profile = dict.fromkeys(S, 0)
     try:
         for P, v in element_valuations(x):

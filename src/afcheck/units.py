@@ -21,10 +21,9 @@ from fractions import Fraction
 from itertools import product
 from math import gcd, isqrt
 
-from . import linalg
 from .errors import (GeneratorNotFound, IndexDivisor, MissingUserClassNumber,
                      NotTotallyReal, SearchExhausted, Unsupported, ZeroElement)
-from .integerfactor import SMALL_PRIMES, factorint, squarefree_part
+from .integerfactor import SMALL_PRIMES, squarefree_part
 from .numberfield import (FieldElement, NumberField, embedding_interval,
                           embedding_sign)
 from .prime_ideals import (PrimeIdeal, element_valuations,
@@ -643,7 +642,8 @@ def normalize_solution(field: NumberField, a, b, c, *,
                 shift = max(shift, (-v + p.e - 1) // p.e)
         denom *= q ** shift
     profile = {}
-    for q in {p.q for p in target} | set(factorint(denom)):
+    # denom is a product of powers of these q, so it needs no factoring
+    for q in {p.q for p in target}:
         for p in factor_rational_prime(field, q):
             v = target.get(p, 0) + p.e * int_valuation(denom, q)
             if v:
@@ -680,12 +680,11 @@ def _find_generator(field, profile, gen_bound):
                     h - 1, f"no generator found within coordinate bound "
                     f"{h - 1}; search stopped after {GENERATOR_SEARCH_LIMIT} "
                     f"candidates")
+            # coords are integral, so this is the norm of x; target >= 1,
+            # so the zero vector fails here too
+            if abs(field.num_norm(coords)) != target:
+                continue
             x = FieldElement(field, coords)
-            if x.is_zero():
-                continue
-            # x is integral, so its norm is the determinant itself
-            if abs(linalg.det(x.num_matrix())) != target:
-                continue
             if all(valuation(x, p) >= v for p, v in profile.items()):
                 return x
     raise GeneratorNotFound(gen_bound)

@@ -4,10 +4,12 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+import sympy
 
 import afcheck
 from afcheck.cli import _parser, run
@@ -129,6 +131,22 @@ class TestCommands:
         assert inv["delta"] == [64] and inv["c4"] == [48] and inv["j"] == [1728]
         assert rep["result"]["cross_check"] is True
 
+    def test_frey_concrete_invariants_once(self, capsys, monkeypatch):
+        from afcheck import cli, frey
+        calls = []
+        original = frey.invariants
+
+        def spy(spec):
+            calls.append(spec.p)
+            return original(spec)
+
+        monkeypatch.setattr(frey, "invariants", spy)
+        monkeypatch.setattr(cli, "invariants", spy)
+        code, rep = run_json(capsys, ["frey", "2r", "x", "--a", "1", "--b", "1",
+                                      "--c", "1", "--r", "1", "--p", "5"])
+        assert code == 0 and rep["result"]["cross_check"] is True
+        assert calls == [5]
+
     def test_frey_symbolic_with_prime(self, capsys):
         code, rep = run_json(capsys, ["frey", "2r", "x", "--a", "2", "--b", "1",
                                       "--c", "1", "--r", "2", "--prime", "2"])
@@ -216,6 +234,50 @@ class TestCommands:
         assert run(["field", "x^2 - 2"]) == 0
         out = capsys.readouterr().out
         assert "signature" in out and "totally-ramified" in out
+
+
+class TestHardFactorizations:
+    """A discriminant or norm with two prime factors beyond the rho budget
+    gives an answer in seconds, and the answer says what is unknown."""
+
+    def timed(self, capsys, argv):
+        t0 = time.perf_counter()
+        code, rep = run_json(capsys, argv)
+        assert time.perf_counter() - t0 < 5
+        return code, rep
+
+    def test_field_answers_within_the_ceiling(self, capsys):
+        code, rep = self.timed(capsys, ["field",
+                                        "x^3 + 99999999999999999999*x + 1"])
+        # 3 divides every coefficient but the constant and the leading one
+        assert code == 1 and rep["result"]["error"]["type"] == "IndexDivisor"
+        code, rep = self.timed(capsys, ["field",
+                                        "x^3 + 100000000000000000009*x + 1"])
+        assert code == 0
+        assert rep["result"]["field_disc"] is None
+        assert rep["result"]["poly_disc"] == str(
+            -4 * 100000000000000000009 ** 3 - 27)
+
+    def test_scan_uses_the_trial_division_primes(self, capsys):
+        poly = "x^3 + 100000000000000000001*x + 1"
+        disc = -4 * 100000000000000000001 ** 3 - 27
+        code, rep = self.timed(capsys, ["scan", poly, "--l-max", "1000"])
+        assert code == 0
+        assert [c["l"] for c in rep["result"]["candidates"]] == [
+            ell for ell in range(7, 1001)
+            if sympy.isprime(ell) and disc % ell == 0]
+        code, rep = self.timed(capsys, ["scan", poly, "--l-max", "20000"])
+        assert code == 1
+        assert rep["result"]["error"]["type"] == "FactorizationIncomplete"
+
+    def test_unfactored_quadratic_discriminant_is_an_error(self, capsys):
+        pq = sympy.nextprime(10 ** 15) * sympy.nextprime(2 * 10 ** 15)
+        code, rep = self.timed(capsys, ["sunit", f"x^2 - {2 * pq}",
+                                        "--bound", "2"])
+        assert code == 1
+        error = rep["result"]["error"]
+        assert error["type"] == "FactorizationIncomplete"
+        assert error["leftover"] == str(pq)
 
 
 def run_fresh(argv):

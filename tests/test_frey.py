@@ -15,6 +15,7 @@ from afcheck.frey import (FAMILY_SQUARE, FAMILY_TWO_POWER,
                           j_from_lambda_mu, lambda_orbit, legendre_j,
                           odd_multiplicative_primes, valuation_profile,
                           weierstrass_invariants)
+from afcheck.numberfield import FieldElement
 from afcheck.prime_ideals import factor_rational_prime, s_k
 from afcheck.sunits import solve_sunit
 
@@ -70,6 +71,28 @@ class TestInvariants:
         delta, c4, _c6, j = weierstrass_invariants(spec)
         tampered = invariants(spec).delta * 2
         assert tampered != delta  # an injected factor must be caught
+
+    @pytest.mark.parametrize("family, triple, r", [
+        (FAMILY_TWO_POWER, (1, 1, 1), 1), (FAMILY_SQUARE, (2, 2, 8), None)])
+    def test_powers_once_per_spec(self, monkeypatch, family, triple, r):
+        exponents = []
+        original = FieldElement.__pow__
+
+        def spy(self, e):
+            exponents.append(e)
+            return original(self, e)
+
+        monkeypatch.setattr(FieldElement, "__pow__", spy)
+        spec = q_spec(family, *triple, r=r, p=5)
+        assert concrete_cross_check(spec, invariants(spec))
+        assert concrete_cross_check(spec)
+        # a^5, b^5, c^5 when the spec is checked; never again
+        assert exponents.count(5) == 3
+
+    def test_frozen_spec(self):
+        spec = q_spec(FAMILY_TWO_POWER, 1, 1, 1, r=1, p=5)
+        with pytest.raises(AttributeError):
+            spec.p = 7
 
     def test_symbolic_formulas(self):
         spec = q_spec(FAMILY_TWO_POWER, 1, 1, 1, r=2)

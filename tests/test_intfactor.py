@@ -1,9 +1,12 @@
 """Integer primality/factorization against sympy."""
 
 import random
+import time
 
+import pytest
 import sympy
 
+from afcheck.errors import FactorizationIncomplete
 from afcheck.integerfactor import factorint, is_prime, squarefree_part
 
 
@@ -55,3 +58,22 @@ def test_squarefree_part():
         assert d * q == n
         root = sympy.sqrt(q)
         assert root.is_integer
+
+
+def test_factorint_within_the_rho_budget():
+    # prime factors near 10^9 need about 3*10^4 rho steps
+    n = 1000000007 * 1000000009 * 998244353
+    assert factorint(n) == sympy.factorint(n)
+
+
+def test_factorint_gives_up_on_two_large_primes_in_bounded_time():
+    p, q = sympy.nextprime(10 ** 15), sympy.nextprime(2 * 10 ** 15)
+    t0 = time.perf_counter()
+    with pytest.raises(FactorizationIncomplete) as exc:
+        factorint(12 * 97 * p * q)
+    assert time.perf_counter() - t0 < 5
+    assert exc.value.leftover == p * q
+    # every prime factor below the trial-division limit is in the partial
+    assert exc.value.partial == {2: 2, 3: 1, 97: 1}
+    with pytest.raises(FactorizationIncomplete):
+        squarefree_part(2 * p * q)

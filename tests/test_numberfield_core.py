@@ -14,7 +14,7 @@ import sympy
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from afcheck import linalg, make_field, norm_trace
+from afcheck import FieldElement, linalg, make_field, norm_trace
 from afcheck.errors import DivisionByZero
 
 X = sympy.symbols("x")
@@ -110,6 +110,43 @@ class TestArithmeticOracle:
         assert x.char_poly() == [Fraction(int(c.p), int(c.q))
                                  for c in reversed(expected)]
         assert x.trace() == -x.char_poly()[-2]
+
+
+@st.composite
+def field_and_numerators(draw, count=1):
+    field = FIELDS[draw(st.sampled_from(sorted(FIELDS)))]
+    n = field.degree
+    return field, [draw(st.lists(st.integers(-10 ** 6, 10 ** 6),
+                                 min_size=n, max_size=n))
+                   for _ in range(count)]
+
+
+class TestIntegerKernels:
+    """NumberField.num_norm and NumberField.mul_num work on integer
+    coordinate lists; FieldElement's norm and product are built on them."""
+
+    @SETTINGS
+    @given(field_and_numerators(), st.integers(1, 30))
+    def test_num_norm_is_the_resultant(self, drawn, den):
+        field, (a,) = drawn
+        f = sympy.Poly(list(reversed(field.coeffs)), X)
+        g = sympy.Poly(list(reversed(a)), X)
+        res = 0 if g.is_zero else int(sympy.resultant(f, g))
+        assert field.num_norm(a) == res
+        n = field.degree
+        assert FieldElement(field, a, den).norm() == Fraction(res, den ** n)
+
+    @SETTINGS
+    @given(field_and_numerators(count=2))
+    def test_mul_num_is_the_remainder(self, drawn):
+        field, (a, b) = drawn
+        f = sympy.Poly(list(reversed(field.coeffs)), X)
+        ga = sympy.Poly(list(reversed(a)), X)
+        gb = sympy.Poly(list(reversed(b)), X)
+        rem = sympy.rem(ga * gb, f)
+        coeffs = [int(c) for c in reversed(rem.all_coeffs())]
+        n = field.degree
+        assert field.mul_num(a, b) == coeffs + [0] * (n - len(coeffs))
 
 
 class TestCanonicalForm:

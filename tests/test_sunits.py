@@ -11,15 +11,17 @@ from itertools import product
 from math import lcm
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from afcheck import make_field
-from afcheck.errors import (BasisUnavailable, IsSquare, Unsupported,
-                            WorkExceeded, ZeroElement)
+from afcheck.errors import (AfcheckError, BasisUnavailable,
+                            FactorizationIncomplete, IndexDivisor, IsSquare,
+                            Unsupported, WorkExceeded, ZeroElement)
 from afcheck.prime_ideals import element_valuations, s_k, valuation
 from afcheck.sunits import (build_sunit_basis, is_square, quadratic_extension,
-                            selmer_group, solve_sunit, _s_unit_valuations)
+                            selmer_group, solve_sunit, _norm_supported,
+                            _s_unit_profile)
 
 
 # ----------------------------------------------------------------- oracles
@@ -334,7 +336,11 @@ class TestMembershipOracle:
         if x.is_zero():
             return
         warnings = []
-        assert _s_unit_valuations(x, S, warnings) == reference_profile(x, S)
+        # the norm test, then the factoring of a survivor, as in the walk
+        got = (_s_unit_profile(x, S, warnings)
+               if _norm_supported(x.field, x.num, x.den, {P.q for P in S})
+               else None)
+        assert got == reference_profile(x, S)
         assert warnings == []
 
 
@@ -369,6 +375,118 @@ class TestBoxWalkCoverage:
         K = make_field(poly)
         res = solve_sunit(K, s_k(K), bound, user_class_number=1)
         assert len(res.solutions) == count
+
+
+def reference_walk(K, S, bound):
+    """solve_sunit's (solutions, warnings) from plain FieldElement
+    arithmetic: each lambda of the box as a product of powers, the norm
+    test on the rational x.norm(), and the profiles from
+    element_valuations and valuation, in the solver's walk order."""
+    basis = build_sunit_basis(K, S, bound, user_class_number=1)
+    qs = {P.q for P in S}
+
+    def key(x):  # the solver's output order
+        return tuple((c.numerator, c.denominator) for c in x.coords)
+
+    def off_s(m):
+        for q in qs:
+            while m % q == 0:
+                m //= q
+        return m
+
+    found, warnings = {}, []
+    for j in range(basis.torsion_order):
+        for exps in product(range(-bound, bound + 1),
+                            repeat=len(basis.free_generators)):
+            lam = basis.torsion_gen ** j
+            for g, e in zip(basis.free_generators, exps):
+                lam = lam * g ** e
+            if lam == 1 or key(lam) in found:
+                continue
+            mu = 1 - lam
+            norm = mu.norm()
+            if off_s(abs(norm.numerator)) != 1 or off_s(norm.denominator) != 1:
+                continue
+            try:
+                vals = dict(element_valuations(mu))
+            except IndexDivisor as exc:
+                warnings.append("candidate rejected: index divisor at "
+                                f"{exc.q} blocks valuation")
+                continue
+            except FactorizationIncomplete as exc:
+                warnings.append("candidate rejected: incomplete "
+                                f"factorization ({exc.leftover})")
+                continue
+            if any(P not in S for P in vals):
+                continue
+            profile = {P: (valuation(lam, P), vals.get(P, 0)) for P in S}
+            found[key(lam)] = (lam, mu, profile, True)
+    for k in sorted(found):
+        lam, mu, profile, _ = found[k]
+        if key(mu) not in found:
+            swapped = {P: (v[1], v[0]) for P, v in profile.items()}
+            found[key(mu)] = (mu, lam, swapped, False)
+    solutions = [(lam.coords, mu.coords, profile, from_box, key(mu))
+                 for lam, mu, profile, from_box in
+                 (found[k] for k in sorted(found))]
+    return solutions, warnings
+
+
+@lru_cache(maxsize=None)
+def random_field_setup(coeffs):
+    """(K, S_K) when the S-unit basis of K exists with h taken as 1; None
+    for a reducible polynomial, an index divisor at 2, or a basis that
+    cannot be built."""
+    try:
+        K = make_field(list(coeffs))
+        S = s_k(K)
+        build_sunit_basis(K, S, 1, user_class_number=1)
+    except AfcheckError:
+        return None
+    return K, S
+
+
+@st.composite
+def random_box(draw):
+    if draw(st.booleans()):
+        coeffs = (draw(st.integers(-20, 20)), draw(st.integers(-1, 1)), 1)
+    else:
+        coeffs = (draw(st.integers(-5, 5)), draw(st.integers(-5, 5)),
+                  draw(st.integers(-2, 2)), 1)
+    setup = random_field_setup(coeffs)
+    assume(setup is not None)
+    return setup, draw(st.integers(1, 2))
+
+
+class TestReferenceWalk:
+    """The integer candidate kernel of solve_sunit against reference_walk
+    on random small boxes over quadratic and cubic fields, S above 2."""
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow,
+                                     HealthCheck.filter_too_much])
+    @given(random_box())
+    def test_solutions_profiles_and_warnings(self, drawn):
+        (K, S), bound = drawn
+        res = solve_sunit(K, S, bound, user_class_number=1)
+        got = [(s.lam.coords, s.mu.coords, s.val_profile, s.from_box,
+                s.partner_key) for s in res.solutions]
+        want, warnings = reference_walk(K, S, bound)
+        assert got == want
+        assert res.warnings == warnings
+
+    @pytest.mark.parametrize("poly, bound", [("x^2 - 18", 4),
+                                             ("x^2 - x - 4", 2),
+                                             ("x^3 - x^2 - 2*x + 1", 1)])
+    def test_fixed_fields(self, poly, bound):
+        # x^2 - 18: an index divisor at 3 puts 24 warnings in the walk
+        K = make_field(poly)
+        S = s_k(K)
+        res = solve_sunit(K, S, bound, user_class_number=1)
+        want, warnings = reference_walk(K, S, bound)
+        assert [(s.lam.coords, s.mu.coords, s.val_profile, s.from_box)
+                for s in res.solutions] == [w[:4] for w in want]
+        assert res.warnings == warnings
 
 
 class TestSelmer:

@@ -5,7 +5,7 @@ from itertools import product
 
 import pytest
 
-from afcheck import make_field, units
+from afcheck import linalg, make_field, units
 from afcheck.errors import (GeneratorNotFound, MissingUserClassNumber,
                             SearchExhausted, Unsupported, ZeroElement)
 from afcheck.numberfield import FieldElement
@@ -365,6 +365,43 @@ class TestGeneratorSearch:
             _find_generator(K, {P: 5}, 64)
         # shells 0..2 hold 5^4 = 625 candidates, shell 3 passes 1000
         assert exc.value.bound == 2
+
+
+def reference_generator(field, profile, gen_bound):
+    """_find_generator as a FieldElement walk over the same shells, the norm
+    of each candidate from its multiplication matrix."""
+    target = 1
+    for P, v in profile.items():
+        target *= P.norm() ** v
+    for h in range(gen_bound + 1):
+        for coords in _shell(field.degree, h):
+            x = FieldElement(field, coords)
+            if x.is_zero() or abs(linalg.det(x.num_matrix())) != target:
+                continue
+            if all(valuation(x, P) >= v for P, v in profile.items()):
+                return x
+    return None
+
+
+class TestGeneratorMatchesReference:
+    """The integer norm test of _find_generator picks the generator the
+    FieldElement walk picks, or fails where it fails."""
+
+    @pytest.mark.parametrize("poly", [
+        "x^2 - 2", "x^2 - x - 4", "x^2 + 5", "x^2 - 10",
+        "x^3 - x^2 - 2*x + 1", "x^3 - 2", "x^3 - 3*x - 1", "x^4 + x + 1"])
+    def test_prime_powers_above_small_primes(self, poly):
+        K = make_field(poly)
+        bound = 6 if K.degree < 4 else 3
+        for q in (2, 3, 5, 7):
+            for P in factor_rational_prime(K, q):
+                for k in (1, 2):
+                    want = reference_generator(K, {P: k}, bound)
+                    if want is None:
+                        with pytest.raises(GeneratorNotFound):
+                            _find_generator(K, {P: k}, bound)
+                    else:
+                        assert _find_generator(K, {P: k}, bound) == want
 
 
 def Fraction_(a, b):
