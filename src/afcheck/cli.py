@@ -134,12 +134,14 @@ def _parser():
 
 
 def _cmd_field(field, args, cfg):
+    # an index divisor at 2 or 3 ends the request here, before the
+    # discriminant is factored; verified_field_disc raises nothing
+    splitting = {f"splitting_{q}": splitting_type(field, q).to_dict()
+                 for q in (2, 3)}
     verified_field_disc(field)
     payload = {"signature": list(field.signature),
                "poly_disc": field.poly_disc,
-               "field_disc": field.field_disc}
-    for q in (2, 3):
-        payload[f"splitting_{q}"] = splitting_type(field, q).to_dict()
+               "field_disc": field.field_disc, **splitting}
     payload["s_k"] = [p.to_dict() for p in s_k(field)]
     payload["u_k"] = [p.to_dict() for p in u_k(field)]
     return payload, [], EXIT_OK
@@ -150,6 +152,7 @@ def _cmd_sunit(field, args, cfg):
     search = solve_sunit(field, s_k(field), bound,
                          max_candidates=cfg.max_candidates,
                          user_class_number=cfg.user_class_number,
+                         class_enum_bound=cfg.class_enum_bound,
                          height_bound=cfg.unit_height_bound)
     caveats = [f"bounded-search:B={bound}"]
     return search.to_dict(), caveats, EXIT_OK
@@ -158,6 +161,7 @@ def _cmd_sunit(field, args, cfg):
 def _cmd_selmer(field, args, cfg):
     group = selmer_group(field, s_k(field), 2,
                          user_class_number=cfg.user_class_number,
+                         class_enum_bound=cfg.class_enum_bound,
                          height_bound=cfg.unit_height_bound)
     return group.to_dict(), [], EXIT_OK
 
@@ -223,6 +227,7 @@ def _cmd_check(field, args, cfg):
         verdict = _SUNIT_CHECKS[theorem](
             field, bound, max_candidates=cfg.max_candidates,
             user_class_number=cfg.user_class_number,
+            class_enum_bound=cfg.class_enum_bound,
             height_bound=cfg.unit_height_bound)
     else:
         if args.l is None and theorem in ("thm-7-1", "thm-7-3-1"):

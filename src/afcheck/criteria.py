@@ -268,6 +268,7 @@ def check_cor_3_4(field: NumberField, bound: int, **solver_kw) -> Verdict:
 
 def check_thm_5_2(field: NumberField, bound: int, *,
                   user_class_number=None,
+                  class_enum_bound: int = 100,
                   height_bound: int = DEFAULT_UNIT_HEIGHT_BOUND,
                   **solver_kw) -> Verdict:
     """Narrow class number one, the S_K condition on K, and the S_L condition
@@ -275,7 +276,8 @@ def check_thm_5_2(field: NumberField, bound: int, *,
     hyps = [_hyp_totally_real(field)]
     narrow = "narrow class number equals 1"
     try:
-        info = class_data(field, user_class_number=user_class_number,
+        info = class_data(field, enum_bound=class_enum_bound,
+                          user_class_number=user_class_number,
                           height_bound=height_bound)
         hyps.append(_hyp(narrow, info.h_plus == 1,
                          {"h": info.h, "h_plus": info.h_plus},
@@ -288,6 +290,7 @@ def check_thm_5_2(field: NumberField, bound: int, *,
     # it; the searches over the extensions L below do not
     search = solve_sunit(field, primes, bound,
                          user_class_number=user_class_number,
+                         class_enum_bound=class_enum_bound,
                          height_bound=height_bound, **solver_kw)
     hyps.append(_box_hypothesis(
         "every S_K-unit solution over the base field meets "
@@ -295,6 +298,7 @@ def check_thm_5_2(field: NumberField, bound: int, *,
         search, primes, _within_4v2, bound))
 
     selmer = selmer_group(field, primes, 2, user_class_number=user_class_number,
+                          class_enum_bound=class_enum_bound,
                           height_bound=height_bound)
     for rep in selmer.representatives:
         if rep == 1:
@@ -304,6 +308,7 @@ def check_thm_5_2(field: NumberField, bound: int, *,
             ext = quadratic_extension(field, rep)
             ext_primes = s_k(ext)
             ext_search = solve_sunit(ext, ext_primes, bound,
+                                     class_enum_bound=class_enum_bound,
                                      height_bound=height_bound, **solver_kw)
         except (IndexDivisor, BasisUnavailable) as exc:
             note = (f"index divisor at {exc.q} while factoring 2 in the "

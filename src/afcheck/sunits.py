@@ -1,17 +1,25 @@
 """S-unit equation solutions, 2-Selmer square classes, quadratic extensions.
 
 solve_sunit walks a bounded exponent box on the S-unit generators and tests
-mu = 1 - lambda for S-unit membership.  The outer exponent levels multiply
-FieldElements from power tables; the innermost level, which holds nearly all
-candidates, works on integer numerators only: one NumberField.mul_num and a
-gcd give lambda in canonical form, then the numerator of mu and its integer
-norm NumberField.num_norm.  The norm test rejects mu without factoring
-anything when its norm has a prime below no prime of S; only the survivors
-become FieldElements and are factored into prime ideals.  Rejections on
-incomplete factorizations or index divisors are logged, never silently
-accepted, so the search has false negatives only, and its warnings name only
-candidates that could be S-units.  Completeness is always reported as a
-bounded-search caveat, never claimed.
+mu = 1 - lambda for S-unit membership.  The equation is invariant under
+(lambda, mu) -> (1/lambda, -mu/lambda), which maps the box onto itself, so
+the walk visits only half of it: the exponent vectors e that are
+lexicographically positive, and e = 0 with j <= -j mod T for the torsion
+power zeta^j.  The outer exponent levels multiply FieldElements from power
+tables; the innermost level, which holds nearly all candidates, works on
+integer numerators only: one NumberField.mul_num and a gcd give lambda in
+canonical form, then the numerator of mu and its integer norm
+NumberField.num_norm.  The norm test rejects mu without factoring anything
+when its norm has a prime below no prime of S, and it gives the same answer
+for lambda and 1/lambda.  Each survivor and its mirror 1/lambda, built from
+the power tables, become FieldElements and are factored into prime ideals,
+so a candidate of the full box costs half a product and half a norm, and a
+survivor is factored as in a full walk.  Rejections on incomplete
+factorizations or index divisors become warnings, never silent acceptances,
+ordered by the candidate's place in the full walk; so the search has false
+negatives only, and its warnings name only candidates that could be
+S-units.  Completeness is always reported as a bounded-search caveat, never
+claimed.
 """
 
 import logging
@@ -49,6 +57,7 @@ class SUnitBasis:
 
 def build_sunit_basis(field: NumberField, S, bound: int, *,
                       user_class_number=None,
+                      class_enum_bound: int = 100,
                       height_bound: int = DEFAULT_UNIT_HEIGHT_BOUND,
                       gen_bound: int = 64) -> SUnitBasis:
     """Torsion, fundamental units and P-power generators for the S-units."""
@@ -60,9 +69,10 @@ def build_sunit_basis(field: NumberField, S, bound: int, *,
     orders = {}
     if S:
         try:
-            info = class_data(field, user_class_number=user_class_number,
+            info = class_data(field, enum_bound=class_enum_bound,
+                              user_class_number=user_class_number,
                               height_bound=height_bound)
-        except (MissingUserClassNumber, Unsupported) as exc:
+        except (MissingUserClassNumber, Unsupported, SearchExhausted) as exc:
             raise BasisUnavailable(f"class data unavailable: {exc}") from exc
         for P in S:
             o, pi = _prime_power_generator(field, P, info.h, gen_bound)
@@ -151,6 +161,7 @@ def _coords_key(x: FieldElement):
 def solve_sunit(field: NumberField, S, bound: int, *,
                 max_candidates: int = 500_000,
                 user_class_number=None,
+                class_enum_bound: int = 100,
                 height_bound: int = DEFAULT_UNIT_HEIGHT_BOUND) -> SUnitSearch:
     """All solutions of lambda + mu = 1 in S-units found inside the exponent box.
 
@@ -163,39 +174,73 @@ def solve_sunit(field: NumberField, S, bound: int, *,
         return SUnitSearch(field, list(S), bound, [])
     basis = build_sunit_basis(field, S, bound,
                               user_class_number=user_class_number,
+                              class_enum_bound=class_enum_bound,
                               height_bound=height_bound)
     gens = basis.free_generators
     n_boxes = basis.torsion_order * (2 * bound + 1) ** len(gens)
     if n_boxes > max_candidates:
         raise WorkExceeded(f"{n_boxes} candidates exceed limit {max_candidates}")
-    warnings = []
     gen_valuations = [{P: valuation(g, P) for P in S} for g in gens]
-    # (e, g^e) in exponent order; e = 0 carries None so the walk skips it
-    tables = []
+    # g^e for |e| <= bound; e = 0 carries None so the walk skips it
+    powers = []
     for g in gens:
         table = {0: None, 1: g, -1: g.inverse()}
         for e in range(2, bound + 1):
             table[e] = table[e - 1] * g
             table[-e] = table[1 - e] * table[-1]
-        tables.append([(e, table[e]) for e in range(-bound, bound + 1)])
+        powers.append(table)
+    order = basis.torsion_order
     torsion_powers = [field.one()]
-    for _ in range(1, basis.torsion_order):
+    for _ in range(1, order):
         torsion_powers.append(torsion_powers[-1] * basis.torsion_gen)
 
     # The outer levels of the box multiply FieldElements; the innermost
     # level works on integer numerators, and only a candidate whose mu
     # passes the norm test becomes a FieldElement.
+    tables = [[(e, table[e]) for e in range(-bound, bound + 1)]
+              for table in powers]
     *outer, last = tables or [[(0, None)]]
     last = [(e, None if g is None else (g.num, g.den)) for e, g in last]
+    last_half = [(e, power) for e, power in last if e >= 0]
     mul_num = field.mul_num
     primes = {P.q for P in S}
     one_key = ((1,) + (0,) * (field.degree - 1), 1)
-    found = {}   # (num, den) of lambda -> solution, in walk order
-    for base in torsion_powers:
-        for exps, prefix in _prefixes(base, outer):
+    found = {}    # (num, den) of lambda -> solution
+    ranked = []   # (rank in the full walk, warnings of that candidate)
+
+    def keep(lam, j, exps):
+        """Factor mu = 1 - lambda for lambda = zeta^j prod g_i^exps_i and
+        record the solution, or the candidate's warnings under its rank."""
+        msgs = []
+        mu = 1 - lam
+        mu_profile = _s_unit_profile(mu, S, msgs)
+        if msgs:
+            rank = j
+            for x in exps:
+                rank = rank * (2 * bound + 1) + x + bound
+            ranked.append((rank, msgs))
+        if mu_profile is None:
+            return
+        profile = {P: (sum(x * gen_valuations[i][P]
+                           for i, x in enumerate(exps)), mu_profile[P])
+                   for P in S}
+        found[lam.num, lam.den] = SUnitSolution(lam, mu, profile, True)
+
+    # (lambda, mu) -> (1/lambda, -mu/lambda) maps the box onto itself and
+    # solutions onto solutions, and N(-mu/lambda) = +-N(mu)/N(lambda) has
+    # the same primes outside S as N(mu).  So the walk visits one vector of
+    # each pair {(j, e), (-j mod T, -e)}, the one with e lexicographically
+    # positive (or e = 0 and j <= -j mod T), and each norm-test survivor
+    # sends its mirror, built from the power tables, through the same
+    # factoring step.
+    for j, base in enumerate(torsion_powers):
+        mirror_j = -j % order
+        for exps, prefix, positive in _half_prefixes(base, outer):
             pnum, pden = prefix.num, prefix.den
-            for e, power in last:
+            for e, power in (last if positive else last_half):
                 if power is None:
+                    if not positive and j > mirror_j:
+                        continue
                     num, den = pnum, pden
                 else:
                     num, den = mul_num(pnum, power[0]), pden * power[1]
@@ -212,18 +257,20 @@ def solve_sunit(field: NumberField, S, bound: int, *,
                 mu_num[0] += den
                 if not _norm_supported(field, mu_num, den, primes):
                     continue
-                mu = FieldElement(field, mu_num, den)
-                mu_profile = _s_unit_profile(mu, S, warnings)
-                if mu_profile is None:
-                    continue
                 exps_e = exps + (e,)
-                lam_profile = {P: sum(x * gen_valuations[i][P]
-                                      for i, x in enumerate(exps_e))
-                               for P in S}
-                profile = {P: (lam_profile[P], mu_profile[P]) for P in S}
-                found[key] = SUnitSolution(FieldElement(field, num, den), mu,
-                                           profile, True)
+                keep(FieldElement(field, num, den), j, exps_e)
+                # lambda = -1 (e = 0, j = T/2) is its own mirror
+                if positive or e or j != mirror_j:
+                    inv = torsion_powers[mirror_j]
+                    for table, x in zip(powers, exps_e):
+                        if x:
+                            inv = inv * table[-x]
+                    keep(inv, mirror_j, tuple(-x for x in exps_e))
 
+    ranked.sort(key=lambda item: item[0])
+    warnings = [msg for _, msgs in ranked for msg in msgs]
+    for msg in warnings:
+        log.warning(msg)
     # Fraction keys fix the output order; only kept solutions need one
     found = {_coords_key(sol.lam): sol for sol in found.values()}
     for key in sorted(found):
@@ -240,17 +287,22 @@ def solve_sunit(field: NumberField, S, bound: int, *,
     return SUnitSearch(field, list(S), bound, solutions, warnings)
 
 
-def _prefixes(prefix, tables, exps=()):
-    """Yield (exps, prefix * prod_i g_i^e_i) over the box of the given
-    levels, in itertools.product order.  Each step multiplies the running
-    prefix by one power-table entry, and e = 0 multiplies nothing."""
+def _half_prefixes(prefix, tables, exps=(), positive=False):
+    """Yield (exps, prefix * prod_i g_i^e_i, positive) over the exponent
+    vectors of the given levels that are zero or lexicographically
+    positive (positive tells which), in itertools.product order.  Each
+    step multiplies the running prefix by one power-table entry, and e = 0
+    multiplies nothing; once a level is positive the levels below it take
+    every exponent."""
     if not tables:
-        yield exps, prefix
+        yield exps, prefix, positive
         return
     table, rest = tables[0], tables[1:]
     for e, power in table:
-        yield from _prefixes(prefix if power is None else prefix * power,
-                             rest, exps + (e,))
+        if positive or e >= 0:
+            yield from _half_prefixes(
+                prefix if power is None else prefix * power, rest,
+                exps + (e,), positive or e > 0)
 
 
 def _verify_solution(sol: SUnitSolution):
@@ -286,7 +338,7 @@ def _norm_supported(field, num, den, primes):
 def _s_unit_profile(x: FieldElement, S, warnings):
     """{P: v_P(x)} over S when x is an S-unit, else None, for an x that
     passed the norm test.  Factorization failures reject the candidate with
-    a logged warning, so rejections stay sound."""
+    a warning appended to warnings, so rejections stay sound."""
     profile = dict.fromkeys(S, 0)
     try:
         for P, v in element_valuations(x):
@@ -297,9 +349,7 @@ def _s_unit_profile(x: FieldElement, S, warnings):
         reason = (f"index divisor at {exc.q} blocks valuation"
                   if isinstance(exc, IndexDivisor)
                   else f"incomplete factorization ({exc.leftover})")
-        msg = f"candidate rejected: {reason}"
-        log.warning(msg)
-        warnings.append(msg)
+        warnings.append(f"candidate rejected: {reason}")
         return None
     return profile
 
@@ -404,6 +454,7 @@ class SelmerGroup:
 
 def selmer_group(field: NumberField, S, m: int = 2, *,
                  user_class_number=None,
+                 class_enum_bound: int = 100,
                  height_bound: int = DEFAULT_UNIT_HEIGHT_BOUND) -> SelmerGroup:
     """K(S, 2): square classes with even valuation outside S.
 
@@ -415,6 +466,7 @@ def selmer_group(field: NumberField, S, m: int = 2, *,
         raise Unsupported(f"Selmer modulus {m} != 2")
     basis_data = build_sunit_basis(field, S, 1,
                                    user_class_number=user_class_number,
+                                   class_enum_bound=class_enum_bound,
                                    height_bound=height_bound)
     gens = []
     if basis_data.torsion_order > 1:

@@ -11,7 +11,9 @@ once; only a pair it leaves open is scanned for a small relation u^m v^k =
 certificate is a proof, so the first certified pair is the same in either
 order.  Class numbers of quadratic fields are counted through reduced binary
 forms; principality questions are settled by a generator search that is
-complete within a proven, unit-scaled coordinate bound.  The cubic unit pair
+complete within a proven, unit-scaled coordinate bound.  A field of class
+number one is represented by its smallest odd prime ideal, found by
+factoring odd q only up to its norm.  The cubic unit pair
 and the class data are computed once per field and argument set
 (NumberField.memo).
 """
@@ -37,6 +39,10 @@ DEFAULT_UNIT_HEIGHT_BOUND = 10 ** 6
 # degree-3 box at the default coordinate bound 64, so searches in degree
 # <= 3 never reach it, while degree >= 4 stops long before (2*64+1)^n
 GENERATOR_SEARCH_LIMIT = 129 ** 3
+
+# continued-fraction steps one Pell solution may take; a period that long
+# gives a fundamental unit of about PELL_STEP_BUDGET / 2 digits
+PELL_STEP_BUDGET = 1 << 14
 
 
 # --------------------------------------------------------------- containers
@@ -113,19 +119,27 @@ def _icbrt(n: int) -> int:
 
 
 def _pell_fundamental(d: int):
-    """Fundamental solution of x^2 - d y^2 = +-1 via the CF of sqrt(d)."""
+    """Fundamental solution of x^2 - d y^2 = +-1 via the CF of sqrt(d).
+
+    The period of the expansion can be about sqrt(d) long, so it may take
+    PELL_STEP_BUDGET steps; past that SearchExhausted is raised."""
     a0 = isqrt(d)
     p_prev, q_prev = 1, 0
     p, q = a0, 1
     big_p, big_q = a0, d - a0 * a0
-    while p * p - d * q * q not in (1, -1):
+    for _ in range(PELL_STEP_BUDGET):
+        # p^2 - d q^2 = +-big_q at every step
+        if big_q == 1:
+            return p, q
         a_k = (a0 + big_p) // big_q
         p, p_prev = a_k * p + p_prev, p
         q, q_prev = a_k * q + q_prev, q
         big_p_next = a_k * big_q - big_p
         big_q = (d - big_p_next * big_p_next) // big_q
         big_p = big_p_next
-    return p, q
+    raise SearchExhausted(
+        f"continued fraction of sqrt({d}) has no period within "
+        f"{PELL_STEP_BUDGET} steps")
 
 
 def _quad_fundamental_unit(d: int):
@@ -535,6 +549,12 @@ def _quadratic_class_data(field, enum_bound):
     return ClassData(h, h_plus, reps, ("proven",), notes)
 
 
+def _by_norm(p: PrimeIdeal):
+    """Enumeration order of odd prime ideals: norm first."""
+    root = p.residue_root()
+    return (p.norm(), root if root is not None else -1, p.q, p.sort_key())
+
+
 def _odd_prime_ideals_by_norm(field, enum_bound):
     out = []
     skipped = []
@@ -545,19 +565,48 @@ def _odd_prime_ideals_by_norm(field, enum_bound):
             out.extend(factor_rational_prime(field, q))
         except IndexDivisor:
             skipped.append(q)
-    out.sort(key=lambda p: (p.norm(),
-                            p.residue_root() if p.residue_root() is not None else -1,
-                            p.q, p.sort_key()))
+    out.sort(key=_by_norm)
     return out, skipped
 
 
+def _skipped_note(skipped):
+    return ([f"index-divisor primes skipped in enumeration: {skipped}"]
+            if skipped else [])
+
+
+def _smallest_odd_prime_ideal(field, enum_bound):
+    """([P], notes) for P = _odd_prime_ideals_by_norm(...)[0], with the
+    same note.  A prime above q has norm >= q, so q is factored only while
+    q <= N(P) for the smallest P so far; a larger q can still divide the
+    index [O_K : Z[theta]] for the note, but then q^2 divides poly_disc,
+    so only those q get the Dedekind test."""
+    best = None
+    skipped = []
+    for q in SMALL_PRIMES:
+        if q > enum_bound:
+            break
+        if q == 2:
+            continue
+        late = best is not None and q > best.norm()
+        if late and field.poly_disc % (q * q):
+            continue
+        try:
+            primes = factor_rational_prime(field, q)
+        except IndexDivisor:
+            skipped.append(q)
+            continue
+        if not late:
+            best = min([*primes, best] if best else primes, key=_by_norm)
+    if best is None:
+        raise SearchExhausted("no odd prime ideal within enumeration bound")
+    return [best], _skipped_note(skipped)
+
+
 def _collect_reps(field, h, enum_bound, trivial_only=False):
-    primes, skipped = _odd_prime_ideals_by_norm(field, enum_bound)
-    notes = [f"index-divisor primes skipped in enumeration: {skipped}"] if skipped else []
     if trivial_only:
-        if not primes:
-            raise SearchExhausted("no odd prime ideal within enumeration bound")
-        return [primes[0]], notes
+        return _smallest_odd_prime_ideal(field, enum_bound)
+    primes, skipped = _odd_prime_ideals_by_norm(field, enum_bound)
+    notes = _skipped_note(skipped)
     reps = []
     for p in primes:
         if len(reps) == h:

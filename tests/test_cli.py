@@ -225,6 +225,45 @@ class TestCommands:
         qs = [f["prime"]["q"] for f in rep["result"]["conductor"]["conductor"]]
         assert qs == [2, 7]
 
+    @pytest.mark.parametrize("argv", [
+        ["sunit", "x^2-2", "--bound", "2"],
+        ["selmer", "x^2-2"],
+        ["check", "thm-3-2", "x^2-2", "--bound", "2"],
+        ["check", "thm-5-2", "x^2-2", "--bound", "1"],
+        ["frey", "2r", "x^2-2", "--a", "1", "--b", "1", "--c", "1",
+         "--r", "1", "--p", "5"],
+    ], ids=["sunit", "selmer", "check", "thm-5-2", "frey"])
+    def test_class_enum_bound_config_reaches_the_enumeration(
+            self, capsys, tmp_path, monkeypatch, argv):
+        from afcheck import units
+        seen = []
+        original = units._collect_reps
+
+        def spy(field, h, enum_bound, **kw):
+            seen.append(enum_bound)
+            return original(field, h, enum_bound, **kw)
+
+        monkeypatch.setattr(units, "_collect_reps", spy)
+        cfg = tmp_path / "enum.conf"
+        cfg.write_text("class_enum_bound = 3\n")
+        code, _ = run_json(capsys, ["--config", str(cfg)] + argv)
+        assert code != 1
+        assert seen and set(seen) == {3}
+
+    def test_class_enum_bound_below_every_odd_prime_ideal(self, capsys,
+                                                          tmp_path):
+        # 3 divides the index of Z[sqrt(18)], so no odd prime ideal is
+        # enumerated within q <= 3, and the S-unit basis has no class data
+        argv = ["sunit", "x^2-18", "--bound", "2"]
+        assert run_json(capsys, argv)[0] == 0
+        cfg = tmp_path / "enum.conf"
+        cfg.write_text("class_enum_bound = 3\n")
+        code, rep = run_json(capsys, ["--config", str(cfg)] + argv)
+        assert code == 1
+        error = rep["result"]["error"]
+        assert error["type"] == "BasisUnavailable"
+        assert "enumeration bound" in error["message"]
+
     def test_check_thm_7_3_mode_alias(self, capsys):
         code, rep = run_json(capsys, ["check", "thm-7-3", "x", "--mode", "2"])
         assert code == 0
@@ -257,6 +296,34 @@ class TestHardFactorizations:
         assert rep["result"]["field_disc"] is None
         assert rep["result"]["poly_disc"] == str(
             -4 * 100000000000000000009 ** 3 - 27)
+
+    def test_field_splits_before_factoring_the_discriminant(self, capsys,
+                                                          monkeypatch):
+        from afcheck import prime_ideals
+        factored = []
+        original = prime_ideals.factorint
+
+        def spy(n):
+            factored.append(n)
+            return original(n)
+
+        monkeypatch.setattr(prime_ideals, "factorint", spy)
+        code, rep = self.timed(capsys, ["field",
+                                        "x^3 + 99999999999999999999*x + 1"])
+        assert code == 1 and rep["result"]["error"]["type"] == "IndexDivisor"
+        assert rep["result"]["error"]["q"] == 3
+        assert -4 * 99999999999999999999 ** 3 - 27 not in factored
+
+    def test_pell_period_beyond_the_budget_is_an_error(self, capsys):
+        # a 31-digit prime d = 3 mod 4: the continued fraction of sqrt(d)
+        # has a period of about sqrt(d) steps
+        d = 10 ** 30 + 99
+        code, rep = self.timed(capsys, ["sunit", f"x^2 - {d}",
+                                        "--bound", "2"])
+        assert code == 1
+        error = rep["result"]["error"]
+        assert error["type"] == "BasisUnavailable"
+        assert "continued fraction" in error["message"]
 
     def test_scan_uses_the_trial_division_primes(self, capsys):
         poly = "x^3 + 100000000000000000001*x + 1"

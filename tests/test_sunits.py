@@ -377,22 +377,30 @@ class TestBoxWalkCoverage:
         assert len(res.solutions) == count
 
 
+def norm_off_s_is_one(x, S):
+    """The norm test on the rational x.norm(): no prime outside S."""
+    norm = x.norm()
+    for m in (abs(norm.numerator), norm.denominator):
+        for q in {P.q for P in S}:
+            while m % q == 0:
+                m //= q
+        if m != 1:
+            return False
+    return True
+
+
 def reference_walk(K, S, bound):
     """solve_sunit's (solutions, warnings) from plain FieldElement
     arithmetic: each lambda of the box as a product of powers, the norm
     test on the rational x.norm(), and the profiles from
-    element_valuations and valuation, in the solver's walk order."""
+    element_valuations and valuation, in the full walk's order.  A bound
+    below 1 is the solver's vacuous search."""
+    if bound <= 0:
+        return [], []
     basis = build_sunit_basis(K, S, bound, user_class_number=1)
-    qs = {P.q for P in S}
 
     def key(x):  # the solver's output order
         return tuple((c.numerator, c.denominator) for c in x.coords)
-
-    def off_s(m):
-        for q in qs:
-            while m % q == 0:
-                m //= q
-        return m
 
     found, warnings = {}, []
     for j in range(basis.torsion_order):
@@ -404,8 +412,7 @@ def reference_walk(K, S, bound):
             if lam == 1 or key(lam) in found:
                 continue
             mu = 1 - lam
-            norm = mu.norm()
-            if off_s(abs(norm.numerator)) != 1 or off_s(norm.denominator) != 1:
+            if not norm_off_s_is_one(mu, S):
                 continue
             try:
                 vals = dict(element_valuations(mu))
@@ -455,12 +462,32 @@ def random_box(draw):
                   draw(st.integers(-2, 2)), 1)
     setup = random_field_setup(coeffs)
     assume(setup is not None)
-    return setup, draw(st.integers(1, 2))
+    return setup, draw(st.integers(0, 2))
+
+
+def full_walk_survivors(K, S, bound):
+    """str(mu.coords) for every lambda of the full box, in walk order,
+    whose mu = 1 - lambda passes the norm test (the rational x.norm())."""
+    basis = build_sunit_basis(K, S, bound, user_class_number=1)
+    out = []
+    for j in range(basis.torsion_order):
+        for exps in product(range(-bound, bound + 1),
+                            repeat=len(basis.free_generators)):
+            lam = basis.torsion_gen ** j
+            for g, e in zip(basis.free_generators, exps):
+                lam = lam * g ** e
+            if lam == 1:
+                continue
+            if norm_off_s_is_one(1 - lam, S):
+                out.append(str((1 - lam).coords))
+    return out
 
 
 class TestReferenceWalk:
-    """The integer candidate kernel of solve_sunit against reference_walk
-    on random small boxes over quadratic and cubic fields, S above 2."""
+    """The half-box walk of solve_sunit (one of each pair lambda, 1/lambda,
+    the other as its mirror) against reference_walk, which walks the full
+    box, on random small boxes over quadratic and cubic fields, S above 2,
+    and on fixed fields with torsion of order 2, 4 and 6."""
 
     @settings(max_examples=40, deadline=None,
               suppress_health_check=[HealthCheck.too_slow,
@@ -475,18 +502,44 @@ class TestReferenceWalk:
         assert got == want
         assert res.warnings == warnings
 
-    @pytest.mark.parametrize("poly, bound", [("x^2 - 18", 4),
-                                             ("x^2 - x - 4", 2),
-                                             ("x^3 - x^2 - 2*x + 1", 1)])
+    @pytest.mark.parametrize("poly, bound", [
+        ("x^2 - 18", 4), ("x^2 - 18", 0), ("x^2 - x - 4", 1),
+        ("x^2 - x - 4", 2), ("x^3 - x^2 - 2*x + 1", 1),
+        ("x^2 + 1", 0), ("x^2 + 1", 1), ("x^2 + 1", 5),
+        ("x^2 + x + 1", 0), ("x^2 + x + 1", 1), ("x^2 + x + 1", 4),
+        ("x^2 - x + 2", 3)])
     def test_fixed_fields(self, poly, bound):
-        # x^2 - 18: an index divisor at 3 puts 24 warnings in the walk
+        # x^2 - 18: an index divisor at 3 puts 24 warnings in the walk;
+        # x^2 + 1 and x^2 + x + 1 have torsion of order 4 and 6
         K = make_field(poly)
         S = s_k(K)
         res = solve_sunit(K, S, bound, user_class_number=1)
         want, warnings = reference_walk(K, S, bound)
-        assert [(s.lam.coords, s.mu.coords, s.val_profile, s.from_box)
-                for s in res.solutions] == [w[:4] for w in want]
+        assert [(s.lam.coords, s.mu.coords, s.val_profile, s.from_box,
+                 s.partner_key) for s in res.solutions] == want
         assert res.warnings == warnings
+
+    @pytest.mark.parametrize("poly, bound", [
+        ("x^2 - 2", 3), ("x^2 - 18", 2), ("x^2 + 1", 3), ("x^2 + x + 1", 2),
+        ("x^2 - x + 2", 2), ("x^3 - x^2 - 2*x + 1", 1)])
+    def test_warnings_in_full_walk_order(self, poly, bound, monkeypatch):
+        # each norm-test survivor warns with its own mu, so the warning
+        # list is the order in which the full walk reaches the survivors:
+        # a mirror is ranked where the full walk meets it, and lambda = -1,
+        # its own mirror, is factored once
+        def stub(x, S, warnings):
+            warnings.append(str(x.coords))
+            return None
+
+        from afcheck import sunits
+        monkeypatch.setattr(sunits, "_s_unit_profile", stub)
+        K = make_field(poly)
+        S = s_k(K)
+        res = solve_sunit(K, S, bound, user_class_number=1)
+        want = full_walk_survivors(K, S, bound)
+        assert res.solutions == []
+        assert res.warnings == want
+        assert str((K.one() * 2).coords) in want
 
 
 class TestSelmer:

@@ -13,8 +13,10 @@ from afcheck.prime_ideals import valuation, factor_rational_prime, s_k
 from afcheck.sunits import build_sunit_basis
 from afcheck.units import (class_data, fundamental_units, normalize_solution,
                            unit_generators, _certified_independent,
-                           _cubic_fundamental_pair, _find_generator,
-                           _quad_fundamental_unit, _shell, _small_relation)
+                           _collect_reps, _cubic_fundamental_pair,
+                           _find_generator, _odd_prime_ideals_by_norm,
+                           _pell_fundamental, _quad_fundamental_unit, _shell,
+                           _small_relation)
 
 
 def quad_cmp_positive(a, b, d):
@@ -280,6 +282,82 @@ class TestClassData:
         assert cd.h == 1 and cd.completeness == ("user-supplied",)
         assert cd.h_plus in (1, 2, 4, 8)
         assert cd.reps_H[0].q == 7  # ramified prime of norm 7 beats inert 3
+
+
+REP_FIELDS = ("x^2 - 2", "x^2 - x - 1", "x^2 - 18", "x^2 - 45", "x^2 - 245",
+              "x^2 + 1", "x^2 + 5", "x^2 - 10", "x^2 - x - 4",
+              "x^3 - x^2 - 2*x + 1", "x^3 - 63*x - 1", "x")
+
+
+class TestLazyRepresentative:
+    """The trivial-class representative factors few primes: it must be the
+    first prime of the full enumeration, with the same skipped note."""
+
+    @staticmethod
+    def oracle(K, enum_bound):
+        primes, skipped = _odd_prime_ideals_by_norm(K, enum_bound)
+        notes = ([f"index-divisor primes skipped in enumeration: {skipped}"]
+                 if skipped else [])
+        return primes[:1], notes
+
+    @pytest.mark.parametrize("poly", REP_FIELDS)
+    @pytest.mark.parametrize("enum_bound", [3, 10, 100])
+    def test_matches_full_enumeration(self, poly, enum_bound):
+        # x^2 - 2 and x^2 - x - 1: 3 is inert; x^2 - 18, x^2 - 45: 3 divides
+        # the index; x^2 - 245: 7 divides it and lies above the smallest
+        # norm, 5; x^3 - 63*x - 1: 3 divides the index of a cubic
+        K = make_field(poly)
+        want = self.oracle(K, enum_bound)
+        if not want[0]:
+            with pytest.raises(SearchExhausted):
+                _collect_reps(K, 1, enum_bound, trivial_only=True)
+            return
+        assert _collect_reps(K, 1, enum_bound, trivial_only=True) == want
+
+    def test_index_divisor_above_the_smallest_norm_is_noted(self):
+        reps, notes = _collect_reps(make_field("x^2 - 245"), 1, 100,
+                                    trivial_only=True)
+        assert reps[0].norm() == 5
+        assert notes == ["index-divisor primes skipped in enumeration: [7]"]
+
+    @pytest.mark.parametrize("poly", REP_FIELDS)
+    def test_factors_only_up_to_the_smallest_norm(self, poly, monkeypatch):
+        # beyond the smallest norm only a q with q^2 | poly_disc, which can
+        # divide the index, is factored
+        calls = count_calls(monkeypatch, units, "factor_rational_prime")
+        K = make_field(poly)
+        reps, _ = _collect_reps(K, 1, 100, trivial_only=True)
+        late = [q for _, q in calls if q > reps[0].norm()]
+        assert all(K.poly_disc % (q * q) == 0 for q in late)
+
+
+class TestPellBudget:
+    @staticmethod
+    def reference(d):
+        # the expansion stopped by the norm itself, with no budget
+        a0 = math.isqrt(d)
+        p_prev, q_prev, p, q = 1, 0, a0, 1
+        big_p, big_q = a0, d - a0 * a0
+        while p * p - d * q * q not in (1, -1):
+            a_k = (a0 + big_p) // big_q
+            p, p_prev = a_k * p + p_prev, p
+            q, q_prev = a_k * q + q_prev, q
+            big_p = a_k * big_q - big_p
+            big_q = (d - big_p * big_p) // big_q
+        return p, q
+
+    def test_matches_the_norm_stopped_expansion(self):
+        for d in range(2, 400):
+            if math.isqrt(d) ** 2 != d:
+                assert _pell_fundamental(d) == self.reference(d), d
+
+    def test_budget_raises(self, monkeypatch):
+        # sqrt(94) has period 16
+        monkeypatch.setattr(units, "PELL_STEP_BUDGET", 16)
+        assert _pell_fundamental(94) == self.reference(94)
+        monkeypatch.setattr(units, "PELL_STEP_BUDGET", 15)
+        with pytest.raises(SearchExhausted):
+            _pell_fundamental(94)
 
 
 class TestNormalize:
