@@ -9,7 +9,7 @@ data produced), 2 = verdict no, 3 = verdict unknown under bounded search,
 import argparse
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cache
 
 from .criteria import (CONCLUSIONS, check_cor_3_4, check_cor_7_2,
@@ -57,9 +57,7 @@ class RunConfig:
     output: str = "human"
 
 
-_CONFIG_KEYS = ("sunit_exponent_bound", "unit_height_bound",
-                "class_enum_bound", "l_max", "max_candidates",
-                "user_class_number", "seed")
+_CONFIG_KEYS = tuple(f.name for f in fields(RunConfig) if f.name != "output")
 
 
 def _load_config_file(path, cfg: RunConfig):

@@ -160,8 +160,7 @@ def _finalize(theorem_id, field, hypotheses, *, bound=None, notes=()):
 # ----------------------------------------------------- S-unit based criteria
 
 def _solution_witness(sol, prime, bound_val):
-    return {"lambda": [str(c) for c in sol.lam.coords],
-            "mu": [str(c) for c in sol.mu.coords],
+    return {**sol.pair_dict(),
             "prime": prime.to_dict() if prime is not None else None,
             "t": None if prime is None else max(abs(v) for v in sol.val_profile[prime]),
             "bound": bound_val}

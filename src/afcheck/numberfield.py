@@ -4,15 +4,17 @@ A field is presented by a monic irreducible integer polynomial.  An element
 is stored as an integer numerator vector ``num`` in the power basis
 1, theta, ..., theta^(n-1) over one positive integer denominator ``den``,
 always in canonical form (``gcd(den, *num) == 1``), so equal elements have
-equal representations.  ``coords`` is the read-only view of the same element
-as a tuple of ``fractions.Fraction``.  The integer kernels live on the field
-and take bare coordinate sequences: ``mul_num`` multiplies two of them,
-reducing through a per-field table of theta^k for n <= k < 2n-1 (a closed
-form in degree 2), and ``num_norm`` is their norm (closed forms in degree 1
-and 2, else the Bareiss determinant of the multiplication matrix).  The
-product and norm of a FieldElement are these on ``num``, with the
-denominator kept aside, so a caller that tests many candidates can skip
-building elements.  Characteristic polynomials and inverses go through
+equal representations.  Output and order come from (num, den) alone:
+``key()`` is the reduced (numerator, denominator) pair of each coordinate,
+one gcd each, and ``coord_strs()`` writes them as "n" or "n/d".  ``coords``
+is the ``fractions.Fraction`` view, for rational arithmetic at the API
+boundary.  The integer kernels live on the field and take bare coordinate
+sequences: ``mul_num`` multiplies two of them, reducing through a per-field
+table of theta^k for n <= k < 2n-1 (a closed form in degree 2), and
+``num_norm`` is their norm (closed forms in degree 1 and 2, else the
+Bareiss determinant of the multiplication matrix).  The product and norm
+of a FieldElement are these on ``num``, with the denominator kept aside, so
+a caller that tests many candidates can skip building elements.  Characteristic polynomials and inverses go through
 fraction-free integer linear algebra on the multiplication matrix of
 ``num``.  Every embedding question is decided through Sturm isolation and
 rational interval refinement.
@@ -47,7 +49,7 @@ class NumberField:
         # integer coordinates of theta^k for n <= k < 2n-1, the powers a
         # product of two reduced elements can reach
         n = self.degree
-        self._reduction = tuple(self._reduce([0] * k + [1])
+        self._reduction = tuple(self.reduce([0] * k + [1])
                                 for k in range(n, 2 * n - 1))
         self._memo = {}
 
@@ -75,7 +77,7 @@ class NumberField:
     def __repr__(self):
         return f"NumberField({_poly_str(self.coeffs)})"
 
-    def _reduce(self, num):
+    def reduce(self, num):
         """Integer polynomial num reduced mod the monic f, padded to degree n."""
         n, f = self.degree, self.coeffs
         num = list(num)
@@ -140,7 +142,7 @@ class NumberField:
     def element(self, coords):
         coords = [Fraction(c) for c in coords]
         den = lcm(*(c.denominator for c in coords))
-        return FieldElement(self, self._reduce(
+        return FieldElement(self, self.reduce(
             [c.numerator * (den // c.denominator) for c in coords]), den)
 
     def from_rational(self, value):
@@ -183,6 +185,17 @@ class FieldElement:
         den = self.den
         return tuple(Fraction(c, den) for c in self.num)
 
+    def key(self):
+        """((numerator, denominator), ...) of the coordinates in lowest
+        terms: the pairs Fraction would give, and the order of output."""
+        den = self.den
+        gs = [gcd(c, den) for c in self.num]
+        return tuple((c // g, den // g) for c, g in zip(self.num, gs))
+
+    def coord_strs(self):
+        """The coordinates as str(Fraction) writes them: "n" or "n/d"."""
+        return [str(n) if d == 1 else f"{n}/{d}" for n, d in self.key()]
+
     # -- predicates ----------------------------------------------------
 
     def is_zero(self):
@@ -196,19 +209,12 @@ class FieldElement:
             raise ValueError("element is not rational")
         return Fraction(self.num[0], self.den)
 
-    def in_power_order(self):
-        """True when all coordinates are integers (membership in Z[theta])."""
-        return self.den == 1
-
     def is_algebraic_integer(self):
         return self.den == 1 or all(c.denominator == 1
                                     for c in self.min_poly())
 
-    def denominator_lcm(self):
-        return self.den
-
     def height(self):
-        return max(max(abs(c.numerator), c.denominator) for c in self.coords)
+        return max(max(abs(n), d) for n, d in self.key())
 
     # -- arithmetic ----------------------------------------------------
 

@@ -8,7 +8,6 @@ multiplication with a cached anti-uniformizer.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
 from .errors import FactorizationIncomplete, IndexDivisor, ZeroElement
@@ -39,7 +38,7 @@ class PrimeIdeal:
         return None
 
     def generator_element(self):
-        return self.field.element(list(self.gen_coeffs))
+        return FieldElement(self.field, self.field.reduce(self.gen_coeffs))
 
     def sort_key(self):
         root = self.residue_root()
@@ -63,7 +62,7 @@ class PrimeIdeal:
                 "gen_poly": list(self.gen_coeffs)}
 
     def key(self):
-        gens = ",".join(str(c) for c in self.gen_coeffs)
+        gens = ",".join(map(str, self.gen_coeffs))
         return f"{self.q}|e{self.e}f{self.f}|[{gens}]"
 
     # -- valuations ----------------------------------------------------
@@ -217,7 +216,7 @@ def _build_anti_uniformizer(prime: PrimeIdeal):
         tweak = [0] * k + [1]
         candidates.append(fp_norm(pmul(quot, padd(prime.gen_coeffs, tweak)), q))
     for cof in candidates:
-        beta = field.element([Fraction(c, q) for c in cof])
+        beta = FieldElement(field, field.reduce(cof), q)
         if _is_q_integral(beta, q):
             continue
         shifted = beta * prime.generator_element()
@@ -241,30 +240,27 @@ def valuation(x: FieldElement, prime: PrimeIdeal) -> int:
     if x.is_zero():
         raise ZeroElement("valuation of zero is undefined")
     q = prime.q
-    d = x.denominator_lcm()
-    y = x * d
     beta = prime.anti_uniformizer()
     v = 0
-    z = y * beta
+    z = FieldElement(x.field, x.num) * beta
     while _is_q_integral(z, q):
         v += 1
         z = z * beta
-    return v - prime.e * int_valuation(d, q)
+    return v - prime.e * int_valuation(x.den, q)
 
 
 def element_valuations(x: FieldElement, *, skip=()):
     """Yield (P, v_P(x)) for each prime P with v_P(x) != 0, lazily.
 
     Only rational primes q dividing the denominator of x or the norm of its
-    integral multiple x * den can occur.  They come in increasing order, and
+    numerator can occur.  They come in increasing order, and
     the primes above each q in factor_rational_prime order, so a caller can
     stop at the first prime it rejects.  Rational primes in skip are left
     out unfactored.  FactorizationIncomplete and IndexDivisor propagate;
     zero raises ZeroElement."""
     if x.is_zero():
         raise ZeroElement("valuations of zero are undefined")
-    den = x.denominator_lcm()
-    qs = set(factorint(den)) | set(factorint(int((x * den).norm())))
+    qs = set(factorint(x.den)) | set(factorint(x.field.num_norm(x.num)))
     for q in sorted(qs.difference(skip)):
         for prime in factor_rational_prime(x.field, q):
             v = valuation(x, prime)

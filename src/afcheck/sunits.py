@@ -75,7 +75,10 @@ def build_sunit_basis(field: NumberField, S, bound: int, *,
         except (MissingUserClassNumber, Unsupported, SearchExhausted) as exc:
             raise BasisUnavailable(f"class data unavailable: {exc}") from exc
         for P in S:
-            o, pi = _prime_power_generator(field, P, info.h, gen_bound)
+            try:
+                o, pi = _prime_power_generator(field, P, info.h, gen_bound)
+            except SearchExhausted as exc:
+                raise BasisUnavailable(f"no generator for {P}: {exc}") from exc
             orders[P] = o
             pis.append(pi)
         for P, pi in zip(S, pis):
@@ -121,15 +124,14 @@ class SUnitSolution:
     from_box: bool
     partner_key: tuple = None
 
-    def key(self):
-        return _coords_key(self.lam)
-
     def t_max(self):
         return {P: max(abs(v[0]), abs(v[1])) for P, v in self.val_profile.items()}
 
+    def pair_dict(self):
+        return {"lambda": self.lam.coord_strs(), "mu": self.mu.coord_strs()}
+
     def to_dict(self):
-        return {"lambda": [str(c) for c in self.lam.coords],
-                "mu": [str(c) for c in self.mu.coords],
+        return {**self.pair_dict(),
                 "val_profile": {P.key(): list(v) for P, v in self.val_profile.items()},
                 "t_max": {P.key(): t for P, t in self.t_max().items()},
                 "from_box": self.from_box}
@@ -152,10 +154,6 @@ class SUnitSearch:
                 "solutions": [s.to_dict() for s in self.solutions],
                 "completeness": list(self.completeness),
                 "warnings": self.warnings}
-
-
-def _coords_key(x: FieldElement):
-    return tuple((c.numerator, c.denominator) for c in x.coords)
 
 
 def solve_sunit(field: NumberField, S, bound: int, *,
@@ -271,18 +269,18 @@ def solve_sunit(field: NumberField, S, bound: int, *,
     warnings = [msg for _, msgs in ranked for msg in msgs]
     for msg in warnings:
         log.warning(msg)
-    # Fraction keys fix the output order; only kept solutions need one
-    found = {_coords_key(sol.lam): sol for sol in found.values()}
+    # FieldElement.key fixes the output order; only kept solutions need one
+    found = {sol.lam.key(): sol for sol in found.values()}
     for key in sorted(found):
         sol = found[key]
-        mu_key = _coords_key(sol.mu)
+        mu_key = sol.mu.key()
         if mu_key not in found:
             swapped = {P: (v[1], v[0]) for P, v in sol.val_profile.items()}
             found[mu_key] = SUnitSolution(sol.mu, sol.lam, swapped, False)
 
     solutions = [found[k] for k in sorted(found)]
     for sol in solutions:
-        sol.partner_key = _coords_key(sol.mu)
+        sol.partner_key = sol.mu.key()
         _verify_solution(sol)
     return SUnitSearch(field, list(S), bound, solutions, warnings)
 
@@ -446,9 +444,9 @@ class SelmerGroup:
 
     def to_dict(self):
         return {"m": self.m,
-                "basis": [[str(c) for c in g.coords] for g in self.basis],
+                "basis": [g.coord_strs() for g in self.basis],
                 "basis_size": self.basis_size,
-                "representatives": [[str(c) for c in r.coords]
+                "representatives": [r.coord_strs()
                                     for r in self.representatives]}
 
 
@@ -519,7 +517,7 @@ def quadratic_extension(base: NumberField, a: FieldElement) -> NumberField:
     if 2 * n > 6:
         _raise_if_square(a)
         raise Unsupported(f"extension degree {2 * n} > 6")
-    den = a.denominator_lcm()
+    den = a.den
     a_int = a * (den * den)
     for t in _GENERATOR_SHIFTS:
         try:

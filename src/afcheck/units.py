@@ -1,7 +1,7 @@
 """Unit groups, class data and solution normalization.
 
 Fundamental units of real quadratic fields come from the continued fraction
-of sqrt(d) (with the half-integer refinement for d = 1 mod 4); totally real
+of sqrt(d) (or a cube root of that unit, for d = 1 mod 4); totally real
 cubic fields get a bounded-height coordinate search whose output pairs are
 certified multiplicatively independent through exact rational log intervals.
 Each new unit is paired with the earlier ones in search order: a one-round
@@ -24,7 +24,7 @@ from itertools import product
 from math import gcd, isqrt
 
 from .errors import (GeneratorNotFound, IndexDivisor, MissingUserClassNumber,
-                     NotTotallyReal, SearchExhausted, Unsupported, ZeroElement)
+                     SearchExhausted, Unsupported, ZeroElement)
 from .integerfactor import SMALL_PRIMES, squarefree_part
 from .numberfield import (FieldElement, NumberField, embedding_interval,
                           embedding_sign)
@@ -44,6 +44,11 @@ GENERATOR_SEARCH_LIMIT = 129 ** 3
 # gives a fundamental unit of about PELL_STEP_BUDGET / 2 digits
 PELL_STEP_BUDGET = 1 << 14
 
+# steps of the two exhaustive real quadratic loops: the (b, |a|) pairs of
+# the reduced indefinite forms of discriminant D (about 3D/4 of them, so D
+# up to about 1.4 million fits) and the y of one principal_generator search
+QUADRATIC_STEP_BUDGET = 1 << 20
+
 
 # --------------------------------------------------------------- containers
 
@@ -60,7 +65,7 @@ class UnitGroup:
 
     def to_dict(self):
         return {"rank": self.rank,
-                "fundamental_units": [list(map(str, u.coords)) for u in self.fundamental_units],
+                "fundamental_units": [u.coord_strs() for u in self.fundamental_units],
                 "torsion_order": self.torsion_order,
                 "completeness": list(self.completeness)}
 
@@ -92,14 +97,13 @@ def _quad_data(field: NumberField):
 
 def sqrt_core_element(field: NumberField) -> FieldElement:
     """The element sqrt(d) for the squarefree core d of the discriminant."""
-    d, m, b = _quad_data(field)
-    return field.element([Fraction(b, m), Fraction(2, m)])
+    return _quad_element(field, 0, 1, 1)
 
 
 def _quad_element(field, x, y, den):
-    """(x + y*sqrt(d))/den as a FieldElement."""
-    s = sqrt_core_element(field)
-    return (field.from_rational(x) + s * y) / den
+    """(x + y*sqrt(d))/den as a FieldElement, with sqrt(d) = (2*theta + b)/m."""
+    _, m, b = _quad_data(field)
+    return FieldElement(field, [x * m + y * b, 2 * y], m * den)
 
 
 def _icbrt(n: int) -> int:
@@ -143,27 +147,31 @@ def _pell_fundamental(d: int):
 
 
 def _quad_fundamental_unit(d: int):
-    """(x, y, den, norm) with (x + y sqrt d)/den the fundamental unit of O_K."""
+    """(x, y, den, norm) with (x + y sqrt d)/den the fundamental unit of O_K.
+
+    For d = 1 mod 4, [O_K^* : Z[sqrt d]^*] is 1 or 3: the Pell unit x1 + y1
+    sqrt d is fundamental or the cube of e = (t + y sqrt d)/2, t odd, of
+    the same norm n; e^3 has trace t^3 - 3nt = 2 x1, so t is within one of
+    cbrt(2 x1), and y^2 = (t^2 - 4n)/d."""
     x1, y1 = _pell_fundamental(d)
+    n = x1 * x1 - d * y1 * y1
     if d % 4 == 1:
-        # the maximal order may contain a smaller half-integer unit
-        bound = 2 * _icbrt(x1 + y1 * (isqrt(d) + 1)) + 2
-        for y in range(1, bound + 1, 2):
-            for sgn in (-4, 4):
-                t = d * y * y + sgn
-                if t <= 0:
-                    continue
-                x = isqrt(t)
-                if x * x == t and x % 2 == 1:
-                    return x, y, 2, sgn // 4
-    return x1, y1, 1, x1 * x1 - d * y1 * y1
+        c = _icbrt(2 * x1)
+        for t in (c, c + 1):
+            if t % 2 == 0 or t ** 3 - 3 * n * t != 2 * x1:
+                continue
+            y2, rem = divmod(t * t - 4 * n, d)
+            y = isqrt(y2)
+            if not rem and y * y == y2:
+                return t, y, 2, n
+    return x1, y1, 1, n
 
 
 def _quad_torsion(field, d):
     if d == -1:
         return 4, sqrt_core_element(field)
     if d == -3:
-        return 6, (1 + sqrt_core_element(field)) / 2
+        return 6, _quad_element(field, 1, 1, 2)
     return 2, field.from_rational(-1)
 
 
@@ -307,10 +315,10 @@ def _cubic_fundamental_pair(field: NumberField, height_bound: int):
 
 def unit_generators(field: NumberField,
                     height_bound: int = DEFAULT_UNIT_HEIGHT_BOUND) -> UnitGroup:
-    """Unit group generators for degree <= 3 (plus imaginary quadratic torsion).
+    """Unit group generators for degree <= 3: torsion and fundamental units.
 
-    Internal superset of fundamental_units: imaginary quadratic fields return
-    their torsion; mixed-signature cubics are unsupported.
+    Imaginary quadratic fields return their torsion; mixed-signature cubics
+    are unsupported.
     """
     n = field.degree
     if n == 1:
@@ -330,20 +338,6 @@ def unit_generators(field: NumberField,
         return UnitGroup(2, list(units), 2, field.from_rational(-1),
                          ("bounded-search", used))
     raise Unsupported(f"unit group for degree {n}, signature {field.signature}")
-
-
-def fundamental_units(field: NumberField,
-                      height_bound: int = DEFAULT_UNIT_HEIGHT_BOUND) -> UnitGroup:
-    """Unit group of a totally real field of degree <= 3."""
-    if not field.is_totally_real:
-        raise NotTotallyReal("fundamental_units requires a totally real field")
-    if field.degree > 3:
-        raise Unsupported(f"degree {field.degree} > 3")
-    group = unit_generators(field, height_bound)
-    for u in group.fundamental_units:
-        if abs(u.norm()) != 1:
-            raise ArithmeticError("unit candidate with |norm| != 1")
-    return group
 
 
 # ------------------------------------------------------- form class numbers
@@ -377,7 +371,13 @@ def _definite_class_number(D: int) -> int:
 def _reduced_indefinite_forms(D: int):
     s = isqrt(D)
     forms = []
+    steps = 0
     for b in range(1, s + 1):
+        steps += (s + b) // 2 + 1
+        if steps > QUADRATIC_STEP_BUDGET:
+            raise SearchExhausted(
+                f"reduced forms of discriminant {D} need more than "
+                f"{QUADRATIC_STEP_BUDGET} steps")
         if (b - D) % 2:
             continue
         n4 = b * b - D
@@ -392,7 +392,6 @@ def _reduced_indefinite_forms(D: int):
                 continue
             if 2 * a_abs > b and (2 * a_abs - b) ** 2 >= D:
                 continue
-            c_abs = prod // a_abs
             for a in (a_abs, -a_abs):
                 c = -prod // a
                 if gcd(gcd(abs(a), b), abs(c)) == 1:
@@ -444,6 +443,8 @@ def _eps_ceiling(field) -> int:
 def principal_generator(field: NumberField, profile: dict):
     """Generator of the integral ideal with the given prime valuation profile,
     or None (certified, within a proven unit-scaled bound) for quadratic fields.
+    The bound grows with the fundamental unit, so the search gives up with
+    SearchExhausted after QUADRATIC_STEP_BUDGET values of y.
     """
     d, _, _ = _quad_data(field)
     target = 1
@@ -453,6 +454,10 @@ def principal_generator(field: NumberField, profile: dict):
     ybound = 2 * isqrt(target * eps // abs(d)) + 2
     candidates = []
     for y in range(0, ybound + 1):
+        if y > QUADRATIC_STEP_BUDGET:
+            raise SearchExhausted(
+                f"no generator of norm {target} with y <= "
+                f"{QUADRATIC_STEP_BUDGET}; the proven bound is {ybound}")
         for sgn in (-4, 4):
             t = d * y * y + sgn * target
             if t < 0:
@@ -482,10 +487,7 @@ def principal_generator(field: NumberField, profile: dict):
 
 def _canonical_sign(x: FieldElement):
     """Fix the sign so the first nonzero coordinate is positive."""
-    for c in x.coords:
-        if c != 0:
-            return -x if c < 0 else x
-    return x
+    return -x if next((c for c in x.num if c), 0) < 0 else x
 
 
 def _ideal_class_equal(field, p1: PrimeIdeal, p2: PrimeIdeal) -> bool:

@@ -1,5 +1,6 @@
 """CLI exit codes, canonical JSON and report round-trips."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -337,6 +338,31 @@ class TestHardFactorizations:
         assert code == 1
         assert rep["result"]["error"]["type"] == "FactorizationIncomplete"
 
+    def test_half_integer_unit_of_a_long_period(self, capsys):
+        # d = 100001 = 1 mod 4: the Pell unit has 110 digits, so the
+        # half-integer unit comes from a cube root, and the generator of the
+        # prime above 2 lies beyond the budget of the y search
+        code, rep = self.timed(capsys, ["sunit", "x^2-x-25000",
+                                        "--bound", "1"])
+        assert code == 1
+        error = rep["result"]["error"]
+        assert error["type"] == "BasisUnavailable"
+        assert "no generator of norm 2" in error["message"]
+
+    def test_reduced_forms_beyond_the_budget(self, capsys):
+        # the class number of a 31-digit discriminant would take about
+        # 3*10^30 reduced-form steps
+        poly = f"x^2 - {10 ** 30 + 99}"
+        code, rep = self.timed(capsys, ["check", "thm-5-2", poly])
+        assert code == 1
+        assert rep["result"]["error"]["type"] == "SearchExhausted"
+        code, rep = self.timed(capsys, ["frey", "2r", poly, "--a", "1",
+                                        "--b", "1", "--c", "1", "--r", "1",
+                                        "--p", "5"])
+        assert code == 0
+        assert [c for c in rep["caveats"] if c.startswith(
+            "conductor shape unavailable: reduced forms of discriminant")]
+
     def test_unfactored_quadratic_discriminant_is_an_error(self, capsys):
         pq = sympy.nextprime(10 ** 15) * sympy.nextprime(2 * 10 ** 15)
         code, rep = self.timed(capsys, ["sunit", f"x^2 - {2 * pq}",
@@ -345,6 +371,27 @@ class TestHardFactorizations:
         error = rep["result"]["error"]
         assert error["type"] == "FactorizationIncomplete"
         assert error["leftover"] == str(pq)
+
+
+class TestGoldenBytes:
+    """sha256 of the --output json bytes of the sunit-box requests of the
+    benchmark and of one thm-5-2 check, taken when elements were still
+    written and ordered through Fraction coordinates."""
+
+    @pytest.mark.parametrize("argv, code, digest", [
+        (["sunit", "x^2-2", "--bound", "20"], 0,
+         "3883efd5dc5d565dba449879f40b55b58afe00edbbbf6b6360ea19d5da3f331e"),
+        (["sunit", "x^2-x-4", "--bound", "6"], 0,
+         "5620819640d6ef0f6c307bf31b047629dbbc2c72d910caf8f475ade59bbe82cf"),
+        (["sunit", "x^3-x^2-2*x+1", "--bound", "3", "--user-class-number", "1"],
+         0, "42a959e1fd644c34ec9c8a1466ae617b826ae4a092ce050ad317e195c58431f2"),
+        (["check", "thm-5-2", "x^2-2", "--bound", "3"], 3,
+         "4988fb1d09a1cf8aba5c08963278472d394db0de9920d23fce05696dbe48a1a4"),
+    ], ids=["sunit-sqrt2", "sunit-x2-x-4", "sunit-cubic", "thm-5-2-sqrt2"])
+    def test_json_bytes(self, capsys, argv, code, digest):
+        assert run(["--output", "json", *argv]) == code
+        out = capsys.readouterr().out.encode()
+        assert hashlib.sha256(out).hexdigest() == digest
 
 
 def run_fresh(argv):

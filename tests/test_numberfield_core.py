@@ -160,10 +160,25 @@ class TestCanonicalForm:
             assert gcd(z.den, *z.num) == 1
             assert len(z.num) == field.degree
             assert z.coords == tuple(Fraction(c, z.den) for c in z.num)
-            assert z.denominator_lcm() == lcm(*(c.denominator for c in z.coords))
-            assert z.in_power_order() == all(c.denominator == 1
-                                             for c in z.coords)
+            assert z.den == lcm(*(c.denominator for c in z.coords))
         assert x.coords == tuple(a)
+
+    @SETTINGS
+    @given(st.sampled_from(sorted(FIELDS)), st.data())
+    def test_key_and_strings_match_fraction(self, spec, data):
+        # key() and coord_strs() read (num, den) with one gcd per
+        # coordinate; they must give what Fraction gives, zeros included
+        field = FIELDS[spec]
+        n = field.degree
+        num = data.draw(st.lists(st.integers(-10 ** 6, 10 ** 6) | st.just(0),
+                                 min_size=n, max_size=n))
+        den = data.draw(st.integers(-10 ** 4, 10 ** 4).filter(bool))
+        x = FieldElement(field, num, den)
+        fracs = [Fraction(c, den) for c in num]
+        assert x.key() == tuple((c.numerator, c.denominator) for c in fracs)
+        assert x.coord_strs() == [str(c) for c in fracs]
+        assert x.height() == max(max(abs(c.numerator), c.denominator)
+                                 for c in fracs)
 
     @SETTINGS
     @given(field_and_coords(count=2))

@@ -186,14 +186,14 @@ class TestSolveSUnit:
     def test_symmetry(self):
         K = make_field("x^2 - 2")
         res = solve_sunit(K, s_k(K), 5)
-        keys = {s.key() for s in res.solutions}
+        keys = {s.lam.key() for s in res.solutions}
         for s in res.solutions:
             assert s.partner_key in keys
 
     def test_monotone_in_bound(self):
         K = make_field("x^2 - 2")
-        small = {s.key() for s in solve_sunit(K, s_k(K), 3).solutions}
-        large = {s.key() for s in solve_sunit(K, s_k(K), 6).solutions}
+        small = {s.lam.key() for s in solve_sunit(K, s_k(K), 3).solutions}
+        large = {s.lam.key() for s in solve_sunit(K, s_k(K), 6).solutions}
         assert small <= large
 
     def test_case_analysis_valuations(self):
@@ -481,6 +481,24 @@ def full_walk_survivors(K, S, bound):
             if norm_off_s_is_one(1 - lam, S):
                 out.append(str((1 - lam).coords))
     return out
+
+
+def fraction_key(x):
+    return tuple((c.numerator, c.denominator) for c in x.coords)
+
+
+@pytest.mark.parametrize("poly, bound", [
+    ("x^2 - 2", 20), ("x^2 - x - 4", 6), ("x^3 - x^2 - 2*x + 1", 3)])
+def test_output_order_is_the_fraction_order(poly, bound):
+    # the sunit-box fields of the benchmark: solutions come sorted by the
+    # (numerator, denominator) pairs of the Fraction coordinates of lambda
+    K = make_field(poly)
+    res = solve_sunit(K, s_k(K), bound, user_class_number=1)
+    keys = [fraction_key(s.lam) for s in res.solutions]
+    assert keys and keys == sorted(set(keys))
+    assert [s.lam.key() for s in res.solutions] == keys
+    assert [s.partner_key for s in res.solutions] == [
+        fraction_key(s.mu) for s in res.solutions]
 
 
 class TestReferenceWalk:

@@ -1,6 +1,7 @@
 """Unit groups, class numbers, representatives and normalization."""
 
 import math
+import time
 from itertools import product
 
 import pytest
@@ -11,7 +12,7 @@ from afcheck.errors import (GeneratorNotFound, MissingUserClassNumber,
 from afcheck.numberfield import FieldElement
 from afcheck.prime_ideals import valuation, factor_rational_prime, s_k
 from afcheck.sunits import build_sunit_basis
-from afcheck.units import (class_data, fundamental_units, normalize_solution,
+from afcheck.units import (class_data, normalize_solution, principal_generator,
                            unit_generators, _certified_independent,
                            _collect_reps, _cubic_fundamental_pair,
                            _find_generator, _odd_prime_ideals_by_norm,
@@ -37,20 +38,20 @@ def quad_less(x, y, d):
 
 class TestFundamentalUnits:
     def test_rationals_rank_zero(self):
-        g = fundamental_units(make_field("x"))
+        g = unit_generators(make_field("x"))
         assert g.rank == 0 and g.torsion_order == 2
         assert g.fundamental_units == []
 
     def test_sqrt2(self):
         K = make_field("x^2 - 2")
-        g = fundamental_units(K)
+        g = unit_generators(K)
         assert g.fundamental_units == [1 + K.theta()]
         assert g.fundamental_units[0].norm() == -1
         assert g.completeness == ("proven",)
 
     def test_sqrt3(self):
         K = make_field("x^2 - 3")
-        g = fundamental_units(K)
+        g = unit_generators(K)
         assert g.fundamental_units == [2 + K.theta()]
         assert g.fundamental_units[0].norm() == 1
 
@@ -80,7 +81,7 @@ class TestFundamentalUnits:
 
     def test_cubic_pair(self):
         K = make_field("x^3 - x^2 - 2*x + 1")
-        g = fundamental_units(K)
+        g = unit_generators(K)
         assert g.rank == 2 and len(g.fundamental_units) == 2
         for u in g.fundamental_units:
             assert abs(u.norm()) == 1
@@ -95,11 +96,6 @@ class TestFundamentalUnits:
                         for i, c in enumerate(u.coords))))) for r in xs[:2]])
         det = logs[0][0] * logs[1][1] - logs[0][1] * logs[1][0]
         assert abs(det) > 1e-6
-
-    def test_totally_real_required(self):
-        from afcheck.errors import NotTotallyReal
-        with pytest.raises(NotTotallyReal):
-            fundamental_units(make_field("x^2 + 1"))
 
     def test_imaginary_torsion_internal(self):
         gi = unit_generators(make_field("x^2 + 1"))
@@ -358,6 +354,49 @@ class TestPellBudget:
         monkeypatch.setattr(units, "PELL_STEP_BUDGET", 15)
         with pytest.raises(SearchExhausted):
             _pell_fundamental(94)
+
+
+class TestHalfIntegerUnit:
+    """For d = 1 mod 4 the fundamental unit is (X + Y sqrt d)/2 for the
+    solution of X^2 - d Y^2 = +-4 with the least Y > 0; sympy's diop_DN
+    lists the fundamental solutions of both equations."""
+
+    def test_matches_diop_dn(self):
+        from sympy.solvers.diophantine.diophantine import diop_DN
+        for d in range(5, 2000, 4):
+            if any(d % (p * p) == 0 for p in range(3, math.isqrt(d) + 1, 2)):
+                continue
+            sols = [(abs(X), abs(Y)) for N in (4, -4)
+                    for X, Y in diop_DN(d, N) if Y]
+            X, Y = min(sols, key=lambda s: (s[1], s[0]))
+            x, y, den, norm = _quad_fundamental_unit(d)
+            assert (2 * x // den, 2 * y // den) == (X, Y), d
+            assert X * X - d * Y * Y == 4 * norm, d
+
+    def test_long_period_answers_at_once(self):
+        # d = 100001: the Pell unit has 110 digits
+        t0 = time.perf_counter()
+        x, y, den, norm = _quad_fundamental_unit(100001)
+        assert time.perf_counter() - t0 < 1
+        assert x * x - 100001 * y * y == norm * den * den
+
+
+class TestQuadraticBudget:
+    def test_reduced_forms_beyond_the_budget_raise(self, monkeypatch):
+        monkeypatch.setattr(units, "QUADRATIC_STEP_BUDGET", 100)
+        assert class_data(make_field("x^2 - 10")).h == 2
+        with pytest.raises(SearchExhausted):
+            class_data(make_field("x^2 - 1001"))
+
+    def test_generator_search_beyond_the_budget_raises(self, monkeypatch):
+        # the generator of the prime above 2 in Q(sqrt(100001)) has
+        # y > 2*10^6, far below the proven bound but beyond the budget
+        monkeypatch.setattr(units, "QUADRATIC_STEP_BUDGET", 1000)
+        K = make_field("x^2 - x - 25000")
+        with pytest.raises(SearchExhausted):
+            principal_generator(K, {s_k(K)[0]: 1})
+        K = make_field("x^2 - 2")
+        assert principal_generator(K, {s_k(K)[0]: 1}) == K.theta()
 
 
 class TestNormalize:
