@@ -14,9 +14,12 @@ table of theta^k for n <= k < 2n-1 (a closed form in degree 2), and
 ``num_norm`` is their norm (closed forms in degree 1 and 2, else the
 Bareiss determinant of the multiplication matrix).  The product and norm
 of a FieldElement are these on ``num``, with the denominator kept aside, so
-a caller that tests many candidates can skip building elements.  Characteristic polynomials and inverses go through
-fraction-free integer linear algebra on the multiplication matrix of
-``num``.  Every embedding question is decided through Sturm isolation and
+a caller that tests many candidates can skip building elements.  A
+rational operand skips the kernels: an int or Fraction becomes (num, den)
+with no Fraction built, a product with a rational element scales the other
+factor's ``num``, and a rational element inverts to den/num[0].
+Characteristic polynomials and other inverses go through fraction-free
+integer linear algebra on the multiplication matrix of ``num``.  Every embedding question is decided through Sturm isolation and
 rational interval refinement.
 """
 
@@ -29,8 +32,8 @@ from .errors import (DegreeZero, DivisionByZero, NotMonic, NotTotallyReal,
 from .parsing import parse_poly
 from .polynomials import (_zx_divides, interval_eval,
                           irreducible_by_degree_patterns, isolate_real_roots,
-                          pderiv, poly_disc, refine_interval, strip, zx_factor,
-                          zx_gcd)
+                          mul_matrix, pderiv, poly_disc, refine_interval,
+                          strip, zx_factor, zx_gcd)
 
 MAX_DEGREE = 6
 
@@ -115,14 +118,7 @@ class NumberField:
     def num_matrix(self, num):
         """Integer matrix of multiplication by num in the power basis
         (column j is the image of theta^j)."""
-        n, f = self.degree, self.coeffs
-        col = list(num)
-        cols = [col]
-        for _ in range(n - 1):
-            top = col[-1]
-            col = [-top * f[0]] + [col[i - 1] - top * f[i] for i in range(1, n)]
-            cols.append(col)
-        return [[cols[j][i] for j in range(n)] for i in range(n)]
+        return mul_matrix(self.coeffs, num)
 
     def num_norm(self, num):
         """The integer norm of num: closed forms in degree 1 and 2
@@ -140,13 +136,13 @@ class NumberField:
     # -- element constructors -----------------------------------------
 
     def element(self, coords):
-        coords = [Fraction(c) for c in coords]
+        coords = [_rational(c) for c in coords]
         den = lcm(*(c.denominator for c in coords))
         return FieldElement(self, self.reduce(
             [c.numerator * (den // c.denominator) for c in coords]), den)
 
     def from_rational(self, value):
-        value = Fraction(value)
+        value = _rational(value)
         return FieldElement(self, [value.numerator] + [0] * (self.degree - 1),
                             value.denominator)
 
@@ -235,13 +231,20 @@ class FieldElement:
         return FieldElement(self.field, [-a for a in self.num], self.den)
 
     def __mul__(self, other):
+        """A rational factor scales the other one's num; only two
+        irrational factors go through the field's product kernel."""
         if not isinstance(other, FieldElement):
-            r = Fraction(other)
+            r = _rational(other)
             return FieldElement(self.field, [c * r.numerator for c in self.num],
                                 self.den * r.denominator)
         other = self._coerce(other)
-        return FieldElement(self.field, self.field.mul_num(self.num, other.num),
-                            self.den * other.den)
+        a, b, den = self.num, other.num, self.den * other.den
+        # a nonzero top coordinate rules a factor out as rational at once
+        if not b[-1] and not any(b[1:]):
+            return FieldElement(self.field, [c * b[0] for c in a], den)
+        if not a[-1] and not any(a[1:]):
+            return FieldElement(self.field, [c * a[0] for c in b], den)
+        return FieldElement(self.field, self.field.mul_num(a, b), den)
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -274,10 +277,15 @@ class FieldElement:
 
     def inverse(self):
         """1/x = den * y for the integer solution of num * y = 1, found by
-        fraction-free elimination on the multiplication matrix of num."""
+        fraction-free elimination on the multiplication matrix of num; a
+        rational x = num[0]/den inverts to den/num[0] directly."""
         if self.is_zero():
             raise DivisionByZero("division by zero field element")
         n = self.field.degree
+        if self.is_rational():
+            # den/num[0]; the constructor moves a negative sign up
+            return FieldElement(self.field, [self.den] + [0] * (n - 1),
+                                self.num[0])
         d, y = linalg.solve(self.num_matrix(), [1] + [0] * (n - 1))
         return FieldElement(self.field, [self.den * c for c in y], d)
 
@@ -289,8 +297,11 @@ class FieldElement:
         return self.field.from_rational(other)
 
     def __eq__(self, other):
+        # a rational element is canonical, so num[0]/den is in lowest terms
+        # with den > 0, as int and Fraction keep numerator/denominator
         if isinstance(other, (int, Fraction)):
-            return self.is_rational() and self.as_fraction() == other
+            return (self.is_rational() and self.num[0] == other.numerator
+                    and self.den == other.denominator)
         return (isinstance(other, FieldElement)
                 and self.den == other.den and self.num == other.num
                 and self.field == other.field)
@@ -330,6 +341,12 @@ class FieldElement:
         mp = _zx_divides(zx_gcd(ch, pderiv(ch)), ch)
         k = len(mp) - 1
         return [Fraction(c, self.den ** (k - i)) for i, c in enumerate(mp)]
+
+
+def _rational(value):
+    """An int or Fraction as it is (both carry numerator and denominator),
+    anything else through Fraction."""
+    return value if isinstance(value, (int, Fraction)) else Fraction(value)
 
 
 def _poly_str(coords):

@@ -14,6 +14,19 @@ from integer Horner on d^k * p(n/d).  Irreducibility over Z is proven from
 the factor degrees modulo small primes (distinct-degree factorization only);
 Zassenhaus factoring with Hensel lifting covers what those leave open and
 produces the factors.
+
+Modular work on one f runs on an F_q kernel built per (f, q) and dropped
+with the call (``FqKernel``): a table of x^k mod f filled by shifts, a
+multiply-and-reduce over it, and the Frobenius matrix whose rows are
+x^(iq) mod f.  Distinct-degree factorization steps h -> h^q as one
+matrix-vector product (Cohen, GTM 138, Section 3.4), so both the degree
+patterns and ``fp_factor`` (Dedekind, splitting types, Zassenhaus) pay for
+x^q once per prime.  The discriminant of a monic f of degree n is
+(-1)^(n(n-1)/2) N(f'(theta)), the determinant of the n x n multiplication
+matrix of f'(theta), since Res(f, f') = N(f'(theta)); ``resultant`` keeps
+the Sylvester determinant for general pairs.  Hensel lifting is quadratic
+(von zur Gathen and Gerhard, Modern Computer Algebra, Alg. 15.10): the
+factors and their Bezout pair are lifted together from p^j to p^(2j).
 """
 
 from fractions import Fraction
@@ -21,16 +34,18 @@ from itertools import combinations
 from math import gcd, isqrt, lcm
 
 from . import linalg
+from .integerfactor import SMALL_PRIMES, is_prime
 
 __all__ = [
-    "strip", "degree", "padd", "psub", "pneg", "pmul", "pscale",
+    "strip", "degree", "padd", "psub", "pneg", "pmul",
     "peval", "pderiv", "sign",
     "sturm_chain", "count_real_roots",
     "isolate_real_roots", "refine_interval", "interval_eval", "cauchy_bound",
-    "fp_factor", "fp_gcd", "fp_mul", "fp_divmod", "fp_pow_mod",
+    "fp_factor", "fp_gcd", "fp_mul", "fp_divmod", "fp_rem", "fp_pow_mod",
+    "FqKernel",
     "zx_gcd", "zx_factor", "zx_is_irreducible",
     "irreducible_by_degree_patterns",
-    "resultant", "poly_disc",
+    "resultant", "mul_matrix", "poly_disc",
 ]
 
 
@@ -47,9 +62,12 @@ def degree(p):
 
 
 def padd(a, b):
-    n = max(len(a), len(b))
-    return strip([(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
-                  for i in range(n)])
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, c in enumerate(b):
+        out[i] += c
+    return strip(out)
 
 
 def pneg(a):
@@ -70,12 +88,6 @@ def pmul(a, b):
         for j, cb in enumerate(b):
             out[i + j] += ca * cb
     return strip(out)
-
-
-def pscale(a, c):
-    if c == 0:
-        return []
-    return [x * c for x in a]
 
 
 def peval(p, x):
@@ -263,8 +275,8 @@ def fp_mul(a, b, q):
 
 
 def fp_divmod(a, b, q):
-    """Quotient and remainder of a by b over F_q, q prime: one top-down pass
-    over a copy of a."""
+    """Quotient and remainder of a by b over F_q, q prime, or modulo any q
+    when b is monic: one top-down pass over a copy of a."""
     if not b:
         raise ZeroDivisionError
     a = list(a)
@@ -286,10 +298,23 @@ def fp_monic(a, q):
     return [c * inv % q for c in a]
 
 
+def fp_rem(a, b, q):
+    """a mod b over F_q, q prime: fp_divmod without the quotient."""
+    a = list(a)
+    n = len(b) - 1
+    inv = pow(b[-1], q - 2, q)
+    for k in range(len(a) - n - 1, -1, -1):
+        c = a[k + n] * inv % q
+        if c:
+            for i in range(n):
+                a[i + k] = (a[i + k] - c * b[i]) % q
+    return strip(a[:n])
+
+
 def fp_gcd(a, b, q):
     a, b = fp_norm(a, q), fp_norm(b, q)
     while b:
-        a, b = b, fp_divmod(a, b, q)[1]
+        a, b = b, fp_rem(a, b, q)
     return fp_monic(a, q)
 
 
@@ -331,19 +356,98 @@ def _fp_sqf(f, q):
     return out
 
 
+class FqKernel:
+    """Arithmetic in F_q[x]/(f) for one monic f of degree n >= 2, q prime.
+
+    Residues are dense lists of n coefficients in [0, q).  The table holds
+    x^k mod f for k <= top, each from the one before by a shift, where
+    top = 2n - 2, or q when shifting on to x^q is cheaper than squaring;
+    ``mulmod`` multiplies two residues and folds the high part of the
+    product back through it, reducing mod q once per coefficient.  ``xq``
+    is x^q mod f.  The Frobenius matrix has the rows x^(iq) mod f,
+    0 <= i < n (Cohen, GTM 138, Section 3.4): the q-th power is F_q-linear
+    and fixes F_q, so h^q = sum_i h_i x^(iq), one matrix-vector product.
+    It is built on the first ``frobenius`` call.
+    """
+
+    __slots__ = ("f", "q", "n", "_powers", "_high", "xq", "_frob")
+
+    def __init__(self, f, q):
+        n = len(f) - 1
+        self.f, self.q, self.n = f, q, n
+        # shifting from x^(2n-2) on to x^q costs about (q - 2n) * n
+        # products, squaring about 2n^2 per bit of q
+        top = 2 * n - 2
+        if top < q and q - 2 * n < 2 * n * q.bit_length():
+            top = q
+        powers = [[0] * k + [1] + [0] * (n - 1 - k) for k in range(n)]
+        while len(powers) <= top:
+            powers.append(self._times_x(powers[-1]))
+        self._powers, self._high = powers, powers[n:]
+        if q <= top:
+            xq = powers[q]
+        else:
+            xq = powers[1]
+            for bit in bin(q)[3:]:
+                xq = self.mulmod(xq, xq)
+                if bit == "1":
+                    xq = self._times_x(xq)
+        self.xq = xq
+        self._frob = None
+
+    def _times_x(self, r):
+        f, q, lead = self.f, self.q, r[-1]
+        return [-lead * f[0] % q] + [(r[i - 1] - lead * f[i]) % q
+                                     for i in range(1, self.n)]
+
+    def mulmod(self, a, b):
+        """a * b mod f."""
+        n = self.n
+        prod = [0] * (2 * n - 1)
+        for i, ca in enumerate(a):
+            if ca:
+                for j, cb in enumerate(b, i):
+                    prod[j] += ca * cb
+        return self._fold(prod[:n], prod[n:], self._high)
+
+    def frobenius(self, h):
+        """h^q mod f."""
+        if self._frob is None:
+            powers, xq = self._powers, self.xq
+            rows = [powers[0], xq]
+            for i in range(2, self.n):
+                k = i * self.q
+                rows.append(powers[k] if k < len(powers)
+                            else self.mulmod(rows[-1], xq))
+            self._frob = rows
+        return self._fold([0] * self.n, h, self._frob)
+
+    def _fold(self, out, coeffs, rows):
+        """out + sum_k coeffs[k] * rows[k], each coefficient reduced mod q."""
+        for c, row in zip(coeffs, rows):
+            if c:
+                out = [o + c * r for o, r in zip(out, row)]
+        q = self.q
+        return [o % q for o in out]
+
+
 def _fp_ddf(f, q):
-    """Distinct-degree split of monic squarefree f: list of (product, d)."""
+    """Distinct-degree split of monic squarefree f: list of (product, d).
+
+    h = x^(q^d) mod f steps through the Frobenius matrix of f.  The factors
+    of degree d of what is left of f divide h - x, and h mod f reduced mod
+    a divisor of f is h mod that divisor, so the kernel of f serves
+    throughout."""
     out = []
-    h = [0, 1]
-    d = 0
-    while degree(f) > 0 and 2 * (d + 1) <= degree(f):
+    kernel = FqKernel(f, q) if degree(f) >= 2 else None
+    d, h = 0, None
+    while 2 * (d + 1) <= degree(f):
         d += 1
-        h = fp_pow_mod(h, q, f, q)
+        h = kernel.xq if h is None else kernel.frobenius(h)
         g = fp_gcd(psub_mod(h, [0, 1], q), f, q)
         if degree(g) > 0:
             out.append((g, d))
             f = fp_divmod(f, g, q)[0]
-            h = fp_divmod(h, f, q)[1]
     if degree(f) > 0:
         out.append((f, degree(f)))
     return out
@@ -408,30 +512,31 @@ def fp_factor(f, q):
 # -------------------------------------------------- factorization over Z
 
 def _hensel_pair(f, g, h, p, pk):
-    """Lift f = g*h (mod p) with gcd(g,h)=1 mod p to mod pk; all monic.
+    """Lift f = g*h (mod p), g and h monic and coprime mod p, to mod pk.
 
-    Linear lift: at modulus m, e := (f - g*h)/m mod p and the correction
-    dg*h + dh*g = e (mod p) is solved through the Bezout pair of (g, h).
+    Quadratic lift (von zur Gathen and Gerhard, Modern Computer Algebra,
+    Alg. 15.10): each step goes from modulus m to m' = min(m^2, pk), which
+    divides m^2, and corrects the factors and the Bezout pair s*g + t*h = 1
+    together, so pk = p^k is reached in about log2(k) steps; the last step
+    leaves the pair alone.  Products are taken over Z and reduced once, and
+    the divisor h is monic, so division is exact modulo the composite m'.
     """
-    _gcd1, _s, t = _fp_xgcd(fp_norm(g, p), fp_norm(h, p), p)
-    g, h = list(g), list(h)
+    _gcd1, s, t = _fp_xgcd(g, h, p)
     m = p
     while m < pk:
-        diff = psub(f, pmul(g, h))
-        e = fp_norm([(c // m) % p for c in diff], p)
-        if e:
-            gp, hp = fp_norm(g, p), fp_norm(h, p)
-            dg = fp_divmod(fp_mul(t, e, p), gp, p)[1]
-            dh, rem = fp_divmod(psub_mod(e, fp_mul(dg, hp, p), p), gp, p)
-            if rem:
-                raise AssertionError("hensel correction not divisible")
-            g = padd(g, pscale(dg, m))
-            h = padd(h, pscale(dh, m))
-        m *= p
-        g = [c % m for c in g[:-1]] + [g[-1]]
-        h = [c % m for c in h[:-1]] + [h[-1]]
-    return strip([c % pk for c in g[:-1]] + [g[-1]]), \
-        strip([c % pk for c in h[:-1]] + [h[-1]])
+        m = min(m * m, pk)
+        e = fp_norm(psub(f, pmul(g, h)), m)
+        quo, rem = fp_divmod(pmul(s, e), h, m)
+        g = fp_norm(padd(pmul(padd(quo, [1]), g), pmul(t, e)), m)
+        h = fp_norm(padd(h, rem), m)
+        if m < pk:
+            b = fp_norm(padd(padd(pmul(s, g), pmul(t, h)), [-1]), m)
+            quo, rem = fp_divmod(pmul(s, b), h, m)
+            s = fp_norm(psub(s, rem), m)
+            t = fp_norm(psub(t, padd(pmul(t, b), pmul(quo, g))), m)
+    if fp_norm(psub(f, pmul(g, h)), pk):
+        raise AssertionError("Hensel lift is not a factorization mod pk")
+    return g, h
 
 
 def _fp_xgcd(a, b, q):
@@ -494,23 +599,28 @@ def zx_gcd(a, b):
         a, b = b, _primitive(rem)
 
 
-_FACTOR_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
-                  59, 61, 67, 71, 73, 79, 83, 89, 97, 101, 103, 107, 109)
+def _odd_primes():
+    """3, 5, 7, ...: the trial-division table, then is_prime past it."""
+    yield from SMALL_PRIMES[1:]
+    cand = SMALL_PRIMES[-1] + 2
+    while True:
+        if is_prime(cand):
+            yield cand
+        cand += 2
 
 
 def _zx_factor_squarefree(f):
-    """Zassenhaus: factor a monic squarefree integer polynomial."""
+    """Zassenhaus: factor a monic squarefree integer polynomial.
+
+    The prime is the least odd one that keeps f squarefree of its degree;
+    only the finitely many primes dividing disc(f) != 0 fail that."""
     n = degree(f)
     if n <= 1:
         return [f]
-    p = None
-    for cand in _FACTOR_PRIMES:
-        fb = fp_norm(f, cand)
-        if degree(fb) == n and degree(fp_gcd(fb, _fp_deriv(fb, cand), cand)) == 0:
-            p = cand
+    for p in _odd_primes():
+        fb = fp_norm(f, p)
+        if degree(fb) == n and degree(fp_gcd(fb, _fp_deriv(fb, p), p)) == 0:
             break
-    if p is None:
-        raise ArithmeticError("no good reduction prime found")
     modular = [g for g, _ in fp_factor(f, p)]
     if len(modular) == 1:
         return [f]
@@ -649,13 +759,31 @@ def resultant(f, g):
     return linalg.det(rows)
 
 
+def mul_matrix(f, g):
+    """Integer matrix of multiplication by g(theta) on Z[theta], theta a root
+    of the monic f of degree n and g of degree < n, in the power basis:
+    column j is theta^j * g(theta)."""
+    n = degree(f)
+    col = list(g) + [0] * (n - len(g))
+    cols = [col]
+    for _ in range(n - 1):
+        top = col[-1]
+        col = [-top * f[0]] + [col[i - 1] - top * f[i] for i in range(1, n)]
+        cols.append(col)
+    return [[cols[j][i] for j in range(n)] for i in range(n)]
+
+
 def poly_disc(f):
-    """Discriminant of a monic integer polynomial."""
+    """Discriminant of a monic integer polynomial of degree n:
+    (-1)^(n(n-1)/2) * Res(f, f'), and Res(f, f') = N(f'(theta)) for monic f,
+    the determinant of the n x n multiplication matrix of f'(theta)."""
     n = degree(f)
     if n <= 0:
         raise ValueError("discriminant needs degree >= 1")
+    if f[-1] != 1:
+        raise ValueError("poly_disc expects a monic polynomial")
     if n == 1:
         return 1
-    res = resultant(f, pderiv(f))
+    res = linalg.det(mul_matrix(f, pderiv(f)))
     s = -1 if (n * (n - 1) // 2) % 2 else 1
     return s * res

@@ -373,10 +373,106 @@ class TestHardFactorizations:
         assert error["leftover"] == str(pq)
 
 
+class TestZassenhausPrime:
+    def test_search_goes_past_every_prime_of_the_discriminant(self, capsys):
+        # x^2 - P, P the product of the primes below 110: all of them divide
+        # the discriminant 4P, so no degree pattern is taken and Zassenhaus
+        # needs a prime above 109 to prove the field irreducible
+        big = 1
+        for q in sympy.primerange(2, 110):
+            big *= q
+        code, rep = run_json(capsys, ["field", f"x^2 - {big}"])
+        assert code == 0
+        assert rep["result"]["signature"] == [2, 0]
+        assert rep["result"]["field_disc"] == str(4 * big)
+
+
+# The seven request kinds of the benchmark's field-sweep workload, with the
+# field in its place, and per field the (exit code, sha256 of the JSON bytes)
+# of each, taken before field construction moved to the F_q kernel, the
+# discriminant as a norm and quadratic Hensel lifting.
+FIELD_SWEEP_COMMANDS = (
+    ("field",),
+    ("check", "cor-7-2"),
+    ("check", "thm-7-3", "--mode", "2"),
+    ("scan", "--l-max", "1000"),
+    ("check", "thm-7-1", "--l", "23"),
+    ("frey", "2r", "--a", "1", "--b", "1", "--c", "1", "--r", "1", "--p", "5"),
+    ("frey", "pp2", "--a", "2", "--b", "1", "--c", "3", "--p", "3",
+     "--prime", "2"),
+)
+FIELD_CONSTRUCTION_GOLDEN = {
+    # irreducible sextic, irreducible quintic, reducible quartic (Reducible
+    # witness), a repeated factor (x + 1)(x^2 - 2)^2, Dedekind's
+    # IndexDivisor at 2
+    "x^6 - 6*x^4 + 9*x^2 - 3": (
+        (0, "7482e41eeea133e01be8b13a9dffa4b6b2fb2aac0df1f4c5a5639c59358de8f2"),
+        (2, "752002ab8185035fd041e96331cf51239caebf64cad51c7b52226e18dab19a75"),
+        (2, "47a4a3f66e4f67e598e4e8c90c92b445da232846754b511e2c95dafe0a3df724"),
+        (0, "38e4a75145d6e1559ad5a3d372ced568d703008d02944880c110fdfff20580d3"),
+        (2, "847460607b0b5f8c6da54a0b9931b48233f409617e23a697bf12f73131fea911"),
+        (0, "1d0e2ac65155d054ca490100dd5f47a7718138be9d02971fef785598acc23914"),
+        (0, "64743da32db9d8e676828a18fe702f371ee0c68ad86672938340d4e6c377d484"),
+    ),
+    "x^5 - x^4 - 4*x^3 + 3*x^2 + 3*x - 1": (
+        (0, "b5c45400a4c557be1d5790e06526a59c6b010cc1b4464ccc6539cdf05c789f49"),
+        (2, "4f57b4aa913eda2d37773ae19c40d904e0a2bbdc702cacbafd5544b1eff946be"),
+        (2, "16e1b651d7bd67de05cf79de190627e04be4e2b145f85529b1753d9d65e7c6ff"),
+        (0, "bc4046c90b4a2ea2111ee4ceb3d6e1d2e163f3df9f9aa5d13ccde7168754ff35"),
+        (2, "08c1832a4289b2ccab30ece2b4434a61a600ca33a644c34f00e3f7b02b0be4ff"),
+        (0, "4042dc2abef7dbb1fbaf6f951c8b87e023f7018212ee8b208f2b5f4810669224"),
+        (0, "05e4dea0d4d5a267db20e78c85dc2c525607a78541a4014020467ccfd6a0382d"),
+    ),
+    "x^4 - 5*x^2 + 6": (
+        (1, "a08a7095db9ca2598e857df5fab58658f29d2f93c7f9b18adbaa8e351bf1f4f5"),
+        (1, "f1ff57f97872ee6c4f7e1b87ba5d3593464bb548bd7f673bc03a61be338b5d46"),
+        (1, "f21f17044468b3f386a1dc2dddf711d03a6b3c3bd0627c31d34a1f5e0c37c70c"),
+        (1, "b3941b23b0c9a7f3a0e52022287e42c2fbfc321bf38f11a17ab2bdf51bc8ca06"),
+        (1, "941d361b7434d6ecea4333b67b10c53c52d216c29042f3373ab9c668a90e6161"),
+        (1, "fffa4da2002acdfa0be9b1afca501ad83ef948942406ab1ed1875f7f96cf889c"),
+        (1, "3a07e573b802740a04e6afd58c55a6c495d58ff4e24455fe8305971fbc403956"),
+    ),
+    "x^5 + x^4 - 4*x^3 - 4*x^2 + 4*x + 4": (
+        (1, "bb463b696ff75672baab6b3d9f0189f50b0916e95f6ccc29d1a4adb35f2be3f3"),
+        (1, "59eaa3ea0bb148d4a8347f7a39ea60ae55ac33c5069a4306e537576a0dff4620"),
+        (1, "1ee6016bc22080c5ea469025c6427ef6eb53a3d1cf0b85f24b316a88d30f37d5"),
+        (1, "e3484b90a97ffe070130096bf52411f9d3fd48ef7ac6e73e738f49faafbdc69f"),
+        (1, "4633787f8b739d171f914a1f2b217d0d2e642aef422ca288653ffb5331344384"),
+        (1, "fa0758ad4ad01e3d7058040f4a3d0fdb1e2ea5f8c076cb075954f5bab05439a4"),
+        (1, "4dda51572480937174548a5c67764176ea491597bd0d88990fdd6ad261d928bb"),
+    ),
+    "x^3 - x^2 - 2*x - 8": (
+        (1, "5738d2e3c88c901eceeca9ac735c856db1cf4d652cfe1f62eede29ee32bedc8c"),
+        (1, "b7fe5b181ca60271580824475059087ae128377bee3766182a8c102ffefe4f44"),
+        (2, "e177d4aab409d09f3e3f7dc61938465f36e0ae243d9b1cff3561188a2e4bb535"),
+        (0, "c5db98434b39173a61e9c43457705d65a3a34e9eab69f5f7eef11a973fad3155"),
+        (1, "5486c09925955fd7896fa7b1b05023f970fb97417f4374002b53f42b8b2addfe"),
+        (0, "d013409f82cd9211ae1a29608481528bbb726d2768a91cd58804195e8c4883f6"),
+        (1, "a539d15a3b8b2d9fc5b062b8c6efa45181ea9de01d16957c4ff9817c6d6535c4"),
+    ),
+}
+
+
+def assert_json_bytes(capsys, argv, code, digest):
+    assert run(["--output", "json", *argv]) == code
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == digest
+
+
+def field_sweep_cases():
+    for poly, expected in FIELD_CONSTRUCTION_GOLDEN.items():
+        for cmd, (code, digest) in zip(FIELD_SWEEP_COMMANDS, expected):
+            head = 2 if cmd[0] in ("check", "frey") else 1
+            argv = [*cmd[:head], poly, *cmd[head:]]
+            yield pytest.param(argv, code, digest,
+                               id=f"{' '.join(cmd[:head])} {poly}")
+
+
 class TestGoldenBytes:
     """sha256 of the --output json bytes of the sunit-box requests of the
     benchmark and of one thm-5-2 check, taken when elements were still
-    written and ordered through Fraction coordinates."""
+    written and ordered through Fraction coordinates, and of the field-sweep
+    requests on five fields (FIELD_CONSTRUCTION_GOLDEN)."""
 
     @pytest.mark.parametrize("argv, code, digest", [
         (["sunit", "x^2-2", "--bound", "20"], 0,
@@ -389,9 +485,11 @@ class TestGoldenBytes:
          "4988fb1d09a1cf8aba5c08963278472d394db0de9920d23fce05696dbe48a1a4"),
     ], ids=["sunit-sqrt2", "sunit-x2-x-4", "sunit-cubic", "thm-5-2-sqrt2"])
     def test_json_bytes(self, capsys, argv, code, digest):
-        assert run(["--output", "json", *argv]) == code
-        out = capsys.readouterr().out.encode()
-        assert hashlib.sha256(out).hexdigest() == digest
+        assert_json_bytes(capsys, argv, code, digest)
+
+    @pytest.mark.parametrize("argv, code, digest", field_sweep_cases())
+    def test_field_construction_bytes(self, capsys, argv, code, digest):
+        assert_json_bytes(capsys, argv, code, digest)
 
 
 def run_fresh(argv):

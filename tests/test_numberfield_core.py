@@ -201,6 +201,61 @@ class TestCanonicalForm:
         assert field.theta() != 0
 
 
+class TestRationalFastPaths:
+    """A rational operand skips the general kernels: a product scales the
+    other factor's num, an inverse is den/num[0], and an int or Fraction
+    operand of +, - and == goes straight to (num, den).  Each must give the
+    canonical (num, den) of the general path."""
+
+    @SETTINGS
+    @given(field_and_coords(), coordinate)
+    def test_product_with_a_rational_factor(self, drawn, r):
+        field, (a,) = drawn
+        x, y = field.element(a), field.from_rational(r)
+        general = FieldElement(field, field.mul_num(x.num, y.num),
+                               x.den * y.den)
+        for z in (x * y, y * x, x * r, r * x):
+            assert (z.num, z.den) == (general.num, general.den)
+        # a factor with top coordinate 0 need not be rational
+        w = field.element(a[:-1] + [Fraction(0)])
+        general = FieldElement(field, field.mul_num(w.num, x.num),
+                               w.den * x.den)
+        for z in (w * x, x * w):
+            assert (z.num, z.den) == (general.num, general.den)
+
+    @SETTINGS
+    @given(st.sampled_from(sorted(FIELDS)), coordinate.filter(bool))
+    def test_inverse_of_a_rational_element(self, spec, r):
+        field = FIELDS[spec]
+        x = field.from_rational(r)
+        n = field.degree
+        d, y = linalg.solve(x.num_matrix(), [1] + [0] * (n - 1))
+        general = FieldElement(field, [x.den * c for c in y], d)
+        inv = x.inverse()
+        assert (inv.num, inv.den) == (general.num, general.den)
+        assert inv.coords == (1 / r,) + (0,) * (n - 1)
+
+    @SETTINGS
+    @given(field_and_coords(), st.booleans(),
+           st.integers(-10 ** 6, 10 ** 6) | coordinate)
+    def test_rational_operands_of_add_sub_eq(self, drawn, rational, k):
+        field, (a,) = drawn
+        n = field.degree
+        if rational:
+            a = a[:1] + [Fraction(0)] * (n - 1)
+        x = field.element(a)
+        rest = tuple(a[1:])
+        assert (x + k).coords == (a[0] + k,) + rest == (k + x).coords
+        assert (x - k).coords == (a[0] - k,) + rest
+        assert (k - x).coords == (k - a[0],) + tuple(-c for c in rest)
+        assert (x == k) == (tuple(a) == (k,) + (0,) * (n - 1))
+        if x.is_rational() and x.num[0]:
+            assert x != Fraction(x.num[0], x.den + 1)
+        r = field.from_rational(k)
+        assert r == k and (r.num[0], r.den) == (Fraction(k).numerator,
+                                                Fraction(k).denominator)
+
+
 square = st.integers(1, 6).flatmap(lambda n: st.lists(
     st.lists(st.integers(-20, 20), min_size=n, max_size=n),
     min_size=n, max_size=n))

@@ -1,5 +1,6 @@
 """Polynomial engine against sympy oracles: factorization, gcds, division
-over F_p, Sturm, resultants."""
+over F_p, the F_q kernel and distinct-degree factorization, Sturm,
+resultants and discriminants."""
 
 import random
 from fractions import Fraction
@@ -8,11 +9,15 @@ import pytest
 import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from sympy.polys.domains import ZZ
+from sympy.polys.galoistools import gf_ddf_zassenhaus, gf_sqf_p
 
-from afcheck.polynomials import (_yun_squarefree, count_real_roots, degree,
-                                 fp_divmod, fp_factor, fp_mul, fp_norm,
-                                 interval_eval, isolate_real_roots, padd,
-                                 peval, pmul, poly_disc, resultant, strip,
+from afcheck.polynomials import (FqKernel, _fp_ddf, _yun_squarefree,
+                                 count_real_roots, degree, fp_divmod,
+                                 fp_factor, fp_gcd, fp_mul, fp_norm,
+                                 fp_pow_mod, fp_rem, interval_eval,
+                                 isolate_real_roots, padd, peval, pmul,
+                                 poly_disc, psub_mod, resultant, strip,
                                  zx_factor, zx_gcd, zx_is_irreducible)
 
 X = sympy.symbols("x")
@@ -61,6 +66,13 @@ BATTERY = [
 ]
 
 
+def monic_wide(min_degree, max_degree, bound):
+    """Monic integer polynomials with coefficients in [-bound, bound]."""
+    return st.integers(min_degree, max_degree).flatmap(
+        lambda n: st.lists(st.integers(-bound, bound), min_size=n, max_size=n)
+        .map(lambda low: low + [1]))
+
+
 class TestZxFactor:
     def test_battery_against_sympy(self):
         for coeffs in BATTERY:
@@ -83,6 +95,17 @@ class TestZxFactor:
                 for _ in range(mult):
                     total = pmul(total if total != 1 else [1], fac)
             assert [int(c) for c in total] == [int(c) for c in prod]
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(monic_wide(1, 2, 10 ** 6), min_size=3, max_size=4))
+    def test_products_of_wide_factors_against_sympy(self, factors):
+        # factors with coefficients up to 10^6 give products with
+        # coefficients near 10^24, so the lift must pass p^k > 10^27:
+        # several quadratic Hensel steps before recombination
+        f = product((fac, 1) for fac in factors)
+        _, theirs = to_sympy(f).factor_list()
+        assert sorted((tuple(g), m) for g, m in zx_factor(f)) == sorted(
+            (tuple(from_sympy(g)), m) for g, m in theirs)
 
     def test_irreducibility_flags(self):
         assert zx_is_irreducible([1, 0, 0, 0, 1])
@@ -108,6 +131,74 @@ class TestFpFactor:
     def test_inert_cubic_mod_two(self):
         # x^3 + x^2 + 1 over F_2 has no roots, hence is irreducible
         assert fp_factor([1, 0, 1, 1], 2) == [([1, 0, 1, 1], 1)]
+
+
+def loop_ddf(f, q):
+    """Distinct-degree factorization as it stood before the Frobenius
+    kernel: one fp_pow_mod per degree, reducing mod what is left of f."""
+    out = []
+    h = [0, 1]
+    d = 0
+    while degree(f) > 0 and 2 * (d + 1) <= degree(f):
+        d += 1
+        h = fp_pow_mod(h, q, f, q)
+        g = fp_gcd(psub_mod(h, [0, 1], q), f, q)
+        if degree(g) > 0:
+            out.append((g, d))
+            f = fp_divmod(f, g, q)[0]
+            h = fp_divmod(h, f, q)[1]
+    if degree(f) > 0:
+        out.append((f, degree(f)))
+    return out
+
+
+DDF_PRIMES = (2, 3, 5, 7, 11, 13, 29, 101, 997)
+
+
+@st.composite
+def squarefree_mod_q(draw, max_degree=8):
+    """(f, q): f monic and squarefree over F_q, degree 1..max_degree."""
+    q = draw(st.sampled_from(DDF_PRIMES))
+    n = draw(st.integers(1, max_degree))
+    f = draw(st.lists(st.integers(0, q - 1), min_size=n, max_size=n)) + [1]
+    assume(gf_sqf_p(list(reversed(f)), q, ZZ))
+    return f, q
+
+
+def residue(p, n):
+    return p + [0] * (n - len(p))
+
+
+class TestFpKernel:
+    @settings(max_examples=300, deadline=None)
+    @given(squarefree_mod_q())
+    def test_ddf_against_sympy_and_the_loop(self, drawn):
+        f, q = drawn
+        theirs = [([int(c) for c in reversed(g)], d)
+                  for g, d in gf_ddf_zassenhaus(list(reversed(f)), q, ZZ)]
+        assert _fp_ddf(f, q) == theirs == loop_ddf(f, q)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(DDF_PRIMES), st.data())
+    def test_mulmod_and_frobenius(self, q, data):
+        n = data.draw(st.integers(2, 8))
+        coeffs = st.lists(st.integers(0, q - 1), min_size=n, max_size=n)
+        f = data.draw(coeffs) + [1]
+        a, b = data.draw(coeffs), data.draw(coeffs)
+        kernel = FqKernel(f, q)
+        assert kernel.mulmod(a, b) == residue(
+            fp_divmod(fp_mul(strip(a), strip(b), q), f, q)[1], n)
+        assert kernel.xq == residue(fp_pow_mod([0, 1], q, f, q), n)
+        assert kernel.frobenius(a) == residue(
+            fp_pow_mod(strip(a), q, f, q), n)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(DDF_PRIMES), st.data())
+    def test_rem_is_the_divmod_remainder(self, q, data):
+        residues = st.lists(st.integers(0, q - 1), max_size=9)
+        a, b = strip(data.draw(residues)), strip(data.draw(residues))
+        assume(b)
+        assert fp_rem(a, b, q) == fp_divmod(a, b, q)[1]
 
 
 class TestSturm:
@@ -173,6 +264,16 @@ class TestResultant:
         for coeffs in ([-2, 0, 1], [1, 0, -1, 1], [1, 3, 0, 0, 1], [7, 1]):
             assert poly_disc(coeffs) == int(sympy.discriminant(
                 to_sympy(coeffs).as_expr(), X))
+
+    @settings(max_examples=150, deadline=None)
+    @given(monic_wide(1, 8, 10 ** 12))
+    def test_disc_as_a_norm_against_sympy(self, coeffs):
+        # (-1)^(n(n-1)/2) N(f'(theta)) against sympy's subresultants
+        assert poly_disc(coeffs) == int(to_sympy(coeffs).discriminant())
+
+    def test_disc_needs_a_monic_polynomial(self):
+        with pytest.raises(ValueError):
+            poly_disc([1, 0, 2])
 
 
 class TestGcd:
