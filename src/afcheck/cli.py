@@ -253,6 +253,7 @@ def run(argv) -> int:
         return EXIT_ERROR if exc.code else EXIT_OK
     cfg = RunConfig(output=args.output, seed=args.seed)
     started = time.monotonic()
+    field = None  # an error report summarises the field if it was built
     try:
         if args.config:
             _load_config_file(args.config, cfg)
@@ -267,7 +268,7 @@ def run(argv) -> int:
         error = {"error": {"type": type(exc).__name__, "message": str(exc),
                            **getattr(exc, "payload", {})}}
         if cfg.output == "json":
-            sys.stdout.write(emit_json(build_report(None, _echo(args, cfg),
+            sys.stdout.write(emit_json(build_report(field, _echo(args, cfg),
                                                     error, [], None)))
         else:
             sys.stderr.write(f"error ({type(exc).__name__}): {exc}\n")

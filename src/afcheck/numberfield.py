@@ -30,7 +30,7 @@ from . import linalg
 from .errors import (DegreeZero, DivisionByZero, NotMonic, NotTotallyReal,
                      Reducible, Unsupported, ZeroElement)
 from .parsing import parse_poly
-from .polynomials import (_zx_divides, interval_eval,
+from .polynomials import (_zx_divides, has_small_integer_root, interval_eval,
                           irreducible_by_degree_patterns, isolate_real_roots,
                           mul_matrix, pderiv, poly_disc, refine_interval,
                           strip, zx_factor, zx_gcd)
@@ -377,8 +377,10 @@ def _poly_str(coords):
 def make_field(spec):
     """Build a NumberField from a polynomial string or coefficient list.
 
-    Verifies monicity and irreducibility over Q (degree patterns modulo small
-    primes, Hensel factoring where they leave it open), and computes the exact
+    Verifies monicity and irreducibility over Q: degree patterns modulo
+    small primes prove most fields irreducible, and Hensel factoring decides
+    what they leave open and names the witness of a reducible polynomial; one
+    with a small integer root goes to it at once.  Computes the exact
     discriminant and the signature by integer Sturm isolation.
     """
     if isinstance(spec, str):
@@ -395,20 +397,30 @@ def make_field(spec):
     n = len(coeffs) - 1
     if n > MAX_DEGREE:
         raise Unsupported(f"degree {n} > {MAX_DEGREE} not supported")
+    # an integer root proves f reducible (n >= 2): such f go straight to
+    # Hensel factoring, which names the witness
+    if n >= 2 and has_small_integer_root(coeffs):
+        _refuse_reducible(coeffs)
     disc = poly_disc(coeffs)
     # disc = 0 means a repeated factor; Hensel factoring decides what the
-    # degree patterns leave open and names the witness
+    # degree patterns leave open
     if disc == 0 or not irreducible_by_degree_patterns(coeffs, disc):
-        factors = zx_factor(coeffs)
-        if len(factors) != 1 or factors[0][1] != 1:
-            witness = min((f for f, _ in factors), key=len)
-            raise Reducible(f"polynomial factors; witness {_poly_str(witness)}",
-                            factor=witness)
+        _refuse_reducible(coeffs)
     roots = isolate_real_roots(coeffs)
     field = NumberField(coeffs, disc, roots)
     if field.degree == 1:
         field.field_disc = 1
     return field
+
+
+def _refuse_reducible(coeffs):
+    """Raise Reducible, with a factor of least degree as the witness, unless
+    f is irreducible over Z."""
+    factors = zx_factor(coeffs)
+    if len(factors) != 1 or factors[0][1] != 1:
+        witness = min((f for f, _ in factors), key=len)
+        raise Reducible(f"polynomial factors; witness {_poly_str(witness)}",
+                        factor=witness)
 
 
 # ----------------------------------------------------- spec-level helpers

@@ -62,8 +62,10 @@ def _tokenize(text):
 def _check_digits(c, what):
     """Refuse a rational c whose numerator or denominator has more than
     MAX_PARSED_DIGITS digits."""
-    c = Fraction(c)
-    if max(abs(c.numerator), c.denominator) >= _DIGITS_BOUND:
+    if type(c) is not int:
+        c = Fraction(c)
+        c = max(abs(c.numerator), c.denominator)
+    if abs(c) >= _DIGITS_BOUND:
         raise ParseError(f"{what} above the parser's cap of "
                          f"{MAX_PARSED_DIGITS} digits")
 
@@ -152,6 +154,8 @@ class _Parser:
                                  f"{MAX_PARSED_DEGREE}")
             if len(base) == 1:
                 return [_constant_power(base[0], val)]
+            if base == [0, 1]:
+                return [0] * val + [1]
             out = [1]
             for _ in range(val):
                 out = pmul(out, base)

@@ -9,9 +9,11 @@ isolation input, which is scaled to integers first.  Everything here is
 exact; no floating point enters any decision.
 
 Real roots are isolated over Z: the Sturm chain is a sequence of scaled
-pseudo-remainders freed of their content, and signs at a rational n/d come
-from integer Horner on d^k * p(n/d).  Irreducibility over Z is proven from
-the factor degrees modulo small primes (distinct-degree factorization only);
+pseudo-remainders freed of their content, bisection endpoints are integers
+over lc * 2^depth, and signs at such a point come from integer Horner with
+shifts.  An integer root dividing f(0) proves reducibility at once
+(``has_small_integer_root``); irreducibility over Z is proven from the
+factor degrees modulo small primes (distinct-degree factorization only);
 Zassenhaus factoring with Hensel lifting covers what those leave open and
 produces the factors.
 
@@ -44,7 +46,7 @@ __all__ = [
     "fp_factor", "fp_gcd", "fp_mul", "fp_divmod", "fp_rem", "fp_pow_mod",
     "FqKernel",
     "zx_gcd", "zx_factor", "zx_is_irreducible",
-    "irreducible_by_degree_patterns",
+    "irreducible_by_degree_patterns", "has_small_integer_root",
     "resultant", "mul_matrix", "poly_disc",
 ]
 
@@ -129,13 +131,17 @@ def _scaled_rem(a, b):
     a = list(a)
     lead = b[-1]
     scale, flip = abs(lead), 1 if lead > 0 else -1
-    while len(a) >= len(b):
-        c, k = a[-1] * flip, len(a) - len(b)
+    nb = len(b) - 1
+    while len(a) > nb:
+        # scale * top - c * lead = 0, so the top coefficient drops out
+        c = a.pop() * flip
+        k = len(a) - nb
         if scale != 1:
             a = [scale * x for x in a]
-        for i, cb in enumerate(b):
-            a[i + k] -= c * cb
-        a = strip(a)
+        for i in range(nb):
+            a[i + k] -= c * b[i]
+        while a and not a[-1]:
+            a.pop()
     return a
 
 
@@ -172,10 +178,6 @@ def _variations(signs):
     return sum(1 for a, b in zip(signs, signs[1:]) if a * b < 0)
 
 
-def _variations_at(chain, x):
-    return _variations([_sign_at(p, x) for p in chain])
-
-
 def _variations_at_inf(chain, direction):
     sgs = []
     for p in chain:
@@ -198,6 +200,38 @@ def cauchy_bound(p):
     return Fraction(1) + m / lead
 
 
+def _scaled_chain(chain, lead):
+    """Each member c_0..c_k of the chain as c_i * lead^(k-i): its value at
+    m / 2^j, times (lead * 2^j)^k, is the value of the member at
+    m / (lead * 2^j), so it has the same sign there."""
+    if lead == 1:
+        return chain
+    return [[c * lead ** (len(p) - 1 - i) for i, c in enumerate(p)]
+            for p in chain]
+
+
+def _scaled_value(p, m, j):
+    """sum c_i m^i 2^(j(k-i)) for p = c_0..c_k: 2^(jk) p(m / 2^j), which
+    has the sign of p at m / 2^j."""
+    acc, shift = 0, 0
+    for c in reversed(p):
+        acc = acc * m + (c << shift)
+        shift += j
+    return acc
+
+
+def _chain_variations(chain, m, j):
+    """Sign variations of the (scaled) chain at m / 2^j."""
+    count, last = 0, 0
+    for p in chain:
+        s = sign(_scaled_value(p, m, j))
+        if s:
+            if s == -last:
+                count += 1
+            last = s
+    return count
+
+
 def isolate_real_roots(p):
     """Isolating intervals for the real roots of a squarefree polynomial.
 
@@ -206,7 +240,13 @@ def isolate_real_roots(p):
     irreducible defining polynomials), so interval endpoints never collide
     with a root and each open interval holds exactly one simple root with a
     sign change between its endpoints.  Rational coefficients are scaled to
-    integers first; all sign evaluation is integer arithmetic.
+    integers first.
+
+    The search bisects (-b, b), b = B/L the Cauchy bound with L = |lc(p)|,
+    so every endpoint at depth j is an integer m over L * 2^j.  Endpoints are
+    carried as such integers and the Sturm chain, scaled once by powers of
+    L, is evaluated at m / 2^j by integer Horner with shifts; a Fraction is
+    built only for the endpoints returned.
     """
     p = _integral(p)
     if degree(p) <= 0:
@@ -215,25 +255,31 @@ def isolate_real_roots(p):
         r = -Fraction(p[0]) / Fraction(p[1])
         return [(r, r)]
     chain = sturm_chain(p)
-    b = cauchy_bound(p)
+    lead = abs(chain[0][-1])
+    bound = lead + max(abs(c) for c in chain[0][:-1])
+    chain = _scaled_chain(chain, lead)
     out = []
-    # (lo, hi, sign variations at lo, at hi): the interval holds the
-    # difference in roots, in (lo, hi]
-    work = [(-b, b, _variations_at(chain, -b), _variations_at(chain, b))]
+    # (lo, hi, depth, variations at lo, at hi), endpoints over lead * 2^depth:
+    # the interval holds the difference in roots, in (lo, hi]
+    work = [(-bound, bound, 0, _chain_variations(chain, -bound, 0),
+             _chain_variations(chain, bound, 0))]
     while work:
-        lo, hi, vlo, vhi = work.pop()
+        lo, hi, j, vlo, vhi = work.pop()
         cnt = vlo - vhi
         if cnt == 0:
             continue
         if cnt == 1:
-            if _sign_at(p, lo) * _sign_at(p, hi) >= 0:
+            if sign(_scaled_value(chain[0], lo, j)) \
+                    * sign(_scaled_value(chain[0], hi, j)) >= 0:
                 raise ArithmeticError("isolation endpoint touched a root")
-            out.append((lo, hi))
+            out.append((lo, hi, j))
             continue
-        mid = (lo + hi) / 2
-        vmid = _variations_at(chain, mid)
-        work.append((lo, mid, vlo, vmid))
-        work.append((mid, hi, vmid, vhi))
+        mid, j = lo + hi, j + 1
+        vmid = _chain_variations(chain, mid, j)
+        work.append((2 * lo, mid, j, vlo, vmid))
+        work.append((mid, 2 * hi, j, vmid, vhi))
+    out = [(Fraction(lo, lead << j), Fraction(hi, lead << j))
+           for lo, hi, j in out]
     out.sort()
     return out
 
@@ -701,6 +747,24 @@ def zx_factor(f):
 def zx_is_irreducible(f):
     facs = zx_factor(f)
     return len(facs) == 1 and facs[0][1] == 1
+
+
+# largest |r| the integer-root screen tries: it finds every integer root when
+# |f(0)| <= 16, and a miss costs at most 32 Horner evaluations
+_SCREEN_ROOTS = 16
+
+
+def has_small_integer_root(f):
+    """True when the integer polynomial f vanishes at 0 or at some +-r with
+    r | f(0) and r <= 16 (an integer root divides f(0)); False says nothing.
+
+    For deg f >= 2 such a root proves f reducible at the cost of a few Horner
+    evaluations, before any prime is spent on its degree patterns."""
+    c0 = f[0]
+    return c0 == 0 or any(
+        c0 % r == 0 and (_scaled_value(f, r, 0) == 0
+                         or _scaled_value(f, -r, 0) == 0)
+        for r in range(1, min(abs(c0), _SCREEN_ROOTS) + 1))
 
 
 # Musser, "On the efficiency of a polynomial irreducibility test" (JACM

@@ -14,8 +14,29 @@ _SAFE_INT = (1 << 53) - 1
 
 
 def to_jsonable(obj):
-    """Recursive conversion to JSON-safe values under the exactness rules."""
-    if obj is None or isinstance(obj, (bool, str)):
+    """Recursive conversion to JSON-safe values under the exactness rules.
+
+    The exact types that reports are made of (int, dict, list, tuple, str,
+    bool, None) are told apart by type() first; everything else falls to
+    _convert."""
+    t = type(obj)
+    if t is int:
+        return obj if -_SAFE_INT <= obj <= _SAFE_INT else str(obj)
+    if t is dict:
+        return {k if type(k) is str else str(k): to_jsonable(v)
+                for k, v in obj.items()}
+    if t is list or t is tuple:
+        return [to_jsonable(v) for v in obj]
+    if t is str or t is bool or obj is None:
+        return obj
+    return _convert(obj)
+
+
+def _convert(obj):
+    """to_jsonable for the values that are not of an exact report type:
+    subclasses, Fractions, floats (refused) and objects with to_dict or
+    dataclass fields."""
+    if isinstance(obj, (bool, str)):
         return obj
     if isinstance(obj, int):
         return obj if abs(obj) <= _SAFE_INT else str(obj)

@@ -276,6 +276,43 @@ class TestCommands:
         assert "signature" in out and "totally-ramified" in out
 
 
+class TestErrorReportsCarryTheField:
+    """An error raised after make_field still reports the field's summary;
+    only an error before or inside make_field leaves "field" null."""
+
+    @pytest.mark.parametrize("argv, error, summary", [
+        (["sunit", "x^4-4*x^2+2"], "BasisUnavailable",
+         {"poly": [2, 0, -4, 0, 1], "degree": 4, "signature": [4, 0],
+          "poly_disc": 2048, "field_disc": None}),
+        (["field", "x^3-x^2-2*x-8"], "IndexDivisor",
+         {"poly": [-8, -2, -1, 1], "degree": 3, "signature": [1, 1],
+          "poly_disc": -2012, "field_disc": None}),
+        (["check", "thm-5-2", "x^2 - 1000000000000000000000000000099"],
+         "SearchExhausted",
+         {"poly": ["-1000000000000000000000000000099", 0, 1], "degree": 2,
+          "signature": [2, 0],
+          "poly_disc": "4000000000000000000000000000396", "field_disc": None}),
+    ])
+    def test_field_built_before_the_error(self, capsys, argv, error, summary):
+        started = time.perf_counter()
+        code, rep = run_json(capsys, argv)
+        assert time.perf_counter() - started < 5.0
+        assert code == 1 and rep["result"]["error"]["type"] == error
+        assert rep["field"] == summary
+
+    @pytest.mark.parametrize("argv, error", [
+        (["field", "x^4 - 5*x^2 + 6"], "Reducible"),
+        (["sunit", "2*x^2 - 1"], "NotMonic"),
+        (["field", "x^2 +"], "ParseError"),
+        (["check", "thm-3-2", "x^2 - 2", "--user-class-number", "0"],
+         "ParseError"),
+    ])
+    def test_no_field_without_make_field(self, capsys, argv, error):
+        code, rep = run_json(capsys, argv)
+        assert code == 1 and rep["result"]["error"]["type"] == error
+        assert rep["field"] is None
+
+
 class TestHardFactorizations:
     """A discriminant or norm with two prime factors beyond the rho budget
     gives an answer in seconds, and the answer says what is unknown."""
@@ -390,7 +427,9 @@ class TestZassenhausPrime:
 # The seven request kinds of the benchmark's field-sweep workload, with the
 # field in its place, and per field the (exit code, sha256 of the JSON bytes)
 # of each, taken before field construction moved to the F_q kernel, the
-# discriminant as a norm and quadratic Hensel lifting.
+# discriminant as a norm and quadratic Hensel lifting.  The four error reports
+# of x^3 - x^2 - 2*x - 8 were taken again when error reports began to carry
+# the summary of a field that was built; only their "field" key changed.
 FIELD_SWEEP_COMMANDS = (
     ("field",),
     ("check", "cor-7-2"),
@@ -442,13 +481,13 @@ FIELD_CONSTRUCTION_GOLDEN = {
         (1, "4dda51572480937174548a5c67764176ea491597bd0d88990fdd6ad261d928bb"),
     ),
     "x^3 - x^2 - 2*x - 8": (
-        (1, "5738d2e3c88c901eceeca9ac735c856db1cf4d652cfe1f62eede29ee32bedc8c"),
-        (1, "b7fe5b181ca60271580824475059087ae128377bee3766182a8c102ffefe4f44"),
+        (1, "bcbabd405e50c527c71a0aead39db0dfbc83265fd92aafe271b72f3df4a2307f"),
+        (1, "cbe419c8d601f400826e3ec787ae03290ae89495485333be680ebc2385808aec"),
         (2, "e177d4aab409d09f3e3f7dc61938465f36e0ae243d9b1cff3561188a2e4bb535"),
         (0, "c5db98434b39173a61e9c43457705d65a3a34e9eab69f5f7eef11a973fad3155"),
-        (1, "5486c09925955fd7896fa7b1b05023f970fb97417f4374002b53f42b8b2addfe"),
+        (1, "9f421b12182b85ede8e6bd2364df268e2404e43a0fa3c441d5f3cfa15f0d357c"),
         (0, "d013409f82cd9211ae1a29608481528bbb726d2768a91cd58804195e8c4883f6"),
-        (1, "a539d15a3b8b2d9fc5b062b8c6efa45181ea9de01d16957c4ff9817c6d6535c4"),
+        (1, "6d688e84062a24b0e2b9b06e9d05a28735935493e22dd3caea692f3032b7941f"),
     ),
 }
 

@@ -3,6 +3,7 @@ roots and the degree-pattern proof of irreducibility in make_field."""
 
 from fractions import Fraction
 from math import gcd
+from unittest import mock
 
 import pytest
 import sympy
@@ -12,9 +13,10 @@ from hypothesis import strategies as st
 from afcheck.errors import Reducible
 from afcheck.numberfield import make_field
 from afcheck.polynomials import (cauchy_bound, count_real_roots,
+                                 has_small_integer_root,
                                  irreducible_by_degree_patterns,
                                  isolate_real_roots, pderiv, peval, poly_disc,
-                                 sign, strip, sturm_chain)
+                                 sign, strip, sturm_chain, zx_factor)
 
 X = sympy.symbols("x")
 
@@ -159,3 +161,51 @@ class TestIrreducibility:
 
     def test_degree_one_needs_no_prime(self):
         assert irreducible_by_degree_patterns([5, 1], 1)
+
+
+def reducible_error(coeffs):
+    """(message, payload) of the Reducible that make_field raises."""
+    with pytest.raises(Reducible) as exc:
+        make_field(coeffs)
+    return str(exc.value), exc.value.payload
+
+
+class TestIntegerRootScreen:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(-16, 16), st.integers(1, 5).flatmap(
+        lambda n: st.lists(st.integers(-9, 9), min_size=n, max_size=n)
+        .map(lambda low: low + [1])))
+    def test_root_gives_the_patterns_path_error(self, r, cofactor):
+        # (x - r) * cofactor: the screen fires, and the Reducible it leads
+        # to names the same witness as the path through the degree patterns
+        coeffs = strip([a - r * b for a, b in
+                        zip([0] + cofactor, cofactor + [0])])
+        assert has_small_integer_root(coeffs)
+        screened = reducible_error(coeffs)
+        with mock.patch("afcheck.numberfield.has_small_integer_root",
+                        return_value=False):
+            assert reducible_error(coeffs) == screened
+        assert screened[1]["factor"] == min(
+            (g for g, _ in zx_factor(coeffs)), key=len)
+
+    @settings(max_examples=200, deadline=None)
+    @given(MONIC)
+    def test_never_fires_on_an_irreducible_poly(self, coeffs):
+        if to_sympy(coeffs).is_irreducible:
+            assert not has_small_integer_root(coeffs)
+
+    @pytest.mark.parametrize("coeffs, hit", [
+        ([0, -2, 0, 1], True),        # c0 = 0
+        ([-34, 0, 0, 1], False),      # x^3 - 34: no rational root
+        ([-4913, 0, 0, 1], False),    # x^3 - 17^3: root 17 is past the bound
+        ([-4096, 0, 0, 1], True),     # x^3 - 16^3
+        ([6, -5, 1], True),           # (x - 2)(x - 3)
+        ([6, 0, -5, 0, 1], False),    # (x^2 - 2)(x^2 - 3): no rational root
+    ])
+    def test_fixed_cases(self, coeffs, hit):
+        assert has_small_integer_root(coeffs) == hit
+
+    def test_degree_one_still_builds(self):
+        K = make_field("x - 3")
+        assert K.degree == 1 and K.coeffs == (-3, 1)
+        assert list(K.real_roots) == [(Fraction(3), Fraction(3))]

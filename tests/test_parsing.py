@@ -40,6 +40,15 @@ class TestCoefficients:
         assert got == coeffs
         assert all(type(c) is int for c in got)
 
+    @given(st.integers(0, MAX_PARSED_DEGREE), st.integers(1, 9))
+    def test_power_of_x_matches_the_general_power(self, k, c):
+        # x^k is built as a list; (c*x)^k / c^k goes through products
+        got = parse_poly(f"x^{k}")
+        assert got == [0] * k + [1]
+        assert all(type(v) is int for v in got)
+        assert parse_poly(f"({c}x)^{k} / {c}^{k}") == got
+        assert parse_poly(f"(x/1)^{k}") == got
+
     @pytest.mark.parametrize("text, coeffs, fractional", [
         ("x/2", [0, Fraction(1, 2)], [1]),
         ("2*x + 1/2", [Fraction(1, 2), 2], [0]),

@@ -12,13 +12,14 @@ from hypothesis import strategies as st
 from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_ddf_zassenhaus, gf_sqf_p
 
-from afcheck.polynomials import (FqKernel, _fp_ddf, _yun_squarefree,
-                                 count_real_roots, degree, fp_divmod,
-                                 fp_factor, fp_gcd, fp_mul, fp_norm,
+from afcheck.polynomials import (FqKernel, _fp_ddf, _integral, _yun_squarefree,
+                                 cauchy_bound, count_real_roots, degree,
+                                 fp_divmod, fp_factor, fp_gcd, fp_mul, fp_norm,
                                  fp_pow_mod, fp_rem, interval_eval,
                                  isolate_real_roots, padd, peval, pmul,
                                  poly_disc, psub_mod, resultant, strip,
-                                 zx_factor, zx_gcd, zx_is_irreducible)
+                                 sturm_chain, zx_factor, zx_gcd,
+                                 zx_is_irreducible)
 
 X = sympy.symbols("x")
 
@@ -230,6 +231,110 @@ class TestSturm:
             for k in range(5):
                 point = lo + (hi - lo) * Fraction(k, 4)
                 assert vlo <= peval(poly, point) <= vhi
+
+
+def fraction_endpoint_isolation(p):
+    """Isolation as it stood before endpoints became integers over
+    lc * 2^depth: the same integer Sturm chain, Cauchy bound and bisection,
+    with Fraction endpoints and signs by integer Horner on their numerator
+    and denominator.  The reference the integer bisection must reproduce,
+    intervals and errors alike."""
+    p = _integral(p)
+    if degree(p) <= 0:
+        return []
+    if degree(p) == 1:
+        r = -Fraction(p[0]) / Fraction(p[1])
+        return [(r, r)]
+
+    def sign_at(q, x):
+        n, d = x.numerator, x.denominator
+        acc, dk = 0, 1
+        for c in reversed(q):
+            acc = acc * n + c * dk
+            dk *= d
+        return (acc > 0) - (acc < 0)
+
+    def variations(x):
+        signs = [s for s in (sign_at(q, x) for q in chain) if s]
+        return sum(1 for a, b in zip(signs, signs[1:]) if a * b < 0)
+
+    chain = sturm_chain(p)
+    b = cauchy_bound(p)
+    out = []
+    work = [(-b, b, variations(-b), variations(b))]
+    while work:
+        lo, hi, vlo, vhi = work.pop()
+        cnt = vlo - vhi
+        if cnt == 0:
+            continue
+        if cnt == 1:
+            if sign_at(p, lo) * sign_at(p, hi) >= 0:
+                raise ArithmeticError("isolation endpoint touched a root")
+            out.append((lo, hi))
+            continue
+        mid = (lo + hi) / 2
+        vmid = variations(mid)
+        work.append((lo, mid, vlo, vmid))
+        work.append((mid, hi, vmid, vhi))
+    out.sort()
+    return out
+
+
+def outcome(isolate, p):
+    """The intervals, or the type and message of the error raised."""
+    try:
+        return isolate(p)
+    except ArithmeticError as exc:
+        return type(exc), str(exc)
+
+
+# integer polynomials of degree 1-8 with a nonzero leading coefficient in
+# [-12, 12] and the others in [-40, 40], lowest degree first
+INTEGER_POLYS = st.integers(1, 8).flatmap(
+    lambda n: st.tuples(
+        st.lists(st.integers(-40, 40), min_size=n, max_size=n),
+        st.integers(-12, 12).filter(bool)).map(lambda t: t[0] + [t[1]]))
+
+
+def squarefree(p):
+    f = to_sympy(p)
+    return f.gcd(f.diff(X)).degree() == 0
+
+
+class TestIntegerIsolation:
+    """isolate_real_roots against the Fraction-endpoint reference and sympy."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(INTEGER_POLYS)
+    def test_squarefree_integer_polys(self, p):
+        assume(squarefree(p))
+        got = outcome(isolate_real_roots, p)
+        assert got == outcome(fraction_endpoint_isolation, p)
+        if isinstance(got, list):
+            assert len(got) == to_sympy(p).count_roots()
+            assert all(type(e) is Fraction for iv in got for e in iv)
+
+    @settings(max_examples=200, deadline=None)
+    @given(INTEGER_POLYS, st.lists(st.integers(1, 12), min_size=9,
+                                   max_size=9))
+    def test_rational_non_monic_polys(self, p, dens):
+        # through _integral: each coefficient over its own denominator
+        assume(squarefree(p))
+        q = [Fraction(c, d) for c, d in zip(p, dens)]
+        assert outcome(isolate_real_roots, q) == outcome(
+            fraction_endpoint_isolation, q)
+
+    @pytest.mark.parametrize("p", [
+        [-2, 0, 3],                    # 3x^2 - 2: lc 3, roots +-sqrt(2/3)
+        [1, 0, -7, 0, 5],              # two pairs of close roots, lc 5
+        [-1, 0, 0, 0, 0, 0, 0, 0, 1],  # x^8 - 1: roots +-1 hit bisection points
+        [2, -3, 1],                    # (x - 1)(x - 2): 1 is a midpoint
+        [-3, 7],                       # degree one: the exact root
+        [Fraction(1, 3), Fraction(-5, 2), 0, Fraction(7, 4)],
+    ])
+    def test_fixed_cases(self, p):
+        assert outcome(isolate_real_roots, p) == outcome(
+            fraction_endpoint_isolation, p)
 
 
 def sylvester_det(f, g):
