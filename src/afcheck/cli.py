@@ -25,8 +25,9 @@ from .parsing import ParseError
 from .prime_ideals import (factor_rational_prime, s_k, splitting_type, u_k,
                            valuation, verified_field_disc)
 from .report import build_report, emit_human, emit_json
-from .sunits import selmer_group, solve_sunit
-from .units import class_data
+from .sunits import DEFAULT_MAX_CANDIDATES, selmer_group, solve_sunit
+from .units import (DEFAULT_CLASS_ENUM_BOUND, DEFAULT_UNIT_HEIGHT_BOUND,
+                    class_data)
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -48,10 +49,10 @@ _LOCAL_CHECKS = {"thm-7-1": check_thm_7_1,
 @dataclass
 class RunConfig:
     sunit_exponent_bound: int = 8
-    unit_height_bound: int = 10 ** 6
-    class_enum_bound: int = 100
+    unit_height_bound: int = DEFAULT_UNIT_HEIGHT_BOUND
+    class_enum_bound: int = DEFAULT_CLASS_ENUM_BOUND
     l_max: int = 1000
-    max_candidates: int = 500_000
+    max_candidates: int = DEFAULT_MAX_CANDIDATES
     user_class_number: int = None
     seed: int = 0
     output: str = "human"

@@ -17,7 +17,8 @@ from .integerfactor import SMALL_PRIMES, factorint, is_prime
 from .numberfield import NumberField
 from .prime_ideals import factor_rational_prime, s_k, splitting_type, u_k
 from .sunits import quadratic_extension, selmer_group, solve_sunit
-from .units import DEFAULT_UNIT_HEIGHT_BOUND, class_data
+from .units import (DEFAULT_CLASS_ENUM_BOUND, DEFAULT_UNIT_HEIGHT_BOUND,
+                    class_data)
 
 _ALL_SOLUTIONS = ("for r in {2, 3} and all sufficiently large prime exponents p, "
                   "x^p + y^p = 2^r z^p has no non-trivial solution over the field")
@@ -267,7 +268,7 @@ def check_cor_3_4(field: NumberField, bound: int, **solver_kw) -> Verdict:
 
 def check_thm_5_2(field: NumberField, bound: int, *,
                   user_class_number=None,
-                  class_enum_bound: int = 100,
+                  class_enum_bound: int = DEFAULT_CLASS_ENUM_BOUND,
                   height_bound: int = DEFAULT_UNIT_HEIGHT_BOUND,
                   **solver_kw) -> Verdict:
     """Narrow class number one, the S_K condition on K, and the S_L condition

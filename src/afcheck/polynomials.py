@@ -25,10 +25,10 @@ matrix-vector product (Cohen, GTM 138, Section 3.4), so both the degree
 patterns and ``fp_factor`` (Dedekind, splitting types, Zassenhaus) pay for
 x^q once per prime.  The discriminant of a monic f of degree n is
 (-1)^(n(n-1)/2) N(f'(theta)), the determinant of the n x n multiplication
-matrix of f'(theta), since Res(f, f') = N(f'(theta)); ``resultant`` keeps
-the Sylvester determinant for general pairs.  Hensel lifting is quadratic
-(von zur Gathen and Gerhard, Modern Computer Algebra, Alg. 15.10): the
-factors and their Bezout pair are lifted together from p^j to p^(2j).
+matrix of f'(theta), since Res(f, f') = N(f'(theta)).  Hensel lifting is
+quadratic (von zur Gathen and Gerhard, Modern Computer Algebra, Alg.
+15.10): the factors and their Bezout pair are lifted together from p^j to
+p^(2j).
 """
 
 from fractions import Fraction
@@ -45,9 +45,9 @@ __all__ = [
     "isolate_real_roots", "refine_interval", "interval_eval", "cauchy_bound",
     "fp_factor", "fp_gcd", "fp_mul", "fp_divmod", "fp_rem", "fp_pow_mod",
     "FqKernel",
-    "zx_gcd", "zx_factor", "zx_is_irreducible",
+    "zx_gcd", "zx_factor",
     "irreducible_by_degree_patterns", "has_small_integer_root",
-    "resultant", "mul_matrix", "poly_disc",
+    "mul_matrix", "poly_disc",
 ]
 
 
@@ -239,8 +239,10 @@ def isolate_real_roots(p):
     (r, r).  For degree >= 2 the input must have no rational roots (true for
     irreducible defining polynomials), so interval endpoints never collide
     with a root and each open interval holds exactly one simple root with a
-    sign change between its endpoints.  Rational coefficients are scaled to
-    integers first.
+    sign change between its endpoints.  A repeated root makes the last
+    member of the Sturm chain, gcd(p, p') up to a constant, nonconstant, and
+    raises ValueError before any bisection.  Rational coefficients are
+    scaled to integers first.
 
     The search bisects (-b, b), b = B/L the Cauchy bound with L = |lc(p)|,
     so every endpoint at depth j is an integer m over L * 2^j.  Endpoints are
@@ -255,6 +257,8 @@ def isolate_real_roots(p):
         r = -Fraction(p[0]) / Fraction(p[1])
         return [(r, r)]
     chain = sturm_chain(p)
+    if degree(chain[-1]) > 0:
+        raise ValueError("isolate_real_roots expects a squarefree polynomial")
     lead = abs(chain[0][-1])
     bound = lead + max(abs(c) for c in chain[0][:-1])
     chain = _scaled_chain(chain, lead)
@@ -744,11 +748,6 @@ def zx_factor(f):
     return out
 
 
-def zx_is_irreducible(f):
-    facs = zx_factor(f)
-    return len(facs) == 1 and facs[0][1] == 1
-
-
 # largest |r| the integer-root screen tries: it finds every integer root when
 # |f(0)| <= 16, and a miss costs at most 32 Horner evaluations
 _SCREEN_ROOTS = 16
@@ -801,27 +800,7 @@ def irreducible_by_degree_patterns(f, disc):
     return not possible
 
 
-# ------------------------------------------------------------- resultants
-
-def resultant(f, g):
-    """Resultant of integer polynomials: the determinant of the Sylvester matrix."""
-    m, n = degree(f), degree(g)
-    if m < 0 or n < 0:
-        return 0
-    if m == 0:
-        return f[0] ** n
-    if n == 0:
-        return g[0] ** m
-    size = m + n
-    rows = []
-    fr = list(reversed(f))
-    gr = list(reversed(g))
-    for i in range(n):
-        rows.append([0] * i + fr + [0] * (size - m - 1 - i))
-    for i in range(m):
-        rows.append([0] * i + gr + [0] * (size - n - 1 - i))
-    return linalg.det(rows)
-
+# ---------------------------------------------------------- discriminants
 
 def mul_matrix(f, g):
     """Integer matrix of multiplication by g(theta) on Z[theta], theta a root

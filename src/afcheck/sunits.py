@@ -35,9 +35,9 @@ from . import linalg
 from .numberfield import FieldElement, NumberField, make_field
 from .polynomials import zx_factor
 from .prime_ideals import element_valuations, valuation
-from .units import (DEFAULT_UNIT_HEIGHT_BOUND, class_data,
-                    principal_generator, sqrt_core_element, unit_generators,
-                    _find_generator, _quad_data)
+from .units import (DEFAULT_CLASS_ENUM_BOUND, DEFAULT_UNIT_HEIGHT_BOUND,
+                    class_data, principal_generator, sqrt_core_element,
+                    unit_generators, _find_generator, _quad_data)
 
 log = logging.getLogger("afcheck")
 
@@ -57,7 +57,7 @@ class SUnitBasis:
 
 def build_sunit_basis(field: NumberField, S, bound: int, *,
                       user_class_number=None,
-                      class_enum_bound: int = 100,
+                      class_enum_bound: int = DEFAULT_CLASS_ENUM_BOUND,
                       height_bound: int = DEFAULT_UNIT_HEIGHT_BOUND,
                       gen_bound: int = 64) -> SUnitBasis:
     """Torsion, fundamental units and P-power generators for the S-units."""
@@ -156,10 +156,14 @@ class SUnitSearch:
                 "warnings": self.warnings}
 
 
+# give-up cap on the candidates of one exponent box
+DEFAULT_MAX_CANDIDATES = 500_000
+
+
 def solve_sunit(field: NumberField, S, bound: int, *,
-                max_candidates: int = 500_000,
+                max_candidates: int = DEFAULT_MAX_CANDIDATES,
                 user_class_number=None,
-                class_enum_bound: int = 100,
+                class_enum_bound: int = DEFAULT_CLASS_ENUM_BOUND,
                 height_bound: int = DEFAULT_UNIT_HEIGHT_BOUND) -> SUnitSearch:
     """All solutions of lambda + mu = 1 in S-units found inside the exponent box.
 
@@ -452,7 +456,7 @@ class SelmerGroup:
 
 def selmer_group(field: NumberField, S, m: int = 2, *,
                  user_class_number=None,
-                 class_enum_bound: int = 100,
+                 class_enum_bound: int = DEFAULT_CLASS_ENUM_BOUND,
                  height_bound: int = DEFAULT_UNIT_HEIGHT_BOUND) -> SelmerGroup:
     """K(S, 2): square classes with even valuation outside S.
 
@@ -537,17 +541,12 @@ def _raise_if_square(a: FieldElement):
 
 def _gamma_matrix(base: NumberField, a_int: FieldElement, t: int):
     """Integer multiplication matrix of gamma = z + t*theta on
-    K[z]/(z^2 - a_int); a_int lies in Z[theta], so every entry is an integer."""
-    n = base.degree
-    theta = base.theta()
-    cols = []
-    for j in (0, 1):
-        for i in range(n):
-            e = base.theta() ** i
-            u = e if j == 0 else base.zero()
-            v = base.zero() if j == 0 else e
-            # gamma * (u + v z) = (t*theta*u + a*v) + (u + t*theta*v) z
-            ru = theta * t * u + a_int * v
-            rv = u + theta * t * v
-            cols.append(list(ru.num) + list(rv.num))
-    return [[cols[j][i] for j in range(2 * n)] for i in range(2 * n)]
+    K[z]/(z^2 - a_int), in the basis theta^i then z*theta^i.  Since
+    gamma * (u + v z) = (t*theta*u + a*v) + (u + t*theta*v) z, it is the
+    block matrix [[t*Theta, A], [I, t*Theta]] of the matrices Theta of theta
+    and A of a_int; a_int lies in Z[theta], so every entry is an integer."""
+    t_theta = [[t * c for c in row] for row in base.theta().num_matrix()]
+    n = len(t_theta)
+    return ([row + a_row for row, a_row in zip(t_theta, a_int.num_matrix())]
+            + [[int(i == j) for j in range(n)] + row
+               for i, row in enumerate(t_theta)])

@@ -11,17 +11,19 @@ once; only a pair it leaves open is scanned for a small relation u^m v^k =
 certificate is a proof, so the first certified pair is the same in either
 order.  Class numbers of quadratic fields are counted through reduced binary
 forms; principality questions are settled by a generator search that is
-complete within a proven, unit-scaled coordinate bound.  A field of class
-number one is represented by its smallest odd prime ideal, found by
-factoring odd q only up to its norm.  The cubic unit pair
-and the class data are computed once per field and argument set
-(NumberField.memo).
+complete within a proven, unit-scaled coordinate bound.  Each ideal class
+is represented by its first odd prime ideal in norm order, for every class
+number: one lazy walk factors odd q in increasing order, tests a prime
+against the classes so far once no later q can give a smaller one, and
+factors no further q once h classes are represented, save the possible
+index divisors.  The cubic unit pair and the class data are computed once
+per field and argument set (NumberField.memo).
 """
 
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from itertools import product
-from math import gcd, isqrt
+from math import gcd, inf, isqrt
 
 from .errors import (GeneratorNotFound, IndexDivisor, MissingUserClassNumber,
                      SearchExhausted, Unsupported, ZeroElement)
@@ -34,6 +36,9 @@ from .prime_ideals import (PrimeIdeal, element_valuations,
 # give-up cap on coordinate magnitude in unit searches; searches stop at the
 # first certified pair, so this only bounds the hopeless case
 DEFAULT_UNIT_HEIGHT_BOUND = 10 ** 6
+
+# odd q up to which class representatives are enumerated
+DEFAULT_CLASS_ENUM_BOUND = 100
 
 # give-up cap on the candidates one generator search tests: the full
 # degree-3 box at the default coordinate bound 64, so searches in degree
@@ -507,7 +512,8 @@ def _conjugate_prime(field, p: PrimeIdeal) -> PrimeIdeal:
 
 # ----------------------------------------------------------------- class data
 
-def class_data(field: NumberField, *, enum_bound: int = 100,
+def class_data(field: NumberField, *,
+               enum_bound: int = DEFAULT_CLASS_ENUM_BOUND,
                user_class_number: int | None = None,
                height_bound: int = DEFAULT_UNIT_HEIGHT_BOUND) -> ClassData:
     """Class number, narrow class number and odd-prime class representatives."""
@@ -533,7 +539,7 @@ def _cubic_class_data(field, h, enum_bound, height_bound):
     h_plus = _h_plus_from_unit_signs(field, h, height_bound)
     reps, notes = ([], ["reps_H omitted: h > 1 unsupported for cubics"])
     if h == 1:
-        reps, notes = _collect_reps(field, 1, enum_bound, trivial_only=True)
+        reps, notes = _collect_reps(field, 1, enum_bound)
     return ClassData(h, h_plus, reps, ("user-supplied",), notes)
 
 
@@ -547,7 +553,7 @@ def _quadratic_class_data(field, enum_bound):
         h_plus = _indefinite_cycle_count(D)
         _, _, _, unit_norm = _quad_fundamental_unit(d)
         h = h_plus if unit_norm == -1 else h_plus // 2
-    reps, notes = _collect_reps(field, h, enum_bound, trivial_only=(h == 1))
+    reps, notes = _collect_reps(field, h, enum_bound)
     return ClassData(h, h_plus, reps, ("proven",), notes)
 
 
@@ -557,65 +563,39 @@ def _by_norm(p: PrimeIdeal):
     return (p.norm(), root if root is not None else -1, p.q, p.sort_key())
 
 
-def _odd_prime_ideals_by_norm(field, enum_bound):
-    out = []
-    skipped = []
-    for q in SMALL_PRIMES:
-        if q == 2 or q > enum_bound:
-            continue
-        try:
-            out.extend(factor_rational_prime(field, q))
-        except IndexDivisor:
-            skipped.append(q)
-    out.sort(key=_by_norm)
-    return out, skipped
+def _collect_reps(field, h, enum_bound):
+    """(reps, notes): the first odd prime ideal of each class, up to h of
+    them, in _by_norm order over q <= enum_bound, with the index divisors
+    skipped.
 
-
-def _skipped_note(skipped):
-    return ([f"index-divisor primes skipped in enumeration: {skipped}"]
-            if skipped else [])
-
-
-def _smallest_odd_prime_ideal(field, enum_bound):
-    """([P], notes) for P = _odd_prime_ideals_by_norm(...)[0], with the
-    same note.  A prime above q has norm >= q, so q is factored only while
-    q <= N(P) for the smallest P so far; a larger q can still divide the
-    index [O_K : Z[theta]] for the note, but then q^2 divides poly_disc,
-    so only those q get the Dedekind test."""
-    best = None
-    skipped = []
-    for q in SMALL_PRIMES:
-        if q > enum_bound:
-            break
-        if q == 2:
-            continue
-        late = best is not None and q > best.norm()
-        if late and field.poly_disc % (q * q):
+    One lazy walk serves every h.  It factors odd q in increasing order and
+    keeps the primes not yet placed sorted by _by_norm; a prime above q has
+    norm >= q, so the least of them is final once the next q passes its norm,
+    and only then is it tested against the representatives so far.  After
+    the h-th one a larger q can still divide the index [O_K : Z[theta]] for
+    the note, but then q^2 divides poly_disc, so only those q get the
+    Dedekind test."""
+    odd = [q for q in SMALL_PRIMES if 2 < q <= enum_bound]
+    reps, pending, skipped = [], [], []
+    for q, next_q in zip(odd, odd[1:] + [inf]):
+        if len(reps) == h and field.poly_disc % (q * q):
             continue
         try:
             primes = factor_rational_prime(field, q)
         except IndexDivisor:
             skipped.append(q)
-            continue
-        if not late:
-            best = min([*primes, best] if best else primes, key=_by_norm)
-    if best is None:
-        raise SearchExhausted("no odd prime ideal within enumeration bound")
-    return [best], _skipped_note(skipped)
-
-
-def _collect_reps(field, h, enum_bound, trivial_only=False):
-    if trivial_only:
-        return _smallest_odd_prime_ideal(field, enum_bound)
-    primes, skipped = _odd_prime_ideals_by_norm(field, enum_bound)
-    notes = _skipped_note(skipped)
-    reps = []
-    for p in primes:
+            primes = []
         if len(reps) == h:
-            break
-        if any(_ideal_class_equal(field, p, r) for r in reps):
             continue
-        reps.append(p)
+        pending = sorted(pending + primes, key=_by_norm)
+        while pending and len(reps) < h and pending[0].norm() < next_q:
+            p = pending.pop(0)
+            if not any(_ideal_class_equal(field, p, r) for r in reps):
+                reps.append(p)
+    if not reps and h == 1:
+        raise SearchExhausted("no odd prime ideal within enumeration bound")
+    notes = ([f"index-divisor primes skipped in enumeration: {skipped}"]
+             if skipped else [])
     if len(reps) < h:
         notes.append(f"only {len(reps)} of {h} classes represented "
                      f"within q <= {enum_bound}")

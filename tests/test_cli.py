@@ -510,8 +510,11 @@ def field_sweep_cases():
 class TestGoldenBytes:
     """sha256 of the --output json bytes of the sunit-box requests of the
     benchmark and of one thm-5-2 check, taken when elements were still
-    written and ordered through Fraction coordinates, and of the field-sweep
-    requests on five fields (FIELD_CONSTRUCTION_GOLDEN)."""
+    written and ordered through Fraction coordinates, of the field-sweep
+    requests on five fields (FIELD_CONSTRUCTION_GOLDEN), and of one frey
+    request whose conductor carries the representative of the non-trivial
+    class of x^2 - 10 (h = 2), taken when every prime up to the enumeration
+    bound was factored and sorted before any class test."""
 
     @pytest.mark.parametrize("argv, code, digest", [
         (["sunit", "x^2-2", "--bound", "20"], 0,
@@ -522,7 +525,11 @@ class TestGoldenBytes:
          0, "42a959e1fd644c34ec9c8a1466ae617b826ae4a092ce050ad317e195c58431f2"),
         (["check", "thm-5-2", "x^2-2", "--bound", "3"], 3,
          "4988fb1d09a1cf8aba5c08963278472d394db0de9920d23fce05696dbe48a1a4"),
-    ], ids=["sunit-sqrt2", "sunit-x2-x-4", "sunit-cubic", "thm-5-2-sqrt2"])
+        (["frey", "2r", "x^2-10", "--a", "1", "--b", "1", "--c", "1",
+          "--r", "1", "--p", "5"], 0,
+         "8a4932bf9d3e82daaed0718b072e08048c3fba35f31ee41de34b7f0acfe8c3e5"),
+    ], ids=["sunit-sqrt2", "sunit-x2-x-4", "sunit-cubic", "thm-5-2-sqrt2",
+            "frey-2r-x2-10"])
     def test_json_bytes(self, capsys, argv, code, digest):
         assert_json_bytes(capsys, argv, code, digest)
 

@@ -1,6 +1,6 @@
 """Polynomial engine against sympy oracles: factorization, gcds, division
-over F_p, the F_q kernel and distinct-degree factorization, Sturm,
-resultants and discriminants."""
+over F_p, the F_q kernel and distinct-degree factorization, Sturm and
+discriminants."""
 
 import random
 from fractions import Fraction
@@ -12,14 +12,14 @@ from hypothesis import strategies as st
 from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_ddf_zassenhaus, gf_sqf_p
 
+from afcheck import polynomials
 from afcheck.polynomials import (FqKernel, _fp_ddf, _integral, _yun_squarefree,
                                  cauchy_bound, count_real_roots, degree,
                                  fp_divmod, fp_factor, fp_gcd, fp_mul, fp_norm,
                                  fp_pow_mod, fp_rem, interval_eval,
                                  isolate_real_roots, padd, peval, pmul,
-                                 poly_disc, psub_mod, resultant, strip,
-                                 sturm_chain, zx_factor, zx_gcd,
-                                 zx_is_irreducible)
+                                 poly_disc, psub_mod, strip, sturm_chain,
+                                 zx_factor, zx_gcd)
 
 X = sympy.symbols("x")
 
@@ -109,9 +109,9 @@ class TestZxFactor:
             (tuple(from_sympy(g)), m) for g, m in theirs)
 
     def test_irreducibility_flags(self):
-        assert zx_is_irreducible([1, 0, 0, 0, 1])
-        assert not zx_is_irreducible([-4, 0, 0, 0, 1])
-        assert zx_is_irreducible([-2, 0, 1])
+        assert zx_factor([1, 0, 0, 0, 1]) == [([1, 0, 0, 0, 1], 1)]
+        assert zx_factor([-4, 0, 0, 0, 1]) == [([-2, 0, 1], 1), ([2, 0, 1], 1)]
+        assert zx_factor([-2, 0, 1]) == [([-2, 0, 1], 1)]
 
 
 class TestFpFactor:
@@ -336,35 +336,16 @@ class TestIntegerIsolation:
         assert outcome(isolate_real_roots, p) == outcome(
             fraction_endpoint_isolation, p)
 
-
-def sylvester_det(f, g):
-    """Canonical Sylvester determinant via sympy matrices (oracle).
-
-    Note sympy.resultant itself is symmetric in its arguments and loses the
-    (-1)^(deg f * deg g) orientation; the explicit matrix does not.
-    """
-    m, n = len(f) - 1, len(g) - 1
-    rows = []
-    fr, gr = list(reversed(f)), list(reversed(g))
-    for i in range(n):
-        rows.append([0] * i + fr + [0] * (n - 1 - i))
-    for i in range(m):
-        rows.append([0] * i + gr + [0] * (m - 1 - i))
-    return int(sympy.Matrix(rows).det())
+    @pytest.mark.parametrize("p", [
+        [0, 0, -2, 1],     # x^2 (x - 2): 0 is a bisection point
+        [0, 0, -3, 0, 1],  # x^2 (x^2 - 3)
+    ])
+    def test_repeated_root_is_refused(self, p):
+        with pytest.raises(ValueError):
+            isolate_real_roots(p)
 
 
 class TestResultant:
-    def test_against_sylvester_determinant(self):
-        rng = random.Random(13)
-        for _ in range(25):
-            f = [rng.randint(-5, 5) for _ in range(rng.randint(1, 4))] + [rng.randint(1, 3)]
-            g = [rng.randint(-5, 5) for _ in range(rng.randint(1, 4))] + [rng.randint(1, 3)]
-            assert resultant(f, g) == sylvester_det(f, g)
-
-    def test_antisymmetry(self):
-        f, g = [0, 3], [2, 3, 4, 3]
-        assert resultant(f, g) == -resultant(g, f)  # odd degree product
-
     def test_disc_against_sympy(self):
         for coeffs in ([-2, 0, 1], [1, 0, -1, 1], [1, 3, 0, 0, 1], [7, 1]):
             assert poly_disc(coeffs) == int(sympy.discriminant(
@@ -430,3 +411,9 @@ class TestFpDivmod:
     def test_division_by_zero(self):
         with pytest.raises(ZeroDivisionError):
             fp_divmod([1, 1], [], 5)
+
+
+def test_every_exported_name_exists():
+    missing = [name for name in polynomials.__all__
+               if not hasattr(polynomials, name)]
+    assert missing == []

@@ -20,8 +20,8 @@ from afcheck.errors import (AfcheckError, BasisUnavailable,
                             Unsupported, WorkExceeded, ZeroElement)
 from afcheck.prime_ideals import element_valuations, s_k, valuation
 from afcheck.sunits import (build_sunit_basis, is_square, quadratic_extension,
-                            selmer_group, solve_sunit, _norm_supported,
-                            _s_unit_profile)
+                            selmer_group, solve_sunit, _gamma_matrix,
+                            _norm_supported, _s_unit_profile)
 
 
 # ----------------------------------------------------------------- oracles
@@ -647,7 +647,43 @@ class TestIsSquare:
         assert is_square(M.from_rational(4))[0]
 
 
+def element_gamma_matrix(base, a_int, t):
+    """Reference: the matrix of gamma = z + t*theta on K[z]/(z^2 - a_int),
+    column by column from field arithmetic, the image of theta^i and then
+    of z*theta^i."""
+    n = base.degree
+    theta = base.theta()
+    cols = []
+    for j in (0, 1):
+        for i in range(n):
+            e = theta ** i
+            u, v = (e, base.zero()) if j == 0 else (base.zero(), e)
+            # gamma * (u + v z) = (t*theta*u + a*v) + (u + t*theta*v) z
+            ru = theta * t * u + a_int * v
+            rv = u + theta * t * v
+            cols.append(list(ru.num) + list(rv.num))
+    return [[cols[j][i] for j in range(2 * n)] for i in range(2 * n)]
+
+
+GAMMA_FIELDS = ("x", "x^2 - 2", "x^2 - x - 1", "x^2 - x - 4",
+                "x^3 - x^2 - 2*x + 1")
+
+
+@st.composite
+def gamma_case(draw):
+    K = make_field(draw(st.sampled_from(GAMMA_FIELDS)))
+    coords = draw(st.lists(st.integers(-30, 30), min_size=K.degree,
+                           max_size=K.degree))
+    return K, K.element(coords), draw(st.integers(-4, 4))
+
+
 class TestQuadraticExtension:
+    @settings(max_examples=200, deadline=None)
+    @given(gamma_case())
+    def test_gamma_matrix_matches_element_arithmetic(self, case):
+        K, a_int, t = case
+        assert _gamma_matrix(K, a_int, t) == element_gamma_matrix(K, a_int, t)
+
     def test_sqrt2_over_q(self):
         Q = make_field("x")
         L = quadratic_extension(Q, Q.from_rational(2))

@@ -7,15 +7,17 @@ from itertools import product
 import pytest
 
 from afcheck import linalg, make_field, units
-from afcheck.errors import (GeneratorNotFound, MissingUserClassNumber,
-                            SearchExhausted, Unsupported, ZeroElement)
+from afcheck.errors import (GeneratorNotFound, IndexDivisor,
+                            MissingUserClassNumber, SearchExhausted,
+                            Unsupported, ZeroElement)
+from afcheck.integerfactor import SMALL_PRIMES
 from afcheck.numberfield import FieldElement
 from afcheck.prime_ideals import valuation, factor_rational_prime, s_k
 from afcheck.sunits import build_sunit_basis
 from afcheck.units import (class_data, normalize_solution, principal_generator,
                            unit_generators, _certified_independent,
-                           _collect_reps, _cubic_fundamental_pair,
-                           _find_generator, _odd_prime_ideals_by_norm,
+                           _by_norm, _collect_reps, _cubic_fundamental_pair,
+                           _find_generator, _ideal_class_equal,
                            _pell_fundamental, _quad_fundamental_unit, _shell,
                            _small_relation)
 
@@ -246,7 +248,7 @@ class TestClassData:
         assert (cd.h, cd.h_plus) == (1, 2)
 
     @pytest.mark.parametrize("d,h", [(2, 1), (3, 1), (7, 1), (10, 2), (-1, 1),
-                                     (-2, 1), (-3, 1), (-5, 2)])
+                                     (-2, 1), (-3, 1), (-5, 2), (79, 3)])
     def test_known_class_numbers(self, d, h):
         if d % 4 == 1:
             K = make_field([(1 - d) // 4, -1, 1])
@@ -280,50 +282,77 @@ class TestClassData:
         assert cd.reps_H[0].q == 7  # ramified prime of norm 7 beats inert 3
 
 
+def eager_reps(K, h, enum_bound):
+    """Reference: factor every odd q <= enum_bound, sort all the primes by
+    _by_norm, and keep the first prime of each class, up to h."""
+    primes, skipped = [], []
+    for q in SMALL_PRIMES:
+        if q == 2 or q > enum_bound:
+            continue
+        try:
+            primes.extend(factor_rational_prime(K, q))
+        except IndexDivisor:
+            skipped.append(q)
+    primes.sort(key=_by_norm)
+    notes = ([f"index-divisor primes skipped in enumeration: {skipped}"]
+             if skipped else [])
+    reps = []
+    for p in primes:
+        if len(reps) == h:
+            break
+        if not any(_ideal_class_equal(K, p, r) for r in reps):
+            reps.append(p)
+    if len(reps) < h:
+        notes.append(f"only {len(reps)} of {h} classes represented "
+                     f"within q <= {enum_bound}")
+    return reps, notes
+
+
+def class_number(K):
+    return class_data(K).h if K.degree == 2 else 1
+
+
 REP_FIELDS = ("x^2 - 2", "x^2 - x - 1", "x^2 - 18", "x^2 - 45", "x^2 - 245",
-              "x^2 + 1", "x^2 + 5", "x^2 - 10", "x^2 - x - 4",
+              "x^2 + 1", "x^2 + 5", "x^2 - 10", "x^2 - 79", "x^2 - x - 4",
               "x^3 - x^2 - 2*x + 1", "x^3 - 63*x - 1", "x")
 
 
 class TestLazyRepresentative:
-    """The trivial-class representative factors few primes: it must be the
-    first prime of the full enumeration, with the same skipped note."""
-
-    @staticmethod
-    def oracle(K, enum_bound):
-        primes, skipped = _odd_prime_ideals_by_norm(K, enum_bound)
-        notes = ([f"index-divisor primes skipped in enumeration: {skipped}"]
-                 if skipped else [])
-        return primes[:1], notes
+    """The lazy walk factors few primes: its representatives must be those
+    of the full sorted enumeration, with the same notes, for every h."""
 
     @pytest.mark.parametrize("poly", REP_FIELDS)
     @pytest.mark.parametrize("enum_bound", [3, 10, 100])
     def test_matches_full_enumeration(self, poly, enum_bound):
         # x^2 - 2 and x^2 - x - 1: 3 is inert; x^2 - 18, x^2 - 45: 3 divides
         # the index; x^2 - 245: 7 divides it and lies above the smallest
-        # norm, 5; x^3 - 63*x - 1: 3 divides the index of a cubic
+        # norm, 5; x^3 - 63*x - 1: 3 divides the index of a cubic; x^2 + 5,
+        # x^2 - 10 (h = 2) and x^2 - 79 (h = 3): several classes
         K = make_field(poly)
-        want = self.oracle(K, enum_bound)
-        if not want[0]:
+        h = class_number(K)
+        want = eager_reps(K, h, enum_bound)
+        if h == 1 and not want[0]:
             with pytest.raises(SearchExhausted):
-                _collect_reps(K, 1, enum_bound, trivial_only=True)
+                _collect_reps(K, h, enum_bound)
             return
-        assert _collect_reps(K, 1, enum_bound, trivial_only=True) == want
+        assert _collect_reps(K, h, enum_bound) == want
 
     def test_index_divisor_above_the_smallest_norm_is_noted(self):
-        reps, notes = _collect_reps(make_field("x^2 - 245"), 1, 100,
-                                    trivial_only=True)
+        reps, notes = _collect_reps(make_field("x^2 - 245"), 1, 100)
         assert reps[0].norm() == 5
         assert notes == ["index-divisor primes skipped in enumeration: [7]"]
 
     @pytest.mark.parametrize("poly", REP_FIELDS)
     def test_factors_only_up_to_the_smallest_norm(self, poly, monkeypatch):
-        # beyond the smallest norm only a q with q^2 | poly_disc, which can
-        # divide the index, is factored
-        calls = count_calls(monkeypatch, units, "factor_rational_prime")
+        # beyond the smallest norm of the h-th class (for h = 1, the smallest
+        # norm) only a q with q^2 | poly_disc, which can divide the index, is
+        # factored
         K = make_field(poly)
-        reps, _ = _collect_reps(K, 1, 100, trivial_only=True)
-        late = [q for _, q in calls if q > reps[0].norm()]
+        h = class_number(K)
+        calls = count_calls(monkeypatch, units, "factor_rational_prime")
+        reps, _ = _collect_reps(K, h, 100)
+        assert len(reps) == h
+        late = [q for _, q in calls if q > reps[-1].norm()]
         assert all(K.poly_disc % (q * q) == 0 for q in late)
 
 
