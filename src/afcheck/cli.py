@@ -6,11 +6,10 @@ data produced), 2 = verdict no, 3 = verdict unknown under bounded search,
 1 = error (structured JSON object in json mode).
 """
 
-import argparse
+import re
 import sys
 import time
 from dataclasses import dataclass, fields
-from functools import cache
 
 from .criteria import (CONCLUSIONS, check_cor_3_4, check_cor_7_2,
                        check_thm_3_2, check_thm_3_3, check_thm_5_2,
@@ -59,6 +58,8 @@ class RunConfig:
 
 
 _CONFIG_KEYS = tuple(f.name for f in fields(RunConfig) if f.name != "output")
+_NONNEGATIVE_KEYS = ("sunit_exponent_bound", "unit_height_bound",
+                     "class_enum_bound", "max_candidates")
 
 
 def _load_config_file(path, cfg: RunConfig):
@@ -73,63 +74,150 @@ def _load_config_file(path, cfg: RunConfig):
             if key not in _CONFIG_KEYS:
                 raise ParseError(f"unknown config key {key!r}")
             try:
-                setattr(cfg, key, int(value))
+                number = int(value)
             except ValueError as exc:
                 raise ParseError(f"bad value for {key}: {value!r}") from exc
+            if number < 0 and key in _NONNEGATIVE_KEYS:
+                raise ParseError(f"{key} must be nonnegative, got {number}")
+            setattr(cfg, key, number)
 
 
-@cache
-def _parser():
-    """The argparse tree, built on first use and kept for the process:
-    parse_args leaves a parser unchanged, so later run() calls reuse it."""
-    top = argparse.ArgumentParser(
-        prog="afcheck",
-        description="Exact checker for asymptotic Fermat criteria over "
-                    "number fields")
-    top.add_argument("--output", choices=("human", "json"), default="human")
-    top.add_argument("--seed", type=int, default=0,
-                     help="echoed into reports; all computations are deterministic")
-    top.add_argument("--config", help="key=value overrides for bounds")
-    sub = top.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("field", help="signature, discriminant, S_K and U_K")
-    p.add_argument("poly")
-
-    p = sub.add_parser("sunit", help="bounded S_K-unit equation search")
-    p.add_argument("poly")
-    p.add_argument("--bound", type=int, default=None)
-    p.add_argument("--user-class-number", type=int, default=None)
-
-    p = sub.add_parser("selmer", help="2-Selmer square classes K(S_K, 2)")
-    p.add_argument("poly")
-    p.add_argument("--user-class-number", type=int, default=None)
-
-    p = sub.add_parser("frey", help="Frey curve invariants and local reports")
-    p.add_argument("family", choices=(FAMILY_TWO_POWER, FAMILY_SQUARE))
-    p.add_argument("poly")
-    p.add_argument("--a", required=True)
-    p.add_argument("--b", required=True)
-    p.add_argument("--c", required=True)
-    p.add_argument("--r", type=int, default=2)
-    p.add_argument("--p", default="symbolic",
-                   help="a concrete prime exponent, or 'symbolic'")
-    p.add_argument("--prime", type=int, default=None,
-                   help="rational prime at which to emit reduction reports")
-
-    p = sub.add_parser("check", help="evaluate a criterion's hypotheses")
+# The command table.  A command is (help line, positionals, options, the
+# options it needs); a positional is (name, choices or None), and options
+# map a name to (converter, default, choices or None).  A value is kept
+# under its name without dashes, "-" read as "_".
+_INT, _STR, _POLY = (int, None, None), (str, None, None), ("poly", None)
+_COMMANDS = {
+    "field": ("signature, discriminant, S_K and U_K", (_POLY,), {}, ()),
+    "sunit": ("bounded S_K-unit equation search", (_POLY,),
+              {"--bound": _INT, "--user-class-number": _INT}, ()),
+    "selmer": ("2-Selmer square classes K(S_K, 2)", (_POLY,),
+               {"--user-class-number": _INT}, ()),
+    "frey": ("Frey curve invariants and local reports",
+             (("family", (FAMILY_TWO_POWER, FAMILY_SQUARE)), _POLY),
+             {"--a": _STR, "--b": _STR, "--c": _STR, "--r": (int, 2, None),
+              "--p": (str, "symbolic", None), "--prime": _INT},
+             ("--a", "--b", "--c")),
     # thm-7-3 is resolved to thm-7-3-1 or thm-7-3-2 by --mode
-    p.add_argument("theorem", choices=(*CONCLUSIONS, "thm-7-3"))
-    p.add_argument("poly")
-    p.add_argument("--r", type=int, default=2)
-    p.add_argument("--l", type=int, default=None)
-    p.add_argument("--bound", type=int, default=None)
-    p.add_argument("--mode", type=int, default=None)
-    p.add_argument("--user-class-number", type=int, default=None)
+    "check": ("evaluate a criterion's hypotheses",
+              (("theorem", (*CONCLUSIONS, "thm-7-3")), _POLY),
+              {"--r": (int, 2, None), "--l": _INT, "--bound": _INT,
+               "--mode": _INT, "--user-class-number": _INT}, ()),
+    "scan": ("candidate totally ramified primes l", (_POLY,),
+             {"--l-max": _INT}, ()),
+}
+_TOP = ("exact checker for asymptotic Fermat criteria over number fields",
+        (("command", tuple(_COMMANDS)),),
+        {"--output": (str, "human", ("human", "json")),
+         "--seed": (int, 0, None), "--config": _STR}, ())
+_HELP = ("-h", "--help")
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")  # argparse's pattern
 
-    p = sub.add_parser("scan", help="candidate totally ramified primes l")
-    p.add_argument("poly")
-    p.add_argument("--l-max", type=int, default=None)
-    return top
+
+class _UsageError(Exception):
+    """A command line outside the table: args = (command or None, reason)."""
+
+
+def _dest(name):
+    return name.lstrip("-").replace("-", "_")
+
+
+def _option(arg, options):
+    """(name, value after "=" or None) of the option that arg names, read as
+    argparse reads it: the exact name, the name before "=", or the one long
+    name that the part before "=" begins.  The name is None for a positional
+    ("-", a negative number, a word with a space), "" for an unknown one."""
+    if arg[:1] != "-" or arg == "-":
+        return None, None
+    names = (*options, *_HELP)
+    if arg in names:
+        return arg, None
+    head, eq, value = arg.partition("=")
+    if eq and head in names:
+        return head, value
+    matches = [name for name in names
+               if arg[1] == "-" and name.startswith(head)]
+    if len(matches) == 1:
+        return matches[0], value if eq else None
+    positional = not matches and (" " in arg or _NEGATIVE_NUMBER.match(arg))
+    return None if positional else "", None
+
+
+def _parse_argv(argv):
+    """The request as a mapping, or None once -h has printed help; raises
+    _UsageError.  Top-level options come before the command word; after it,
+    positionals and options mix, and "--" ends the options.  An option's
+    value is always the next argument.  Unknown options and surplus words
+    are reported last, so that a later -h still prints help."""
+    _, positionals, options, required = _TOP
+    args = {_dest(name): default for name, (_, default, _) in options.items()}
+    slots, rest = list(positionals), iter(argv)
+    command, strays, options_end = None, [], False
+    for arg in rest:
+        if arg == "--" and command and not options_end:
+            options_end = True
+            continue
+        name, value = (None, None) if options_end else _option(arg, options)
+        if name is None and slots:
+            slot, choices = slots.pop(0)
+            args[slot] = _value(slot, arg, (str, None, choices), command)
+            if slot == "command":
+                command = arg
+                _, positionals, options, required = _COMMANDS[arg]
+                slots = list(positionals)
+                args.update((_dest(option), default) for option, (
+                    _, default, _) in options.items())
+        elif name in _HELP and value is None:
+            sys.stdout.write(_usage(command, full=True))
+            return None
+        elif not name or name in _HELP:  # unknown, surplus, --help=...
+            strays.append(arg)
+        elif value is None and (value := next(rest, None)) is None:
+            raise _UsageError(command, f"argument {name}: expected one "
+                              "argument")
+        else:
+            args[_dest(name)] = _value(name, value, options[name], command)
+    missing = [slot for slot, _ in slots] + [
+        name for name in required if args[_dest(name)] is None]
+    if missing or strays:
+        raise _UsageError(command, "the following arguments are required: "
+                          + ", ".join(missing) if missing else
+                          "unrecognized arguments: " + " ".join(strays))
+    return args
+
+
+def _value(name, text, entry, command):
+    """text converted and checked as the table entry of name asks."""
+    convert, _, choices = entry
+    try:
+        value = convert(text)
+    except ValueError:
+        raise _UsageError(command, f"argument {name}: invalid "
+                          f"{convert.__name__} value: {text!r}") from None
+    if choices is not None and value not in choices:
+        raise _UsageError(command, f"argument {name}: invalid choice: "
+                          f"{value!r} (choose from {', '.join(choices)})")
+    return value
+
+
+def _usage(command, full=False):
+    """The usage line of afcheck or of one command; with full, its help."""
+    help_line, positionals, options, required = _COMMANDS.get(command, _TOP)
+    words = [f"usage: afcheck {command or ''}".rstrip(), "[-h]"]
+    for name, (_, _, choices) in options.items():
+        word = f"{name} {_metavar(_dest(name).upper(), choices)}"
+        words.append(word if name in required else f"[{word}]")
+    words += (_metavar(name, choices) for name, choices in positionals)
+    lines = [" ".join(words) + ("" if command else " ...")]
+    lines += ["", help_line] if full else []
+    if full and not command:
+        lines += [""] + [f"  {name:8}{spec[0]}"
+                         for name, spec in _COMMANDS.items()]
+    return "\n".join(lines) + "\n"
+
+
+def _metavar(name, choices):
+    return "{" + ",".join(choices) + "}" if choices else name
 
 
 def _cmd_field(field, args, cfg):
@@ -147,7 +235,7 @@ def _cmd_field(field, args, cfg):
 
 
 def _cmd_sunit(field, args, cfg):
-    bound = args.bound if args.bound is not None else cfg.sunit_exponent_bound
+    bound = cfg.sunit_exponent_bound if args["bound"] is None else args["bound"]
     search = solve_sunit(field, s_k(field), bound,
                          max_candidates=cfg.max_candidates,
                          user_class_number=cfg.user_class_number,
@@ -166,22 +254,21 @@ def _cmd_selmer(field, args, cfg):
 
 
 def _cmd_frey(field, args, cfg):
-    if args.prime is not None and not is_prime(args.prime):
-        raise ParseError(f"--prime must be a prime, got {args.prime}")
+    family, prime, p_text = args["family"], args["prime"], args["p"]
+    if prime is not None and not is_prime(prime):
+        raise ParseError(f"--prime must be a prime, got {prime}")
     p = None
-    if args.p != "symbolic":
+    if p_text != "symbolic":
         try:
-            p = int(args.p)
+            p = int(p_text)
         except ValueError:
             pass
         if p is None or not is_prime(p):
-            raise ParseError(f"--p must be a prime or 'symbolic', got {args.p!r}")
-    a = field.element_from_str(args.a)
-    b = field.element_from_str(args.b)
-    c = field.element_from_str(args.c)
-    r = args.r if args.family == FAMILY_TWO_POWER else None
-    spec = FreySpec(args.family, a, b, c, r=r, p=p)
-    payload = {"family": args.family, "p": args.p, "r": r}
+            raise ParseError(f"--p must be a prime or 'symbolic', got {p_text!r}")
+    a, b, c = (field.element_from_str(args[key]) for key in "abc")
+    r = args["r"] if family == FAMILY_TWO_POWER else None
+    spec = FreySpec(family, a, b, c, r=r, p=p)
+    payload = {"family": family, "p": p_text, "r": r}
     caveats = []
     if p is not None:
         inv = invariants(spec)
@@ -191,10 +278,10 @@ def _cmd_frey(field, args, cfg):
         payload["cross_check"] = concrete_cross_check(spec, inv)
     else:
         payload["invariants"] = invariants(spec).to_dict()
-    if args.prime is not None:
-        sym = FreySpec(args.family, a, b, c, r=r, p=None)
+    if prime is not None:
+        sym = FreySpec(family, a, b, c, r=r, p=None)
         reports = []
-        for P in factor_rational_prime(field, args.prime):
+        for P in factor_rational_prime(field, prime):
             va = 0 if a.is_zero() else max(0, valuation(a, P))
             vb = 0 if b.is_zero() else max(0, valuation(b, P))
             vc = 0 if c.is_zero() else max(0, valuation(c, P))
@@ -202,12 +289,12 @@ def _cmd_frey(field, args, cfg):
         payload["reduction_reports"] = reports
     try:
         rep = None
-        if args.family == FAMILY_TWO_POWER:
+        if family == FAMILY_TWO_POWER:
             info = class_data(field, enum_bound=cfg.class_enum_bound,
                               user_class_number=cfg.user_class_number,
                               height_bound=cfg.unit_height_bound)
             rep = info.reps_H[0] if info.reps_H else None
-        shape = conductor_shape(field, args.family, rep,
+        shape = conductor_shape(field, family, rep,
                                 odd_multiplicative_primes(spec))
         payload["conductor"] = shape.to_dict()
     except AfcheckError as exc:
@@ -216,29 +303,29 @@ def _cmd_frey(field, args, cfg):
 
 
 def _cmd_check(field, args, cfg):
-    theorem = args.theorem
+    theorem, mode = args["theorem"], args["mode"]
     if theorem == "thm-7-3":
-        if args.mode not in (1, 2):
+        if mode not in (1, 2):
             raise ParseError("check thm-7-3 needs --mode 1 or --mode 2")
-        theorem = f"thm-7-3-{args.mode}"
+        theorem = f"thm-7-3-{mode}"
     if theorem in _SUNIT_CHECKS:
-        bound = args.bound if args.bound is not None else cfg.sunit_exponent_bound
+        bound = cfg.sunit_exponent_bound if args["bound"] is None else args["bound"]
         verdict = _SUNIT_CHECKS[theorem](
             field, bound, max_candidates=cfg.max_candidates,
             user_class_number=cfg.user_class_number,
             class_enum_bound=cfg.class_enum_bound,
             height_bound=cfg.unit_height_bound)
     else:
-        if args.l is None and theorem in ("thm-7-1", "thm-7-3-1"):
+        if args["l"] is None and theorem in ("thm-7-1", "thm-7-3-1"):
             raise ParseError(f"check {theorem} needs --l")
-        verdict = _LOCAL_CHECKS[theorem](field, args.l)
-    if args.r is not None and verdict.r is None:
-        verdict.r = args.r
+        verdict = _LOCAL_CHECKS[theorem](field, args["l"])
+    if args["r"] is not None and verdict.r is None:
+        verdict.r = args["r"]
     return verdict.to_dict(), list(verdict.caveats), _VERDICT_EXIT[verdict.applies]
 
 
 def _cmd_scan(field, args, cfg):
-    l_max = args.l_max if args.l_max is not None else cfg.l_max
+    l_max = cfg.l_max if args["l_max"] is None else args["l_max"]
     return {"candidates": scan_ramified_l(field, l_max)}, [], EXIT_OK
 
 
@@ -247,24 +334,32 @@ _HANDLERS = {"field": _cmd_field, "sunit": _cmd_sunit, "selmer": _cmd_selmer,
 
 
 def run(argv) -> int:
-    parser = _parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_ERROR if exc.code else EXIT_OK
-    cfg = RunConfig(output=args.output, seed=args.seed)
+        args = _parse_argv(argv)
+    except _UsageError as exc:
+        command, reason = exc.args
+        sys.stderr.write(f"{_usage(command)}afcheck: error: {reason}\n")
+        return EXIT_ERROR
+    if args is None:  # -h printed help
+        return EXIT_OK
+    cfg = RunConfig(output=args["output"], seed=args["seed"])
     started = time.monotonic()
     field = None  # an error report summarises the field if it was built
     try:
-        if args.config:
-            _load_config_file(args.config, cfg)
-        if getattr(args, "user_class_number", None) is not None:
-            cfg.user_class_number = args.user_class_number
+        if args["config"]:
+            _load_config_file(args["config"], cfg)
+        if args.get("user_class_number") is not None:
+            cfg.user_class_number = args["user_class_number"]
         if cfg.user_class_number is not None and cfg.user_class_number < 1:
             raise ParseError("user_class_number must be at least 1, "
                              f"got {cfg.user_class_number}")
-        field = make_field(args.poly)
-        payload, caveats, code = _HANDLERS[args.command](field, args, cfg)
+        if args.get("bound") is not None and args["bound"] < 0:
+            raise ParseError(f"--bound must be nonnegative, got {args['bound']}")
+        if args.get("family") == FAMILY_TWO_POWER and args["r"] < 1:
+            raise ParseError(f"--r must be at least 1 for {FAMILY_TWO_POWER}, "
+                             f"got {args['r']}")
+        field = make_field(args["poly"])
+        payload, caveats, code = _HANDLERS[args["command"]](field, args, cfg)
     except (AfcheckError, ParseError) as exc:
         error = {"error": {"type": type(exc).__name__, "message": str(exc),
                            **getattr(exc, "payload", {})}}
@@ -282,11 +377,11 @@ def run(argv) -> int:
 
 
 def _echo(args, cfg):
-    echo = {"command": args.command, "seed": cfg.seed}
+    echo = {"command": args["command"], "seed": cfg.seed}
     for key in ("poly", "theorem", "family", "bound", "r", "l", "mode",
                 "prime", "a", "b", "c", "l_max", "p"):
-        if hasattr(args, key) and getattr(args, key) is not None:
-            echo[key] = getattr(args, key)
+        if args.get(key) is not None:
+            echo[key] = args[key]
     return echo
 
 

@@ -1,8 +1,12 @@
 """CLI exit codes, canonical JSON and report round-trips."""
 
+import argparse
+import contextlib
 import hashlib
+import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 import time
@@ -11,9 +15,14 @@ from pathlib import Path
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import afcheck
-from afcheck.cli import _parser, run
+from afcheck import cli
+from afcheck.cli import run
+from afcheck.criteria import CONCLUSIONS
+from afcheck.frey import FAMILY_SQUARE, FAMILY_TWO_POWER
 from afcheck.frey import ValuationForm
 from afcheck.report import build_report, emit_json, parse_report, to_jsonable
 
@@ -203,6 +212,54 @@ class TestCommands:
         assert code == 1
         assert rep["result"]["error"]["type"] == "ParseError"
         assert "at least 1" in rep["result"]["error"]["message"]
+
+    @pytest.mark.parametrize("r", ["0", "-1"])
+    @pytest.mark.parametrize("output", ["json", "human"])
+    def test_frey_2r_exponent_below_one(self, capsys, r, output):
+        code = run(["--output", output, "frey", "2r", "x", "--a", "1", "--b",
+                    "1", "--c", "1", "--r", r, "--p", "5"])
+        out, err = capsys.readouterr()
+        assert code == 1
+        if output == "json":
+            error = json.loads(out)["result"]["error"]
+            assert error["type"] == "ParseError"
+            assert error["message"] == f"--r must be at least 1 for 2r, got {r}"
+        else:
+            assert out == ""
+            assert err == f"error (ParseError): --r must be at least 1 for 2r, got {r}\n"
+
+    def test_pp2_ignores_r(self, capsys):
+        code, rep = run_json(capsys, ["frey", "pp2", "x", "--a", "2", "--b",
+                                      "1", "--c", "3", "--r", "0", "--p", "3"])
+        assert code == 0 and rep["result"]["r"] is None
+
+    @pytest.mark.parametrize("argv", [
+        ["sunit", "x", "--bound", "-1"],
+        ["check", "thm-3-2", "x", "--bound", "-3"],
+        ["check", "thm-5-2", "x", "--bound=-1"],
+    ], ids=["sunit", "thm-3-2", "thm-5-2"])
+    def test_negative_bound_rejected(self, capsys, argv):
+        code, rep = run_json(capsys, argv)
+        assert code == 1
+        error = rep["result"]["error"]
+        assert error["type"] == "ParseError"
+        assert "--bound must be nonnegative" in error["message"]
+        assert rep["field"] is None
+
+    def test_zero_bound_accepted(self, capsys):
+        code, rep = run_json(capsys, ["sunit", "x", "--bound", "0"])
+        assert code == 0 and rep["caveats"] == ["bounded-search:B=0"]
+
+    @pytest.mark.parametrize("key", ["sunit_exponent_bound", "max_candidates",
+                                     "class_enum_bound", "unit_height_bound"])
+    def test_negative_config_bound_rejected(self, capsys, tmp_path, key):
+        cfg = tmp_path / "neg.conf"
+        cfg.write_text(f"{key} = -2\n")
+        code, rep = run_json(capsys, ["--config", str(cfg), "sunit", "x"])
+        assert code == 1
+        error = rep["result"]["error"]
+        assert error["type"] == "ParseError"
+        assert error["message"] == f"{key} must be nonnegative, got -2"
 
     FREY_CUBIC = ["frey", "2r", "x^3-x^2-2*x+1", "--a", "1", "--b", "1",
                   "--c", "1", "--r", "1", "--p", "5"]
@@ -551,11 +608,10 @@ def run_fresh(argv):
 
 
 class TestParserReuse:
-    """run() keeps one argparse tree per process; consecutive calls must
-    answer as if each ran alone."""
+    """Consecutive run() calls in one process must answer as if each ran
+    alone."""
 
     def sequence_matches_fresh_runs(self, capsys, argvs):
-        assert _parser() is _parser()
         for argv in argvs:
             code = run(argv)
             assert (code, capsys.readouterr().out) == run_fresh(argv), argv
@@ -625,3 +681,273 @@ class TestPerRequestWork:
         assert code in (2, 3)
         # class_data, the base-field search and the Selmer group
         assert len(seen) >= 3 and set(seen) == {7}
+
+
+def reference_parser():
+    """The argparse tree that parsed afcheck's command line before the
+    command table replaced it, kept as the reference for the table's parse."""
+    top = argparse.ArgumentParser(prog="afcheck")
+    top.add_argument("--output", choices=("human", "json"), default="human")
+    top.add_argument("--seed", type=int, default=0)
+    top.add_argument("--config")
+    sub = top.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("field")
+    p.add_argument("poly")
+
+    p = sub.add_parser("sunit")
+    p.add_argument("poly")
+    p.add_argument("--bound", type=int, default=None)
+    p.add_argument("--user-class-number", type=int, default=None)
+
+    p = sub.add_parser("selmer")
+    p.add_argument("poly")
+    p.add_argument("--user-class-number", type=int, default=None)
+
+    p = sub.add_parser("frey")
+    p.add_argument("family", choices=(FAMILY_TWO_POWER, FAMILY_SQUARE))
+    p.add_argument("poly")
+    p.add_argument("--a", required=True)
+    p.add_argument("--b", required=True)
+    p.add_argument("--c", required=True)
+    p.add_argument("--r", type=int, default=2)
+    p.add_argument("--p", default="symbolic")
+    p.add_argument("--prime", type=int, default=None)
+
+    p = sub.add_parser("check")
+    p.add_argument("theorem", choices=(*CONCLUSIONS, "thm-7-3"))
+    p.add_argument("poly")
+    p.add_argument("--r", type=int, default=2)
+    p.add_argument("--l", type=int, default=None)
+    p.add_argument("--bound", type=int, default=None)
+    p.add_argument("--mode", type=int, default=None)
+    p.add_argument("--user-class-number", type=int, default=None)
+
+    p = sub.add_parser("scan")
+    p.add_argument("poly")
+    p.add_argument("--l-max", type=int, default=None)
+    return top
+
+
+REFERENCE = reference_parser()
+
+
+def reference_parse(argv):
+    """argparse's namespace as a dict, or None if argparse refuses argv."""
+    try:
+        with contextlib.redirect_stderr(io.StringIO()):
+            return vars(REFERENCE.parse_args(argv))
+    except SystemExit:
+        return None
+
+
+def table_parse(argv):
+    try:
+        return cli._parse_argv(argv)
+    except cli._UsageError:
+        return None
+
+
+def readme_examples():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    return [shlex.split(line, comments=True)[1:]
+            for line in readme.read_text(encoding="utf-8").splitlines()
+            if line.startswith("afcheck ")]
+
+
+def workload_argvs():
+    """The request shapes of the benchmark's three workloads."""
+    argvs = [["sunit", "x^2-2", "--bound", "20"],
+             ["sunit", "x^2-x-4", "--bound", "6"],
+             ["sunit", "x^3-x^2-2*x+1", "--bound", "3",
+              "--user-class-number", "1"]]
+    argvs += [["check", theorem, *argv[1:]] for argv in argvs
+              for theorem in ("thm-3-2", "thm-3-3", "cor-3-4", "thm-5-2")]
+    argvs += [argv for argv, _, _ in
+              (case.values for case in field_sweep_cases())]
+    return [["--output", "json", *argv] for argv in argvs]
+
+
+# Values drawn for options, the good ones more often: none starts with "-"
+# unless it is a number.
+INT_VALUES = ("0", "1", "3", "17", "-1", "-40", "+5", " 7") * 4 + (
+    "x", "", "1.5")
+STR_VALUES = ("1", "x", "x^2 + 1", "x/2", "5", "symbolic", "", "-3", "-0.5")
+POSITIONAL_VALUES = ("x", "x^2-2", "x^3 - x^2 + 1", "-2, 0, 1", "-3", "-",
+                     "", "-x", "pp2", "thm-7-3", "nonsense")
+OPTION_NAMES = sorted({name for _, _, options, _ in (cli._TOP,
+                                                      *cli._COMMANDS.values())
+                       for name in options} | {"--nope"})
+
+
+@st.composite
+def option_words(draw, name, options):
+    """An option as one or two words: the name, a prefix of it or "--=",
+    its value after "=" or as the next word."""
+    spelled = "--" if not draw(st.integers(0, 19)) else draw(st.sampled_from(
+        [name[:k] for k in range(3, len(name))] + [name] * 3))
+    _, _, choices = options.get(name, (str, None, None))
+    converter = options.get(name, (str,))[0]
+    values = (*choices * 4, "xml") if choices else (
+        INT_VALUES if converter is int else STR_VALUES)
+    value = draw(st.sampled_from(values))
+    if spelled == "--" or draw(st.integers(0, 3)) == 0:
+        return [f"{spelled}={value}"]
+    return [spelled, value]
+
+
+@st.composite
+def command_lines(draw):
+    """Mostly well-formed command lines, each perhaps broken in one or two
+    places: an unknown or misplaced option, a bad value or choice, a missing
+    positional, option or value, a surplus word."""
+    argv = []
+    for _ in range(draw(st.integers(0, 2))):
+        top_options = cli._TOP[2]
+        name = draw(st.sampled_from([*top_options, "--nope"]))
+        argv += draw(option_words(name, top_options))
+    command = draw(st.sampled_from([*cli._COMMANDS] * 3 + ["nonsense"]))
+    if draw(st.integers(0, 9)):
+        argv.append(command)
+    _, positionals, options, required = cli._COMMANDS.get(
+        command, cli._COMMANDS["field"])
+    groups = []
+    for name, choices in positionals:
+        if draw(st.integers(0, 9)):
+            groups.append([draw(st.sampled_from(
+                (*(choices or ("x", "x^2-2")),) * 4 + POSITIONAL_VALUES))])
+    for name in options:
+        if name in required or draw(st.booleans()):
+            if draw(st.integers(0, 11)):
+                groups.append(draw(option_words(name, options)))
+    if not draw(st.integers(0, 4)):
+        name = draw(st.sampled_from(OPTION_NAMES))
+        groups.append(draw(option_words(name, options)))
+    if not draw(st.integers(0, 9)):
+        groups.append([draw(st.sampled_from(POSITIONAL_VALUES))])
+    groups = draw(st.permutations(groups))
+    if not draw(st.integers(0, 9)):
+        groups.insert(draw(st.integers(0, len(groups))), ["--"])
+    argv += [word for group in groups for word in group]
+    if not draw(st.integers(0, 9)):
+        argv.append(draw(st.sampled_from(sorted(options) or ["--x"])))
+    return argv
+
+
+class TestCommandTable:
+    """The command table parses every command line as the former argparse
+    tree did: the same mapping, or a refusal by both."""
+
+    @pytest.mark.parametrize("argv", workload_argvs(), ids=" ".join)
+    def test_workload_shapes(self, argv):
+        assert table_parse(argv) == reference_parse(argv) is not None
+
+    @pytest.mark.parametrize("argv", readme_examples(), ids=" ".join)
+    def test_readme_examples(self, argv):
+        assert table_parse(argv) == reference_parse(argv) is not None
+
+    def test_readme_has_examples(self):
+        assert len(readme_examples()) >= 10
+
+    @pytest.mark.parametrize("argv", [
+        ["--output=json", "sunit", "x", "--bo=3"],
+        ["--o", "json", "--se", "5", "check", "--r", "3", "thm-3-2", "x",
+         "--b", "2", "--u", "1"],
+        ["frey", "2r", "x", "--a", "1", "--b", "1", "--c", "1", "--p=7",
+         "--pr", "2", "--p", "5"],
+        ["sunit", "x", "--bound", "3", "--bound", "4"],
+        ["sunit", "x", "--bound", "-1"],
+        ["sunit", "-3"], ["field", "-2, 0, 1"], ["field", "--", "-2,0,1"],
+        ["frey", "2r", "x", "--a=-x", "--b", "1", "--c", "1"],
+        ["field", ""],
+    ])
+    def test_accepted_alike(self, argv):
+        assert table_parse(argv) == reference_parse(argv) is not None
+
+    @pytest.mark.parametrize("argv", [
+        [], ["--output", "json"], ["nonsense", "x"], ["--", "field", "x"],
+        ["--output", "xml", "field", "x"], ["field", "x", "--output", "json"],
+        ["sunit", "x", "--nope", "1"], ["sunit", "x", "y"], ["sunit", "-3."],
+        ["sunit", "x", "--bound"], ["sunit", "x", "--bound", "three"],
+        ["check", "nonsense", "x"], ["check", "thm-3-2"],
+        ["frey", "2r", "x", "--a", "1", "--c", "1"], ["frey", "x"],
+        ["sunit", "x", "--=3"], ["field", "x", "--help=3"],
+        ["field", "-x"], ["sunit", "x", "--", "--bound", "3"],
+    ])
+    def test_refused_alike(self, argv):
+        assert table_parse(argv) is None
+        assert reference_parse(argv) is None
+
+    @settings(max_examples=600, deadline=None)
+    @given(command_lines())
+    def test_drawn_command_lines(self, argv):
+        expected = reference_parse(argv)
+        if expected is None and argv[-1:] == ["--"]:
+            # see test_last_separator
+            expected = reference_parse(argv[:-1])
+        assert table_parse(argv) == expected
+
+    def test_last_separator(self):
+        # argparse keeps a last "--" only after a positional word; the
+        # table ends the options there and reads nothing more
+        argv = ["selmer", "x", "--user-class-number", "1"]
+        assert reference_parse(argv + ["--"]) is None
+        assert table_parse(argv + ["--"]) == reference_parse(argv)
+        assert table_parse(["field", "x", "--"]) == reference_parse(
+            ["field", "x", "--"]) is not None
+
+    def test_option_value_is_the_next_word(self):
+        # argparse refused a value that looks like an option; the table
+        # takes the next word whatever it is
+        argv = ["frey", "2r", "x", "--a", "-x", "--b", "1", "--c", "1"]
+        assert reference_parse(argv) is None
+        args = table_parse(argv)
+        assert args["a"] == "-x" and args["b"] == "1"
+
+    @pytest.mark.parametrize("argv, command", [
+        (["-h"], None), (["--output", "json", "--help"], None),
+        (["--nope", "--he"], None), (["frey", "-h"], "frey"),
+        (["check", "thm-3-2", "--he"], "check"),
+        (["sunit", "x", "--nope", "--help"], "sunit"),
+    ])
+    def test_help(self, capsys, argv, command):
+        assert run(argv) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert out.startswith(f"usage: afcheck {command or ''}".rstrip()
+                              + " [-h] ")
+        if command is None:
+            assert "[--output {human,json}] [--seed SEED]" in out
+            assert all(f"\n  {name:8}{help_line}\n" in out
+                       for name, (help_line, *_) in cli._COMMANDS.items())
+        else:
+            assert f"\n{cli._COMMANDS[command][0]}\n" in out
+        if command == "frey":
+            assert " --a A --b B --c C [--r R] " in out
+
+    @pytest.mark.parametrize("argv, reason", [
+        (["check", "thm-3-2", "x", "--bound", "x"],
+         "argument --bound: invalid int value: 'x'"),
+        (["frey", "2r", "x", "--a", "1"],
+         "the following arguments are required: --b, --c"),
+        (["sunit", "x", "y"], "unrecognized arguments: y"),
+        (["--output", "xml", "field", "x"],
+         "argument --output: invalid choice: 'xml' (choose from human, json)"),
+        ([], "the following arguments are required: command"),
+    ])
+    def test_usage_error(self, capsys, argv, reason):
+        assert run(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        usage, error = err.splitlines()
+        assert usage.startswith("usage: afcheck")
+        assert error == f"afcheck: error: {reason}"
+
+    def test_import_leaves_argparse_out(self):
+        src = str(Path(afcheck.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, afcheck.cli; "
+             "print(sorted({'argparse', 'gettext'} & set(sys.modules)))"],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+            timeout=120, check=True)
+        assert proc.stdout.strip() == "[]"
