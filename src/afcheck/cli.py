@@ -43,6 +43,10 @@ _LOCAL_CHECKS = {"thm-7-1": check_thm_7_1,
                  "cor-7-2": lambda field, ell: check_cor_7_2(field),
                  "thm-7-3-1": lambda field, ell: check_thm_7_3(field, 1, ell),
                  "thm-7-3-2": lambda field, ell: check_thm_7_3(field, 2)}
+# the check options that only some criteria read: option -> those criteria,
+# as named on the command line or as thm-7-3 --mode resolves
+_READ_BY = {"l": ("thm-7-1", "thm-7-3-1"), "mode": ("thm-7-3",),
+            "bound": tuple(_SUNIT_CHECKS)}
 
 
 @dataclass
@@ -62,7 +66,8 @@ _NONNEGATIVE_KEYS = ("sunit_exponent_bound", "unit_height_bound",
                      "class_enum_bound", "max_candidates")
 
 
-def _load_config_file(path, cfg: RunConfig):
+def _load_config_file(path, cfg: RunConfig, given=()):
+    """Set the keys of the file on cfg, except those in given."""
     with open(path, encoding="utf-8") as handle:
         for raw in handle:
             line = raw.split("#", 1)[0].strip()
@@ -79,7 +84,8 @@ def _load_config_file(path, cfg: RunConfig):
                 raise ParseError(f"bad value for {key}: {value!r}") from exc
             if number < 0 and key in _NONNEGATIVE_KEYS:
                 raise ParseError(f"{key} must be nonnegative, got {number}")
-            setattr(cfg, key, number)
+            if key not in given:
+                setattr(cfg, key, number)
 
 
 # The command table.  A command is (help line, positionals, options, the
@@ -109,7 +115,7 @@ _COMMANDS = {
 _TOP = ("exact checker for asymptotic Fermat criteria over number fields",
         (("command", tuple(_COMMANDS)),),
         {"--output": (str, "human", ("human", "json")),
-         "--seed": (int, 0, None), "--config": _STR}, ())
+         "--seed": _INT, "--config": _STR}, ())
 _HELP = ("-h", "--help")
 _NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")  # argparse's pattern
 
@@ -246,7 +252,7 @@ def _cmd_sunit(field, args, cfg):
 
 
 def _cmd_selmer(field, args, cfg):
-    group = selmer_group(field, s_k(field), 2,
+    group = selmer_group(field, s_k(field),
                          user_class_number=cfg.user_class_number,
                          class_enum_bound=cfg.class_enum_bound,
                          height_bound=cfg.unit_height_bound)
@@ -303,11 +309,16 @@ def _cmd_frey(field, args, cfg):
 
 
 def _cmd_check(field, args, cfg):
-    theorem, mode = args["theorem"], args["mode"]
-    if theorem == "thm-7-3":
+    named, mode = args["theorem"], args["mode"]
+    theorem = named
+    if named == "thm-7-3":
         if mode not in (1, 2):
             raise ParseError("check thm-7-3 needs --mode 1 or --mode 2")
         theorem = f"thm-7-3-{mode}"
+    for option, readers in _READ_BY.items():
+        if args[option] is not None and not {named, theorem} & set(readers):
+            raise ParseError(f"--{option} is read only by "
+                             f"{', '.join(readers)}, not by {theorem}")
     if theorem in _SUNIT_CHECKS:
         bound = cfg.sunit_exponent_bound if args["bound"] is None else args["bound"]
         verdict = _SUNIT_CHECKS[theorem](
@@ -316,7 +327,7 @@ def _cmd_check(field, args, cfg):
             class_enum_bound=cfg.class_enum_bound,
             height_bound=cfg.unit_height_bound)
     else:
-        if args["l"] is None and theorem in ("thm-7-1", "thm-7-3-1"):
+        if args["l"] is None and theorem in _READ_BY["l"]:
             raise ParseError(f"check {theorem} needs --l")
         verdict = _LOCAL_CHECKS[theorem](field, args["l"])
     if args["r"] is not None and verdict.r is None:
@@ -342,21 +353,24 @@ def run(argv) -> int:
         return EXIT_ERROR
     if args is None:  # -h printed help
         return EXIT_OK
-    cfg = RunConfig(output=args["output"], seed=args["seed"])
+    # the command line wins over the config file
+    given = {key: args[key] for key in ("seed", "user_class_number")
+             if args.get(key) is not None}
+    cfg = RunConfig(output=args["output"], **given)
     started = time.monotonic()
     field = None  # an error report summarises the field if it was built
     try:
         if args["config"]:
-            _load_config_file(args["config"], cfg)
-        if args.get("user_class_number") is not None:
-            cfg.user_class_number = args["user_class_number"]
+            _load_config_file(args["config"], cfg, given)
         if cfg.user_class_number is not None and cfg.user_class_number < 1:
             raise ParseError("user_class_number must be at least 1, "
                              f"got {cfg.user_class_number}")
         if args.get("bound") is not None and args["bound"] < 0:
             raise ParseError(f"--bound must be nonnegative, got {args['bound']}")
-        if args.get("family") == FAMILY_TWO_POWER and args["r"] < 1:
-            raise ParseError(f"--r must be at least 1 for {FAMILY_TWO_POWER}, "
+        # r is the twist exponent of the 2r family; pp2 ignores --r
+        twisted = args.get("family") or args["command"]
+        if twisted in (FAMILY_TWO_POWER, "check") and args["r"] < 1:
+            raise ParseError(f"--r must be at least 1 for {twisted}, "
                              f"got {args['r']}")
         field = make_field(args["poly"])
         payload, caveats, code = _HANDLERS[args["command"]](field, args, cfg)

@@ -297,7 +297,7 @@ def check_thm_5_2(field: NumberField, bound: int, *,
         "max(|v(lambda)|, |v(mu)|) <= 4*v(2) at some prime over 2",
         search, primes, _within_4v2, bound))
 
-    selmer = selmer_group(field, primes, 2, user_class_number=user_class_number,
+    selmer = selmer_group(field, primes, user_class_number=user_class_number,
                           class_enum_bound=class_enum_bound,
                           height_bound=height_bound)
     for rep in selmer.representatives:

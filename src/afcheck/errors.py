@@ -87,10 +87,6 @@ class UnsupportedCase(AfcheckError):
     pass
 
 
-class DegenerateLambda(AfcheckError):
-    pass
-
-
 class FactorizationIncomplete(AfcheckError):
     """Integer factorization left a composite cofactor within the work limits."""
 

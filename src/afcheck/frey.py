@@ -4,21 +4,24 @@ Two curve families are supported, keyed by the equation they encode:
   "2r"  : Y^2 = X(X - a^p)(X + b^p)        for a^p + b^p = 2^r c^p
   "pp2" : Y^2 = X^3 + 4c X^2 + 4 a^p X     for a^p + b^p = c^2
 
-Valuations of Delta, c4 and j at a prime are affine forms alpha + beta*p in
-the symbolic exponent; every report carries the smallest p for which its
-sign and divisibility conclusions are valid.  Inertia-image statements are
-represented exclusively through their valuation criteria (negative j with
-p not dividing v(j); potentially good with 3 not dividing v(Delta)).
+For a concrete exponent the closed-form Delta, c4 and j are checked against
+the literal Weierstrass model.  Valuations of Delta, c4 and j at a prime
+are affine forms alpha + beta*p in the symbolic exponent; every report
+carries the smallest p for which its sign and divisibility conclusions are
+valid.  Inertia-image statements are represented exclusively through their
+valuation criteria (negative j with p not dividing v(j); potentially good
+with 3 not dividing v(Delta)).  The conductor shape lists the exponent
+range at each prime and the odd primes that level lowering deletes.  No
+function here decides whether a triple is trivial or lies in W_K.
 """
 
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import cached_property
 
-from .errors import (DegenerateLambda, InconsistentDivisibility,
-                     RelationViolated, UnsupportedCase)
+from .errors import InconsistentDivisibility, RelationViolated, UnsupportedCase
 from .numberfield import FieldElement, NumberField
-from .prime_ideals import PrimeIdeal, element_valuations, s_k, valuation
+from .prime_ideals import PrimeIdeal, element_valuations, s_k
 
 FAMILY_TWO_POWER = "2r"
 FAMILY_SQUARE = "pp2"
@@ -32,27 +35,10 @@ class ValuationForm:
     alpha: int
     beta: int
 
-    def evaluate(self, p: int) -> int:
-        return self.alpha + self.beta * p
-
     @property
     def threshold(self) -> Fraction:
         """Sign and p-divisibility conclusions hold for primes p > threshold."""
         return Fraction(abs(self.alpha), max(1, abs(self.beta)))
-
-    def p_divides_symbolically(self) -> bool:
-        """Whether p | (alpha + beta p), valid for p > |alpha|."""
-        return self.alpha == 0
-
-    def sign_for_large_p(self) -> int:
-        ref = self.beta if self.beta else self.alpha
-        return (ref > 0) - (ref < 0)
-
-    def __add__(self, other):
-        return ValuationForm(self.alpha + other.alpha, self.beta + other.beta)
-
-    def scaled(self, k: int):
-        return ValuationForm(self.alpha * k, self.beta * k)
 
     def to_dict(self):
         return {"alpha": self.alpha, "beta": self.beta, "threshold": self.threshold}
@@ -395,70 +381,3 @@ def odd_multiplicative_primes(spec: FreySpec):
         if not x.is_zero():
             prod = prod * x
     return [P for P, v in element_valuations(prod, skip=(2,)) if v > 0]
-
-
-# ----------------------------------------------------- Legendre lambda maps
-
-def legendre_j(lam: FieldElement) -> FieldElement:
-    """j-invariant of the Legendre curve with parameter lambda."""
-    if lam.is_zero() or lam == 1:
-        raise DegenerateLambda("lambda in {0, 1}")
-    num = (lam * lam - lam + 1) ** 3
-    den = (lam * (1 - lam)) ** 2
-    return num * 256 / den
-
-
-def lambda_orbit(lam: FieldElement):
-    """The six-element orbit of lambda under the anharmonic group."""
-    if lam.is_zero() or lam == 1:
-        raise DegenerateLambda("lambda in {0, 1}")
-    one = lam.field.one()
-    return [lam, one / lam, one - lam, one / (one - lam),
-            lam / (lam - one), (lam - one) / lam]
-
-
-def j_from_lambda_mu(lam: FieldElement, mu: FieldElement) -> FieldElement:
-    """The same j expressed through lambda*mu for lambda + mu = 1."""
-    if lam + mu != 1:
-        raise RelationViolated("lambda + mu != 1")
-    prod = lam * mu
-    if prod.is_zero():
-        raise DegenerateLambda("lambda*mu = 0")
-    return (1 - prod) ** 3 * 256 / (prod * prod)
-
-
-# ------------------------------------------------------- fixture predicates
-
-def is_trivial_2r(a: FieldElement, b: FieldElement, c: FieldElement) -> bool:
-    return (a * b * c).is_zero() or a == b or a == -b
-
-
-def is_trivial_pp2(a: FieldElement, b: FieldElement, c: FieldElement) -> bool:
-    if (a * b * c).is_zero():
-        return True
-    return a == 1 and b == 1 and c * c == 2
-
-
-def in_w_k(field: NumberField, a, b, c) -> bool:
-    """Every prime over 2 divides a*b*c."""
-    prod = a * b * c
-    if prod.is_zero():
-        return True
-    return all(valuation(prod, P) >= 1 for P in s_k(field))
-
-
-def in_w_k_prime(field: NumberField, a, b) -> bool:
-    """Every prime over 2 divides a*b."""
-    prod = a * b
-    if prod.is_zero():
-        return True
-    return all(valuation(prod, P) >= 1 for P in s_k(field))
-
-
-def at_most_one_divisible(primes, triple) -> bool:
-    """No prime in the list divides two distinct entries of the triple."""
-    for P in primes:
-        hits = sum(1 for t in triple if not t.is_zero() and valuation(t, P) >= 1)
-        if hits > 1:
-            return False
-    return True

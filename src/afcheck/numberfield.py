@@ -326,13 +326,6 @@ class FieldElement:
     def trace(self):
         return Fraction(linalg.trace(self.num_matrix()), self.den)
 
-    def char_poly(self):
-        """det(t - x) low-degree-first: the coefficient of t^(n-k) of the
-        integer charpoly of num, divided by den^k."""
-        ch = linalg.charpoly(self.num_matrix())
-        n = len(ch) - 1
-        return [Fraction(c, self.den ** (n - i)) for i, c in enumerate(ch)]
-
     def min_poly(self):
         """Monic minimal polynomial over Q: the squarefree part of the
         integer charpoly of num (a power of the minimal polynomial of num),

@@ -73,14 +73,6 @@ class PrimeIdeal:
             self._beta = _build_anti_uniformizer(self)
         return self._beta
 
-    def valuation(self, x: FieldElement) -> int:
-        return valuation(x, self)
-
-    def divides(self, x: FieldElement) -> bool:
-        if x.is_zero():
-            return True
-        return valuation(x, self) >= 1
-
 
 @dataclass(frozen=True)
 class SplittingType:

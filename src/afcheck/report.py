@@ -87,10 +87,6 @@ def emit_json(report) -> str:
                       ensure_ascii=False) + "\n"
 
 
-def parse_report(text: str):
-    return json.loads(text)
-
-
 def emit_human(report) -> str:
     lines = []
     field = report.get("field")

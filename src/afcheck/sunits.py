@@ -36,8 +36,9 @@ from .numberfield import FieldElement, NumberField, make_field
 from .polynomials import zx_factor
 from .prime_ideals import element_valuations, valuation
 from .units import (DEFAULT_CLASS_ENUM_BOUND, DEFAULT_UNIT_HEIGHT_BOUND,
-                    class_data, principal_generator, sqrt_core_element,
-                    unit_generators, _find_generator, _quad_data)
+                    GENERATOR_COORD_BOUND, class_data, principal_generator,
+                    sqrt_core_element, unit_generators, _find_generator,
+                    _quad_data)
 
 log = logging.getLogger("afcheck")
 
@@ -51,15 +52,13 @@ class SUnitBasis:
     torsion_gen: FieldElement
     torsion_order: int
     free_generators: list   # fundamental units then one pi_P per P in S
-    pi_orders: dict          # P -> order of [P] in the class group
     exponent_bound: int
 
 
 def build_sunit_basis(field: NumberField, S, bound: int, *,
                       user_class_number=None,
                       class_enum_bound: int = DEFAULT_CLASS_ENUM_BOUND,
-                      height_bound: int = DEFAULT_UNIT_HEIGHT_BOUND,
-                      gen_bound: int = 64) -> SUnitBasis:
+                      height_bound: int = DEFAULT_UNIT_HEIGHT_BOUND) -> SUnitBasis:
     """Torsion, fundamental units and P-power generators for the S-units."""
     try:
         units = unit_generators(field, height_bound)
@@ -76,7 +75,7 @@ def build_sunit_basis(field: NumberField, S, bound: int, *,
             raise BasisUnavailable(f"class data unavailable: {exc}") from exc
         for P in S:
             try:
-                o, pi = _prime_power_generator(field, P, info.h, gen_bound)
+                o, pi = _prime_power_generator(field, P, info.h)
             except SearchExhausted as exc:
                 raise BasisUnavailable(f"no generator for {P}: {exc}") from exc
             orders[P] = o
@@ -88,12 +87,12 @@ def build_sunit_basis(field: NumberField, S, bound: int, *,
                 if Q != P and valuation(pi, Q) != 0:
                     raise ArithmeticError("pi generator meets another prime of S")
     return SUnitBasis(field, list(S), units.torsion_gen, units.torsion_order,
-                      list(units.fundamental_units) + pis, orders, bound)
+                      list(units.fundamental_units) + pis, bound)
 
 
-def _prime_power_generator(field, P, h, gen_bound):
+def _prime_power_generator(field, P, h):
     """(k, pi): the least k dividing h with P^k principal, and a generator
-    pi of P^k; searched once per field, P, h and gen_bound."""
+    pi of P^k; searched once per field, P and h."""
     if field.degree == 1:
         return 1, field.from_rational(P.q)
 
@@ -104,14 +103,15 @@ def _prime_power_generator(field, P, h, gen_bound):
                 gen = principal_generator(field, {P: k})
             else:
                 try:
-                    gen = _find_generator(field, {P: k}, gen_bound)
+                    gen = _find_generator(field, {P: k},
+                                          GENERATOR_COORD_BOUND)
                 except GeneratorNotFound:
                     gen = None
             if gen is not None:
                 return k, gen
         raise BasisUnavailable(f"no power of {P} found principal up to h={h}")
 
-    return field.memo(("prime_power_generator", P, h, gen_bound), search)
+    return field.memo(("prime_power_generator", P, h), search)
 
 
 # -------------------------------------------------------------- solutions
@@ -122,7 +122,6 @@ class SUnitSolution:
     mu: FieldElement
     val_profile: dict        # P -> (v_P(lambda), v_P(mu))
     from_box: bool
-    partner_key: tuple = None
 
     def t_max(self):
         return {P: max(abs(v[0]), abs(v[1])) for P, v in self.val_profile.items()}
@@ -284,7 +283,6 @@ def solve_sunit(field: NumberField, S, bound: int, *,
 
     solutions = [found[k] for k in sorted(found)]
     for sol in solutions:
-        sol.partner_key = sol.mu.key()
         _verify_solution(sol)
     return SUnitSearch(field, list(S), bound, solutions, warnings)
 
@@ -438,7 +436,6 @@ def _is_square_odd(x: FieldElement):
 class SelmerGroup:
     field: NumberField
     S: list
-    m: int
     basis: list
     representatives: list
 
@@ -447,14 +444,14 @@ class SelmerGroup:
         return len(self.basis)
 
     def to_dict(self):
-        return {"m": self.m,
+        return {"m": 2,
                 "basis": [g.coord_strs() for g in self.basis],
                 "basis_size": self.basis_size,
                 "representatives": [r.coord_strs()
                                     for r in self.representatives]}
 
 
-def selmer_group(field: NumberField, S, m: int = 2, *,
+def selmer_group(field: NumberField, S, *,
                  user_class_number=None,
                  class_enum_bound: int = DEFAULT_CLASS_ENUM_BOUND,
                  height_bound: int = DEFAULT_UNIT_HEIGHT_BOUND) -> SelmerGroup:
@@ -464,8 +461,6 @@ def selmer_group(field: NumberField, S, m: int = 2, *,
     the generating set is reduced to an independent basis by exact square
     testing of all subset products.
     """
-    if m != 2:
-        raise Unsupported(f"Selmer modulus {m} != 2")
     basis_data = build_sunit_basis(field, S, 1,
                                    user_class_number=user_class_number,
                                    class_enum_bound=class_enum_bound,
@@ -497,7 +492,7 @@ def selmer_group(field: NumberField, S, m: int = 2, *,
             if mask >> i & 1:
                 r = r * independent[i]
         reps.append(r)
-    return SelmerGroup(field, list(S), 2, independent, reps)
+    return SelmerGroup(field, list(S), independent, reps)
 
 
 # ------------------------------------------------------ quadratic extensions

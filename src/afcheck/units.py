@@ -1,4 +1,4 @@
-"""Unit groups, class data and solution normalization.
+"""Unit groups, class data and principal generators.
 
 Fundamental units of real quadratic fields come from the continued fraction
 of sqrt(d) (or a cube root of that unit, for d = 1 mod 4); totally real
@@ -26,12 +26,11 @@ from itertools import product
 from math import gcd, inf, isqrt
 
 from .errors import (GeneratorNotFound, IndexDivisor, MissingUserClassNumber,
-                     SearchExhausted, Unsupported, ZeroElement)
+                     SearchExhausted, Unsupported)
 from .integerfactor import SMALL_PRIMES, squarefree_part
 from .numberfield import (FieldElement, NumberField, embedding_interval,
                           embedding_sign)
-from .prime_ideals import (PrimeIdeal, element_valuations,
-                           factor_rational_prime, int_valuation, valuation)
+from .prime_ideals import PrimeIdeal, factor_rational_prime, valuation
 
 # give-up cap on coordinate magnitude in unit searches; searches stop at the
 # first certified pair, so this only bounds the hopeless case
@@ -40,10 +39,14 @@ DEFAULT_UNIT_HEIGHT_BOUND = 10 ** 6
 # odd q up to which class representatives are enumerated
 DEFAULT_CLASS_ENUM_BOUND = 100
 
+# coordinate bound of the search for a generator of a power of a prime of S
+# in degree >= 3 (quadratic fields use principal_generator)
+GENERATOR_COORD_BOUND = 64
+
 # give-up cap on the candidates one generator search tests: the full
-# degree-3 box at the default coordinate bound 64, so searches in degree
-# <= 3 never reach it, while degree >= 4 stops long before (2*64+1)^n
-GENERATOR_SEARCH_LIMIT = 129 ** 3
+# degree-3 box at GENERATOR_COORD_BOUND, so searches in degree <= 3 never
+# reach it, while degree >= 4 stops long before (2*64+1)^n
+GENERATOR_SEARCH_LIMIT = (2 * GENERATOR_COORD_BOUND + 1) ** 3
 
 # continued-fraction steps one Pell solution may take; a period that long
 # gives a fundamental unit of about PELL_STEP_BUDGET / 2 digits
@@ -68,12 +71,6 @@ class UnitGroup:
     def generators(self):
         return [self.torsion_gen] + list(self.fundamental_units)
 
-    def to_dict(self):
-        return {"rank": self.rank,
-                "fundamental_units": [u.coord_strs() for u in self.fundamental_units],
-                "torsion_order": self.torsion_order,
-                "completeness": list(self.completeness)}
-
 
 @dataclass
 class ClassData:
@@ -82,11 +79,6 @@ class ClassData:
     reps_H: list
     completeness: tuple
     notes: list = dc_field(default_factory=list)
-
-    def to_dict(self):
-        return {"h": self.h, "h_plus": self.h_plus,
-                "reps_H": [p.to_dict() for p in self.reps_H],
-                "completeness": list(self.completeness), "notes": self.notes}
 
 
 # --------------------------------------------------- quadratic field data
@@ -629,71 +621,6 @@ def _f2_rank(vectors):
             if i != pivot and rows[i][c]:
                 rows[i] = [(a + b) % 2 for a, b in zip(rows[i], rows[pivot])]
     return rank
-
-
-# ------------------------------------------------------- normalization (H)
-
-@dataclass
-class NormalizedSolution:
-    a: FieldElement
-    b: FieldElement
-    c: FieldElement
-    rep: PrimeIdeal | None
-    xi: FieldElement
-
-
-def normalize_solution(field: NumberField, a, b, c, *,
-                       class_info: ClassData | None = None,
-                       gen_bound: int = 64,
-                       allow_trivial_ideal: bool = False) -> NormalizedSolution:
-    """Scale (a, b, c) by xi so the gcd ideal becomes the class representative.
-
-    Only class number one is supported; the representative is the smallest
-    odd prime ideal unless allow_trivial_ideal selects the unit ideal.
-    """
-    triple = [x if isinstance(x, FieldElement) else field.from_rational(x)
-              for x in (a, b, c)]
-    nonzero = [x for x in triple if not x.is_zero()]
-    if not nonzero:
-        raise ZeroElement("normalization of the zero triple")
-    info = class_info if class_info is not None else class_data(field)
-    if info.h != 1:
-        raise Unsupported(f"normalization requires class number 1, got {info.h}")
-    support = _gcd_ideal_profile(nonzero)
-    rep = None if allow_trivial_ideal else info.reps_H[0]
-    target = {p: -v for p, v in support.items()}
-    if rep is not None:
-        target[rep] = target.get(rep, 0) + 1
-    target = {p: v for p, v in target.items() if v != 0}
-    denom = 1
-    for q in {p.q for p in target}:
-        shift = 0
-        for p, v in target.items():
-            if p.q == q and v < 0:
-                shift = max(shift, (-v + p.e - 1) // p.e)
-        denom *= q ** shift
-    profile = {}
-    # denom is a product of powers of these q, so it needs no factoring
-    for q in {p.q for p in target}:
-        for p in factor_rational_prime(field, q):
-            v = target.get(p, 0) + p.e * int_valuation(denom, q)
-            if v:
-                profile[p] = v
-    eta = _find_generator(field, profile, gen_bound)
-    xi = eta / denom
-    out = [xi * t for t in triple]
-    return NormalizedSolution(out[0], out[1], out[2], rep, xi)
-
-
-def _gcd_ideal_profile(elements):
-    """Valuation vector of the ideal generated by the elements."""
-    supports = [dict(element_valuations(x)) for x in elements]
-    profile = {}
-    for p in set().union(*supports):
-        v = min(s.get(p, 0) for s in supports)
-        if v:
-            profile[p] = v
-    return profile
 
 
 def _find_generator(field, profile, gen_bound):

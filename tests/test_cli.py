@@ -24,7 +24,7 @@ from afcheck.cli import run
 from afcheck.criteria import CONCLUSIONS
 from afcheck.frey import FAMILY_SQUARE, FAMILY_TWO_POWER
 from afcheck.frey import ValuationForm
-from afcheck.report import build_report, emit_json, parse_report, to_jsonable
+from afcheck.report import build_report, emit_json, to_jsonable
 
 
 def run_json(capsys, argv):
@@ -109,7 +109,7 @@ class TestCanonicalJson:
     def test_round_trip_exact(self, capsys):
         code, rep = run_json(capsys, ["sunit", "x", "--bound", "8"])
         text = emit_json(rep)
-        again = parse_report(text)
+        again = json.loads(text)
         assert again["result"] == rep["result"]
 
     def test_sorted_keys(self):
@@ -227,6 +227,58 @@ class TestCommands:
         else:
             assert out == ""
             assert err == f"error (ParseError): --r must be at least 1 for 2r, got {r}\n"
+
+    @pytest.mark.parametrize("r", ["0", "-1"])
+    def test_check_exponent_below_one(self, capsys, r):
+        code, rep = run_json(capsys, ["check", "cor-7-2", "x", "--r", r])
+        assert code == 1
+        error = rep["result"]["error"]
+        assert error["type"] == "ParseError"
+        assert error["message"] == f"--r must be at least 1 for check, got {r}"
+
+    @pytest.mark.parametrize("argv, option, readers", [
+        (["thm-3-2", "x", "--l", "4"], "l", "thm-7-1, thm-7-3-1"),
+        (["cor-7-2", "x", "--l", "4"], "l", "thm-7-1, thm-7-3-1"),
+        (["thm-7-3", "x", "--mode", "2", "--l", "23"], "l",
+         "thm-7-1, thm-7-3-1"),
+        (["thm-3-2", "x", "--mode", "9"], "mode", "thm-7-3"),
+        (["thm-7-3-1", "x", "--l", "5", "--mode", "1"], "mode", "thm-7-3"),
+        (["cor-7-2", "x", "--bound", "2"], "bound",
+         "thm-3-2, thm-3-3, cor-3-4, thm-5-2"),
+        (["thm-7-1", "x", "--l", "23", "--bound", "2"], "bound",
+         "thm-3-2, thm-3-3, cor-3-4, thm-5-2"),
+        (["thm-7-3", "x", "--mode", "2", "--bound", "0"], "bound",
+         "thm-3-2, thm-3-3, cor-3-4, thm-5-2"),
+    ], ids=["l-sunit", "l-cor-7-2", "l-mode-2", "mode-sunit", "mode-7-3-1",
+            "bound-cor-7-2", "bound-thm-7-1", "bound-mode-2"])
+    def test_check_refuses_unread_option(self, capsys, argv, option, readers):
+        code, rep = run_json(capsys, ["check", *argv])
+        assert code == 1
+        error = rep["result"]["error"]
+        assert error["type"] == "ParseError"
+        assert error["message"].startswith(
+            f"--{option} is read only by {readers}, not by ")
+
+    @pytest.mark.parametrize("argv", [
+        ["thm-3-2", "x", "--bound", "2", "--r", "1"],
+        ["thm-7-3", "x", "--mode", "1", "--l", "5"],
+        ["thm-7-3-1", "x", "--l", "5"],
+        ["thm-7-1", "x^3 - x^2 + 1", "--l", "23"],
+    ], ids=["bound", "mode-and-l", "l-7-3-1", "l-7-1"])
+    def test_check_accepts_the_options_it_reads(self, capsys, argv):
+        code, rep = run_json(capsys, ["check", *argv])
+        assert code in (0, 2, 3) and "error" not in rep["result"]
+
+    def test_command_line_seed_wins_over_config(self, capsys, tmp_path):
+        cfg = tmp_path / "seed.conf"
+        cfg.write_text("seed = 7\n")
+        code, rep = run_json(capsys, ["--seed", "5", "--config", str(cfg),
+                                      "field", "x"])
+        assert code == 0 and rep["command"]["seed"] == 5
+        cfg.write_text("seed = 7\nnope = 1\n")
+        code, rep = run_json(capsys, ["--seed", "5", "--config", str(cfg),
+                                      "field", "x"])
+        assert code == 1 and rep["command"]["seed"] == 5
 
     def test_pp2_ignores_r(self, capsys):
         code, rep = run_json(capsys, ["frey", "pp2", "x", "--a", "2", "--b",
@@ -685,10 +737,12 @@ class TestPerRequestWork:
 
 def reference_parser():
     """The argparse tree that parsed afcheck's command line before the
-    command table replaced it, kept as the reference for the table's parse."""
+    command table replaced it, kept as the reference for the table's parse.
+    --seed defaults to None, as in the table, so that a config file's seed
+    applies unless the command line gives one."""
     top = argparse.ArgumentParser(prog="afcheck")
     top.add_argument("--output", choices=("human", "json"), default="human")
-    top.add_argument("--seed", type=int, default=0)
+    top.add_argument("--seed", type=int, default=None)
     top.add_argument("--config")
     sub = top.add_subparsers(dest="command", required=True)
 

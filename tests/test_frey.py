@@ -1,4 +1,4 @@
-"""Frey invariants, symbolic valuation profiles and the Legendre machinery."""
+"""Frey invariants, symbolic valuation profiles and conductor shapes."""
 
 import random
 from fractions import Fraction
@@ -6,13 +6,11 @@ from fractions import Fraction
 import pytest
 
 from afcheck import make_field
-from afcheck.errors import (DegenerateLambda, InconsistentDivisibility,
-                            RelationViolated, UnsupportedCase)
+from afcheck.errors import (InconsistentDivisibility, RelationViolated,
+                            UnsupportedCase)
 from afcheck.frey import (FAMILY_SQUARE, FAMILY_TWO_POWER,
-                          FreySpec, ValuationForm, at_most_one_divisible,
-                          concrete_cross_check, conductor_shape, invariants,
-                          in_w_k, in_w_k_prime, is_trivial_2r, is_trivial_pp2,
-                          j_from_lambda_mu, lambda_orbit, legendre_j,
+                          FreySpec, ValuationForm, concrete_cross_check,
+                          conductor_shape, invariants,
                           odd_multiplicative_primes, valuation_profile,
                           weierstrass_invariants)
 from afcheck.numberfield import FieldElement
@@ -109,13 +107,13 @@ class TestValuationForm:
             beta = rng.randint(-6, 6)
             form = ValuationForm(alpha, beta)
             for p in (7, 11, 13, 10007):
-                value = form.evaluate(p)
-                assert value == alpha + beta * p
+                value = alpha + beta * p
                 if p > abs(alpha):
-                    assert (value % p == 0) == form.p_divides_symbolically()
+                    assert (value % p == 0) == (alpha == 0)
                 if p > form.threshold:
-                    expected = (value > 0) - (value < 0)
-                    assert form.sign_for_large_p() == expected
+                    # past the threshold beta*p outweighs alpha
+                    lead = beta or alpha
+                    assert (value > 0) - (value < 0) == (lead > 0) - (lead < 0)
 
     def test_serialization_threshold(self):
         form = ValuationForm(4, -2)
@@ -131,7 +129,7 @@ class TestValuationProfile:
         assert rep.v_delta == ValuationForm(0, 2)
         assert rep.v_c4 == ValuationForm(0, 0)
         assert rep.reduction_type == "multiplicative"
-        assert rep.v_delta.p_divides_symbolically()
+        assert rep.v_delta.alpha == 0  # p | v(Delta) for every p
         assert not rep.flag_p_in_inertia
 
     def test_above_two_potentially_multiplicative(self):
@@ -187,9 +185,9 @@ class TestValuationProfile:
                         rep = valuation_profile(spec, prime, va, vb, vc)
                     except UnsupportedCase:
                         continue
-                    lhs = rep.v_c4.scaled(3)
-                    assert (lhs.alpha - rep.v_delta.alpha,
-                            lhs.beta - rep.v_delta.beta) == \
+                    c4, delta = rep.v_c4, rep.v_delta
+                    assert (3 * c4.alpha - delta.alpha,
+                            3 * c4.beta - delta.beta) == \
                         (rep.v_j.alpha, rep.v_j.beta)
 
     def test_flag_matches_concrete_evaluation(self):
@@ -202,7 +200,7 @@ class TestValuationProfile:
                 for p in (7, 11, 13, 101):
                     if p <= rep.p_threshold:
                         continue
-                    vj = rep.v_j.evaluate(p)
+                    vj = rep.v_j.alpha + rep.v_j.beta * p
                     assert rep.flag_p_in_inertia == (vj < 0 and vj % p != 0)
 
 
@@ -243,51 +241,6 @@ class TestConductor:
         assert [P.q for P in odd_multiplicative_primes(spec)] == [5, 7]
 
 
-class TestLegendre:
-    def test_j_at_minus_one(self):
-        assert legendre_j(Q.from_rational(-1)) == 1728
-
-    def test_orbit_multiset(self):
-        orbit = lambda_orbit(Q.from_rational(-1))
-        values = sorted(x.coords[0] for x in orbit)
-        assert values == [-1, -1, Fraction(1, 2), Fraction(1, 2), 2, 2]
-
-    def test_j_from_lambda_mu(self):
-        j = j_from_lambda_mu(Q.from_rational(2), Q.from_rational(-1))
-        assert j == 1728
-
-    def test_degenerate(self):
-        with pytest.raises(DegenerateLambda):
-            legendre_j(Q.zero())
-        with pytest.raises(RelationViolated):
-            j_from_lambda_mu(Q.one(), Q.one())
-
-    @pytest.mark.parametrize("poly", ["x", "x^2 - 2", "-1, -1, 1"])
-    def test_orbit_invariance_random(self, poly):
-        field = make_field(poly)
-        rng = random.Random(42)
-        checked = 0
-        while checked < 100:
-            coords = [Fraction(rng.randint(-8, 8), rng.randint(1, 3))
-                      for _ in range(field.degree)]
-            lam = field.element(coords)
-            if lam.is_zero() or lam == 1:
-                continue
-            j = legendre_j(lam)
-            for member in lambda_orbit(lam):
-                assert legendre_j(member) == j
-            checked += 1
-
-    def test_consistency_with_lambda_mu_form(self):
-        rng = random.Random(9)
-        for _ in range(50):
-            val = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
-            if val in (0, 1):
-                continue
-            lam = Q.from_rational(val)
-            assert j_from_lambda_mu(lam, 1 - lam) == legendre_j(lam)
-
-
 class TestProofChainProperties:
     def test_j_bound_and_congruence_on_solutions(self):
         for field in (Q, K2):
@@ -295,7 +248,9 @@ class TestProofChainProperties:
             res = solve_sunit(field, S, 6)
             from afcheck.prime_ideals import valuation
             for sol in res.solutions:
-                j = j_from_lambda_mu(sol.lam, sol.mu)
+                # j of the Legendre curve, through lambda*mu for lambda + mu = 1
+                prod = sol.lam * sol.mu
+                j = (1 - prod) ** 3 * 256 / (prod * prod)
                 for P in S:
                     vl, vm = sol.val_profile[P]
                     t = max(abs(vl), abs(vm))
@@ -304,40 +259,3 @@ class TestProofChainProperties:
                     assert vj >= 8 * P.e - 2 * t
                     if t > 0:
                         assert (vj - (8 * P.e - 2 * (vl + vm))) % 3 == 0
-
-
-class TestFixturePredicates:
-    def test_trivial_2r(self):
-        assert is_trivial_2r(Q.one(), Q.one(), Q.zero())
-        assert is_trivial_2r(Q.one(), Q.from_rational(-1), Q.one())
-        assert not is_trivial_2r(Q.from_rational(3), Q.from_rational(5),
-                                 Q.from_rational(7))
-
-    def test_trivial_pp2(self):
-        s = K2.theta()
-        assert is_trivial_pp2(K2.one(), K2.one(), s)
-        assert is_trivial_pp2(K2.one(), K2.one(), -s)
-        assert not is_trivial_pp2(K2.one(), K2.from_rational(2),
-                                  K2.from_rational(3))
-
-    def test_w_k_membership(self):
-        assert in_w_k(Q, Q.from_rational(2), Q.from_rational(6), Q.one())
-        assert not in_w_k(Q, Q.from_rational(3), Q.from_rational(5), Q.from_rational(7))
-        assert in_w_k_prime(Q, Q.from_rational(2), Q.one())
-
-    def test_at_most_one_divisible(self):
-        primes = s_k(Q)
-        good = [Q.from_rational(3), Q.from_rational(3), Q.from_rational(3)]
-        assert at_most_one_divisible(primes, good)
-        normalized = [Q.from_rational(2), Q.from_rational(3), Q.from_rational(5)]
-        assert at_most_one_divisible(primes, normalized)
-        violating = [Q.from_rational(2), Q.from_rational(2), Q.one()]
-        assert not at_most_one_divisible(primes, violating)
-
-    def test_remark_divisibility_after_normalization(self):
-        # normalized true solutions: each prime over 2 divides at most one entry
-        from afcheck.units import normalize_solution
-        triples = [(1, 1, 1), (2, 2, 2), (3, 3, 3)]  # t+t = 2t, r=1
-        for a, b, c in triples:
-            ns = normalize_solution(Q, a, b, c)
-            assert at_most_one_divisible(s_k(Q), [ns.a, ns.b, ns.c])

@@ -1,4 +1,4 @@
-"""Unit groups, class numbers, representatives and normalization."""
+"""Unit groups, class numbers, representatives and generator searches."""
 
 import math
 import time
@@ -8,15 +8,13 @@ import pytest
 
 from afcheck import linalg, make_field, units
 from afcheck.errors import (GeneratorNotFound, IndexDivisor,
-                            MissingUserClassNumber, SearchExhausted,
-                            Unsupported, ZeroElement)
+                            MissingUserClassNumber, SearchExhausted)
 from afcheck.integerfactor import SMALL_PRIMES
 from afcheck.numberfield import FieldElement
 from afcheck.prime_ideals import valuation, factor_rational_prime, s_k
 from afcheck.sunits import build_sunit_basis
-from afcheck.units import (class_data, normalize_solution, principal_generator,
-                           unit_generators, _certified_independent,
-                           _by_norm, _collect_reps, _cubic_fundamental_pair,
+from afcheck.units import (class_data, principal_generator, unit_generators,
+                           _certified_independent, _by_norm, _collect_reps, _cubic_fundamental_pair,
                            _find_generator, _ideal_class_equal,
                            _pell_fundamental, _quad_fundamental_unit, _shell,
                            _small_relation)
@@ -227,8 +225,6 @@ class TestPerFieldMemo:
         assert len(calls) == searched
         assert first.free_generators == second.free_generators
         assert (first.exponent_bound, second.exponent_bound) == (1, 3)
-        build_sunit_basis(K, S, 1, user_class_number=1, gen_bound=32)
-        assert len(calls) == 2 * searched
 
 
 class TestClassData:
@@ -428,51 +424,6 @@ class TestQuadraticBudget:
         assert principal_generator(K, {s_k(K)[0]: 1}) == K.theta()
 
 
-class TestNormalize:
-    def test_spec_examples_over_q(self):
-        Q = make_field("x")
-        ns = normalize_solution(Q, 2, 2, 2)
-        assert (ns.a, ns.b, ns.c) == (3, 3, 3)
-        assert ns.rep.q == 3 and ns.xi == Fraction_(3, 2)
-        ns2 = normalize_solution(Q, 3, 5, 7)
-        assert (ns2.a, ns2.b, ns2.c) == (9, 15, 21)
-
-    def test_zero_triple_rejected(self):
-        Q = make_field("x")
-        with pytest.raises(ZeroElement):
-            normalize_solution(Q, 0, 0, 0)
-
-    def test_trivial_ideal_switch(self):
-        Q = make_field("x")
-        ns = normalize_solution(Q, 2, 2, 2, allow_trivial_ideal=True)
-        assert ns.rep is None
-        assert (ns.a, ns.b, ns.c) == (1, 1, 1)
-
-    def test_class_number_one_required(self):
-        K = make_field("x^2 - 10")
-        with pytest.raises(Unsupported):
-            normalize_solution(K, K.from_rational(2), K.one(), K.one())
-
-    def test_gcd_invariants_sqrt2(self):
-        """Lemma-style postconditions: outputs integral, min valuation 0 away
-        from the representative and exactly 1 at it."""
-        K = make_field("x^2 - 2")
-        s = K.theta()
-        ns = normalize_solution(K, K.from_rational(2), 2 + 2 * s, K.from_rational(4))
-        triple = [ns.a, ns.b, ns.c]
-        for t in triple:
-            assert t.is_algebraic_integer()
-        rep = ns.rep
-        seen = {rep.q, 2, 3, 5}
-        for q in sorted(seen):
-            for P in factor_rational_prime(K, q):
-                vals = [valuation(t, P) for t in triple if not t.is_zero()]
-                if P == rep:
-                    assert min(vals) == 1
-                else:
-                    assert min(vals) == 0
-
-
 def shell_by_filter(dim, h):
     """The box [-h, h]^dim filtered to max coordinate magnitude h: the
     reference _shell must reproduce, tuple for tuple and in order."""
@@ -549,7 +500,3 @@ class TestGeneratorMatchesReference:
                     else:
                         assert _find_generator(K, {P: k}, bound) == want
 
-
-def Fraction_(a, b):
-    from fractions import Fraction
-    return Fraction(a, b)
