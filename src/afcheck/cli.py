@@ -9,7 +9,6 @@ data produced), 2 = verdict no, 3 = verdict unknown under bounded search,
 import re
 import sys
 import time
-from dataclasses import dataclass, fields
 
 from .criteria import (CONCLUSIONS, check_cor_3_4, check_cor_7_2,
                        check_thm_3_2, check_thm_3_3, check_thm_5_2,
@@ -24,9 +23,8 @@ from .parsing import ParseError
 from .prime_ideals import (factor_rational_prime, s_k, splitting_type, u_k,
                            valuation, verified_field_disc)
 from .report import build_report, emit_human, emit_json
-from .sunits import DEFAULT_MAX_CANDIDATES, selmer_group, solve_sunit
-from .units import (DEFAULT_CLASS_ENUM_BOUND, DEFAULT_UNIT_HEIGHT_BOUND,
-                    class_data)
+from .sunits import selmer_group, solve_sunit
+from .units import class_data
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -35,7 +33,12 @@ EXIT_UNKNOWN = 3
 
 _VERDICT_EXIT = {"yes": EXIT_OK, "no": EXIT_NO, "unknown": EXIT_UNKNOWN}
 
-# S-unit criteria, called as check(field, bound, **solver_kw)
+# the --bound of sunit and of the S-unit criteria, and the --l-max of scan,
+# when the command line gives none
+DEFAULT_BOUND = 8
+DEFAULT_L_MAX = 1000
+
+# S-unit criteria, called as check(field, bound, user_class_number)
 _SUNIT_CHECKS = {"thm-3-2": check_thm_3_2, "thm-3-3": check_thm_3_3,
                  "cor-3-4": check_cor_3_4, "thm-5-2": check_thm_5_2}
 # local criteria, called as check(field, l) with l None unless --l is given
@@ -47,45 +50,6 @@ _LOCAL_CHECKS = {"thm-7-1": check_thm_7_1,
 # as named on the command line or as thm-7-3 --mode resolves
 _READ_BY = {"l": ("thm-7-1", "thm-7-3-1"), "mode": ("thm-7-3",),
             "bound": tuple(_SUNIT_CHECKS)}
-
-
-@dataclass
-class RunConfig:
-    sunit_exponent_bound: int = 8
-    unit_height_bound: int = DEFAULT_UNIT_HEIGHT_BOUND
-    class_enum_bound: int = DEFAULT_CLASS_ENUM_BOUND
-    l_max: int = 1000
-    max_candidates: int = DEFAULT_MAX_CANDIDATES
-    user_class_number: int = None
-    seed: int = 0
-    output: str = "human"
-
-
-_CONFIG_KEYS = tuple(f.name for f in fields(RunConfig) if f.name != "output")
-_NONNEGATIVE_KEYS = ("sunit_exponent_bound", "unit_height_bound",
-                     "class_enum_bound", "max_candidates")
-
-
-def _load_config_file(path, cfg: RunConfig, given=()):
-    """Set the keys of the file on cfg, except those in given."""
-    with open(path, encoding="utf-8") as handle:
-        for raw in handle:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ParseError(f"bad config line: {raw.strip()!r}")
-            key, value = (part.strip() for part in line.split("=", 1))
-            if key not in _CONFIG_KEYS:
-                raise ParseError(f"unknown config key {key!r}")
-            try:
-                number = int(value)
-            except ValueError as exc:
-                raise ParseError(f"bad value for {key}: {value!r}") from exc
-            if number < 0 and key in _NONNEGATIVE_KEYS:
-                raise ParseError(f"{key} must be nonnegative, got {number}")
-            if key not in given:
-                setattr(cfg, key, number)
 
 
 # The command table.  A command is (help line, positionals, options, the
@@ -102,7 +66,8 @@ _COMMANDS = {
     "frey": ("Frey curve invariants and local reports",
              (("family", (FAMILY_TWO_POWER, FAMILY_SQUARE)), _POLY),
              {"--a": _STR, "--b": _STR, "--c": _STR, "--r": (int, 2, None),
-              "--p": (str, "symbolic", None), "--prime": _INT},
+              "--p": (str, "symbolic", None), "--prime": _INT,
+              "--user-class-number": _INT},
              ("--a", "--b", "--c")),
     # thm-7-3 is resolved to thm-7-3-1 or thm-7-3-2 by --mode
     "check": ("evaluate a criterion's hypotheses",
@@ -115,7 +80,7 @@ _COMMANDS = {
 _TOP = ("exact checker for asymptotic Fermat criteria over number fields",
         (("command", tuple(_COMMANDS)),),
         {"--output": (str, "human", ("human", "json")),
-         "--seed": _INT, "--config": _STR}, ())
+         "--seed": (int, 0, None)}, ())
 _HELP = ("-h", "--help")
 _NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")  # argparse's pattern
 
@@ -226,7 +191,7 @@ def _metavar(name, choices):
     return "{" + ",".join(choices) + "}" if choices else name
 
 
-def _cmd_field(field, args, cfg):
+def _cmd_field(field, args):
     # an index divisor at 2 or 3 ends the request here, before the
     # discriminant is factored; verified_field_disc raises nothing
     splitting = {f"splitting_{q}": splitting_type(field, q).to_dict()
@@ -240,26 +205,21 @@ def _cmd_field(field, args, cfg):
     return payload, [], EXIT_OK
 
 
-def _cmd_sunit(field, args, cfg):
-    bound = cfg.sunit_exponent_bound if args["bound"] is None else args["bound"]
+def _cmd_sunit(field, args):
+    bound = DEFAULT_BOUND if args["bound"] is None else args["bound"]
     search = solve_sunit(field, s_k(field), bound,
-                         max_candidates=cfg.max_candidates,
-                         user_class_number=cfg.user_class_number,
-                         class_enum_bound=cfg.class_enum_bound,
-                         height_bound=cfg.unit_height_bound)
+                         user_class_number=args["user_class_number"])
     caveats = [f"bounded-search:B={bound}"]
     return search.to_dict(), caveats, EXIT_OK
 
 
-def _cmd_selmer(field, args, cfg):
+def _cmd_selmer(field, args):
     group = selmer_group(field, s_k(field),
-                         user_class_number=cfg.user_class_number,
-                         class_enum_bound=cfg.class_enum_bound,
-                         height_bound=cfg.unit_height_bound)
+                         user_class_number=args["user_class_number"])
     return group.to_dict(), [], EXIT_OK
 
 
-def _cmd_frey(field, args, cfg):
+def _cmd_frey(field, args):
     family, prime, p_text = args["family"], args["prime"], args["p"]
     if prime is not None and not is_prime(prime):
         raise ParseError(f"--prime must be a prime, got {prime}")
@@ -296,9 +256,8 @@ def _cmd_frey(field, args, cfg):
     try:
         rep = None
         if family == FAMILY_TWO_POWER:
-            info = class_data(field, enum_bound=cfg.class_enum_bound,
-                              user_class_number=cfg.user_class_number,
-                              height_bound=cfg.unit_height_bound)
+            info = class_data(field,
+                              user_class_number=args["user_class_number"])
             rep = info.reps_H[0] if info.reps_H else None
         shape = conductor_shape(field, family, rep,
                                 odd_multiplicative_primes(spec))
@@ -308,7 +267,7 @@ def _cmd_frey(field, args, cfg):
     return payload, caveats, EXIT_OK
 
 
-def _cmd_check(field, args, cfg):
+def _cmd_check(field, args):
     named, mode = args["theorem"], args["mode"]
     theorem = named
     if named == "thm-7-3":
@@ -320,12 +279,9 @@ def _cmd_check(field, args, cfg):
             raise ParseError(f"--{option} is read only by "
                              f"{', '.join(readers)}, not by {theorem}")
     if theorem in _SUNIT_CHECKS:
-        bound = cfg.sunit_exponent_bound if args["bound"] is None else args["bound"]
-        verdict = _SUNIT_CHECKS[theorem](
-            field, bound, max_candidates=cfg.max_candidates,
-            user_class_number=cfg.user_class_number,
-            class_enum_bound=cfg.class_enum_bound,
-            height_bound=cfg.unit_height_bound)
+        bound = DEFAULT_BOUND if args["bound"] is None else args["bound"]
+        verdict = _SUNIT_CHECKS[theorem](field, bound,
+                                         args["user_class_number"])
     else:
         if args["l"] is None and theorem in _READ_BY["l"]:
             raise ParseError(f"check {theorem} needs --l")
@@ -335,8 +291,8 @@ def _cmd_check(field, args, cfg):
     return verdict.to_dict(), list(verdict.caveats), _VERDICT_EXIT[verdict.applies]
 
 
-def _cmd_scan(field, args, cfg):
-    l_max = cfg.l_max if args["l_max"] is None else args["l_max"]
+def _cmd_scan(field, args):
+    l_max = DEFAULT_L_MAX if args["l_max"] is None else args["l_max"]
     return {"candidates": scan_ramified_l(field, l_max)}, [], EXIT_OK
 
 
@@ -353,18 +309,13 @@ def run(argv) -> int:
         return EXIT_ERROR
     if args is None:  # -h printed help
         return EXIT_OK
-    # the command line wins over the config file
-    given = {key: args[key] for key in ("seed", "user_class_number")
-             if args.get(key) is not None}
-    cfg = RunConfig(output=args["output"], **given)
     started = time.monotonic()
     field = None  # an error report summarises the field if it was built
+    class_number = args.get("user_class_number")
     try:
-        if args["config"]:
-            _load_config_file(args["config"], cfg, given)
-        if cfg.user_class_number is not None and cfg.user_class_number < 1:
-            raise ParseError("user_class_number must be at least 1, "
-                             f"got {cfg.user_class_number}")
+        if class_number is not None and class_number < 1:
+            raise ParseError("--user-class-number must be at least 1, "
+                             f"got {class_number}")
         if args.get("bound") is not None and args["bound"] < 0:
             raise ParseError(f"--bound must be nonnegative, got {args['bound']}")
         # r is the twist exponent of the 2r family; pp2 ignores --r
@@ -373,25 +324,29 @@ def run(argv) -> int:
             raise ParseError(f"--r must be at least 1 for {twisted}, "
                              f"got {args['r']}")
         field = make_field(args["poly"])
-        payload, caveats, code = _HANDLERS[args["command"]](field, args, cfg)
+        # class_data takes a class number from the user for cubics only
+        if class_number is not None and field.degree != 3:
+            raise ParseError("--user-class-number is read only for cubic "
+                             f"fields, not for degree {field.degree}")
+        payload, caveats, code = _HANDLERS[args["command"]](field, args)
     except (AfcheckError, ParseError) as exc:
         error = {"error": {"type": type(exc).__name__, "message": str(exc),
                            **getattr(exc, "payload", {})}}
-        if cfg.output == "json":
-            sys.stdout.write(emit_json(build_report(field, _echo(args, cfg),
+        if args["output"] == "json":
+            sys.stdout.write(emit_json(build_report(field, _echo(args),
                                                     error, [], None)))
         else:
             sys.stderr.write(f"error ({type(exc).__name__}): {exc}\n")
         return EXIT_ERROR
-    report = build_report(field, _echo(args, cfg), payload, caveats,
+    report = build_report(field, _echo(args), payload, caveats,
                           time.monotonic() - started)
-    out = emit_json(report) if cfg.output == "json" else emit_human(report)
+    out = emit_json(report) if args["output"] == "json" else emit_human(report)
     sys.stdout.write(out)
     return code
 
 
-def _echo(args, cfg):
-    echo = {"command": args["command"], "seed": cfg.seed}
+def _echo(args):
+    echo = {"command": args["command"], "seed": args["seed"]}
     for key in ("poly", "theorem", "family", "bound", "r", "l", "mode",
                 "prime", "a", "b", "c", "l_max", "p"):
         if args.get(key) is not None:

@@ -17,8 +17,7 @@ from .integerfactor import SMALL_PRIMES, factorint, is_prime
 from .numberfield import NumberField
 from .prime_ideals import factor_rational_prime, s_k, splitting_type, u_k
 from .sunits import quadratic_extension, selmer_group, solve_sunit
-from .units import (DEFAULT_CLASS_ENUM_BOUND, DEFAULT_UNIT_HEIGHT_BOUND,
-                    class_data)
+from .units import class_data
 
 _ALL_SOLUTIONS = ("for r in {2, 3} and all sufficiently large prime exponents p, "
                   "x^p + y^p = 2^r z^p has no non-trivial solution over the field")
@@ -195,11 +194,13 @@ def _empty_box_note(search, bound):
     return []
 
 
-def check_thm_3_2(field: NumberField, bound: int, **solver_kw) -> Verdict:
+def check_thm_3_2(field: NumberField, bound: int,
+                  user_class_number=None) -> Verdict:
     """Every S_K-unit solution must satisfy max(|v(lam)|,|v(mu)|) <= 4 v(2)
     at some prime over 2; bounded box, so confirmation is always 'unknown'."""
     primes = s_k(field)
-    search = solve_sunit(field, primes, bound, **solver_kw)
+    search = solve_sunit(field, primes, bound,
+                         user_class_number=user_class_number)
     hyps = [_hyp_totally_real(field), _box_hypothesis(
         "every solution of lambda + mu = 1 in S_K-units meets "
         "max(|v(lambda)|, |v(mu)|) <= 4*v(2) at some prime over 2",
@@ -219,11 +220,13 @@ def _hyp_lifting(field):
              "statement is assumed-if-needed")
 
 
-def check_thm_3_3(field: NumberField, bound: int, **solver_kw) -> Verdict:
+def check_thm_3_3(field: NumberField, bound: int,
+                  user_class_number=None) -> Verdict:
     """U_K version: the witness prime must also satisfy
     v(lambda*mu) = v(2) mod 3."""
     primes_u = u_k(field)
-    search = solve_sunit(field, s_k(field), bound, **solver_kw)
+    search = solve_sunit(field, s_k(field), bound,
+                         user_class_number=user_class_number)
 
     def pred(sol, P):
         vl, vm = sol.val_profile[P]
@@ -239,12 +242,14 @@ def check_thm_3_3(field: NumberField, bound: int, **solver_kw) -> Verdict:
                      notes=notes + _empty_box_note(search, bound))
 
 
-def check_cor_3_4(field: NumberField, bound: int, **solver_kw) -> Verdict:
+def check_cor_3_4(field: NumberField, bound: int,
+                  user_class_number=None) -> Verdict:
     """Single equality condition max(|v(lambda)|,|v(mu)|) = v(2) at a prime
     of U_K; the mod-3 congruence of the parent theorem is re-derived and
     re-checked on every witness."""
     primes_u = u_k(field)
-    search = solve_sunit(field, s_k(field), bound, **solver_kw)
+    search = solve_sunit(field, s_k(field), bound,
+                         user_class_number=user_class_number)
 
     def pred(sol, P):
         return max(abs(v) for v in sol.val_profile[P]) == P.e
@@ -266,19 +271,14 @@ def check_cor_3_4(field: NumberField, bound: int, **solver_kw) -> Verdict:
                      notes=_empty_box_note(search, bound))
 
 
-def check_thm_5_2(field: NumberField, bound: int, *,
-                  user_class_number=None,
-                  class_enum_bound: int = DEFAULT_CLASS_ENUM_BOUND,
-                  height_bound: int = DEFAULT_UNIT_HEIGHT_BOUND,
-                  **solver_kw) -> Verdict:
+def check_thm_5_2(field: NumberField, bound: int,
+                  user_class_number=None) -> Verdict:
     """Narrow class number one, the S_K condition on K, and the S_L condition
     on every quadratic extension K(sqrt(a)) over the 2-Selmer classes."""
     hyps = [_hyp_totally_real(field)]
     narrow = "narrow class number equals 1"
     try:
-        info = class_data(field, enum_bound=class_enum_bound,
-                          user_class_number=user_class_number,
-                          height_bound=height_bound)
+        info = class_data(field, user_class_number=user_class_number)
         hyps.append(_hyp(narrow, info.h_plus == 1,
                          {"h": info.h, "h_plus": info.h_plus},
                          f"computed h+ = {info.h_plus}"))
@@ -289,17 +289,13 @@ def check_thm_5_2(field: NumberField, bound: int, *,
     # user_class_number is K's class number, so only the search over K gets
     # it; the searches over the extensions L below do not
     search = solve_sunit(field, primes, bound,
-                         user_class_number=user_class_number,
-                         class_enum_bound=class_enum_bound,
-                         height_bound=height_bound, **solver_kw)
+                         user_class_number=user_class_number)
     hyps.append(_box_hypothesis(
         "every S_K-unit solution over the base field meets "
         "max(|v(lambda)|, |v(mu)|) <= 4*v(2) at some prime over 2",
         search, primes, _within_4v2, bound))
 
-    selmer = selmer_group(field, primes, user_class_number=user_class_number,
-                          class_enum_bound=class_enum_bound,
-                          height_bound=height_bound)
+    selmer = selmer_group(field, primes, user_class_number=user_class_number)
     for rep in selmer.representatives:
         if rep == 1:
             continue
@@ -307,9 +303,7 @@ def check_thm_5_2(field: NumberField, bound: int, *,
         try:
             ext = quadratic_extension(field, rep)
             ext_primes = s_k(ext)
-            ext_search = solve_sunit(ext, ext_primes, bound,
-                                     class_enum_bound=class_enum_bound,
-                                     height_bound=height_bound, **solver_kw)
+            ext_search = solve_sunit(ext, ext_primes, bound)
         except (IndexDivisor, BasisUnavailable) as exc:
             note = (f"index divisor at {exc.q} while factoring 2 in the "
                     "extension; diagnostic: defining polynomial unusable"

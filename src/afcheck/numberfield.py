@@ -19,8 +19,9 @@ rational operand skips the kernels: an int or Fraction becomes (num, den)
 with no Fraction built, a product with a rational element scales the other
 factor's ``num``, and a rational element inverts to den/num[0].
 Characteristic polynomials and other inverses go through fraction-free
-integer linear algebra on the multiplication matrix of ``num``.  Every embedding question is decided through Sturm isolation and
-rational interval refinement.
+integer linear algebra on the multiplication matrix of ``num``.  Every
+embedding question is decided through Sturm isolation and rational interval
+refinement.
 """
 
 from fractions import Fraction

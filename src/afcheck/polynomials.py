@@ -38,18 +38,6 @@ from math import gcd, isqrt, lcm
 from . import linalg
 from .integerfactor import SMALL_PRIMES, is_prime
 
-__all__ = [
-    "strip", "degree", "padd", "psub", "pneg", "pmul",
-    "peval", "pderiv", "sign",
-    "sturm_chain", "count_real_roots",
-    "isolate_real_roots", "refine_interval", "interval_eval", "cauchy_bound",
-    "fp_factor", "fp_gcd", "fp_mul", "fp_divmod", "fp_rem", "fp_pow_mod",
-    "FqKernel",
-    "zx_gcd", "zx_factor",
-    "irreducible_by_degree_patterns", "has_small_integer_root",
-    "mul_matrix", "poly_disc",
-]
-
 
 # ---------------------------------------------------------------- basics
 
@@ -90,13 +78,6 @@ def pmul(a, b):
         for j, cb in enumerate(b):
             out[i + j] += ca * cb
     return strip(out)
-
-
-def peval(p, x):
-    acc = Fraction(0)
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
 
 
 def pderiv(p):
@@ -171,33 +152,6 @@ def _sign_at(p, x):
         acc = acc * n + c * dk
         dk *= d
     return sign(acc)
-
-
-def _variations(signs):
-    signs = [s for s in signs if s != 0]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a * b < 0)
-
-
-def _variations_at_inf(chain, direction):
-    sgs = []
-    for p in chain:
-        s = sign(p[-1])
-        if direction < 0 and (len(p) - 1) % 2 == 1:
-            s = -s
-        sgs.append(s)
-    return _variations(sgs)
-
-
-def count_real_roots(p):
-    chain = sturm_chain(p)
-    return _variations_at_inf(chain, -1) - _variations_at_inf(chain, +1)
-
-
-def cauchy_bound(p):
-    """Rational B with every real root of p inside (-B, B)."""
-    lead = abs(Fraction(p[-1]))
-    m = max((abs(Fraction(c)) for c in p[:-1]), default=Fraction(0))
-    return Fraction(1) + m / lead
 
 
 def _scaled_chain(chain, lead):

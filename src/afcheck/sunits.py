@@ -35,8 +35,7 @@ from . import linalg
 from .numberfield import FieldElement, NumberField, make_field
 from .polynomials import zx_factor
 from .prime_ideals import element_valuations, valuation
-from .units import (DEFAULT_CLASS_ENUM_BOUND, DEFAULT_UNIT_HEIGHT_BOUND,
-                    GENERATOR_COORD_BOUND, class_data, principal_generator,
+from .units import (GENERATOR_COORD_BOUND, class_data, principal_generator,
                     sqrt_core_element, unit_generators, _find_generator,
                     _quad_data)
 
@@ -56,21 +55,17 @@ class SUnitBasis:
 
 
 def build_sunit_basis(field: NumberField, S, bound: int, *,
-                      user_class_number=None,
-                      class_enum_bound: int = DEFAULT_CLASS_ENUM_BOUND,
-                      height_bound: int = DEFAULT_UNIT_HEIGHT_BOUND) -> SUnitBasis:
+                      user_class_number=None) -> SUnitBasis:
     """Torsion, fundamental units and P-power generators for the S-units."""
     try:
-        units = unit_generators(field, height_bound)
+        units = unit_generators(field)
     except (Unsupported, SearchExhausted) as exc:
         raise BasisUnavailable(f"unit group unavailable: {exc}") from exc
     pis = []
     orders = {}
     if S:
         try:
-            info = class_data(field, enum_bound=class_enum_bound,
-                              user_class_number=user_class_number,
-                              height_bound=height_bound)
+            info = class_data(field, user_class_number=user_class_number)
         except (MissingUserClassNumber, Unsupported, SearchExhausted) as exc:
             raise BasisUnavailable(f"class data unavailable: {exc}") from exc
         for P in S:
@@ -156,14 +151,11 @@ class SUnitSearch:
 
 
 # give-up cap on the candidates of one exponent box
-DEFAULT_MAX_CANDIDATES = 500_000
+MAX_CANDIDATES = 500_000
 
 
 def solve_sunit(field: NumberField, S, bound: int, *,
-                max_candidates: int = DEFAULT_MAX_CANDIDATES,
-                user_class_number=None,
-                class_enum_bound: int = DEFAULT_CLASS_ENUM_BOUND,
-                height_bound: int = DEFAULT_UNIT_HEIGHT_BOUND) -> SUnitSearch:
+                user_class_number=None) -> SUnitSearch:
     """All solutions of lambda + mu = 1 in S-units found inside the exponent box.
 
     The box covers lambda = zeta^j * prod g_i^{e_i} with |e_i| <= bound; the
@@ -174,13 +166,11 @@ def solve_sunit(field: NumberField, S, bound: int, *,
         # degenerate empty box: a vacuous search, reported as such
         return SUnitSearch(field, list(S), bound, [])
     basis = build_sunit_basis(field, S, bound,
-                              user_class_number=user_class_number,
-                              class_enum_bound=class_enum_bound,
-                              height_bound=height_bound)
+                              user_class_number=user_class_number)
     gens = basis.free_generators
     n_boxes = basis.torsion_order * (2 * bound + 1) ** len(gens)
-    if n_boxes > max_candidates:
-        raise WorkExceeded(f"{n_boxes} candidates exceed limit {max_candidates}")
+    if n_boxes > MAX_CANDIDATES:
+        raise WorkExceeded(f"{n_boxes} candidates exceed limit {MAX_CANDIDATES}")
     gen_valuations = [{P: valuation(g, P) for P in S} for g in gens]
     # g^e for |e| <= bound; e = 0 carries None so the walk skips it
     powers = []
@@ -452,9 +442,7 @@ class SelmerGroup:
 
 
 def selmer_group(field: NumberField, S, *,
-                 user_class_number=None,
-                 class_enum_bound: int = DEFAULT_CLASS_ENUM_BOUND,
-                 height_bound: int = DEFAULT_UNIT_HEIGHT_BOUND) -> SelmerGroup:
+                 user_class_number=None) -> SelmerGroup:
     """K(S, 2): square classes with even valuation outside S.
 
     Generated by the torsion generator, the fundamental units and the pi_P;
@@ -462,9 +450,7 @@ def selmer_group(field: NumberField, S, *,
     testing of all subset products.
     """
     basis_data = build_sunit_basis(field, S, 1,
-                                   user_class_number=user_class_number,
-                                   class_enum_bound=class_enum_bound,
-                                   height_bound=height_bound)
+                                   user_class_number=user_class_number)
     gens = []
     if basis_data.torsion_order > 1:
         gens.append(basis_data.torsion_gen)

@@ -17,7 +17,7 @@ number: one lazy walk factors odd q in increasing order, tests a prime
 against the classes so far once no later q can give a smaller one, and
 factors no further q once h classes are represented, save the possible
 index divisors.  The cubic unit pair and the class data are computed once
-per field and argument set (NumberField.memo).
+per field, the cubic class data per class number (NumberField.memo).
 """
 
 from dataclasses import dataclass, field as dc_field
@@ -34,10 +34,10 @@ from .prime_ideals import PrimeIdeal, factor_rational_prime, valuation
 
 # give-up cap on coordinate magnitude in unit searches; searches stop at the
 # first certified pair, so this only bounds the hopeless case
-DEFAULT_UNIT_HEIGHT_BOUND = 10 ** 6
+UNIT_HEIGHT_BOUND = 10 ** 6
 
 # odd q up to which class representatives are enumerated
-DEFAULT_CLASS_ENUM_BOUND = 100
+CLASS_ENUM_BOUND = 100
 
 # coordinate bound of the search for a generator of a power of a prime of S
 # in degree >= 3 (quadratic fields use principal_generator)
@@ -285,10 +285,10 @@ def _shell(dim, h):
                       if abs(c) == h else surface)]
 
 
-def _cubic_fundamental_pair(field: NumberField, height_bound: int):
+def _cubic_fundamental_pair(field: NumberField):
     found = []
     h = 1
-    while h <= height_bound:
+    while h <= UNIT_HEIGHT_BOUND:
         for coords in _shell(3, h):
             x = FieldElement(field, coords)
             if x.is_rational():
@@ -307,11 +307,11 @@ def _cubic_fundamental_pair(field: NumberField, height_bound: int):
                     return [prev, x], h
         h += 1
     raise SearchExhausted(
-        f"no independent unit pair within coordinate height {height_bound}")
+        "no independent unit pair within coordinate height "
+        f"{UNIT_HEIGHT_BOUND}")
 
 
-def unit_generators(field: NumberField,
-                    height_bound: int = DEFAULT_UNIT_HEIGHT_BOUND) -> UnitGroup:
+def unit_generators(field: NumberField) -> UnitGroup:
     """Unit group generators for degree <= 3: torsion and fundamental units.
 
     Imaginary quadratic fields return their torsion; mixed-signature cubics
@@ -329,9 +329,8 @@ def unit_generators(field: NumberField,
         unit = _quad_element(field, x, y, den)
         return UnitGroup(1, [unit], 2, field.from_rational(-1), ("proven",))
     if n == 3 and field.is_totally_real:
-        units, used = field.memo(
-            ("cubic_units", height_bound),
-            lambda: _cubic_fundamental_pair(field, height_bound))
+        units, used = field.memo("cubic_units",
+                                 lambda: _cubic_fundamental_pair(field))
         return UnitGroup(2, list(units), 2, field.from_rational(-1),
                          ("bounded-search", used))
     raise Unsupported(f"unit group for degree {n}, signature {field.signature}")
@@ -505,37 +504,32 @@ def _conjugate_prime(field, p: PrimeIdeal) -> PrimeIdeal:
 # ----------------------------------------------------------------- class data
 
 def class_data(field: NumberField, *,
-               enum_bound: int = DEFAULT_CLASS_ENUM_BOUND,
-               user_class_number: int | None = None,
-               height_bound: int = DEFAULT_UNIT_HEIGHT_BOUND) -> ClassData:
+               user_class_number: int | None = None) -> ClassData:
     """Class number, narrow class number and odd-prime class representatives."""
     n = field.degree
     if n == 1:
         rep = factor_rational_prime(field, 3)[0]
         return ClassData(1, 1, [rep], ("proven",))
     if n == 2:
-        return field.memo(("class_data", enum_bound),
-                          lambda: _quadratic_class_data(field, enum_bound))
+        return field.memo("class_data", lambda: _quadratic_class_data(field))
     if n == 3:
         if user_class_number is None:
             raise MissingUserClassNumber(
                 "cubic class numbers are accepted from configuration only")
-        return field.memo(
-            ("class_data", enum_bound, user_class_number, height_bound),
-            lambda: _cubic_class_data(field, user_class_number, enum_bound,
-                                      height_bound))
+        return field.memo(("class_data", user_class_number),
+                          lambda: _cubic_class_data(field, user_class_number))
     raise Unsupported(f"class data for degree {n}")
 
 
-def _cubic_class_data(field, h, enum_bound, height_bound):
-    h_plus = _h_plus_from_unit_signs(field, h, height_bound)
+def _cubic_class_data(field, h):
+    h_plus = _h_plus_from_unit_signs(field, h)
     reps, notes = ([], ["reps_H omitted: h > 1 unsupported for cubics"])
     if h == 1:
-        reps, notes = _collect_reps(field, 1, enum_bound)
+        reps, notes = _collect_reps(field, 1)
     return ClassData(h, h_plus, reps, ("user-supplied",), notes)
 
 
-def _quadratic_class_data(field, enum_bound):
+def _quadratic_class_data(field):
     d, _, _ = _quad_data(field)
     D = _fundamental_discriminant(d)
     if d < 0:
@@ -545,7 +539,7 @@ def _quadratic_class_data(field, enum_bound):
         h_plus = _indefinite_cycle_count(D)
         _, _, _, unit_norm = _quad_fundamental_unit(d)
         h = h_plus if unit_norm == -1 else h_plus // 2
-    reps, notes = _collect_reps(field, h, enum_bound)
+    reps, notes = _collect_reps(field, h)
     return ClassData(h, h_plus, reps, ("proven",), notes)
 
 
@@ -555,10 +549,10 @@ def _by_norm(p: PrimeIdeal):
     return (p.norm(), root if root is not None else -1, p.q, p.sort_key())
 
 
-def _collect_reps(field, h, enum_bound):
+def _collect_reps(field, h):
     """(reps, notes): the first odd prime ideal of each class, up to h of
-    them, in _by_norm order over q <= enum_bound, with the index divisors
-    skipped.
+    them, in _by_norm order over q <= CLASS_ENUM_BOUND, with the index
+    divisors skipped.
 
     One lazy walk serves every h.  It factors odd q in increasing order and
     keeps the primes not yet placed sorted by _by_norm; a prime above q has
@@ -567,7 +561,7 @@ def _collect_reps(field, h, enum_bound):
     the h-th one a larger q can still divide the index [O_K : Z[theta]] for
     the note, but then q^2 divides poly_disc, so only those q get the
     Dedekind test."""
-    odd = [q for q in SMALL_PRIMES if 2 < q <= enum_bound]
+    odd = [q for q in SMALL_PRIMES if 2 < q <= CLASS_ENUM_BOUND]
     reps, pending, skipped = [], [], []
     for q, next_q in zip(odd, odd[1:] + [inf]):
         if len(reps) == h and field.poly_disc % (q * q):
@@ -590,12 +584,12 @@ def _collect_reps(field, h, enum_bound):
              if skipped else [])
     if len(reps) < h:
         notes.append(f"only {len(reps)} of {h} classes represented "
-                     f"within q <= {enum_bound}")
+                     f"within q <= {CLASS_ENUM_BOUND}")
     return reps, notes
 
 
-def _h_plus_from_unit_signs(field, h, height_bound):
-    group = unit_generators(field, height_bound)
+def _h_plus_from_unit_signs(field, h):
+    group = unit_generators(field)
     r1 = field.signature[0]
     vectors = []
     for u in group.generators():

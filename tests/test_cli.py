@@ -185,33 +185,47 @@ class TestCommands:
         assert code == 0
         assert rep["result"]["candidates"][0]["l"] == 23
 
-    def test_config_file(self, capsys, tmp_path):
-        cfg = tmp_path / "afcheck.conf"
-        cfg.write_text("sunit_exponent_bound = 2\n# comment\nseed = 7\n")
-        code, rep = run_json(capsys, ["--config", str(cfg), "sunit", "x"])
-        assert code == 0
-        assert rep["result"]["bound"] == 2
-        assert rep["command"]["seed"] == 7
+    def test_config_option_is_a_usage_error(self, capsys):
+        code = run(["--output", "json", "--config", "/nonexistent", "field",
+                    "x"])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        usage, error = err.splitlines()
+        assert usage.startswith("usage: afcheck ")
+        assert error.startswith("afcheck: error: ")
 
-    @pytest.mark.parametrize("line", ["nope = 1", "allow_trivial_ideal = true"],
-                             ids=["unknown", "ignored"])
-    def test_bad_config_key(self, capsys, tmp_path, line):
-        cfg = tmp_path / "bad.conf"
-        cfg.write_text(line + "\n")
-        code, _ = run_json(capsys, ["--config", str(cfg), "field", "x"])
-        assert code == 1
+    FREY_CUBIC = ["frey", "2r", "x^3-x^2-2*x+1", "--a", "1", "--b", "1",
+                  "--c", "1", "--r", "1", "--p", "5"]
 
     @pytest.mark.parametrize("h", [0, -1])
     @pytest.mark.parametrize("argv", [
         ["sunit", "x^2-2", "--bound", "2"],
         ["selmer", "x^2-2"],
         ["check", "thm-3-2", "x^2-2", "--bound", "2"],
-    ], ids=["sunit", "selmer", "check"])
+        FREY_CUBIC,
+    ], ids=["sunit", "selmer", "check", "frey"])
     def test_class_number_flag_below_one(self, capsys, argv, h):
         code, rep = run_json(capsys, argv + ["--user-class-number", str(h)])
         assert code == 1
         assert rep["result"]["error"]["type"] == "ParseError"
-        assert "at least 1" in rep["result"]["error"]["message"]
+        assert rep["result"]["error"]["message"] == (
+            f"--user-class-number must be at least 1, got {h}")
+        assert rep["field"] is None
+
+    @pytest.mark.parametrize("argv, degree", [
+        (["sunit", "x^2-10", "--bound", "2"], 2),
+        (["selmer", "x^4-4*x^2+2"], 4),
+        (["check", "thm-5-2", "x", "--bound", "1"], 1),
+        (["frey", "2r", "x^2-2", "--a", "1", "--b", "1", "--c", "1"], 2),
+    ], ids=["sunit", "selmer", "check", "frey"])
+    def test_class_number_flag_only_for_cubics(self, capsys, argv, degree):
+        code, rep = run_json(capsys, argv + ["--user-class-number", "3"])
+        assert code == 1
+        assert rep["result"]["error"] == {
+            "type": "ParseError",
+            "message": "--user-class-number is read only for cubic fields, "
+                       f"not for degree {degree}"}
+        assert rep["field"]["degree"] == degree
 
     @pytest.mark.parametrize("r", ["0", "-1"])
     @pytest.mark.parametrize("output", ["json", "human"])
@@ -269,17 +283,6 @@ class TestCommands:
         code, rep = run_json(capsys, ["check", *argv])
         assert code in (0, 2, 3) and "error" not in rep["result"]
 
-    def test_command_line_seed_wins_over_config(self, capsys, tmp_path):
-        cfg = tmp_path / "seed.conf"
-        cfg.write_text("seed = 7\n")
-        code, rep = run_json(capsys, ["--seed", "5", "--config", str(cfg),
-                                      "field", "x"])
-        assert code == 0 and rep["command"]["seed"] == 5
-        cfg.write_text("seed = 7\nnope = 1\n")
-        code, rep = run_json(capsys, ["--seed", "5", "--config", str(cfg),
-                                      "field", "x"])
-        assert code == 1 and rep["command"]["seed"] == 5
-
     def test_pp2_ignores_r(self, capsys):
         code, rep = run_json(capsys, ["frey", "pp2", "x", "--a", "2", "--b",
                                       "1", "--c", "3", "--r", "0", "--p", "3"])
@@ -302,73 +305,25 @@ class TestCommands:
         code, rep = run_json(capsys, ["sunit", "x", "--bound", "0"])
         assert code == 0 and rep["caveats"] == ["bounded-search:B=0"]
 
-    @pytest.mark.parametrize("key", ["sunit_exponent_bound", "max_candidates",
-                                     "class_enum_bound", "unit_height_bound"])
-    def test_negative_config_bound_rejected(self, capsys, tmp_path, key):
-        cfg = tmp_path / "neg.conf"
-        cfg.write_text(f"{key} = -2\n")
-        code, rep = run_json(capsys, ["--config", str(cfg), "sunit", "x"])
-        assert code == 1
-        error = rep["result"]["error"]
-        assert error["type"] == "ParseError"
-        assert error["message"] == f"{key} must be nonnegative, got -2"
-
-    FREY_CUBIC = ["frey", "2r", "x^3-x^2-2*x+1", "--a", "1", "--b", "1",
-                  "--c", "1", "--r", "1", "--p", "5"]
-
-    @pytest.mark.parametrize("h", [0, -1])
-    @pytest.mark.parametrize("argv", [
-        ["sunit", "x^2-2", "--bound", "2"], FREY_CUBIC,
-    ], ids=["sunit", "frey"])
-    def test_class_number_config_below_one(self, capsys, tmp_path, argv, h):
-        cfg = tmp_path / "h.conf"
-        cfg.write_text(f"user_class_number = {h}\n")
-        code, rep = run_json(capsys, ["--config", str(cfg)] + argv)
-        assert code == 1
-        assert rep["result"]["error"]["type"] == "ParseError"
-
-    def test_class_number_config_reaches_frey(self, capsys, tmp_path):
-        cfg = tmp_path / "h.conf"
-        cfg.write_text("user_class_number = 1\n")
-        code, rep = run_json(capsys, ["--config", str(cfg)] + self.FREY_CUBIC)
+    def test_class_number_flag_reaches_frey(self, capsys):
+        code, rep = run_json(capsys, self.FREY_CUBIC)
+        assert code == 0 and "conductor" not in rep["result"]
+        assert rep["caveats"][0].startswith("conductor shape unavailable")
+        code, rep = run_json(capsys, self.FREY_CUBIC
+                             + ["--user-class-number", "1"])
         assert code == 0
         qs = [f["prime"]["q"] for f in rep["result"]["conductor"]["conductor"]]
         assert qs == [2, 7]
 
-    @pytest.mark.parametrize("argv", [
-        ["sunit", "x^2-2", "--bound", "2"],
-        ["selmer", "x^2-2"],
-        ["check", "thm-3-2", "x^2-2", "--bound", "2"],
-        ["check", "thm-5-2", "x^2-2", "--bound", "1"],
-        ["frey", "2r", "x^2-2", "--a", "1", "--b", "1", "--c", "1",
-         "--r", "1", "--p", "5"],
-    ], ids=["sunit", "selmer", "check", "thm-5-2", "frey"])
-    def test_class_enum_bound_config_reaches_the_enumeration(
-            self, capsys, tmp_path, monkeypatch, argv):
-        from afcheck import units
-        seen = []
-        original = units._collect_reps
-
-        def spy(field, h, enum_bound, **kw):
-            seen.append(enum_bound)
-            return original(field, h, enum_bound, **kw)
-
-        monkeypatch.setattr(units, "_collect_reps", spy)
-        cfg = tmp_path / "enum.conf"
-        cfg.write_text("class_enum_bound = 3\n")
-        code, _ = run_json(capsys, ["--config", str(cfg)] + argv)
-        assert code != 1
-        assert seen and set(seen) == {3}
-
     def test_class_enum_bound_below_every_odd_prime_ideal(self, capsys,
-                                                          tmp_path):
+                                                          monkeypatch):
         # 3 divides the index of Z[sqrt(18)], so no odd prime ideal is
         # enumerated within q <= 3, and the S-unit basis has no class data
+        from afcheck import units
         argv = ["sunit", "x^2-18", "--bound", "2"]
         assert run_json(capsys, argv)[0] == 0
-        cfg = tmp_path / "enum.conf"
-        cfg.write_text("class_enum_bound = 3\n")
-        code, rep = run_json(capsys, ["--config", str(cfg)] + argv)
+        monkeypatch.setattr(units, "CLASS_ENUM_BOUND", 3)
+        code, rep = run_json(capsys, argv)
         assert code == 1
         error = rep["result"]["error"]
         assert error["type"] == "BasisUnavailable"
@@ -680,13 +635,6 @@ class TestParserReuse:
             ["--output", "json", "check", "nonsense-theorem", "x"],
             ["--output", "json", "field", "x^2 - 2"]])
 
-    def test_config_does_not_carry_over(self, capsys, tmp_path):
-        cfg = tmp_path / "bounds.cfg"
-        cfg.write_text("sunit_exponent_bound = 3\n")
-        self.sequence_matches_fresh_runs(capsys, [
-            ["--output", "json", "--config", str(cfg), "sunit", "x"],
-            ["--output", "json", "sunit", "x"]])
-
 
 class TestPerRequestWork:
     """Unit and class data of a field are computed once per request; nothing
@@ -714,36 +662,13 @@ class TestPerRequestWork:
         assert calls == {"_cubic_fundamental_pair": 2,
                          "_h_plus_from_unit_signs": 2}
 
-    def test_thm_5_2_honours_unit_height_bound(self, capsys, monkeypatch,
-                                               tmp_path):
-        from afcheck import sunits, units
-        seen = []
-        original = units.unit_generators
-
-        def spy(field, height_bound=units.DEFAULT_UNIT_HEIGHT_BOUND):
-            if field.degree == 3:
-                seen.append(height_bound)
-            return original(field, height_bound)
-
-        monkeypatch.setattr(units, "unit_generators", spy)
-        monkeypatch.setattr(sunits, "unit_generators", spy)
-        cfg = tmp_path / "units.cfg"
-        cfg.write_text("unit_height_bound = 7\n")
-        code, _ = run_json(capsys, ["--config", str(cfg)] + self.THM_5_2_CUBIC)
-        assert code in (2, 3)
-        # class_data, the base-field search and the Selmer group
-        assert len(seen) >= 3 and set(seen) == {7}
-
 
 def reference_parser():
     """The argparse tree that parsed afcheck's command line before the
-    command table replaced it, kept as the reference for the table's parse.
-    --seed defaults to None, as in the table, so that a config file's seed
-    applies unless the command line gives one."""
+    command table replaced it, kept as the reference for the table's parse."""
     top = argparse.ArgumentParser(prog="afcheck")
     top.add_argument("--output", choices=("human", "json"), default="human")
-    top.add_argument("--seed", type=int, default=None)
-    top.add_argument("--config")
+    top.add_argument("--seed", type=int, default=0)
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("field")
@@ -767,6 +692,7 @@ def reference_parser():
     p.add_argument("--r", type=int, default=2)
     p.add_argument("--p", default="symbolic")
     p.add_argument("--prime", type=int, default=None)
+    p.add_argument("--user-class-number", type=int, default=None)
 
     p = sub.add_parser("check")
     p.add_argument("theorem", choices=(*CONCLUSIONS, "thm-7-3"))

@@ -12,11 +12,11 @@ from hypothesis import strategies as st
 
 from afcheck.errors import Reducible
 from afcheck.numberfield import make_field
-from afcheck.polynomials import (cauchy_bound, count_real_roots,
-                                 has_small_integer_root,
+from afcheck.polynomials import (has_small_integer_root,
                                  irreducible_by_degree_patterns,
-                                 isolate_real_roots, pderiv, peval, poly_disc,
-                                 sign, strip, sturm_chain, zx_factor)
+                                 isolate_real_roots, pderiv, poly_disc, sign,
+                                 strip, sturm_chain, zx_factor)
+from test_polynomials import sturm_count
 
 X = sympy.symbols("x")
 
@@ -63,10 +63,12 @@ def fraction_isolation(p):
         chain.append([-c for c in rem])
 
     def variations(x):
-        signs = [s for s in (sign(peval(q, x)) for q in chain) if s]
+        values = (sum(c * x ** i for i, c in enumerate(q)) for q in chain)
+        signs = [s for s in map(sign, values) if s]
         return sum(1 for a, b in zip(signs, signs[1:]) if a * b < 0)
 
-    b = cauchy_bound(p)
+    # the Cauchy bound: every real root of p lies in (-b, b)
+    b = 1 + Fraction(max(abs(c) for c in p[:-1]), abs(p[-1]))
     out, work = [], [(-b, b)]
     while work:
         lo, hi = work.pop()
@@ -89,7 +91,7 @@ class TestIntegerSturm:
     @given(MONIC)
     def test_root_count_matches_sympy(self, coeffs):
         assume(poly_disc(coeffs) != 0)
-        assert count_real_roots(coeffs) == len(to_sympy(coeffs).real_roots())
+        assert sturm_count(coeffs) == len(to_sympy(coeffs).real_roots())
 
     @settings(max_examples=150, deadline=None)
     @given(MONIC)

@@ -19,9 +19,9 @@ from afcheck.errors import (AfcheckError, BasisUnavailable,
                             FactorizationIncomplete, IndexDivisor, IsSquare,
                             Unsupported, WorkExceeded, ZeroElement)
 from afcheck.prime_ideals import element_valuations, s_k, valuation
-from afcheck.sunits import (build_sunit_basis, is_square, quadratic_extension,
-                            selmer_group, solve_sunit, _gamma_matrix,
-                            _norm_supported, _s_unit_profile)
+from afcheck.sunits import (MAX_CANDIDATES, build_sunit_basis, is_square,
+                            quadratic_extension, selmer_group, solve_sunit,
+                            _gamma_matrix, _norm_supported, _s_unit_profile)
 
 
 # ----------------------------------------------------------------- oracles
@@ -222,9 +222,12 @@ class TestSolveSUnit:
         assert sol.val_profile[P] == (0, 1)
 
     def test_work_limit(self):
+        # torsion of order 2 and two free generators: the box at bound 250
+        # has 2 * 501^2 = 502002 candidates, more than MAX_CANDIDATES
         K = make_field("x^2 - 2")
-        with pytest.raises(WorkExceeded):
-            solve_sunit(K, s_k(K), 8, max_candidates=10)
+        assert 2 * 501 ** 2 > MAX_CANDIDATES
+        with pytest.raises(WorkExceeded, match="^502002 candidates"):
+            solve_sunit(K, s_k(K), 250)
 
     def test_cubic_needs_user_class_number(self):
         K = make_field("x^3 - x^2 - 2*x + 1")

@@ -139,7 +139,7 @@ class TestCubicUnitPair:
     @pytest.mark.parametrize("poly", TOTALLY_REAL_CUBICS)
     def test_certificate_first_equals_relation_first(self, poly):
         K = make_field(poly)
-        assert _cubic_fundamental_pair(K, 50) == relation_first_pair(K, 50)
+        assert _cubic_fundamental_pair(K) == relation_first_pair(K, 50)
 
     @pytest.mark.parametrize("poly", ["x^3-4*x-1", "x^3-x^2-9*x+8"])
     def test_dependent_pairs_reach_the_relation_scan(self, poly, monkeypatch):
@@ -150,13 +150,13 @@ class TestCubicUnitPair:
             return relations[-1]
 
         monkeypatch.setattr(units, "_small_relation", spy)
-        pair, _ = _cubic_fundamental_pair(make_field(poly), 50)
+        pair, _ = _cubic_fundamental_pair(make_field(poly))
         assert relations and all(relations)
         assert _certified_independent(*pair)
 
     def test_benchmark_cubic_needs_no_relation_scan(self, monkeypatch):
         monkeypatch.setattr(units, "_small_relation", None)
-        _cubic_fundamental_pair(make_field("x^3-x^2-2*x+1"), 50)
+        _cubic_fundamental_pair(make_field("x^3-x^2-2*x+1"))
 
 
 def count_calls(monkeypatch, module, name):
@@ -175,24 +175,23 @@ def count_calls(monkeypatch, module, name):
 class TestPerFieldMemo:
     CUBIC = "x^3 - x^2 - 2*x + 1"
 
-    def test_cubic_units_once_per_field_and_height_bound(self, monkeypatch):
+    def test_cubic_units_once_per_field(self, monkeypatch):
         calls = count_calls(monkeypatch, units, "_cubic_fundamental_pair")
         K = make_field(self.CUBIC)
         first, second = unit_generators(K), unit_generators(K)
         assert len(calls) == 1
         assert first.fundamental_units == second.fundamental_units
         assert first.fundamental_units is not second.fundamental_units
-        unit_generators(K, 50)
-        assert len(calls) == 2
         unit_generators(make_field(self.CUBIC))
-        assert len(calls) == 3
+        assert len(calls) == 2
 
     def test_a_failed_search_is_not_stored(self, monkeypatch):
         calls = count_calls(monkeypatch, units, "_cubic_fundamental_pair")
         K = make_field("x^3 - 4*x - 1")  # its first pair needs height 2
+        monkeypatch.setattr(units, "UNIT_HEIGHT_BOUND", 1)
         for _ in range(2):
             with pytest.raises(SearchExhausted):
-                unit_generators(K, 1)
+                unit_generators(K)
         assert len(calls) == 2
 
     def test_class_data_once_per_field_and_arguments(self, monkeypatch):
@@ -202,14 +201,11 @@ class TestPerFieldMemo:
         assert class_data(K, user_class_number=1) is cd
         assert len(cubic) == 1
         class_data(K, user_class_number=2)
-        class_data(K, user_class_number=1, enum_bound=50)
-        class_data(K, user_class_number=1, height_bound=50)
-        assert len(cubic) == 4
+        assert len(cubic) == 2
         quad = count_calls(monkeypatch, units, "_quadratic_class_data")
         Q2 = make_field("x^2 - 10")
         assert class_data(Q2) is class_data(Q2, user_class_number=3)
-        class_data(Q2, enum_bound=50)
-        assert len(quad) == 2
+        assert len(quad) == 1
 
     def test_prime_power_generators_once_per_field(self, monkeypatch):
         calls = count_calls(monkeypatch, units, "_find_generator")
@@ -319,7 +315,7 @@ class TestLazyRepresentative:
 
     @pytest.mark.parametrize("poly", REP_FIELDS)
     @pytest.mark.parametrize("enum_bound", [3, 10, 100])
-    def test_matches_full_enumeration(self, poly, enum_bound):
+    def test_matches_full_enumeration(self, poly, enum_bound, monkeypatch):
         # x^2 - 2 and x^2 - x - 1: 3 is inert; x^2 - 18, x^2 - 45: 3 divides
         # the index; x^2 - 245: 7 divides it and lies above the smallest
         # norm, 5; x^3 - 63*x - 1: 3 divides the index of a cubic; x^2 + 5,
@@ -327,14 +323,15 @@ class TestLazyRepresentative:
         K = make_field(poly)
         h = class_number(K)
         want = eager_reps(K, h, enum_bound)
+        monkeypatch.setattr(units, "CLASS_ENUM_BOUND", enum_bound)
         if h == 1 and not want[0]:
             with pytest.raises(SearchExhausted):
-                _collect_reps(K, h, enum_bound)
+                _collect_reps(K, h)
             return
-        assert _collect_reps(K, h, enum_bound) == want
+        assert _collect_reps(K, h) == want
 
     def test_index_divisor_above_the_smallest_norm_is_noted(self):
-        reps, notes = _collect_reps(make_field("x^2 - 245"), 1, 100)
+        reps, notes = _collect_reps(make_field("x^2 - 245"), 1)
         assert reps[0].norm() == 5
         assert notes == ["index-divisor primes skipped in enumeration: [7]"]
 
@@ -346,7 +343,7 @@ class TestLazyRepresentative:
         K = make_field(poly)
         h = class_number(K)
         calls = count_calls(monkeypatch, units, "factor_rational_prime")
-        reps, _ = _collect_reps(K, h, 100)
+        reps, _ = _collect_reps(K, h)
         assert len(reps) == h
         late = [q for _, q in calls if q > reps[-1].norm()]
         assert all(K.poly_disc % (q * q) == 0 for q in late)
