@@ -49,7 +49,8 @@ _LOCAL_CHECKS = {"thm-7-1": check_thm_7_1,
 # the check options that only some criteria read: option -> those criteria,
 # as named on the command line or as thm-7-3 --mode resolves
 _READ_BY = {"l": ("thm-7-1", "thm-7-3-1"), "mode": ("thm-7-3",),
-            "bound": tuple(_SUNIT_CHECKS)}
+            "bound": tuple(_SUNIT_CHECKS),
+            "user_class_number": tuple(_SUNIT_CHECKS)}
 
 
 # The command table.  A command is (help line, positionals, options, the
@@ -221,6 +222,9 @@ def _cmd_selmer(field, args):
 
 def _cmd_frey(field, args):
     family, prime, p_text = args["family"], args["prime"], args["p"]
+    if family != FAMILY_TWO_POWER and args["user_class_number"] is not None:
+        raise ParseError("--user-class-number is read only by frey "
+                         f"{FAMILY_TWO_POWER}, not by frey {family}")
     if prime is not None and not is_prime(prime):
         raise ParseError(f"--prime must be a prime, got {prime}")
     p = None
@@ -276,7 +280,7 @@ def _cmd_check(field, args):
         theorem = f"thm-7-3-{mode}"
     for option, readers in _READ_BY.items():
         if args[option] is not None and not {named, theorem} & set(readers):
-            raise ParseError(f"--{option} is read only by "
+            raise ParseError(f"--{option.replace('_', '-')} is read only by "
                              f"{', '.join(readers)}, not by {theorem}")
     if theorem in _SUNIT_CHECKS:
         bound = DEFAULT_BOUND if args["bound"] is None else args["bound"]

@@ -19,9 +19,11 @@ rational operand skips the kernels: an int or Fraction becomes (num, den)
 with no Fraction built, a product with a rational element scales the other
 factor's ``num``, and a rational element inverts to den/num[0].
 Characteristic polynomials and other inverses go through fraction-free
-integer linear algebra on the multiplication matrix of ``num``.  Every
-embedding question is decided through Sturm isolation and rational interval
-refinement.
+integer linear algebra on the multiplication matrix of ``num``.  A real
+place is the dyadic interval (lo, hi, k) of its root from integer Sturm
+isolation, standing for [lo / 2^k, hi / 2^k]; every embedding question is
+decided by bisecting it on the integers and bounding ``num`` over it by
+integer interval Horner.
 """
 
 from fractions import Fraction
@@ -33,8 +35,8 @@ from .errors import (DegreeZero, DivisionByZero, NotMonic, NotTotallyReal,
 from .parsing import parse_poly
 from .polynomials import (_zx_divides, has_small_integer_root, interval_eval,
                           irreducible_by_degree_patterns, isolate_real_roots,
-                          mul_matrix, pderiv, poly_disc, refine_interval,
-                          strip, zx_factor, zx_gcd)
+                          mul_matrix, pderiv, poly_disc, refine_root, strip,
+                          zx_factor, zx_gcd)
 
 MAX_DEGREE = 6
 
@@ -425,41 +427,43 @@ def norm_trace(x: FieldElement):
 
 
 def embedding_sign(x: FieldElement, root_index: int) -> int:
-    """Sign of x under the real embedding sending theta to the given root."""
+    """Sign of x under the real embedding sending theta to the given root:
+    the root's interval is bisected four bits at a time until interval
+    Horner bounds num = den * x (den > 0) away from zero there."""
     if x.is_zero():
         raise ZeroElement("sign of zero is undefined")
-    field = x.field
-    lo, hi = field.real_roots[root_index]
-    g = list(x.num)  # den > 0, so num has the sign of x
-    f = field.coeffs
+    f, root = x.field.coeffs, x.field.real_roots[root_index]
     while True:
-        vlo, vhi = interval_eval(g, lo, hi)
+        vlo, vhi = interval_eval(x.num, *root)
         if vlo > 0:
             return 1
         if vhi < 0:
             return -1
-        if lo == hi:
-            raise ZeroElement("element vanishes at a rational root")
-        lo, hi = refine_interval(f, lo, hi)
+        root = refine_root(f, root, root[2] + 4)
 
 
 def embedding_signs(x: FieldElement):
     return [embedding_sign(x, i) for i in range(len(x.field.real_roots))]
 
 
-def embedding_interval(x: FieldElement, root_index: int, max_width: Fraction):
-    """Rational interval around the real embedding of x, width <= max_width."""
-    field = x.field
-    lo, hi = field.real_roots[root_index]
-    # bounds on num = den * x: interval Horner commutes with the positive
-    # scale, so dividing them by den gives the bounds on x
+def embedding_interval(x: FieldElement, root_index: int, p: int):
+    """Integers (lo, hi) with lo / 2^p <= x <= hi / 2^p under the real
+    embedding sending theta to the given root, and hi - lo <= 2.
+
+    Interval Horner bounds num = den * x over the root's interval
+    (lo', hi', k) by integers over 2^(k*(n-1)); the interval is bisected
+    until those bounds lie within den / 2^p of each other, each time by
+    as many bits as the width is over, and they are then rounded outward
+    to integers over 2^p."""
+    f, root = x.field.coeffs, x.field.real_roots[root_index]
     g, den = x.num, x.den
-    f = field.coeffs
-    vlo, vhi = interval_eval(g, lo, hi)
-    while vhi - vlo > max_width * den:
-        lo, hi = refine_interval(f, lo, hi)
-        vlo, vhi = interval_eval(g, lo, hi)
-    return vlo / den, vhi / den
+    while True:
+        vlo, vhi = interval_eval(g, *root)
+        scale = den << (root[2] * (len(g) - 1))
+        width = (vhi - vlo) << p
+        if width <= scale:
+            return (vlo << p) // scale, -((-vhi << p) // scale)
+        root = refine_root(f, root, root[2] + (width // scale).bit_length())
 
 
 def is_totally_positive(x: FieldElement) -> bool:

@@ -3,15 +3,16 @@
 Polynomials are dense coefficient lists, lowest degree first, with no
 trailing zeros; [] is the zero polynomial.  Coefficients are ints, in
 [0, p) for modular ones; division and gcds work over Z by pseudo-remainders
-freed of their content, and over F_p by one top-down pass.  Fractions
-enter only as evaluation points and interval endpoints, and as rational
-isolation input, which is scaled to integers first.  Everything here is
-exact; no floating point enters any decision.
+freed of their content, and over F_p by one top-down pass.  Everything
+here is exact integer arithmetic; no Fraction and no floating point enters.
 
-Real roots are isolated over Z: the Sturm chain is a sequence of scaled
-pseudo-remainders freed of their content, bisection endpoints are integers
-over lc * 2^depth, and signs at such a point come from integer Horner with
-shifts.  An integer root dividing f(0) proves reducibility at once
+Real roots of a monic f are isolated over Z: the Sturm chain is a sequence
+of scaled pseudo-remainders freed of their content, and a root is held as
+a dyadic interval (lo, hi, k), integers lo <= hi standing for
+[lo / 2^k, hi / 2^k].  Signs at such an endpoint come from integer Horner
+with shifts, refinement bisects on the same integers, and interval Horner
+bounds a polynomial over the interval by integers over a power of 2.  An
+integer root dividing f(0) proves reducibility at once
 (``has_small_integer_root``); irreducibility over Z is proven from the
 factor degrees modulo small primes (distinct-degree factorization only);
 Zassenhaus factoring with Hensel lifting covers what those leave open and
@@ -31,9 +32,8 @@ quadratic (von zur Gathen and Gerhard, Modern Computer Algebra, Alg.
 p^(2j).
 """
 
-from fractions import Fraction
 from itertools import combinations
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt
 
 from . import linalg
 from .integerfactor import SMALL_PRIMES, is_prime
@@ -90,16 +90,6 @@ def sign(x) -> int:
 
 # ---------------------------------------------------- Sturm and isolation
 
-def _integral(p):
-    """p scaled by the lcm of its denominators: integer coefficients with the
-    same roots and, since the scale is positive, the same signs."""
-    if all(type(c) is int for c in p):
-        return list(p)
-    p = [Fraction(c) for c in p]
-    den = lcm(*(c.denominator for c in p))
-    return [int(c * den) for c in p]
-
-
 def _primitive(p):
     """Integer p divided by its positive content."""
     g = gcd(*p)
@@ -127,12 +117,12 @@ def _scaled_rem(a, b):
 
 
 def sturm_chain(p):
-    """Sturm sequence of a squarefree polynomial, over Z.
+    """Sturm sequence of a squarefree integer polynomial.
 
     Each member is a positive multiple of the classical member over Q (the
     remainders are scaled by powers of |lc| and freed of their content), so
     the two chains have the same signs everywhere."""
-    p = _primitive(_integral(p))
+    p = _primitive(p)
     if degree(p) < 1:
         return [p] if p else []
     chain = [p, _primitive(pderiv(p))]
@@ -141,27 +131,6 @@ def sturm_chain(p):
         if not rem:
             return chain
         chain.append(_primitive(pneg(rem)))
-
-
-def _sign_at(p, x):
-    """Sign of p at a rational x = n/d (d > 0) by integer Horner on
-    d^k * p(n/d) = sum c_i n^i d^(k-i), k = deg p."""
-    n, d = x.numerator, x.denominator
-    acc, dk = 0, 1
-    for c in reversed(p):
-        acc = acc * n + c * dk
-        dk *= d
-    return sign(acc)
-
-
-def _scaled_chain(chain, lead):
-    """Each member c_0..c_k of the chain as c_i * lead^(k-i): its value at
-    m / 2^j, times (lead * 2^j)^k, is the value of the member at
-    m / (lead * 2^j), so it has the same sign there."""
-    if lead == 1:
-        return chain
-    return [[c * lead ** (len(p) - 1 - i) for i, c in enumerate(p)]
-            for p in chain]
 
 
 def _scaled_value(p, m, j):
@@ -175,7 +144,7 @@ def _scaled_value(p, m, j):
 
 
 def _chain_variations(chain, m, j):
-    """Sign variations of the (scaled) chain at m / 2^j."""
+    """Sign variations of the chain at m / 2^j."""
     count, last = 0, 0
     for p in chain:
         s = sign(_scaled_value(p, m, j))
@@ -186,78 +155,85 @@ def _chain_variations(chain, m, j):
     return count
 
 
-def isolate_real_roots(p):
-    """Isolating intervals for the real roots of a squarefree polynomial.
+def isolate_real_roots(f):
+    """Isolating intervals for the real roots of a monic squarefree integer
+    polynomial f.
 
-    Returns [(lo, hi)] sorted; a degree-one input yields the exact point
-    (r, r).  For degree >= 2 the input must have no rational roots (true for
-    irreducible defining polynomials), so interval endpoints never collide
-    with a root and each open interval holds exactly one simple root with a
-    sign change between its endpoints.  A repeated root makes the last
-    member of the Sturm chain, gcd(p, p') up to a constant, nonconstant, and
-    raises ValueError before any bisection.  Rational coefficients are
-    scaled to integers first.
+    Returns triples (lo, hi, k), integers standing for [lo / 2^k, hi / 2^k],
+    sorted; a degree-one f yields the exact point (r, r, 0).  For degree >= 2
+    f must have no rational roots (true for irreducible defining
+    polynomials), so endpoints never collide with a root and each interval
+    holds exactly one simple root with a sign change between its endpoints.
+    A repeated root makes the last member of the Sturm chain, gcd(f, f') up
+    to a constant, nonconstant, and raises ValueError before any bisection.
 
-    The search bisects (-b, b), b = B/L the Cauchy bound with L = |lc(p)|,
-    so every endpoint at depth j is an integer m over L * 2^j.  Endpoints are
-    carried as such integers and the Sturm chain, scaled once by powers of
-    L, is evaluated at m / 2^j by integer Horner with shifts; a Fraction is
-    built only for the endpoints returned.
+    The search bisects (-b, b), b the Cauchy bound 1 + max |f_i|, so every
+    endpoint at depth k is an integer over 2^k, and the Sturm chain is
+    evaluated there by integer Horner with shifts.
     """
-    p = _integral(p)
-    if degree(p) <= 0:
+    if not f or f[-1] != 1:
+        raise ValueError("isolate_real_roots expects a monic polynomial")
+    if degree(f) == 0:
         return []
-    if degree(p) == 1:
-        r = -Fraction(p[0]) / Fraction(p[1])
-        return [(r, r)]
-    chain = sturm_chain(p)
+    if degree(f) == 1:
+        return [(-f[0], -f[0], 0)]
+    chain = sturm_chain(f)
     if degree(chain[-1]) > 0:
         raise ValueError("isolate_real_roots expects a squarefree polynomial")
-    lead = abs(chain[0][-1])
-    bound = lead + max(abs(c) for c in chain[0][:-1])
-    chain = _scaled_chain(chain, lead)
+    bound = 1 + max(abs(c) for c in f[:-1])
     out = []
-    # (lo, hi, depth, variations at lo, at hi), endpoints over lead * 2^depth:
-    # the interval holds the difference in roots, in (lo, hi]
+    # (lo, hi, depth, variations at lo, at hi), endpoints over 2^depth: the
+    # interval holds the difference in roots, in (lo, hi]
     work = [(-bound, bound, 0, _chain_variations(chain, -bound, 0),
              _chain_variations(chain, bound, 0))]
     while work:
-        lo, hi, j, vlo, vhi = work.pop()
+        lo, hi, k, vlo, vhi = work.pop()
         cnt = vlo - vhi
         if cnt == 0:
             continue
         if cnt == 1:
-            if sign(_scaled_value(chain[0], lo, j)) \
-                    * sign(_scaled_value(chain[0], hi, j)) >= 0:
+            if sign(_scaled_value(f, lo, k)) \
+                    * sign(_scaled_value(f, hi, k)) >= 0:
                 raise ArithmeticError("isolation endpoint touched a root")
-            out.append((lo, hi, j))
+            out.append((lo, hi, k))
             continue
-        mid, j = lo + hi, j + 1
-        vmid = _chain_variations(chain, mid, j)
-        work.append((2 * lo, mid, j, vlo, vmid))
-        work.append((mid, 2 * hi, j, vmid, vhi))
-    out = [(Fraction(lo, lead << j), Fraction(hi, lead << j))
-           for lo, hi, j in out]
-    out.sort()
+        mid, k = lo + hi, k + 1
+        vmid = _chain_variations(chain, mid, k)
+        work.append((2 * lo, mid, k, vlo, vmid))
+        work.append((mid, 2 * hi, k, vmid, vhi))
+    # the upper half of each split is popped first, so the roots came out
+    # in decreasing order
+    out.reverse()
     return out
 
 
-def refine_interval(p, lo, hi):
-    """One bisection step on an isolating interval with a sign change."""
-    if lo == hi:
-        return lo, hi
-    mid = (lo + hi) / 2
-    if _sign_at(p, lo) * _sign_at(p, mid) < 0:
-        return lo, mid
-    return mid, hi
+def refine_root(f, root, k):
+    """The isolating triple root = (lo, hi, j) of a root of f, bisected
+    until its endpoints are over 2^k.
+
+    Each step keeps the half holding the root: f keeps its sign at lo, as
+    no root lies between the first lo and the root."""
+    lo, hi, j = root
+    s = sign(_scaled_value(f, lo, j))
+    while j < k:
+        mid, lo, hi, j = lo + hi, 2 * lo, 2 * hi, j + 1
+        if sign(_scaled_value(f, mid, j)) == s:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi, j
 
 
-def interval_eval(p, lo, hi):
-    """Bounds on p over [lo, hi] by interval Horner; exact rational endpoints."""
-    a = b = Fraction(p[-1]) if p else Fraction(0)
+def interval_eval(p, lo, hi, k):
+    """Integers (a, b) with a <= 2^(k*d) p(x) <= b for every x in
+    [lo / 2^k, hi / 2^k], d = len(p) - 1: interval Horner on the integers
+    lo, hi, each coefficient shifted to the common denominator."""
+    a = b = p[-1]
+    shift = 0
     for c in reversed(p[:-1]):
+        shift += k
         prods = (a * lo, a * hi, b * lo, b * hi)
-        a, b = min(prods) + c, max(prods) + c
+        a, b = min(prods) + (c << shift), max(prods) + (c << shift)
     return a, b
 
 

@@ -3,7 +3,8 @@
 Fundamental units of real quadratic fields come from the continued fraction
 of sqrt(d) (or a cube root of that unit, for d = 1 mod 4); totally real
 cubic fields get a bounded-height coordinate search whose output pairs are
-certified multiplicatively independent through exact rational log intervals.
+certified multiplicatively independent through integer log intervals: the
+atanh series in fixed point, on dyadic embedding intervals.
 Each new unit is paired with the earlier ones in search order: a one-round
 interval certificate comes first, since it proves most independent pairs at
 once; only a pair it leaves open is scanned for a small relation u^m v^k =
@@ -21,7 +22,6 @@ per field, the cubic class data per class number (NumberField.memo).
 """
 
 from dataclasses import dataclass, field as dc_field
-from fractions import Fraction
 from itertools import product
 from math import gcd, inf, isqrt
 
@@ -172,89 +172,75 @@ def _quad_torsion(field, d):
     return 2, field.from_rational(-1)
 
 
-# ------------------------------------------------ exact logarithm intervals
+# ------------------------------------------- fixed-point logarithm intervals
 
-_LN2_CACHE = {}
+def _atanh_fixed(n, d, w):
+    """Integers (lo, hi) with lo <= 2^w atanh(n/d) <= hi, for 0 <= n/d <= 1/3.
 
-
-def _atanh_bounds(t: Fraction, terms: int):
-    s = Fraction(0)
-    power = t
-    t2 = t * t
-    for i in range(terms):
-        s += power / (2 * i + 1)
-        power *= t2
-    tail = power / ((2 * terms + 1) * (1 - t2))
-    return s, s + tail
-
-
-def _ln2_bounds(terms: int):
-    if terms not in _LN2_CACHE:
-        lo, hi = _atanh_bounds(Fraction(1, 3), terms)
-        _LN2_CACHE[terms] = (2 * lo, 2 * hi)
-    return _LN2_CACHE[terms]
-
-
-def _ln_bounds(x: Fraction, terms: int):
-    """Rational (lo, hi) with lo <= ln(x) <= hi, for rational x > 0."""
-    if x <= 0:
-        raise ValueError("ln of nonpositive value")
-    k = 0
-    while x >= 2:
-        x /= 2
-        k += 1
-    while x < 1:
-        x *= 2
-        k -= 1
-    alo, ahi = _atanh_bounds((x - 1) / (x + 1), terms)
-    l2lo, l2hi = _ln2_bounds(terms)
-    if k >= 0:
-        return k * l2lo + 2 * alo, k * l2hi + 2 * ahi
-    return k * l2hi + 2 * alo, k * l2lo + 2 * ahi
+    The series sum t^(2i+1) / (2i+1) in fixed point over 2^w, the powers
+    and terms rounded down for lo and up for hi, until the upper power is
+    one unit; hi then adds the bound t^(2m+1) / ((2m+1)(1 - t^2)) on the
+    terms left."""
+    t2lo = (n * n << w) // (d * d)
+    t2hi = t2lo + 1
+    plo = (n << w) // d
+    phi = plo + 1
+    lo = hi = 0
+    i = 1
+    while phi > 1:
+        lo += plo // i
+        hi -= -phi // i
+        plo, phi = plo * t2lo >> w, -(-phi * t2hi >> w)
+        i += 2
+    return lo, hi - (-phi << w) // (i * ((1 << w) - t2hi))
 
 
-def _abs_embedding_bounds(x: FieldElement, idx: int, width: Fraction):
-    lo, hi = embedding_interval(x, idx, width)
-    if lo > 0:
-        return lo, hi
-    if hi < 0:
-        return -hi, -lo
-    # interval straddles zero: split by exact sign, then shrink further
-    sgn = embedding_sign(x, idx)
-    w = width
-    while lo <= 0 <= hi:
-        w /= 4
-        lo, hi = embedding_interval(x, idx, w)
-    return (lo, hi) if sgn > 0 else (-hi, -lo)
+def _ln_interval(lo, hi, p, w):
+    """Integers (a, b) with a <= 2^w ln(x) <= b for every x in
+    [lo / 2^p, hi / 2^p], 0 < lo <= hi.
+
+    m / 2^p = 2^k y with y = m / 2^e in [1, 2), 2^e <= m < 2^(e+1), and
+    ln y = 2 atanh((m - 2^e) / (m + 2^e)); ln 2 = 2 atanh(1/3) comes from
+    the same series at the same precision."""
+    ln2 = _atanh_fixed(1, 3, w)
+
+    def bound(m, side):
+        e = m.bit_length() - 1
+        k = e - p
+        t = _atanh_fixed(m - (1 << e), m + (1 << e), w)[side]
+        return 2 * (k * ln2[side if k >= 0 else 1 - side] + t)
+
+    return bound(lo, 0), bound(hi, 1)
 
 
-def _iv_mul(a, b):
-    prods = (a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])
-    return min(prods), max(prods)
-
-
-def _iv_sub(a, b):
-    return a[0] - b[1], a[1] - b[0]
+def _abs_embedding(x: FieldElement, idx: int, p: int):
+    """(lo, hi, q) with 0 < lo / 2^q <= |x| <= hi / 2^q under the real
+    embedding idx, for a nonzero x: q is the first of p, 2p, 4p, ... whose
+    interval leaves out zero."""
+    while True:
+        lo, hi = embedding_interval(x, idx, p)
+        if lo > 0:
+            return lo, hi, p
+        if hi < 0:
+            return -hi, -lo, p
+        p *= 2
 
 
 def _certified_independent(u: FieldElement, v: FieldElement, max_rounds=12):
-    """True when the log-embedding vectors of u, v are provably non-parallel."""
-    width = Fraction(1, 16)
-    terms = 8
-    for _ in range(max_rounds):
-        rows = []
-        for elem in (u, v):
-            row = []
-            for idx in (0, 1):
-                lo, hi = _abs_embedding_bounds(elem, idx, width)
-                row.append((_ln_bounds(lo, terms)[0], _ln_bounds(hi, terms)[1]))
-            rows.append(row)
-        det = _iv_sub(_iv_mul(rows[0][0], rows[1][1]),
-                      _iv_mul(rows[0][1], rows[1][0]))
-        if det[0] > 0 or det[1] < 0:
+    """True when the log-embedding vectors of u, v are provably non-parallel.
+
+    Round r bounds ln|u| and ln|v| at the first two real places by integers
+    over 2^w, w = 8r + 8, from embeddings to 8r bits; the 2x2 determinant
+    ad - bc is then certified nonzero when the integer bounds of ad and bc,
+    over 2^(2w), do not overlap."""
+    for r in range(1, max_rounds + 1):
+        p = 8 * r
+        (a, b), (c, d) = [[_ln_interval(*_abs_embedding(x, idx, p), p + 8)
+                           for idx in (0, 1)] for x in (u, v)]
+        ad = [s * t for s in a for t in d]
+        bc = [s * t for s in b for t in c]
+        if min(ad) > max(bc) or max(ad) < min(bc):
             return True
-        width /= 16
-        terms += 8
     return False
 
 
@@ -515,7 +501,8 @@ def class_data(field: NumberField, *,
     if n == 3:
         if user_class_number is None:
             raise MissingUserClassNumber(
-                "cubic class numbers are accepted from configuration only")
+                "cubic class numbers are not computed; supply one with "
+                "--user-class-number")
         return field.memo(("class_data", user_class_number),
                           lambda: _cubic_class_data(field, user_class_number))
     raise Unsupported(f"class data for degree {n}")

@@ -263,8 +263,13 @@ class TestCommands:
          "thm-3-2, thm-3-3, cor-3-4, thm-5-2"),
         (["thm-7-3", "x", "--mode", "2", "--bound", "0"], "bound",
          "thm-3-2, thm-3-3, cor-3-4, thm-5-2"),
+        (["cor-7-2", "x^3-x^2-2*x+1", "--user-class-number", "1"],
+         "user-class-number", "thm-3-2, thm-3-3, cor-3-4, thm-5-2"),
+        (["thm-7-1", "x^3-x^2-2*x+1", "--l", "23", "--user-class-number",
+          "1"], "user-class-number", "thm-3-2, thm-3-3, cor-3-4, thm-5-2"),
     ], ids=["l-sunit", "l-cor-7-2", "l-mode-2", "mode-sunit", "mode-7-3-1",
-            "bound-cor-7-2", "bound-thm-7-1", "bound-mode-2"])
+            "bound-cor-7-2", "bound-thm-7-1", "bound-mode-2", "h-cor-7-2",
+            "h-thm-7-1"])
     def test_check_refuses_unread_option(self, capsys, argv, option, readers):
         code, rep = run_json(capsys, ["check", *argv])
         assert code == 1
@@ -282,6 +287,16 @@ class TestCommands:
     def test_check_accepts_the_options_it_reads(self, capsys, argv):
         code, rep = run_json(capsys, ["check", *argv])
         assert code in (0, 2, 3) and "error" not in rep["result"]
+
+    def test_pp2_refuses_class_number(self, capsys):
+        code, rep = run_json(capsys, ["frey", "pp2", "x^3-x^2-2*x+1", "--a",
+                                      "2", "--b", "1", "--c", "3",
+                                      "--user-class-number", "1"])
+        assert code == 1
+        assert rep["result"]["error"] == {
+            "type": "ParseError",
+            "message": "--user-class-number is read only by frey 2r, "
+                       "not by frey pp2"}
 
     def test_pp2_ignores_r(self, capsys):
         code, rep = run_json(capsys, ["frey", "pp2", "x", "--a", "2", "--b",
@@ -308,7 +323,9 @@ class TestCommands:
     def test_class_number_flag_reaches_frey(self, capsys):
         code, rep = run_json(capsys, self.FREY_CUBIC)
         assert code == 0 and "conductor" not in rep["result"]
-        assert rep["caveats"][0].startswith("conductor shape unavailable")
+        assert rep["caveats"][0] == (
+            "conductor shape unavailable: cubic class numbers are not "
+            "computed; supply one with --user-class-number")
         code, rep = run_json(capsys, self.FREY_CUBIC
                              + ["--user-class-number", "1"])
         assert code == 0
@@ -493,7 +510,9 @@ class TestZassenhausPrime:
 # of each, taken before field construction moved to the F_q kernel, the
 # discriminant as a norm and quadratic Hensel lifting.  The four error reports
 # of x^3 - x^2 - 2*x - 8 were taken again when error reports began to carry
-# the summary of a field that was built; only their "field" key changed.
+# the summary of a field that was built; only their "field" key changed.  Its
+# frey 2r report was taken again when the MissingUserClassNumber message in
+# its caveat began to name --user-class-number; only that caveat changed.
 FIELD_SWEEP_COMMANDS = (
     ("field",),
     ("check", "cor-7-2"),
@@ -550,7 +569,7 @@ FIELD_CONSTRUCTION_GOLDEN = {
         (2, "e177d4aab409d09f3e3f7dc61938465f36e0ae243d9b1cff3561188a2e4bb535"),
         (0, "c5db98434b39173a61e9c43457705d65a3a34e9eab69f5f7eef11a973fad3155"),
         (1, "9f421b12182b85ede8e6bd2364df268e2404e43a0fa3c441d5f3cfa15f0d357c"),
-        (0, "d013409f82cd9211ae1a29608481528bbb726d2768a91cd58804195e8c4883f6"),
+        (0, "1f38964b034c634ea00c4751aefa2b847b4b57144d64ecd71519895384a45fe5"),
         (1, "6d688e84062a24b0e2b9b06e9d05a28735935493e22dd3caea692f3032b7941f"),
     ),
 }

@@ -16,7 +16,7 @@ from afcheck.polynomials import (has_small_integer_root,
                                  irreducible_by_degree_patterns,
                                  isolate_real_roots, pderiv, poly_disc, sign,
                                  strip, sturm_chain, zx_factor)
-from test_polynomials import sturm_count
+from test_polynomials import sturm_count, to_fractions
 
 X = sympy.symbols("x")
 
@@ -109,19 +109,16 @@ class TestIntegerSturm:
     def test_isolation_against_sympy_roots(self, coeffs):
         poly = to_sympy(coeffs)
         assume(poly.is_irreducible)
-        intervals = make_field(coeffs).real_roots
-        assert list(intervals) == isolate_real_roots(coeffs)
-        assert list(intervals) == fraction_isolation(coeffs)
+        triples = make_field(coeffs).real_roots
+        assert list(triples) == isolate_real_roots(coeffs)
+        intervals = to_fractions(triples)
+        assert intervals == fraction_isolation(coeffs)
         roots = poly.real_roots()
         assert len(intervals) == len(roots)
         for (_, hi), (lo, _) in zip(intervals, intervals[1:]):
             assert hi <= lo
         for root in roots:
             assert sum(contains(lo, hi, root) for lo, hi in intervals) == 1
-
-    def test_rational_coefficients_are_scaled(self):
-        halved = [Fraction(c, 2) for c in (2, 0, -4, 0, 1)]
-        assert isolate_real_roots(halved) == isolate_real_roots([2, 0, -4, 0, 1])
 
 
 class TestIrreducibility:
@@ -210,4 +207,4 @@ class TestIntegerRootScreen:
     def test_degree_one_still_builds(self):
         K = make_field("x - 3")
         assert K.degree == 1 and K.coeffs == (-3, 1)
-        assert list(K.real_roots) == [(Fraction(3), Fraction(3))]
+        assert list(K.real_roots) == [(3, 3, 0)]

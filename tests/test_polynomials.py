@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_ddf_zassenhaus, gf_sqf_p
 
-from afcheck.polynomials import (FqKernel, _fp_ddf, _integral, _yun_squarefree,
-                                 degree, fp_divmod, fp_factor, fp_gcd, fp_mul,
+from afcheck.polynomials import (FqKernel, _fp_ddf, _yun_squarefree, degree,
+                                 fp_divmod, fp_factor, fp_gcd, fp_mul,
                                  fp_norm, fp_pow_mod, fp_rem, interval_eval,
                                  isolate_real_roots, padd, pmul, poly_disc,
                                  psub_mod, sign, strip, sturm_chain,
@@ -216,13 +216,12 @@ class TestSturm:
         for coeffs in BATTERY:
             poly = to_sympy(coeffs)
             sqf = poly.quo(poly.gcd(poly.diff(X)))
-            mine = sturm_count(
-                [Fraction(int(c)) for c in reversed(sqf.all_coeffs())])
+            mine = sturm_count([int(c) for c in reversed(sqf.all_coeffs())])
             assert mine == len(sqf.real_roots())
 
     def test_isolation_intervals(self):
         coeffs = [2, 0, -4, 0, 1]  # four real roots
-        intervals = isolate_real_roots([Fraction(c) for c in coeffs])
+        intervals = to_fractions(isolate_real_roots(coeffs))
         assert len(intervals) == 4
         roots = sorted(float(r) for r in to_sympy(coeffs).real_roots())
         for (lo, hi), root in zip(intervals, roots):
@@ -231,25 +230,35 @@ class TestSturm:
             assert hi <= lo
 
     def test_interval_eval_encloses(self):
+        # integer bounds over 2^(k*d) on p at dyadic points of [lo, hi] / 2^k
         rng = random.Random(8)
-        for _ in range(50):
-            poly = [Fraction(rng.randint(-5, 5)) for _ in range(4)]
-            lo = Fraction(rng.randint(-8, 8), rng.randint(1, 3))
-            hi = lo + Fraction(rng.randint(0, 5), rng.randint(1, 3))
-            vlo, vhi = interval_eval(poly, lo, hi)
-            for k in range(5):
-                point = lo + (hi - lo) * Fraction(k, 4)
+        for _ in range(200):
+            poly = [rng.randint(-5, 5) for _ in range(rng.randint(1, 5))]
+            k = rng.randint(0, 6)
+            lo = rng.randint(-40, 40)
+            hi = lo + rng.randint(0, 20)
+            vlo, vhi = interval_eval(poly, lo, hi, k)
+            scale = 2 ** (k * (len(poly) - 1))
+            for j in range(5):
+                point = Fraction(4 * lo + j * (hi - lo), 4 * 2 ** k)
                 value = sum(c * point ** i for i, c in enumerate(poly))
-                assert vlo <= value <= vhi
+                assert vlo <= value * scale <= vhi
+            if lo == hi:
+                assert vlo == vhi
+
+
+def to_fractions(triples):
+    """Dyadic triples (lo, hi, k) as Fraction pairs (lo / 2^k, hi / 2^k)."""
+    return [(Fraction(lo, 2 ** k), Fraction(hi, 2 ** k))
+            for lo, hi, k in triples]
 
 
 def fraction_endpoint_isolation(p):
-    """Isolation as it stood before endpoints became integers over
-    lc * 2^depth: the same integer Sturm chain, Cauchy bound and bisection,
-    with Fraction endpoints and signs by integer Horner on their numerator
-    and denominator.  The reference the integer bisection must reproduce,
+    """Isolation as it stood before endpoints became integers over 2^depth:
+    the same integer Sturm chain, Cauchy bound and bisection, with Fraction
+    endpoints and signs by integer Horner on their numerator and
+    denominator.  The reference the integer bisection must reproduce,
     intervals and errors alike."""
-    p = _integral(p)
     if degree(p) <= 0:
         return []
     if degree(p) == 1:
@@ -291,6 +300,11 @@ def fraction_endpoint_isolation(p):
     return out
 
 
+def dyadic_isolation(p):
+    """isolate_real_roots with its triples as Fraction pairs."""
+    return to_fractions(isolate_real_roots(p))
+
+
 def outcome(isolate, p):
     """The intervals, or the type and message of the error raised."""
     try:
@@ -299,12 +313,11 @@ def outcome(isolate, p):
         return type(exc), str(exc)
 
 
-# integer polynomials of degree 1-8 with a nonzero leading coefficient in
-# [-12, 12] and the others in [-40, 40], lowest degree first
-INTEGER_POLYS = st.integers(1, 8).flatmap(
-    lambda n: st.tuples(
-        st.lists(st.integers(-40, 40), min_size=n, max_size=n),
-        st.integers(-12, 12).filter(bool)).map(lambda t: t[0] + [t[1]]))
+# monic integer polynomials of degree 1-8 with the other coefficients in
+# [-40, 40], lowest degree first
+MONIC_POLYS = st.integers(1, 8).flatmap(
+    lambda n: st.lists(st.integers(-40, 40), min_size=n, max_size=n).map(
+        lambda low: low + [1]))
 
 
 def squarefree(p):
@@ -316,36 +329,32 @@ class TestIntegerIsolation:
     """isolate_real_roots against the Fraction-endpoint reference and sympy."""
 
     @settings(max_examples=300, deadline=None)
-    @given(INTEGER_POLYS)
+    @given(MONIC_POLYS)
     def test_squarefree_integer_polys(self, p):
         assume(squarefree(p))
-        got = outcome(isolate_real_roots, p)
+        got = outcome(dyadic_isolation, p)
         assert got == outcome(fraction_endpoint_isolation, p)
         if isinstance(got, list):
             assert len(got) == to_sympy(p).count_roots()
-            assert all(type(e) is Fraction for iv in got for e in iv)
-
-    @settings(max_examples=200, deadline=None)
-    @given(INTEGER_POLYS, st.lists(st.integers(1, 12), min_size=9,
-                                   max_size=9))
-    def test_rational_non_monic_polys(self, p, dens):
-        # through _integral: each coefficient over its own denominator
-        assume(squarefree(p))
-        q = [Fraction(c, d) for c, d in zip(p, dens)]
-        assert outcome(isolate_real_roots, q) == outcome(
-            fraction_endpoint_isolation, q)
+            assert all(type(e) is int for iv in isolate_real_roots(p)
+                       for e in iv)
 
     @pytest.mark.parametrize("p", [
-        [-2, 0, 3],                    # 3x^2 - 2: lc 3, roots +-sqrt(2/3)
-        [1, 0, -7, 0, 5],              # two pairs of close roots, lc 5
+        [-6, 0, 1],                    # 3x^2 - 2 at x = y/3: roots +-sqrt(6)
+        [125, 0, -35, 0, 1],           # 5x^4 - 7x^2 + 1 at x = y/5: close pairs
         [-1, 0, 0, 0, 0, 0, 0, 0, 1],  # x^8 - 1: roots +-1 hit bisection points
         [2, -3, 1],                    # (x - 1)(x - 2): 1 is a midpoint
-        [-3, 7],                       # degree one: the exact root
-        [Fraction(1, 3), Fraction(-5, 2), 0, Fraction(7, 4)],
+        [-3, 1],                       # degree one: the exact root
+        [1764, -630, 0, 1],            # 21x^3 - 30x + 4 at x = y/21
     ])
     def test_fixed_cases(self, p):
-        assert outcome(isolate_real_roots, p) == outcome(
+        assert outcome(dyadic_isolation, p) == outcome(
             fraction_endpoint_isolation, p)
+
+    @pytest.mark.parametrize("p", [[-2, 0, 3], [-3, 7], [1, 0, -1]])
+    def test_non_monic_is_refused(self, p):
+        with pytest.raises(ValueError):
+            isolate_real_roots(p)
 
     @pytest.mark.parametrize("p", [
         [0, 0, -2, 1],     # x^2 (x - 2): 0 is a bisection point

@@ -135,7 +135,50 @@ TOTALLY_REAL_CUBICS = [
 ]
 
 
+# poly -> (the coordinates of the pair _cubic_fundamental_pair returns, the
+# height it needed, h_plus at h = 1), recorded from a certificate on
+# Fraction intervals: a certificate is a proof, so the first certified pair
+# in search order cannot depend on the arithmetic or the precision schedule
+CUBIC_UNIT_PAIRS = {
+    "x^3-x^2-2*x+1": (((-1, -1, 0), (-1, -1, 1)), 1, 1),
+    "x^3-7*x-7": (((-1, -1, 0), (-1, 1, 1)), 1, 1),
+    "x^3-3*x-1": (((-1, -1, 0), (-1, -1, 1)), 1, 1),
+    "x^3-3*x+1": (((-1, -1, 1), (-1, 1, 0)), 1, 1),
+    "x^3-4*x-2": (((-1, -1, 0), (-1, -1, 1)), 1, 1),
+    "x^3-x^2-3*x+1": (((-1, 1, 1), (0, -1, 0)), 1, 1),
+    "x^3-x^2-4*x-1": (((-1, -1, 0), (0, -1, -1)), 1, 1),
+    "x^3-4*x-1": (((0, -1, 0), (-2, -1, 0)), 2, 2),
+    "x^3-4*x+1": (((0, -1, 0), (-2, -1, 0)), 2, 2),
+    "x^3-x^2-5*x-2": (((-1, -1, 0), (-1, -2, 0)), 2, 2),
+    "x^3-5*x-3": (((-1, -1, 0), (-1, -1, 1)), 1, 2),
+    "x^3-5*x+3": (((-1, 1, 0), (-1, 1, 1)), 1, 2),
+    "x^3-x^2-10*x-9": (((-1, -1, 0), (-2, -1, 0)), 2, 2),
+    "x^3-x^2-4*x+3": (((-1, 1, 0), (-1, 1, 1)), 1, 2),
+    "x^3-x^2-4*x+2": (((-1, 1, 1), (-1, 2, 0)), 2, 1),
+    "x^3-x^2-6*x-3": (((-1, -1, 0), (-1, -1, 1)), 1, 1),
+    "x^3-x^2-6*x+7": (((-1, 1, 0), (-2, 1, 0)), 2, 1),
+    "x^3-x^2-7*x+9": (((-2, 0, 1), (-2, 1, 0)), 2, 1),
+    "x^3-x^2-7*x-4": (((-1, -1, 0), (-3, -3, 2)), 3, 1),
+    "x^3-5*x-1": (((0, -1, 0), (-2, -1, 0)), 2, 1),
+    "x^3-x^2-5*x+1": (((0, -1, 0), (-2, -2, 1)), 2, 2),
+    "x^3-x^2-6*x-2": (((-1, -2, 2), (-1, -3, -1)), 3, 1),
+    "x^3-6*x-3": (((-2, -2, 1), (-1, -2, 0)), 2, 1),
+    "x^3-9*x+9": (((-1, 1, 0), (-2, 1, 0)), 2, 1),
+    "x^3-x^2-9*x+8": (((-1, 1, 0), (-3, -1, 0)), 3, 2),
+}
+
+
 class TestCubicUnitPair:
+    @pytest.mark.parametrize("poly", TOTALLY_REAL_CUBICS)
+    def test_pinned_pair_and_narrow_class_number(self, poly):
+        K = make_field(poly)
+        pair, height = _cubic_fundamental_pair(K)
+        coords, pinned_height, h_plus = CUBIC_UNIT_PAIRS[poly]
+        assert tuple(u.num for u in pair) == coords and all(
+            u.den == 1 for u in pair)
+        assert height == pinned_height
+        assert class_data(K, user_class_number=1).h_plus == h_plus
+
     @pytest.mark.parametrize("poly", TOTALLY_REAL_CUBICS)
     def test_certificate_first_equals_relation_first(self, poly):
         K = make_field(poly)
