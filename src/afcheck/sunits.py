@@ -29,11 +29,11 @@ from math import gcd, isqrt
 
 from .errors import (BasisUnavailable, FactorizationIncomplete,
                      GeneratorNotFound, IndexDivisor, IsSquare,
-                     MissingUserClassNumber, Reducible, SearchExhausted,
-                     Unsupported, WorkExceeded, ZeroElement)
+                     MissingUserClassNumber, SearchExhausted, Unsupported,
+                     WorkExceeded, ZeroElement)
 from . import linalg
-from .numberfield import FieldElement, NumberField, make_field
-from .polynomials import zx_factor
+from .numberfield import FieldElement, NumberField
+from .polynomials import isolate_real_roots, poly_disc, zx_factor
 from .prime_ideals import element_valuations, valuation
 from .units import (GENERATOR_COORD_BOUND, class_data, principal_generator,
                     sqrt_core_element, unit_generators, _find_generator,
@@ -359,14 +359,22 @@ def _sqrt_fraction(r: Fraction):
 def is_square(x: FieldElement):
     """Exact square test in K; returns (bool, witness-or-None).
 
-    Quadratic fields get an explicit square root; fields of odd degree decide
-    through the factorization of minpoly(x)(t^2) (an odd-degree factor
-    certifies a root in the field), rationals reduce to perfect-square checks.
+    Quadratic fields get an explicit square root; fields of odd degree rule
+    out an x whose norm is not a rational square and decide the rest through
+    the factorization of minpoly(x)(t^2) (an odd-degree factor certifies a
+    root in the field), rationals reduce to perfect-square checks.
     Even degree >= 4 raises Unsupported: both shortcuts need odd degree.
+    The answer is kept in the field's memo, so the square test that
+    selmer_group made of an element answers quadratic_extension's.
     """
     field = x.field
     if field.degree % 2 == 0 and field.degree >= 4:
         raise Unsupported(f"square test in even degree {field.degree} > 2")
+    return field.memo(("is_square", x.num, x.den), lambda: _square_test(x))
+
+
+def _square_test(x: FieldElement):
+    field = x.field
     if x.is_zero():
         return True, field.zero()
     if x.is_rational() and field.degree != 2:
@@ -411,6 +419,9 @@ def _is_square_quadratic(x: FieldElement):
 
 
 def _is_square_odd(x: FieldElement):
+    # N(b^2) = N(b)^2, so a norm that is not a rational square rules x out
+    if _sqrt_fraction(x.norm()) is None:
+        return False, None
     # z = den^2 * x is a square iff x is, and lies in Z[theta], so its
     # minimal polynomial mp is integral; factor mp(t^2)
     mp = (x * (x.den * x.den)).min_poly()
@@ -489,29 +500,34 @@ _GENERATOR_SHIFTS = (0, 1, -1, 2, -2, 3, -3, 4, -4)
 def quadratic_extension(base: NumberField, a: FieldElement) -> NumberField:
     """K(sqrt(a)) as an absolute field, ready for prime factorization.
 
-    a is scaled by a rational square to be integral (same extension); the
-    defining polynomial is the characteristic polynomial of sqrt(a) + t*theta
-    for the first shift t making it irreducible of degree 2n.  t = 0 is the
-    resultant of the defining polynomial with x^2 - a.  Such a polynomial
-    proves that a is not a square, so is_square runs only when no shift
-    gives one, or when 2n > 6; a square a raises IsSquare either way.
+    A square a raises IsSquare, before the degree limit is checked.  a is
+    scaled by a rational square to be integral (same extension).  Once a is
+    known to be a non-square, [L:Q] = 2n, so the characteristic polynomial
+    g of gamma = sqrt(a) + t*theta, a power of the minimal polynomial of
+    gamma, is irreducible exactly when it is squarefree, that is when
+    poly_disc(g) != 0: the defining polynomial is g for the first shift t
+    with a nonzero discriminant, and no factoring is needed.  At t = 0, g is
+    chi(x^2) for chi the characteristic polynomial of the scaled a, the
+    resultant of the defining polynomial with x^2 - a.
     """
     if a.is_zero():
         raise ZeroElement("cannot adjoin sqrt(0)")
+    _raise_if_square(a)
     n = base.degree
     if 2 * n > 6:
-        _raise_if_square(a)
         raise Unsupported(f"extension degree {2 * n} > 6")
     den = a.den
     a_int = a * (den * den)
     for t in _GENERATOR_SHIFTS:
-        try:
-            # an irreducible charpoly of degree 2n proves that a is not a
-            # square: sqrt(a) + t*theta would otherwise lie in the base
-            return make_field(linalg.charpoly(_gamma_matrix(base, a_int, t)))
-        except Reducible:
-            continue
-    _raise_if_square(a)
+        if t:
+            g = linalg.charpoly(_gamma_matrix(base, a_int, t))
+        else:
+            # det(x^2 I - A) of the block matrix at t = 0
+            g = [0] * (2 * n + 1)
+            g[::2] = linalg.charpoly(a_int.num_matrix())
+        disc = poly_disc(g)
+        if disc:
+            return NumberField(g, disc, isolate_real_roots(g))
     raise ArithmeticError("no primitive generator among the shift candidates")
 
 

@@ -1,11 +1,13 @@
-"""Every public top-level def or class of the package has a caller.
+"""Every public top-level def or class of the package has a caller, and
+every name a module of the package imports is used there.
 
 A name counts as reached when some code in src/afcheck/ or perfbench/
 mentions it outside its own definition: as a name, an attribute, or a
 dotted segment of a string (the benchmark tracer wraps functions by their
 names as strings).  A name in a module's __all__ is exported on purpose and
 counts as reached too.  Tests do not count: a function that only tests call
-is dead library.
+is dead library.  An imported name counts as used when its module mentions
+it as a name, or lists it in __all__.
 """
 
 import ast
@@ -70,6 +72,31 @@ def unreached(package=PACKAGE, callers=CALLERS):
     return sorted(missing)
 
 
+def _bound_names(node):
+    """The names an import statement binds in its module."""
+    for alias in node.names:
+        if isinstance(node, ast.Import):
+            yield alias.asname or alias.name.split(".")[0]
+        else:
+            yield alias.asname or alias.name
+
+
+def unused_imports(package=PACKAGE):
+    """Sorted "module.name" of the names that a module in package imports
+    and neither uses nor lists in its __all__."""
+    unused = []
+    for path in sorted(package.glob("*.py")):
+        tree = _parse(path)
+        used = _exported(tree) | {node.id for node in ast.walk(tree)
+                                  if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                unused.extend(f"{path.stem}.{name}"
+                              for name in _bound_names(node)
+                              if name not in used)
+    return sorted(unused)
+
+
 def test_every_public_definition_has_a_caller():
     assert unreached() == []
 
@@ -94,3 +121,18 @@ def test_the_walk_finds_a_dead_definition(tmp_path):
                                    encoding="utf-8")
     assert unreached(package, (package, bench)) == [
         "mod.Dead", "mod.recursive", "user.caller"]
+
+
+def test_every_import_is_used():
+    assert unused_imports() == []
+
+
+def test_the_import_check_finds_an_unused_name(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "import os.path\n"
+        "import json as codec\n"
+        "from math import gcd, lcm\n"
+        "from .other import exported, dead\n"
+        "__all__ = ['exported']\n"
+        "def f(): return os.sep, gcd(4, 6)\n", encoding="utf-8")
+    assert unused_imports(tmp_path) == ["mod.codec", "mod.dead", "mod.lcm"]

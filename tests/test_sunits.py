@@ -5,23 +5,29 @@ Fractions) and their own S-unit membership rule (strip the prime over 2,
 check the cofactor is a unit), sharing no code with the package paths.
 """
 
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import lcm
 
 import pytest
+import sympy
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from afcheck import make_field
+from afcheck import make_field, numberfield, sunits
+from afcheck.cli import run
 from afcheck.errors import (AfcheckError, BasisUnavailable,
                             FactorizationIncomplete, IndexDivisor, IsSquare,
-                            Unsupported, WorkExceeded, ZeroElement)
+                            Reducible, Unsupported, WorkExceeded, ZeroElement)
+from afcheck.linalg import charpoly
+from afcheck.polynomials import zx_factor
 from afcheck.prime_ideals import element_valuations, s_k, valuation
 from afcheck.sunits import (MAX_CANDIDATES, build_sunit_basis, is_square,
                             quadratic_extension, selmer_group, solve_sunit,
-                            _gamma_matrix, _norm_supported, _s_unit_profile)
+                            _GENERATOR_SHIFTS, _gamma_matrix, _norm_supported,
+                            _s_unit_profile)
 
 
 # ----------------------------------------------------------------- oracles
@@ -645,6 +651,51 @@ class TestIsSquare:
         assert is_square(M.from_rational(4))[0]
 
 
+def factor_square_test(x):
+    """Reference: the square test without the norm screen, x != 0 a square
+    iff minpoly(den^2 x)(t^2) has a factor of odd degree."""
+    mp = (x * (x.den * x.den)).min_poly()
+    doubled = [0] * (2 * len(mp) - 1)
+    doubled[::2] = [int(c) for c in mp]
+    return any((len(fac) - 1) % 2 for fac, _ in zx_factor(doubled))
+
+
+# odd-degree fields, each with a unit of norm +1 that is not a square
+ODD_FIELD_UNITS = {"x^3 - x^2 - 2*x + 1": [0, -1, 0],
+                   "x^3 - x^2 + 1": [0, -1, 0],
+                   "x^3 - 2": [-1, 1, 0],
+                   "x^5 - x - 1": [0, 1, 0, 0, 0]}
+
+
+@st.composite
+def odd_square_case(draw):
+    poly = draw(st.sampled_from(sorted(ODD_FIELD_UNITS)))
+    K = make_field(poly)
+    n = K.degree
+    b = K.element([Fraction(c, draw(st.integers(1, 4))) for c in
+                   draw(st.lists(st.integers(-6, 6), min_size=n, max_size=n))])
+    assume(not b.is_zero())
+    u = K.element(ODD_FIELD_UNITS[poly])
+    kind = draw(st.sampled_from(("square", "negated", "unit", "random")))
+    return {"square": b * b, "negated": -(b * b), "unit": b * b * u,
+            "random": b}[kind]
+
+
+class TestNormScreen:
+    @pytest.mark.parametrize("poly", sorted(ODD_FIELD_UNITS))
+    def test_units_have_square_norm_and_are_not_squares(self, poly):
+        K = make_field(poly)
+        u = K.element(ODD_FIELD_UNITS[poly])
+        assert u.norm() == 1 and not factor_square_test(u)
+        assert not is_square(u)[0]
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.filter_too_much])
+    @given(odd_square_case())
+    def test_screened_test_matches_the_factor_test(self, x):
+        assert is_square(x)[0] == factor_square_test(x)
+
+
 def element_gamma_matrix(base, a_int, t):
     """Reference: the matrix of gamma = z + t*theta on K[z]/(z^2 - a_int),
     column by column from field arithmetic, the image of theta^i and then
@@ -673,6 +724,19 @@ def gamma_case(draw):
     coords = draw(st.lists(st.integers(-30, 30), min_size=K.degree,
                            max_size=K.degree))
     return K, K.element(coords), draw(st.integers(-4, 4))
+
+
+def reference_extension(base, a):
+    """Reference: the coefficients of K(sqrt(a)) as make_field built them,
+    the charpoly of the first shifted generator that factoring found
+    irreducible."""
+    a_int = a * (a.den * a.den)
+    for t in _GENERATOR_SHIFTS:
+        try:
+            return make_field(charpoly(_gamma_matrix(base, a_int, t))).coeffs
+        except Reducible:
+            continue
+    raise AssertionError("no shift gave an irreducible charpoly")
 
 
 class TestQuadraticExtension:
@@ -729,9 +793,34 @@ class TestQuadraticExtension:
         with pytest.raises(IsSquare):
             quadratic_extension(K, r * r)
 
+    @settings(max_examples=120, deadline=None,
+              suppress_health_check=[HealthCheck.filter_too_much])
+    @given(st.sampled_from(GAMMA_FIELDS), st.data())
+    def test_matches_the_factoring_reference(self, poly, data):
+        K = make_field(poly)
+        n = K.degree
+        # a rational a makes t = 0 fail for n >= 2, so draw those often
+        size = data.draw(st.sampled_from((1, n)))
+        coords = data.draw(st.lists(st.integers(-12, 12), min_size=size,
+                                    max_size=size))
+        a = K.element([Fraction(c, data.draw(st.integers(1, 3)))
+                       for c in coords + [0] * (n - size)])
+        assume(not a.is_zero() and not is_square(a)[0])
+        L = quadratic_extension(K, a)
+        assert L.coeffs == reference_extension(K, a)
+        x = sympy.Symbol("x")
+        _, factors = sympy.factor_list(
+            sympy.Poly(list(reversed(L.coeffs)), x))
+        assert len(factors) == 1 and factors[0][1] == 1
+        assert sympy.degree(factors[0][0], x) == 2 * n
+        a_int = a * (a.den * a.den)
+        chi = charpoly(a_int.num_matrix())
+        spread = [0] * (2 * n + 1)
+        spread[::2] = chi
+        assert charpoly(_gamma_matrix(K, a_int, 0)) == spread
+
     # the extensions of the benchmark fields over their non-trivial 2-Selmer
-    # representatives, recorded when quadratic_extension still tested every
-    # a for squareness before building K(sqrt(a))
+    # representatives, as reference_extension builds them by factoring
     SELMER_EXTENSIONS = {
         ("x", None): {
             ("-1",): (1, 0, 1), ("2",): (-2, 0, 1), ("-2",): (2, 0, 1)},
@@ -779,3 +868,35 @@ class TestQuadraticExtension:
         got = {tuple(str(c) for c in r.coords): quadratic_extension(K, r).coeffs
                for r in group.representatives if r != 1}
         assert got == self.SELMER_EXTENSIONS[poly, h]
+
+
+def test_thm_5_2_builds_one_field_and_factors_each_representative_once(
+        monkeypatch, capsys):
+    counts = {"make_field": 0, "_square_test": 0, "zx_factor": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    K = make_field("x^3-x^2-2*x+1")
+    reps = selmer_group(K, s_k(K), user_class_number=1).representatives
+    # make_field under every name that binds it; the square tests that
+    # is_square does not answer from the field's memo, and the factoring
+    # that the norm screen leaves to them
+    real = numberfield.make_field
+    for modname, module in list(sys.modules.items()):
+        if (modname.startswith("afcheck")
+                and getattr(module, "make_field", None) is real):
+            monkeypatch.setattr(module, "make_field",
+                                counting("make_field", real))
+    for name in ("_square_test", "zx_factor"):
+        monkeypatch.setattr(sunits, name, counting(name, getattr(sunits, name)))
+    code = run(["--output", "json", "check", "thm-5-2", "x^3-x^2-2*x+1",
+                "--bound", "1", "--user-class-number", "1"])
+    capsys.readouterr()
+    assert code == 3
+    assert counts["make_field"] == 1
+    assert counts["_square_test"] <= len(reps)
+    assert 0 < counts["zx_factor"] <= len(reps)
