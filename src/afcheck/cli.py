@@ -352,7 +352,7 @@ def run(argv) -> int:
 def _echo(args):
     echo = {"command": args["command"], "seed": args["seed"]}
     for key in ("poly", "theorem", "family", "bound", "r", "l", "mode",
-                "prime", "a", "b", "c", "l_max", "p"):
+                "prime", "a", "b", "c", "l_max", "p", "user_class_number"):
         if args.get(key) is not None:
             echo[key] = args[key]
     return echo

@@ -33,7 +33,7 @@ from . import linalg
 from .errors import (DegreeZero, DivisionByZero, NotMonic, NotTotallyReal,
                      Reducible, Unsupported, ZeroElement)
 from .parsing import parse_poly
-from .polynomials import (_zx_divides, has_small_integer_root, interval_eval,
+from .polynomials import (_zx_divides, integer_roots, interval_eval,
                           irreducible_by_degree_patterns, isolate_real_roots,
                           mul_matrix, pderiv, poly_disc, refine_root, strip,
                           zx_factor, zx_gcd)
@@ -373,11 +373,15 @@ def _poly_str(coords):
 def make_field(spec):
     """Build a NumberField from a polynomial string or coefficient list.
 
-    Verifies monicity and irreducibility over Q: degree patterns modulo
-    small primes prove most fields irreducible, and Hensel factoring decides
-    what they leave open and names the witness of a reducible polynomial; one
-    with a small integer root goes to it at once.  Computes the exact
-    discriminant and the signature by integer Sturm isolation.
+    Verifies monicity and irreducibility over Q.  The rational-root test
+    comes first (``integer_roots``): a polynomial of degree >= 2 with an
+    integer root goes straight to Hensel factoring, which names the witness,
+    and a complete list with no root proves a quadratic or cubic irreducible
+    with no prime spent, and leaves only factor degrees 2..n-2 open in
+    degrees 4-6.  Degree patterns modulo small primes prove most of the rest
+    irreducible, and Hensel factoring decides what they leave open.
+    Computes the exact discriminant and the signature by integer Sturm
+    isolation.
     """
     if isinstance(spec, str):
         coeffs = parse_poly(spec)
@@ -395,12 +399,14 @@ def make_field(spec):
         raise Unsupported(f"degree {n} > {MAX_DEGREE} not supported")
     # an integer root proves f reducible (n >= 2): such f go straight to
     # Hensel factoring, which names the witness
-    if n >= 2 and has_small_integer_root(coeffs):
+    linear, complete = integer_roots(coeffs)
+    if n >= 2 and linear:
         _refuse_reducible(coeffs)
     disc = poly_disc(coeffs)
     # disc = 0 means a repeated factor; Hensel factoring decides what the
     # degree patterns leave open
-    if disc == 0 or not irreducible_by_degree_patterns(coeffs, disc):
+    if disc == 0 or not irreducible_by_degree_patterns(
+            coeffs, disc, no_linear=complete and not linear):
         _refuse_reducible(coeffs)
     roots = isolate_real_roots(coeffs)
     field = NumberField(coeffs, disc, roots)

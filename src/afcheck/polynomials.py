@@ -11,12 +11,20 @@ of scaled pseudo-remainders freed of their content, and a root is held as
 a dyadic interval (lo, hi, k), integers lo <= hi standing for
 [lo / 2^k, hi / 2^k].  Signs at such an endpoint come from integer Horner
 with shifts, refinement bisects on the same integers, and interval Horner
-bounds a polynomial over the interval by integers over a power of 2.  An
-integer root dividing f(0) proves reducibility at once
-(``has_small_integer_root``); irreducibility over Z is proven from the
-factor degrees modulo small primes (distinct-degree factorization only);
-Zassenhaus factoring with Hensel lifting covers what those leave open and
-produces the factors.
+bounds a polynomial over the interval by integers over a power of 2.
+
+Linear factors are settled by the rational-root test before any modular
+work (``integer_roots``): a nonzero integer root of a monic f divides its
+lowest nonzero coefficient c, so trying +-1..+-16 finds every root of that
+size, and the list is provably complete when |c| <= 16 or when no root can
+be as large as 17.  A root
+proves reducibility at once; a complete empty list proves a quadratic or
+cubic irreducible with no prime spent, and rules out factors of degree 1
+and n - 1 in degrees 4-6.  Irreducibility over Z is otherwise proven from
+the factor degrees modulo small primes (distinct-degree factorization
+only).  ``zx_factor`` divides the integer roots out of each squarefree
+part first; Zassenhaus factoring with Hensel lifting covers what is left
+unless a complete list leaves it irreducible.
 
 Modular work on one f runs on an F_q kernel built per (f, q) and dropped
 with the call (``FqKernel``): a table of x^k mod f filled by shifts, a
@@ -590,13 +598,12 @@ def _odd_primes():
 
 
 def _zx_factor_squarefree(f):
-    """Zassenhaus: factor a monic squarefree integer polynomial.
+    """Zassenhaus: factor a monic squarefree integer polynomial of degree
+    >= 2.
 
     The prime is the least odd one that keeps f squarefree of its degree;
     only the finitely many primes dividing disc(f) != 0 fail that."""
     n = degree(f)
-    if n <= 1:
-        return [f]
     for p in _odd_primes():
         fb = fp_norm(f, p)
         if degree(fb) == n and degree(fp_gcd(fb, _fp_deriv(fb, p), p)) == 0:
@@ -672,28 +679,62 @@ def zx_factor(f):
         return []
     out = []
     for part, mult in _yun_squarefree(f):
-        for irr in _zx_factor_squarefree(part):
+        for irr in _zx_factor_part(part):
             out.append((irr, mult))
     out.sort(key=lambda t: (degree(t[0]), t[0]))
     return out
 
 
-# largest |r| the integer-root screen tries: it finds every integer root when
-# |f(0)| <= 16, and a miss costs at most 32 Horner evaluations
-_SCREEN_ROOTS = 16
+def _zx_factor_part(f):
+    """Irreducible factors of a monic squarefree f: the linear ones from its
+    integer roots, then Zassenhaus on the quotient, unless that quotient
+    has degree <= 1, or degree <= 3 with the root list complete (no linear
+    factor left, so no factor at all)."""
+    roots, complete = integer_roots(f)
+    factors = []
+    for r in roots:
+        factors.append([-r, 1])
+        f = _zx_divides([-r, 1], f)
+    if degree(f) == 0:
+        return factors
+    if degree(f) == 1 or (degree(f) <= 3 and complete):
+        return factors + [f]
+    return factors + _zx_factor_squarefree(f)
 
 
-def has_small_integer_root(f):
-    """True when the integer polynomial f vanishes at 0 or at some +-r with
-    r | f(0) and r <= 16 (an integer root divides f(0)); False says nothing.
+# largest |r| the integer-root step tries: a miss costs at most 32 Horner
+# evaluations
+_ROOT_CAP = 16
 
-    For deg f >= 2 such a root proves f reducible at the cost of a few Horner
-    evaluations, before any prime is spent on its degree patterns."""
-    c0 = f[0]
-    return c0 == 0 or any(
-        c0 % r == 0 and (_scaled_value(f, r, 0) == 0
-                         or _scaled_value(f, -r, 0) == 0)
-        for r in range(1, min(abs(c0), _SCREEN_ROOTS) + 1))
+
+def integer_roots(f):
+    """(roots, complete) for a monic integer polynomial f of degree >= 1.
+
+    roots are the integer roots of f of absolute value <= 16, ascending
+    and distinct: 0 when f(0) = 0, and +-r with r dividing the lowest
+    nonzero coefficient c of f, since a nonzero integer root of f / x^k
+    divides c.  complete says they are all its integer roots, which holds
+    when |c| <= 16, and when 17^n > sum_(i<n) |f_i| 17^i, since then
+    |f(r)| >= |r|^n - sum |f_i| |r|^i > 0 at every |r| >= 17 (Cauchy's
+    bound; the test passes whenever every |f_i| <= 16).
+
+    For deg f >= 2 a root proves f reducible, and a complete empty list
+    proves that f has no factor of degree 1 or deg f - 1, at the cost of a
+    few Horner evaluations and before any prime is spent."""
+    k = 0
+    while not f[k]:
+        k += 1
+    g = f[k:]
+    c = g[0]
+    roots = [0] if k else []
+    for r in range(1, min(abs(c), _ROOT_CAP) + 1):
+        if c % r == 0:
+            roots += [s for s in (-r, r) if _scaled_value(g, s, 0) == 0]
+    roots.sort()
+    cap = _ROOT_CAP + 1
+    complete = abs(c) <= _ROOT_CAP or _scaled_value(
+        [abs(a) for a in f[:-1]], cap, 0) < cap ** degree(f)
+    return roots, complete
 
 
 # Musser, "On the efficiency of a polynomial irreducibility test" (JACM
@@ -702,7 +743,7 @@ _PATTERN_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
 _PATTERN_TRIES = 6
 
 
-def irreducible_by_degree_patterns(f, disc):
+def irreducible_by_degree_patterns(f, disc, no_linear=False):
     """True when the factor degrees of the monic f modulo small primes prove
     it irreducible over Z; False when they leave the question open.
 
@@ -711,10 +752,12 @@ def irreducible_by_degree_patterns(f, disc):
     of some of the irreducible factors of f modulo q, so k is a sum of some of
     their degrees (distinct-degree factorization gives those degrees without
     splitting).  f is irreducible once no degree 0 < k < deg f is such a sum
-    at every prime tried.
+    at every prime tried.  no_linear says f is known to have no linear
+    factor (``integer_roots``), so neither degree 1 nor deg f - 1 is open:
+    a quadratic or cubic is then irreducible with no prime tried.
     """
     n = degree(f)
-    possible = set(range(1, n))
+    possible = set(range(1 + no_linear, n - no_linear))
     tries = 0
     for q in _PATTERN_PRIMES:
         if not possible or tries == _PATTERN_TRIES:

@@ -227,6 +227,19 @@ class TestCommands:
                        f"not for degree {degree}"}
         assert rep["field"]["degree"] == degree
 
+    def test_class_number_is_echoed(self, capsys):
+        # the class data behind a cubic's S-unit verdict comes from the
+        # flag, so two requests that differ only in it echo different
+        # commands
+        argv = ["check", "thm-3-3", "x^3-x^2-2*x+1", "--bound", "1",
+                "--user-class-number"]
+        commands = [run_json(capsys, argv + [h])[1]["command"]
+                    for h in ("1", "2")]
+        assert commands[0] != commands[1]
+        assert [c["user_class_number"] for c in commands] == [1, 2]
+        _, rep = run_json(capsys, argv[:-1])
+        assert "user_class_number" not in rep["command"]
+
     @pytest.mark.parametrize("r", ["0", "-1"])
     @pytest.mark.parametrize("output", ["json", "human"])
     def test_frey_2r_exponent_below_one(self, capsys, r, output):
@@ -597,7 +610,9 @@ class TestGoldenBytes:
     requests on five fields (FIELD_CONSTRUCTION_GOLDEN), and of one frey
     request whose conductor carries the representative of the non-trivial
     class of x^2 - 10 (h = 2), taken when every prime up to the enumeration
-    bound was factored and sorted before any class test."""
+    bound was factored and sorted before any class test.  The cubic sunit
+    request was taken again when the command echo began to carry
+    --user-class-number; only its "command" key changed."""
 
     @pytest.mark.parametrize("argv, code, digest", [
         (["sunit", "x^2-2", "--bound", "20"], 0,
@@ -605,7 +620,7 @@ class TestGoldenBytes:
         (["sunit", "x^2-x-4", "--bound", "6"], 0,
          "5620819640d6ef0f6c307bf31b047629dbbc2c72d910caf8f475ade59bbe82cf"),
         (["sunit", "x^3-x^2-2*x+1", "--bound", "3", "--user-class-number", "1"],
-         0, "42a959e1fd644c34ec9c8a1466ae617b826ae4a092ce050ad317e195c58431f2"),
+         0, "f6bc0755b632a3596cf742bdbf469c454a134bd8492ac53c0ceb8c766d39d846"),
         (["check", "thm-5-2", "x^2-2", "--bound", "3"], 3,
          "4988fb1d09a1cf8aba5c08963278472d394db0de9920d23fce05696dbe48a1a4"),
         (["frey", "2r", "x^2-10", "--a", "1", "--b", "1", "--c", "1",

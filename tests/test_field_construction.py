@@ -1,5 +1,6 @@
 """Field construction against sympy: integer Sturm isolation of the real
-roots and the degree-pattern proof of irreducibility in make_field."""
+roots, the rational-root step and the degree-pattern proof of
+irreducibility in make_field."""
 
 from fractions import Fraction
 from math import gcd
@@ -10,10 +11,10 @@ import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from afcheck import polynomials
 from afcheck.errors import Reducible
 from afcheck.numberfield import make_field
-from afcheck.polynomials import (has_small_integer_root,
-                                 irreducible_by_degree_patterns,
+from afcheck.polynomials import (integer_roots, irreducible_by_degree_patterns,
                                  isolate_real_roots, pderiv, poly_disc, sign,
                                  strip, sturm_chain, zx_factor)
 from test_polynomials import sturm_count, to_fractions
@@ -161,6 +162,18 @@ class TestIrreducibility:
     def test_degree_one_needs_no_prime(self):
         assert irreducible_by_degree_patterns([5, 1], 1)
 
+    @settings(max_examples=150, deadline=None)
+    @given(MONIC)
+    def test_patterns_without_linear_factors_prove_only_irreducible_polys(
+            self, coeffs):
+        # the degrees 1 and n - 1 are dropped only on a complete root list
+        # with no root, as make_field drops them
+        roots, complete = integer_roots(coeffs)
+        disc = poly_disc(coeffs)
+        assume(complete and not roots and disc != 0)
+        if irreducible_by_degree_patterns(coeffs, disc, no_linear=True):
+            assert to_sympy(coeffs).is_irreducible
+
 
 def reducible_error(coeffs):
     """(message, payload) of the Reducible that make_field raises."""
@@ -175,14 +188,15 @@ class TestIntegerRootScreen:
         lambda n: st.lists(st.integers(-9, 9), min_size=n, max_size=n)
         .map(lambda low: low + [1])))
     def test_root_gives_the_patterns_path_error(self, r, cofactor):
-        # (x - r) * cofactor: the screen fires, and the Reducible it leads
-        # to names the same witness as the path through the degree patterns
+        # (x - r) * cofactor: the root step finds r, and the Reducible it
+        # leads to names the same witness as the path through the degree
+        # patterns with no root known
         coeffs = strip([a - r * b for a, b in
                         zip([0] + cofactor, cofactor + [0])])
-        assert has_small_integer_root(coeffs)
+        assert r in integer_roots(coeffs)[0]
         screened = reducible_error(coeffs)
-        with mock.patch("afcheck.numberfield.has_small_integer_root",
-                        return_value=False):
+        with mock.patch("afcheck.numberfield.integer_roots",
+                        return_value=([], False)):
             assert reducible_error(coeffs) == screened
         assert screened[1]["factor"] == min(
             (g for g, _ in zx_factor(coeffs)), key=len)
@@ -191,7 +205,7 @@ class TestIntegerRootScreen:
     @given(MONIC)
     def test_never_fires_on_an_irreducible_poly(self, coeffs):
         if to_sympy(coeffs).is_irreducible:
-            assert not has_small_integer_root(coeffs)
+            assert integer_roots(coeffs)[0] == []
 
     @pytest.mark.parametrize("coeffs, hit", [
         ([0, -2, 0, 1], True),        # c0 = 0
@@ -202,9 +216,60 @@ class TestIntegerRootScreen:
         ([6, 0, -5, 0, 1], False),    # (x^2 - 2)(x^2 - 3): no rational root
     ])
     def test_fixed_cases(self, coeffs, hit):
-        assert has_small_integer_root(coeffs) == hit
+        assert bool(integer_roots(coeffs)[0]) == hit
+
+    @pytest.mark.parametrize("coeffs, roots, complete", [
+        ([0, -2, 0, 1], [0], True),            # x(x^2 - 2)
+        ([-34, 0, 0, 1], [], True),            # 17^3 > 34
+        ([-4913, 0, 0, 1], [], False),         # 17 divides c but is not tried
+        ([-4096, 0, 0, 1], [16], True),        # 17^3 > 4096
+        ([-5000, 0, 0, 1], [], False),         # 17^3 < 5000: 17 is possible
+        ([0, 0, -6, 1], [0, 6], True),         # x^2 (x - 6)
+        ([-16, 0, 0, 0, 0, 0, 1], [], True),   # |f(0)| <= 16
+        ([20, 0, 0, 0, 0, 0, 1], [], True),    # every |f_i| far below 17^i
+    ])
+    def test_completeness(self, coeffs, roots, complete):
+        assert integer_roots(coeffs) == (roots, complete)
 
     def test_degree_one_still_builds(self):
         K = make_field("x - 3")
         assert K.degree == 1 and K.coeffs == (-3, 1)
         assert list(K.real_roots) == [(3, 3, 0)]
+
+
+def count_calls(monkeypatch, module, name):
+    """Wrap module.name so that every call through the module is counted."""
+    counts = {name: 0}
+    real = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        counts[name] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return counts
+
+
+@pytest.mark.parametrize("text", ["x^2-x-1", "x^2-2", "x^3-x^2-2*x+1"])
+def test_quadratics_and_cubics_spend_no_prime(monkeypatch, text):
+    # f(0) = +-1 or -2: the root list is complete and empty, which proves
+    # the polynomial irreducible before any distinct-degree factorization
+    counts = count_calls(monkeypatch, polynomials, "_fp_ddf")
+    K = make_field(text)
+    assert K.degree in (2, 3)
+    assert counts["_fp_ddf"] == 0
+
+
+def test_quartic_patterns_skip_the_linear_degrees(monkeypatch):
+    # x^4 + 2x^3 + 2x^2 - x + 2 has no integer root, so only degree 2 is
+    # left open: two primes prove it irreducible, where four are needed
+    # with degrees 1 and 3 open as well
+    coeffs = [2, -1, 2, 2, 1]
+    assert integer_roots(coeffs) == ([], True)
+    counts = count_calls(monkeypatch, polynomials, "_fp_ddf")
+    make_field(coeffs)
+    assert counts["_fp_ddf"] == 2
+    with mock.patch("afcheck.numberfield.integer_roots",
+                    return_value=([], False)):
+        make_field(coeffs)
+    assert counts["_fp_ddf"] == 2 + 4

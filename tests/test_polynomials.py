@@ -12,12 +12,13 @@ from hypothesis import strategies as st
 from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_ddf_zassenhaus, gf_sqf_p
 
+from afcheck import polynomials
 from afcheck.polynomials import (FqKernel, _fp_ddf, _yun_squarefree, degree,
                                  fp_divmod, fp_factor, fp_gcd, fp_mul,
-                                 fp_norm, fp_pow_mod, fp_rem, interval_eval,
-                                 isolate_real_roots, padd, pmul, poly_disc,
-                                 psub_mod, sign, strip, sturm_chain,
-                                 zx_factor, zx_gcd)
+                                 fp_norm, fp_pow_mod, fp_rem, integer_roots,
+                                 interval_eval, isolate_real_roots, padd,
+                                 pmul, poly_disc, psub_mod, sign, strip,
+                                 sturm_chain, zx_factor, zx_gcd)
 
 X = sympy.symbols("x")
 
@@ -110,6 +111,76 @@ class TestZxFactor:
         assert zx_factor([1, 0, 0, 0, 1]) == [([1, 0, 0, 0, 1], 1)]
         assert zx_factor([-4, 0, 0, 0, 1]) == [([-2, 0, 1], 1), ([2, 0, 1], 1)]
         assert zx_factor([-2, 0, 1]) == [([-2, 0, 1], 1)]
+
+
+def sympy_integer_roots(coeffs):
+    """Distinct integer roots of a monic integer polynomial, ascending, read
+    off the linear factors of sympy's factorization."""
+    _, theirs = to_sympy(coeffs).factor_list()
+    return sorted(-int(g.all_coeffs()[1]) for g, _ in theirs
+                  if g.degree() == 1)
+
+
+def times_x(k, f):
+    return [0] * k + f
+
+
+# monic integer polynomials of degree 1-6 with coefficients in [-40, 40],
+# some with f(0) = 0, and (x - r) * g with r in [-20, 20], so that roots and
+# constant terms fall on both sides of the bound 16
+ROOT_STEP_POLYS = st.one_of(
+    st.builds(times_x, st.integers(0, 2), monic_wide(1, 4, 40)),
+    st.builds(lambda r, g: pmul([-r, 1], g), st.integers(-20, 20),
+              monic_wide(0, 5, 40)))
+
+# planted products: integer roots with multiplicities, a power of x and an
+# arbitrary cofactor
+PLANTED = st.builds(
+    lambda roots, k, cofactor: times_x(k, product(
+        [([-r, 1], m) for r, m in roots] + [cofactor])),
+    st.lists(st.tuples(st.integers(-20, 20), st.integers(1, 3)),
+             min_size=1, max_size=3),
+    st.integers(0, 2),
+    st.tuples(monic(3), st.integers(1, 2)))
+
+
+class TestIntegerRoots:
+    @settings(max_examples=300, deadline=None)
+    @given(ROOT_STEP_POLYS)
+    def test_roots_against_sympy(self, coeffs):
+        roots, complete = integer_roots(coeffs)
+        theirs = sympy_integer_roots(coeffs)
+        assert roots == [r for r in theirs if abs(r) <= 16]
+        if complete:
+            assert roots == theirs
+
+    def test_both_sides_of_the_bound(self):
+        # no root past 16 is tried: x^2 - 17^2 and x(x^2 - 17^2) do not
+        # claim a complete list, while x^2 - 16^2 has both its roots found
+        assert integer_roots([-289, 0, 1]) == ([], False)
+        assert integer_roots([-256, 0, 1]) == ([-16, 16], True)
+        assert integer_roots([0, -289, 0, 1]) == ([0], False)
+
+    @settings(max_examples=150, deadline=None)
+    @given(PLANTED)
+    def test_zx_factor_of_planted_products_against_sympy(self, f):
+        _, theirs = to_sympy(f).factor_list()
+        assert sorted((tuple(g), m) for g, m in zx_factor(f)) == sorted(
+            (tuple(from_sympy(g)), m) for g, m in theirs)
+
+    def test_linear_factors_need_no_zassenhaus(self, monkeypatch):
+        # (x - 3)(x^2 + 1): the root 3 is divided out, and x^2 + 1 has a
+        # complete root list with no root, so it is irreducible
+        calls = []
+        real = polynomials._zx_factor_squarefree
+
+        def counting(f):
+            calls.append(f)
+            return real(f)
+
+        monkeypatch.setattr(polynomials, "_zx_factor_squarefree", counting)
+        assert zx_factor([-3, 1, -3, 1]) == [([-3, 1], 1), ([1, 0, 1], 1)]
+        assert calls == []
 
 
 class TestFpFactor:
