@@ -24,7 +24,6 @@ claimed.
 
 import logging
 from dataclasses import dataclass, field as dc_field
-from fractions import Fraction
 from math import gcd, isqrt
 
 from .errors import (BasisUnavailable, FactorizationIncomplete,
@@ -36,8 +35,7 @@ from .numberfield import FieldElement, NumberField
 from .polynomials import isolate_real_roots, poly_disc, zx_factor
 from .prime_ideals import element_valuations, valuation
 from .units import (GENERATOR_COORD_BOUND, class_data, principal_generator,
-                    sqrt_core_element, unit_generators, _find_generator,
-                    _quad_data)
+                    unit_generators, _find_generator)
 
 log = logging.getLogger("afcheck")
 
@@ -346,24 +344,11 @@ def _s_unit_profile(x: FieldElement, S, warnings):
 
 # ----------------------------------------------------------- square classes
 
-def _sqrt_fraction(r: Fraction):
-    if r < 0:
-        return None
-    a, b = r.numerator, r.denominator
-    sa, sb = isqrt(a), isqrt(b)
-    if sa * sa == a and sb * sb == b:
-        return Fraction(sa, sb)
-    return None
+def is_square(x: FieldElement) -> bool:
+    """Exact square test in K.
 
-
-def is_square(x: FieldElement):
-    """Exact square test in K; returns (bool, witness-or-None).
-
-    Quadratic fields get an explicit square root; fields of odd degree rule
-    out an x whose norm is not a rational square and decide the rest through
-    the factorization of minpoly(x)(t^2) (an odd-degree factor certifies a
-    root in the field), rationals reduce to perfect-square checks.
-    Even degree >= 4 raises Unsupported: both shortcuts need odd degree.
+    Even degree >= 4 raises Unsupported: there a rational or an element of
+    a proper subfield can be a square in K without passing the test below.
     The answer is kept in the field's memo, so the square test that
     selmer_group made of an element answers quadratic_extension's.
     """
@@ -373,64 +358,34 @@ def is_square(x: FieldElement):
     return field.memo(("is_square", x.num, x.den), lambda: _square_test(x))
 
 
-def _square_test(x: FieldElement):
-    field = x.field
+def _is_int_square(n: int) -> bool:
+    return n >= 0 and isqrt(n) ** 2 == n
+
+
+def _square_test(x: FieldElement) -> bool:
+    """0 is a square.  A rational u/v is a square when u*v is one, and in
+    degree 2 also when u*v*poly_disc is one (sqrt(poly_disc) lies in K);
+    odd degree has no quadratic subfield, so no other rational is.  Any
+    other x generates K.  Its norm must be the square of a rational
+    (N(y^2) = N(y)^2); then x is a square exactly when m(t^2) has a factor
+    of degree deg m, m the minimal polynomial of den^2 x (integral, as
+    den^2 x lies in Z[theta]): a root y of that factor squares to a
+    conjugate of x and generates that conjugate's field, so that
+    conjugate, and with it x, is a square.
+    """
     if x.is_zero():
-        return True, field.zero()
-    if x.is_rational() and field.degree != 2:
-        r = _sqrt_fraction(x.as_fraction())
-        if r is not None:
-            return True, field.from_rational(r)
-        # a field of odd degree has no quadratic subfield, so rational
-        # non-squares stay non-squares
-        return False, None
-    if field.degree == 2:
-        return _is_square_quadratic(x)
-    return _is_square_odd(x)
-
-
-def _is_square_quadratic(x: FieldElement):
+        return True
     field = x.field
-    d, m, b = _quad_data(field)
-    c0, c1 = x.coords
-    s = c0 - c1 * Fraction(b, 2)
-    t = c1 * Fraction(m, 2)
-    root = sqrt_core_element(field)
-    if t == 0:
-        r = _sqrt_fraction(s)
-        if r is not None:
-            return True, field.from_rational(r)
-        r = _sqrt_fraction(s / d)
-        if r is not None:
-            return True, root * r
-        return False, None
-    w = _sqrt_fraction(s * s - d * t * t)
-    if w is None:
-        return False, None
-    for g2 in ((s + w) / 2, (s - w) / 2):
-        g = _sqrt_fraction(g2)
-        if g is None or g == 0:
-            continue
-        h = t / (2 * g)
-        y = field.from_rational(g) + root * h
-        if y * y == x:
-            return True, y
-    return False, None
-
-
-def _is_square_odd(x: FieldElement):
-    # N(b^2) = N(b)^2, so a norm that is not a rational square rules x out
-    if _sqrt_fraction(x.norm()) is None:
-        return False, None
-    # z = den^2 * x is a square iff x is, and lies in Z[theta], so its
-    # minimal polynomial mp is integral; factor mp(t^2)
+    if x.is_rational():
+        uv = x.num[0] * x.den
+        return _is_int_square(uv) or (field.degree == 2 and
+                                      _is_int_square(uv * field.poly_disc))
+    if not _is_int_square(field.num_norm(x.num) * x.den ** field.degree):
+        return False
     mp = (x * (x.den * x.den)).min_poly()
     doubled = [0] * (2 * len(mp) - 1)
     doubled[::2] = [int(c) for c in mp]
-    for fac, _ in zx_factor(doubled):
-        if (len(fac) - 1) % 2 == 1:
-            return True, None
-    return False, None
+    return any(len(fac) == len(mp) for fac, _ in zx_factor(doubled))
 
 
 @dataclass
@@ -477,7 +432,7 @@ def selmer_group(field: NumberField, S, *,
             for i in range(len(independent)):
                 if mask >> i & 1:
                     prod_elem = prod_elem * independent[i]
-            if is_square(prod_elem)[0]:
+            if is_square(prod_elem):
                 reducible = True
                 break
         if not reducible:
@@ -532,7 +487,7 @@ def quadratic_extension(base: NumberField, a: FieldElement) -> NumberField:
 
 
 def _raise_if_square(a: FieldElement):
-    if is_square(a)[0]:
+    if is_square(a):
         raise IsSquare("element is already a square in the base field")
 
 

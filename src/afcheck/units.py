@@ -1,7 +1,9 @@
 """Unit groups, class data and principal generators.
 
-Fundamental units of real quadratic fields come from the continued fraction
-of sqrt(d) (or a cube root of that unit, for d = 1 mod 4); totally real
+Quadratic fields rest on one walk: the reduction operator rho on the binary
+forms of the fundamental discriminant, with its multipliers, gives the
+fundamental unit, principal generators (or a proof that there is none) and,
+through the reduced forms and their cycles, h and h+.  Totally real
 cubic fields get a bounded-height coordinate search whose output pairs are
 certified multiplicatively independent through integer log intervals: the
 atanh series in fixed point, on dyadic embedding intervals.
@@ -10,15 +12,13 @@ interval certificate comes first, since it proves most independent pairs at
 once; only a pair it leaves open is scanned for a small relation u^m v^k =
 +-1 and, when none exists, certified with the full refinement schedule.  A
 certificate is a proof, so the first certified pair is the same in either
-order.  Class numbers of quadratic fields are counted through reduced binary
-forms; principality questions are settled by a generator search that is
-complete within a proven, unit-scaled coordinate bound.  Each ideal class
-is represented by its first odd prime ideal in norm order, for every class
-number: one lazy walk factors odd q in increasing order, tests a prime
-against the classes so far once no later q can give a smaller one, and
-factors no further q once h classes are represented, save the possible
-index divisors.  The cubic unit pair and the class data are computed once
-per field, the cubic class data per class number (NumberField.memo).
+order.  Each ideal class is represented by its first odd prime ideal in
+norm order, for every class number: one lazy walk factors odd q in
+increasing order, tests a prime against the classes so far once no later q
+can give a smaller one, and factors no further q once h classes are
+represented, save the possible index divisors.  The cubic unit pair and
+the class data are computed once per field, the cubic class data per class
+number (NumberField.memo).
 """
 
 from dataclasses import dataclass, field as dc_field
@@ -27,7 +27,7 @@ from math import gcd, inf, isqrt
 
 from .errors import (GeneratorNotFound, IndexDivisor, MissingUserClassNumber,
                      SearchExhausted, Unsupported)
-from .integerfactor import SMALL_PRIMES, squarefree_part
+from .integerfactor import SMALL_PRIMES, factorint, squarefree_part
 from .numberfield import (FieldElement, NumberField, embedding_interval,
                           embedding_sign)
 from .prime_ideals import PrimeIdeal, factor_rational_prime, valuation
@@ -48,14 +48,11 @@ GENERATOR_COORD_BOUND = 64
 # reach it, while degree >= 4 stops long before (2*64+1)^n
 GENERATOR_SEARCH_LIMIT = (2 * GENERATOR_COORD_BOUND + 1) ** 3
 
-# continued-fraction steps one Pell solution may take; a period that long
-# gives a fundamental unit of about PELL_STEP_BUDGET / 2 digits
-PELL_STEP_BUDGET = 1 << 14
-
-# steps of the two exhaustive real quadratic loops: the (b, |a|) pairs of
-# the reduced indefinite forms of discriminant D (about 3D/4 of them, so D
-# up to about 1.4 million fits) and the y of one principal_generator search
-QUADRATIC_STEP_BUDGET = 1 << 20
+# steps of one walk on the forms of a quadratic discriminant: the rho steps
+# of a unit or a principality walk (a cycle that long gives a fundamental
+# unit of several thousand digits), and the values of b that enumerate the
+# reduced forms (so D up to about 10^9)
+QUADRATIC_STEP_BUDGET = 1 << 14
 
 
 # --------------------------------------------------------------- containers
@@ -92,84 +89,96 @@ def _quad_data(field: NumberField):
     return d, m, b
 
 
-def sqrt_core_element(field: NumberField) -> FieldElement:
-    """The element sqrt(d) for the squarefree core d of the discriminant."""
-    return _quad_element(field, 0, 1, 1)
-
-
 def _quad_element(field, x, y, den):
     """(x + y*sqrt(d))/den as a FieldElement, with sqrt(d) = (2*theta + b)/m."""
     _, m, b = _quad_data(field)
     return FieldElement(field, [x * m + y * b, 2 * y], m * den)
 
 
-def _icbrt(n: int) -> int:
-    """Exact floor cube root, integer-only (Pell solutions overflow floats)."""
-    if n < 0:
-        return -_icbrt(-n)
-    if n < 2:
-        return n
-    lo, hi = 1, 1 << (n.bit_length() // 3 + 1)
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if mid * mid * mid <= n:
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo
+def _times(d, u, v):
+    """The product of (x + y sqrt d)/2 for (x, y) = u and v, as (x, y)."""
+    return ((u[0] * v[0] + d * u[1] * v[1]) // 2,
+            (u[0] * v[1] + u[1] * v[0]) // 2)
 
 
-def _pell_fundamental(d: int):
-    """Fundamental solution of x^2 - d y^2 = +-1 via the CF of sqrt(d).
+def _quad_torsion(d):
+    """(order, (x, y)): a generator (x + y sqrt d)/2 of the roots of unity."""
+    return {-1: (4, (0, 2)), -3: (6, (1, 1))}.get(d, (2, (-2, 0)))
 
-    The period of the expansion can be about sqrt(d) long, so it may take
-    PELL_STEP_BUDGET steps; past that SearchExhausted is raised."""
-    a0 = isqrt(d)
-    p_prev, q_prev = 1, 0
-    p, q = a0, 1
-    big_p, big_q = a0, d - a0 * a0
-    for _ in range(PELL_STEP_BUDGET):
-        # p^2 - d q^2 = +-big_q at every step
-        if big_q == 1:
-            return p, q
-        a_k = (a0 + big_p) // big_q
-        p, p_prev = a_k * p + p_prev, p
-        q, q_prev = a_k * q + q_prev, q
-        big_p_next = a_k * big_q - big_p
-        big_q = (d - big_p_next * big_p_next) // big_q
-        big_p = big_p_next
-    raise SearchExhausted(
-        f"continued fraction of sqrt({d}) has no period within "
-        f"{PELL_STEP_BUDGET} steps")
+
+# ---------------------------------------------------- binary quadratic forms
+
+def _fundamental_discriminant(d: int) -> int:
+    return d if d % 4 == 1 else 4 * d
+
+
+def _rho(form, D):
+    """rho(a, b, c) = (c, r, (r^2 - D)/(4c)), r = -b mod 2|c| in the window
+    (top - 2|c|, top], top = isqrt(D) for D > 0 and |c| for D < 0.
+
+    I_(a,b,c) = mu I_rho(a,b,c) for I_(a,b,c) = [a, (b + sqrt D)/2] and the
+    multiplier mu = (b + sqrt D)/(2c): mu c and mu (r + sqrt D)/2 lie in
+    I_(a,b,c), and N(mu) = a/c.  Every walk reaches the reduced forms; for
+    D > 0 rho permutes them, for D < 0 it swaps a reduced form and its
+    rho."""
+    _, b, c = form
+    top = isqrt(D) if D > 0 else abs(c)
+    r = top - (top + b) % (2 * abs(c))
+    return (c, r, (r * r - D) // (4 * c))
+
+
+def _walk_to_principal(D, form):
+    """The forms from form up to the first with |a| = 1, that one left out:
+    I_(+-1,b,c) = O_K, so their multipliers multiply to a generator of
+    I_form.  None when a form repeats first: the walk closed the cycle of
+    its class without meeting the forms (+-1, b, c) of the principal ones."""
+    path, seen = [], set()
+    while abs(form[0]) != 1:
+        if form in seen:
+            return None
+        if len(path) == QUADRATIC_STEP_BUDGET:
+            raise SearchExhausted(
+                f"continued fraction of the forms of discriminant {D} meets "
+                f"no form with |a| = 1 within {QUADRATIC_STEP_BUDGET} steps")
+        seen.add(form)
+        path.append(form)
+        form = _rho(form, D)
+    return path
+
+
+def _multiplier_product(d, D, path):
+    """(x, y) with (x + y sqrt d)/2 the product of the multipliers
+    (b + sqrt D)/(2c) of the forms (a, b, c) of path, an integer of K."""
+    f = isqrt(D // d)  # sqrt D = f sqrt d
+    num_x, num_y, den = 1, 0, 1
+    for _, b, c in path:
+        num_x, num_y, den = (num_x * b + num_y * f * d, num_x * f + num_y * b,
+                             2 * c * den)
+        g = gcd(den, num_x, num_y)
+        num_x, num_y, den = num_x // g, num_y // g, den // g
+    return 2 * num_x // den, 2 * num_y // den
 
 
 def _quad_fundamental_unit(d: int):
-    """(x, y, den, norm) with (x + y sqrt d)/den the fundamental unit of O_K.
+    """(x, y, den, norm) with (x + y sqrt d)/den the fundamental unit > 1.
 
-    For d = 1 mod 4, [O_K^* : Z[sqrt d]^*] is 1 or 3: the Pell unit x1 + y1
-    sqrt d is fundamental or the cube of e = (t + y sqrt d)/2, t odd, of
-    the same norm n; e^3 has trace t^3 - 3nt = 2 x1, so t is within one of
-    cbrt(2 x1), and y^2 = (t^2 - 4n)/d."""
-    x1, y1 = _pell_fundamental(d)
-    n = x1 * x1 - d * y1 * y1
-    if d % 4 == 1:
-        c = _icbrt(2 * x1)
-        for t in (c, c + 1):
-            if t % 2 == 0 or t ** 3 - 3 * n * t != 2 * x1:
-                continue
-            y2, rem = divmod(t * t - 4 * n, d)
-            y = isqrt(y2)
-            if not rem and y * y == y2:
-                return t, y, 2, n
-    return x1, y1, 1, n
-
-
-def _quad_torsion(field, d):
-    if d == -1:
-        return 4, sqrt_core_element(field)
-    if d == -3:
-        return 6, _quad_element(field, 1, 1, 2)
-    return 2, field.from_rational(-1)
+    The principal form (1, b, c), b the largest below sqrt D with b = D mod
+    2, is reduced.  Its cycle up to the next form with |a| = 1 runs over
+    the minima of O_K from 1 to the fundamental unit (Cohen, GTM 138,
+    5.7), so the multipliers multiply to +-eps or +-1/eps; each has
+    |mu| > 1 at sqrt d > 0 on a reduced form, which rules out 1/eps."""
+    D = _fundamental_discriminant(d)
+    s = isqrt(D)
+    b = s - (s - D) % 2
+    principal = (1, b, (b * b - D) // 4)
+    path = [principal] + _walk_to_principal(D, _rho(principal, D))
+    x, y = _multiplier_product(d, D, path)
+    if x < 0:
+        x, y = -x, -y
+    norm = (x * x - d * y * y) // 4
+    if x % 2 or y % 2:
+        return x, y, 2, norm
+    return x // 2, y // 2, 1, norm
 
 
 # ------------------------------------------- fixed-point logarithm intervals
@@ -309,8 +318,9 @@ def unit_generators(field: NumberField) -> UnitGroup:
     if n == 2:
         d, _, _ = _quad_data(field)
         if d < 0:
-            order, gen = _quad_torsion(field, d)
-            return UnitGroup(0, [], order, gen, ("proven",))
+            order, (x, y) = _quad_torsion(d)
+            return UnitGroup(0, [], order, _quad_element(field, x, y, 2),
+                             ("proven",))
         x, y, den, _norm = _quad_fundamental_unit(d)
         unit = _quad_element(field, x, y, den)
         return UnitGroup(1, [unit], 2, field.from_rational(-1), ("proven",))
@@ -324,147 +334,148 @@ def unit_generators(field: NumberField) -> UnitGroup:
 
 # ------------------------------------------------------- form class numbers
 
-def _fundamental_discriminant(d: int) -> int:
-    return d if d % 4 == 1 else 4 * d
+def _divisors(n):
+    divisors = [1]
+    for p, k in factorint(n).items():
+        divisors = [x * p ** i for x in divisors for i in range(k + 1)]
+    return sorted(divisors)
 
 
-def _definite_class_number(D: int) -> int:
-    """Count of reduced primitive positive definite forms of discriminant D < 0.
+def _reduced_forms(D: int):
+    """The reduced primitive forms (a, b, c) of discriminant D, positive
+    definite for D < 0, in the order of b >= 0 and then of |a|.
 
-    Reduced: |b| <= a <= c with b >= 0 whenever |b| = a or a = c.
-    """
-    count = 0
-    amax = isqrt(-D // 3)
-    for a in range(1, amax + 1):
-        for b in range(-a + 1, a + 1):
-            if (b * b - D) % (4 * a):
-                continue
-            c = (b * b - D) // (4 * a)
-            if c < a:
-                continue
-            if b < 0 and (abs(b) == a or a == c):
-                continue
-            if gcd(gcd(a, abs(b)), c) != 1:
-                continue
-            count += 1
-    return count
-
-
-def _reduced_indefinite_forms(D: int):
-    s = isqrt(D)
+    Reduced: |b| <= a <= c, b >= 0 if |b| = a or a = c, for D < 0 (so
+    3b^2 <= -D); sqrt(D) - b < 2|a| < sqrt(D) + b for D > 0.  For each
+    b = D mod 2 within that, |a| runs over the divisors of |b^2 - D|/4."""
+    top = isqrt(-D // 3) if D < 0 else isqrt(D)
+    bs = range(D % 2, top + 1, 2)
+    if len(bs) > QUADRATIC_STEP_BUDGET:
+        raise SearchExhausted(
+            f"reduced forms of discriminant {D} need more than "
+            f"{QUADRATIC_STEP_BUDGET} steps")
     forms = []
-    steps = 0
-    for b in range(1, s + 1):
-        steps += (s + b) // 2 + 1
-        if steps > QUADRATIC_STEP_BUDGET:
-            raise SearchExhausted(
-                f"reduced forms of discriminant {D} need more than "
-                f"{QUADRATIC_STEP_BUDGET} steps")
-        if (b - D) % 2:
-            continue
-        n4 = b * b - D
-        if n4 >= 0:
-            continue
-        prod = -n4 // 4
-        for a_abs in range(1, (s + b) // 2 + 2):
-            if prod % a_abs:
-                continue
-            # reduced: sqrt(D) - b < 2|a| < sqrt(D) + b, exact comparisons
-            if D >= (2 * a_abs + b) ** 2:
-                continue
-            if 2 * a_abs > b and (2 * a_abs - b) ** 2 >= D:
-                continue
-            for a in (a_abs, -a_abs):
-                c = -prod // a
-                if gcd(gcd(abs(a), b), abs(c)) == 1:
-                    forms.append((a, b, c))
-    return forms
+    for b in bs:
+        n = abs(b * b - D) // 4
+        for a in _divisors(n):
+            c = n // a
+            if D < 0:
+                if b <= a <= c:
+                    forms += [(a, b, c)] + ([(a, -b, c)]
+                                            if 0 < b < a < c else [])
+            elif (2 * a + b) ** 2 > D and (2 * a <= b or (2 * a - b) ** 2 < D):
+                forms += [(a, b, -c), (-a, b, c)]
+    return [form for form in forms if gcd(*form) == 1]
 
 
-def _rho(form, D, s):
-    a, b, c = form
-    ac = abs(c)
-    # r = -b mod 2|c|, shifted into (s - 2|c|, s]
-    r = (-b) % (2 * ac)
-    while r > s:
-        r -= 2 * ac
-    while r <= s - 2 * ac:
-        r += 2 * ac
-    return (c, r, (r * r - D) // (4 * c))
-
-
-def _indefinite_cycle_count(D: int) -> int:
-    forms = set(_reduced_indefinite_forms(D))
-    s = isqrt(D)
-    cycles = 0
-    remaining = set(forms)
+def _cycle_count(forms, D: int) -> int:
+    """The number of rho-cycles of the reduced indefinite forms."""
+    remaining, cycles = set(forms), 0
     while remaining:
-        start = min(remaining)
+        form = start = remaining.pop()
         cycles += 1
-        current = start
-        while True:
-            remaining.discard(current)
-            current = _rho(current, D, s)
-            if current == start:
-                break
-            if current not in forms:
+        while (form := _rho(form, D)) != start:
+            if form not in remaining:
                 raise ArithmeticError("rho left the reduced set")
+            remaining.remove(form)
     return cycles
 
 
-# ------------------------------------------------------ principality search
+# ------------------------------------------------------ principal generators
 
-def _eps_ceiling(field) -> int:
-    d, _, _ = _quad_data(field)
+def _sqrt_mod(D, q, e):
+    """b with b^2 = D mod 4q^e (so b = D mod 2), defined mod 2q^e: a root
+    mod 4q, lifted one power of q at a time."""
+    b = next(b for b in range(2 * q) if (b * b - D) % (4 * q) == 0)
+    for i in range(1, e):
+        step = 2 * q ** i
+        b = next(b + t * step for t in range(q)
+                 if ((b + t * step) ** 2 - D) % (4 * q ** (i + 1)) == 0)
+    return b
+
+
+def _ideal_form(field, d, D, profile):
+    """(r, a, b) with prod P^k = r [a, (b + sqrt D)/2], b^2 = D mod 4a.
+
+    An inert P and the square of a ramified one are rational; P^k P'^k' of
+    a split q is q^min(k,k') Q^e, with Q^e = [q^e, (b_q + sqrt D)/2] for
+    the root b_q of D mod 4q^e whose (b_q + sqrt D)/2 lies in Q.  Distinct
+    q combine by CRT on b mod 2a."""
+    f = isqrt(D // d)
+    r, a, b = 1, 1, D % 2
+    by_q = {}
+    for P, k in profile.items():
+        by_q.setdefault(P.q, []).append((P, k))
+    for q, primes in by_q.items():
+        (P, k), *conjugate = primes
+        if P.f == 2:
+            r *= q ** k
+            continue
+        if P.e == 2:
+            r *= q ** (k // 2)
+            e = k % 2
+        else:
+            P2, k2 = conjugate[0] if conjugate else (P, 0)
+            r *= q ** min(k, k2)
+            if k2 > k:
+                P = P2
+            e = abs(k - k2)
+        if not e:
+            continue
+        m = q ** e
+        bq = _sqrt_mod(D, q, e)
+        if P.e == 1 and valuation(_quad_element(field, bq, f, 2), P) == 0:
+            bq = -bq
+        t = (bq - b) // 2 * pow(a, -1, m) % m
+        a, b = a * m, b + 2 * a * t
+    return r, a, b
+
+
+def _least_y(d, alpha):
+    """The generators zeta eps^j alpha of alpha O_K, as (x, y) in
+    (x + y sqrt d)/2, that have the least |y|.
+
+    For d > 0 let u, v be the values of one at sqrt d > 0 and < 0, so
+    |x| = |u + v| and |y| sqrt d = |u - v|.  Once xy >= 0, |u| >= |v|, and
+    every eps^i times it (i >= 0) has |y'| sqrt d >= |u'| - |v'| >= |u| -
+    |v| = min(|x|, |y| sqrt d); alike for 1/eps once xy <= 0.  Each
+    direction ends when that bound passes the least |y| so far."""
+    gens = [alpha]
     if d < 0:
-        return 1
-    x, y, den, _ = _quad_fundamental_unit(d)
-    return (x + y * (isqrt(d) + 1)) // den + 1
+        order, zeta = _quad_torsion(d)
+        for _ in range(order - 1):
+            gens.append(_times(d, gens[-1], zeta))
+    else:
+        x, y, den, norm = _quad_fundamental_unit(d)
+        eps = (2 * x // den, 2 * y // den)
+        for step, side in ((eps, 1), ((norm * eps[0], -norm * eps[1]), -1)):
+            x, y = alpha
+            while not (side * x * y >= 0 and min(x * x, d * y * y)
+                       > d * min(abs(g[1]) for g in gens) ** 2):
+                x, y = _times(d, (x, y), step)
+                gens.append((x, y))
+    best = min(abs(g[1]) for g in gens)
+    return [g for g in gens if abs(g[1]) == best]
 
 
 def principal_generator(field: NumberField, profile: dict):
-    """Generator of the integral ideal with the given prime valuation profile,
-    or None (certified, within a proven unit-scaled bound) for quadratic fields.
-    The bound grows with the fundamental unit, so the search gives up with
-    SearchExhausted after QUADRATIC_STEP_BUDGET values of y.
-    """
+    """A generator of the integral ideal with the given prime valuation
+    profile, or None (certified) when it is not principal; quadratic fields.
+
+    The rho walk from the form of the ideal's primitive part decides, and
+    its multipliers give a generator.  The one returned has the least |y|
+    in (x + y sqrt d)/2, then the sign of _canonical_sign, then the least
+    (height, coords)."""
     d, _, _ = _quad_data(field)
-    target = 1
-    for prime, k in profile.items():
-        target *= prime.norm() ** k
-    eps = _eps_ceiling(field)
-    ybound = 2 * isqrt(target * eps // abs(d)) + 2
-    candidates = []
-    for y in range(0, ybound + 1):
-        if y > QUADRATIC_STEP_BUDGET:
-            raise SearchExhausted(
-                f"no generator of norm {target} with y <= "
-                f"{QUADRATIC_STEP_BUDGET}; the proven bound is {ybound}")
-        for sgn in (-4, 4):
-            t = d * y * y + sgn * target
-            if t < 0:
-                continue
-            x = isqrt(t)
-            if x * x != t:
-                continue
-            if (x * x - d * y * y) % 4:
-                continue
-            for xs in ((x,) if x == 0 else (x, -x)):
-                for ys in ((y,) if y == 0 else (y, -y)):
-                    alpha = _quad_element(field, xs, ys, 2)
-                    if alpha.is_zero():
-                        continue
-                    if not alpha.is_algebraic_integer():
-                        continue
-                    if all(valuation(alpha, p) >= k for p, k in profile.items()):
-                        candidates.append(alpha)
-        if candidates:
-            break
-    if not candidates:
+    D = _fundamental_discriminant(d)
+    r, a, b = _ideal_form(field, d, D, profile)
+    path = _walk_to_principal(D, (a, b, (b * b - D) // (4 * a)))
+    if path is None:
         return None
-    candidates = [_canonical_sign(a) for a in candidates]
-    candidates.sort(key=lambda a: (a.height(), a.coords))
-    return candidates[0]
+    x, y = _multiplier_product(d, D, path)
+    return min((_canonical_sign(_quad_element(field, x, y, 2))
+                for x, y in _least_y(d, (r * x, r * y))),
+               key=lambda g: (g.height(), g.coords))
 
 
 def _canonical_sign(x: FieldElement):
@@ -519,11 +530,11 @@ def _cubic_class_data(field, h):
 def _quadratic_class_data(field):
     d, _, _ = _quad_data(field)
     D = _fundamental_discriminant(d)
+    forms = _reduced_forms(D)
     if d < 0:
-        h = _definite_class_number(D)
-        h_plus = h
+        h = h_plus = len(forms)
     else:
-        h_plus = _indefinite_cycle_count(D)
+        h_plus = _cycle_count(forms, D)
         _, _, _, unit_norm = _quad_fundamental_unit(d)
         h = h_plus if unit_norm == -1 else h_plus // 2
     reps, notes = _collect_reps(field, h)

@@ -192,10 +192,10 @@ def test_criterion_09_selmer_groups():
         assert sg_2.basis_size == 3 and len(reps) == 8
         for i, a in enumerate(reps):
             for b in reps[i + 1:]:
-                assert not is_square(a / b)[0]
+                assert not is_square(a / b)
         for a in reps:
             for b in reps:
-                assert sum(1 for r in reps if is_square(a * b / r)[0]) == 1
+                assert sum(1 for r in reps if is_square(a * b / r)) == 1
 
 
 def test_criterion_10_theorem_52_pipeline():

@@ -470,15 +470,53 @@ class TestHardFactorizations:
         assert rep["result"]["error"]["type"] == "FactorizationIncomplete"
 
     def test_half_integer_unit_of_a_long_period(self, capsys):
-        # d = 100001 = 1 mod 4: the Pell unit has 110 digits, so the
-        # half-integer unit comes from a cube root, and the generator of the
-        # prime above 2 lies beyond the budget of the y search
+        # d = 100001 = 1 mod 4: the fundamental unit is half-integral, and
+        # the generators of the primes above 2 have y > 2*10^6 in
+        # (x + y sqrt d)/2; the rho walk finds them
         code, rep = self.timed(capsys, ["sunit", "x^2-x-25000",
                                         "--bound", "1"])
-        assert code == 1
-        error = rep["result"]["error"]
-        assert error["type"] == "BasisUnavailable"
-        assert "no generator of norm 2" in error["message"]
+        assert code == 0
+        K = afcheck.make_field("x^2-x-25000")
+        solutions = rep["result"]["solutions"]
+        assert solutions
+        for sol in solutions:
+            lam, mu = (K.element([Fraction(c) for c in sol[key]])
+                       for key in ("lambda", "mu"))
+            assert lam + mu == 1
+            for x in (lam, mu):
+                norm = abs(x.norm())
+                n = norm.numerator * norm.denominator
+                assert n & (n - 1) == 0
+
+    @pytest.mark.parametrize("poly", ["x^2-350003", "x^2-x-125002"])
+    def test_class_data_of_long_cycles(self, capsys, poly):
+        # Q(sqrt(350003)) has 1.4*10^6 (b, |a|) pairs, past the old trial
+        # loop; in Q(sqrt(500009)) the prime above 5 squared has its
+        # generator beyond the old search over y
+        code, rep = self.timed(capsys, ["frey", "2r", poly, "--a", "1",
+                                        "--b", "1", "--c", "1"])
+        assert code == 0 and rep["caveats"] == []
+        assert rep["result"]["conductor"]["conductor"]
+
+    def test_long_cycle_over_an_index_divisor(self, capsys):
+        # the same field as x^2-x-125002; its class data now answers, and
+        # the conductor stops at the index divisor 2 instead
+        code, rep = self.timed(capsys, ["frey", "2r", "x^2-500009", "--a",
+                                        "1", "--b", "1", "--c", "1"])
+        assert code == 0
+        assert rep["caveats"] == [
+            "conductor shape unavailable: 2 divides the index of the "
+            "power-basis order; supply a different defining polynomial"]
+
+    def test_imaginary_class_number_beyond_the_budget(self, capsys):
+        # about 5.8*10^5 values of b: the budget stops the enumeration of
+        # the reduced forms before it starts
+        code, rep = self.timed(capsys, ["frey", "2r", "x^2+1000000000039",
+                                        "--a", "1", "--b", "1", "--c", "1"])
+        assert code == 0
+        assert rep["caveats"] == [
+            "conductor shape unavailable: reduced forms of discriminant "
+            "-1000000000039 need more than 16384 steps"]
 
     def test_reduced_forms_beyond_the_budget(self, capsys):
         # the class number of a 31-digit discriminant would take about

@@ -1,16 +1,21 @@
-"""Every public top-level def or class of the package has a caller, and
-every name a module of the package imports is used there.
+"""Every top-level definition of the package has a caller, and every name
+a module of the package imports is used there.
 
-A name counts as reached when some code in src/afcheck/ or perfbench/
-mentions it outside its own definition: as a name, an attribute, or a
-dotted segment of a string (the benchmark tracer wraps functions by their
-names as strings).  A name in a module's __all__ is exported on purpose and
-counts as reached too.  Tests do not count: a function that only tests call
-is dead library.  An imported name counts as used when its module mentions
-it as a name, or lists it in __all__.
+A definition is a def, a class or a module-level name binding (a constant
+such as a budget); dunder names such as __version__ are left out.  A name
+counts as reached when some code in src/afcheck/ or perfbench/ mentions it
+outside its own definition: as a name, an attribute, or a dotted segment
+of a string (the benchmark tracer wraps functions by their names as
+strings).  That holds for private names too, so an orphaned helper is
+found.  A name in a module's __all__ is exported on purpose and counts as
+reached too.  Tests do not count: a function that only tests call is dead
+library, and so is a constant that only tests read.  An imported name
+counts as used when its module mentions it as a name, or lists it in
+__all__.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -32,14 +37,12 @@ def _exported(tree):
     return set()
 
 
-def _mentions(node, skip):
-    """Names that node mentions, leaving out the subtree skip."""
+def _mentions(node):
+    """Names that node mentions."""
     found = set()
     stack = [node]
     while stack:
         current = stack.pop()
-        if current is skip:
-            continue
         if isinstance(current, ast.Name):
             found.add(current.id)
         elif isinstance(current, ast.Attribute):
@@ -50,25 +53,39 @@ def _mentions(node, skip):
     return found
 
 
+def _defined_names(node):
+    """The names a top-level statement defines, dunder names left out."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        names = [node.name]
+    elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        names = [n.id for t in targets for n in ast.walk(t)
+                 if isinstance(n, ast.Name)]
+    else:
+        names = []
+    return [n for n in names if not (n.startswith("__") and n.endswith("__"))]
+
+
 def unreached(package=PACKAGE, callers=CALLERS):
-    """Sorted "module.name" of the public top-level definitions in package
-    that nothing in the caller directories mentions."""
+    """Sorted "module.name" of the top-level definitions in package that
+    nothing in the caller directories mentions outside the definition.
+
+    Each top-level statement's mentions are collected once; a name is
+    reached when a statement other than its definition mentions it."""
     trees = {path: _parse(path) for base in callers
              for path in sorted(base.glob("*.py"))}
+    mentions = {id(node): _mentions(node)
+                for tree in trees.values() for node in tree.body}
+    counts = Counter(name for found in mentions.values() for name in found)
     missing = []
     for path in sorted(package.glob("*.py")):
         tree = trees[path]
         exported = _exported(tree)
         for node in tree.body:
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                     ast.ClassDef)):
-                continue
-            name = node.name
-            if name.startswith("_") or name in exported:
-                continue
-            if not any(name in _mentions(other, node)
-                       for other in trees.values()):
-                missing.append(f"{path.stem}.{name}")
+            for name in _defined_names(node):
+                own = name in mentions[id(node)]
+                if name not in exported and counts[name] - own == 0:
+                    missing.append(f"{path.stem}.{name}")
     return sorted(missing)
 
 
@@ -112,15 +129,22 @@ def test_the_walk_finds_a_dead_definition(tmp_path):
         "def recursive(): return recursive()\n"
         "def traced(): pass\n"
         "def _private(): pass\n"
+        "def _helper(): return LIMIT\n"
         "class Dead:\n"
-        "    def method(self): return Dead\n", encoding="utf-8")
+        "    def method(self): return Dead\n"
+        "__version__ = '1'\n"
+        "LIMIT = 3\n"
+        "UNREAD: int = 4\n"
+        "_CACHE, _SPARE = {}, []\n"
+        "def reader(): return _helper(), _CACHE\n", encoding="utf-8")
     (package / "user.py").write_text(
-        "from .mod import used\n"
-        "def caller(): return used()\n", encoding="utf-8")
+        "from .mod import used, reader\n"
+        "def caller(): return used(), reader()\n", encoding="utf-8")
     (bench / "wrap.py").write_text("WRAPPED = ['mod.traced']\n",
                                    encoding="utf-8")
     assert unreached(package, (package, bench)) == [
-        "mod.Dead", "mod.recursive", "user.caller"]
+        "mod.Dead", "mod.UNREAD", "mod._SPARE", "mod._private",
+        "mod.recursive", "user.caller"]
 
 
 def test_every_import_is_used():

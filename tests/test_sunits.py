@@ -5,6 +5,7 @@ Fractions) and their own S-unit membership rule (strip the prime over 2,
 check the cofactor is a unit), sharing no code with the package paths.
 """
 
+import math
 import sys
 from fractions import Fraction
 from functools import lru_cache
@@ -594,48 +595,51 @@ class TestSelmer:
         reps = sg.representatives
         for i in range(len(reps)):
             for j in range(i + 1, len(reps)):
-                assert not is_square(reps[i] / reps[j])[0]
+                assert not is_square(reps[i] / reps[j])
 
     def test_closure(self):
         K = make_field("x^2 - 2")
         sg = selmer_group(K, s_k(K))
         for a in sg.representatives:
             for b in sg.representatives:
-                matches = [r for r in sg.representatives if is_square(a * b / r)[0]]
+                matches = [r for r in sg.representatives if is_square(a * b / r)]
                 assert len(matches) == 1
 
 
 class TestIsSquare:
     def test_two_is_square_in_sqrt2(self):
         K = make_field("x^2 - 2")
-        ok, root = is_square(K.from_rational(2))
-        assert ok and root * root == 2
+        assert is_square(K.from_rational(2))
+        assert is_square(K.from_rational(Fraction(9, 2)))
+        assert not is_square(K.from_rational(3))
+        assert not is_square(K.from_rational(-2))
 
     def test_i_not_square_in_gauss(self):
         K = make_field("x^2 + 1")
-        assert not is_square(K.theta())[0]
+        assert not is_square(K.theta())
 
     def test_minus_one_square_in_gauss(self):
         K = make_field("x^2 + 1")
-        ok, root = is_square(K.from_rational(-1))
-        assert ok and root * root == -1
+        assert is_square(K.from_rational(-1))
+        assert is_square(2 * K.theta())  # (1 + i)^2
+        assert not is_square(K.from_rational(2))
 
     def test_unit_square(self):
         K = make_field("x^2 - 2")
         u = 1 + K.theta()
-        ok, root = is_square(u * u)
-        assert ok and root * root == u * u
+        assert is_square(u * u) and is_square(u * u / 9)
+        assert not is_square(u) and not is_square(-(u * u))
 
     def test_cubic_square_and_nonsquare(self):
         K = make_field("x^3 - x^2 + 1")
-        assert is_square(K.theta() ** 2)[0]
+        assert is_square(K.theta() ** 2)
         # norm(theta) = -1 < 0 cannot be the norm of a square
-        assert not is_square(K.theta())[0]
+        assert not is_square(K.theta())
 
     def test_rational_in_cubic(self):
         K = make_field("x^3 - x^2 + 1")
-        assert is_square(K.from_rational(Fraction(9, 4)))[0]
-        assert not is_square(K.from_rational(2))[0]
+        assert is_square(K.from_rational(Fraction(9, 4)))
+        assert not is_square(K.from_rational(2))
 
     def test_even_degree_four_unsupported(self):
         # theta^2 and 2 are squares in these quartics; the odd-degree
@@ -647,8 +651,8 @@ class TestIsSquare:
         with pytest.raises(Unsupported):
             is_square(L.from_rational(2))
         M = make_field("x^5 - x - 1")
-        assert is_square(M.theta() ** 2)[0]
-        assert is_square(M.from_rational(4))[0]
+        assert is_square(M.theta() ** 2)
+        assert is_square(M.from_rational(4))
 
 
 def factor_square_test(x):
@@ -681,19 +685,61 @@ def odd_square_case(draw):
             "random": b}[kind]
 
 
+def explicit_quadratic_square(x):
+    """Reference for a quadratic field: x = s + t sqrt(D), D = poly_disc, is
+    (g + h sqrt(D))^2 for rationals g, h, that is g^2 + D h^2 = s and
+    2gh = t; for t != 0, g^2 = (s +- w)/2 with w^2 = s^2 - D t^2."""
+    def root(r):
+        if r < 0:
+            return None
+        a, b = math.isqrt(r.numerator), math.isqrt(r.denominator)
+        return Fraction(a, b) if Fraction(a * a, b * b) == r else None
+
+    _, b, _ = x.field.coeffs
+    D = x.field.poly_disc
+    u, v = x.coords
+    s, t = u - v * Fraction(b, 2), v / 2
+    if t == 0:
+        return root(s) is not None or root(s / D) is not None
+    w = root(s * s - D * t * t)
+    return w is not None and any(root((s + e * w) / 2) not in (None, 0)
+                                 for e in (1, -1))
+
+
+@st.composite
+def quadratic_square_case(draw):
+    K = make_field(draw(st.sampled_from(
+        ["x^2 - 2", "x^2 + 1", "x^2 - x - 1", "x^2 + 3", "x^2 - 12",
+         "x^2 - 10"])))
+    b = K.element([Fraction(c, draw(st.integers(1, 4))) for c in
+                   draw(st.lists(st.integers(-6, 6), min_size=2, max_size=2))])
+    assume(not b.is_zero())
+    r = Fraction(draw(st.integers(-9, 9)), draw(st.integers(1, 9)))
+    kind = draw(st.sampled_from(("square", "negated", "scaled", "random")))
+    return {"square": b * b, "negated": -(b * b), "scaled": b * b * r,
+            "random": b}[kind]
+
+
+class TestQuadraticSquares:
+    @settings(max_examples=200, deadline=None)
+    @given(quadratic_square_case())
+    def test_matches_the_explicit_root(self, x):
+        assert is_square(x) == explicit_quadratic_square(x)
+
+
 class TestNormScreen:
     @pytest.mark.parametrize("poly", sorted(ODD_FIELD_UNITS))
     def test_units_have_square_norm_and_are_not_squares(self, poly):
         K = make_field(poly)
         u = K.element(ODD_FIELD_UNITS[poly])
         assert u.norm() == 1 and not factor_square_test(u)
-        assert not is_square(u)[0]
+        assert not is_square(u)
 
     @settings(max_examples=150, deadline=None,
               suppress_health_check=[HealthCheck.filter_too_much])
     @given(odd_square_case())
     def test_screened_test_matches_the_factor_test(self, x):
-        assert is_square(x)[0] == factor_square_test(x)
+        assert is_square(x) == factor_square_test(x)
 
 
 def element_gamma_matrix(base, a_int, t):
@@ -805,7 +851,7 @@ class TestQuadraticExtension:
                                     max_size=size))
         a = K.element([Fraction(c, data.draw(st.integers(1, 3)))
                        for c in coords + [0] * (n - size)])
-        assume(not a.is_zero() and not is_square(a)[0])
+        assume(not a.is_zero() and not is_square(a))
         L = quadratic_extension(K, a)
         assert L.coeffs == reference_extension(K, a)
         x = sympy.Symbol("x")

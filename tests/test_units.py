@@ -13,10 +13,13 @@ from afcheck.integerfactor import SMALL_PRIMES
 from afcheck.numberfield import FieldElement
 from afcheck.prime_ideals import valuation, factor_rational_prime, s_k
 from afcheck.sunits import build_sunit_basis
+from afcheck.integerfactor import squarefree_part
 from afcheck.units import (class_data, principal_generator, unit_generators,
-                           _certified_independent, _by_norm, _collect_reps, _cubic_fundamental_pair,
-                           _find_generator, _ideal_class_equal,
-                           _pell_fundamental, _quad_fundamental_unit, _shell,
+                           _certified_independent, _by_norm, _canonical_sign,
+                           _collect_reps, _cubic_fundamental_pair, _cycle_count,
+                           _find_generator, _fundamental_discriminant,
+                           _ideal_class_equal, _quad_data, _quad_element,
+                           _quad_fundamental_unit, _reduced_forms, _shell,
                            _small_relation)
 
 
@@ -392,54 +395,37 @@ class TestLazyRepresentative:
         assert all(K.poly_disc % (q * q) == 0 for q in late)
 
 
-class TestPellBudget:
-    @staticmethod
-    def reference(d):
-        # the expansion stopped by the norm itself, with no budget
-        a0 = math.isqrt(d)
-        p_prev, q_prev, p, q = 1, 0, a0, 1
-        big_p, big_q = a0, d - a0 * a0
-        while p * p - d * q * q not in (1, -1):
-            a_k = (a0 + big_p) // big_q
-            p, p_prev = a_k * p + p_prev, p
-            q, q_prev = a_k * q + q_prev, q
-            big_p = a_k * big_q - big_p
-            big_q = (d - big_p * big_p) // big_q
-        return p, q
+def quadratic_poly(d):
+    """The defining polynomial of the maximal order of Q(sqrt(d))."""
+    return [(1 - d) // 4, -1, 1] if d % 4 == 1 else [-d, 0, 1]
 
-    def test_matches_the_norm_stopped_expansion(self):
-        for d in range(2, 400):
-            if math.isqrt(d) ** 2 != d:
-                assert _pell_fundamental(d) == self.reference(d), d
 
-    def test_budget_raises(self, monkeypatch):
-        # sqrt(94) has period 16
-        monkeypatch.setattr(units, "PELL_STEP_BUDGET", 16)
-        assert _pell_fundamental(94) == self.reference(94)
-        monkeypatch.setattr(units, "PELL_STEP_BUDGET", 15)
-        with pytest.raises(SearchExhausted):
-            _pell_fundamental(94)
+SQUAREFREE = [d for d in range(-2999, 3000)
+              if d not in (0, 1) and squarefree_part(d) == d]
 
 
 class TestHalfIntegerUnit:
-    """For d = 1 mod 4 the fundamental unit is (X + Y sqrt d)/2 for the
-    solution of X^2 - d Y^2 = +-4 with the least Y > 0; sympy's diop_DN
-    lists the fundamental solutions of both equations."""
+    """The fundamental unit is (X + Y sqrt d)/2 for the solution of
+    X^2 - d Y^2 = +-4 with the least Y > 0 when d = 1 mod 4, and X + Y sqrt
+    d for that of X^2 - d Y^2 = +-1 otherwise; sympy's diop_DN lists the
+    fundamental solutions of both equations."""
 
     def test_matches_diop_dn(self):
         from sympy.solvers.diophantine.diophantine import diop_DN
-        for d in range(5, 2000, 4):
-            if any(d % (p * p) == 0 for p in range(3, math.isqrt(d) + 1, 2)):
+        for d in SQUAREFREE:
+            if not 1 < d < 2000:
                 continue
-            sols = [(abs(X), abs(Y)) for N in (4, -4)
+            r = 2 if d % 4 == 1 else 1
+            sols = [(abs(X), abs(Y)) for N in (r * r, -r * r)
                     for X, Y in diop_DN(d, N) if Y]
             X, Y = min(sols, key=lambda s: (s[1], s[0]))
             x, y, den, norm = _quad_fundamental_unit(d)
-            assert (2 * x // den, 2 * y // den) == (X, Y), d
-            assert X * X - d * Y * Y == 4 * norm, d
+            assert (r * x, r * y) == (den * X, den * Y), d
+            assert X * X - d * Y * Y == r * r * norm, d
 
     def test_long_period_answers_at_once(self):
-        # d = 100001: the Pell unit has 110 digits
+        # d = 100001: the unit of Z[sqrt(d)] has 110 digits, the cube of
+        # the fundamental unit
         t0 = time.perf_counter()
         x, y, den, norm = _quad_fundamental_unit(100001)
         assert time.perf_counter() - t0 < 1
@@ -448,20 +434,191 @@ class TestHalfIntegerUnit:
 
 class TestQuadraticBudget:
     def test_reduced_forms_beyond_the_budget_raise(self, monkeypatch):
-        monkeypatch.setattr(units, "QUADRATIC_STEP_BUDGET", 100)
+        # one budget caps the values of b that enumerate the reduced forms,
+        # the rho walk of the principal cycle (sqrt(94): 1 + 15 steps) and
+        # the walk that proves a prime above 3 in Q(sqrt(79)) (h = 3)
+        # non-principal (8 forms)
+        monkeypatch.setattr(units, "QUADRATIC_STEP_BUDGET", 8)
         assert class_data(make_field("x^2 - 10")).h == 2
-        with pytest.raises(SearchExhausted):
+        with pytest.raises(SearchExhausted, match="reduced forms"):
             class_data(make_field("x^2 - 1001"))
-
-    def test_generator_search_beyond_the_budget_raises(self, monkeypatch):
-        # the generator of the prime above 2 in Q(sqrt(100001)) has
-        # y > 2*10^6, far below the proven bound but beyond the budget
-        monkeypatch.setattr(units, "QUADRATIC_STEP_BUDGET", 1000)
-        K = make_field("x^2 - x - 25000")
+        monkeypatch.setattr(units, "QUADRATIC_STEP_BUDGET", 15)
+        assert _quad_fundamental_unit(94) == (2143295, 221064, 1, 1)
+        monkeypatch.setattr(units, "QUADRATIC_STEP_BUDGET", 14)
+        with pytest.raises(SearchExhausted, match="continued fraction"):
+            _quad_fundamental_unit(94)
+        K = make_field("x^2 - 79")
+        P = factor_rational_prime(K, 3)[0]
+        monkeypatch.setattr(units, "QUADRATIC_STEP_BUDGET", 8)
+        assert principal_generator(K, {P: 1}) is None
+        monkeypatch.setattr(units, "QUADRATIC_STEP_BUDGET", 7)
         with pytest.raises(SearchExhausted):
-            principal_generator(K, {s_k(K)[0]: 1})
+            principal_generator(K, {P: 1})
+
+    def test_generator_beyond_the_old_scan_is_found(self):
+        # the generator of a prime above 2 in Q(sqrt(100001)) has
+        # y > 2*10^6, and so has that of a prime above 5 squared in
+        # Q(sqrt(500009)): both lie beyond the 2^20 values of y that the
+        # search over y gave up after
+        for poly, q, k in (("x^2 - x - 25000", 2, 1),
+                           ("x^2 - x - 125002", 5, 2)):
+            K = make_field(poly)
+            for P in factor_rational_prime(K, q):
+                g = principal_generator(K, {P: k})
+                assert abs(g.norm()) == q ** k and valuation(g, P) == k
+                assert g.is_algebraic_integer()
         K = make_field("x^2 - 2")
         assert principal_generator(K, {s_k(K)[0]: 1}) == K.theta()
+
+
+# ------------------------------------------------ references of the walk
+# The searches that the rho walk replaced, kept as references: they answer
+# the same wherever they finish.
+
+def scan_principal_generator(field, profile):
+    """The generator with the least y in (x + y sqrt d)/2, found by a scan
+    over y up to a bound that grows with the fundamental unit, or None."""
+    d, _, _ = _quad_data(field)
+    target = 1
+    for prime, k in profile.items():
+        target *= prime.norm() ** k
+    eps = 1
+    if d > 0:
+        x, y, den, _ = _quad_fundamental_unit(d)
+        eps = (x + y * (math.isqrt(d) + 1)) // den + 1
+    ybound = 2 * math.isqrt(target * eps // abs(d)) + 2
+    for y in range(0, ybound + 1):
+        candidates = []
+        for sgn in (-4, 4):
+            t = d * y * y + sgn * target
+            x = math.isqrt(max(t, 0))
+            if t < 0 or x * x != t or (x * x - d * y * y) % 4:
+                continue
+            for xs in {x, -x}:
+                for ys in {y, -y}:
+                    alpha = _quad_element(field, xs, ys, 2)
+                    if (not alpha.is_zero() and alpha.is_algebraic_integer()
+                            and all(valuation(alpha, p) >= k
+                                    for p, k in profile.items())):
+                        candidates.append(_canonical_sign(alpha))
+        if candidates:
+            return min(candidates, key=lambda a: (a.height(), a.coords))
+    return None
+
+
+def trial_reduced_indefinite_forms(D):
+    """The reduced forms of discriminant D > 0 by trial division over every
+    (b, |a|)."""
+    s = math.isqrt(D)
+    forms = []
+    for b in range(1, s + 1):
+        if (b - D) % 2 or b * b >= D:
+            continue
+        prod = (D - b * b) // 4
+        for a_abs in range(1, (s + b) // 2 + 2):
+            if prod % a_abs or D >= (2 * a_abs + b) ** 2:
+                continue
+            if 2 * a_abs > b and (2 * a_abs - b) ** 2 >= D:
+                continue
+            for a in (a_abs, -a_abs):
+                c = -prod // a
+                if math.gcd(a, b, c) == 1:
+                    forms.append((a, b, c))
+    return forms
+
+
+def loop_definite_class_number(D):
+    """The number of reduced forms of discriminant D < 0, counted over
+    every a <= sqrt(|D|/3) and every b in (-a, a]."""
+    count = 0
+    for a in range(1, math.isqrt(-D // 3) + 1):
+        for b in range(-a + 1, a + 1):
+            if (b * b - D) % (4 * a):
+                continue
+            c = (b * b - D) // (4 * a)
+            if c < a or (b < 0 and (-b == a or a == c)):
+                continue
+            count += math.gcd(a, b, c) == 1
+    return count
+
+
+def orbit_count(forms, D):
+    """The number of orbits of rho on the reduced indefinite forms, rho
+    stepping r = -b mod 2|c| into (sqrt(D) - 2|c|, sqrt(D)] one 2|c| at a
+    time."""
+    s = math.isqrt(D)
+
+    def rho(form):
+        _, b, c = form
+        r = -b
+        while r > s:
+            r -= 2 * abs(c)
+        while r <= s - 2 * abs(c):
+            r += 2 * abs(c)
+        return (c, r, (r * r - D) // (4 * c))
+
+    left, orbits = set(forms), 0
+    while left:
+        start = left.pop()
+        orbits += 1
+        form = rho(start)
+        while form != start:
+            left.remove(form)
+            form = rho(form)
+    return orbits
+
+
+def primes_above(K, qs):
+    out = []
+    for q in qs:
+        try:
+            out += factor_rational_prime(K, q)
+        except IndexDivisor:
+            pass
+    return out
+
+
+class TestWalkMatchesReferences:
+    def test_generators_of_prime_powers(self):
+        # squarefree |d| < 150, the primes above q <= 11, k <= 4
+        nones = 0
+        for d in SQUAREFREE:
+            if abs(d) >= 150:
+                continue
+            K = make_field(quadratic_poly(d))
+            for P in primes_above(K, (2, 3, 5, 7, 11)):
+                for k in range(1, 5):
+                    want = scan_principal_generator(K, {P: k})
+                    assert principal_generator(K, {P: k}) == want, (d, P, k)
+                    nones += want is None
+        assert nones > 1000
+
+    @pytest.mark.parametrize("poly", [None, "x^2 - 12", "x^2 - 45",
+                                      "x^2 - 18"])
+    def test_generators_of_products(self, poly):
+        # P^k Q over the primes above q <= 7: over |d| < 120, and over three
+        # polynomials whose order is not maximal
+        fields = ([make_field(quadratic_poly(d)) for d in SQUAREFREE
+                   if abs(d) < 120] if poly is None else [make_field(poly)])
+        for K in fields:
+            ps = primes_above(K, (2, 3, 5, 7))
+            for i, P in enumerate(ps):
+                for Q in ps[i:]:
+                    for k in (1, 2):
+                        profile = {P: k}
+                        profile[Q] = profile.get(Q, 0) + 1
+                        assert (principal_generator(K, profile)
+                                == scan_principal_generator(K, profile))
+
+    def test_forms_and_class_numbers(self):
+        for d in SQUAREFREE:
+            D = _fundamental_discriminant(d)
+            forms = _reduced_forms(D)
+            if d < 0:
+                assert len(forms) == loop_definite_class_number(D), d
+            else:
+                assert forms == trial_reduced_indefinite_forms(D), d
+                assert _cycle_count(forms, D) == orbit_count(forms, D), d
 
 
 def shell_by_filter(dim, h):
