@@ -404,6 +404,51 @@ SQUAREFREE = [d for d in range(-2999, 3000)
               if d not in (0, 1) and squarefree_part(d) == d]
 
 
+class TestPellBudget:
+    """The least unit p + q sqrt(d) > 1 of Z[sqrt(d)] is the least power of
+    the fundamental unit of Q(sqrt(d)) that lies in Z[sqrt(d)]."""
+
+    @staticmethod
+    def reference(d):
+        # the continued fraction of sqrt(d), stopped by the norm itself
+        a0 = math.isqrt(d)
+        p_prev, q_prev, p, q = 1, 0, a0, 1
+        big_p, big_q = a0, d - a0 * a0
+        while p * p - d * q * q not in (1, -1):
+            a_k = (a0 + big_p) // big_q
+            p, p_prev = a_k * p + p_prev, p
+            q, q_prev = a_k * q + q_prev, q
+            big_p = a_k * big_q - big_p
+            big_q = (d - big_p * big_p) // big_q
+        return p, q
+
+    @staticmethod
+    def pell_from_walk(d):
+        d0 = squarefree_part(d)
+        f = math.isqrt(d // d0)
+        x, y, den, _ = _quad_fundamental_unit(d0)
+        # eps = (X + Y sqrt d0)/2; its powers are tracked in the same halves
+        eps = (2 * x // den, 2 * y // den)
+        X, Y = eps
+        while X % 2 or Y % (2 * f):
+            X, Y = ((X * eps[0] + d0 * Y * eps[1]) // 2,
+                    (X * eps[1] + Y * eps[0]) // 2)
+        return X // 2, Y // (2 * f)
+
+    def test_matches_the_norm_stopped_expansion(self):
+        for d in range(2, 400):
+            if math.isqrt(d) ** 2 != d:
+                assert self.pell_from_walk(d) == self.reference(d), d
+
+    def test_budget_raises(self, monkeypatch):
+        # the principal cycle of sqrt(94) is the principal form and 15 steps
+        monkeypatch.setattr(units, "QUADRATIC_STEP_BUDGET", 15)
+        assert _quad_fundamental_unit(94) == (*self.reference(94), 1, 1)
+        monkeypatch.setattr(units, "QUADRATIC_STEP_BUDGET", 14)
+        with pytest.raises(SearchExhausted, match="continued fraction"):
+            _quad_fundamental_unit(94)
+
+
 class TestHalfIntegerUnit:
     """The fundamental unit is (X + Y sqrt d)/2 for the solution of
     X^2 - d Y^2 = +-4 with the least Y > 0 when d = 1 mod 4, and X + Y sqrt
@@ -435,18 +480,13 @@ class TestHalfIntegerUnit:
 class TestQuadraticBudget:
     def test_reduced_forms_beyond_the_budget_raise(self, monkeypatch):
         # one budget caps the values of b that enumerate the reduced forms,
-        # the rho walk of the principal cycle (sqrt(94): 1 + 15 steps) and
-        # the walk that proves a prime above 3 in Q(sqrt(79)) (h = 3)
-        # non-principal (8 forms)
+        # the rho walk of the principal cycle (TestPellBudget) and the walk
+        # that proves a prime above 3 in Q(sqrt(79)) (h = 3) non-principal
+        # (8 forms)
         monkeypatch.setattr(units, "QUADRATIC_STEP_BUDGET", 8)
         assert class_data(make_field("x^2 - 10")).h == 2
         with pytest.raises(SearchExhausted, match="reduced forms"):
             class_data(make_field("x^2 - 1001"))
-        monkeypatch.setattr(units, "QUADRATIC_STEP_BUDGET", 15)
-        assert _quad_fundamental_unit(94) == (2143295, 221064, 1, 1)
-        monkeypatch.setattr(units, "QUADRATIC_STEP_BUDGET", 14)
-        with pytest.raises(SearchExhausted, match="continued fraction"):
-            _quad_fundamental_unit(94)
         K = make_field("x^2 - 79")
         P = factor_rational_prime(K, 3)[0]
         monkeypatch.setattr(units, "QUADRATIC_STEP_BUDGET", 8)
