@@ -641,6 +641,72 @@ def field_sweep_cases():
                                id=f"{' '.join(cmd[:head])} {poly}")
 
 
+# check on every criterion and on the thm-7-3 alias, per field; the S-unit
+# criteria take --bound 2 and the field's class number options.  Per field,
+# the (exit code, sha256 of the JSON bytes) of each request, taken while the
+# criteria were still listed apart in criteria.py and cli.py.
+CHECK_REQUESTS = (
+    ("thm-3-2", "--bound", "2"), ("thm-3-3", "--bound", "2"),
+    ("cor-3-4", "--bound", "2"), ("thm-5-2", "--bound", "2"),
+    ("thm-7-1", "--l", "7"), ("cor-7-2",), ("thm-7-3-1", "--l", "7"),
+    ("thm-7-3-2",), ("thm-7-3", "--mode", "1", "--l", "7"),
+    ("thm-7-3", "--mode", "2"),
+)
+CHECK_GOLDEN = {
+    ("x",): (
+        (3, "e6d866833e5561f525785b4f2428abcfe82c9f5d76541c978cc6831e850718a7"),
+        (3, "9aa735aabec968a00af85f55b8c2e84dbad0dc9ad1e006cf4a59cea561084a64"),
+        (3, "f39ba62345f43cf1f12464d2f33e2dd268729ea3fa613c4a135324d8f5cae0b4"),
+        (3, "9b95acab068cd6b1f99d3ba9b4939248ea59bcd6110e4bfc43fa261bb7207ddc"),
+        (0, "e7962609b2e58a8e9e93822d9132a467fa69dcb239ea178c17759227e92c7472"),
+        (0, "899b2ce1c52ede28a291d834aec6588645b7dcf23fac7b5daaf3706c694dffc1"),
+        (0, "b1fe40f287a2274859d9fe8849d0f0c0ec270fa8b0c1e057e26d723b7b35c5fa"),
+        (0, "7f032d242d1b72f79a18f0e67f2320125c3fb315703061650548b0193c35dc42"),
+        (0, "2299c0f23fa261e2277e1f63354fce6b6e6ebaa8f5a6514765966c488e15c5f4"),
+        (0, "cdb5d5142ae4e10a95f2d3cd698ecee6c88aaddfa9bad867c1d6baaa3fa6fb4e"),
+    ),
+    ("x^2-x-1",): (
+        (3, "68e235b08fe947ff78b46478efe765603f04dad3d98bfcec40a1bdd427d9e8b7"),
+        (2, "6eb161137eec02712a455f36ea5d9b16f218812e9a74f81980bb1962a483b627"),
+        (2, "d3f5b4360d07af155ca2f56ec555ac4b5abce126fad84b5007c4be51f8a4eed8"),
+        (3, "f89dc665f93b5f1727849b939094581e2ab189fa032763f262b7cbf949bea677"),
+        (2, "0ad67589a74260bafc02be5cee030d0621358b3234a1dfa91e36f3a6899377e8"),
+        (2, "f349b6d8b530041e74a7265a6195960d86f9e964d4c630354a47856c3d3fc3d5"),
+        (2, "601e54ac1c9b7443c307b808c12e60e8a305325a6b30f9398f110ed75664f657"),
+        (2, "d88754729c46e75886b4c303e0cca47ffee21bfbfce6a759c6138cc60c54ad6d"),
+        (2, "85c956c1a6809b663dd6a2c09a8a10cb3af544dde9cda60092d57ef2bb7fa0b8"),
+        (2, "e4fa13726a1b4e38f48d44a5f0551cc8211e7de65b64bffd0574763cdd035514"),
+    ),
+    ("x^3-x^2-2*x+1", "--user-class-number", "1"): (
+        (3, "713267e13fc06b071fbe592ec277b42448c32b0a406179d78ac342670fb8b4e6"),
+        (2, "f9dcc5fc51fd249b2602d02db2fdade6a5bcf7e793a57033316c9fc0764f2ccc"),
+        (2, "9630551514b7daa32c54f53fa119ad722ea0e0ce80593c60d4b76de589dfb1f1"),
+        (3, "7c2340a25a8dbabf646d85b5ae0f436aefdc9aa15a324a969f987c41dfce0abb"),
+        (2, "fdb694b6f745cb6a57ff46d594f28df27dce2587dc585705405865733f08f9c5"),
+        (2, "12db4f742d8cd8262cc99c23ed7f6c993f6b156484d51c291fefc583daf3d2cf"),
+        (2, "b0494b7381743017f980096cf962d7a3a1e78a3b9b32bef59b2edcdc2a7860af"),
+        (2, "1411bd48217983ac1582061912282089f7549de6aff446140186b083a5323f51"),
+        (2, "a729506ddcd44adb8907aa402a68a6f73a10965190ef0a9ea9f6dda480b43726"),
+        (2, "bc527c634a66ae5c405fe115775fb12bb5c0e507986493c9881f0e2acd8cf382"),
+    ),
+}
+
+
+def check_cases():
+    for (poly, *class_number), expected in CHECK_GOLDEN.items():
+        for (theorem, *options), (code, digest) in zip(CHECK_REQUESTS,
+                                                       expected):
+            if options[:1] == ["--bound"]:
+                options += class_number
+            yield pytest.param(["check", theorem, poly, *options], code,
+                               digest, id=" ".join([theorem, poly, *options]))
+    # a refusal: cor-7-2 reads no --bound
+    yield pytest.param(
+        ["check", "cor-7-2", "x", "--bound", "2"], 1,
+        "110d929f00d4e700df2d343c05a1d20d66a3a69365afa89fa76c24f9bf28a1a7",
+        id="cor-7-2 x --bound 2")
+
+
 class TestGoldenBytes:
     """sha256 of the --output json bytes of the sunit-box requests of the
     benchmark and of one thm-5-2 check, taken when elements were still
@@ -648,7 +714,8 @@ class TestGoldenBytes:
     requests on five fields (FIELD_CONSTRUCTION_GOLDEN), and of one frey
     request whose conductor carries the representative of the non-trivial
     class of x^2 - 10 (h = 2), taken when every prime up to the enumeration
-    bound was factored and sorted before any class test.  The cubic sunit
+    bound was factored and sorted before any class test, and of check on
+    every criterion (CHECK_GOLDEN).  The cubic sunit
     request was taken again when the command echo began to carry
     --user-class-number; only its "command" key changed."""
 
@@ -671,6 +738,10 @@ class TestGoldenBytes:
 
     @pytest.mark.parametrize("argv, code, digest", field_sweep_cases())
     def test_field_construction_bytes(self, capsys, argv, code, digest):
+        assert_json_bytes(capsys, argv, code, digest)
+
+    @pytest.mark.parametrize("argv, code, digest", check_cases())
+    def test_check_bytes(self, capsys, argv, code, digest):
         assert_json_bytes(capsys, argv, code, digest)
 
 
