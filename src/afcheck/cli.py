@@ -10,9 +10,7 @@ import re
 import sys
 import time
 
-from .criteria import (CONCLUSIONS, check_cor_3_4, check_cor_7_2,
-                       check_thm_3_2, check_thm_3_3, check_thm_5_2,
-                       check_thm_7_1, check_thm_7_3, scan_ramified_l)
+from .criteria import CRITERIA, scan_ramified_l
 from .errors import AfcheckError
 from .frey import (FAMILY_SQUARE, FAMILY_TWO_POWER, FreySpec,
                    concrete_cross_check, conductor_shape, invariants,
@@ -38,20 +36,6 @@ _VERDICT_EXIT = {"yes": EXIT_OK, "no": EXIT_NO, "unknown": EXIT_UNKNOWN}
 DEFAULT_BOUND = 8
 DEFAULT_L_MAX = 1000
 
-# S-unit criteria, called as check(field, bound, user_class_number)
-_SUNIT_CHECKS = {"thm-3-2": check_thm_3_2, "thm-3-3": check_thm_3_3,
-                 "cor-3-4": check_cor_3_4, "thm-5-2": check_thm_5_2}
-# local criteria, called as check(field, l) with l None unless --l is given
-_LOCAL_CHECKS = {"thm-7-1": check_thm_7_1,
-                 "cor-7-2": lambda field, ell: check_cor_7_2(field),
-                 "thm-7-3-1": lambda field, ell: check_thm_7_3(field, 1, ell),
-                 "thm-7-3-2": lambda field, ell: check_thm_7_3(field, 2)}
-# the check options that only some criteria read: option -> those criteria,
-# as named on the command line or as thm-7-3 --mode resolves
-_READ_BY = {"l": ("thm-7-1", "thm-7-3-1"), "mode": ("thm-7-3",),
-            "bound": tuple(_SUNIT_CHECKS),
-            "user_class_number": tuple(_SUNIT_CHECKS)}
-
 
 # The command table.  A command is (help line, positionals, options, the
 # options it needs); a positional is (name, choices or None), and options
@@ -72,7 +56,7 @@ _COMMANDS = {
              ("--a", "--b", "--c")),
     # thm-7-3 is resolved to thm-7-3-1 or thm-7-3-2 by --mode
     "check": ("evaluate a criterion's hypotheses",
-              (("theorem", (*CONCLUSIONS, "thm-7-3")), _POLY),
+              (("theorem", (*CRITERIA, "thm-7-3")), _POLY),
               {"--r": (int, 2, None), "--l": _INT, "--bound": _INT,
                "--mode": _INT, "--user-class-number": _INT}, ()),
     "scan": ("candidate totally ramified primes l", (_POLY,),
@@ -278,21 +262,21 @@ def _cmd_check(field, args):
         if mode not in (1, 2):
             raise ParseError("check thm-7-3 needs --mode 1 or --mode 2")
         theorem = f"thm-7-3-{mode}"
-    for option, readers in _READ_BY.items():
-        if args[option] is not None and not {named, theorem} & set(readers):
+    criterion = CRITERIA[theorem]
+    reads = criterion.reads + (("mode",) if named != theorem else ())
+    for option in ("l", "mode", "bound", "user_class_number"):
+        if args[option] is not None and option not in reads:
+            readers = ("thm-7-3",) if option == "mode" else [
+                name for name, c in CRITERIA.items() if option in c.reads]
             raise ParseError(f"--{option.replace('_', '-')} is read only by "
                              f"{', '.join(readers)}, not by {theorem}")
-    if theorem in _SUNIT_CHECKS:
-        bound = DEFAULT_BOUND if args["bound"] is None else args["bound"]
-        verdict = _SUNIT_CHECKS[theorem](field, bound,
-                                         args["user_class_number"])
-    else:
-        if args["l"] is None and theorem in _READ_BY["l"]:
-            raise ParseError(f"check {theorem} needs --l")
-        verdict = _LOCAL_CHECKS[theorem](field, args["l"])
-    if args["r"] is not None and verdict.r is None:
-        verdict.r = args["r"]
-    return verdict.to_dict(), list(verdict.caveats), _VERDICT_EXIT[verdict.applies]
+    if "l" in reads and args["l"] is None:
+        raise ParseError(f"check {theorem} needs --l")
+    values = dict(args, bound=DEFAULT_BOUND if args["bound"] is None
+                  else args["bound"])
+    verdict = criterion.check(field, *(values[o] for o in criterion.reads))
+    payload = {**verdict.to_dict(), "r": args["r"]}
+    return payload, list(verdict.caveats), _VERDICT_EXIT[verdict.applies]
 
 
 def _cmd_scan(field, args):

@@ -5,10 +5,11 @@ no.  Criteria quantifying over all S-unit solutions can never be confirmed by
 a bounded search, so they report either "no" with a counterexample or
 "unknown" with bounded-search caveats; "yes" is structurally impossible for
 them.  Every hypothesis carries enough witness data to be recomputed
-independently.
+independently.  CRITERIA lists every criterion once: its conclusion, the
+check options it reads and its checker.
 """
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from math import gcd
 
 from .errors import (BasisUnavailable, FactorizationIncomplete, IndexDivisor,
@@ -24,18 +25,6 @@ _ALL_SOLUTIONS = ("for r in {2, 3} and all sufficiently large prime exponents p,
 _ABC_OVER_2 = ("for all sufficiently large prime exponents p, "
                "x^p + y^p = 2^r z^p has no non-trivial solution in which "
                "every prime over 2 divides a*b*c")
-CONCLUSIONS = {
-    "thm-3-2": _ABC_OVER_2,
-    "thm-3-3": _ALL_SOLUTIONS,
-    "cor-3-4": _ALL_SOLUTIONS,
-    "thm-5-2": ("for all sufficiently large prime exponents p, "
-                "x^p + y^p = z^2 has no non-trivial solution in which "
-                "every prime over 2 divides a*b"),
-    "thm-7-1": _ALL_SOLUTIONS,
-    "cor-7-2": _ALL_SOLUTIONS,
-    "thm-7-3-1": _ABC_OVER_2,
-    "thm-7-3-2": _ABC_OVER_2,
-}
 
 
 @dataclass
@@ -63,22 +52,16 @@ class HypothesisStatus:
 @dataclass
 class Verdict:
     theorem_id: str
-    field: NumberField
     applies: str                      # "yes" | "no" | "unknown"
     hypotheses: list
-    conclusion_text: str
-    r: int = None
-    caveats: list = dc_field(default_factory=list)
-    notes: list = dc_field(default_factory=list)
+    caveats: list
+    notes: list
 
     def to_dict(self):
-        out = {"theorem": self.theorem_id, "applies": self.applies,
-               "hypotheses": [h.to_dict() for h in self.hypotheses],
-               "conclusion": self.conclusion_text,
-               "caveats": self.caveats, "notes": self.notes}
-        if self.r is not None:
-            out["r"] = self.r
-        return out
+        return {"theorem": self.theorem_id, "applies": self.applies,
+                "hypotheses": [h.to_dict() for h in self.hypotheses],
+                "conclusion": CRITERIA[self.theorem_id].conclusion,
+                "caveats": self.caveats, "notes": self.notes}
 
 
 def _hyp(name, holds, witness=None, note=None):
@@ -137,7 +120,7 @@ def _hyps_aux_prime(field, ell):
 _MODULARITY_LIFT = "modularity-lift statement for even-degree fields"
 
 
-def _finalize(theorem_id, field, hypotheses, *, bound=None, notes=()):
+def _finalize(theorem_id, hypotheses, *, bound=None, notes=()):
     """Verdict from the hypotheses: "no" if one fails, else "unknown" for a
     bounded search (bound given), else "yes"."""
     notes = list(notes) + [h.note for h in hypotheses if not h.holds and h.note]
@@ -153,8 +136,7 @@ def _finalize(theorem_id, field, hypotheses, *, bound=None, notes=()):
         applies = "unknown"
     else:
         applies = "yes"
-    return Verdict(theorem_id, field, applies, hypotheses,
-                   CONCLUSIONS[theorem_id], caveats=caveats, notes=notes)
+    return Verdict(theorem_id, applies, hypotheses, caveats, notes)
 
 
 # ----------------------------------------------------- S-unit based criteria
@@ -207,7 +189,7 @@ def check_thm_3_2(field: NumberField, bound: int,
         search, primes, _within_4v2, bound, lambda P: 4 * P.e)]
     notes = [n + "; condition is vacuously satisfied there"
              for n in _empty_box_note(search, bound)]
-    return _finalize("thm-3-2", field, hyps, bound=bound, notes=notes)
+    return _finalize("thm-3-2", hyps, bound=bound, notes=notes)
 
 
 def _hyp_lifting(field):
@@ -238,7 +220,7 @@ def check_thm_3_3(field: NumberField, bound: int,
         "v(lambda*mu) = v(2) (mod 3)", search, primes_u, pred, bound)]
     notes = [] if primes_u else ["U_K is empty: no prime over 2 has v(2) "
                                  "coprime to 3"]
-    return _finalize("thm-3-3", field, hyps, bound=bound,
+    return _finalize("thm-3-3", hyps, bound=bound,
                      notes=notes + _empty_box_note(search, bound))
 
 
@@ -267,7 +249,7 @@ def check_cor_3_4(field: NumberField, bound: int,
         search, primes_u, pred, bound),
         _hyp("derived congruence v(lambda*mu) = t (mod 3) for t > 0",
              derivation_ok)]
-    return _finalize("cor-3-4", field, hyps, bound=bound,
+    return _finalize("cor-3-4", hyps, bound=bound,
                      notes=_empty_box_note(search, bound))
 
 
@@ -320,7 +302,7 @@ def check_thm_5_2(field: NumberField, bound: int,
         hyp.witness = {"extension_poly": list(ext.coeffs),
                        "witnesses" if hyp.holds else "counterexample": hyp.witness}
         hyps.append(hyp)
-    return _finalize("thm-5-2", field, hyps, bound=bound)
+    return _finalize("thm-5-2", hyps, bound=bound)
 
 
 # ------------------------------------------------------------ local criteria
@@ -329,7 +311,7 @@ def check_thm_7_1(field: NumberField, ell: int) -> Verdict:
     """Purely local: gcd(n, l-1) = 1, l totally ramified, 2 inert."""
     hyps = [_hyp_totally_real(field), *_hyps_aux_prime(field, ell),
             _hyp_shape(field, *_TWO_INERT)]
-    return _finalize("thm-7-1", field, hyps)
+    return _finalize("thm-7-1", hyps)
 
 
 def check_cor_7_2(field: NumberField) -> Verdict:
@@ -339,22 +321,47 @@ def check_cor_7_2(field: NumberField) -> Verdict:
             _hyp("3 does not divide the degree", n % 3 != 0, {"degree": n},
                  f"3 divides degree {n}"),
             _hyp_shape(field, *_TWO_INERT), _hyp_shape(field, *_THREE_SPLIT)]
-    return _finalize("cor-7-2", field, hyps)
+    return _finalize("cor-7-2", hyps)
 
 
-def check_thm_7_3(field: NumberField, mode: int, ell: int = None) -> Verdict:
-    """W_K-restricted local criteria: (1) l > 5 totally ramified with
-    gcd(n, l-1) = 1, or (2) odd degree with 3 totally split."""
-    if mode == 1:
-        if ell is None:
-            raise ValueError("mode 1 needs the auxiliary prime l")
-        return _finalize("thm-7-3-1", field, [_hyp_totally_real(field),
-                                              *_hyps_aux_prime(field, ell)])
-    if mode == 2:
-        return _finalize("thm-7-3-2", field, [
-            _hyp_totally_real(field), _hyp_odd_degree(field),
-            _hyp_shape(field, *_THREE_SPLIT)])
-    raise ValueError(f"mode must be 1 or 2, got {mode}")
+def check_thm_7_3_1(field: NumberField, ell: int) -> Verdict:
+    """W_K-restricted local criterion (1): l > 5 totally ramified with
+    gcd(n, l-1) = 1."""
+    return _finalize("thm-7-3-1", [_hyp_totally_real(field),
+                                   *_hyps_aux_prime(field, ell)])
+
+
+def check_thm_7_3_2(field: NumberField) -> Verdict:
+    """W_K-restricted local criterion (2): odd degree with 3 totally
+    split."""
+    return _finalize("thm-7-3-2", [_hyp_totally_real(field),
+                                   _hyp_odd_degree(field),
+                                   _hyp_shape(field, *_THREE_SPLIT)])
+
+
+# ------------------------------------------------------------ the criteria
+
+@dataclass(frozen=True)
+class Criterion:
+    conclusion: str
+    reads: tuple      # the check options the checker takes, in its order
+    check: object     # check(field, *values of those options) -> Verdict
+
+
+_SUNIT_OPTIONS = ("bound", "user_class_number")
+CRITERIA = {
+    "thm-3-2": Criterion(_ABC_OVER_2, _SUNIT_OPTIONS, check_thm_3_2),
+    "thm-3-3": Criterion(_ALL_SOLUTIONS, _SUNIT_OPTIONS, check_thm_3_3),
+    "cor-3-4": Criterion(_ALL_SOLUTIONS, _SUNIT_OPTIONS, check_cor_3_4),
+    "thm-5-2": Criterion(("for all sufficiently large prime exponents p, "
+                          "x^p + y^p = z^2 has no non-trivial solution in "
+                          "which every prime over 2 divides a*b"),
+                         _SUNIT_OPTIONS, check_thm_5_2),
+    "thm-7-1": Criterion(_ALL_SOLUTIONS, ("l",), check_thm_7_1),
+    "cor-7-2": Criterion(_ALL_SOLUTIONS, (), check_cor_7_2),
+    "thm-7-3-1": Criterion(_ABC_OVER_2, ("l",), check_thm_7_3_1),
+    "thm-7-3-2": Criterion(_ABC_OVER_2, (), check_thm_7_3_2),
+}
 
 
 def scan_ramified_l(field: NumberField, l_max: int):

@@ -44,8 +44,6 @@ log = logging.getLogger("afcheck")
 
 @dataclass
 class SUnitBasis:
-    field: NumberField
-    S: list
     torsion_gen: FieldElement
     torsion_order: int
     free_generators: list   # fundamental units then one pi_P per P in S
@@ -79,7 +77,7 @@ def build_sunit_basis(field: NumberField, S, bound: int, *,
             for Q in S:
                 if Q != P and valuation(pi, Q) != 0:
                     raise ArithmeticError("pi generator meets another prime of S")
-    return SUnitBasis(field, list(S), units.torsion_gen, units.torsion_order,
+    return SUnitBasis(units.torsion_gen, units.torsion_order,
                       list(units.fundamental_units) + pis, bound)
 
 
@@ -131,8 +129,6 @@ class SUnitSolution:
 
 @dataclass
 class SUnitSearch:
-    field: NumberField
-    S: list
     bound: int
     solutions: list
     warnings: list = dc_field(default_factory=list)
@@ -162,7 +158,7 @@ def solve_sunit(field: NumberField, S, bound: int, *,
     """
     if bound <= 0:
         # degenerate empty box: a vacuous search, reported as such
-        return SUnitSearch(field, list(S), bound, [])
+        return SUnitSearch(bound, [])
     basis = build_sunit_basis(field, S, bound,
                               user_class_number=user_class_number)
     gens = basis.free_generators
@@ -272,7 +268,7 @@ def solve_sunit(field: NumberField, S, bound: int, *,
     solutions = [found[k] for k in sorted(found)]
     for sol in solutions:
         _verify_solution(sol)
-    return SUnitSearch(field, list(S), bound, solutions, warnings)
+    return SUnitSearch(bound, solutions, warnings)
 
 
 def _half_prefixes(prefix, tables, exps=(), positive=False):
@@ -390,8 +386,6 @@ def _square_test(x: FieldElement) -> bool:
 
 @dataclass
 class SelmerGroup:
-    field: NumberField
-    S: list
     basis: list
     representatives: list
 
@@ -444,7 +438,7 @@ def selmer_group(field: NumberField, S, *,
             if mask >> i & 1:
                 r = r * independent[i]
         reps.append(r)
-    return SelmerGroup(field, list(S), independent, reps)
+    return SelmerGroup(independent, reps)
 
 
 # ------------------------------------------------------ quadratic extensions

@@ -59,7 +59,6 @@ QUADRATIC_STEP_BUDGET = 1 << 14
 
 @dataclass
 class UnitGroup:
-    rank: int
     fundamental_units: list
     torsion_order: int
     torsion_gen: FieldElement
@@ -314,20 +313,20 @@ def unit_generators(field: NumberField) -> UnitGroup:
     """
     n = field.degree
     if n == 1:
-        return UnitGroup(0, [], 2, field.from_rational(-1), ("proven",))
+        return UnitGroup([], 2, field.from_rational(-1), ("proven",))
     if n == 2:
         d, _, _ = _quad_data(field)
         if d < 0:
             order, (x, y) = _quad_torsion(d)
-            return UnitGroup(0, [], order, _quad_element(field, x, y, 2),
+            return UnitGroup([], order, _quad_element(field, x, y, 2),
                              ("proven",))
         x, y, den, _norm = _quad_fundamental_unit(d)
         unit = _quad_element(field, x, y, den)
-        return UnitGroup(1, [unit], 2, field.from_rational(-1), ("proven",))
+        return UnitGroup([unit], 2, field.from_rational(-1), ("proven",))
     if n == 3 and field.is_totally_real:
         units, used = field.memo("cubic_units",
                                  lambda: _cubic_fundamental_pair(field))
-        return UnitGroup(2, list(units), 2, field.from_rational(-1),
+        return UnitGroup(list(units), 2, field.from_rational(-1),
                          ("bounded-search", used))
     raise Unsupported(f"unit group for degree {n}, signature {field.signature}")
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 from afcheck import make_field
 from afcheck.cli import run
 from afcheck.criteria import (check_cor_3_4, check_cor_7_2, check_thm_3_2,
-                              check_thm_5_2, check_thm_7_3)
+                              check_thm_5_2, check_thm_7_3_2)
 from afcheck.frey import (FAMILY_SQUARE, FAMILY_TWO_POWER, FreySpec,
                           ValuationForm, concrete_cross_check,
                           weierstrass_invariants)
@@ -134,7 +134,7 @@ def test_criterion_04_cubic_example_audit(capsys):
 def test_criterion_05_degenerate_field_criteria():
     with criterion(5, "degree-one degenerate criteria and bounded confirms", 5):
         assert check_cor_7_2(Q).applies == "yes"
-        assert check_thm_7_3(Q, 2).applies == "yes"
+        assert check_thm_7_3_2(Q).applies == "yes"
         for verdict in (check_thm_3_2(Q, 8), check_cor_3_4(Q, 8)):
             assert verdict.applies == "unknown"
             assert any("bounded-search" in c for c in verdict.caveats)

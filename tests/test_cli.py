@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 import afcheck
 from afcheck import cli
 from afcheck.cli import run
-from afcheck.criteria import CONCLUSIONS
+from afcheck.criteria import CRITERIA
 from afcheck.frey import FAMILY_SQUARE, FAMILY_TWO_POWER
 from afcheck.frey import ValuationForm
 from afcheck.report import build_report, emit_json, to_jsonable
@@ -31,6 +31,29 @@ def run_json(capsys, argv):
     code = run(["--output", "json"] + argv)
     out = capsys.readouterr().out
     return code, (json.loads(out) if out else None)
+
+
+def unread_option_cases():
+    """Every criterion of the table, and the thm-7-3 alias under each
+    --mode, with each check option it does not read; the readers of an
+    option come from the table, and --mode is read by the alias only."""
+    values = {"l": "7", "mode": "1", "bound": "2", "user_class_number": "1"}
+    requests = [(name, name, [], criterion.reads)
+                for name, criterion in CRITERIA.items()]
+    requests += [("thm-7-3", f"thm-7-3-{mode}", ["--mode", mode],
+                  CRITERIA[f"thm-7-3-{mode}"].reads + ("mode",))
+                 for mode in "12"]
+    for named, theorem, mode, reads in requests:
+        for option, value in values.items():
+            if option in reads:
+                continue
+            readers = "thm-7-3" if option == "mode" else ", ".join(
+                name for name, c in CRITERIA.items() if option in c.reads)
+            flag = "--" + option.replace("_", "-")
+            yield pytest.param(
+                [named, "x^3-x^2-2*x+1", *mode, flag, value],
+                f"{flag} is read only by {readers}, not by {theorem}",
+                id=" ".join([named, *mode, flag]))
 
 
 class TestExitCodes:
@@ -290,6 +313,13 @@ class TestCommands:
         assert error["type"] == "ParseError"
         assert error["message"].startswith(
             f"--{option} is read only by {readers}, not by ")
+
+    @pytest.mark.parametrize("argv, message", unread_option_cases())
+    def test_check_refuses_every_unread_option(self, capsys, argv, message):
+        code, rep = run_json(capsys, ["check", *argv])
+        assert code == 1
+        assert rep["result"]["error"] == {"type": "ParseError",
+                                          "message": message}
 
     @pytest.mark.parametrize("argv", [
         ["thm-3-2", "x", "--bound", "2", "--r", "1"],
@@ -838,7 +868,7 @@ def reference_parser():
     p.add_argument("--user-class-number", type=int, default=None)
 
     p = sub.add_parser("check")
-    p.add_argument("theorem", choices=(*CONCLUSIONS, "thm-7-3"))
+    p.add_argument("theorem", choices=(*CRITERIA, "thm-7-3"))
     p.add_argument("poly")
     p.add_argument("--r", type=int, default=2)
     p.add_argument("--l", type=int, default=None)

@@ -7,7 +7,8 @@ import pytest
 from afcheck import make_field
 from afcheck.criteria import (check_cor_3_4, check_cor_7_2, check_thm_3_2,
                               check_thm_3_3, check_thm_5_2, check_thm_7_1,
-                              check_thm_7_3, scan_ramified_l)
+                              check_thm_7_3_1, check_thm_7_3_2,
+                              scan_ramified_l)
 from afcheck.prime_ideals import (factor_rational_prime, s_k,
                                   splitting_type, valuation)
 from afcheck.sunits import SUnitSearch, SUnitSolution
@@ -50,7 +51,7 @@ class TestThm32:
         mu = Q.from_rational(Fraction(-31))
         fake = SUnitSolution(lam, mu, {P: (5, 0)}, True)
         fake2 = SUnitSolution(mu, lam, {P: (0, 5)}, False)
-        search = SUnitSearch(Q, [P], 8, [fake, fake2])
+        search = SUnitSearch(8, [fake, fake2])
         import afcheck.criteria as crit
         monkeypatch.setattr(crit, "solve_sunit",
                             lambda *a, **k: search)
@@ -161,8 +162,8 @@ class TestLocalCriteria:
         assert Q.degree % 2 == 1 and Q.degree % 3 != 0
 
     def test_thm_7_3_mode_2(self):
-        assert check_thm_7_3(Q, 2).applies == "yes"
-        assert check_thm_7_3(Q, 1, ell=7).theorem_id == "thm-7-3-1"
+        assert check_thm_7_3_2(Q).applies == "yes"
+        assert check_thm_7_3_1(Q, 7).theorem_id == "thm-7-3-1"
 
     def test_thm_7_1_disc23_cubic(self):
         v = check_thm_7_1(CUBIC, 23)
@@ -191,7 +192,7 @@ class TestLocalCriteria:
 
     @pytest.mark.parametrize("ell", [-7, 0, 1, 4, 9])
     def test_non_prime_l_not_factored(self, ell):
-        for v in (check_thm_7_1(K2, ell), check_thm_7_3(K2, 1, ell=ell)):
+        for v in (check_thm_7_1(K2, ell), check_thm_7_3_1(K2, ell)):
             assert v.applies == "no"
             ram = next(h for h in v.hypotheses if h.name == "l is totally ramified")
             assert not ram.holds and ram.witness is None

@@ -1,5 +1,6 @@
-"""Every top-level definition of the package has a caller, and every name
-a module of the package imports is used there.
+"""Every top-level definition of the package has a caller, every name a
+module of the package imports is used there, and every dataclass field is
+read.
 
 A definition is a def, a class or a module-level name binding (a constant
 such as a budget); dunder names such as __version__ are left out.  A name
@@ -12,6 +13,12 @@ reached too.  Tests do not count: a function that only tests call is dead
 library, and so is a constant that only tests read.  An imported name
 counts as used when its module mentions it as a name, or lists it in
 __all__.
+
+A field of a top-level dataclass of the package counts as read when some
+code in src/afcheck/ or perfbench/ reads an attribute of that name; tests
+do not count, and neither does a write.  The check matches names only, not
+the object read: a field such as `field`, `completeness` or `notes` whose
+name another class also reads passes even if nothing reads it.
 """
 
 import ast
@@ -114,6 +121,39 @@ def unused_imports(package=PACKAGE):
     return sorted(unused)
 
 
+def _is_dataclass(decorator):
+    """decorator is @dataclass or @dataclasses.dataclass, with or without
+    arguments."""
+    target = decorator.func if isinstance(decorator, ast.Call) else decorator
+    name = target.id if isinstance(target, ast.Name) else getattr(
+        target, "attr", None)
+    return name == "dataclass"
+
+
+def _dataclass_fields(tree):
+    """(class, field) of the fields of each top-level dataclass in tree."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and any(
+                map(_is_dataclass, node.decorator_list)):
+            for stmt in node.body:
+                if (isinstance(stmt, ast.AnnAssign)
+                        and isinstance(stmt.target, ast.Name)):
+                    yield node.name, stmt.target.id
+
+
+def unread_fields(package=PACKAGE, callers=CALLERS):
+    """Sorted "module.Class.field" of the dataclass fields in package that
+    nothing in the caller directories reads as an attribute."""
+    read = {node.attr for base in callers for path in base.glob("*.py")
+            for node in ast.walk(_parse(path))
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+    return sorted(f"{path.stem}.{cls}.{name}"
+                  for path in sorted(package.glob("*.py"))
+                  for cls, name in _dataclass_fields(_parse(path))
+                  if name not in read)
+
+
 def test_every_public_definition_has_a_caller():
     assert unreached() == []
 
@@ -160,3 +200,33 @@ def test_the_import_check_finds_an_unused_name(tmp_path):
         "__all__ = ['exported']\n"
         "def f(): return os.sep, gcd(4, 6)\n", encoding="utf-8")
     assert unused_imports(tmp_path) == ["mod.codec", "mod.dead", "mod.lcm"]
+
+
+def test_every_dataclass_field_is_read():
+    assert unread_fields() == []
+
+
+def test_the_field_check_finds_an_unread_field(tmp_path):
+    package, bench = tmp_path / "pkg", tmp_path / "bench"
+    package.mkdir()
+    bench.mkdir()
+    (package / "mod.py").write_text(
+        "import dataclasses\n"
+        "from dataclasses import dataclass\n"
+        "@dataclass\n"
+        "class Record:\n"
+        "    read: int\n"
+        "    written: int\n"
+        "    unread: int = 0\n"
+        "    def total(self): return self.read\n"
+        "@dataclasses.dataclass(frozen=True)\n"
+        "class Frozen:\n"
+        "    benched: str\n"
+        "    spare: str\n"
+        "class Plain:\n"
+        "    annotated: int\n"
+        "def fill(record): record.written = 1\n", encoding="utf-8")
+    (bench / "wrap.py").write_text("def show(f): return f.benched\n",
+                                   encoding="utf-8")
+    assert unread_fields(package, (package, bench)) == [
+        "mod.Frozen.spare", "mod.Record.unread", "mod.Record.written"]
