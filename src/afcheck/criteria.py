@@ -11,6 +11,7 @@ check options it reads and its checker.
 
 from dataclasses import dataclass
 from math import gcd
+from typing import NamedTuple
 
 from .errors import (BasisUnavailable, FactorizationIncomplete, IndexDivisor,
                      MissingUserClassNumber, Unsupported)
@@ -341,8 +342,7 @@ def check_thm_7_3_2(field: NumberField) -> Verdict:
 
 # ------------------------------------------------------------ the criteria
 
-@dataclass(frozen=True)
-class Criterion:
+class Criterion(NamedTuple):
     conclusion: str
     reads: tuple      # the check options the checker takes, in its order
     check: object     # check(field, *values of those options) -> Verdict
