@@ -43,7 +43,7 @@ def unread_option_cases():
     requests += [("thm-7-3", f"thm-7-3-{mode}", ["--mode", mode],
                   CRITERIA[f"thm-7-3-{mode}"].reads + ("mode",))
                  for mode in "12"]
-    for named, theorem, mode, reads in requests:
+    for named, theorem, resolve, reads in requests:
         for option, value in values.items():
             if option in reads:
                 continue
@@ -51,9 +51,9 @@ def unread_option_cases():
                 name for name, c in CRITERIA.items() if option in c.reads)
             flag = "--" + option.replace("_", "-")
             yield pytest.param(
-                [named, "x^3-x^2-2*x+1", *mode, flag, value],
+                [named, "x^3-x^2-2*x+1", *resolve, flag, value],
                 f"{flag} is read only by {readers}, not by {theorem}",
-                id=" ".join([named, *mode, flag]))
+                id=" ".join([named, *resolve, flag]))
 
 
 class TestExitCodes:
