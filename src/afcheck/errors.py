@@ -56,13 +56,6 @@ class MissingUserClassNumber(AfcheckError):
     pass
 
 
-class GeneratorNotFound(AfcheckError):
-    def __init__(self, bound, message=None, **payload):
-        super().__init__(message or f"no generator found within coordinate bound {bound}",
-                         bound=bound, **payload)
-        self.bound = bound
-
-
 class BasisUnavailable(AfcheckError):
     pass
 

@@ -27,15 +27,13 @@ from dataclasses import dataclass, field as dc_field
 from math import gcd, isqrt
 
 from .errors import (BasisUnavailable, FactorizationIncomplete,
-                     GeneratorNotFound, IndexDivisor, IsSquare,
-                     MissingUserClassNumber, SearchExhausted, Unsupported,
-                     WorkExceeded, ZeroElement)
+                     IndexDivisor, IsSquare, MissingUserClassNumber,
+                     SearchExhausted, Unsupported, WorkExceeded, ZeroElement)
 from . import linalg
 from .numberfield import FieldElement, NumberField
 from .polynomials import isolate_real_roots, poly_disc, zx_factor
 from .prime_ideals import element_valuations, valuation
-from .units import (GENERATOR_COORD_BOUND, class_data, principal_generator,
-                    unit_generators, _find_generator)
+from .units import class_data, principal_generator, unit_generators
 
 log = logging.getLogger("afcheck")
 
@@ -82,22 +80,12 @@ def build_sunit_basis(field: NumberField, S, bound: int, *,
 
 
 def _prime_power_generator(field, P, h):
-    """(k, pi): the least k dividing h with P^k principal, and a generator
-    pi of P^k; searched once per field, P and h."""
-    if field.degree == 1:
-        return 1, field.from_rational(P.q)
+    """(k, pi): the least k dividing h for which principal_generator finds
+    a generator pi of P^k; searched once per field, P and h."""
 
     def search():
-        divisors = [k for k in range(1, h + 1) if h % k == 0]
-        for k in divisors:
-            if field.degree == 2:
-                gen = principal_generator(field, {P: k})
-            else:
-                try:
-                    gen = _find_generator(field, {P: k},
-                                          GENERATOR_COORD_BOUND)
-                except GeneratorNotFound:
-                    gen = None
+        for k in range(1, h + 1):
+            gen = principal_generator(field, {P: k}) if h % k == 0 else None
             if gen is not None:
                 return k, gen
         raise BasisUnavailable(f"no power of {P} found principal up to h={h}")

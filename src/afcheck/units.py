@@ -4,9 +4,10 @@ Quadratic fields rest on one walk: the reduction operator rho on the binary
 forms of the fundamental discriminant, with its multipliers, gives the
 fundamental unit, principal generators (or a proof that there is none) and,
 through the reduced forms and their cycles, h and h+.  Totally real
-cubic fields get a bounded-height coordinate search whose output pairs are
-certified multiplicatively independent through integer log intervals: the
-atanh series in fixed point, on dyadic embedding intervals.
+cubic fields get one budgeted coordinate walk, shell by shell of growing
+height, for their unit pair and their principal generators; the unit pairs
+are certified multiplicatively independent through integer log intervals:
+the atanh series in fixed point, on dyadic embedding intervals.
 Each new unit is paired with the earlier ones in search order: a one-round
 interval certificate comes first, since it proves most independent pairs at
 once; only a pair it leaves open is scanned for a small relation u^m v^k =
@@ -23,30 +24,22 @@ number (NumberField.memo).
 
 from dataclasses import dataclass, field as dc_field
 from itertools import product
-from math import gcd, inf, isqrt
+from math import gcd, inf, isqrt, prod
 
-from .errors import (GeneratorNotFound, IndexDivisor, MissingUserClassNumber,
-                     SearchExhausted, Unsupported)
+from .errors import (IndexDivisor, MissingUserClassNumber, SearchExhausted,
+                     Unsupported)
 from .integerfactor import SMALL_PRIMES, factorint, squarefree_part
 from .numberfield import (FieldElement, NumberField, embedding_interval,
                           embedding_sign)
 from .prime_ideals import PrimeIdeal, factor_rational_prime, valuation
 
-# give-up cap on coordinate magnitude in unit searches; searches stop at the
-# first certified pair, so this only bounds the hopeless case
-UNIT_HEIGHT_BOUND = 10 ** 6
-
 # odd q up to which class representatives are enumerated
 CLASS_ENUM_BOUND = 100
 
-# coordinate bound of the search for a generator of a power of a prime of S
-# in degree >= 3 (quadratic fields use principal_generator)
-GENERATOR_COORD_BOUND = 64
-
-# give-up cap on the candidates one generator search tests: the full
-# degree-3 box at GENERATOR_COORD_BOUND, so searches in degree <= 3 never
-# reach it, while degree >= 4 stops long before (2*64+1)^n
-GENERATOR_SEARCH_LIMIT = (2 * GENERATOR_COORD_BOUND + 1) ** 3
+# give-up cap on the integer vectors one coordinate walk visits, for a
+# cubic unit pair or a generator in degree >= 3: the whole degree-3 box of
+# coordinate magnitude 64
+SHELL_WALK_BUDGET = (2 * 64 + 1) ** 3
 
 # steps of one walk on the forms of a quadratic discriminant: the rho steps
 # of a unit or a principality walk (a cycle that long gives a fundamental
@@ -279,30 +272,41 @@ def _shell(dim, h):
                       if abs(c) == h else surface)]
 
 
-def _cubic_fundamental_pair(field: NumberField):
-    found = []
-    h = 1
-    while h <= UNIT_HEIGHT_BOUND:
-        for coords in _shell(3, h):
-            x = FieldElement(field, coords)
-            if x.is_rational():
-                continue
-            if abs(x.norm()) != 1:
-                continue
-            found.append(x)
-            for prev in found[:-1]:
-                # one round proves most independent pairs; the relation scan
-                # is only for the pairs it leaves open
-                if _certified_independent(prev, x, max_rounds=1):
-                    return [prev, x], h
-                if _small_relation(prev, x):
-                    continue
-                if _certified_independent(prev, x):
-                    return [prev, x], h
+def _shell_walk(dim):
+    """(h, coords) for the first SHELL_WALK_BUDGET integer dim-vectors,
+    shell by shell: h = 0, 1, 2, ..., each shell in _shell order."""
+    left, h = SHELL_WALK_BUDGET, 0
+    while left > 0:
+        shell = _shell(dim, h)[:left]
+        left -= len(shell)
+        for coords in shell:
+            yield h, coords
         h += 1
+
+
+def _cubic_fundamental_pair(field: NumberField):
+    """([u, v], h): the first pair of the coordinate walk's units that is
+    certified independent, and the height of v."""
+    found = []
+    for h, coords in _shell_walk(3):
+        x = FieldElement(field, coords)
+        if x.is_rational():
+            continue
+        if abs(x.norm()) != 1:
+            continue
+        found.append(x)
+        for prev in found[:-1]:
+            # one round proves most independent pairs; the relation scan
+            # is only for the pairs it leaves open
+            if _certified_independent(prev, x, max_rounds=1):
+                return [prev, x], h
+            if _small_relation(prev, x):
+                continue
+            if _certified_independent(prev, x):
+                return [prev, x], h
     raise SearchExhausted(
-        "no independent unit pair within coordinate height "
-        f"{UNIT_HEIGHT_BOUND}")
+        "no independent unit pair within the coordinate walk's budget of "
+        f"SHELL_WALK_BUDGET = {SHELL_WALK_BUDGET} vectors")
 
 
 def unit_generators(field: NumberField) -> UnitGroup:
@@ -459,12 +463,20 @@ def _least_y(d, alpha):
 
 def principal_generator(field: NumberField, profile: dict):
     """A generator of the integral ideal with the given prime valuation
-    profile, or None (certified) when it is not principal; quadratic fields.
+    profile, or None; None proves the ideal non-principal only in degree
+    <= 2.
 
-    The rho walk from the form of the ideal's primitive part decides, and
-    its multipliers give a generator.  The one returned has the least |y|
-    in (x + y sqrt d)/2, then the sign of _canonical_sign, then the least
-    (height, coords)."""
+    Degree 1 gives the positive rational.  In degree 2 the rho walk from
+    the form of the ideal's primitive part decides, and its multipliers
+    give a generator: the one returned has the least |y| in (x + y sqrt
+    d)/2, then the sign of _canonical_sign, then the least (height,
+    coords).  Degree >= 3 takes the first generator of the coordinate walk
+    (_find_generator), and None there means only that the walk ended."""
+    if field.degree == 1:
+        return field.from_rational(prod(p.norm() ** v
+                                           for p, v in profile.items()))
+    if field.degree >= 3:
+        return _find_generator(field, profile)
     d, _, _ = _quad_data(field)
     D = _fundamental_discriminant(d)
     r, a, b = _ideal_form(field, d, D, profile)
@@ -614,26 +626,16 @@ def _f2_rank(vectors):
     return rank
 
 
-def _find_generator(field, profile, gen_bound):
-    target = 1
-    for p, v in profile.items():
-        target *= p.norm() ** v
-    if field.degree == 1:
-        return field.from_rational(target)
-    tested = 0
-    for h in range(0, gen_bound + 1):
-        for coords in _shell(field.degree, h):
-            tested += 1
-            if tested > GENERATOR_SEARCH_LIMIT:
-                raise GeneratorNotFound(
-                    h - 1, f"no generator found within coordinate bound "
-                    f"{h - 1}; search stopped after {GENERATOR_SEARCH_LIMIT} "
-                    f"candidates")
-            # coords are integral, so this is the norm of x; target >= 1,
-            # so the zero vector fails here too
-            if abs(field.num_norm(coords)) != target:
-                continue
-            x = FieldElement(field, coords)
-            if all(valuation(x, p) >= v for p, v in profile.items()):
-                return x
-    raise GeneratorNotFound(gen_bound)
+def _find_generator(field, profile):
+    """The first x of the coordinate walk with |N(x)| the ideal's norm that
+    lies in the ideal, so generates it; None when the walk ends first."""
+    target = prod(p.norm() ** v for p, v in profile.items())
+    for _, coords in _shell_walk(field.degree):
+        # coords are integral, so this is the norm of x; target >= 1, so
+        # the zero vector fails here too
+        if abs(field.num_norm(coords)) != target:
+            continue
+        x = FieldElement(field, coords)
+        if all(valuation(x, p) >= v for p, v in profile.items()):
+            return x
+    return None

@@ -1,5 +1,6 @@
 """Unit groups, class numbers, representatives and generator searches."""
 
+import json
 import math
 import time
 from itertools import product
@@ -7,8 +8,9 @@ from itertools import product
 import pytest
 
 from afcheck import linalg, make_field, units
-from afcheck.errors import (GeneratorNotFound, IndexDivisor,
-                            MissingUserClassNumber, SearchExhausted)
+from afcheck.cli import run
+from afcheck.errors import (IndexDivisor, MissingUserClassNumber,
+                            SearchExhausted)
 from afcheck.integerfactor import SMALL_PRIMES
 from afcheck.numberfield import FieldElement
 from afcheck.prime_ideals import valuation, factor_rational_prime, s_k
@@ -21,6 +23,12 @@ from afcheck.units import (class_data, principal_generator, unit_generators,
                            _ideal_class_equal, _quad_data, _quad_element,
                            _quad_fundamental_unit, _reduced_forms, _shell,
                            _small_relation)
+
+
+def is_algebraic_integer(x):
+    """x is integral over Z: its minimal polynomial has integer
+    coefficients."""
+    return x.den == 1 or all(c.denominator == 1 for c in x.min_poly())
 
 
 def quad_cmp_positive(a, b, d):
@@ -234,7 +242,8 @@ class TestPerFieldMemo:
     def test_a_failed_search_is_not_stored(self, monkeypatch):
         calls = count_calls(monkeypatch, units, "_cubic_fundamental_pair")
         K = make_field("x^3 - 4*x - 1")  # its first pair needs height 2
-        monkeypatch.setattr(units, "UNIT_HEIGHT_BOUND", 1)
+        # the walk stops after shells 0 and 1
+        monkeypatch.setattr(units, "SHELL_WALK_BUDGET", 27)
         for _ in range(2):
             with pytest.raises(SearchExhausted):
                 unit_generators(K)
@@ -254,10 +263,8 @@ class TestPerFieldMemo:
         assert len(quad) == 1
 
     def test_prime_power_generators_once_per_field(self, monkeypatch):
+        # principal_generator calls the walk through the units module
         calls = count_calls(monkeypatch, units, "_find_generator")
-        # the sunits module binds _find_generator at import
-        from afcheck import sunits
-        monkeypatch.setattr(sunits, "_find_generator", units._find_generator)
         K = make_field(self.CUBIC)
         S = s_k(K)
         first = build_sunit_basis(K, S, 1, user_class_number=1)
@@ -506,7 +513,7 @@ class TestQuadraticBudget:
             for P in factor_rational_prime(K, q):
                 g = principal_generator(K, {P: k})
                 assert abs(g.norm()) == q ** k and valuation(g, P) == k
-                assert g.is_algebraic_integer()
+                assert is_algebraic_integer(g)
         K = make_field("x^2 - 2")
         assert principal_generator(K, {s_k(K)[0]: 1}) == K.theta()
 
@@ -537,7 +544,7 @@ def scan_principal_generator(field, profile):
             for xs in {x, -x}:
                 for ys in {y, -y}:
                     alpha = _quad_element(field, xs, ys, 2)
-                    if (not alpha.is_zero() and alpha.is_algebraic_integer()
+                    if (not alpha.is_zero() and is_algebraic_integer(alpha)
                             and all(valuation(alpha, p) >= k
                                     for p, k in profile.items())):
                         candidates.append(_canonical_sign(alpha))
@@ -680,30 +687,61 @@ class TestGeneratorSearch:
         assert all(len(t) == 4 for t in shell)
         assert shell == sorted(shell)
 
-    def test_quartic_generator_uses_the_theta_cubed_coordinate(self):
+    def test_quartic_generator_uses_the_theta_cubed_coordinate(
+            self, monkeypatch):
         K = make_field("x^4 + x + 1")
         P = next(p for p in factor_rational_prime(K, 3) if p.f == 3)
         assert P.gen_coeffs == (2, 1, 1, 1)
-        gen = _find_generator(K, {P: 1}, 1)
+        gen = _find_generator(K, {P: 1})
         assert gen == K.element([-1, 1, 1, 1])
         assert gen.norm() == 27 and valuation(gen, P) == 1
-        assert _find_generator(K, {P: 1}, 64) == gen
+        # shells 0 and 1 hold it
+        monkeypatch.setattr(units, "SHELL_WALK_BUDGET", 3 ** 4)
+        assert _find_generator(K, {P: 1}) == gen
 
     def test_quartic_search_stops_at_the_candidate_cap(self, monkeypatch):
         # norm 27^5 needs coordinates far beyond 3, so the search cannot
-        # succeed early; uncapped, bound 64 means 129^4 candidates
+        # succeed early; shells 0..2 hold 5^4 = 625 candidates, and a
+        # budget of 1000 stops the walk inside shell 3
         K = make_field("x^4 + x + 1")
         P = next(p for p in factor_rational_prime(K, 3) if p.f == 3)
-        monkeypatch.setattr(units, "GENERATOR_SEARCH_LIMIT", 1000)
-        with pytest.raises(GeneratorNotFound) as exc:
-            _find_generator(K, {P: 5}, 64)
-        # shells 0..2 hold 5^4 = 625 candidates, shell 3 passes 1000
-        assert exc.value.bound == 2
+        for budget in (5 ** 4, 1000):
+            monkeypatch.setattr(units, "SHELL_WALK_BUDGET", budget)
+            assert _find_generator(K, {P: 5}) is None
+        assert reference_generator(K, {P: 5}, 2) is None
+
+
+class TestShellWalkBudget:
+    # theta and theta^2 are the only units of the walk up to height 29, and
+    # they are dependent; the whole budget passes without a pair
+    HOPELESS = "x^3-40*x-1"
+
+    def test_budget_is_the_degree_three_box_at_64(self):
+        assert units.SHELL_WALK_BUDGET == (2 * 64 + 1) ** 3
+
+    def test_the_unit_walk_gives_up(self, monkeypatch, capsys):
+        monkeypatch.setattr(units, "SHELL_WALK_BUDGET", 10 ** 4)
+        K = make_field(self.HOPELESS)
+        for _ in range(2):
+            with pytest.raises(SearchExhausted, match="SHELL_WALK_BUDGET"):
+                unit_generators(K)
+        assert run(["--output", "json", "sunit", self.HOPELESS, "--bound",
+                    "1", "--user-class-number", "1"]) == 1
+        error = json.loads(capsys.readouterr().out)["result"]["error"]
+        assert error["type"] == "BasisUnavailable"
+        assert "SHELL_WALK_BUDGET = 10000" in error["message"]
+        assert run(["--output", "json", "frey", "2r", self.HOPELESS, "--a",
+                    "1", "--b", "1", "--c", "1", "--r", "1", "--p", "5",
+                    "--user-class-number", "1"]) == 0
+        caveats = json.loads(capsys.readouterr().out)["caveats"]
+        assert any(c.startswith("conductor shape unavailable: no independent "
+                                "unit pair") for c in caveats), caveats
 
 
 def reference_generator(field, profile, gen_bound):
-    """_find_generator as a FieldElement walk over the same shells, the norm
-    of each candidate from its multiplication matrix."""
+    """_find_generator as a FieldElement walk over the box of coordinate
+    magnitude gen_bound, shell by shell, the norm of each candidate from
+    its multiplication matrix."""
     target = 1
     for P, v in profile.items():
         target *= P.norm() ** v
@@ -718,22 +756,21 @@ def reference_generator(field, profile, gen_bound):
 
 
 class TestGeneratorMatchesReference:
-    """The integer norm test of _find_generator picks the generator the
-    FieldElement walk picks, or fails where it fails."""
+    """The integer norm test of _find_generator, with a budget of the box
+    of coordinate magnitude b, picks the generator the FieldElement walk
+    over that box picks, or fails where it fails."""
 
     @pytest.mark.parametrize("poly", [
         "x^2 - 2", "x^2 - x - 4", "x^2 + 5", "x^2 - 10",
         "x^3 - x^2 - 2*x + 1", "x^3 - 2", "x^3 - 3*x - 1", "x^4 + x + 1"])
-    def test_prime_powers_above_small_primes(self, poly):
+    def test_prime_powers_above_small_primes(self, poly, monkeypatch):
         K = make_field(poly)
         bound = 6 if K.degree < 4 else 3
+        monkeypatch.setattr(units, "SHELL_WALK_BUDGET",
+                            (2 * bound + 1) ** K.degree)
         for q in (2, 3, 5, 7):
             for P in factor_rational_prime(K, q):
                 for k in (1, 2):
-                    want = reference_generator(K, {P: k}, bound)
-                    if want is None:
-                        with pytest.raises(GeneratorNotFound):
-                            _find_generator(K, {P: k}, bound)
-                    else:
-                        assert _find_generator(K, {P: k}, bound) == want
+                    assert (_find_generator(K, {P: k})
+                            == reference_generator(K, {P: k}, bound))
 
