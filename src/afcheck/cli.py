@@ -57,8 +57,8 @@ _COMMANDS = {
     # thm-7-3 is resolved to thm-7-3-1 or thm-7-3-2 by --mode
     "check": ("evaluate a criterion's hypotheses",
               (("theorem", (*CRITERIA, "thm-7-3")), _POLY),
-              {"--r": (int, 2, None), "--l": _INT, "--bound": _INT,
-               "--mode": _INT, "--user-class-number": _INT}, ()),
+              {"--l": _INT, "--bound": _INT, "--mode": _INT,
+               "--user-class-number": _INT}, ()),
     "scan": ("candidate totally ramified primes l", (_POLY,),
              {"--l-max": _INT}, ()),
 }
@@ -275,8 +275,8 @@ def _cmd_check(field, args):
     values = dict(args, bound=DEFAULT_BOUND if args["bound"] is None
                   else args["bound"])
     verdict = criterion.check(field, *(values[o] for o in criterion.reads))
-    payload = {**verdict.to_dict(), "r": args["r"]}
-    return payload, list(verdict.caveats), _VERDICT_EXIT[verdict.applies]
+    return (verdict.to_dict(), list(verdict.caveats),
+            _VERDICT_EXIT[verdict.applies])
 
 
 def _cmd_scan(field, args):
@@ -307,9 +307,8 @@ def run(argv) -> int:
         if args.get("bound") is not None and args["bound"] < 0:
             raise ParseError(f"--bound must be nonnegative, got {args['bound']}")
         # r is the twist exponent of the 2r family; pp2 ignores --r
-        twisted = args.get("family") or args["command"]
-        if twisted in (FAMILY_TWO_POWER, "check") and args["r"] < 1:
-            raise ParseError(f"--r must be at least 1 for {twisted}, "
+        if args.get("family") == FAMILY_TWO_POWER and args["r"] < 1:
+            raise ParseError(f"--r must be at least 1 for {FAMILY_TWO_POWER}, "
                              f"got {args['r']}")
         field = make_field(args["poly"])
         # class_data takes a class number from the user for cubics only

@@ -278,13 +278,14 @@ class TestCommands:
             assert out == ""
             assert err == f"error (ParseError): --r must be at least 1 for 2r, got {r}\n"
 
-    @pytest.mark.parametrize("r", ["0", "-1"])
-    def test_check_exponent_below_one(self, capsys, r):
-        code, rep = run_json(capsys, ["check", "cor-7-2", "x", "--r", r])
-        assert code == 1
-        error = rep["result"]["error"]
-        assert error["type"] == "ParseError"
-        assert error["message"] == f"--r must be at least 1 for check, got {r}"
+    @pytest.mark.parametrize("r", ["0", "2"])
+    def test_check_refuses_r(self, capsys, r):
+        # no criterion reads the twist exponent of the 2r family
+        assert run(["--output", "json", "check", "cor-7-2", "x", "--r",
+                    r]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.endswith(f"afcheck: error: unrecognized arguments: --r {r}\n")
 
     @pytest.mark.parametrize("argv, option, readers", [
         (["thm-3-2", "x", "--l", "4"], "l", "thm-7-1, thm-7-3-1"),
@@ -322,7 +323,7 @@ class TestCommands:
                                           "message": message}
 
     @pytest.mark.parametrize("argv", [
-        ["thm-3-2", "x", "--bound", "2", "--r", "1"],
+        ["thm-3-2", "x", "--bound", "2"],
         ["thm-7-3", "x", "--mode", "1", "--l", "5"],
         ["thm-7-3-1", "x", "--l", "5"],
         ["thm-7-1", "x^3 - x^2 + 1", "--l", "23"],
@@ -594,6 +595,8 @@ class TestZassenhausPrime:
 # the summary of a field that was built; only their "field" key changed.  Its
 # frey 2r report was taken again when the MissingUserClassNumber message in
 # its caveat began to name --user-class-number; only that caveat changed.
+# The check reports were taken again when check stopped taking --r; only
+# result.r and command.r went.
 FIELD_SWEEP_COMMANDS = (
     ("field",),
     ("check", "cor-7-2"),
@@ -610,46 +613,46 @@ FIELD_CONSTRUCTION_GOLDEN = {
     # IndexDivisor at 2
     "x^6 - 6*x^4 + 9*x^2 - 3": (
         (0, "7482e41eeea133e01be8b13a9dffa4b6b2fb2aac0df1f4c5a5639c59358de8f2"),
-        (2, "752002ab8185035fd041e96331cf51239caebf64cad51c7b52226e18dab19a75"),
-        (2, "47a4a3f66e4f67e598e4e8c90c92b445da232846754b511e2c95dafe0a3df724"),
+        (2, "3885e1b3f76a7b27e407586894390501efa2251123455fd5eb54980450f39d6f"),
+        (2, "51f40846d7423206ad0f98f01cadedd4353f3c78fc3d1258579a6765914eb297"),
         (0, "38e4a75145d6e1559ad5a3d372ced568d703008d02944880c110fdfff20580d3"),
-        (2, "847460607b0b5f8c6da54a0b9931b48233f409617e23a697bf12f73131fea911"),
+        (2, "80d27a6549ee2d4ab6f0c444e882d29bdca46a5a1b2dcde9f17145a0e7cdbed0"),
         (0, "1d0e2ac65155d054ca490100dd5f47a7718138be9d02971fef785598acc23914"),
         (0, "64743da32db9d8e676828a18fe702f371ee0c68ad86672938340d4e6c377d484"),
     ),
     "x^5 - x^4 - 4*x^3 + 3*x^2 + 3*x - 1": (
         (0, "b5c45400a4c557be1d5790e06526a59c6b010cc1b4464ccc6539cdf05c789f49"),
-        (2, "4f57b4aa913eda2d37773ae19c40d904e0a2bbdc702cacbafd5544b1eff946be"),
-        (2, "16e1b651d7bd67de05cf79de190627e04be4e2b145f85529b1753d9d65e7c6ff"),
+        (2, "13035b7b41194eac217dda3c66240b4c28f28a40f758164c3f74fc35d5c0a021"),
+        (2, "dd6a20d12762fbb6734169c3704a16efecc4012a306593142bbe8e7c824fddf1"),
         (0, "bc4046c90b4a2ea2111ee4ceb3d6e1d2e163f3df9f9aa5d13ccde7168754ff35"),
-        (2, "08c1832a4289b2ccab30ece2b4434a61a600ca33a644c34f00e3f7b02b0be4ff"),
+        (2, "8aa96a0365b8665c8553e7ea3db54f06cddc49e0edd6fccc3a83787953c08e57"),
         (0, "4042dc2abef7dbb1fbaf6f951c8b87e023f7018212ee8b208f2b5f4810669224"),
         (0, "05e4dea0d4d5a267db20e78c85dc2c525607a78541a4014020467ccfd6a0382d"),
     ),
     "x^4 - 5*x^2 + 6": (
         (1, "a08a7095db9ca2598e857df5fab58658f29d2f93c7f9b18adbaa8e351bf1f4f5"),
-        (1, "f1ff57f97872ee6c4f7e1b87ba5d3593464bb548bd7f673bc03a61be338b5d46"),
-        (1, "f21f17044468b3f386a1dc2dddf711d03a6b3c3bd0627c31d34a1f5e0c37c70c"),
+        (1, "107799e8831dbb988febdc2ec8da9458eb13d4c34d117bc1d192d64756d475cd"),
+        (1, "81b6a75a5a7c23b06e6789b8a435c8286692bfed9192ff06ea3aee8578ff1618"),
         (1, "b3941b23b0c9a7f3a0e52022287e42c2fbfc321bf38f11a17ab2bdf51bc8ca06"),
-        (1, "941d361b7434d6ecea4333b67b10c53c52d216c29042f3373ab9c668a90e6161"),
+        (1, "25b7d564192b8bec826877d58e41f9e86cddec048bcbf100d92557657b9cbdb6"),
         (1, "fffa4da2002acdfa0be9b1afca501ad83ef948942406ab1ed1875f7f96cf889c"),
         (1, "3a07e573b802740a04e6afd58c55a6c495d58ff4e24455fe8305971fbc403956"),
     ),
     "x^5 + x^4 - 4*x^3 - 4*x^2 + 4*x + 4": (
         (1, "bb463b696ff75672baab6b3d9f0189f50b0916e95f6ccc29d1a4adb35f2be3f3"),
-        (1, "59eaa3ea0bb148d4a8347f7a39ea60ae55ac33c5069a4306e537576a0dff4620"),
-        (1, "1ee6016bc22080c5ea469025c6427ef6eb53a3d1cf0b85f24b316a88d30f37d5"),
+        (1, "b0d5d53f20cd9626cb8999bddb3ca20d9ad2f99d215ced9b75f234caae8975f0"),
+        (1, "6f639f9ca745f2dbaf599b9db44ec461c7205be7723a99e2cf17ce0711376701"),
         (1, "e3484b90a97ffe070130096bf52411f9d3fd48ef7ac6e73e738f49faafbdc69f"),
-        (1, "4633787f8b739d171f914a1f2b217d0d2e642aef422ca288653ffb5331344384"),
+        (1, "7d54f82452a2bcac32a512340f96c1903c0c57892947ce43d2ca09af0b1a5f97"),
         (1, "fa0758ad4ad01e3d7058040f4a3d0fdb1e2ea5f8c076cb075954f5bab05439a4"),
         (1, "4dda51572480937174548a5c67764176ea491597bd0d88990fdd6ad261d928bb"),
     ),
     "x^3 - x^2 - 2*x - 8": (
         (1, "bcbabd405e50c527c71a0aead39db0dfbc83265fd92aafe271b72f3df4a2307f"),
-        (1, "cbe419c8d601f400826e3ec787ae03290ae89495485333be680ebc2385808aec"),
-        (2, "e177d4aab409d09f3e3f7dc61938465f36e0ae243d9b1cff3561188a2e4bb535"),
+        (1, "8f453742596a4515bd23f751bd68365d653d44dc6ad2334f26404308c7d0cf4b"),
+        (2, "c5c8e9bd9ee2b37dfd2a1fdb7f429ac0a11eff2cf1cd98eb8304bcc0cb58c406"),
         (0, "c5db98434b39173a61e9c43457705d65a3a34e9eab69f5f7eef11a973fad3155"),
-        (1, "9f421b12182b85ede8e6bd2364df268e2404e43a0fa3c441d5f3cfa15f0d357c"),
+        (1, "341166f6637d05ca934346565933fc6f271b975c13ff405f729255c083b3a104"),
         (0, "1f38964b034c634ea00c4751aefa2b847b4b57144d64ecd71519895384a45fe5"),
         (1, "6d688e84062a24b0e2b9b06e9d05a28735935493e22dd3caea692f3032b7941f"),
     ),
@@ -674,7 +677,8 @@ def field_sweep_cases():
 # check on every criterion and on the thm-7-3 alias, per field; the S-unit
 # criteria take --bound 2 and the field's class number options.  Per field,
 # the (exit code, sha256 of the JSON bytes) of each request, taken while the
-# criteria were still listed apart in criteria.py and cli.py.
+# criteria were still listed apart in criteria.py and cli.py, and taken again
+# when check stopped taking --r; only result.r and command.r went.
 CHECK_REQUESTS = (
     ("thm-3-2", "--bound", "2"), ("thm-3-3", "--bound", "2"),
     ("cor-3-4", "--bound", "2"), ("thm-5-2", "--bound", "2"),
@@ -684,40 +688,40 @@ CHECK_REQUESTS = (
 )
 CHECK_GOLDEN = {
     ("x",): (
-        (3, "e6d866833e5561f525785b4f2428abcfe82c9f5d76541c978cc6831e850718a7"),
-        (3, "9aa735aabec968a00af85f55b8c2e84dbad0dc9ad1e006cf4a59cea561084a64"),
-        (3, "f39ba62345f43cf1f12464d2f33e2dd268729ea3fa613c4a135324d8f5cae0b4"),
-        (3, "9b95acab068cd6b1f99d3ba9b4939248ea59bcd6110e4bfc43fa261bb7207ddc"),
-        (0, "e7962609b2e58a8e9e93822d9132a467fa69dcb239ea178c17759227e92c7472"),
-        (0, "899b2ce1c52ede28a291d834aec6588645b7dcf23fac7b5daaf3706c694dffc1"),
-        (0, "b1fe40f287a2274859d9fe8849d0f0c0ec270fa8b0c1e057e26d723b7b35c5fa"),
-        (0, "7f032d242d1b72f79a18f0e67f2320125c3fb315703061650548b0193c35dc42"),
-        (0, "2299c0f23fa261e2277e1f63354fce6b6e6ebaa8f5a6514765966c488e15c5f4"),
-        (0, "cdb5d5142ae4e10a95f2d3cd698ecee6c88aaddfa9bad867c1d6baaa3fa6fb4e"),
+        (3, "cdb3eecf5bd44e09c55a35065ba5d3347462559df6cc6551bf8ad6b4fe16b33e"),
+        (3, "388ba388b780be7cc9b8e706ada1e8297c4e26c4fec14df3a6ddf3551065a270"),
+        (3, "d9338d0e86628af3949106bb017055c76f22d59f0e9a49dceb8432cf9e539d94"),
+        (3, "4fa98f423f4f8880fbecfaa16701fd37832d46fe01f9ce4b5890eb7f44293c23"),
+        (0, "2e9095b8bfc4d2d869189a6479d79184da536239098463afce6710d102b9894c"),
+        (0, "2fd65fefe6518047265b19b14a30427b273b446338d24125dce7838edf7f2224"),
+        (0, "fa50c7f208d1df38421a3d99ce805bc4945be078b1a9867490f493378e9af7e4"),
+        (0, "81656e0ac6aae0f964d583c3c3950cc3487dd7465bbd7c3d5a539a9f99d030be"),
+        (0, "1d3c15d7c7c7f1634a4a1810d7dbdfffb3f2414e6093085c559f115f567feec4"),
+        (0, "2ad389f0e10c202f11d3864aa702d030c56071f187a6b4ccb640777b18345870"),
     ),
     ("x^2-x-1",): (
-        (3, "68e235b08fe947ff78b46478efe765603f04dad3d98bfcec40a1bdd427d9e8b7"),
-        (2, "6eb161137eec02712a455f36ea5d9b16f218812e9a74f81980bb1962a483b627"),
-        (2, "d3f5b4360d07af155ca2f56ec555ac4b5abce126fad84b5007c4be51f8a4eed8"),
-        (3, "f89dc665f93b5f1727849b939094581e2ab189fa032763f262b7cbf949bea677"),
-        (2, "0ad67589a74260bafc02be5cee030d0621358b3234a1dfa91e36f3a6899377e8"),
-        (2, "f349b6d8b530041e74a7265a6195960d86f9e964d4c630354a47856c3d3fc3d5"),
-        (2, "601e54ac1c9b7443c307b808c12e60e8a305325a6b30f9398f110ed75664f657"),
-        (2, "d88754729c46e75886b4c303e0cca47ffee21bfbfce6a759c6138cc60c54ad6d"),
-        (2, "85c956c1a6809b663dd6a2c09a8a10cb3af544dde9cda60092d57ef2bb7fa0b8"),
-        (2, "e4fa13726a1b4e38f48d44a5f0551cc8211e7de65b64bffd0574763cdd035514"),
+        (3, "7c908fbd417c1bd7ebad528faf57f510d4bf0a3b100e2a9a5d744035b8d245d2"),
+        (2, "db5eaee7bc3b5f9d7a83bf2bc6a7f90cb33f2c80b02a7e5c398632a6f3379ee9"),
+        (2, "1a8b5fcc3a6f3bb3b1ff912e8fbf316612e296bd82ba12011071958288e3dfe8"),
+        (3, "f5323dd883f2ecfb345e77efea30d2137a35d18958ba20d5183fbe3bb63650ae"),
+        (2, "64443f999e54666ee351decf3c5250b13cee2c7667b941f08737b396463a9d65"),
+        (2, "3dcdf3b97623cb5c703ad22e74caaa76a9c55fefb5847a52bd09ac15c1c77b7b"),
+        (2, "6bbf8dcb30cffcd26dd89dd6a77682852b3c127570630dfa7b14affbdf58d1a0"),
+        (2, "db019cb7d0e13256d5ab48fa69c0572e1b8c6eff130477159b92848a36e05335"),
+        (2, "e4be50670950cbea1b001d510f2c61c7f69a9be60fa080f1c02a43d435b2fc42"),
+        (2, "6fc12cbf1c7b051a205ad6f6689424a048c753d1ad4561bc77c224d0e341f5ad"),
     ),
     ("x^3-x^2-2*x+1", "--user-class-number", "1"): (
-        (3, "713267e13fc06b071fbe592ec277b42448c32b0a406179d78ac342670fb8b4e6"),
-        (2, "f9dcc5fc51fd249b2602d02db2fdade6a5bcf7e793a57033316c9fc0764f2ccc"),
-        (2, "9630551514b7daa32c54f53fa119ad722ea0e0ce80593c60d4b76de589dfb1f1"),
-        (3, "7c2340a25a8dbabf646d85b5ae0f436aefdc9aa15a324a969f987c41dfce0abb"),
-        (2, "fdb694b6f745cb6a57ff46d594f28df27dce2587dc585705405865733f08f9c5"),
-        (2, "12db4f742d8cd8262cc99c23ed7f6c993f6b156484d51c291fefc583daf3d2cf"),
-        (2, "b0494b7381743017f980096cf962d7a3a1e78a3b9b32bef59b2edcdc2a7860af"),
-        (2, "1411bd48217983ac1582061912282089f7549de6aff446140186b083a5323f51"),
-        (2, "a729506ddcd44adb8907aa402a68a6f73a10965190ef0a9ea9f6dda480b43726"),
-        (2, "bc527c634a66ae5c405fe115775fb12bb5c0e507986493c9881f0e2acd8cf382"),
+        (3, "e4e00ff91a15dd97eabe84c039ceb399a35fd50b1b285093b110bafe7fa78cd8"),
+        (2, "63c5535c3159f1b13d00cb4ffff0d863c06fab0fbad3c1b01f86eb037a954c32"),
+        (2, "e0425431e694c19b16bd890df4c37139c0f943c957afeb4c638de1482778817a"),
+        (3, "7f146272aefaf5d05d4f2e06186e6c7e8f82bba3379c3f75f381e07715f5c425"),
+        (2, "1a526448ede10e05069852236c73811969ed10bda8b1935d0392dc842fdd1e4a"),
+        (2, "81d7bfac19cc230875753765ad738ea1a09fc444c723ff645bae09ed25a43605"),
+        (2, "00e2de77ab385a19955d40b63f8f3e147af38c4a211ced341cf5571f23a99374"),
+        (2, "2b4a8db218c8ff39f2ab2b2d41d15dddfd9b174c72640f1e5227aeb8506db71d"),
+        (2, "c94756d53adbd49c36762109a03b58415a83cb5b5efd6e02554db572411ffab7"),
+        (2, "4965b30a216cc62cea66c96d2cf148c14b0a431ae7251512bc5532858b94a201"),
     ),
 }
 
@@ -733,7 +737,7 @@ def check_cases():
     # a refusal: cor-7-2 reads no --bound
     yield pytest.param(
         ["check", "cor-7-2", "x", "--bound", "2"], 1,
-        "110d929f00d4e700df2d343c05a1d20d66a3a69365afa89fa76c24f9bf28a1a7",
+        "d38ecbf3678ee3e72da62f3f2f164135f2361b8ef75e6cd8159105d9df022821",
         id="cor-7-2 x --bound 2")
 
 
@@ -747,7 +751,9 @@ class TestGoldenBytes:
     bound was factored and sorted before any class test, and of check on
     every criterion (CHECK_GOLDEN).  The cubic sunit
     request was taken again when the command echo began to carry
-    --user-class-number; only its "command" key changed."""
+    --user-class-number; only its "command" key changed.  The thm-5-2
+    request was taken again when check stopped taking --r; only result.r
+    and command.r went."""
 
     @pytest.mark.parametrize("argv, code, digest", [
         (["sunit", "x^2-2", "--bound", "20"], 0,
@@ -757,7 +763,7 @@ class TestGoldenBytes:
         (["sunit", "x^3-x^2-2*x+1", "--bound", "3", "--user-class-number", "1"],
          0, "f6bc0755b632a3596cf742bdbf469c454a134bd8492ac53c0ceb8c766d39d846"),
         (["check", "thm-5-2", "x^2-2", "--bound", "3"], 3,
-         "4988fb1d09a1cf8aba5c08963278472d394db0de9920d23fce05696dbe48a1a4"),
+         "7cd40f9939fbaa6006f1da935141bc5f5eb78497ca28da971bd9791a4ae9f2dc"),
         (["frey", "2r", "x^2-10", "--a", "1", "--b", "1", "--c", "1",
           "--r", "1", "--p", "5"], 0,
          "8a4932bf9d3e82daaed0718b072e08048c3fba35f31ee41de34b7f0acfe8c3e5"),
@@ -870,7 +876,6 @@ def reference_parser():
     p = sub.add_parser("check")
     p.add_argument("theorem", choices=(*CRITERIA, "thm-7-3"))
     p.add_argument("poly")
-    p.add_argument("--r", type=int, default=2)
     p.add_argument("--l", type=int, default=None)
     p.add_argument("--bound", type=int, default=None)
     p.add_argument("--mode", type=int, default=None)
@@ -1004,8 +1009,8 @@ class TestCommandTable:
 
     @pytest.mark.parametrize("argv", [
         ["--output=json", "sunit", "x", "--bo=3"],
-        ["--o", "json", "--se", "5", "check", "--r", "3", "thm-3-2", "x",
-         "--b", "2", "--u", "1"],
+        ["--o", "json", "--se", "5", "check", "--b", "2", "thm-3-2", "x",
+         "--u", "1"],
         ["frey", "2r", "x", "--a", "1", "--b", "1", "--c", "1", "--p=7",
          "--pr", "2", "--p", "5"],
         ["sunit", "x", "--bound", "3", "--bound", "4"],
