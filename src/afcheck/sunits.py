@@ -143,6 +143,13 @@ def solve_sunit(field: NumberField, S, bound: int, *,
     The box covers lambda = zeta^j * prod g_i^{e_i} with |e_i| <= bound; the
     solution set is closed under the (lambda, mu) swap before returning, and
     every emitted pair is re-verified exactly.
+
+    The box spans <zeta, units, pi_P>, pi_P a generator of P^(k_P).  When
+    the classes of two primes of S are related, that group is smaller than
+    the S-units, and the box misses solutions at every bound: over
+    x^2 - x - 16 (h = 2) the pi_P have S-valuations (2, 0) and (0, 2), and
+    2 = P1 P2 lies outside the group, so (1/2, 1/2) is not found, while it
+    is over x^2 - x - 4.
     """
     if bound <= 0:
         # degenerate empty box: a vacuous search, reported as such
@@ -179,19 +186,17 @@ def solve_sunit(field: NumberField, S, bound: int, *,
     primes = {P.q for P in S}
     one_key = ((1,) + (0,) * (field.degree - 1), 1)
     found = {}    # (num, den) of lambda -> solution
-    ranked = []   # (rank in the full walk, warnings of that candidate)
+    ranked = []   # ((j, exps), warnings of that candidate)
 
     def keep(lam, j, exps):
         """Factor mu = 1 - lambda for lambda = zeta^j prod g_i^exps_i and
-        record the solution, or the candidate's warnings under its rank."""
+        record the solution, or the candidate's warnings under (j, exps):
+        the full walk's order, as each exponent runs upwards."""
         msgs = []
         mu = 1 - lam
         mu_profile = _s_unit_profile(mu, S, msgs)
         if msgs:
-            rank = j
-            for x in exps:
-                rank = rank * (2 * bound + 1) + x + bound
-            ranked.append((rank, msgs))
+            ranked.append(((j, exps), msgs))
         if mu_profile is None:
             return
         profile = {P: (sum(x * gen_valuations[i][P]
