@@ -203,15 +203,6 @@ class FieldElement:
     def is_rational(self):
         return not any(self.num[1:])
 
-    def as_fraction(self):
-        if not self.is_rational():
-            raise ValueError("element is not rational")
-        return Fraction(self.num[0], self.den)
-
-    def is_algebraic_integer(self):
-        return self.den == 1 or all(c.denominator == 1
-                                    for c in self.min_poly())
-
     def height(self):
         return max(max(abs(n), d) for n, d in self.key())
 

@@ -10,7 +10,9 @@ of a string (the benchmark tracer wraps functions by their names as
 strings).  That holds for private names too, so an orphaned helper is
 found.  A name in a module's __all__ is exported on purpose and counts as
 reached too.  Tests do not count: a function that only tests call is dead
-library, and so is a constant that only tests read.  An imported name
+library, and so is a constant that only tests read.  A method of a
+top-level class, dunder methods left out, counts as reached on the same
+terms when some code mentions its name outside the method's own def.  An imported name
 counts as used when its module mentions it as a name, or lists it in
 __all__.
 
@@ -44,20 +46,24 @@ def _exported(tree):
     return set()
 
 
+def _mentioned(node):
+    """Names that node mentions, once per mention."""
+    for current in ast.walk(node):
+        if isinstance(current, ast.Name):
+            yield current.id
+        elif isinstance(current, ast.Attribute):
+            yield current.attr
+        elif isinstance(current, ast.Constant) and isinstance(current.value, str):
+            yield from current.value.split(".")
+
+
 def _mentions(node):
     """Names that node mentions."""
-    found = set()
-    stack = [node]
-    while stack:
-        current = stack.pop()
-        if isinstance(current, ast.Name):
-            found.add(current.id)
-        elif isinstance(current, ast.Attribute):
-            found.add(current.attr)
-        elif isinstance(current, ast.Constant) and isinstance(current.value, str):
-            found.update(current.value.split("."))
-        stack.extend(ast.iter_child_nodes(current))
-    return found
+    return set(_mentioned(node))
+
+
+def _is_dunder(name):
+    return name.startswith("__") and name.endswith("__")
 
 
 def _defined_names(node):
@@ -70,7 +76,7 @@ def _defined_names(node):
                  if isinstance(n, ast.Name)]
     else:
         names = []
-    return [n for n in names if not (n.startswith("__") and n.endswith("__"))]
+    return [n for n in names if not _is_dunder(n)]
 
 
 def unreached(package=PACKAGE, callers=CALLERS):
@@ -93,6 +99,28 @@ def unreached(package=PACKAGE, callers=CALLERS):
                 own = name in mentions[id(node)]
                 if name not in exported and counts[name] - own == 0:
                     missing.append(f"{path.stem}.{name}")
+    return sorted(missing)
+
+
+def unreached_methods(package=PACKAGE, callers=CALLERS):
+    """Sorted "module.Class.method" of the methods of the top-level classes
+    in package, dunder methods left out, that nothing in the caller
+    directories mentions outside the method's own def."""
+    trees = {path: _parse(path) for base in callers
+             for path in sorted(base.glob("*.py"))}
+    counts = Counter(name for tree in trees.values()
+                     for name in _mentioned(tree))
+    missing = []
+    for path in sorted(package.glob("*.py")):
+        for cls in trees[path].body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for method in cls.body:
+                if (isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not _is_dunder(method.name)
+                        and counts[method.name] == Counter(
+                            _mentioned(method))[method.name]):
+                    missing.append(f"{path.stem}.{cls.name}.{method.name}")
     return sorted(missing)
 
 
@@ -185,6 +213,35 @@ def test_the_walk_finds_a_dead_definition(tmp_path):
     assert unreached(package, (package, bench)) == [
         "mod.Dead", "mod.UNREAD", "mod._SPARE", "mod._private",
         "mod.recursive", "user.caller"]
+
+
+def test_every_method_has_a_caller():
+    assert unreached_methods() == []
+
+
+def test_the_method_walk_finds_a_dead_method(tmp_path):
+    package, bench, tests = (tmp_path / name
+                             for name in ("pkg", "bench", "tests"))
+    for folder in (package, bench, tests):
+        folder.mkdir()
+    (package / "mod.py").write_text(
+        "class Shape:\n"
+        "    def __init__(self): self.sides = 0\n"
+        "    def area(self): return self.helper()\n"
+        "    def helper(self): return 1\n"
+        "    def recursive(self): return self.recursive()\n"
+        "    def traced(self): pass\n"
+        "    def tested(self): pass\n"
+        "class _Spare:\n"
+        "    def dead(self): return Shape\n"
+        "def area(): return Shape().area()\n", encoding="utf-8")
+    (bench / "wrap.py").write_text("WRAPPED = ['mod.Shape.traced']\n",
+                                   encoding="utf-8")
+    (tests / "test_mod.py").write_text(
+        "from pkg.mod import Shape\n"
+        "def test_tested(): Shape().tested()\n", encoding="utf-8")
+    assert unreached_methods(package, (package, bench)) == [
+        "mod.Shape.recursive", "mod.Shape.tested", "mod._Spare.dead"]
 
 
 def test_every_import_is_used():
