@@ -278,7 +278,7 @@ class TestCommands:
             assert out == ""
             assert err == f"error (ParseError): --r must be at least 1 for 2r, got {r}\n"
 
-    @pytest.mark.parametrize("r", ["0", "2"])
+    @pytest.mark.parametrize("r", ["0", "-1", "2"])
     def test_check_refuses_r(self, capsys, r):
         # no criterion reads the twist exponent of the 2r family
         assert run(["--output", "json", "check", "cor-7-2", "x", "--r",
