@@ -474,7 +474,7 @@ def principal_generator(field: NumberField, profile: dict):
     (_find_generator), and None there means only that the walk ended."""
     if field.degree == 1:
         return field.from_rational(prod(p.norm() ** v
-                                           for p, v in profile.items()))
+                                        for p, v in profile.items()))
     if field.degree >= 3:
         return _find_generator(field, profile)
     d, _, _ = _quad_data(field)
