@@ -14,7 +14,7 @@ from math import gcd
 from typing import NamedTuple
 
 from .errors import (BasisUnavailable, FactorizationIncomplete, IndexDivisor,
-                     MissingUserClassNumber, Unsupported)
+                     MissingUserClassNumber, SearchExhausted, Unsupported)
 from .integerfactor import SMALL_PRIMES, factorint, is_prime
 from .numberfield import NumberField
 from .prime_ideals import factor_rational_prime, s_k, splitting_type, u_k
@@ -265,7 +265,7 @@ def check_thm_5_2(field: NumberField, bound: int,
         hyps.append(_hyp(narrow, info.h_plus == 1,
                          {"h": info.h, "h_plus": info.h_plus},
                          f"computed h+ = {info.h_plus}"))
-    except (MissingUserClassNumber, Unsupported) as exc:
+    except (MissingUserClassNumber, Unsupported, SearchExhausted) as exc:
         hyps.append(HypothesisStatus(narrow, True, assumed=True, note=str(exc)))
 
     primes = s_k(field)

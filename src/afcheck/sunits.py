@@ -6,15 +6,20 @@ mu = 1 - lambda for S-unit membership.  The equation is invariant under
 the walk visits only half of it: the exponent vectors e that are
 lexicographically positive, and e = 0 with j <= -j mod T for the torsion
 power zeta^j.  The outer exponent levels multiply FieldElements from power
-tables; the innermost level, which holds nearly all candidates, works on
-integer numerators only: one NumberField.mul_num and a gcd give lambda in
-canonical form, then the numerator of mu and its integer norm
-NumberField.num_norm.  The norm test rejects mu without factoring anything
-when its norm has a prime below no prime of S, and it gives the same answer
-for lambda and 1/lambda.  Each survivor and its mirror 1/lambda, built from
-the power tables, become FieldElements and are factored into prime ideals,
-so a candidate of the full box costs half a product and half a norm, and a
-survivor is factored as in a full walk.  Rejections on incomplete
+tables.  The innermost level, which holds nearly all candidates, decides
+the norm test on mu without forming lambda: for lambda = c/D, c = a*b and
+D = d_a*d_b from the prefix a/d_a and the table entry b/d_b, the integer
+norm N(D - c) is the characteristic polynomial of c at D, and its
+coefficients come from the trace form T_ij = Tr(theta^(i+j)): Tr c =
+<T a, b>, Tr c^2 = <T a^2, b^2> (degree 3 only) and N(c) = N(a) N(b).  So
+T a, T a^2 and N(a) are computed once per prefix, b, b^2 and N(b) once per
+table entry, and a candidate costs one or two dot products and a few
+integer operations.  The norm test rejects mu without factoring anything
+when its norm has a prime below no prime of S, and it gives the same
+answer for lambda and 1/lambda.  Only a survivor is multiplied out
+(NumberField.mul_num and a gcd give lambda in canonical form); it and its
+mirror 1/lambda, built from the power tables, become FieldElements and
+are factored into prime ideals, as in a full walk.  Rejections on incomplete
 factorizations or index divisors become warnings, never silent acceptances,
 ordered by the candidate's place in the full walk; so the search has false
 negatives only, and its warnings name only candidates that could be
@@ -175,16 +180,18 @@ def solve_sunit(field: NumberField, S, bound: int, *,
         torsion_powers.append(torsion_powers[-1] * basis.torsion_gen)
 
     # The outer levels of the box multiply FieldElements; the innermost
-    # level works on integer numerators, and only a candidate whose mu
-    # passes the norm test becomes a FieldElement.
+    # level is screened by the norm test on integer data of the prefix and
+    # of each table entry, and only a candidate whose mu passes becomes a
+    # FieldElement.
+    primes = {P.q for P in S}
     tables = [[(e, table[e]) for e in range(-bound, bound + 1)]
               for table in powers]
     *outer, last = tables or [[(0, None)]]
-    last = [(e, None if g is None else (g.num, g.den)) for e, g in last]
-    last_half = [(e, power) for e, power in last if e >= 0]
+    last = [(e, *_factor_data(field, g.num, g.den, primes))
+            for e, g in ((e, g or field.one()) for e, g in last)]
+    last_half = [entry for entry in last if entry[0] >= 0]
+    screen = _norm_screen(field, primes)
     mul_num = field.mul_num
-    primes = {P.q for P in S}
-    one_key = ((1,) + (0,) * (field.degree - 1), 1)
     found = {}    # (num, den) of lambda -> solution
     ranked = []   # ((j, exps), warnings of that candidate)
 
@@ -215,25 +222,17 @@ def solve_sunit(field: NumberField, S, bound: int, *,
         mirror_j = -j % order
         for exps, prefix, positive in _half_prefixes(base, outer):
             pnum, pden = prefix.num, prefix.den
-            for e, power in (last if positive else last_half):
-                if power is None:
-                    if not positive and j > mirror_j:
-                        continue
-                    num, den = pnum, pden
-                else:
-                    num, den = mul_num(pnum, power[0]), pden * power[1]
-                    g = gcd(den, *num)
-                    if g != 1:
-                        num, den = [c // g for c in num], den // g
-                    num = tuple(num)
-                key = (num, den)
-                if key == one_key or key in found:
+            pre = _prefix_data(field, _factor_data(field, pnum, pden, primes))
+            for e, b, _, _, bden, _ in screen(pre,
+                                              last if positive else last_half):
+                if not (e or positive) and j > mirror_j:
                     continue
-                # mu = 1 - lambda, over the same denominator; canonical
-                # because lambda is
-                mu_num = [-c for c in num]
-                mu_num[0] += den
-                if not _norm_supported(field, mu_num, den, primes):
+                num, den = mul_num(pnum, b), pden * bden
+                g = gcd(den, *num)
+                if g != 1:
+                    num, den = [c // g for c in num], den // g
+                num = tuple(num)
+                if (num, den) in found:
                     continue
                 exps_e = exps + (e,)
                 keep(FieldElement(field, num, den), j, exps_e)
@@ -294,22 +293,97 @@ def _verify_solution(sol: SUnitSolution):
                     f"case analysis violated at {P}: v(lambda*mu)={vlm}, t={t}")
 
 
-def _norm_supported(field, num, den, primes):
-    """The norm test for x = num/den != 0: False when x cannot be an S-unit.
-
-    N(x) = +-prod N(P)^v_P(x), so a prime outside primes = {P.q for P in S}
-    in the reduced rational N(x) means v_P(x) != 0 at some P outside S.  In
-    integers, with the primes of S stripped from a = |N(num)| and from den,
-    that prime exists unless a == den^n.  (N(num) alone would not do: a
-    prime of den outside S, such as an index divisor, divides it even when
-    x is a unit.)"""
-    a = abs(field.num_norm(num))
+def _s_free(x, primes):
+    """x with every factor q in primes divided out (x != 0)."""
     for q in primes:
-        while a % q == 0:
-            a //= q
-        while den % q == 0:
-            den //= q
-    return a == den ** field.degree
+        while x % q == 0:
+            x //= q
+    return x
+
+
+def _factor_data(field, num, den, primes):
+    """(num, num^2, N(num), den, s(den)^n) for a factor num/den of lambda,
+    s(d) the part of d prime to primes: what the norm test needs of it."""
+    return (tuple(num), tuple(field.mul_num(num, num)), field.num_norm(num),
+            den, _s_free(den, primes) ** field.degree)
+
+
+def _trace_form(field):
+    """T_ij = Tr(theta^(i+j)), so that Tr(a*b) = <T a, b>; kept in the
+    field's memo."""
+
+    def compute():
+        n = field.degree
+        traces = [linalg.trace(field.num_matrix(field.reduce([0] * k + [1])))
+                  for k in range(2 * n - 1)]
+        return tuple(tuple(traces[i:i + n]) for i in range(n))
+
+    return field.memo(("trace_form",), compute)
+
+
+def _prefix_data(field, data):
+    """_factor_data of a prefix with num and num^2 taken through the trace
+    form, ready to be paired with the data of each table entry."""
+    form = _trace_form(field)
+    num, sq, norm, den, target = data
+    return (tuple(sum(t * x for t, x in zip(row, num)) for row in form),
+            tuple(sum(t * x for t, x in zip(row, sq)) for row in form),
+            norm, den, target)
+
+
+def _mu_norms(field):
+    """norms(pre, entries): N(D - c) for each entry (e, *data), where
+    lambda = c/D with c = a*b and D = d_a*d_b unreduced, a/d_a the prefix
+    (pre = _prefix_data) and b/d_b the entry.  N(D - c) = chi_c(D), chi_c
+    the characteristic polynomial of c, whose coefficients need no product:
+    e1 = Tr c = <T a, b>, in degree 3 e2 = (e1^2 - Tr c^2)/2 with
+    Tr c^2 = <T a^2, b^2>, and e_n = N(a) N(b).  Closed forms in degrees
+    1-3; the S-unit walk reaches no other degree, as unit_generators stops
+    at 3."""
+    n = field.degree
+    if n > 3:
+        raise Unsupported(f"trace-form norm test in degree {n} > 3")
+    if n == 1:
+        def norms(pre, entries):
+            (t0,), _, _, da, _ = pre
+            return [da * db - t0 * b0 for _, (b0,), _, _, db, _ in entries]
+    elif n == 2:
+        def norms(pre, entries):
+            (t0, t1), _, na, da, _ = pre
+            return [D * (D - t0 * b0 - t1 * b1) + na * nb
+                    for _, (b0, b1), _, nb, db, _ in entries
+                    for D in (da * db,)]
+    else:
+        def norms(pre, entries):
+            (t0, t1, t2), (u0, u1, u2), na, da, _ = pre
+            return [D * (D * (D - e1) + e2) - na * nb
+                    for _, (b0, b1, b2), (s0, s1, s2), nb, db, _ in entries
+                    for D in (da * db,)
+                    for e1 in (t0 * b0 + t1 * b1 + t2 * b2,)
+                    for e2 in ((e1 * e1 - u0 * s0 - u1 * s1 - u2 * s2) // 2,)]
+    return norms
+
+
+def _norm_screen(field, primes):
+    """screen(pre, entries): the entries whose candidate lambda = c/D
+    (see _mu_norms) can give an S-unit mu = (D - c)/D.
+
+    N(mu) = +-prod N(P)^v_P(mu), so a prime outside primes = {P.q for P in
+    S} in the reduced rational N(mu) means v_P(mu) != 0 at some P outside
+    S.  In integers, with those primes stripped from |N(D - c)| and from
+    D^n, that prime exists unless the two agree.  Scaling c and D by g
+    scales both by g^n, so the answer does not depend on whether c/D is
+    reduced, and N(mu) and N(-mu/lambda) have the same primes outside S,
+    so it is the same for lambda and 1/lambda.  N(D - c) = 0 exactly when
+    lambda = 1, which is skipped."""
+    norms = _mu_norms(field)
+
+    def screen(pre, entries):
+        target = pre[-1]
+        return [entry for entry, x in zip(entries, norms(pre, entries))
+                if x and _s_free(abs(x), primes) == target * entry[-1]]
+
+    return screen
 
 
 def _s_unit_profile(x: FieldElement, S, warnings):

@@ -413,7 +413,7 @@ class TestErrorReportsCarryTheField:
          {"poly": [-8, -2, -1, 1], "degree": 3, "signature": [1, 1],
           "poly_disc": -2012, "field_disc": None}),
         (["check", "thm-5-2", "x^2 - 1000000000000000000000000000099"],
-         "SearchExhausted",
+         "BasisUnavailable",
          {"poly": ["-1000000000000000000000000000099", 0, 1], "degree": 2,
           "signature": [2, 0],
           "poly_disc": "4000000000000000000000000000396", "field_disc": None}),
@@ -553,9 +553,13 @@ class TestHardFactorizations:
         # the class number of a 31-digit discriminant would take about
         # 3*10^30 reduced-form steps
         poly = f"x^2 - {10 ** 30 + 99}"
+        # the exhausted class number leaves h+ = 1 assumed; the unit
+        # search of the S-unit basis then gives up as well
         code, rep = self.timed(capsys, ["check", "thm-5-2", poly])
         assert code == 1
-        assert rep["result"]["error"]["type"] == "SearchExhausted"
+        assert rep["result"]["error"]["type"] == "BasisUnavailable"
+        assert rep["result"]["error"]["message"].startswith(
+            "unit group unavailable: continued fraction")
         code, rep = self.timed(capsys, ["frey", "2r", poly, "--a", "1",
                                         "--b", "1", "--c", "1", "--r", "1",
                                         "--p", "5"])

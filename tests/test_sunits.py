@@ -7,6 +7,7 @@ check the cofactor is a unit), sharing no code with the package paths.
 
 import math
 import sys
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -23,11 +24,13 @@ from afcheck.errors import (AfcheckError, BasisUnavailable,
                             FactorizationIncomplete, IndexDivisor, IsSquare,
                             Reducible, Unsupported, WorkExceeded, ZeroElement)
 from afcheck.linalg import charpoly
+from afcheck.numberfield import FieldElement, NumberField
 from afcheck.polynomials import zx_factor
 from afcheck.prime_ideals import element_valuations, s_k, valuation
 from afcheck.sunits import (MAX_CANDIDATES, build_sunit_basis, is_square,
                             quadratic_extension, selmer_group, solve_sunit,
-                            _GENERATOR_SHIFTS, _gamma_matrix, _norm_supported,
+                            _GENERATOR_SHIFTS, _factor_data, _gamma_matrix,
+                            _mu_norms, _norm_screen, _prefix_data,
                             _s_unit_profile)
 
 
@@ -337,6 +340,34 @@ def membership_case(draw):
     return x, S
 
 
+def kernel_norm(K, a, da, b, db, primes):
+    """N(D - a*b), D = da*db, from the walk's trace-form kernel, with a/da
+    as the prefix and b/db as the table entry."""
+    pre = _prefix_data(K, _factor_data(K, a, da, primes))
+    return _mu_norms(K)(pre, [(0, *_factor_data(K, b, db, primes))])[0]
+
+
+def kernel_keeps(K, a, da, b, db, primes):
+    """The walk's keep-or-skip decision for lambda = (a*b)/(da*db)."""
+    pre = _prefix_data(K, _factor_data(K, a, da, primes))
+    entry = (0, *_factor_data(K, b, db, primes))
+    return _norm_screen(K, primes)(pre, [entry]) == [entry]
+
+
+def reference_norm_supported(field, num, den, primes):
+    """The norm test as the walk made it on the canonical mu = num/den:
+    False when mu cannot be an S-unit.  With the primes of S stripped from
+    a = |N(num)| and from den, a prime outside S divides the reduced N(mu)
+    unless a == den^n."""
+    a = abs(field.num_norm(num))
+    for q in primes:
+        while a % q == 0:
+            a //= q
+        while den % q == 0:
+            den //= q
+    return a == den ** field.degree
+
+
 class TestMembershipOracle:
     @settings(max_examples=150, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
@@ -346,12 +377,168 @@ class TestMembershipOracle:
         if x.is_zero():
             return
         warnings = []
-        # the norm test, then the factoring of a survivor, as in the walk
+        # the norm test of lambda = 1 - x as a prefix times the entry 1,
+        # then the factoring of a survivor, as in the walk
+        lam = 1 - x
+        one = (1,) + (0,) * (x.field.degree - 1)
         got = (_s_unit_profile(x, S, warnings)
-               if _norm_supported(x.field, x.num, x.den, {P.q for P in S})
+               if kernel_keeps(x.field, lam.num, lam.den, one, 1,
+                               {P.q for P in S})
                else None)
         assert got == reference_profile(x, S)
         assert warnings == []
+
+
+@lru_cache(maxsize=None)
+def kernel_field(coeffs):
+    """The field of an irreducible polynomial, else None."""
+    try:
+        return make_field(list(coeffs))
+    except AfcheckError:
+        return None
+
+
+@st.composite
+def trace_form_case(draw):
+    """(K, a, da, b, db, primes): a and b integral with coordinates in
+    [-50, 50], D = da*db in [1, 60], over Q, the sunit-box fields and random
+    irreducible quadratics and cubics."""
+    kind = draw(st.sampled_from(("fixed", "quadratic", "cubic")))
+    if kind == "fixed":
+        K = make_field(draw(st.sampled_from(
+            ("x", "x^2 - 2", "x^2 - x - 4", "x^3 - x^2 - 2*x + 1"))))
+    else:
+        low = [draw(st.integers(-30, 30))] + [
+            draw(st.integers(-5, 5)) for _ in range(kind == "cubic")]
+        K = kernel_field((*low, draw(st.integers(-3, 3)), 1))
+        assume(K is not None)
+    coords = st.lists(st.integers(-50, 50), min_size=K.degree,
+                      max_size=K.degree)
+    D = draw(st.integers(1, 60))
+    da = draw(st.sampled_from([d for d in range(1, D + 1) if D % d == 0]))
+    primes = draw(st.sets(st.sampled_from((2, 3, 5, 7))))
+    return K, draw(coords), da, draw(coords), D // da, primes
+
+
+def resultant_norm(K, num):
+    """N(num) as the resultant of f and num(x), from sympy."""
+    f = sympy.Poly(list(reversed(K.coeffs)), sympy.Symbol("x"))
+    g = sympy.Poly(list(reversed(num)), sympy.Symbol("x"))
+    return 0 if g.is_zero else int(sympy.resultant(f, g))
+
+
+class TestTraceFormNorm:
+    """chi_c(D) from the trace form is N(D - c), and the walk's decision on
+    the unreduced c/D is the norm test on the canonical lambda."""
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.filter_too_much])
+    @given(trace_form_case())
+    def test_chi_is_the_norm_and_the_resultant(self, case):
+        K, a, da, b, db, primes = case
+        mu_num = [-c for c in K.mul_num(a, b)]
+        mu_num[0] += da * db
+        chi = kernel_norm(K, a, da, b, db, primes)
+        assert chi == K.num_norm(mu_num) == resultant_norm(K, mu_num)
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.filter_too_much])
+    @given(trace_form_case())
+    def test_decision_is_the_canonical_norm_test(self, case):
+        K, a, da, b, db, primes = case
+        lam = FieldElement(K, K.mul_num(a, b), da * db)
+        keeps = kernel_keeps(K, a, da, b, db, primes)
+        if lam == 1:
+            assert not keeps
+        else:
+            mu = 1 - lam
+            assert keeps == reference_norm_supported(K, mu.num, mu.den,
+                                                     primes)
+
+    @pytest.mark.parametrize("poly, a, da, b, db", [
+        ("x", [1], 1, [1], 1), ("x", [6], 2, [1], 3),
+        ("x^2 - 2", [2, 0], 2, [3, 0], 3),
+        ("x^2 - 2", [1, 1], 1, [-1, 1], 1),
+        ("x^3 - x^2 - 2*x + 1", [0, 1, 0], 1, [2, 1, -1], 1),
+        ("x^3 - x^2 - 2*x + 1", [4, 0, 0], 2, [3, 0, 0], 6)])
+    def test_lambda_one_is_skipped(self, poly, a, da, b, db):
+        K = make_field(poly)
+        assert FieldElement(K, K.mul_num(a, b), da * db) == 1
+        assert kernel_norm(K, a, da, b, db, {2}) == 0
+        assert not kernel_keeps(K, a, da, b, db, {2})
+
+    def test_quartic_is_unsupported(self):
+        K = make_field("x^4 - 2")
+        with pytest.raises(Unsupported, match="degree 4"):
+            _mu_norms(K)
+        with pytest.raises(Unsupported, match="degree 4"):
+            _norm_screen(K, {2})
+
+
+class TestNormTestWork:
+    """The walk takes one norm per prefix, per innermost table entry and per
+    factored mu, and mul_num outside the valuations at most three times per
+    prefix, once per table entry and 1 + (number of generators) times per
+    survivor: neither runs once per candidate, as num_norm did (about 2320
+    calls on x^2 - x - 4 at bound 6)."""
+
+    @pytest.mark.parametrize("poly, bound", [("x^2 - x - 4", 6),
+                                             ("x^3 - x^2 - 2*x + 1", 3)])
+    def test_calls_follow_prefixes_entries_and_survivors(self, poly, bound,
+                                                         monkeypatch):
+        K = make_field(poly)
+        S = s_k(K)
+        gens = len(build_sunit_basis(K, S, bound,
+                                     user_class_number=1).free_generators)
+        # a first walk fills the field's memos
+        expected = solve_sunit(K, S, bound, user_class_number=1)
+        counts = Counter()
+        in_valuation = []
+
+        def counted(name, method):
+            def wrapper(*args):
+                counts[name] += 1
+                if not in_valuation:
+                    counts[name + " outside valuations"] += 1
+                return method(*args)
+            return wrapper
+
+        def flagged(function):
+            def wrapper(*args):
+                in_valuation.append(True)
+                try:
+                    return function(*args)
+                finally:
+                    in_valuation.pop()
+            return wrapper
+
+        def counting_screen(field, primes):
+            screen = _norm_screen(field, primes)
+
+            def wrapper(pre, entries):
+                kept = screen(pre, entries)
+                counts["prefixes"] += 1
+                counts["candidates"] += len(entries)
+                counts["survivors"] += len(kept)
+                return kept
+            return wrapper
+
+        for name in ("num_norm", "mul_num"):
+            monkeypatch.setattr(NumberField, name,
+                                counted(name, getattr(NumberField, name)))
+        for name in ("valuation", "_s_unit_profile"):
+            monkeypatch.setattr(sunits, name,
+                                flagged(getattr(sunits, name)))
+        monkeypatch.setattr(sunits, "_norm_screen", counting_screen)
+        got = solve_sunit(K, S, bound, user_class_number=1)
+        assert got.to_dict() == expected.to_dict()
+        prefixes, survivors = counts["prefixes"], counts["survivors"]
+        entries = 2 * bound + 1
+        norm_bound = prefixes + entries + 2 * survivors
+        mul_bound = 3 * prefixes + entries + (1 + gens) * survivors
+        assert counts["num_norm"] <= norm_bound
+        assert counts["mul_num outside valuations"] <= mul_bound
+        assert max(norm_bound, mul_bound) < counts["candidates"]
 
 
 class TestBoxWalkCoverage:

@@ -737,6 +737,18 @@ class TestShellWalkBudget:
         assert any(c.startswith("conductor shape unavailable: no independent "
                                 "unit pair") for c in caveats), caveats
 
+    @pytest.mark.parametrize("criterion", ["thm-3-2", "thm-5-2"])
+    def test_sunit_criteria_end_in_basis_unavailable(self, criterion,
+                                                     monkeypatch, capsys):
+        # thm-5-2 first asks class_data for h+; its exhausted walk leaves
+        # that hypothesis assumed, and the search over K then fails
+        monkeypatch.setattr(units, "SHELL_WALK_BUDGET", 10 ** 4)
+        assert run(["--output", "json", "check", criterion, self.HOPELESS,
+                    "--bound", "1", "--user-class-number", "1"]) == 1
+        error = json.loads(capsys.readouterr().out)["result"]["error"]
+        assert error["type"] == "BasisUnavailable"
+        assert "SHELL_WALK_BUDGET = 10000" in error["message"]
+
 
 def reference_generator(field, profile, gen_bound):
     """_find_generator as a FieldElement walk over the box of coordinate
