@@ -16,20 +16,19 @@ T a, T a^2 and N(a) are computed once per prefix, b, b^2 and N(b) once per
 table entry, and a candidate costs one or two dot products and a few
 integer operations.  The norm test rejects mu without factoring anything
 when its norm has a prime below no prime of S, and it gives the same
-answer for lambda and 1/lambda.  Only a survivor is multiplied out
-(NumberField.mul_num and a gcd give lambda in canonical form); it and its
-mirror 1/lambda, built from the power tables, become FieldElements and
-are factored into prime ideals, as in a full walk.  Rejections on incomplete
-factorizations or index divisors become warnings, never silent acceptances,
-ordered by the candidate's place in the full walk; so the search has false
-negatives only, and its warnings name only candidates that could be
-S-units.  Completeness is always reported as a bounded-search caveat, never
-claimed.
+answer for lambda and 1/lambda.  Only a survivor is multiplied out into a
+FieldElement lambda; it and its mirror 1/lambda, built from the power
+tables, are factored into prime ideals, as in a full walk.  Rejections on
+incomplete factorizations or index divisors become warnings, never silent
+acceptances, ordered by the candidate's place in the full walk; so the
+search has false negatives only, and its warnings name only candidates
+that could be S-units.  Completeness is always reported as a
+bounded-search caveat, never claimed.
 """
 
 import logging
 from dataclasses import dataclass, field as dc_field
-from math import gcd, isqrt
+from math import isqrt
 
 from .errors import (BasisUnavailable, FactorizationIncomplete,
                      IndexDivisor, IsSquare, MissingUserClassNumber,
@@ -187,11 +186,11 @@ def solve_sunit(field: NumberField, S, bound: int, *,
     tables = [[(e, table[e]) for e in range(-bound, bound + 1)]
               for table in powers]
     *outer, last = tables or [[(0, None)]]
-    last = [(e, *_factor_data(field, g.num, g.den, primes))
-            for e, g in ((e, g or field.one()) for e, g in last)]
+    one = field.one()
+    last = [(e, *_factor_data(field, (g or one).num, (g or one).den, primes))
+            for e, g in last]
     last_half = [entry for entry in last if entry[0] >= 0]
     screen = _norm_screen(field, primes)
-    mul_num = field.mul_num
     found = {}    # (num, den) of lambda -> solution
     ranked = []   # ((j, exps), warnings of that candidate)
 
@@ -222,20 +221,16 @@ def solve_sunit(field: NumberField, S, bound: int, *,
         mirror_j = -j % order
         for exps, prefix, positive in _half_prefixes(base, outer):
             pnum, pden = prefix.num, prefix.den
-            pre = _prefix_data(field, _factor_data(field, pnum, pden, primes))
+            pre = _factor_data(field, pnum, pden, primes)
             for e, b, _, _, bden, _ in screen(pre,
                                               last if positive else last_half):
                 if not (e or positive) and j > mirror_j:
                     continue
-                num, den = mul_num(pnum, b), pden * bden
-                g = gcd(den, *num)
-                if g != 1:
-                    num, den = [c // g for c in num], den // g
-                num = tuple(num)
-                if (num, den) in found:
+                lam = FieldElement(field, field.mul_num(pnum, b), pden * bden)
+                if (lam.num, lam.den) in found:
                     continue
                 exps_e = exps + (e,)
-                keep(FieldElement(field, num, den), j, exps_e)
+                keep(lam, j, exps_e)
                 # lambda = -1 (e = 0, j = T/2) is its own mirror
                 if positive or e or j != mirror_j:
                     inv = torsion_powers[mirror_j]
@@ -321,41 +316,39 @@ def _trace_form(field):
     return field.memo(("trace_form",), compute)
 
 
-def _prefix_data(field, data):
-    """_factor_data of a prefix with num and num^2 taken through the trace
-    form, ready to be paired with the data of each table entry."""
-    form = _trace_form(field)
-    num, sq, norm, den, target = data
-    return (tuple(sum(t * x for t, x in zip(row, num)) for row in form),
-            tuple(sum(t * x for t, x in zip(row, sq)) for row in form),
-            norm, den, target)
-
-
 def _mu_norms(field):
     """norms(pre, entries): N(D - c) for each entry (e, *data), where
-    lambda = c/D with c = a*b and D = d_a*d_b unreduced, a/d_a the prefix
-    (pre = _prefix_data) and b/d_b the entry.  N(D - c) = chi_c(D), chi_c
-    the characteristic polynomial of c, whose coefficients need no product:
-    e1 = Tr c = <T a, b>, in degree 3 e2 = (e1^2 - Tr c^2)/2 with
-    Tr c^2 = <T a^2, b^2>, and e_n = N(a) N(b).  Closed forms in degrees
-    1-3; the S-unit walk reaches no other degree, as unit_generators stops
-    at 3."""
+    lambda = c/D with c = a*b and D = d_a*d_b unreduced, pre the
+    _factor_data of the prefix a/d_a and data that of the entry b/d_b.
+    N(D - c) = chi_c(D), chi_c the characteristic polynomial of c, whose
+    coefficients need no product: e1 = Tr c = <T a, b>, in degree 3
+    e2 = (e1^2 - Tr c^2)/2 with Tr c^2 = <T a^2, b^2>, and e_n = N(a) N(b),
+    T the trace form; T a and T a^2 are taken once per call.  Closed forms
+    in degrees 1-3; the S-unit walk reaches no other degree, as
+    unit_generators stops at 3."""
     n = field.degree
     if n > 3:
         raise Unsupported(f"trace-form norm test in degree {n} > 3")
+    form = _trace_form(field)
+
+    def traced(v):
+        return [sum(t * x for t, x in zip(row, v)) for row in form]
+
     if n == 1:
         def norms(pre, entries):
-            (t0,), _, _, da, _ = pre
-            return [da * db - t0 * b0 for _, (b0,), _, _, db, _ in entries]
+            (a0,), _, _, da, _ = pre
+            return [da * db - a0 * b0 for _, (b0,), _, _, db, _ in entries]
     elif n == 2:
         def norms(pre, entries):
-            (t0, t1), _, na, da, _ = pre
+            a, _, na, da, _ = pre
+            t0, t1 = traced(a)
             return [D * (D - t0 * b0 - t1 * b1) + na * nb
                     for _, (b0, b1), _, nb, db, _ in entries
                     for D in (da * db,)]
     else:
         def norms(pre, entries):
-            (t0, t1, t2), (u0, u1, u2), na, da, _ = pre
+            a, sq, na, da, _ = pre
+            (t0, t1, t2), (u0, u1, u2) = traced(a), traced(sq)
             return [D * (D * (D - e1) + e2) - na * nb
                     for _, (b0, b1, b2), (s0, s1, s2), nb, db, _ in entries
                     for D in (da * db,)

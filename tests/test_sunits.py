@@ -30,8 +30,7 @@ from afcheck.prime_ideals import element_valuations, s_k, valuation
 from afcheck.sunits import (MAX_CANDIDATES, build_sunit_basis, is_square,
                             quadratic_extension, selmer_group, solve_sunit,
                             _GENERATOR_SHIFTS, _factor_data, _gamma_matrix,
-                            _mu_norms, _norm_screen, _prefix_data,
-                            _s_unit_profile)
+                            _mu_norms, _norm_screen, _s_unit_profile)
 
 
 # ----------------------------------------------------------------- oracles
@@ -343,13 +342,13 @@ def membership_case(draw):
 def kernel_norm(K, a, da, b, db, primes):
     """N(D - a*b), D = da*db, from the walk's trace-form kernel, with a/da
     as the prefix and b/db as the table entry."""
-    pre = _prefix_data(K, _factor_data(K, a, da, primes))
+    pre = _factor_data(K, a, da, primes)
     return _mu_norms(K)(pre, [(0, *_factor_data(K, b, db, primes))])[0]
 
 
 def kernel_keeps(K, a, da, b, db, primes):
     """The walk's keep-or-skip decision for lambda = (a*b)/(da*db)."""
-    pre = _prefix_data(K, _factor_data(K, a, da, primes))
+    pre = _factor_data(K, a, da, primes)
     entry = (0, *_factor_data(K, b, db, primes))
     return _norm_screen(K, primes)(pre, [entry]) == [entry]
 
@@ -479,8 +478,7 @@ class TestNormTestWork:
     """The walk takes one norm per prefix, per innermost table entry and per
     factored mu, and mul_num outside the valuations at most three times per
     prefix, once per table entry and 1 + (number of generators) times per
-    survivor: neither runs once per candidate, as num_norm did (about 2320
-    calls on x^2 - x - 4 at bound 6)."""
+    survivor: neither runs once per candidate of the box."""
 
     @pytest.mark.parametrize("poly, bound", [("x^2 - x - 4", 6),
                                              ("x^3 - x^2 - 2*x + 1", 3)])
