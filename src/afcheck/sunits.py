@@ -364,11 +364,11 @@ def _norm_screen(field, primes):
     N(mu) = +-prod N(P)^v_P(mu), so a prime outside primes = {P.q for P in
     S} in the reduced rational N(mu) means v_P(mu) != 0 at some P outside
     S.  In integers, with those primes stripped from |N(D - c)| and from
-    D^n, that prime exists unless the two agree.  Scaling c and D by g
-    scales both by g^n, so the answer does not depend on whether c/D is
-    reduced, and N(mu) and N(-mu/lambda) have the same primes outside S,
-    so it is the same for lambda and 1/lambda.  N(D - c) = 0 exactly when
-    lambda = 1, which is skipped."""
+    D^n, that prime exists unless the two agree.  (|N(D - c)| alone would
+    not do: a prime of D outside S, such as an index divisor, divides it
+    even when mu is a unit.)  Scaling c and D by g scales both by g^n, so
+    the answer does not depend on whether c/D is reduced.  N(D - c) = 0
+    exactly when lambda = 1, which is skipped."""
     norms = _mu_norms(field)
 
     def screen(pre, entries):
