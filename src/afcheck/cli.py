@@ -22,7 +22,7 @@ from .prime_ideals import (factor_rational_prime, s_k, splitting_type, u_k,
                            valuation, verified_field_disc)
 from .report import build_report, emit_human, emit_json
 from .sunits import selmer_group, solve_sunit
-from .units import class_data
+from .units import class_data, least_odd_prime
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -244,9 +244,10 @@ def _cmd_frey(field, args):
     try:
         rep = None
         if family == FAMILY_TWO_POWER:
-            info = class_data(field,
-                              user_class_number=args["user_class_number"])
-            rep = info.reps_H[0] if info.reps_H else None
+            # m is printed only where h is known or supplied, as the paper
+            # takes it from a set of class representatives
+            class_data(field, user_class_number=args["user_class_number"])
+            rep = least_odd_prime(field)
         shape = conductor_shape(field, family, rep,
                                 odd_multiplicative_primes(spec))
         payload["conductor"] = shape.to_dict()

@@ -30,8 +30,8 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from . import linalg
-from .errors import (DegreeZero, DivisionByZero, NotMonic, NotTotallyReal,
-                     Reducible, Unsupported, ZeroElement)
+from .errors import (AfcheckError, DegreeZero, DivisionByZero, NotMonic,
+                     NotTotallyReal, Reducible, Unsupported, ZeroElement)
 from .parsing import parse_poly
 from .polynomials import (_zx_divides, integer_roots, interval_eval,
                           irreducible_by_degree_patterns, isolate_real_roots,
@@ -60,13 +60,20 @@ class NumberField:
         self._memo = {}
 
     def memo(self, key, compute):
-        """compute() once per field and key: the value is stored on the
-        field, so it lives as long as the field does, one request of the
-        CLI.  An exception is not stored, so a failing call is repeated.
-        Callers must not mutate what they get back."""
+        """compute() once per field and key: the value, or the AfcheckError
+        compute() raised, is stored on the field, so it lives as long as the
+        field does, one request of the CLI; a stored error is raised again,
+        so a failed search is not repeated.  Callers must not mutate what
+        they get back."""
         if key not in self._memo:
-            self._memo[key] = compute()
-        return self._memo[key]
+            try:
+                self._memo[key] = compute()
+            except AfcheckError as exc:
+                self._memo[key] = exc
+        value = self._memo[key]
+        if isinstance(value, AfcheckError):
+            raise value
+        return value
 
     # -- basic properties ---------------------------------------------
 

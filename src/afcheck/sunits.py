@@ -465,9 +465,10 @@ def selmer_group(field: NumberField, S, *,
                  user_class_number=None) -> SelmerGroup:
     """K(S, 2): square classes with even valuation outside S.
 
-    Generated by the torsion generator, the fundamental units and the pi_P;
-    the generating set is reduced to an independent basis by exact square
-    testing of all subset products.
+    Generated by the torsion generator, the fundamental units and the pi_P.
+    The representatives are the products of the subsets of the basis so
+    far, in the order of the bitmask of the subset; a generator joins the
+    basis when its product with no representative is a square.
     """
     basis_data = build_sunit_basis(field, S, 1,
                                    user_class_number=user_class_number)
@@ -478,26 +479,11 @@ def selmer_group(field: NumberField, S, *,
     pis = basis_data.free_generators[len(units):]
     gens.extend(sorted(units, key=lambda u: (u.height(), u.coords)))
     gens.extend(sorted(pis, key=lambda p: (abs(p.norm()), p.coords)))
-    independent = []
+    independent, reps = [], [field.one()]
     for g in gens:
-        reducible = False
-        for mask in range(1 << len(independent)):
-            prod_elem = g
-            for i in range(len(independent)):
-                if mask >> i & 1:
-                    prod_elem = prod_elem * independent[i]
-            if is_square(prod_elem):
-                reducible = True
-                break
-        if not reducible:
+        if not any(is_square(g * r) for r in reps):
             independent.append(g)
-    reps = []
-    for mask in range(1 << len(independent)):
-        r = field.one()
-        for i in range(len(independent)):
-            if mask >> i & 1:
-                r = r * independent[i]
-        reps.append(r)
+            reps += [r * g for r in reps]
     return SelmerGroup(independent, reps)
 
 

@@ -13,18 +13,17 @@ interval certificate comes first, since it proves most independent pairs at
 once; only a pair it leaves open is scanned for a small relation u^m v^k =
 +-1 and, when none exists, certified with the full refinement schedule.  A
 certificate is a proof, so the first certified pair is the same in either
-order.  Each ideal class is represented by its first odd prime ideal in
-norm order, for every class number: one lazy walk factors odd q in
-increasing order, tests a prime against the classes so far once no later q
-can give a smaller one, and factors no further q once h classes are
-represented, save the possible index divisors.  The cubic unit pair and
-the class data are computed once per field, the cubic class data per class
-number (NumberField.memo).
+order.  The class data is h, h+ and how they are known; the odd prime of
+the conductor of the 2r Frey curve is the first odd prime ideal in norm
+order (least_odd_prime), found by factoring odd q in increasing order
+until q passes the least norm so far.  The cubic unit pair and the class
+data are computed once per field, the cubic class data per class number
+(NumberField.memo).
 """
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from itertools import product
-from math import gcd, inf, isqrt, prod
+from math import gcd, isqrt, prod
 
 from .errors import (IndexDivisor, MissingUserClassNumber, SearchExhausted,
                      Unsupported)
@@ -33,7 +32,7 @@ from .numberfield import (FieldElement, NumberField, embedding_interval,
                           embedding_sign)
 from .prime_ideals import PrimeIdeal, factor_rational_prime, valuation
 
-# odd q up to which class representatives are enumerated
+# odd q up to which least_odd_prime factors
 CLASS_ENUM_BOUND = 100
 
 # give-up cap on the integer vectors one coordinate walk visits, for a
@@ -65,9 +64,7 @@ class UnitGroup:
 class ClassData:
     h: int
     h_plus: int
-    reps_H: list
     completeness: tuple
-    notes: list = dc_field(default_factory=list)
 
 
 # --------------------------------------------------- quadratic field data
@@ -494,30 +491,14 @@ def _canonical_sign(x: FieldElement):
     return -x if next((c for c in x.num if c), 0) < 0 else x
 
 
-def _ideal_class_equal(field, p1: PrimeIdeal, p2: PrimeIdeal) -> bool:
-    """[p1] == [p2] in the class group, via principality of p1 * conj(p2)."""
-    if p1 == p2:
-        return True
-    conj = _conjugate_prime(field, p2)
-    profile = {p1: 1}
-    profile[conj] = profile.get(conj, 0) + 1
-    return principal_generator(field, profile) is not None
-
-
-def _conjugate_prime(field, p: PrimeIdeal) -> PrimeIdeal:
-    others = [q for q in factor_rational_prime(field, p.q) if q != p]
-    return others[0] if others else p
-
-
 # ----------------------------------------------------------------- class data
 
 def class_data(field: NumberField, *,
                user_class_number: int | None = None) -> ClassData:
-    """Class number, narrow class number and odd-prime class representatives."""
+    """Class number and narrow class number."""
     n = field.degree
     if n == 1:
-        rep = factor_rational_prime(field, 3)[0]
-        return ClassData(1, 1, [rep], ("proven",))
+        return ClassData(1, 1, ("proven",))
     if n == 2:
         return field.memo("class_data", lambda: _quadratic_class_data(field))
     if n == 3:
@@ -525,17 +506,10 @@ def class_data(field: NumberField, *,
             raise MissingUserClassNumber(
                 "cubic class numbers are not computed; supply one with "
                 "--user-class-number")
-        return field.memo(("class_data", user_class_number),
-                          lambda: _cubic_class_data(field, user_class_number))
+        h = user_class_number
+        return field.memo(("class_data", h), lambda: ClassData(
+            h, _h_plus_from_unit_signs(field, h), ("user-supplied",)))
     raise Unsupported(f"class data for degree {n}")
-
-
-def _cubic_class_data(field, h):
-    h_plus = _h_plus_from_unit_signs(field, h)
-    reps, notes = ([], ["reps_H omitted: h > 1 unsupported for cubics"])
-    if h == 1:
-        reps, notes = _collect_reps(field, 1)
-    return ClassData(h, h_plus, reps, ("user-supplied",), notes)
 
 
 def _quadratic_class_data(field):
@@ -548,8 +522,7 @@ def _quadratic_class_data(field):
         h_plus = _cycle_count(forms, D)
         _, _, _, unit_norm = _quad_fundamental_unit(d)
         h = h_plus if unit_norm == -1 else h_plus // 2
-    reps, notes = _collect_reps(field, h)
-    return ClassData(h, h_plus, reps, ("proven",), notes)
+    return ClassData(h, h_plus, ("proven",))
 
 
 def _by_norm(p: PrimeIdeal):
@@ -558,43 +531,25 @@ def _by_norm(p: PrimeIdeal):
     return (p.norm(), root if root is not None else -1, p.q, p.sort_key())
 
 
-def _collect_reps(field, h):
-    """(reps, notes): the first odd prime ideal of each class, up to h of
-    them, in _by_norm order over q <= CLASS_ENUM_BOUND, with the index
-    divisors skipped.
-
-    One lazy walk serves every h.  It factors odd q in increasing order and
-    keeps the primes not yet placed sorted by _by_norm; a prime above q has
-    norm >= q, so the least of them is final once the next q passes its norm,
-    and only then is it tested against the representatives so far.  After
-    the h-th one a larger q can still divide the index [O_K : Z[theta]] for
-    the note, but then q^2 divides poly_disc, so only those q get the
-    Dedekind test."""
-    odd = [q for q in SMALL_PRIMES if 2 < q <= CLASS_ENUM_BOUND]
-    reps, pending, skipped = [], [], []
-    for q, next_q in zip(odd, odd[1:] + [inf]):
-        if len(reps) == h and field.poly_disc % (q * q):
+def least_odd_prime(field: NumberField) -> PrimeIdeal:
+    """The first odd prime ideal in _by_norm order over q <= CLASS_ENUM_BOUND,
+    with the index divisors skipped.  A prime above q has norm >= q, so odd
+    q are factored in increasing order only until q passes the least norm
+    found so far."""
+    primes = []
+    for q in SMALL_PRIMES:
+        if q > CLASS_ENUM_BOUND or primes and q > primes[0].norm():
+            break
+        if q == 2:
             continue
         try:
-            primes = factor_rational_prime(field, q)
+            primes = sorted(primes + factor_rational_prime(field, q),
+                            key=_by_norm)
         except IndexDivisor:
-            skipped.append(q)
-            primes = []
-        if len(reps) == h:
             continue
-        pending = sorted(pending + primes, key=_by_norm)
-        while pending and len(reps) < h and pending[0].norm() < next_q:
-            p = pending.pop(0)
-            if not any(_ideal_class_equal(field, p, r) for r in reps):
-                reps.append(p)
-    if not reps and h == 1:
+    if not primes:
         raise SearchExhausted("no odd prime ideal within enumeration bound")
-    notes = ([f"index-divisor primes skipped in enumeration: {skipped}"]
-             if skipped else [])
-    if len(reps) < h:
-        notes.append(f"only {len(reps)} of {h} classes represented "
-                     f"within q <= {CLASS_ENUM_BOUND}")
-    return reps, notes
+    return primes[0]
 
 
 def _h_plus_from_unit_signs(field, h):

@@ -370,25 +370,36 @@ class TestCommands:
         assert rep["caveats"][0] == (
             "conductor shape unavailable: cubic class numbers are not "
             "computed; supply one with --user-class-number")
-        code, rep = run_json(capsys, self.FREY_CUBIC
-                             + ["--user-class-number", "1"])
-        assert code == 0
-        qs = [f["prime"]["q"] for f in rep["result"]["conductor"]["conductor"]]
-        assert qs == [2, 7]
+        # the odd prime m of the conductor does not depend on h, as over a
+        # quadratic field with h = 2 (golden frey-2r-x2-10)
+        for h in ("1", "2"):
+            code, rep = run_json(capsys, self.FREY_CUBIC
+                                 + ["--user-class-number", h])
+            assert code == 0 and rep["caveats"] == []
+            qs = [f["prime"]["q"]
+                  for f in rep["result"]["conductor"]["conductor"]]
+            assert qs == [2, 7]
 
     def test_class_enum_bound_below_every_odd_prime_ideal(self, capsys,
                                                           monkeypatch):
         # 3 divides the index of Z[sqrt(18)], so no odd prime ideal is
-        # enumerated within q <= 3, and the S-unit basis has no class data
+        # enumerated within q <= 3: the S-unit basis, which reads only h,
+        # answers as at the default bound, and the frey conductor, which
+        # needs an odd prime, is left out
         from afcheck import units
         argv = ["sunit", "x^2-18", "--bound", "2"]
-        assert run_json(capsys, argv)[0] == 0
+        frey = ["frey", "2r", "x^2-18", "--a", "1", "--b", "1", "--c", "1",
+                "--r", "1", "--p", "5"]
+        code, want = run_json(capsys, argv)
+        assert code == 0 and want["result"]["solutions"]
+        assert "conductor" in run_json(capsys, frey)[1]["result"]
         monkeypatch.setattr(units, "CLASS_ENUM_BOUND", 3)
         code, rep = run_json(capsys, argv)
-        assert code == 1
-        error = rep["result"]["error"]
-        assert error["type"] == "BasisUnavailable"
-        assert "enumeration bound" in error["message"]
+        assert code == 0 and rep["result"] == want["result"]
+        code, rep = run_json(capsys, frey)
+        assert code == 0 and "conductor" not in rep["result"]
+        assert rep["caveats"] == ["conductor shape unavailable: no odd prime "
+                                  "ideal within enumeration bound"]
 
     def test_check_thm_7_3_mode_alias(self, capsys):
         code, rep = run_json(capsys, ["check", "thm-7-3", "x", "--mode", "2"])

@@ -2,12 +2,13 @@
 
 import json
 import math
+import sys
 import time
 from itertools import product
 
 import pytest
 
-from afcheck import linalg, make_field, units
+from afcheck import linalg, make_field, prime_ideals, units
 from afcheck.cli import run
 from afcheck.errors import (IndexDivisor, MissingUserClassNumber,
                             SearchExhausted)
@@ -16,13 +17,13 @@ from afcheck.numberfield import FieldElement
 from afcheck.prime_ideals import valuation, factor_rational_prime, s_k
 from afcheck.sunits import build_sunit_basis
 from afcheck.integerfactor import squarefree_part
-from afcheck.units import (class_data, principal_generator, unit_generators,
-                           _certified_independent, _by_norm, _canonical_sign,
-                           _collect_reps, _cubic_fundamental_pair, _cycle_count,
-                           _find_generator, _fundamental_discriminant,
-                           _ideal_class_equal, _quad_data, _quad_element,
-                           _quad_fundamental_unit, _reduced_forms, _shell,
-                           _small_relation)
+from afcheck.units import (class_data, least_odd_prime, principal_generator,
+                           unit_generators, _certified_independent, _by_norm,
+                           _canonical_sign, _cubic_fundamental_pair,
+                           _cycle_count, _find_generator,
+                           _fundamental_discriminant, _quad_data,
+                           _quad_element, _quad_fundamental_unit,
+                           _reduced_forms, _shell, _small_relation)
 
 
 def is_algebraic_integer(x):
@@ -239,7 +240,7 @@ class TestPerFieldMemo:
         unit_generators(make_field(self.CUBIC))
         assert len(calls) == 2
 
-    def test_a_failed_search_is_not_stored(self, monkeypatch):
+    def test_a_failed_search_is_stored(self, monkeypatch):
         calls = count_calls(monkeypatch, units, "_cubic_fundamental_pair")
         K = make_field("x^3 - 4*x - 1")  # its first pair needs height 2
         # the walk stops after shells 0 and 1
@@ -247,7 +248,7 @@ class TestPerFieldMemo:
         for _ in range(2):
             with pytest.raises(SearchExhausted):
                 unit_generators(K)
-        assert len(calls) == 2
+        assert len(calls) == 1
 
     def test_class_data_once_per_field_and_arguments(self, monkeypatch):
         cubic = count_calls(monkeypatch, units, "_h_plus_from_unit_signs")
@@ -278,14 +279,16 @@ class TestPerFieldMemo:
 
 class TestClassData:
     def test_rationals(self):
-        cd = class_data(make_field("x"))
+        K = make_field("x")
+        cd = class_data(K)
         assert (cd.h, cd.h_plus) == (1, 1)
-        assert [p.q for p in cd.reps_H] == [3]
+        assert least_odd_prime(K).q == 3
 
     def test_sqrt2_rep_is_root3_above_7(self):
-        cd = class_data(make_field("x^2 - 2"))
+        K = make_field("x^2 - 2")
+        cd = class_data(K)
         assert (cd.h, cd.h_plus) == (1, 1)
-        rep = cd.reps_H[0]
+        rep = least_odd_prime(K)
         assert (rep.q, rep.residue_root()) == (7, 3)
 
     def test_sqrt3_narrow_class(self):
@@ -310,12 +313,30 @@ class TestClassData:
             assert (cd.h_plus == cd.h) == (norm == -1)
 
     def test_sqrt10_nonprincipal_rep(self):
-        # class 2 field: two reps in distinct classes, both odd
-        cd = class_data(make_field("x^2 - 10"))
-        assert cd.h == 2 and len(cd.reps_H) == 2
-        assert all(p.q % 2 == 1 for p in cd.reps_H)
-        norms = [p.norm() for p in cd.reps_H]
-        assert norms == sorted(norms)
+        # class 2 field: the first odd prime lies above 3 and is not
+        # principal, as x^2 - 10 y^2 = +-3 has no solution mod 5
+        K = make_field("x^2 - 10")
+        assert class_data(K).h == 2
+        rep = least_odd_prime(K)
+        assert (rep.q, rep.norm()) == (3, 3)
+        assert principal_generator(K, {rep: 1}) is None
+
+    def test_sunit_basis_factors_no_odd_prime(self, monkeypatch, capsys):
+        # the basis reads only h, so only the prime of S = {2} is factored
+        calls = []
+        original = prime_ideals.factor_rational_prime
+
+        def spy(field, q):
+            calls.append(q)
+            return original(field, q)
+
+        for name, module in list(sys.modules.items()):
+            if (name.startswith("afcheck") and
+                    getattr(module, "factor_rational_prime", None) is original):
+                monkeypatch.setattr(module, "factor_rational_prime", spy)
+        assert run(["sunit", "x^2-2", "--bound", "2"]) == 0
+        capsys.readouterr()
+        assert calls and set(calls) == {2}
 
     def test_cubic_needs_user_h(self):
         K = make_field("x^3 - x^2 - 2*x + 1")
@@ -324,37 +345,22 @@ class TestClassData:
         cd = class_data(K, user_class_number=1)
         assert cd.h == 1 and cd.completeness == ("user-supplied",)
         assert cd.h_plus in (1, 2, 4, 8)
-        assert cd.reps_H[0].q == 7  # ramified prime of norm 7 beats inert 3
+        # the ramified prime of norm 7 beats the inert 3
+        assert least_odd_prime(K).q == 7
 
 
-def eager_reps(K, h, enum_bound):
+def first_odd_prime(K, enum_bound):
     """Reference: factor every odd q <= enum_bound, sort all the primes by
-    _by_norm, and keep the first prime of each class, up to h."""
-    primes, skipped = [], []
+    _by_norm, and take the first; None when there is none."""
+    primes = []
     for q in SMALL_PRIMES:
         if q == 2 or q > enum_bound:
             continue
         try:
             primes.extend(factor_rational_prime(K, q))
         except IndexDivisor:
-            skipped.append(q)
-    primes.sort(key=_by_norm)
-    notes = ([f"index-divisor primes skipped in enumeration: {skipped}"]
-             if skipped else [])
-    reps = []
-    for p in primes:
-        if len(reps) == h:
-            break
-        if not any(_ideal_class_equal(K, p, r) for r in reps):
-            reps.append(p)
-    if len(reps) < h:
-        notes.append(f"only {len(reps)} of {h} classes represented "
-                     f"within q <= {enum_bound}")
-    return reps, notes
-
-
-def class_number(K):
-    return class_data(K).h if K.degree == 2 else 1
+            pass
+    return min(primes, key=_by_norm, default=None)
 
 
 REP_FIELDS = ("x^2 - 2", "x^2 - x - 1", "x^2 - 18", "x^2 - 45", "x^2 - 245",
@@ -363,8 +369,8 @@ REP_FIELDS = ("x^2 - 2", "x^2 - x - 1", "x^2 - 18", "x^2 - 45", "x^2 - 245",
 
 
 class TestLazyRepresentative:
-    """The lazy walk factors few primes: its representatives must be those
-    of the full sorted enumeration, with the same notes, for every h."""
+    """The lazy walk factors few primes: its prime must be the first of the
+    full sorted enumeration."""
 
     @pytest.mark.parametrize("poly", REP_FIELDS)
     @pytest.mark.parametrize("enum_bound", [3, 10, 100])
@@ -374,32 +380,20 @@ class TestLazyRepresentative:
         # norm, 5; x^3 - 63*x - 1: 3 divides the index of a cubic; x^2 + 5,
         # x^2 - 10 (h = 2) and x^2 - 79 (h = 3): several classes
         K = make_field(poly)
-        h = class_number(K)
-        want = eager_reps(K, h, enum_bound)
+        want = first_odd_prime(K, enum_bound)
         monkeypatch.setattr(units, "CLASS_ENUM_BOUND", enum_bound)
-        if h == 1 and not want[0]:
-            with pytest.raises(SearchExhausted):
-                _collect_reps(K, h)
+        if want is None:
+            with pytest.raises(SearchExhausted, match="enumeration bound"):
+                least_odd_prime(K)
             return
-        assert _collect_reps(K, h) == want
-
-    def test_index_divisor_above_the_smallest_norm_is_noted(self):
-        reps, notes = _collect_reps(make_field("x^2 - 245"), 1)
-        assert reps[0].norm() == 5
-        assert notes == ["index-divisor primes skipped in enumeration: [7]"]
+        assert least_odd_prime(K) == want
 
     @pytest.mark.parametrize("poly", REP_FIELDS)
     def test_factors_only_up_to_the_smallest_norm(self, poly, monkeypatch):
-        # beyond the smallest norm of the h-th class (for h = 1, the smallest
-        # norm) only a q with q^2 | poly_disc, which can divide the index, is
-        # factored
         K = make_field(poly)
-        h = class_number(K)
         calls = count_calls(monkeypatch, units, "factor_rational_prime")
-        reps, _ = _collect_reps(K, h)
-        assert len(reps) == h
-        late = [q for _, q in calls if q > reps[-1].norm()]
-        assert all(K.poly_disc % (q * q) == 0 for q in late)
+        rep = least_odd_prime(K)
+        assert [q for _, q in calls if q > rep.norm()] == []
 
 
 def quadratic_poly(d):
@@ -741,13 +735,16 @@ class TestShellWalkBudget:
     def test_sunit_criteria_end_in_basis_unavailable(self, criterion,
                                                      monkeypatch, capsys):
         # thm-5-2 first asks class_data for h+; its exhausted walk leaves
-        # that hypothesis assumed, and the search over K then fails
+        # that hypothesis assumed, and the search over K then fails on the
+        # stored error without walking again
         monkeypatch.setattr(units, "SHELL_WALK_BUDGET", 10 ** 4)
+        calls = count_calls(monkeypatch, units, "_cubic_fundamental_pair")
         assert run(["--output", "json", "check", criterion, self.HOPELESS,
                     "--bound", "1", "--user-class-number", "1"]) == 1
         error = json.loads(capsys.readouterr().out)["result"]["error"]
         assert error["type"] == "BasisUnavailable"
         assert "SHELL_WALK_BUDGET = 10000" in error["message"]
+        assert len(calls) == 1
 
 
 def reference_generator(field, profile, gen_bound):
