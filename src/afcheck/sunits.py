@@ -14,32 +14,24 @@ coefficients come from the trace form T_ij = Tr(theta^(i+j)): Tr c =
 <T a, b>, Tr c^2 = <T a^2, b^2> (degree 3 only) and N(c) = N(a) N(b).  So
 T a, T a^2 and N(a) are computed once per prefix, b, b^2 and N(b) once per
 table entry, and a candidate costs one or two dot products and a few
-integer operations.  The norm test rejects mu without factoring anything
-when its norm has a prime below no prime of S, and it gives the same
-answer for lambda and 1/lambda.  Only a survivor is multiplied out into a
-FieldElement lambda; it and its mirror 1/lambda, built from the power
-tables, are factored into prime ideals, as in a full walk.  Rejections on
-incomplete factorizations or index divisors become warnings, never silent
-acceptances, ordered by the candidate's place in the full walk; so the
-search has false negatives only, and its warnings name only candidates
-that could be S-units.  Completeness is always reported as a
-bounded-search caveat, never claimed.
+integer operations.  The norm test rejects mu when its norm has a prime
+below no prime of S, and answers the same for lambda and 1/lambda.  A
+survivor is an S-unit, and its valuations at S follow from its exponents
+and its integer norm (_mu_valuations): nothing is factored.  Its mirror
+1/lambda is built from the power tables, its profile read off lambda's.
+Completeness is always reported as a bounded-search caveat, never claimed.
 """
 
-import logging
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from math import isqrt
 
-from .errors import (BasisUnavailable, FactorizationIncomplete,
-                     IndexDivisor, IsSquare, MissingUserClassNumber,
+from .errors import (BasisUnavailable, IsSquare, MissingUserClassNumber,
                      SearchExhausted, Unsupported, WorkExceeded, ZeroElement)
 from . import linalg
 from .numberfield import FieldElement, NumberField
 from .polynomials import isolate_real_roots, poly_disc, zx_factor
-from .prime_ideals import element_valuations, valuation
+from .prime_ideals import int_valuation, valuation
 from .units import class_data, principal_generator, unit_generators
-
-log = logging.getLogger("afcheck")
 
 
 # ------------------------------------------------------------------ basis
@@ -123,7 +115,6 @@ class SUnitSolution:
 class SUnitSearch:
     bound: int
     solutions: list
-    warnings: list = dc_field(default_factory=list)
 
     @property
     def completeness(self):
@@ -133,7 +124,7 @@ class SUnitSearch:
         return {"bound": self.bound,
                 "solutions": [s.to_dict() for s in self.solutions],
                 "completeness": list(self.completeness),
-                "warnings": self.warnings}
+                "warnings": []}
 
 
 # give-up cap on the candidates of one exponent box
@@ -154,7 +145,15 @@ def solve_sunit(field: NumberField, S, bound: int, *,
     x^2 - x - 16 (h = 2) the pi_P have S-valuations (2, 0) and (0, 2), and
     2 = P1 P2 lies outside the group, so (1/2, 1/2) is not found, while it
     is over x^2 - x - 4.
+
+    S must hold every prime above each of its rational primes, as s_k(field)
+    does; otherwise ValueError.  Then the norm test alone decides which
+    candidates are S-units (see _mu_valuations).
     """
+    primes = {P.q for P in S}
+    if any(sum(P.e * P.f for P in S if P.q == q) != field.degree
+           for q in primes):
+        raise ValueError("S misses a prime above one of its rational primes")
     if bound <= 0:
         # degenerate empty box: a vacuous search, reported as such
         return SUnitSearch(bound, [])
@@ -164,7 +163,8 @@ def solve_sunit(field: NumberField, S, bound: int, *,
     n_boxes = basis.torsion_order * (2 * bound + 1) ** len(gens)
     if n_boxes > MAX_CANDIDATES:
         raise WorkExceeded(f"{n_boxes} candidates exceed limit {MAX_CANDIDATES}")
-    gen_valuations = [{P: valuation(g, P) for P in S} for g in gens]
+    # v_P of each generator, one row per P in S
+    gen_valuations = [[valuation(g, P) for g in gens] for P in S]
     # g^e for |e| <= bound; e = 0 carries None so the walk skips it
     powers = []
     for g in gens:
@@ -182,7 +182,6 @@ def solve_sunit(field: NumberField, S, bound: int, *,
     # level is screened by the norm test on integer data of the prefix and
     # of each table entry, and only a candidate whose mu passes becomes a
     # FieldElement.
-    primes = {P.q for P in S}
     tables = [[(e, table[e]) for e in range(-bound, bound + 1)]
               for table in powers]
     *outer, last = tables or [[(0, None)]]
@@ -192,57 +191,43 @@ def solve_sunit(field: NumberField, S, bound: int, *,
     last_half = [entry for entry in last if entry[0] >= 0]
     screen = _norm_screen(field, primes)
     found = {}    # (num, den) of lambda -> solution
-    ranked = []   # ((j, exps), warnings of that candidate)
-
-    def keep(lam, j, exps):
-        """Factor mu = 1 - lambda for lambda = zeta^j prod g_i^exps_i and
-        record the solution, or the candidate's warnings under (j, exps):
-        the full walk's order, as each exponent runs upwards."""
-        msgs = []
-        mu = 1 - lam
-        mu_profile = _s_unit_profile(mu, S, msgs)
-        if msgs:
-            ranked.append(((j, exps), msgs))
-        if mu_profile is None:
-            return
-        profile = {P: (sum(x * gen_valuations[i][P]
-                           for i, x in enumerate(exps)), mu_profile[P])
-                   for P in S}
-        found[lam.num, lam.den] = SUnitSolution(lam, mu, profile, True)
 
     # (lambda, mu) -> (1/lambda, -mu/lambda) maps the box onto itself and
     # solutions onto solutions, and N(-mu/lambda) = +-N(mu)/N(lambda) has
     # the same primes outside S as N(mu).  So the walk visits one vector of
     # each pair {(j, e), (-j mod T, -e)}, the one with e lexicographically
     # positive (or e = 0 and j <= -j mod T), and each norm-test survivor
-    # sends its mirror, built from the power tables, through the same
-    # factoring step.
+    # also gives its mirror, built from the power tables, whose profile
+    # (-v(lambda), v(mu) - v(lambda)) is read off the survivor's.
     for j, base in enumerate(torsion_powers):
         mirror_j = -j % order
         for exps, prefix, positive in _half_prefixes(base, outer):
             pnum, pden = prefix.num, prefix.den
             pre = _factor_data(field, pnum, pden, primes)
-            for e, b, _, _, bden, _ in screen(pre,
-                                              last if positive else last_half):
+            for (e, b, _, _, bden, _), norm in screen(
+                    pre, last if positive else last_half):
                 if not (e or positive) and j > mirror_j:
                     continue
                 lam = FieldElement(field, field.mul_num(pnum, b), pden * bden)
                 if (lam.num, lam.den) in found:
                     continue
                 exps_e = exps + (e,)
-                keep(lam, j, exps_e)
+                lam_vals = [sum(x * v for x, v in zip(exps_e, row))
+                            for row in gen_valuations]
+                mu = 1 - lam
+                mu_vals = _mu_valuations(mu, S, lam_vals, norm, pden * bden)
+                found[lam.num, lam.den] = SUnitSolution(
+                    lam, mu, dict(zip(S, zip(lam_vals, mu_vals))), True)
                 # lambda = -1 (e = 0, j = T/2) is its own mirror
                 if positive or e or j != mirror_j:
                     inv = torsion_powers[mirror_j]
                     for table, x in zip(powers, exps_e):
                         if x:
                             inv = inv * table[-x]
-                    keep(inv, mirror_j, tuple(-x for x in exps_e))
+                    found[inv.num, inv.den] = SUnitSolution(
+                        inv, 1 - inv, {P: (-vl, vm - vl) for P, vl, vm
+                                       in zip(S, lam_vals, mu_vals)}, True)
 
-    ranked.sort(key=lambda item: item[0])
-    warnings = [msg for _, msgs in ranked for msg in msgs]
-    for msg in warnings:
-        log.warning(msg)
     # FieldElement.key fixes the output order; only kept solutions need one
     found = {sol.lam.key(): sol for sol in found.values()}
     for key in sorted(found):
@@ -255,7 +240,7 @@ def solve_sunit(field: NumberField, S, bound: int, *,
     solutions = [found[k] for k in sorted(found)]
     for sol in solutions:
         _verify_solution(sol)
-    return SUnitSearch(bound, solutions, warnings)
+    return SUnitSearch(bound, solutions)
 
 
 def _half_prefixes(prefix, tables, exps=(), positive=False):
@@ -358,8 +343,9 @@ def _mu_norms(field):
 
 
 def _norm_screen(field, primes):
-    """screen(pre, entries): the entries whose candidate lambda = c/D
-    (see _mu_norms) can give an S-unit mu = (D - c)/D.
+    """screen(pre, entries): (entry, N(D - c)) for the entries whose
+    candidate lambda = c/D (see _mu_norms) can give an S-unit
+    mu = (D - c)/D.
 
     N(mu) = +-prod N(P)^v_P(mu), so a prime outside primes = {P.q for P in
     S} in the reduced rational N(mu) means v_P(mu) != 0 at some P outside
@@ -373,29 +359,41 @@ def _norm_screen(field, primes):
 
     def screen(pre, entries):
         target = pre[-1]
-        return [entry for entry, x in zip(entries, norms(pre, entries))
+        return [(entry, x) for entry, x in zip(entries, norms(pre, entries))
                 if x and _s_free(abs(x), primes) == target * entry[-1]]
 
     return screen
 
 
-def _s_unit_profile(x: FieldElement, S, warnings):
-    """{P: v_P(x)} over S when x is an S-unit, else None, for an x that
-    passed the norm test.  Factorization failures reject the candidate with
-    a warning appended to warnings, so rejections stay sound."""
-    profile = dict.fromkeys(S, 0)
-    try:
-        for P, v in element_valuations(x):
-            if P not in profile:
-                return None
-            profile[P] = v
-    except (FactorizationIncomplete, IndexDivisor) as exc:
-        reason = (f"index divisor at {exc.q} blocks valuation"
-                  if isinstance(exc, IndexDivisor)
-                  else f"incomplete factorization ({exc.leftover})")
-        warnings.append(f"candidate rejected: {reason}")
-        return None
-    return profile
+def _mu_valuations(mu, S, lam_vals, norm, D):
+    """[v_P(mu) for P in S] for a survivor mu = 1 - lambda = (D - c)/D of
+    the norm test, from lam_vals = [v_P(lambda) for P in S] and the
+    screen's norm = N(D - c), D the unreduced denominator.
+
+    Membership.  lambda is an S-unit, so v_P(mu) = v_P(1 - lambda) >= 0 at
+    every P outside S.  S holds every prime above each of its q, so those P
+    lie over rational primes outside {P.q}, none of which divides N(mu) =
+    +-prod N(P)^v_P(mu) by the norm test.  So mu is an S-unit.
+
+    Valuations at S.  Over the P above q, sum f_P v_P(mu) = v_q(N(mu)) =
+    v_q(norm) - n v_q(D).  By the ultrametric rule v_P(lambda) > 0 gives
+    v_P(mu) = 0, v_P(lambda) < 0 gives v_P(mu) = v_P(lambda), and
+    v_P(lambda) = 0 leaves v_P(mu) >= 0 open.  What the settled P leave of
+    v_q(N(mu)) is the sum of f_P v_P(mu) over the open P: a single open P
+    takes all of it, and a rest of 0 leaves 0 at each.  Only two or more
+    open P with a nonzero rest (lambda = -1, mu = 2 with 2 split) call
+    valuation."""
+    mu_vals = [min(v, 0) if v else None for v in lam_vals]
+    for q in {P.q for P in S}:
+        above = [i for i, P in enumerate(S) if P.q == q]
+        unsettled = [i for i in above if mu_vals[i] is None]
+        rest = (int_valuation(norm, q) - mu.field.degree * int_valuation(D, q)
+                - sum(S[i].f * mu_vals[i] for i in above
+                      if mu_vals[i] is not None))
+        for i in unsettled:
+            mu_vals[i] = (rest // S[i].f if len(unsettled) == 1
+                          else valuation(mu, S[i]) if rest else 0)
+    return mu_vals
 
 
 # ----------------------------------------------------------- square classes

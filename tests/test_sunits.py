@@ -20,8 +20,9 @@ from hypothesis import strategies as st
 
 from afcheck import make_field, numberfield, sunits
 from afcheck.cli import run
-from afcheck.errors import (AfcheckError, BasisUnavailable,
-                            FactorizationIncomplete, IndexDivisor, IsSquare,
+from afcheck.criteria import (check_cor_3_4, check_thm_3_2, check_thm_3_3,
+                              check_thm_5_2)
+from afcheck.errors import (AfcheckError, BasisUnavailable, IsSquare,
                             Reducible, Unsupported, WorkExceeded, ZeroElement)
 from afcheck.linalg import charpoly
 from afcheck.numberfield import FieldElement, NumberField
@@ -30,7 +31,7 @@ from afcheck.prime_ideals import element_valuations, s_k, valuation
 from afcheck.sunits import (MAX_CANDIDATES, build_sunit_basis, is_square,
                             quadratic_extension, selmer_group, solve_sunit,
                             _GENERATOR_SHIFTS, _factor_data, _gamma_matrix,
-                            _mu_norms, _norm_screen, _s_unit_profile)
+                            _mu_norms, _norm_screen, _mu_valuations)
 
 
 # ----------------------------------------------------------------- oracles
@@ -151,10 +152,6 @@ def oracle_sqrt2(bound):
     return out | {(m, l) for l, m in out}
 
 
-def as_pairs(result):
-    return {(tuple(s.lam.coords), tuple(s.mu.coords)) for s in result.solutions}
-
-
 # ------------------------------------------------------------------- tests
 
 class TestSolveSUnit:
@@ -246,6 +243,16 @@ class TestSolveSUnit:
         for sol in res.solutions:
             assert sol.lam + sol.mu == 1
 
+    def test_s_missing_a_prime_above_its_q_is_rejected(self):
+        # 2 splits over x^2 - x - 4; either prime alone leaves the other
+        # outside S, where the norm test cannot see it
+        K = make_field("x^2 - x - 4")
+        S = s_k(K)
+        assert len(S) == 2
+        for P in S:
+            with pytest.raises(ValueError, match="misses a prime"):
+                solve_sunit(K, [P], 2)
+
 
 # -------------------------------------------- box walk and membership test
 
@@ -278,35 +285,76 @@ def is_power_of_two(n):
 
 
 class TestNormTestWarnings:
-    """Over x^2 - 18 the prime 3 divides the index of Z[theta].  Candidates
-    whose N(mu) is a unit away from 2 can still be S-units, and those with
-    3 in the denominator of mu must be reported as unresolved; candidates
-    with another prime in N(mu) are provably not S-units."""
+    """Over x^2 - 18 the prime 3 divides the index of Z[theta].  The norm
+    test decides membership for a lambda of the box without factoring, so
+    the candidates with 3 in the denominator of mu are found as the S-units
+    they are, and the search warns of nothing."""
 
     def test_warnings_name_only_possible_s_units(self):
         K = make_field("x^2 - 18")
         S = s_k(K)
         res = solve_sunit(K, S, 4)
-        a, b = Fraction(-16), Fraction(4)
-        assert as_pairs(res) == {
-            ((a, -b), (1 - a, b)), ((a, b), (1 - a, -b)),
-            ((Fraction(-1), 0), (Fraction(2), 0)),
-            ((Fraction(1, 2), 0), (Fraction(1, 2), 0)),
-            ((Fraction(2), 0), (Fraction(-1), 0)),
-            ((1 - a, -b), (a, b)), ((1 - a, b), (a, -b))}
-        expected = 0
-        lams = set(box_lambdas(build_sunit_basis(K, S, 4), 4))
-        for lam in lams:
+        assert len(res.solutions) == 31
+        assert res.to_dict()["warnings"] == []
+        lams = {s.lam for s in res.solutions}
+        at_three = 0
+        for lam in set(box_lambdas(build_sunit_basis(K, S, 4), 4)):
             c0, c1 = (1 - lam).coords
             norm = c0 * c0 - 18 * c1 * c1
             if (is_power_of_two(abs(norm.numerator))
                     and is_power_of_two(norm.denominator)
                     and lcm(c0.denominator, c1.denominator) % 3 == 0):
-                expected += 1
-        assert expected == 24
-        assert len(res.warnings) == expected
-        assert set(res.warnings) == {
-            "candidate rejected: index divisor at 3 blocks valuation"}
+                at_three += 1
+                assert lam in lams
+        assert at_three == 24
+
+
+def sqrt2_coords(c):
+    """a + b*theta over x^2 - 18, theta = 3 sqrt2, in the basis 1, sqrt2."""
+    return c[0], 3 * c[1]
+
+
+def golden_coords(c):
+    """a + b*theta over x^2 - x - 11, theta = 3 phi - 1, in the basis 1,
+    phi of x^2 - x - 1."""
+    return c[0] - c[1], 3 * c[1]
+
+
+class TestIndexDivisorFields:
+    """x^2 - 18 defines Q(sqrt2) and x^2 - x - 11 defines Q(sqrt5), with 3
+    dividing the index of Z[theta].  The S-unit group is that of x^2 - 2
+    and x^2 - x - 1, so the solutions are the same pairs, coordinates
+    mapped, with the same profiles at the prime above 2, and every
+    criterion that reads them answers the same."""
+
+    CASES = [("x^2 - 18", "x^2 - 2", sqrt2_coords, 4, 31),
+             ("x^2 - 18", "x^2 - 2", sqrt2_coords, 8, 33),
+             ("x^2 - 18", "x^2 - 2", sqrt2_coords, 20, 33),
+             ("x^2 - x - 11", "x^2 - x - 1", golden_coords, 4, 27),
+             ("x^2 - x - 11", "x^2 - x - 1", golden_coords, 8, 27)]
+
+    @staticmethod
+    def mapped(poly, bound, coords):
+        K = make_field(poly)
+        return {(coords(s.lam.coords), coords(s.mu.coords),
+                 tuple(s.val_profile.values()), s.from_box)
+                for s in solve_sunit(K, s_k(K), bound).solutions}
+
+    @pytest.mark.parametrize("poly, model, coords, bound, count", CASES)
+    def test_solutions_are_the_model_field_solutions(self, poly, model,
+                                                     coords, bound, count):
+        got = self.mapped(poly, bound, coords)
+        assert len(got) == count
+        assert got == self.mapped(model, bound, lambda c: tuple(c))
+
+    @pytest.mark.parametrize("poly, model", [("x^2 - 18", "x^2 - 2"),
+                                             ("x^2 - x - 11", "x^2 - x - 1")])
+    @pytest.mark.parametrize("check", [check_thm_3_2, check_thm_3_3,
+                                       check_cor_3_4, check_thm_5_2])
+    def test_criteria_answer_as_the_model_field(self, poly, model, check):
+        for bound in (4, 8):
+            assert (check(make_field(poly), bound).applies
+                    == check(make_field(model), bound).applies)
 
 
 ORACLE_FIELDS = ("x^2 - 2", "x^2 - x - 4", "x^3 - x^2 - 2*x + 1")
@@ -317,26 +365,35 @@ def oracle_setup(poly):
     K = make_field(poly)
     S = s_k(K)
     basis = build_sunit_basis(K, S, 1, user_class_number=1)
-    # one prime of a split 2 alone: S is not closed under conjugation
+    gen_vals = [{P: valuation(g, P) for P in S}
+                for g in basis.free_generators]
+    # one prime of a split 2 alone: the derived profile is checked against
+    # valuation prime by prime
     choices = [S] + ([[P] for P in S] if len(S) > 1 else [])
-    return K, basis, choices
+    return K, S, basis, gen_vals, choices
 
 
 @st.composite
 def membership_case(draw):
-    K, basis, choices = oracle_setup(draw(st.sampled_from(ORACLE_FIELDS)))
-    S = draw(st.sampled_from(choices))
+    """(lambda, [v_P(lambda) for P in S_K], the primes to check): lambda a
+    product of basis powers with exponents in [-3, 3], or 1 - x for a
+    random x with None for the valuations."""
+    K, S, basis, gen_vals, choices = oracle_setup(
+        draw(st.sampled_from(ORACLE_FIELDS)))
+    checked = draw(st.sampled_from(choices))
     if draw(st.booleans()):
         lam = basis.torsion_gen ** draw(
             st.integers(0, basis.torsion_order - 1))
-        for g in basis.free_generators:
-            lam = lam * g ** draw(st.integers(-3, 3))
-        x = 1 - lam
-    else:
-        x = K.element([Fraction(draw(st.integers(-30, 30)),
-                                draw(st.integers(1, 12)))
-                       for _ in range(K.degree)])
-    return x, S
+        lam_vals = [0] * len(S)
+        for g, vals in zip(basis.free_generators, gen_vals):
+            e = draw(st.integers(-3, 3))
+            lam = lam * g ** e
+            lam_vals = [v + e * vals[P] for v, P in zip(lam_vals, S)]
+        return lam, lam_vals, checked
+    x = K.element([Fraction(draw(st.integers(-30, 30)),
+                            draw(st.integers(1, 12)))
+                   for _ in range(K.degree)])
+    return 1 - x, None, checked
 
 
 def kernel_norm(K, a, da, b, db, primes):
@@ -347,10 +404,13 @@ def kernel_norm(K, a, da, b, db, primes):
 
 
 def kernel_keeps(K, a, da, b, db, primes):
-    """The walk's keep-or-skip decision for lambda = (a*b)/(da*db)."""
+    """The walk's keep-or-skip decision for lambda = (a*b)/(da*db); a kept
+    entry comes with its norm N(D - a*b)."""
     pre = _factor_data(K, a, da, primes)
     entry = (0, *_factor_data(K, b, db, primes))
-    return _norm_screen(K, primes)(pre, [entry]) == [entry]
+    kept = _norm_screen(K, primes)(pre, [entry])
+    assert kept in ([], [(entry, kernel_norm(K, a, da, b, db, primes))])
+    return bool(kept)
 
 
 def reference_norm_supported(field, num, den, primes):
@@ -368,24 +428,53 @@ def reference_norm_supported(field, num, den, primes):
 
 
 class TestMembershipOracle:
+    """For lambda an S-unit the norm test keeps mu = 1 - lambda exactly
+    when the full factorization finds mu an S-unit, and _mu_valuations
+    derives what valuation finds at each prime of S.  For any other lambda
+    the test still keeps every S-unit mu."""
+
     @settings(max_examples=150, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     @given(membership_case())
     def test_matches_full_factorization(self, case):
-        x, S = case
-        if x.is_zero():
+        lam, lam_vals, checked = case
+        K = lam.field
+        S = s_k(K)
+        mu = 1 - lam
+        if lam == 1:
             return
-        warnings = []
-        # the norm test of lambda = 1 - x as a prefix times the entry 1,
-        # then the factoring of a survivor, as in the walk
-        lam = 1 - x
-        one = (1,) + (0,) * (x.field.degree - 1)
-        got = (_s_unit_profile(x, S, warnings)
-               if kernel_keeps(x.field, lam.num, lam.den, one, 1,
-                               {P.q for P in S})
-               else None)
-        assert got == reference_profile(x, S)
-        assert warnings == []
+        one = (1,) + (0,) * (K.degree - 1)
+        primes = {P.q for P in S}
+        keeps = kernel_keeps(K, lam.num, lam.den, one, 1, primes)
+        is_s_unit = reference_profile(mu, S) is not None
+        if lam_vals is None:
+            assert keeps or not is_s_unit
+            return
+        assert keeps == is_s_unit
+        if keeps:
+            norm = kernel_norm(K, lam.num, lam.den, one, 1, primes)
+            derived = dict(zip(S, zip(
+                lam_vals, _mu_valuations(mu, S, lam_vals, norm, lam.den))))
+            for P in checked:
+                assert derived[P] == (valuation(lam, P), valuation(mu, P))
+
+    def test_split_two_with_both_primes_open(self, monkeypatch):
+        # lambda = -1, mu = 2 over x^2 - x - 4: v_P(lambda) = 0 at both
+        # primes above 2 and v_2(N(mu)) = 2, which the norm cannot split
+        K = make_field("x^2 - x - 4")
+        S = s_k(K)
+        lam = -K.one()
+        calls = []
+
+        def counted(x, P):
+            calls.append(P)
+            return valuation(x, P)
+
+        monkeypatch.setattr(sunits, "valuation", counted)
+        norm = kernel_norm(K, lam.num, 1, (1, 0), 1, {2})
+        assert len(S) == 2 and norm == 4
+        assert _mu_valuations(1 - lam, S, [0, 0], norm, 1) == [1, 1]
+        assert calls == S
 
 
 @lru_cache(maxsize=None)
@@ -475,10 +564,12 @@ class TestTraceFormNorm:
 
 
 class TestNormTestWork:
-    """The walk takes one norm per prefix, per innermost table entry and per
-    factored mu, and mul_num outside the valuations at most three times per
-    prefix, once per table entry and 1 + (number of generators) times per
-    survivor: neither runs once per candidate of the box."""
+    """The walk takes one norm per prefix and per innermost table entry, and
+    mul_num outside the valuations at most three times per prefix, once
+    per table entry and 1 + (number of generators) times per survivor:
+    neither runs once per candidate of the box.  valuation runs on the
+    basis and, at a split 2, on a survivor whose lambda is a unit and whose
+    mu is not; no survivor is factored."""
 
     @pytest.mark.parametrize("poly, bound", [("x^2 - x - 4", 6),
                                              ("x^3 - x^2 - 2*x + 1", 3)])
@@ -503,6 +594,7 @@ class TestNormTestWork:
 
         def flagged(function):
             def wrapper(*args):
+                counts[function.__name__] += 1
                 in_valuation.append(True)
                 try:
                     return function(*args)
@@ -524,7 +616,7 @@ class TestNormTestWork:
         for name in ("num_norm", "mul_num"):
             monkeypatch.setattr(NumberField, name,
                                 counted(name, getattr(NumberField, name)))
-        for name in ("valuation", "_s_unit_profile"):
+        for name in ("valuation", "_mu_valuations"):
             monkeypatch.setattr(sunits, name,
                                 flagged(getattr(sunits, name)))
         monkeypatch.setattr(sunits, "_norm_screen", counting_screen)
@@ -532,11 +624,18 @@ class TestNormTestWork:
         assert got.to_dict() == expected.to_dict()
         prefixes, survivors = counts["prefixes"], counts["survivors"]
         entries = 2 * bound + 1
-        norm_bound = prefixes + entries + 2 * survivors
+        norm_bound = prefixes + entries
         mul_bound = 3 * prefixes + entries + (1 + gens) * survivors
+        split_units = sum(
+            1 for sol in got.solutions
+            if len(S) > 1 and sol.from_box
+            and not any(vl for vl, _ in sol.val_profile.values())
+            and any(vm for _, vm in sol.val_profile.values()))
         assert counts["num_norm"] <= norm_bound
         assert counts["mul_num outside valuations"] <= mul_bound
         assert max(norm_bound, mul_bound) < counts["candidates"]
+        assert counts["_mu_valuations"] <= survivors
+        assert counts["valuation"] <= len(S) * (len(S) + gens + split_units)
 
 
 class TestBoxWalkCoverage:
@@ -562,7 +661,7 @@ class TestBoxWalkCoverage:
                for s in res.solutions]
         assert sorted(got, key=lambda t: t[0]) == sorted(
             ref.values(), key=lambda t: t[0])
-        assert res.warnings == []
+        assert res.to_dict()["warnings"] == []
 
     @pytest.mark.parametrize("poly, bound, count", [
         ("x^2-2", 20, 33), ("x^2-x-4", 6, 123), ("x^3-x^2-2*x+1", 3, 89)])
@@ -585,19 +684,20 @@ def norm_off_s_is_one(x, S):
 
 
 def reference_walk(K, S, bound):
-    """solve_sunit's (solutions, warnings) from plain FieldElement
-    arithmetic: each lambda of the box as a product of powers, the norm
-    test on the rational x.norm(), and the profiles from
-    element_valuations and valuation, in the full walk's order.  A bound
-    below 1 is the solver's vacuous search."""
+    """solve_sunit's solutions from plain FieldElement arithmetic: each
+    lambda of the box as a product of powers, in the full walk's order,
+    membership from the norm test on the rational x.norm(), and the
+    profiles from valuation at the primes of S, which is exact even where
+    Z[theta] is not maximal at an odd q.  A bound below 1 is the solver's
+    vacuous search."""
     if bound <= 0:
-        return [], []
+        return []
     basis = build_sunit_basis(K, S, bound, user_class_number=1)
 
     def key(x):  # the solver's output order
         return tuple((c.numerator, c.denominator) for c in x.coords)
 
-    found, warnings = {}, []
+    found = {}
     for j in range(basis.torsion_order):
         for exps in product(range(-bound, bound + 1),
                             repeat=len(basis.free_generators)):
@@ -607,31 +707,17 @@ def reference_walk(K, S, bound):
             if lam == 1 or key(lam) in found:
                 continue
             mu = 1 - lam
-            if not norm_off_s_is_one(mu, S):
-                continue
-            try:
-                vals = dict(element_valuations(mu))
-            except IndexDivisor as exc:
-                warnings.append("candidate rejected: index divisor at "
-                                f"{exc.q} blocks valuation")
-                continue
-            except FactorizationIncomplete as exc:
-                warnings.append("candidate rejected: incomplete "
-                                f"factorization ({exc.leftover})")
-                continue
-            if any(P not in S for P in vals):
-                continue
-            profile = {P: (valuation(lam, P), vals.get(P, 0)) for P in S}
-            found[key(lam)] = (lam, mu, profile, True)
+            if norm_off_s_is_one(mu, S):
+                profile = {P: (valuation(lam, P), valuation(mu, P)) for P in S}
+                found[key(lam)] = (lam, mu, profile, True)
     for k in sorted(found):
         lam, mu, profile, _ = found[k]
         if key(mu) not in found:
             swapped = {P: (v[1], v[0]) for P, v in profile.items()}
             found[key(mu)] = (mu, lam, swapped, False)
-    solutions = [(lam.coords, mu.coords, profile, from_box, key(mu))
-                 for lam, mu, profile, from_box in
-                 (found[k] for k in sorted(found))]
-    return solutions, warnings
+    return [(lam.coords, mu.coords, profile, from_box, key(mu))
+            for lam, mu, profile, from_box in
+            (found[k] for k in sorted(found))]
 
 
 @lru_cache(maxsize=None)
@@ -658,24 +744,6 @@ def random_box(draw):
     setup = random_field_setup(coeffs)
     assume(setup is not None)
     return setup, draw(st.integers(0, 2))
-
-
-def full_walk_survivors(K, S, bound):
-    """str(mu.coords) for every lambda of the full box, in walk order,
-    whose mu = 1 - lambda passes the norm test (the rational x.norm())."""
-    basis = build_sunit_basis(K, S, bound, user_class_number=1)
-    out = []
-    for j in range(basis.torsion_order):
-        for exps in product(range(-bound, bound + 1),
-                            repeat=len(basis.free_generators)):
-            lam = basis.torsion_gen ** j
-            for g, e in zip(basis.free_generators, exps):
-                lam = lam * g ** e
-            if lam == 1:
-                continue
-            if norm_off_s_is_one(1 - lam, S):
-                out.append(str((1 - lam).coords))
-    return out
 
 
 def fraction_key(x):
@@ -711,9 +779,8 @@ class TestReferenceWalk:
         res = solve_sunit(K, S, bound, user_class_number=1)
         got = [(s.lam.coords, s.mu.coords, s.val_profile, s.from_box,
                 s.mu.key()) for s in res.solutions]
-        want, warnings = reference_walk(K, S, bound)
-        assert got == want
-        assert res.warnings == warnings
+        assert got == reference_walk(K, S, bound)
+        assert res.to_dict()["warnings"] == []
 
     @pytest.mark.parametrize("poly, bound", [
         ("x^2 - 18", 4), ("x^2 - 18", 0), ("x^2 - x - 4", 1),
@@ -722,37 +789,15 @@ class TestReferenceWalk:
         ("x^2 + x + 1", 0), ("x^2 + x + 1", 1), ("x^2 + x + 1", 4),
         ("x^2 - x + 2", 3)])
     def test_fixed_fields(self, poly, bound):
-        # x^2 - 18: an index divisor at 3 puts 24 warnings in the walk;
+        # x^2 - 18: 3 divides the index of Z[theta], and the 24 candidates
+        # with 3 in the denominator of mu are solutions all the same;
         # x^2 + 1 and x^2 + x + 1 have torsion of order 4 and 6
         K = make_field(poly)
         S = s_k(K)
         res = solve_sunit(K, S, bound, user_class_number=1)
-        want, warnings = reference_walk(K, S, bound)
         assert [(s.lam.coords, s.mu.coords, s.val_profile, s.from_box,
-                 s.mu.key()) for s in res.solutions] == want
-        assert res.warnings == warnings
-
-    @pytest.mark.parametrize("poly, bound", [
-        ("x^2 - 2", 3), ("x^2 - 18", 2), ("x^2 + 1", 3), ("x^2 + x + 1", 2),
-        ("x^2 - x + 2", 2), ("x^3 - x^2 - 2*x + 1", 1)])
-    def test_warnings_in_full_walk_order(self, poly, bound, monkeypatch):
-        # each norm-test survivor warns with its own mu, so the warning
-        # list is the order in which the full walk reaches the survivors:
-        # a mirror is ranked where the full walk meets it, and lambda = -1,
-        # its own mirror, is factored once
-        def stub(x, S, warnings):
-            warnings.append(str(x.coords))
-            return None
-
-        from afcheck import sunits
-        monkeypatch.setattr(sunits, "_s_unit_profile", stub)
-        K = make_field(poly)
-        S = s_k(K)
-        res = solve_sunit(K, S, bound, user_class_number=1)
-        want = full_walk_survivors(K, S, bound)
-        assert res.solutions == []
-        assert res.warnings == want
-        assert str((K.one() * 2).coords) in want
+                 s.mu.key()) for s in res.solutions] == reference_walk(
+                     K, S, bound)
 
 
 class TestSelmer:
