@@ -276,7 +276,7 @@ def _cmd_check(field, args):
     values = dict(args, bound=DEFAULT_BOUND if args["bound"] is None
                   else args["bound"])
     verdict = criterion.check(field, *(values[o] for o in criterion.reads))
-    return (verdict.to_dict(), list(verdict.caveats),
+    return (verdict.to_dict(), verdict.caveats,
             _VERDICT_EXIT[verdict.applies])
 
 

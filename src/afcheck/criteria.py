@@ -1,12 +1,13 @@
 """Hypothesis checkers producing three-valued verdicts with witnesses.
 
-Local criteria (inertia/ramification shapes) are decidable and report yes or
-no.  Criteria quantifying over all S-unit solutions can never be confirmed by
-a bounded search, so they report either "no" with a counterexample or
-"unknown" with bounded-search caveats; "yes" is structurally impossible for
-them.  Every hypothesis carries enough witness data to be recomputed
-independently.  CRITERIA lists every criterion once: its conclusion, the
-check options it reads and its checker.
+Each hypothesis has a status, the provenance of its answer: ("proven",),
+("bounded-search", B) when read off the S-unit box of bound B,
+("user-supplied",) when read off the user's class number, or ("assumed",
+reason).  A verdict is "no" if a hypothesis fails, "yes" if every one holds
+and is proven, else "unknown", with a caveat per unproven hypothesis.  Every
+hypothesis carries enough witness data to be recomputed independently.
+CRITERIA lists every criterion once: its conclusion, the check options it
+reads and its checker.
 """
 
 from dataclasses import dataclass
@@ -33,18 +34,19 @@ class HypothesisStatus:
     name: str
     holds: bool
     witness: object = None
-    caveat: tuple = None
-    assumed: bool = False
+    status: tuple = ("proven",)
     note: str = None
+
+    @property
+    def proven(self):
+        return self.status[0] == "proven"
 
     def to_dict(self):
         out = {"name": self.name, "holds": self.holds}
         if self.witness is not None:
             out["witness"] = self.witness
-        if self.caveat is not None:
-            out["caveat"] = list(self.caveat)
-        if self.assumed:
-            out["assumed"] = True
+        if not self.proven:
+            out["status"] = list(self.status)
         if self.note:
             out["note"] = self.note
         return out
@@ -52,11 +54,25 @@ class HypothesisStatus:
 
 @dataclass
 class Verdict:
+    """Read off its hypotheses; the notes are the checker's, then the note
+    of each failing hypothesis."""
     theorem_id: str
-    applies: str                      # "yes" | "no" | "unknown"
     hypotheses: list
-    caveats: list
-    notes: list
+    notes: list = ()
+
+    def __post_init__(self):
+        self.notes = [*self.notes, *(h.note for h in self.hypotheses if h.note)]
+
+    @property
+    def applies(self):
+        if not all(h.holds for h in self.hypotheses):
+            return "no"
+        return "yes" if all(h.proven for h in self.hypotheses) else "unknown"
+
+    @property
+    def caveats(self):
+        return [f"{h.name}: " + "=".join(map(str, h.status))
+                for h in self.hypotheses if not h.proven]
 
     def to_dict(self):
         return {"theorem": self.theorem_id, "applies": self.applies,
@@ -65,11 +81,11 @@ class Verdict:
                 "caveats": self.caveats, "notes": self.notes}
 
 
-def _hyp(name, holds, witness=None, note=None):
+def _hyp(name, holds, witness=None, note=None, status=("proven",)):
     """A checked hypothesis; the note explains a failure, so it is kept only
     when the hypothesis fails."""
-    return HypothesisStatus(name, holds, witness=witness,
-                            note=None if holds else note)
+    return HypothesisStatus(name, holds, witness, status,
+                            None if holds else note)
 
 
 def _hyp_totally_real(field):
@@ -118,28 +134,6 @@ def _hyps_aux_prime(field, ell):
     ]
 
 
-_MODULARITY_LIFT = "modularity-lift statement for even-degree fields"
-
-
-def _finalize(theorem_id, hypotheses, *, bound=None, notes=()):
-    """Verdict from the hypotheses: "no" if one fails, else "unknown" for a
-    bounded search (bound given), else "yes"."""
-    notes = list(notes) + [h.note for h in hypotheses if not h.holds and h.note]
-    caveats = [] if bound is None else [f"bounded-search:B={bound}"]
-    caveats += [f"{h.name}: {h.caveat[0]}={h.caveat[1]}"
-                for h in hypotheses if h.caveat]
-    caveats += ["modularity-lift conjecture assumed-if-needed"
-                if h.name == _MODULARITY_LIFT else f"assumed {h.name}: {h.note}"
-                for h in hypotheses if h.assumed]
-    if any(not h.holds for h in hypotheses):
-        applies = "no"
-    elif bound is not None or any(h.assumed for h in hypotheses):
-        applies = "unknown"
-    else:
-        applies = "yes"
-    return Verdict(theorem_id, applies, hypotheses, caveats, notes)
-
-
 # ----------------------------------------------------- S-unit based criteria
 
 def _solution_witness(sol, prime, bound_val):
@@ -156,19 +150,18 @@ def _within_4v2(sol, P):
 def _box_hypothesis(name, search, primes, predicate, bound, bound_desc=None):
     """Every solution in the box of exponent bound `bound` meets `predicate`
     at some prime of `primes`.  The witness is one entry per solution, or the
-    first solution that fails.  `bound_desc(P)` replaces `bound` in the
-    entry of a solution that meets it at P."""
+    first solution that fails; the status is the search's.  `bound_desc(P)`
+    replaces `bound` in the entry of a solution that meets it at P."""
     witnesses = []
     for sol in search.solutions:
         hit = next((P for P in primes if predicate(sol, P)), None)
         if hit is None:
             return HypothesisStatus(name, False,
-                                    witness=_solution_witness(sol, None, bound),
-                                    caveat=("bounded-search", bound))
+                                    _solution_witness(sol, None, bound),
+                                    search.completeness)
         witnesses.append(_solution_witness(
             sol, hit, bound if bound_desc is None else bound_desc(hit)))
-    return HypothesisStatus(name, True, witness=witnesses,
-                            caveat=("bounded-search", bound))
+    return HypothesisStatus(name, True, witnesses, search.completeness)
 
 
 def _empty_box_note(search, bound):
@@ -190,7 +183,7 @@ def check_thm_3_2(field: NumberField, bound: int,
         search, primes, _within_4v2, bound, lambda P: 4 * P.e)]
     notes = [n + "; condition is vacuously satisfied there"
              for n in _empty_box_note(search, bound)]
-    return _finalize("thm-3-2", hyps, bound=bound, notes=notes)
+    return Verdict("thm-3-2", hyps, notes)
 
 
 def _hyp_lifting(field):
@@ -198,9 +191,9 @@ def _hyp_lifting(field):
         return _hyp("degree of the field is odd (lifting hypothesis satisfied "
                     "unconditionally)", True, {"degree": field.degree})
     return HypothesisStatus(
-        _MODULARITY_LIFT, True, assumed=True,
-        note=f"[K:Q] = {field.degree} is even; the Hilbert-newform lifting "
-             "statement is assumed-if-needed")
+        "modularity-lift statement for even-degree fields", True,
+        status=("assumed", f"[K:Q] = {field.degree} is even; the "
+                "Hilbert-newform lifting statement is assumed-if-needed"))
 
 
 def check_thm_3_3(field: NumberField, bound: int,
@@ -221,8 +214,7 @@ def check_thm_3_3(field: NumberField, bound: int,
         "v(lambda*mu) = v(2) (mod 3)", search, primes_u, pred, bound)]
     notes = [] if primes_u else ["U_K is empty: no prime over 2 has v(2) "
                                  "coprime to 3"]
-    return _finalize("thm-3-3", hyps, bound=bound,
-                     notes=notes + _empty_box_note(search, bound))
+    return Verdict("thm-3-3", hyps, notes + _empty_box_note(search, bound))
 
 
 def check_cor_3_4(field: NumberField, bound: int,
@@ -249,9 +241,8 @@ def check_cor_3_4(field: NumberField, bound: int,
         "some prime over 2 with v(2) coprime to 3",
         search, primes_u, pred, bound),
         _hyp("derived congruence v(lambda*mu) = t (mod 3) for t > 0",
-             derivation_ok)]
-    return _finalize("cor-3-4", hyps, bound=bound,
-                     notes=_empty_box_note(search, bound))
+             derivation_ok, status=search.completeness)]
+    return Verdict("cor-3-4", hyps, _empty_box_note(search, bound))
 
 
 def check_thm_5_2(field: NumberField, bound: int,
@@ -264,9 +255,10 @@ def check_thm_5_2(field: NumberField, bound: int,
         info = class_data(field, user_class_number=user_class_number)
         hyps.append(_hyp(narrow, info.h_plus == 1,
                          {"h": info.h, "h_plus": info.h_plus},
-                         f"computed h+ = {info.h_plus}"))
+                         f"computed h+ = {info.h_plus}", info.completeness))
     except (MissingUserClassNumber, Unsupported, SearchExhausted) as exc:
-        hyps.append(HypothesisStatus(narrow, True, assumed=True, note=str(exc)))
+        hyps.append(HypothesisStatus(narrow, True,
+                                     status=("assumed", str(exc))))
 
     primes = s_k(field)
     # user_class_number is K's class number, so only the search over K gets
@@ -293,8 +285,8 @@ def check_thm_5_2(field: NumberField, bound: int,
                     if isinstance(exc, IndexDivisor)
                     else f"S-unit basis unavailable over the extension: {exc}")
             hyps.append(HypothesisStatus(
-                f"S_L-unit condition over K({label})", True, assumed=True,
-                note=note))
+                f"S_L-unit condition over K({label})", True,
+                status=("assumed", note)))
             continue
         hyp = _box_hypothesis(
             f"every S_L-unit solution over K({label}) meets "
@@ -303,7 +295,7 @@ def check_thm_5_2(field: NumberField, bound: int,
         hyp.witness = {"extension_poly": list(ext.coeffs),
                        "witnesses" if hyp.holds else "counterexample": hyp.witness}
         hyps.append(hyp)
-    return _finalize("thm-5-2", hyps, bound=bound)
+    return Verdict("thm-5-2", hyps)
 
 
 # ------------------------------------------------------------ local criteria
@@ -312,7 +304,7 @@ def check_thm_7_1(field: NumberField, ell: int) -> Verdict:
     """Purely local: gcd(n, l-1) = 1, l totally ramified, 2 inert."""
     hyps = [_hyp_totally_real(field), *_hyps_aux_prime(field, ell),
             _hyp_shape(field, *_TWO_INERT)]
-    return _finalize("thm-7-1", hyps)
+    return Verdict("thm-7-1", hyps)
 
 
 def check_cor_7_2(field: NumberField) -> Verdict:
@@ -322,22 +314,22 @@ def check_cor_7_2(field: NumberField) -> Verdict:
             _hyp("3 does not divide the degree", n % 3 != 0, {"degree": n},
                  f"3 divides degree {n}"),
             _hyp_shape(field, *_TWO_INERT), _hyp_shape(field, *_THREE_SPLIT)]
-    return _finalize("cor-7-2", hyps)
+    return Verdict("cor-7-2", hyps)
 
 
 def check_thm_7_3_1(field: NumberField, ell: int) -> Verdict:
     """W_K-restricted local criterion (1): l > 5 totally ramified with
     gcd(n, l-1) = 1."""
-    return _finalize("thm-7-3-1", [_hyp_totally_real(field),
-                                   *_hyps_aux_prime(field, ell)])
+    return Verdict("thm-7-3-1", [_hyp_totally_real(field),
+                                 *_hyps_aux_prime(field, ell)])
 
 
 def check_thm_7_3_2(field: NumberField) -> Verdict:
     """W_K-restricted local criterion (2): odd degree with 3 totally
     split."""
-    return _finalize("thm-7-3-2", [_hyp_totally_real(field),
-                                   _hyp_odd_degree(field),
-                                   _hyp_shape(field, *_THREE_SPLIT)])
+    return Verdict("thm-7-3-2", [_hyp_totally_real(field),
+                                 _hyp_odd_degree(field),
+                                 _hyp_shape(field, *_THREE_SPLIT)])
 
 
 # ------------------------------------------------------------ the criteria

@@ -108,16 +108,25 @@ def emit_human(report) -> str:
 
 
 def _render_verdict(result, lines):
+    """Marks each hypothesis yes or NO when proven, else by its status kind
+    (with NO when it fails); adds the reason of each assumed one."""
     lines.append(f"  theorem: {result['theorem']}")
     lines.append(f"  applies: {result['applies']}")
-    rows = []
+    rows, assumed = [], []
     for hyp in result["hypotheses"]:
-        status = "assumed" if hyp.get("assumed") else ("yes" if hyp["holds"] else "NO")
-        rows.append((status, hyp["name"]))
+        kind, *detail = hyp.get("status", ["proven"])
+        if kind == "proven":
+            mark = "yes" if hyp["holds"] else "NO"
+        else:
+            mark = kind if hyp["holds"] else f"NO ({kind})"
+        if kind == "assumed":
+            assumed.append(f"  assumed: {hyp['name']}: {detail[0]}")
+        rows.append((mark, hyp["name"]))
     width = max(len(s) for s, _ in rows)
     lines.append("  hypotheses:")
-    for status, name in rows:
-        lines.append(f"    [{status:>{width}}] {name}")
+    for mark, name in rows:
+        lines.append(f"    [{mark:>{width}}] {name}")
+    lines.extend(assumed)
     for hyp in result["hypotheses"]:
         wit = hyp.get("witness")
         if hyp["holds"] or not isinstance(wit, dict):

@@ -98,16 +98,15 @@ class SUnitSolution:
     val_profile: dict        # P -> (v_P(lambda), v_P(mu))
     from_box: bool
 
-    def t_max(self):
-        return {P: max(abs(v[0]), abs(v[1])) for P, v in self.val_profile.items()}
-
     def pair_dict(self):
         return {"lambda": self.lam.coord_strs(), "mu": self.mu.coord_strs()}
 
-    def to_dict(self):
+    def to_dict(self, keys):
+        """The report entry; keys[P] is P.key()."""
+        profile = self.val_profile
         return {**self.pair_dict(),
-                "val_profile": {P.key(): list(v) for P, v in self.val_profile.items()},
-                "t_max": {P.key(): t for P, t in self.t_max().items()},
+                "val_profile": {keys[P]: list(v) for P, v in profile.items()},
+                "t_max": {keys[P]: max(map(abs, v)) for P, v in profile.items()},
                 "from_box": self.from_box}
 
 
@@ -121,8 +120,10 @@ class SUnitSearch:
         return ("bounded-search", self.bound)
 
     def to_dict(self):
+        # every solution's profile runs over the same primes, S
+        keys = {P: P.key() for s in self.solutions[:1] for P in s.val_profile}
         return {"bound": self.bound,
-                "solutions": [s.to_dict() for s in self.solutions],
+                "solutions": [s.to_dict(keys) for s in self.solutions],
                 "completeness": list(self.completeness),
                 "warnings": []}
 

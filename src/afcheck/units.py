@@ -54,7 +54,6 @@ class UnitGroup:
     fundamental_units: list
     torsion_order: int
     torsion_gen: FieldElement
-    completeness: tuple
 
     def generators(self):
         return [self.torsion_gen] + list(self.fundamental_units)
@@ -314,21 +313,19 @@ def unit_generators(field: NumberField) -> UnitGroup:
     """
     n = field.degree
     if n == 1:
-        return UnitGroup([], 2, field.from_rational(-1), ("proven",))
+        return UnitGroup([], 2, field.from_rational(-1))
     if n == 2:
         d, _, _ = _quad_data(field)
         if d < 0:
             order, (x, y) = _quad_torsion(d)
-            return UnitGroup([], order, _quad_element(field, x, y, 2),
-                             ("proven",))
+            return UnitGroup([], order, _quad_element(field, x, y, 2))
         x, y, den, _norm = _quad_fundamental_unit(d)
         unit = _quad_element(field, x, y, den)
-        return UnitGroup([unit], 2, field.from_rational(-1), ("proven",))
+        return UnitGroup([unit], 2, field.from_rational(-1))
     if n == 3 and field.is_totally_real:
-        units, used = field.memo("cubic_units",
-                                 lambda: _cubic_fundamental_pair(field))
-        return UnitGroup(list(units), 2, field.from_rational(-1),
-                         ("bounded-search", used))
+        units, _ = field.memo("cubic_units",
+                              lambda: _cubic_fundamental_pair(field))
+        return UnitGroup(list(units), 2, field.from_rational(-1))
     raise Unsupported(f"unit group for degree {n}, signature {field.signature}")
 
 

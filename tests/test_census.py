@@ -3,7 +3,9 @@
 Every criterion is run in process on Q and on the 60 real quadratic fields
 Q(sqrt d), d squarefree with 2 <= d <= 100, each given by the polynomial of
 its maximal order (x^2 - d, or x^2 - x - (d-1)/4 for d = 1 mod 4), with
-exponent bound 4 for the S-unit criteria.  The S-unit criteria also run on
+the command line's default exponent bound 8 for the S-unit criteria.  There
+the unknown verdicts that rest on an assumed hypothesis are counted as
+well.  The S-unit criteria also run on
 the rest of the field set: the 19 polynomials x^2 - d with d = 1 mod 4
 (bound 4), whose order is not maximal at 2; the totally real cubics of
 discriminant 49, 81, 148, 169 and 229 (bound 3), with and without
@@ -26,12 +28,16 @@ SUNIT_CRITERIA = ("thm-3-2", "thm-3-3", "cor-3-4", "thm-5-2")
 
 # criterion -> outcome counts over Q and the maximal-order quadratics
 TALLY = {
-    "thm-3-2": {"no": 1, "unknown": 60},
-    "thm-3-3": {"no": 12, "unknown": 49},
-    "cor-3-4": {"no": 14, "unknown": 47},
-    "thm-5-2": {"no": 49, "unknown": 12},
+    "thm-3-2": {"no": 5, "unknown": 56},
+    "thm-3-3": {"no": 14, "unknown": 47},
+    "cor-3-4": {"no": 16, "unknown": 45},
+    "thm-5-2": {"no": 51, "unknown": 10},
     "cor-7-2": {"yes": 1, "no": 60},
 }
+
+# S-unit criterion -> how many of its unknown verdicts in TALLY have a
+# hypothesis with an "assumed" status
+ASSUMED_UNKNOWNS = {"thm-3-2": 0, "thm-3-3": 46, "cor-3-4": 44, "thm-5-2": 9}
 
 # squarefree d with 2 <= d <= 100
 SQUAREFREE = [d for d in range(2, 101)
@@ -60,13 +66,22 @@ def census_fields():
                     for d in SQUAREFREE]
 
 
-def outcome(theorem, poly, tail):
-    """The verdict of one check, or the type of the error it ends in."""
+def check(theorem, poly, tail):
+    """The JSON result of one check."""
     out = io.StringIO()
     with redirect_stdout(out):
         cli.run(["--output", "json", "check", theorem, poly, *tail])
-    result = json.loads(out.getvalue())["result"]
+    return json.loads(out.getvalue())["result"]
+
+
+def outcome(result):
+    """The verdict of a check result, or the type of the error it ends in."""
     return result["error"]["type"] if "error" in result else result["applies"]
+
+
+def rests_on_assumption(result):
+    return any(h.get("status", [None])[0] == "assumed"
+               for h in result["hypotheses"])
 
 
 def test_census_fields():
@@ -78,17 +93,20 @@ def test_census_fields():
 
 def test_census_tally():
     fields = census_fields()
-    tally = {}
+    tally, assumed = {}, {}
     for theorem in TALLY:
-        tail = ["--bound", "4"] if theorem in SUNIT_CRITERIA else []
-        tally[theorem] = Counter(outcome(theorem, poly, tail)
-                                 for poly in fields)
+        results = [check(theorem, poly, []) for poly in fields]
+        tally[theorem] = Counter(map(outcome, results))
+        if theorem in SUNIT_CRITERIA:
+            assumed[theorem] = sum(rests_on_assumption(r) for r in results
+                                   if outcome(r) == "unknown")
     assert tally == TALLY
+    assert assumed == ASSUMED_UNKNOWNS
 
 
 @pytest.mark.parametrize("group", WIDER)
 def test_census_wider_tally(group):
     polys, tail, expected = WIDER[group]
-    tally = [Counter(outcome(theorem, poly, tail) for poly in polys)
+    tally = [Counter(outcome(check(theorem, poly, tail)) for poly in polys)
              for theorem in SUNIT_CRITERIA]
     assert tally == expected

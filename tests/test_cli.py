@@ -411,6 +411,42 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "signature" in out and "totally-ramified" in out
 
+    @staticmethod
+    def human_verdict(capsys, argv, code):
+        """The (mark, name) rows of the hypotheses and the "assumed:" lines
+        of a verdict in human output."""
+        assert run(argv) == code
+        lines = capsys.readouterr().out.splitlines()
+        rows = [tuple(part.strip() for part in line[5:].split("] ", 1))
+                for line in lines if line.startswith("    [")]
+        return rows, [line for line in lines if line.startswith("  assumed: ")]
+
+    def test_human_verdict_marks_each_status(self, capsys):
+        rows, assumed = self.human_verdict(
+            capsys, ["check", "thm-5-2", "x^2-2", "--bound", "2"], 3)
+        assert rows[:3] == [
+            ("yes", "field is totally real"),
+            ("yes", "narrow class number equals 1"),
+            ("bounded-search", "every S_K-unit solution over the base field "
+             "meets max(|v(lambda)|, |v(mu)|) <= 4*v(2) at some prime over 2")]
+        assert [mark for mark, _ in rows[3:]] == ["assumed"] * 7
+        assert len(assumed) == 7
+        assert assumed[0] == (
+            "  assumed: S_L-unit condition over K(sqrt(-1)): index divisor "
+            "at 2 while factoring 2 in the extension; diagnostic: defining "
+            "polynomial unusable")
+
+    def test_human_verdict_marks_a_failed_user_supplied_hypothesis(self,
+                                                                   capsys):
+        rows, assumed = self.human_verdict(
+            capsys, ["check", "thm-5-2", "x^3-4*x+1", "--bound", "2",
+                     "--user-class-number", "1"], 2)
+        assert rows[:2] == [("yes", "field is totally real"),
+                            ("NO (user-supplied)",
+                             "narrow class number equals 1")]
+        assert rows[2][0] == "bounded-search"
+        assert len(assumed) == len(rows) - 3 == 31
+
 
 class TestErrorReportsCarryTheField:
     """An error raised after make_field still reports the field's summary;
@@ -693,7 +729,10 @@ def field_sweep_cases():
 # criteria take --bound 2 and the field's class number options.  Per field,
 # the (exit code, sha256 of the JSON bytes) of each request, taken while the
 # criteria were still listed apart in criteria.py and cli.py, and taken again
-# when check stopped taking --r; only result.r and command.r went.
+# when check stopped taking --r; only result.r and command.r went.  The S-unit
+# rows were taken again when each hypothesis got one status: its "status" key
+# replaced "caveat" and "assumed" (and an assumption's "note"), and the
+# caveats became one line per hypothesis that is not proven.
 CHECK_REQUESTS = (
     ("thm-3-2", "--bound", "2"), ("thm-3-3", "--bound", "2"),
     ("cor-3-4", "--bound", "2"), ("thm-5-2", "--bound", "2"),
@@ -703,10 +742,10 @@ CHECK_REQUESTS = (
 )
 CHECK_GOLDEN = {
     ("x",): (
-        (3, "cdb3eecf5bd44e09c55a35065ba5d3347462559df6cc6551bf8ad6b4fe16b33e"),
-        (3, "388ba388b780be7cc9b8e706ada1e8297c4e26c4fec14df3a6ddf3551065a270"),
-        (3, "d9338d0e86628af3949106bb017055c76f22d59f0e9a49dceb8432cf9e539d94"),
-        (3, "4fa98f423f4f8880fbecfaa16701fd37832d46fe01f9ce4b5890eb7f44293c23"),
+        (3, "39351a96d5800ac6336b8c76effa0ace48da6bf1e28ed5b9df9b85e4b94f0015"),
+        (3, "e3044afdbbf1c232d4b2e475700c6887dc2abd0c8a588dbcc74b4b4a06ff08c8"),
+        (3, "69a89bdf0e525467ce4429a225e8a9036e0deae4441ee4b6af0413a4a0375dd5"),
+        (3, "6e1c5ed4f7a8d5c2b80793be186a7c8d4d385a51fd702d8bfe22b3ccfcf96c70"),
         (0, "2e9095b8bfc4d2d869189a6479d79184da536239098463afce6710d102b9894c"),
         (0, "2fd65fefe6518047265b19b14a30427b273b446338d24125dce7838edf7f2224"),
         (0, "fa50c7f208d1df38421a3d99ce805bc4945be078b1a9867490f493378e9af7e4"),
@@ -715,10 +754,10 @@ CHECK_GOLDEN = {
         (0, "2ad389f0e10c202f11d3864aa702d030c56071f187a6b4ccb640777b18345870"),
     ),
     ("x^2-x-1",): (
-        (3, "7c908fbd417c1bd7ebad528faf57f510d4bf0a3b100e2a9a5d744035b8d245d2"),
-        (2, "db5eaee7bc3b5f9d7a83bf2bc6a7f90cb33f2c80b02a7e5c398632a6f3379ee9"),
-        (2, "1a8b5fcc3a6f3bb3b1ff912e8fbf316612e296bd82ba12011071958288e3dfe8"),
-        (3, "f5323dd883f2ecfb345e77efea30d2137a35d18958ba20d5183fbe3bb63650ae"),
+        (3, "bfabfe46539144321bd12ece22fd28142f92a78a46292f495db54f94c8e0425a"),
+        (2, "9dbc35e27b242712c9d4e44a1fecee4d82997baa9b2c62e3f32d4e0f412ba8c8"),
+        (2, "b95a6d8119992d3e70f3f107eed2a9f219d5bb2359d77ca834b2e178bdfddbac"),
+        (3, "74557d3edb9a81a91737468246809caf2f8f86564d5c4209db4f3b5af5c860ae"),
         (2, "64443f999e54666ee351decf3c5250b13cee2c7667b941f08737b396463a9d65"),
         (2, "3dcdf3b97623cb5c703ad22e74caaa76a9c55fefb5847a52bd09ac15c1c77b7b"),
         (2, "6bbf8dcb30cffcd26dd89dd6a77682852b3c127570630dfa7b14affbdf58d1a0"),
@@ -727,10 +766,10 @@ CHECK_GOLDEN = {
         (2, "6fc12cbf1c7b051a205ad6f6689424a048c753d1ad4561bc77c224d0e341f5ad"),
     ),
     ("x^3-x^2-2*x+1", "--user-class-number", "1"): (
-        (3, "e4e00ff91a15dd97eabe84c039ceb399a35fd50b1b285093b110bafe7fa78cd8"),
-        (2, "63c5535c3159f1b13d00cb4ffff0d863c06fab0fbad3c1b01f86eb037a954c32"),
-        (2, "e0425431e694c19b16bd890df4c37139c0f943c957afeb4c638de1482778817a"),
-        (3, "7f146272aefaf5d05d4f2e06186e6c7e8f82bba3379c3f75f381e07715f5c425"),
+        (3, "e3a47c00495043133db40e0852d55a489688b6a4b25ad6e44b25f395d0104024"),
+        (2, "ac2ad93916419c1000264819bf7026aee1aaf876cc274ffacae8a760606fbde2"),
+        (2, "e8983c119dfe22a443b73f60eb52f772e03cda7404463e09cfeddab43a192ee5"),
+        (3, "1788536d380368a49d9eca6da547d23286e164843e81873fa31bbc28d5289bed"),
         (2, "1a526448ede10e05069852236c73811969ed10bda8b1935d0392dc842fdd1e4a"),
         (2, "81d7bfac19cc230875753765ad738ea1a09fc444c723ff645bae09ed25a43605"),
         (2, "00e2de77ab385a19955d40b63f8f3e147af38c4a211ced341cf5571f23a99374"),
@@ -768,7 +807,11 @@ class TestGoldenBytes:
     request was taken again when the command echo began to carry
     --user-class-number; only its "command" key changed.  The thm-5-2
     request was taken again when check stopped taking --r; only result.r
-    and command.r went."""
+    and command.r went.  It and the S-unit rows of CHECK_GOLDEN were taken
+    again when each hypothesis got one status: the "status" key of a
+    hypothesis that is not proven replaced "caveat", "assumed" and an
+    assumption's "note", and the caveats became one line per such
+    hypothesis; witnesses, notes, applies and exit codes stayed."""
 
     @pytest.mark.parametrize("argv, code, digest", [
         (["sunit", "x^2-2", "--bound", "20"], 0,
@@ -778,7 +821,7 @@ class TestGoldenBytes:
         (["sunit", "x^3-x^2-2*x+1", "--bound", "3", "--user-class-number", "1"],
          0, "f6bc0755b632a3596cf742bdbf469c454a134bd8492ac53c0ceb8c766d39d846"),
         (["check", "thm-5-2", "x^2-2", "--bound", "3"], 3,
-         "7cd40f9939fbaa6006f1da935141bc5f5eb78497ca28da971bd9791a4ae9f2dc"),
+         "254ad0d56d570db8468f300b8f4ff5a25547af48bdbb5738a6d7c096dd429780"),
         (["frey", "2r", "x^2-10", "--a", "1", "--b", "1", "--c", "1",
           "--r", "1", "--p", "5"], 0,
          "8a4932bf9d3e82daaed0718b072e08048c3fba35f31ee41de34b7f0acfe8c3e5"),

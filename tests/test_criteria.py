@@ -5,10 +5,11 @@ from fractions import Fraction
 import pytest
 
 from afcheck import make_field
-from afcheck.criteria import (check_cor_3_4, check_cor_7_2, check_thm_3_2,
-                              check_thm_3_3, check_thm_5_2, check_thm_7_1,
-                              check_thm_7_3_1, check_thm_7_3_2,
-                              scan_ramified_l)
+from afcheck.criteria import (HypothesisStatus, Verdict, check_cor_3_4,
+                              check_cor_7_2, check_thm_3_2, check_thm_3_3,
+                              check_thm_5_2, check_thm_7_1, check_thm_7_3_1,
+                              check_thm_7_3_2, scan_ramified_l)
+from afcheck.errors import SearchExhausted
 from afcheck.prime_ideals import (factor_rational_prime, s_k,
                                   splitting_type, valuation)
 from afcheck.sunits import SUnitSearch, SUnitSolution
@@ -17,6 +18,37 @@ from afcheck.sunits import SUnitSearch, SUnitSolution
 Q = make_field("x")
 K2 = make_field("x^2 - 2")
 CUBIC = make_field("x^3 - x^2 + 1")
+
+
+class TestVerdictFromStatuses:
+    def verdict(self, *hyps):
+        return Verdict("thm-3-2", list(hyps), ["from the checker"])
+
+    def test_yes_needs_every_hypothesis_proven(self):
+        v = self.verdict(HypothesisStatus("a", True),
+                         HypothesisStatus("b", True, status=("proven",)))
+        assert (v.applies, v.caveats) == ("yes", [])
+        assert v.to_dict()["hypotheses"] == [{"name": "a", "holds": True},
+                                             {"name": "b", "holds": True}]
+
+    @pytest.mark.parametrize("status, caveat", [
+        (("bounded-search", 4), "b: bounded-search=4"),
+        (("user-supplied",), "b: user-supplied"),
+        (("assumed", "no unit group"), "b: assumed=no unit group"),
+    ])
+    def test_one_caveat_per_unproven_hypothesis(self, status, caveat):
+        v = self.verdict(HypothesisStatus("a", True),
+                         HypothesisStatus("b", True, status=status))
+        assert (v.applies, v.caveats) == ("unknown", [caveat])
+        assert v.to_dict()["hypotheses"][1]["status"] == list(status)
+
+    def test_a_failure_is_no_whatever_the_status(self):
+        v = self.verdict(HypothesisStatus("a", False, status=("user-supplied",),
+                                          note="computed h+ = 2"),
+                         HypothesisStatus("b", True, status=("assumed", "x")))
+        assert v.applies == "no"
+        assert v.caveats == ["a: user-supplied", "b: assumed=x"]
+        assert v.notes == ["from the checker", "computed h+ = 2"]
 
 
 class TestThm32:
@@ -70,11 +102,13 @@ class TestThm33Cor34:
         v = check_thm_3_3(Q, 8)
         assert v.applies == "unknown"
         # degree 1 is odd: no modularity assumption needed
-        assert not any(h.assumed for h in v.hypotheses)
+        assert not any(h.status[0] == "assumed" for h in v.hypotheses)
 
     def test_even_degree_surfaces_assumption(self):
         v = check_thm_3_3(K2, 8)
-        assert any(h.assumed for h in v.hypotheses)
+        lift = next(h for h in v.hypotheses if h.status[0] == "assumed")
+        assert lift.holds and lift.note is None
+        assert "assumed-if-needed" in lift.status[1]
         assert any("assumed-if-needed" in c for c in v.caveats)
 
     def test_sqrt2_counterexample_is_real(self):
@@ -122,6 +156,27 @@ class TestThm52:
         assert v.applies == "no"
         narrow = next(h for h in v.hypotheses if "narrow" in h.name)
         assert not narrow.holds and narrow.witness["h_plus"] == 2
+        assert narrow.status == ("proven",)
+
+    def test_narrow_class_status_of_a_cubic_is_user_supplied(self):
+        v = check_thm_5_2(make_field("x^3 - 4*x + 1"), 1, user_class_number=1)
+        assert v.applies == "no"
+        narrow = next(h for h in v.hypotheses if "narrow" in h.name)
+        assert not narrow.holds and narrow.status == ("user-supplied",)
+        assert "narrow class number equals 1: user-supplied" in v.caveats
+
+    def test_class_data_error_is_assumed(self, monkeypatch):
+        import afcheck.criteria as crit
+
+        def exhausted(field, user_class_number=None):
+            raise SearchExhausted("walk gave up")
+
+        monkeypatch.setattr(crit, "class_data", exhausted)
+        v = check_thm_5_2(Q, 2)
+        narrow = next(h for h in v.hypotheses if "narrow" in h.name)
+        assert narrow.holds and narrow.status == ("assumed", "walk gave up")
+        assert narrow.note is None and v.applies == "unknown"
+        assert "narrow class number equals 1: assumed=walk gave up" in v.caveats
 
     def test_vacuous_bound_zero(self):
         v = check_thm_5_2(Q, 0)
@@ -134,17 +189,18 @@ class TestThm52:
         v = check_thm_5_2(K, 3, user_class_number=1)
         assert v.applies == "unknown"
         base = next(h for h in v.hypotheses if "over the base field" in h.name)
-        assert base.holds and not base.assumed and base.witness
+        assert base.holds and base.status == ("bounded-search", 3)
+        assert base.witness
 
     def test_caveats_name_assumptions(self):
         # the assumptions over Q(sqrt 2) are an index divisor and unit groups
         # of quartic extensions, not the modularity lift
         v = check_thm_5_2(K2, 2)
-        assumed = [h for h in v.hypotheses if h.assumed]
+        assumed = [h for h in v.hypotheses if h.status[0] == "assumed"]
         assert assumed
         assert not any("modularity" in c for c in v.caveats)
         for h in assumed:
-            assert any(h.name in c and h.note in c for c in v.caveats)
+            assert f"{h.name}: assumed={h.status[1]}" in v.caveats
 
 
 class TestLocalCriteria:

@@ -18,9 +18,10 @@ __all__.
 
 A field of a top-level dataclass of the package counts as read when some
 code in src/afcheck/ or perfbench/ reads an attribute of that name; tests
-do not count, and neither does a write.  The check matches names only, not
-the object read: a field such as `field`, `completeness` or `notes` whose
-name another class also reads passes even if nothing reads it.
+do not count, and neither does a write.  A read of self.<name> inside a
+top-level class counts only for that class's own fields.  Other reads match
+names only, not the object read: a field such as `field` or `notes` whose
+name another object also has passes if any code reads that name.
 """
 
 import ast
@@ -169,17 +170,29 @@ def _dataclass_fields(tree):
                     yield node.name, stmt.target.id
 
 
+def _attribute_reads(path):
+    """(owner, name) of each attribute that the module at path reads: owner
+    is "module.Class" for a read of self.name inside a top-level class, else
+    None."""
+    for top in _parse(path).body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx,
+                                                              ast.Load):
+                own = (isinstance(top, ast.ClassDef)
+                       and isinstance(node.value, ast.Name)
+                       and node.value.id == "self")
+                yield (f"{path.stem}.{top.name}" if own else None), node.attr
+
+
 def unread_fields(package=PACKAGE, callers=CALLERS):
     """Sorted "module.Class.field" of the dataclass fields in package that
     nothing in the caller directories reads as an attribute."""
-    read = {node.attr for base in callers for path in base.glob("*.py")
-            for node in ast.walk(_parse(path))
-            if isinstance(node, ast.Attribute)
-            and isinstance(node.ctx, ast.Load)}
+    read = {pair for base in callers for path in base.glob("*.py")
+            for pair in _attribute_reads(path)}
     return sorted(f"{path.stem}.{cls}.{name}"
                   for path in sorted(package.glob("*.py"))
                   for cls, name in _dataclass_fields(_parse(path))
-                  if name not in read)
+                  if not {(None, name), (f"{path.stem}.{cls}", name)} & read)
 
 
 def test_every_public_definition_has_a_caller():
@@ -282,8 +295,16 @@ def test_the_field_check_finds_an_unread_field(tmp_path):
         "    spare: str\n"
         "class Plain:\n"
         "    annotated: int\n"
+        "@dataclass\n"
+        "class Tagged:\n"
+        "    tag: str\n"
+        "class Search:\n"
+        "    @property\n"
+        "    def tag(self): return 'bounded'\n"
+        "    def show(self): return self.tag\n"
         "def fill(record): record.written = 1\n", encoding="utf-8")
     (bench / "wrap.py").write_text("def show(f): return f.benched\n",
                                    encoding="utf-8")
     assert unread_fields(package, (package, bench)) == [
-        "mod.Frozen.spare", "mod.Record.unread", "mod.Record.written"]
+        "mod.Frozen.spare", "mod.Record.unread", "mod.Record.written",
+        "mod.Tagged.tag"]
