@@ -10,7 +10,8 @@ one gcd each, and ``coord_strs()`` writes them as "n" or "n/d".  ``coords``
 is the ``fractions.Fraction`` view, for rational arithmetic at the API
 boundary.  The integer kernels live on the field and take bare coordinate
 sequences: ``mul_num`` multiplies two of them, reducing through a per-field
-table of theta^k for n <= k < 2n-1 (a closed form in degree 2), and
+table of theta^k for n <= k < 2n-1 that the first product builds (closed
+forms in degree 1 and 2), and
 ``num_norm`` is their norm (closed forms in degree 1 and 2, else the
 Bareiss determinant of the multiplication matrix).  The product and norm
 of a FieldElement are these on ``num``, with the denominator kept aside, so
@@ -27,6 +28,7 @@ integer interval Horner.
 """
 
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 
 from . import linalg
@@ -52,11 +54,6 @@ class NumberField:
         r1 = len(real_roots)
         self.signature = (r1, (self.degree - r1) // 2)
         self.field_disc = None  # set once the index is verified at all squares
-        # integer coordinates of theta^k for n <= k < 2n-1, the powers a
-        # product of two reduced elements can reach
-        n = self.degree
-        self._reduction = tuple(self.reduce([0] * k + [1])
-                                for k in range(n, 2 * n - 1))
         self._memo = {}
 
     def memo(self, key, compute):
@@ -103,11 +100,21 @@ class NumberField:
 
     # -- integer kernels on coordinate sequences ------------------------
 
+    @cached_property
+    def _reduction(self):
+        """Integer coordinates of theta^k for n <= k < 2n-1, the powers a
+        product of two reduced elements can reach; built by the first
+        product that needs them, since most fields never multiply."""
+        n = self.degree
+        return tuple(self.reduce([0] * k + [1]) for k in range(n, 2 * n - 1))
+
     def mul_num(self, a, b):
         """Coordinates of a * b: the schoolbook product, then theta^k for
-        k >= n replaced through the reduction table; in degree 2 the closed
-        form with theta^2 = -f1*theta - f0."""
+        k >= n replaced through the reduction table; closed forms in degree
+        1 and 2 (theta^2 = -f1*theta - f0), which need no table."""
         n = self.degree
+        if n == 1:
+            return [a[0] * b[0]]
         if n == 2:
             (a0, a1), (b0, b1) = a, b
             t = a1 * b1
@@ -264,16 +271,18 @@ class FieldElement:
         return self.inverse() * other
 
     def __pow__(self, exponent):
+        """Left-to-right binary powering: from the top bit down, square and
+        multiply by self at each set bit, so x ** e takes
+        bit_length(e) + popcount(e) - 2 products for e >= 1."""
         if exponent < 0:
             return self.inverse() ** (-exponent)
-        result = self.field.one()
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
+        if not exponent:
+            return self.field.one()
+        result = self
+        for bit in bin(exponent)[3:]:
+            result = result * result
+            if bit == "1":
+                result = result * self
         return result
 
     def inverse(self):

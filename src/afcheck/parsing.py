@@ -12,9 +12,10 @@ MAX_PARSED_DIGITS digits in its numerator or denominator, so the work per
 input stays small and every coefficient can be printed.
 """
 
+import re
 from fractions import Fraction
 
-from .polynomials import degree, padd, pmul, pneg, strip
+from .polynomials import degree, pmul, pneg, strip
 
 # Defining polynomials stop at degree 6 and element strings are reduced mod
 # f afterwards, so no sensible input comes near this.
@@ -29,33 +30,25 @@ class ParseError(ValueError):
     pass
 
 
+# an integer literal, an operator or x, or any other character but whitespace
+_TOKEN = re.compile(r"(\d+)|(\*\*|[-+*/^()xX])|(\S)")
+
+
 def _tokenize(text):
+    """The tokens of text, in order: an int for each integer literal, and
+    "x", "+", "-", "*", "/", "^", "(" or ")" for the others ("X" is "x" and
+    "**" is "^"); whitespace only separates them."""
     tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            if j - i > MAX_PARSED_DIGITS:
+    for digits, op, other in _TOKEN.findall(text):
+        if digits:
+            if len(digits) > MAX_PARSED_DIGITS:
                 raise ParseError("integer literal above the parser's cap of "
                                  f"{MAX_PARSED_DIGITS} digits")
-            tokens.append(("int", int(text[i:j])))
-            i = j
-        elif ch in "xX":
-            tokens.append(("x", None))
-            i += 1
-        elif ch == "*" and i + 1 < n and text[i + 1] == "*":
-            tokens.append(("^", None))
-            i += 2
-        elif ch in "+-*/^()":
-            tokens.append((ch, None))
-            i += 1
+            tokens.append(int(digits))
+        elif op:
+            tokens.append("^" if op == "**" else op.lower())
         else:
-            raise ParseError(f"unexpected character {ch!r} in polynomial")
+            raise ParseError(f"unexpected character {other!r} in polynomial")
     return tokens
 
 
@@ -85,94 +78,104 @@ def _constant_power(c, k):
 
 
 def _product(a, b):
+    """a * b for stripped a and b; a nonzero constant factor scales the
+    other one."""
     if degree(a) + degree(b) > MAX_PARSED_DEGREE:
         raise ParseError("product above the parser's degree cap "
                          f"{MAX_PARSED_DEGREE}")
+    if len(b) == 1:
+        a, b = b, a
+    if len(a) == 1:
+        c = a[0]
+        return [c * x for x in b]
     return pmul(a, b)
 
 
 class _Parser:
+    """Recursive descent over the tokens, which end in None."""
+
     def __init__(self, tokens):
-        self.tokens = tokens
+        self.tokens = tokens + [None]
         self.pos = 0
 
-    def peek(self):
-        return self.tokens[self.pos][0] if self.pos < len(self.tokens) else None
-
-    def take(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
     def expr(self):
+        """A sum of terms, added in place into the first one (every term
+        is a fresh list), stripped once at the end."""
         node = self.term()
-        while self.peek() in ("+", "-"):
-            op = self.take()[0]
+        while (op := self.tokens[self.pos]) == "+" or op == "-":
+            self.pos += 1
             rhs = self.term()
-            node = padd(node, rhs if op == "+" else pneg(rhs))
-        return node
+            node.extend([0] * (len(rhs) - len(node)))
+            if op == "+":
+                for i, c in enumerate(rhs):
+                    node[i] += c
+            else:
+                for i, c in enumerate(rhs):
+                    node[i] -= c
+        return strip(node)
 
     def term(self):
         node = self.unary()
         while True:
-            nxt = self.peek()
-            if nxt in ("*", "/"):
-                op = self.take()[0]
+            nxt = self.tokens[self.pos]
+            if nxt == "*" or nxt == "/":
+                self.pos += 1
                 rhs = self.unary()
-                if op == "*":
+                if nxt == "*":
                     node = _product(node, rhs)
                 else:
                     if len(strip(rhs)) != 1:
                         raise ParseError("division only by nonzero constants")
                     node = [c / Fraction(rhs[0]) for c in node]
-            elif nxt in ("int", "x", "("):
+            elif type(nxt) is int or nxt == "x" or nxt == "(":
                 node = _product(node, self.unary())  # implicit multiplication
             else:
                 return node
 
     def unary(self):
-        if self.peek() == "-":
-            self.take()
-            return pneg(self.unary())
-        if self.peek() == "+":
-            self.take()
-            return self.unary()
+        sign = self.tokens[self.pos]
+        if sign == "-" or sign == "+":
+            self.pos += 1
+            return pneg(self.unary()) if sign == "-" else self.unary()
         return self.power()
 
     def power(self):
         base = self.atom()
-        if self.peek() == "^":
-            self.take()
-            if self.peek() == "-":
-                raise ParseError("negative exponents not supported")
-            if self.peek() != "int":
-                raise ParseError("exponent must be a literal integer")
-            val = self.take()[1]
-            # a constant's exponent counts as its degree, so 2^k is capped too
-            if max(degree(base), 1) * val > MAX_PARSED_DEGREE:
-                raise ParseError("power above the parser's degree cap "
-                                 f"{MAX_PARSED_DEGREE}")
-            if len(base) == 1:
-                return [_constant_power(base[0], val)]
-            if base == [0, 1]:
-                return [0] * val + [1]
-            out = [1]
-            for _ in range(val):
-                out = pmul(out, base)
-            return out
-        return base
+        if self.tokens[self.pos] != "^":
+            return base
+        val = self.tokens[self.pos + 1]
+        if val == "-":
+            raise ParseError("negative exponents not supported")
+        if type(val) is not int:
+            raise ParseError("exponent must be a literal integer")
+        self.pos += 2
+        # a constant's exponent counts as its degree, so 2^k is capped too
+        if max(degree(base), 1) * val > MAX_PARSED_DEGREE:
+            raise ParseError("power above the parser's degree cap "
+                             f"{MAX_PARSED_DEGREE}")
+        if len(base) == 1:
+            return [_constant_power(base[0], val)]
+        if base == [0, 1]:
+            return [0] * val + [1]
+        out = [1]
+        for _ in range(val):
+            out = pmul(out, base)
+        return out
 
     def atom(self):
-        kind, val = self.take() if self.pos < len(self.tokens) else ("eof", None)
-        if kind == "int":
-            return [val] if val else []
-        if kind == "x":
+        tok = self.tokens[self.pos]
+        if tok is None:
+            raise ParseError("malformed polynomial expression")
+        self.pos += 1
+        if type(tok) is int:
+            return [tok] if tok else []
+        if tok == "x":
             return [0, 1]
-        if kind == "(":
+        if tok == "(":
             inner = self.expr()
-            if self.peek() != ")":
+            if self.tokens[self.pos] != ")":
                 raise ParseError("unbalanced parentheses")
-            self.take()
+            self.pos += 1
             return inner
         raise ParseError("malformed polynomial expression")
 
@@ -194,7 +197,7 @@ def parse_poly(text: str):
     else:
         parser = _Parser(_tokenize(text))
         result = parser.expr()
-        if parser.pos != len(parser.tokens):
+        if parser.tokens[parser.pos] is not None:
             raise ParseError("trailing input after polynomial")
     for c in result:
         _check_digits(c, "coefficient")

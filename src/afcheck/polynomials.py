@@ -286,23 +286,22 @@ def fp_monic(a, q):
     return [c * inv % q for c in a]
 
 
-def fp_rem(a, b, q):
-    """a mod b over F_q, q prime: fp_divmod without the quotient."""
-    a = list(a)
-    n = len(b) - 1
-    inv = pow(b[-1], q - 2, q)
-    for k in range(len(a) - n - 1, -1, -1):
-        c = a[k + n] * inv % q
-        if c:
-            for i in range(n):
-                a[i + k] = (a[i + k] - c * b[i]) % q
-    return strip(a[:n])
-
-
 def fp_gcd(a, b, q):
+    """Monic gcd of a and b over F_q, q prime: Euclid's algorithm on reduced
+    copies of a and b, each remainder computed in place in its dividend."""
     a, b = fp_norm(a, q), fp_norm(b, q)
     while b:
-        a, b = b, fp_rem(a, b, q)
+        n = len(b) - 1
+        inv = pow(b[-1], q - 2, q)
+        for k in range(len(a) - n - 1, -1, -1):
+            c = a[k + n] * inv % q
+            if c:
+                for i in range(n):
+                    a[i + k] = (a[i + k] - c * b[i]) % q
+        del a[n:]
+        while a and not a[-1]:
+            a.pop()
+        a, b = b, a
     return fp_monic(a, q)
 
 

@@ -11,6 +11,8 @@ from fractions import Fraction
 
 SCHEMA_VERSION = "1"
 _SAFE_INT = (1 << 53) - 1
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
+                            ensure_ascii=False)
 
 
 def to_jsonable(obj):
@@ -82,9 +84,7 @@ def emit_json(report) -> str:
     """Canonical byte-stable JSON: sorted keys, compact, trailing newline."""
     stripped = dict(report)
     stripped["timing"] = None  # wallclock would break byte stability
-    data = to_jsonable(stripped)
-    return json.dumps(data, sort_keys=True, separators=(",", ":"),
-                      ensure_ascii=False) + "\n"
+    return _ENCODER.encode(to_jsonable(stripped)) + "\n"
 
 
 def emit_human(report) -> str:
@@ -109,24 +109,22 @@ def emit_human(report) -> str:
 
 def _render_verdict(result, lines):
     """Marks each hypothesis yes or NO when proven, else by its status kind
-    (with NO when it fails); adds the reason of each assumed one."""
+    (with NO when it fails); the status in full, with the reason of an
+    assumed one, is on the report's caveat line for that hypothesis."""
     lines.append(f"  theorem: {result['theorem']}")
     lines.append(f"  applies: {result['applies']}")
-    rows, assumed = [], []
+    rows = []
     for hyp in result["hypotheses"]:
-        kind, *detail = hyp.get("status", ["proven"])
+        kind = hyp.get("status", ["proven"])[0]
         if kind == "proven":
             mark = "yes" if hyp["holds"] else "NO"
         else:
             mark = kind if hyp["holds"] else f"NO ({kind})"
-        if kind == "assumed":
-            assumed.append(f"  assumed: {hyp['name']}: {detail[0]}")
         rows.append((mark, hyp["name"]))
     width = max(len(s) for s, _ in rows)
     lines.append("  hypotheses:")
     for mark, name in rows:
         lines.append(f"    [{mark:>{width}}] {name}")
-    lines.extend(assumed)
     for hyp in result["hypotheses"]:
         wit = hyp.get("witness")
         if hyp["holds"] or not isinstance(wit, dict):

@@ -269,22 +269,21 @@ def _shell(dim, h):
 
 
 def _shell_walk(dim):
-    """(h, coords) for the first SHELL_WALK_BUDGET integer dim-vectors,
-    shell by shell: h = 0, 1, 2, ..., each shell in _shell order."""
+    """The first SHELL_WALK_BUDGET integer dim-vectors, shell by shell:
+    h = 0, 1, 2, ..., each shell in _shell order."""
     left, h = SHELL_WALK_BUDGET, 0
     while left > 0:
         shell = _shell(dim, h)[:left]
         left -= len(shell)
-        for coords in shell:
-            yield h, coords
+        yield from shell
         h += 1
 
 
 def _cubic_fundamental_pair(field: NumberField):
-    """([u, v], h): the first pair of the coordinate walk's units that is
-    certified independent, and the height of v."""
+    """[u, v]: the first pair of the coordinate walk's units that is
+    certified independent."""
     found = []
-    for h, coords in _shell_walk(3):
+    for coords in _shell_walk(3):
         x = FieldElement(field, coords)
         if x.is_rational():
             continue
@@ -295,11 +294,11 @@ def _cubic_fundamental_pair(field: NumberField):
             # one round proves most independent pairs; the relation scan
             # is only for the pairs it leaves open
             if _certified_independent(prev, x, max_rounds=1):
-                return [prev, x], h
+                return [prev, x]
             if _small_relation(prev, x):
                 continue
             if _certified_independent(prev, x):
-                return [prev, x], h
+                return [prev, x]
     raise SearchExhausted(
         "no independent unit pair within the coordinate walk's budget of "
         f"SHELL_WALK_BUDGET = {SHELL_WALK_BUDGET} vectors")
@@ -323,8 +322,8 @@ def unit_generators(field: NumberField) -> UnitGroup:
         unit = _quad_element(field, x, y, den)
         return UnitGroup([unit], 2, field.from_rational(-1))
     if n == 3 and field.is_totally_real:
-        units, _ = field.memo("cubic_units",
-                              lambda: _cubic_fundamental_pair(field))
+        units = field.memo("cubic_units",
+                           lambda: _cubic_fundamental_pair(field))
         return UnitGroup(list(units), 2, field.from_rational(-1))
     raise Unsupported(f"unit group for degree {n}, signature {field.signature}")
 
@@ -582,7 +581,7 @@ def _find_generator(field, profile):
     """The first x of the coordinate walk with |N(x)| the ideal's norm that
     lies in the ideal, so generates it; None when the walk ends first."""
     target = prod(p.norm() ** v for p, v in profile.items())
-    for _, coords in _shell_walk(field.degree):
+    for coords in _shell_walk(field.degree):
         # coords are integral, so this is the norm of x; target >= 1, so
         # the zero vector fails here too
         if abs(field.num_norm(coords)) != target:

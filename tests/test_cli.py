@@ -10,6 +10,7 @@ import shlex
 import subprocess
 import sys
 import time
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -413,13 +414,14 @@ class TestCommands:
 
     @staticmethod
     def human_verdict(capsys, argv, code):
-        """The (mark, name) rows of the hypotheses and the "assumed:" lines
-        of a verdict in human output."""
+        """The (mark, name) rows of the hypotheses and the caveat lines of
+        the assumed ones in human output."""
         assert run(argv) == code
         lines = capsys.readouterr().out.splitlines()
         rows = [tuple(part.strip() for part in line[5:].split("] ", 1))
                 for line in lines if line.startswith("    [")]
-        return rows, [line for line in lines if line.startswith("  assumed: ")]
+        return rows, [line for line in lines if line.startswith("caveat: ")
+                      and ": assumed=" in line]
 
     def test_human_verdict_marks_each_status(self, capsys):
         rows, assumed = self.human_verdict(
@@ -432,9 +434,9 @@ class TestCommands:
         assert [mark for mark, _ in rows[3:]] == ["assumed"] * 7
         assert len(assumed) == 7
         assert assumed[0] == (
-            "  assumed: S_L-unit condition over K(sqrt(-1)): index divisor "
-            "at 2 while factoring 2 in the extension; diagnostic: defining "
-            "polynomial unusable")
+            "caveat: S_L-unit condition over K(sqrt(-1)): assumed=index "
+            "divisor at 2 while factoring 2 in the extension; diagnostic: "
+            "defining polynomial unusable")
 
     def test_human_verdict_marks_a_failed_user_supplied_hypothesis(self,
                                                                    capsys):
@@ -446,6 +448,22 @@ class TestCommands:
                              "narrow class number equals 1")]
         assert rows[2][0] == "bounded-search"
         assert len(assumed) == len(rows) - 3 == 31
+
+    def test_human_verdict_gives_each_reason_once(self, capsys):
+        # each assumed hypothesis's reason appears once in human output, on
+        # its caveat line, however many hypotheses share it
+        argv = ["check", "thm-5-2", "x^3-4*x+1", "--bound", "2",
+                "--user-class-number", "1"]
+        _, rep = run_json(capsys, argv)
+        statuses = [hyp.get("status", ["proven"])
+                    for hyp in rep["result"]["hypotheses"]]
+        reasons = Counter(status[1] for status in statuses
+                          if status[0] == "assumed")
+        assert sum(reasons.values()) == 31
+        run(argv)
+        out = capsys.readouterr().out
+        for reason, count in reasons.items():
+            assert out.count(reason) == count, reason
 
 
 class TestErrorReportsCarryTheField:

@@ -7,6 +7,7 @@ determinant and solver against sympy's exact linear algebra.
 """
 
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 
 import pytest
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 
 from afcheck import FieldElement, linalg, make_field, norm_trace
 from afcheck.errors import DivisionByZero
+from afcheck.numberfield import NumberField
 
 X = sympy.symbols("x")
 
@@ -259,6 +261,61 @@ class TestRationalFastPaths:
         r = field.from_rational(k)
         assert r == k and (r.num[0], r.den) == (Fraction(k).numerator,
                                                 Fraction(k).denominator)
+
+
+class TestPowersAndTheReductionTable:
+    @SETTINGS
+    @given(field_and_coords(), st.integers(-6, 12))
+    def test_power_is_the_repeated_product(self, drawn, e):
+        field, (a,) = drawn
+        x = field.element(a)
+        if e < 0 and x.is_zero():
+            x = field.one()
+        product = field.one()
+        for _ in range(abs(e)):
+            product = product * x
+        assert x ** e == (product if e >= 0 else 1 / product)
+
+    def test_products_per_power(self, monkeypatch):
+        # the binary method squares below the top bit and multiplies at
+        # each set bit below it
+        products = []
+        mul = FieldElement.__mul__
+
+        def counting(self, other):
+            products.append(other)
+            return mul(self, other)
+
+        monkeypatch.setattr(FieldElement, "__mul__", counting)
+        x = FIELDS["x^3 - 2"].element([1, 1, 0])
+        for e in range(1, 70):
+            products.clear()
+            x ** e
+            assert len(products) == e.bit_length() + bin(e).count("1") - 2
+        products.clear()
+        assert x ** 0 == 1 and products == []
+
+    def test_table_built_once_by_a_product_in_degree_3_and_up(
+            self, monkeypatch):
+        builds = []
+        build = NumberField.__dict__["_reduction"].func
+
+        def counting(field):
+            builds.append(field.degree)
+            return build(field)
+
+        table = cached_property(counting)
+        table.__set_name__(NumberField, "_reduction")
+        monkeypatch.setattr(NumberField, "_reduction", table)
+        for spec in ("x + 2", "x^2 - x - 4", "x^3 - 2", "x^5 - x + 1"):
+            builds.clear()
+            field = make_field(spec)
+            x = field.element([1, 2, 3][:field.degree])
+            x.norm(), x.trace(), x + 1, x * 3, x.inverse()
+            assert builds == []
+            for _ in range(3):
+                x = x * x
+            assert builds == ([field.degree] if field.degree >= 3 else [])
 
 
 square = st.integers(1, 6).flatmap(lambda n: st.lists(

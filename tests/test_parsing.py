@@ -7,7 +7,8 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+import sympy
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from afcheck.cli import run
@@ -25,6 +26,7 @@ class TestCoefficients:
         ("-(x - 1)^3", [1, -3, 3, -1]),
         ("x^0", [1]),
         ("x - x", []),
+        ("\u0663x + 1", [1, 3]),  # a decimal digit of another script
     ])
     def test_integer_text_gives_ints(self, text, coeffs):
         got = parse_poly(text)
@@ -65,6 +67,67 @@ class TestCoefficients:
         assert all(type(c) in (int, Fraction) for c in got)
 
 
+X = sympy.symbols("x")
+
+# An expression tree is drawn as (text, sympy value, level, degree bound).
+# The level is how loosely the text binds: 0 a sum, 1 a product or
+# quotient, 2 a unary minus, 3 a power, 4 an atom; an operand is put in
+# parentheses only when its level is too loose for its place, so the text
+# leans on the parser's precedence.  The degree bound is at least the degree
+# of every subtree, so a tree within the cap is never refused.
+LEAVES = st.one_of(
+    st.integers(0, 20).map(lambda c: (str(c), sympy.Integer(c), 4, 0)),
+    st.just(("x", X, 4, 1)))
+
+
+def _wrap(node, level):
+    text, _, own, _ = node
+    return text if own >= level else f"({text})"
+
+
+def _combine(children):
+    pairs = st.tuples(children, children)
+    return st.one_of(
+        pairs.map(lambda p: (f"{p[0][0]} + {p[1][0]}", p[0][1] + p[1][1], 0,
+                             max(p[0][3], p[1][3]))),
+        pairs.map(lambda p: (f"{p[0][0]} - {_wrap(p[1], 1)}",
+                             p[0][1] - p[1][1], 0, max(p[0][3], p[1][3]))),
+        st.tuples(children, children, st.sampled_from(("*", " * "))).map(
+            lambda p: (f"{_wrap(p[0], 1)}{p[2]}{_wrap(p[1], 1)}",
+                       p[0][1] * p[1][1], 1, p[0][3] + p[1][3])),
+        # implicit multiplication: "2x", "x(x + 1)", "(x - 1)(x + 1)"
+        pairs.map(lambda p: (
+            _wrap(p[0], 1) + ("x" if p[1][0] == "x" else f"({p[1][0]})"),
+            p[0][1] * p[1][1], 1, p[0][3] + p[1][3])),
+        st.tuples(children, st.integers(1, 9)).map(
+            lambda p: (f"{_wrap(p[0], 1)} / {p[1]}", p[0][1] / p[1], 1,
+                       p[0][3])),
+        st.tuples(children, st.integers(0, 3), st.sampled_from("^*")).map(
+            lambda p: (f"{_wrap(p[0], 4)}{'^' if p[2] == '^' else '**'}"
+                       f"{p[1]}", p[0][1] ** p[1], 3,
+                       max(p[0][3] * p[1], p[0][3]))),
+        children.map(lambda a: (f"-{_wrap(a, 1)}", -a[1], 2, a[3])))
+
+
+EXPRESSIONS = st.recursive(LEAVES, _combine, max_leaves=10)
+
+
+class TestAgainstSympy:
+    @settings(max_examples=400, deadline=None)
+    @given(EXPRESSIONS)
+    def test_expression_trees(self, tree):
+        text, value, _, bound = tree
+        assume(bound <= 21)  # so every power passes the cap: 3 * 21 < 64
+        coeffs = sympy.Poly(value, X).all_coeffs()[::-1]
+        want = [Fraction(int(c.p), int(c.q)) for c in coeffs]
+        while want and not want[-1]:
+            want.pop()
+        got = parse_poly(text)
+        assert got == want, text
+        assert all(type(c) is (int if c.denominator == 1 else Fraction)
+                   for c in got)
+
+
 class TestErrors:
     @pytest.mark.parametrize("text, message", [
         ("x^", "exponent must be a literal integer"),
@@ -78,6 +141,9 @@ class TestErrors:
         ("(x + 1", "unbalanced parentheses"),
         ("x + 1)", "trailing input after polynomial"),
         ("x % 2", "unexpected character '%' in polynomial"),
+        # a digit that is not a decimal digit is no literal
+        ("x\u00b2 + 1", "unexpected character '\u00b2' in polynomial"),
+        ("2\u00b9x", "unexpected character '\u00b9' in polynomial"),
         ("x / (x + 1)", "division only by nonzero constants"),
         ("x / 0", "division only by nonzero constants"),
         ("1, a", "bad coefficient 'a'"),
@@ -99,6 +165,14 @@ class TestErrors:
         assert code == 1
         assert error == {"type": "ParseError",
                          "message": "exponent must be a literal integer"}
+
+    def test_cli_reports_a_superscript_digit(self, capsys):
+        # "\u00b2".isdigit() holds, but int() refuses it
+        code = run(["--output", "json", "field", "x\u00b2 + 1"])
+        error = json.loads(capsys.readouterr().out)["result"]["error"]
+        assert code == 1
+        assert error == {"type": "ParseError", "message":
+                         "unexpected character '\u00b2' in polynomial"}
 
 
 class TestDegreeCap:

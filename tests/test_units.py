@@ -129,7 +129,7 @@ def relation_first_pair(field, height_bound):
                 if _small_relation(prev, x):
                     continue
                 if _certified_independent(prev, x):
-                    return [prev, x], h
+                    return [prev, x]
     raise AssertionError("no pair")
 
 
@@ -146,7 +146,8 @@ TOTALLY_REAL_CUBICS = [
 
 
 # poly -> (the coordinates of the pair _cubic_fundamental_pair returns, the
-# height it needed, h_plus at h = 1), recorded from a certificate on
+# height of the walk's shell it ended in, which is the largest |coordinate|
+# of the second unit, h_plus at h = 1), recorded from a certificate on
 # Fraction intervals: a certificate is a proof, so the first certified pair
 # in search order cannot depend on the arithmetic or the precision schedule
 CUBIC_UNIT_PAIRS = {
@@ -182,11 +183,11 @@ class TestCubicUnitPair:
     @pytest.mark.parametrize("poly", TOTALLY_REAL_CUBICS)
     def test_pinned_pair_and_narrow_class_number(self, poly):
         K = make_field(poly)
-        pair, height = _cubic_fundamental_pair(K)
-        coords, pinned_height, h_plus = CUBIC_UNIT_PAIRS[poly]
+        pair = _cubic_fundamental_pair(K)
+        coords, height, h_plus = CUBIC_UNIT_PAIRS[poly]
         assert tuple(u.num for u in pair) == coords and all(
             u.den == 1 for u in pair)
-        assert height == pinned_height
+        assert max(map(abs, pair[1].num)) == height
         assert class_data(K, user_class_number=1).h_plus == h_plus
 
     @pytest.mark.parametrize("poly", TOTALLY_REAL_CUBICS)
@@ -203,7 +204,7 @@ class TestCubicUnitPair:
             return relations[-1]
 
         monkeypatch.setattr(units, "_small_relation", spy)
-        pair, _ = _cubic_fundamental_pair(make_field(poly))
+        pair = _cubic_fundamental_pair(make_field(poly))
         assert relations and all(relations)
         assert _certified_independent(*pair)
 
