@@ -7,14 +7,12 @@ and turns all of that into per-criterion verdicts with explicit witnesses
 and bounded-search caveats.
 """
 
-from .numberfield import FieldElement, NumberField, make_field, norm_trace, is_totally_positive
+from .numberfield import FieldElement, NumberField, make_field
 
 __all__ = [
     "FieldElement",
     "NumberField",
     "make_field",
-    "norm_trace",
-    "is_totally_positive",
 ]
 
 __version__ = "0.1.0"

@@ -233,13 +233,12 @@ def _cmd_frey(field, args):
     else:
         payload["invariants"] = invariants(spec).to_dict()
     if prime is not None:
-        sym = FreySpec(family, a, b, c, r=r, p=None)
         reports = []
         for P in factor_rational_prime(field, prime):
             va = 0 if a.is_zero() else max(0, valuation(a, P))
             vb = 0 if b.is_zero() else max(0, valuation(b, P))
             vc = 0 if c.is_zero() else max(0, valuation(c, P))
-            reports.append(valuation_profile(sym, P, va, vb, vc).to_dict())
+            reports.append(valuation_profile(spec, P, va, vb, vc).to_dict())
         payload["reduction_reports"] = reports
     try:
         rep = None

@@ -33,10 +33,6 @@ class ZeroElement(AfcheckError):
     pass
 
 
-class NotTotallyReal(AfcheckError):
-    pass
-
-
 class IndexDivisor(AfcheckError):
     """The power basis is not maximal at q; re-present the field with a
     different defining polynomial."""

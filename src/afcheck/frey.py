@@ -217,10 +217,18 @@ class ReductionReport:
     v_c4: ValuationForm
     v_j: ValuationForm
     reduction_type: str
-    flag_p_in_inertia: bool
-    flag_3_in_inertia: bool
     p_threshold: int
     notes: list = dc_field(default_factory=list)
+
+    @property
+    def flag_p_in_inertia(self):
+        """v(j) negative and, for p past the threshold, prime to p."""
+        return self.v_j.beta < 0 and self.v_j.alpha != 0
+
+    @property
+    def flag_3_in_inertia(self):
+        """Potentially good with 3 not dividing v(Delta)."""
+        return self.v_j.beta == 0 and self.v_delta.alpha % 3 != 0
 
     def to_dict(self):
         return {"prime": self.prime.to_dict(), "family": self.family,
@@ -266,9 +274,7 @@ def _profile_above_two(spec, prime, v_a, v_b, v_c):
             threshold = max(abs((4 - r) * v2), 5)
             return ReductionReport(
                 prime, spec.family, v_delta, v_c4, v_j,
-                "potentially-multiplicative",
-                flag_p_in_inertia=(4 - r) * v2 != 0,
-                flag_3_in_inertia=False, p_threshold=threshold)
+                "potentially-multiplicative", p_threshold=threshold)
         if r not in (2, 3):
             raise UnsupportedCase(
                 f"good-reduction branch above 2 is stated for r in (2, 3), got r={r}")
@@ -277,8 +283,7 @@ def _profile_above_two(spec, prime, v_a, v_b, v_c):
         v_j = ValuationForm((8 - 2 * r) * v2, 0)
         return ReductionReport(
             prime, spec.family, v_delta, v_c4, v_j, "potentially-good",
-            flag_p_in_inertia=False,
-            flag_3_in_inertia=v_delta.alpha % 3 != 0, p_threshold=2)
+            p_threshold=2)
     # family pp2
     if v_a > 0:
         v_delta = ValuationForm(12 * v2, 2 * v_a)
@@ -294,12 +299,9 @@ def _profile_above_two(spec, prime, v_a, v_b, v_c):
         v_j = ValuationForm(6 * v2, 0)
         return ReductionReport(
             prime, spec.family, v_delta, v_c4, v_j, "potentially-good",
-            flag_p_in_inertia=False,
-            flag_3_in_inertia=v_delta.alpha % 3 != 0, p_threshold=2,
-            notes=["prime above 2 divides neither a nor b"])
+            p_threshold=2, notes=["prime above 2 divides neither a nor b"])
     return ReductionReport(
         prime, spec.family, v_delta, v_c4, v_j, "potentially-multiplicative",
-        flag_p_in_inertia=v_j.alpha != 0, flag_3_in_inertia=False,
         p_threshold=max(6 * v2, 5))
 
 
@@ -313,14 +315,12 @@ def _profile_odd(spec, prime, v_a, v_b, v_c):
     if v == 0:
         zero = ValuationForm(0, 0)
         return ReductionReport(prime, spec.family, zero, zero, zero, "good",
-                               flag_p_in_inertia=False, flag_3_in_inertia=False,
                                p_threshold=2)
     v_delta = ValuationForm(0, beta)
     v_j = ValuationForm(0, -beta)
     return ReductionReport(
         prime, spec.family, v_delta, ValuationForm(0, 0), v_j, "multiplicative",
-        flag_p_in_inertia=False,  # p divides v(j), so the image criterion fails
-        flag_3_in_inertia=False, p_threshold=5)
+        p_threshold=5)
 
 
 # ---------------------------------------------------------------- conductor

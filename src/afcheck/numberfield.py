@@ -33,7 +33,7 @@ from math import gcd, lcm
 
 from . import linalg
 from .errors import (AfcheckError, DegreeZero, DivisionByZero, NotMonic,
-                     NotTotallyReal, Reducible, Unsupported, ZeroElement)
+                     Reducible, Unsupported, ZeroElement)
 from .parsing import parse_poly
 from .polynomials import (_zx_divides, integer_roots, interval_eval,
                           irreducible_by_degree_patterns, isolate_real_roots,
@@ -333,9 +333,6 @@ class FieldElement:
         return Fraction(self.field.num_norm(self.num),
                         self.den ** self.field.degree)
 
-    def trace(self):
-        return Fraction(linalg.trace(self.num_matrix()), self.den)
-
     def min_poly(self):
         """Monic minimal polynomial over Q: the squarefree part of the
         integer charpoly of num (a power of the minimal polynomial of num),
@@ -434,11 +431,6 @@ def _refuse_reducible(coeffs):
 
 # ----------------------------------------------------- spec-level helpers
 
-def norm_trace(x: FieldElement):
-    """(Norm, Trace) of x, exact rationals."""
-    return x.norm(), x.trace()
-
-
 def embedding_sign(x: FieldElement, root_index: int) -> int:
     """Sign of x under the real embedding sending theta to the given root:
     the root's interval is bisected four bits at a time until interval
@@ -453,10 +445,6 @@ def embedding_sign(x: FieldElement, root_index: int) -> int:
         if vhi < 0:
             return -1
         root = refine_root(f, root, root[2] + 4)
-
-
-def embedding_signs(x: FieldElement):
-    return [embedding_sign(x, i) for i in range(len(x.field.real_roots))]
 
 
 def embedding_interval(x: FieldElement, root_index: int, p: int):
@@ -477,12 +465,3 @@ def embedding_interval(x: FieldElement, root_index: int, p: int):
         if width <= scale:
             return (vlo << p) // scale, -((-vhi << p) // scale)
         root = refine_root(f, root, root[2] + (width // scale).bit_length())
-
-
-def is_totally_positive(x: FieldElement) -> bool:
-    """True iff every real embedding of x is positive (totally real fields)."""
-    if not x.field.is_totally_real:
-        raise NotTotallyReal("field has complex embeddings")
-    if x.is_zero():
-        raise ZeroElement("zero is neither positive nor negative")
-    return all(s > 0 for s in embedding_signs(x))

@@ -1,5 +1,11 @@
 """S-unit equation solutions, 2-Selmer square classes, quadratic extensions.
 
+The S-unit basis is the torsion generator, the fundamental units and, for
+each P in S, a generator pi_P of P^(k_P).  The pi_P, the k_P and the check
+that v_P(pi_P) = k_P and v_Q(pi_P) = 0 at the other Q of S are computed
+once per field, S and h (NumberField.memo); units have valuation 0, so
+v_P(lambda) = k_P e_P for the exponent e_P of pi_P.
+
 solve_sunit walks a bounded exponent box on the S-unit generators and tests
 mu = 1 - lambda for S-unit membership.  The equation is invariant under
 (lambda, mu) -> (1/lambda, -mu/lambda), which maps the box onto itself, so
@@ -28,7 +34,7 @@ from math import isqrt
 from .errors import (BasisUnavailable, IsSquare, MissingUserClassNumber,
                      SearchExhausted, Unsupported, WorkExceeded, ZeroElement)
 from . import linalg
-from .numberfield import FieldElement, NumberField
+from .numberfield import MAX_DEGREE, FieldElement, NumberField
 from .polynomials import isolate_real_roots, poly_disc, zx_factor
 from .prime_ideals import int_valuation, valuation
 from .units import class_data, principal_generator, unit_generators
@@ -40,8 +46,14 @@ from .units import class_data, principal_generator, unit_generators
 class SUnitBasis:
     torsion_gen: FieldElement
     torsion_order: int
-    free_generators: list   # fundamental units then one pi_P per P in S
+    units: list
+    pis: list       # pi_P for each P in S, in the order of S
+    orders: list    # k_P for each P in S
     exponent_bound: int
+
+    @property
+    def free_generators(self):
+        return self.units + self.pis
 
 
 def build_sunit_basis(field: NumberField, S, bound: int, *,
@@ -51,42 +63,47 @@ def build_sunit_basis(field: NumberField, S, bound: int, *,
         units = unit_generators(field)
     except (Unsupported, SearchExhausted) as exc:
         raise BasisUnavailable(f"unit group unavailable: {exc}") from exc
-    pis = []
-    orders = {}
+    pis, orders = [], []
     if S:
         try:
             info = class_data(field, user_class_number=user_class_number)
         except (MissingUserClassNumber, Unsupported, SearchExhausted) as exc:
             raise BasisUnavailable(f"class data unavailable: {exc}") from exc
+        pis, orders = _prime_power_generators(field, S, info.h)
+    return SUnitBasis(units.torsion_gen, units.torsion_order,
+                      units.fundamental_units, pis, orders, bound)
+
+
+def _prime_power_generators(field, S, h):
+    """(pis, orders): for each P in S the least k dividing h for which
+    principal_generator finds a generator pi of P^k, and that pi, checked
+    to have valuation k at P and 0 at the other primes of S.  Searched and
+    checked once per field, S and h."""
+
+    def search():
+        pis, orders = [], []
         for P in S:
-            try:
-                o, pi = _prime_power_generator(field, P, info.h)
-            except SearchExhausted as exc:
-                raise BasisUnavailable(f"no generator for {P}: {exc}") from exc
-            orders[P] = o
+            for k in range(1, h + 1):
+                try:
+                    pi = principal_generator(field, {P: k}) if h % k == 0 else None
+                except SearchExhausted as exc:
+                    raise BasisUnavailable(f"no generator for {P}: {exc}") from exc
+                if pi is not None:
+                    break
+            else:
+                raise BasisUnavailable(
+                    f"no power of {P} found principal up to h={h}")
             pis.append(pi)
-        for P, pi in zip(S, pis):
-            if valuation(pi, P) != orders[P]:
+            orders.append(k)
+        for P, pi, k in zip(S, pis, orders):
+            if valuation(pi, P) != k:
                 raise ArithmeticError("pi generator has wrong valuation")
             for Q in S:
                 if Q != P and valuation(pi, Q) != 0:
                     raise ArithmeticError("pi generator meets another prime of S")
-    return SUnitBasis(units.torsion_gen, units.torsion_order,
-                      list(units.fundamental_units) + pis, bound)
+        return pis, orders
 
-
-def _prime_power_generator(field, P, h):
-    """(k, pi): the least k dividing h for which principal_generator finds
-    a generator pi of P^k; searched once per field, P and h."""
-
-    def search():
-        for k in range(1, h + 1):
-            gen = principal_generator(field, {P: k}) if h % k == 0 else None
-            if gen is not None:
-                return k, gen
-        raise BasisUnavailable(f"no power of {P} found principal up to h={h}")
-
-    return field.memo(("prime_power_generator", P, h), search)
+    return field.memo(("prime_power_generators", tuple(S), h), search)
 
 
 # -------------------------------------------------------------- solutions
@@ -164,8 +181,6 @@ def solve_sunit(field: NumberField, S, bound: int, *,
     n_boxes = basis.torsion_order * (2 * bound + 1) ** len(gens)
     if n_boxes > MAX_CANDIDATES:
         raise WorkExceeded(f"{n_boxes} candidates exceed limit {MAX_CANDIDATES}")
-    # v_P of each generator, one row per P in S
-    gen_valuations = [[valuation(g, P) for g in gens] for P in S]
     # g^e for |e| <= bound; e = 0 carries None so the walk skips it
     powers = []
     for g in gens:
@@ -213,8 +228,8 @@ def solve_sunit(field: NumberField, S, bound: int, *,
                 if (lam.num, lam.den) in found:
                     continue
                 exps_e = exps + (e,)
-                lam_vals = [sum(x * v for x, v in zip(exps_e, row))
-                            for row in gen_valuations]
+                lam_vals = [k * x for k, x in
+                            zip(basis.orders, exps_e[len(basis.units):])]
                 mu = 1 - lam
                 mu_vals = _mu_valuations(mu, S, lam_vals, norm, pden * bden)
                 found[lam.num, lam.den] = SUnitSolution(
@@ -469,15 +484,12 @@ def selmer_group(field: NumberField, S, *,
     far, in the order of the bitmask of the subset; a generator joins the
     basis when its product with no representative is a square.
     """
-    basis_data = build_sunit_basis(field, S, 1,
-                                   user_class_number=user_class_number)
+    basis = build_sunit_basis(field, S, 1, user_class_number=user_class_number)
     gens = []
-    if basis_data.torsion_order > 1:
-        gens.append(basis_data.torsion_gen)
-    units = basis_data.free_generators[:len(basis_data.free_generators) - len(S)]
-    pis = basis_data.free_generators[len(units):]
-    gens.extend(sorted(units, key=lambda u: (u.height(), u.coords)))
-    gens.extend(sorted(pis, key=lambda p: (abs(p.norm()), p.coords)))
+    if basis.torsion_order > 1:
+        gens.append(basis.torsion_gen)
+    gens.extend(sorted(basis.units, key=lambda u: (u.height(), u.coords)))
+    gens.extend(sorted(basis.pis, key=lambda p: (abs(p.norm()), p.coords)))
     independent, reps = [], [field.one()]
     for g in gens:
         if not any(is_square(g * r) for r in reps):
@@ -508,8 +520,8 @@ def quadratic_extension(base: NumberField, a: FieldElement) -> NumberField:
         raise ZeroElement("cannot adjoin sqrt(0)")
     _raise_if_square(a)
     n = base.degree
-    if 2 * n > 6:
-        raise Unsupported(f"extension degree {2 * n} > 6")
+    if 2 * n > MAX_DEGREE:
+        raise Unsupported(f"extension degree {2 * n} > {MAX_DEGREE}")
     den = a.den
     a_int = a * (den * den)
     for t in _GENERATOR_SHIFTS:

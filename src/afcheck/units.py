@@ -16,10 +16,10 @@ certificate is a proof, so the first certified pair is the same in either
 order.  The class data is h, h+ and how they are known; the odd prime of
 the conductor of the 2r Frey curve is the first odd prime ideal in norm
 order (least_odd_prime), found by factoring odd q in increasing order
-until q passes the least norm so far.  The cubic unit pair and the class
-data are computed once per field, the cubic class data per class number
-(NumberField.memo).
-"""
+until q passes the least norm so far.  Computed once per field
+(NumberField.memo): a quadratic field's (d, m, b, D) and, in its own entry
+when first read, its fundamental unit; the unit group of a supported
+field; the class data, the cubic class data per class number."""
 
 from dataclasses import dataclass
 from itertools import product
@@ -68,18 +68,22 @@ class ClassData:
 
 # --------------------------------------------------- quadratic field data
 
-def _quad_data(field: NumberField):
-    """(d, m, b) with sqrt(d) = (2*theta + b)/m, d the squarefree core."""
-    c0, b, _ = field.coeffs
-    d0 = b * b - 4 * c0
-    d = squarefree_part(d0)
-    m = isqrt(d0 // d)
-    return d, m, b
+def _quadratic(field: NumberField):
+    """(d, m, b, D) with sqrt(d) = (2*theta + b)/m, d the squarefree core
+    and D the fundamental discriminant; kept in the field's memo."""
+
+    def compute():
+        c0, b, _ = field.coeffs
+        d0 = b * b - 4 * c0
+        d = squarefree_part(d0)
+        return d, isqrt(d0 // d), b, d if d % 4 == 1 else 4 * d
+
+    return field.memo("quadratic", compute)
 
 
 def _quad_element(field, x, y, den):
     """(x + y*sqrt(d))/den as a FieldElement, with sqrt(d) = (2*theta + b)/m."""
-    _, m, b = _quad_data(field)
+    _, m, b, _ = _quadratic(field)
     return FieldElement(field, [x * m + y * b, 2 * y], m * den)
 
 
@@ -95,10 +99,6 @@ def _quad_torsion(d):
 
 
 # ---------------------------------------------------- binary quadratic forms
-
-def _fundamental_discriminant(d: int) -> int:
-    return d if d % 4 == 1 else 4 * d
-
 
 def _rho(form, D):
     """rho(a, b, c) = (c, r, (r^2 - D)/(4c)), r = -b mod 2|c| in the window
@@ -147,26 +147,31 @@ def _multiplier_product(d, D, path):
     return 2 * num_x // den, 2 * num_y // den
 
 
-def _quad_fundamental_unit(d: int):
-    """(x, y, den, norm) with (x + y sqrt d)/den the fundamental unit > 1.
+def _quad_fundamental_unit(field: NumberField):
+    """(x, y, den, norm) with (x + y sqrt d)/den the fundamental unit > 1 of
+    a real quadratic field; kept in the field's memo.
 
     The principal form (1, b, c), b the largest below sqrt D with b = D mod
     2, is reduced.  Its cycle up to the next form with |a| = 1 runs over
     the minima of O_K from 1 to the fundamental unit (Cohen, GTM 138,
     5.7), so the multipliers multiply to +-eps or +-1/eps; each has
     |mu| > 1 at sqrt d > 0 on a reduced form, which rules out 1/eps."""
-    D = _fundamental_discriminant(d)
-    s = isqrt(D)
-    b = s - (s - D) % 2
-    principal = (1, b, (b * b - D) // 4)
-    path = [principal] + _walk_to_principal(D, _rho(principal, D))
-    x, y = _multiplier_product(d, D, path)
-    if x < 0:
-        x, y = -x, -y
-    norm = (x * x - d * y * y) // 4
-    if x % 2 or y % 2:
-        return x, y, 2, norm
-    return x // 2, y // 2, 1, norm
+
+    def walk():
+        d, _, _, D = _quadratic(field)
+        s = isqrt(D)
+        b = s - (s - D) % 2
+        principal = (1, b, (b * b - D) // 4)
+        path = [principal] + _walk_to_principal(D, _rho(principal, D))
+        x, y = _multiplier_product(d, D, path)
+        if x < 0:
+            x, y = -x, -y
+        norm = (x * x - d * y * y) // 4
+        if x % 2 or y % 2:
+            return x, y, 2, norm
+        return x // 2, y // 2, 1, norm
+
+    return field.memo("quadratic_unit", walk)
 
 
 # ------------------------------------------- fixed-point logarithm intervals
@@ -308,24 +313,29 @@ def unit_generators(field: NumberField) -> UnitGroup:
     """Unit group generators for degree <= 3: torsion and fundamental units.
 
     Imaginary quadratic fields return their torsion; mixed-signature cubics
-    are unsupported.
+    are unsupported.  The group is kept in the field's memo; an unsupported
+    field is refused up front and stores nothing there.
     """
     n = field.degree
-    if n == 1:
-        return UnitGroup([], 2, field.from_rational(-1))
-    if n == 2:
-        d, _, _ = _quad_data(field)
-        if d < 0:
-            order, (x, y) = _quad_torsion(d)
-            return UnitGroup([], order, _quad_element(field, x, y, 2))
-        x, y, den, _norm = _quad_fundamental_unit(d)
-        unit = _quad_element(field, x, y, den)
-        return UnitGroup([unit], 2, field.from_rational(-1))
-    if n == 3 and field.is_totally_real:
-        units = field.memo("cubic_units",
-                           lambda: _cubic_fundamental_pair(field))
-        return UnitGroup(list(units), 2, field.from_rational(-1))
-    raise Unsupported(f"unit group for degree {n}, signature {field.signature}")
+    if n > 3 or n == 3 and not field.is_totally_real:
+        raise Unsupported(
+            f"unit group for degree {n}, signature {field.signature}")
+
+    def group():
+        if n == 1:
+            return UnitGroup([], 2, field.from_rational(-1))
+        if n == 2:
+            d = _quadratic(field)[0]
+            if d < 0:
+                order, (x, y) = _quad_torsion(d)
+                return UnitGroup([], order, _quad_element(field, x, y, 2))
+            x, y, den, _norm = _quad_fundamental_unit(field)
+            return UnitGroup([_quad_element(field, x, y, den)], 2,
+                             field.from_rational(-1))
+        return UnitGroup(_cubic_fundamental_pair(field), 2,
+                         field.from_rational(-1))
+
+    return field.memo("unit_group", group)
 
 
 # ------------------------------------------------------- form class numbers
@@ -390,13 +400,14 @@ def _sqrt_mod(D, q, e):
     return b
 
 
-def _ideal_form(field, d, D, profile):
+def _ideal_form(field, profile):
     """(r, a, b) with prod P^k = r [a, (b + sqrt D)/2], b^2 = D mod 4a.
 
     An inert P and the square of a ramified one are rational; P^k P'^k' of
     a split q is q^min(k,k') Q^e, with Q^e = [q^e, (b_q + sqrt D)/2] for
     the root b_q of D mod 4q^e whose (b_q + sqrt D)/2 lies in Q.  Distinct
     q combine by CRT on b mod 2a."""
+    d, _, _, D = _quadratic(field)
     f = isqrt(D // d)
     r, a, b = 1, 1, D % 2
     by_q = {}
@@ -427,7 +438,7 @@ def _ideal_form(field, d, D, profile):
     return r, a, b
 
 
-def _least_y(d, alpha):
+def _least_y(field, alpha):
     """The generators zeta eps^j alpha of alpha O_K, as (x, y) in
     (x + y sqrt d)/2, that have the least |y|.
 
@@ -436,13 +447,14 @@ def _least_y(d, alpha):
     every eps^i times it (i >= 0) has |y'| sqrt d >= |u'| - |v'| >= |u| -
     |v| = min(|x|, |y| sqrt d); alike for 1/eps once xy <= 0.  Each
     direction ends when that bound passes the least |y| so far."""
+    d = _quadratic(field)[0]
     gens = [alpha]
     if d < 0:
         order, zeta = _quad_torsion(d)
         for _ in range(order - 1):
             gens.append(_times(d, gens[-1], zeta))
     else:
-        x, y, den, norm = _quad_fundamental_unit(d)
+        x, y, den, norm = _quad_fundamental_unit(field)
         eps = (2 * x // den, 2 * y // den)
         for step, side in ((eps, 1), ((norm * eps[0], -norm * eps[1]), -1)):
             x, y = alpha
@@ -470,15 +482,14 @@ def principal_generator(field: NumberField, profile: dict):
                                         for p, v in profile.items()))
     if field.degree >= 3:
         return _find_generator(field, profile)
-    d, _, _ = _quad_data(field)
-    D = _fundamental_discriminant(d)
-    r, a, b = _ideal_form(field, d, D, profile)
+    d, _, _, D = _quadratic(field)
+    r, a, b = _ideal_form(field, profile)
     path = _walk_to_principal(D, (a, b, (b * b - D) // (4 * a)))
     if path is None:
         return None
     x, y = _multiplier_product(d, D, path)
     return min((_canonical_sign(_quad_element(field, x, y, 2))
-                for x, y in _least_y(d, (r * x, r * y))),
+                for x, y in _least_y(field, (r * x, r * y))),
                key=lambda g: (g.height(), g.coords))
 
 
@@ -509,14 +520,13 @@ def class_data(field: NumberField, *,
 
 
 def _quadratic_class_data(field):
-    d, _, _ = _quad_data(field)
-    D = _fundamental_discriminant(d)
+    d, _, _, D = _quadratic(field)
     forms = _reduced_forms(D)
     if d < 0:
         h = h_plus = len(forms)
     else:
         h_plus = _cycle_count(forms, D)
-        _, _, _, unit_norm = _quad_fundamental_unit(d)
+        unit_norm = _quad_fundamental_unit(field)[3]
         h = h_plus if unit_norm == -1 else h_plus // 2
     return ClassData(h, h_plus, ("proven",))
 

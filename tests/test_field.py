@@ -6,9 +6,10 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from afcheck import make_field, norm_trace, is_totally_positive
-from afcheck.errors import (DegreeZero, DivisionByZero, NotMonic,
-                            NotTotallyReal, Reducible, Unsupported, ZeroElement)
+from afcheck import linalg, make_field
+from afcheck.errors import (DegreeZero, DivisionByZero, NotMonic, Reducible,
+                            Unsupported, ZeroElement)
+from afcheck.numberfield import embedding_sign
 
 
 def cubic_disc(a, b, c):
@@ -125,51 +126,48 @@ class TestArithmetic:
 class TestNormTrace:
     def test_norm_sqrt2(self):
         K = make_field("x^2 - 2")
-        assert norm_trace(K.theta())[0] == -2
+        assert K.theta().norm() == -2
 
     def test_norm_unit(self):
         K = make_field("x^2 - 2")
-        assert norm_trace(1 + K.theta())[0] == -1
+        assert (1 + K.theta()).norm() == -1
 
     def test_trace_cubic_generator(self):
         # trace of the companion matrix is minus the x^2 coefficient
         K = make_field("x^3 - x^2 + 1")
-        assert norm_trace(K.theta())[1] == 1
+        assert linalg.trace(K.theta().num_matrix()) == 1
 
-    def test_multiplicativity_additivity_random(self):
+    def test_multiplicativity_random(self):
         rng = random.Random(23)
         K = make_field("x^3 - x^2 + 1")
         for _ in range(120):
             x = K.element([rng.randint(-6, 6) for _ in range(3)])
             y = K.element([rng.randint(-6, 6) for _ in range(3)])
-            nx, tx = norm_trace(x)
-            ny, ty = norm_trace(y)
-            assert norm_trace(x * y)[0] == nx * ny
-            assert norm_trace(x + y)[1] == tx + ty
+            assert (x * y).norm() == x.norm() * y.norm()
+
+
+def signs(x):
+    """The signs of x at the real places, in the order of real_roots."""
+    return [embedding_sign(x, i) for i in range(len(x.field.real_roots))]
 
 
 class TestTotallyPositive:
     def test_rational_positive(self):
         K = make_field("x^2 - 2")
-        assert is_totally_positive(K.from_rational(2))
+        assert signs(K.from_rational(2)) == [1, 1]
 
     def test_sqrt2_not(self):
         K = make_field("x^2 - 2")
-        assert not is_totally_positive(K.theta())
+        assert sorted(signs(K.theta())) == [-1, 1]
 
     def test_three_plus_sqrt2(self):
         K = make_field("x^2 - 2")
-        assert is_totally_positive(3 + K.theta())
+        assert signs(3 + K.theta()) == [1, 1]
 
     def test_zero_rejected(self):
         K = make_field("x^2 - 2")
         with pytest.raises(ZeroElement):
-            is_totally_positive(K.zero())
-
-    def test_complex_field_rejected(self):
-        K = make_field("x^3 - x^2 + 1")
-        with pytest.raises(NotTotallyReal):
-            is_totally_positive(K.one())
+            embedding_sign(K.zero(), 0)
 
     def test_against_sympy_embeddings(self):
         K = make_field("x^3 - 4*x - 1")  # totally real cubic, disc 229
@@ -182,10 +180,10 @@ class TestTotallyPositive:
             elem = K.element(coords)
             if elem.is_zero():
                 continue
-            expected = all(
-                sympy.sign(sum(c * r ** i for i, c in enumerate(coords))) > 0
-                for r in roots)
-            assert is_totally_positive(elem) == expected
+            expected = [
+                sympy.sign(sum(c * r ** i for i, c in enumerate(coords)))
+                for r in roots]
+            assert signs(elem) == expected
 
 
 class TestMinPoly:

@@ -18,7 +18,8 @@ import sympy
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from afcheck import make_field, numberfield, sunits
+from afcheck import (integerfactor, make_field, numberfield, prime_ideals,
+                     sunits, units)
 from afcheck.cli import run
 from afcheck.criteria import (check_cor_3_4, check_thm_3_2, check_thm_3_3,
                               check_thm_5_2)
@@ -1148,7 +1149,7 @@ class TestQuadraticExtension:
 
 def test_thm_5_2_builds_one_field_and_factors_each_representative_once(
         monkeypatch, capsys):
-    counts = {"make_field": 0, "_square_test": 0, "zx_factor": 0}
+    counts = {"_square_test": 0, "zx_factor": 0}
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
@@ -1161,18 +1162,75 @@ def test_thm_5_2_builds_one_field_and_factors_each_representative_once(
     # make_field under every name that binds it; the square tests that
     # is_square does not answer from the field's memo, and the factoring
     # that the norm screen leaves to them
-    real = numberfield.make_field
-    for modname, module in list(sys.modules.items()):
-        if (modname.startswith("afcheck")
-                and getattr(module, "make_field", None) is real):
-            monkeypatch.setattr(module, "make_field",
-                                counting("make_field", real))
+    made = spy_bindings(monkeypatch, numberfield, "make_field")
     for name in ("_square_test", "zx_factor"):
         monkeypatch.setattr(sunits, name, counting(name, getattr(sunits, name)))
     code = run(["--output", "json", "check", "thm-5-2", "x^3-x^2-2*x+1",
                 "--bound", "1", "--user-class-number", "1"])
     capsys.readouterr()
     assert code == 3
-    assert counts["make_field"] == 1
+    assert len(made) == 1
     assert counts["_square_test"] <= len(reps)
     assert 0 < counts["zx_factor"] <= len(reps)
+
+
+def spy_bindings(monkeypatch, module, name):
+    """The argument tuples of the calls to module.name, under every name
+    that binds it in a loaded afcheck module."""
+    calls = []
+    real = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for modname, loaded in list(sys.modules.items()):
+        if (modname.startswith("afcheck")
+                and getattr(loaded, name, None) is real):
+            monkeypatch.setattr(loaded, name, wrapper)
+    return calls
+
+
+# the requests of the benchmark's sunit-box workload: each field's quadratic
+# data, unit and pi_P are computed once, and v_P(lambda) is read off the
+# exponents, so factorint and valuation run only where these counts allow
+@pytest.mark.parametrize("argv, factorints, valuations", [
+    (["x^2-2", "--bound", "20"], 3, 1),
+    (["x^2-x-4", "--bound", "6"], 3, 14),
+    (["x^3-x^2-2*x+1", "--bound", "3", "--user-class-number", "1"], 0, 2)])
+def test_sunit_request_factor_and_valuation_counts(
+        argv, factorints, valuations, monkeypatch, capsys):
+    factored = spy_bindings(monkeypatch, integerfactor, "factorint")
+    valued = spy_bindings(monkeypatch, prime_ideals, "valuation")
+    assert run(["--output", "json", "sunit", *argv]) == 0
+    capsys.readouterr()
+    assert (len(factored), len(valued)) == (factorints, valuations)
+
+
+def test_thm_5_2_factors_the_discriminant_and_walks_the_unit_once(
+        monkeypatch, capsys):
+    # x^2 - x - 4 has discriminant 17 and principal form (1, 3, -2); the
+    # walk to the fundamental unit starts at its rho
+    factored = spy_bindings(monkeypatch, integerfactor, "factorint")
+    walks = spy_bindings(monkeypatch, units, "_walk_to_principal")
+    code = run(["--output", "json", "check", "thm-5-2", "x^2-x-4",
+                "--bound", "4"])
+    capsys.readouterr()
+    assert code == 3
+    assert sum(args[0] == 17 for args in factored) == 1
+    assert walks.count((17, units._rho((1, 3, -2), 17))) == 1
+
+
+@pytest.mark.parametrize("poly", ["x", "x^2 - 2", "x^2 - x - 4",
+                                  "x^3 - x^2 - 2*x + 1", "x^2 - 10",
+                                  "x^2 - x - 16", "x^2 - 79", "x^2 - 82"])
+def test_basis_orders_are_the_valuations_of_the_pis(poly):
+    # the sunit-box fields and census fields with h = 2, 3, 4, 2 split or
+    # ramified; solve_sunit reads v_P(lambda) = k_P e_P off this
+    K = make_field(poly)
+    S = s_k(K)
+    basis = build_sunit_basis(K, S, 1, user_class_number=1)
+    assert len(basis.pis) == len(basis.orders) == len(S)
+    assert [[valuation(pi, Q) for Q in S] for pi in basis.pis] == [
+        [k if Q == P else 0 for Q in S] for P, k in zip(S, basis.orders)]
+    assert all(valuation(u, P) == 0 for u in basis.units for P in S)

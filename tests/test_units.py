@@ -11,7 +11,7 @@ import pytest
 from afcheck import linalg, make_field, prime_ideals, units
 from afcheck.cli import run
 from afcheck.errors import (IndexDivisor, MissingUserClassNumber,
-                            SearchExhausted)
+                            SearchExhausted, Unsupported)
 from afcheck.integerfactor import SMALL_PRIMES
 from afcheck.numberfield import FieldElement
 from afcheck.prime_ideals import valuation, factor_rational_prime, s_k
@@ -21,9 +21,9 @@ from afcheck.units import (class_data, least_odd_prime, principal_generator,
                            unit_generators, _certified_independent, _by_norm,
                            _canonical_sign, _cubic_fundamental_pair,
                            _cycle_count, _find_generator,
-                           _fundamental_discriminant, _quad_data,
                            _quad_element, _quad_fundamental_unit,
-                           _reduced_forms, _shell, _small_relation)
+                           _quadratic, _reduced_forms, _shell,
+                           _small_relation)
 
 
 def is_algebraic_integer(x):
@@ -68,12 +68,12 @@ class TestFundamentalUnits:
 
     def test_golden_ratio_unit(self):
         # O_K of Q(sqrt5) has fundamental unit (1+sqrt5)/2
-        assert _quad_fundamental_unit(5) == (1, 1, 2, -1)
+        assert fundamental_unit(5) == (1, 1, 2, -1)
 
     @pytest.mark.parametrize("d", [2, 3, 7, 10, 11, 13])
     def test_minimality_by_exhaustion(self, d):
         """No unit strictly between 1 and the reported fundamental unit."""
-        x, y, den, norm = _quad_fundamental_unit(d)
+        x, y, den, norm = fundamental_unit(d)
         assert (x * x - d * y * y) == norm * den * den
         unit = (x / den, y / den) if den == 1 else None
         from fractions import Fraction
@@ -234,8 +234,7 @@ class TestPerFieldMemo:
         K = make_field(self.CUBIC)
         first, second = unit_generators(K), unit_generators(K)
         assert len(calls) == 1
-        assert first.fundamental_units == second.fundamental_units
-        assert first.fundamental_units is not second.fundamental_units
+        assert second is first
         unit_generators(make_field(self.CUBIC))
         assert len(calls) == 2
 
@@ -248,6 +247,15 @@ class TestPerFieldMemo:
             with pytest.raises(SearchExhausted):
                 unit_generators(K)
         assert len(calls) == 1
+
+    def test_an_unsupported_field_stores_nothing(self):
+        # a stored error is raised again with a longer traceback, whose
+        # frames keep the field alive
+        K = make_field("x^4 - 10*x^2 + 1")
+        for _ in range(2):
+            with pytest.raises(Unsupported):
+                unit_generators(K)
+        assert "unit_group" not in K._memo
 
     def test_class_data_once_per_field_and_arguments(self, monkeypatch):
         cubic = count_calls(monkeypatch, units, "_h_plus_from_unit_signs")
@@ -308,7 +316,7 @@ class TestClassData:
         for d in (2, 3, 5, 7, 10, 11, 13):
             K = make_field([(1 - d) // 4, -1, 1] if d % 4 == 1 else [-d, 0, 1])
             cd = class_data(K)
-            norm = _quad_fundamental_unit(d)[3]
+            norm = fundamental_unit(d)[3]
             assert (cd.h_plus == cd.h) == (norm == -1)
 
     def test_sqrt10_nonprincipal_rep(self):
@@ -400,6 +408,34 @@ def quadratic_poly(d):
     return [(1 - d) // 4, -1, 1] if d % 4 == 1 else [-d, 0, 1]
 
 
+def fundamental_unit(d):
+    """(x, y, den, norm) of the fundamental unit of Q(sqrt(d)), d > 1."""
+    return _quad_fundamental_unit(make_field(quadratic_poly(d)))
+
+
+class TestQuadraticData:
+    @pytest.mark.parametrize("poly", ["x^2 - 2", "x^2 - x - 1", "x^2 + 1",
+                                      "x^2 + x + 1", "x^2 - 12", "x^2 - 45",
+                                      "x^2 - 18", "x^2 + 3*x - 7"])
+    def test_square_root_and_fundamental_discriminant(self, poly):
+        K = make_field(poly)
+        d, m, b, D = _quadratic(K)
+        root = (2 * K.theta() + b) / m
+        assert root * root == d and squarefree_part(d) == d
+        # the discriminant of the maximal order Z[(1 + sqrt d)/2] or Z[sqrt d]
+        assert make_field(quadratic_poly(d)).poly_disc == D
+        assert _quadratic(K) is _quadratic(K)
+
+    def test_unit_is_walked_when_first_read(self, monkeypatch):
+        calls = count_calls(monkeypatch, units, "_walk_to_principal")
+        K = make_field("x^2 - 3")
+        _quadratic(K)
+        assert calls == []
+        assert _quad_fundamental_unit(K) == (2, 1, 1, 1)
+        assert _quad_fundamental_unit(K) == (2, 1, 1, 1)
+        assert len(calls) == 1
+
+
 SQUAREFREE = [d for d in range(-2999, 3000)
               if d not in (0, 1) and squarefree_part(d) == d]
 
@@ -426,7 +462,7 @@ class TestPellBudget:
     def pell_from_walk(d):
         d0 = squarefree_part(d)
         f = math.isqrt(d // d0)
-        x, y, den, _ = _quad_fundamental_unit(d0)
+        x, y, den, _ = fundamental_unit(d0)
         # eps = (X + Y sqrt d0)/2; its powers are tracked in the same halves
         eps = (2 * x // den, 2 * y // den)
         X, Y = eps
@@ -443,10 +479,10 @@ class TestPellBudget:
     def test_budget_raises(self, monkeypatch):
         # the principal cycle of sqrt(94) is the principal form and 15 steps
         monkeypatch.setattr(units, "QUADRATIC_STEP_BUDGET", 15)
-        assert _quad_fundamental_unit(94) == (*self.reference(94), 1, 1)
+        assert fundamental_unit(94) == (*self.reference(94), 1, 1)
         monkeypatch.setattr(units, "QUADRATIC_STEP_BUDGET", 14)
         with pytest.raises(SearchExhausted, match="continued fraction"):
-            _quad_fundamental_unit(94)
+            fundamental_unit(94)
 
 
 class TestHalfIntegerUnit:
@@ -464,7 +500,7 @@ class TestHalfIntegerUnit:
             sols = [(abs(X), abs(Y)) for N in (r * r, -r * r)
                     for X, Y in diop_DN(d, N) if Y]
             X, Y = min(sols, key=lambda s: (s[1], s[0]))
-            x, y, den, norm = _quad_fundamental_unit(d)
+            x, y, den, norm = fundamental_unit(d)
             assert (r * x, r * y) == (den * X, den * Y), d
             assert X * X - d * Y * Y == r * r * norm, d
 
@@ -472,7 +508,7 @@ class TestHalfIntegerUnit:
         # d = 100001: the unit of Z[sqrt(d)] has 110 digits, the cube of
         # the fundamental unit
         t0 = time.perf_counter()
-        x, y, den, norm = _quad_fundamental_unit(100001)
+        x, y, den, norm = fundamental_unit(100001)
         assert time.perf_counter() - t0 < 1
         assert x * x - 100001 * y * y == norm * den * den
 
@@ -518,13 +554,13 @@ class TestQuadraticBudget:
 def scan_principal_generator(field, profile):
     """The generator with the least y in (x + y sqrt d)/2, found by a scan
     over y up to a bound that grows with the fundamental unit, or None."""
-    d, _, _ = _quad_data(field)
+    d = _quadratic(field)[0]
     target = 1
     for prime, k in profile.items():
         target *= prime.norm() ** k
     eps = 1
     if d > 0:
-        x, y, den, _ = _quad_fundamental_unit(d)
+        x, y, den, _ = _quad_fundamental_unit(field)
         eps = (x + y * (math.isqrt(d) + 1)) // den + 1
     ybound = 2 * math.isqrt(target * eps // abs(d)) + 2
     for y in range(0, ybound + 1):
@@ -652,7 +688,7 @@ class TestWalkMatchesReferences:
 
     def test_forms_and_class_numbers(self):
         for d in SQUAREFREE:
-            D = _fundamental_discriminant(d)
+            D = _quadratic(make_field(quadratic_poly(d)))[3]
             forms = _reduced_forms(D)
             if d < 0:
                 assert len(forms) == loop_definite_class_number(D), d
