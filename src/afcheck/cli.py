@@ -50,7 +50,7 @@ _COMMANDS = {
                {"--user-class-number": _INT}, ()),
     "frey": ("Frey curve invariants and local reports",
              (("family", (FAMILY_TWO_POWER, FAMILY_SQUARE)), _POLY),
-             {"--a": _STR, "--b": _STR, "--c": _STR, "--r": (int, 2, None),
+             {"--a": _STR, "--b": _STR, "--c": _STR, "--r": _INT,
               "--p": (str, "symbolic", None), "--prime": _INT,
               "--user-class-number": _INT},
              ("--a", "--b", "--c")),
@@ -206,9 +206,10 @@ def _cmd_selmer(field, args):
 
 def _cmd_frey(field, args):
     family, prime, p_text = args["family"], args["prime"], args["p"]
-    if family != FAMILY_TWO_POWER and args["user_class_number"] is not None:
-        raise ParseError("--user-class-number is read only by frey "
-                         f"{FAMILY_TWO_POWER}, not by frey {family}")
+    for option in ("user_class_number", "r"):
+        if family != FAMILY_TWO_POWER and args[option] is not None:
+            raise ParseError(f"--{option.replace('_', '-')} is read only by "
+                             f"frey {FAMILY_TWO_POWER}, not by frey {family}")
     if prime is not None and not is_prime(prime):
         raise ParseError(f"--prime must be a prime, got {prime}")
     p = None
@@ -220,9 +221,8 @@ def _cmd_frey(field, args):
         if p is None or not is_prime(p):
             raise ParseError(f"--p must be a prime or 'symbolic', got {p_text!r}")
     a, b, c = (field.element_from_str(args[key]) for key in "abc")
-    r = args["r"] if family == FAMILY_TWO_POWER else None
-    spec = FreySpec(family, a, b, c, r=r, p=p)
-    payload = {"family": family, "p": p_text, "r": r}
+    spec = FreySpec(family, a, b, c, r=args["r"], p=p)
+    payload = {"family": family, "p": p_text, "r": args["r"]}
     caveats = []
     if p is not None:
         inv = invariants(spec)
@@ -297,6 +297,10 @@ def run(argv) -> int:
         return EXIT_ERROR
     if args is None:  # -h printed help
         return EXIT_OK
+    # r is the twist exponent of the 2r family, 2 unless given; it is set
+    # here so that every report on the request echoes it
+    if args.get("family") == FAMILY_TWO_POWER and args["r"] is None:
+        args["r"] = 2
     started = time.monotonic()
     field = None  # an error report summarises the field if it was built
     class_number = args.get("user_class_number")
@@ -306,7 +310,6 @@ def run(argv) -> int:
                              f"got {class_number}")
         if args.get("bound") is not None and args["bound"] < 0:
             raise ParseError(f"--bound must be nonnegative, got {args['bound']}")
-        # r is the twist exponent of the 2r family; pp2 ignores --r
         if args.get("family") == FAMILY_TWO_POWER and args["r"] < 1:
             raise ParseError(f"--r must be at least 1 for {FAMILY_TWO_POWER}, "
                              f"got {args['r']}")

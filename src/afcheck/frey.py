@@ -5,8 +5,11 @@ Two curve families are supported, keyed by the equation they encode:
   "pp2" : Y^2 = X^3 + 4c X^2 + 4 a^p X     for a^p + b^p = c^2
 
 For a concrete exponent the closed-form Delta, c4 and j are checked against
-the literal Weierstrass model.  Valuations of Delta, c4 and j at a prime
-are affine forms alpha + beta*p in the symbolic exponent; every report
+the literal Weierstrass model.  Both run in the ring of the triple: ints and
+Fractions when a, b and c are all rational, else field elements.  A quotient
+of two rationals is a Fraction, never a float, and each result is lifted to
+a field element once, when it is returned.  Valuations of Delta, c4 and j at
+a prime are affine forms alpha + beta*p in the symbolic exponent; every report
 carries the smallest p for which its sign and divisibility conclusions are
 valid.  Inertia-image statements are represented exclusively through their
 valuation criteria (negative j with p not dividing v(j); potentially good
@@ -70,15 +73,31 @@ class FreySpec:
         return self.a.field
 
     @cached_property
+    def triple(self):
+        """(a, b, c) in the smallest ring that holds all three: an int or a
+        Fraction each when all are rational, else the field elements."""
+        entries = (self.a, self.b, self.c)
+        if not all(x.is_rational() for x in entries):
+            return entries
+        return tuple(x.num[0] if x.den == 1 else Fraction(x.num[0], x.den)
+                     for x in entries)
+
+    def lift(self, value):
+        """A value of the ring of the triple as an element of the field."""
+        if isinstance(value, FieldElement):
+            return value
+        return self.field.from_rational(value)
+
+    @cached_property
     def powers(self):
         """(a^p, b^p, c^p) for the concrete exponent, computed once."""
         p = self.p
-        return self.a ** p, self.b ** p, self.c ** p
+        return tuple(x ** p for x in self.triple)
 
     def validate(self):
         """Exact check of the defining relation for a concrete exponent."""
         p = self.p
-        if (self.a * self.b * self.c).is_zero():
+        if 0 in self.triple:
             raise RelationViolated("triple with abc = 0 gives a singular curve")
         ap, bp, cp = self.powers
         if self.family == FAMILY_TWO_POWER:
@@ -86,7 +105,8 @@ class FreySpec:
                 raise RelationViolated(
                     f"a^{p} + b^{p} != 2^{self.r} * c^{p} for the given triple")
         else:
-            if ap + bp != self.c * self.c:
+            c = self.triple[2]
+            if ap + bp != c * c:
                 raise RelationViolated(f"a^{p} + b^{p} != c^2 for the given triple")
 
 
@@ -127,6 +147,8 @@ def invariants(spec: FreySpec):
 
     Both published shapes of the single redundant invariant (j for "2r",
     c4 for "pp2") are evaluated; agreement is exposed, never assumed.
+    The values are computed in the ring of the triple and lifted to the
+    field on return.
     """
     if spec.p is None:
         return _symbolic_invariants(spec)
@@ -140,15 +162,26 @@ def invariants(spec: FreySpec):
         scale = Fraction(2) ** (8 - 2 * r)
         delta = core * (2 ** (4 + 2 * r))
         c4 = inner * 16
-        j = inner ** 3 * scale / core
-        j_alt = inner_alt ** 3 * scale / core
-        return FreyInvariants(delta, c4, j, j_alt=j_alt)
+        j = _quotient(inner ** 3 * scale, core)
+        j_alt = _quotient(inner_alt ** 3 * scale, core)
+        return FreyInvariants(*map(spec.lift, (delta, c4, j)),
+                              j_alt=spec.lift(j_alt))
+    c = spec.triple[2]
     core = ap * ap * bp
     delta = core * (2 ** 12)
-    c4 = (spec.c * spec.c * 4 - ap * 3) * 64
+    c4 = (c * c * 4 - ap * 3) * 64
     c4_alt = (bp * 4 + ap) * 64
-    j = (ap + bp * 4) ** 3 * 64 / core
-    return FreyInvariants(delta, c4, j, c4_alt=c4_alt)
+    j = _quotient((ap + bp * 4) ** 3 * 64, core)
+    return FreyInvariants(*map(spec.lift, (delta, c4, j)),
+                          c4_alt=spec.lift(c4_alt))
+
+
+def _quotient(x, y):
+    """x / y in the ring of the triple; two rationals divide as a Fraction,
+    so no float appears."""
+    if isinstance(x, FieldElement) or isinstance(y, FieldElement):
+        return x / y
+    return Fraction(x, y)
 
 
 def _symbolic_invariants(spec):
@@ -170,18 +203,18 @@ def weierstrass_invariants(spec: FreySpec):
     """Independent route: the literal model evaluated by the b2/b4/b6 formulas.
 
     Returns (delta, c4, c6, j) and verifies c4^3 - c6^2 = 1728*Delta exactly.
-    It shares only the model's coefficients a^p, b^p with invariants().
+    It shares only the model's coefficients a^p, b^p with invariants().  The
+    values are computed in the ring of the triple and lifted on return.
     """
     if spec.p is None:
         raise ValueError("cross-check needs a concrete exponent")
     ap, bp, _cp = spec.powers
-    zero = spec.field.zero()
     if spec.family == FAMILY_TWO_POWER:
-        a1, a2, a3 = zero, bp - ap, zero
-        a4, a6 = -(ap * bp), zero
+        a1, a2, a3 = 0, bp - ap, 0
+        a4, a6 = -(ap * bp), 0
     else:
-        a1, a2, a3 = zero, spec.c * 4, zero
-        a4, a6 = ap * 4, zero
+        a1, a2, a3 = 0, spec.triple[2] * 4, 0
+        a4, a6 = ap * 4, 0
     b2 = a1 * a1 + a2 * 4
     b4 = a4 * 2 + a1 * a3
     b6 = a3 * a3 + a6 * 4
@@ -192,9 +225,9 @@ def weierstrass_invariants(spec: FreySpec):
     c6 = -(b2 ** 3) + b2 * b4 * 36 - b6 * 216
     if c4 ** 3 - c6 * c6 != delta * 1728:
         raise ArithmeticError("c4^3 - c6^2 != 1728*Delta on the literal model")
-    if delta.is_zero():
+    if delta == 0:
         raise RelationViolated("singular model")
-    return delta, c4, c6, c4 ** 3 / delta
+    return tuple(map(spec.lift, (delta, c4, c6, _quotient(c4 ** 3, delta))))
 
 
 def concrete_cross_check(spec: FreySpec, inv: FreyInvariants = None) -> bool:
@@ -372,12 +405,12 @@ def conductor_shape(field: NumberField, family: str,
 
 def odd_multiplicative_primes(spec: FreySpec):
     """Odd primes where the concrete triple forces multiplicative reduction."""
-    elems = [spec.a, spec.b, spec.c] if spec.family == FAMILY_TWO_POWER \
-        else [spec.a, spec.b]
+    elems = spec.triple if spec.family == FAMILY_TWO_POWER else spec.triple[:2]
     # v_P of the product is the sum of the entries' valuations; 2 is skipped
     # unfactored, so an index divisor at 2 does not block the odd primes
-    prod = spec.field.one()
+    prod = 1
     for x in elems:
-        if not x.is_zero():
-            prod = prod * x
-    return [P for P, v in element_valuations(prod, skip=(2,)) if v > 0]
+        if x != 0:
+            prod = x * prod
+    return [P for P, v in element_valuations(spec.lift(prod), skip=(2,))
+            if v > 0]

@@ -60,16 +60,18 @@ class NumberField:
         """compute() once per field and key: the value, or the AfcheckError
         compute() raised, is stored on the field, so it lives as long as the
         field does, one request of the CLI; a stored error is raised again,
-        so a failed search is not repeated.  Callers must not mutate what
-        they get back."""
+        so a failed search is not repeated.  The error is kept, and raised
+        each time, as a copy without a traceback, whose frames would hold
+        the field in a reference cycle.  Callers must not mutate what they
+        get back."""
         if key not in self._memo:
             try:
                 self._memo[key] = compute()
             except AfcheckError as exc:
-                self._memo[key] = exc
+                self._memo[key] = _bare_copy(exc)
         value = self._memo[key]
         if isinstance(value, AfcheckError):
-            raise value
+            raise _bare_copy(value)
         return value
 
     # -- basic properties ---------------------------------------------
@@ -341,6 +343,15 @@ class FieldElement:
         mp = _zx_divides(zx_gcd(ch, pderiv(ch)), ch)
         k = len(mp) - 1
         return [Fraction(c, self.den ** (k - i)) for i, c in enumerate(mp)]
+
+
+def _bare_copy(exc):
+    """exc with its type, args and attributes (payload among them), but no
+    traceback, context or cause; __init__ is not run again, since a
+    subclass may build its message from other arguments than args."""
+    clone = type(exc).__new__(type(exc), *exc.args)
+    clone.__dict__.update(exc.__dict__)
+    return clone
 
 
 def _rational(value):

@@ -3,8 +3,9 @@
 Rational primes are factored through the reduction of the defining
 polynomial, guarded by the Dedekind index criterion: a prime dividing the
 index of Z[theta] in the maximal order raises IndexDivisor rather than
-producing silently wrong data.  Valuations are computed by repeated
-multiplication with a cached anti-uniformizer.
+producing silently wrong data.  Valuations of rationals come from the
+integers: v_P(m/d) = e * (v_q(m) - v_q(d)).  Other valuations are computed
+by repeated multiplication with a cached anti-uniformizer.
 """
 
 from dataclasses import dataclass
@@ -232,6 +233,8 @@ def valuation(x: FieldElement, prime: PrimeIdeal) -> int:
     if x.is_zero():
         raise ZeroElement("valuation of zero is undefined")
     q = prime.q
+    if x.is_rational():
+        return prime.e * (int_valuation(x.num[0], q) - int_valuation(x.den, q))
     beta = prime.anti_uniformizer()
     v = 0
     z = FieldElement(x.field, x.num) * beta
@@ -252,7 +255,9 @@ def element_valuations(x: FieldElement, *, skip=()):
     zero raises ZeroElement."""
     if x.is_zero():
         raise ZeroElement("valuations of zero are undefined")
-    qs = set(factorint(x.den)) | set(factorint(x.field.num_norm(x.num)))
+    # a rational numerator m has the prime divisors of its norm m^n
+    norm = x.num[0] if x.is_rational() else x.field.num_norm(x.num)
+    qs = set(factorint(x.den)) | set(factorint(norm))
     for q in sorted(qs.difference(skip)):
         for prime in factor_rational_prime(x.field, q):
             v = valuation(x, prime)

@@ -343,10 +343,29 @@ class TestCommands:
             "message": "--user-class-number is read only by frey 2r, "
                        "not by frey pp2"}
 
-    def test_pp2_ignores_r(self, capsys):
+    @pytest.mark.parametrize("r", ["-4", "0", "2"])
+    def test_pp2_refuses_r(self, capsys, r):
         code, rep = run_json(capsys, ["frey", "pp2", "x", "--a", "2", "--b",
-                                      "1", "--c", "3", "--r", "0", "--p", "3"])
-        assert code == 0 and rep["result"]["r"] is None
+                                      "1", "--c", "3", "--p", "3", "--r", r])
+        assert code == 1
+        assert rep["command"]["r"] == int(r)
+        assert rep["result"]["error"] == {
+            "type": "ParseError",
+            "message": "--r is read only by frey 2r, not by frey pp2"}
+
+    def test_r_is_echoed_by_2r_only(self, capsys):
+        argv = ["x", "--a", "2", "--b", "1", "--c", "3"]
+        code, rep = run_json(capsys, ["frey", "pp2", *argv, "--p", "3"])
+        assert code == 0
+        assert "r" not in rep["command"] and rep["result"]["r"] is None
+        # 2r without --r runs at r = 2 and echoes it, in a report and in an
+        # error report alike
+        code, rep = run_json(capsys, ["frey", "2r", *argv])
+        assert code == 0
+        assert rep["command"]["r"] == rep["result"]["r"] == 2
+        code, rep = run_json(capsys, ["frey", "2r", "x^2-1", *argv[1:]])
+        assert code == 1 and rep["result"]["error"]["type"] == "Reducible"
+        assert rep["command"]["r"] == 2
 
     @pytest.mark.parametrize("argv", [
         ["sunit", "x", "--bound", "-1"],
@@ -665,7 +684,9 @@ class TestZassenhausPrime:
 # frey 2r report was taken again when the MissingUserClassNumber message in
 # its caveat began to name --user-class-number; only that caveat changed.
 # The check reports were taken again when check stopped taking --r; only
-# result.r and command.r went.
+# result.r and command.r went.  The frey pp2 reports were taken again when
+# pp2 began to refuse --r, whose default no longer fills the echo; only
+# command.r went.
 FIELD_SWEEP_COMMANDS = (
     ("field",),
     ("check", "cor-7-2"),
@@ -687,7 +708,7 @@ FIELD_CONSTRUCTION_GOLDEN = {
         (0, "38e4a75145d6e1559ad5a3d372ced568d703008d02944880c110fdfff20580d3"),
         (2, "80d27a6549ee2d4ab6f0c444e882d29bdca46a5a1b2dcde9f17145a0e7cdbed0"),
         (0, "1d0e2ac65155d054ca490100dd5f47a7718138be9d02971fef785598acc23914"),
-        (0, "64743da32db9d8e676828a18fe702f371ee0c68ad86672938340d4e6c377d484"),
+        (0, "57361efa9666f98f340b169094a11e29c21fa3e247e97f3c635a228a60194934"),
     ),
     "x^5 - x^4 - 4*x^3 + 3*x^2 + 3*x - 1": (
         (0, "b5c45400a4c557be1d5790e06526a59c6b010cc1b4464ccc6539cdf05c789f49"),
@@ -696,7 +717,7 @@ FIELD_CONSTRUCTION_GOLDEN = {
         (0, "bc4046c90b4a2ea2111ee4ceb3d6e1d2e163f3df9f9aa5d13ccde7168754ff35"),
         (2, "8aa96a0365b8665c8553e7ea3db54f06cddc49e0edd6fccc3a83787953c08e57"),
         (0, "4042dc2abef7dbb1fbaf6f951c8b87e023f7018212ee8b208f2b5f4810669224"),
-        (0, "05e4dea0d4d5a267db20e78c85dc2c525607a78541a4014020467ccfd6a0382d"),
+        (0, "b0e3e0f95ff12400f3a9494c4a6bc6a86d5fe977d328fb4928af803b154368bb"),
     ),
     "x^4 - 5*x^2 + 6": (
         (1, "a08a7095db9ca2598e857df5fab58658f29d2f93c7f9b18adbaa8e351bf1f4f5"),
@@ -705,7 +726,7 @@ FIELD_CONSTRUCTION_GOLDEN = {
         (1, "b3941b23b0c9a7f3a0e52022287e42c2fbfc321bf38f11a17ab2bdf51bc8ca06"),
         (1, "25b7d564192b8bec826877d58e41f9e86cddec048bcbf100d92557657b9cbdb6"),
         (1, "fffa4da2002acdfa0be9b1afca501ad83ef948942406ab1ed1875f7f96cf889c"),
-        (1, "3a07e573b802740a04e6afd58c55a6c495d58ff4e24455fe8305971fbc403956"),
+        (1, "e6173302cd7c13eeda99e8364426d1135781b094a0119e525e428ddb5e149b5d"),
     ),
     "x^5 + x^4 - 4*x^3 - 4*x^2 + 4*x + 4": (
         (1, "bb463b696ff75672baab6b3d9f0189f50b0916e95f6ccc29d1a4adb35f2be3f3"),
@@ -714,7 +735,7 @@ FIELD_CONSTRUCTION_GOLDEN = {
         (1, "e3484b90a97ffe070130096bf52411f9d3fd48ef7ac6e73e738f49faafbdc69f"),
         (1, "7d54f82452a2bcac32a512340f96c1903c0c57892947ce43d2ca09af0b1a5f97"),
         (1, "fa0758ad4ad01e3d7058040f4a3d0fdb1e2ea5f8c076cb075954f5bab05439a4"),
-        (1, "4dda51572480937174548a5c67764176ea491597bd0d88990fdd6ad261d928bb"),
+        (1, "2317a713472d3770ddb7e089a6c9b7a20e76ea799e07536ac36740c220e93421"),
     ),
     "x^3 - x^2 - 2*x - 8": (
         (1, "bcbabd405e50c527c71a0aead39db0dfbc83265fd92aafe271b72f3df4a2307f"),
@@ -723,7 +744,7 @@ FIELD_CONSTRUCTION_GOLDEN = {
         (0, "c5db98434b39173a61e9c43457705d65a3a34e9eab69f5f7eef11a973fad3155"),
         (1, "341166f6637d05ca934346565933fc6f271b975c13ff405f729255c083b3a104"),
         (0, "1f38964b034c634ea00c4751aefa2b847b4b57144d64ecd71519895384a45fe5"),
-        (1, "6d688e84062a24b0e2b9b06e9d05a28735935493e22dd3caea692f3032b7941f"),
+        (1, "a2849ec50bfa04ddc11e17b49f95ac806ff8e961bf57fb95eb51bba0e8afb2cb"),
     ),
 }
 
@@ -829,7 +850,12 @@ class TestGoldenBytes:
     again when each hypothesis got one status: the "status" key of a
     hypothesis that is not proven replaced "caveat", "assumed" and an
     assumption's "note", and the caveats became one line per such
-    hypothesis; witnesses, notes, applies and exit codes stayed."""
+    hypothesis; witnesses, notes, applies and exit codes stayed.  Three
+    frey requests were taken while every Frey invariant was still computed
+    on field elements: a 2r triple of halves, a 2r request with r = 6 (so
+    the scale 2^(8 - 2r) is a fraction), and the README's pp2 request with
+    the irrational c = x.  The pp2 one was taken again when pp2 began to
+    refuse --r; only command.r went."""
 
     @pytest.mark.parametrize("argv, code, digest", [
         (["sunit", "x^2-2", "--bound", "20"], 0,
@@ -843,8 +869,18 @@ class TestGoldenBytes:
         (["frey", "2r", "x^2-10", "--a", "1", "--b", "1", "--c", "1",
           "--r", "1", "--p", "5"], 0,
          "8a4932bf9d3e82daaed0718b072e08048c3fba35f31ee41de34b7f0acfe8c3e5"),
+        (["frey", "2r", "x^2-2", "--a", "1/2", "--b", "1/2", "--c", "1/2",
+          "--r", "1", "--p", "3", "--prime", "3"], 0,
+         "6e66d90db3230611d6a730a47a437f38e0e99f659383adcbc9e845e544b4a7bd"),
+        (["frey", "2r", "x^3-2", "--a", "1", "--b", "1", "--c", "1/2",
+          "--r", "6", "--p", "5", "--prime", "5"], 0,
+         "89cd81ecc640426e2f4c30d9e59211e9aa0d448b2fcf3f242ddd59af660e4431"),
+        (["frey", "pp2", "x^2 - 2", "--a", "1", "--b", "1", "--c", "x",
+          "--p", "3", "--prime", "2"], 0,
+         "8b84561a12ba8b35e256ea8d4db7dadbd6a4c0dfe31296c7b3472c532f014a8a"),
     ], ids=["sunit-sqrt2", "sunit-x2-x-4", "sunit-cubic", "thm-5-2-sqrt2",
-            "frey-2r-x2-10"])
+            "frey-2r-x2-10", "frey-2r-halves", "frey-2r-r6-cubic",
+            "frey-pp2-sqrt2-readme"])
     def test_json_bytes(self, capsys, argv, code, digest):
         assert_json_bytes(capsys, argv, code, digest)
 
@@ -944,7 +980,7 @@ def reference_parser():
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
     p.add_argument("--c", required=True)
-    p.add_argument("--r", type=int, default=2)
+    p.add_argument("--r", type=int, default=None)
     p.add_argument("--p", default="symbolic")
     p.add_argument("--prime", type=int, default=None)
     p.add_argument("--user-class-number", type=int, default=None)

@@ -1,11 +1,15 @@
 """Frey invariants, symbolic valuation profiles and conductor shapes."""
 
+import contextlib
+import io
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from afcheck import make_field
+from afcheck import cli, frey, make_field
 from afcheck.errors import (InconsistentDivisibility, RelationViolated,
                             UnsupportedCase)
 from afcheck.frey import (FAMILY_SQUARE, FAMILY_TWO_POWER,
@@ -13,7 +17,7 @@ from afcheck.frey import (FAMILY_SQUARE, FAMILY_TWO_POWER,
                           conductor_shape, invariants,
                           odd_multiplicative_primes, valuation_profile,
                           weierstrass_invariants)
-from afcheck.numberfield import FieldElement
+from afcheck.numberfield import FieldElement, NumberField
 from afcheck.prime_ideals import factor_rational_prime, s_k
 from afcheck.sunits import solve_sunit
 
@@ -71,9 +75,28 @@ class TestInvariants:
         assert tampered != delta  # an injected factor must be caught
 
     @pytest.mark.parametrize("family, triple, r", [
-        (FAMILY_TWO_POWER, (1, 1, 1), 1), (FAMILY_SQUARE, (2, 2, 8), None)])
+        (FAMILY_TWO_POWER, (1, 1, 1), 1), (FAMILY_SQUARE, (2, 2, 8), None),
+        (FAMILY_TWO_POWER, (Fraction(-1, 2),) * 3, 1),
+        (FAMILY_SQUARE, (Fraction(1, 2), Fraction(1, 2), Fraction(1, 4)),
+         None),
+        (FAMILY_SQUARE, (K2.one(), K2.one(), K2.theta()), None)])
     def test_powers_once_per_spec(self, monkeypatch, family, triple, r):
+        """a^p, b^p and c^p are taken once, in the ring the spec computes
+        in: each entry of the spec's triple counts its own powers."""
         exponents = []
+
+        def counting(ring):
+            class Counted(ring):
+                def __pow__(self, e):
+                    exponents.append(e)
+                    return ring.__pow__(self, e)
+            return Counted
+
+        counted = {int: counting(int), Fraction: counting(Fraction)}
+        ring_triple = FreySpec.triple.func
+        monkeypatch.setattr(FreySpec, "triple", property(lambda spec: tuple(
+            counted[type(x)](x) if type(x) in counted else x
+            for x in ring_triple(spec))))
         original = FieldElement.__pow__
 
         def spy(self, e):
@@ -81,9 +104,13 @@ class TestInvariants:
             return original(self, e)
 
         monkeypatch.setattr(FieldElement, "__pow__", spy)
-        spec = q_spec(family, *triple, r=r, p=5)
+        if isinstance(triple[0], FieldElement):
+            spec = FreySpec(family, *triple, r=r, p=5)
+        else:
+            spec = q_spec(family, *triple, r=r, p=5)
         assert concrete_cross_check(spec, invariants(spec))
         assert concrete_cross_check(spec)
+        odd_multiplicative_primes(spec)
         # a^5, b^5, c^5 when the spec is checked; never again
         assert exponents.count(5) == 3
 
@@ -97,6 +124,143 @@ class TestInvariants:
         sym = invariants(spec)
         assert "2^8" in sym.delta_formula
         assert "(a*b*c)^(2p)" in sym.delta_formula
+
+
+# Fields of degree 1 to 6; the sextic is the first field of the benchmark's
+# field-sweep golden rows.
+ORACLE_FIELDS = [make_field(f) for f in (
+    "x", "x^2 - 2", "x^3 - 2", "x^4 - 10*x^2 + 1", "x^5 - x + 1",
+    "x^6 - 6*x^4 + 9*x^2 - 3")]
+RATIONAL = st.one_of(st.integers(-30, 30),
+                     st.fractions(-30, 30, max_denominator=16))
+# rational triples on the curves, for a base t: a = b = t and
+# c = t / 2^((r - 1)/p) for 2r (r = 1, or p | r - 1); scaled solutions
+# (a0 t^2, b0 t^2, c0 t^p) of a0^p + b0^p = c0^2 for pp2, c of either sign
+TWO_R_ON_CURVE = {3: (1, 4), 5: (1, 6), 7: (1,)}
+PP2_ON_CURVE = {3: ((2, 2, 4), (1, 2, 3), (2, 1, 3), (-7, 8, 13)),
+                5: ((2, 2, 8),), 7: ((2, 2, 16),)}
+
+
+@st.composite
+def frey_requests(draw):
+    """(field, family, (a, b, c), r, p): a triple on the curve, or three
+    rationals drawn apart, which mostly miss it."""
+    field = draw(st.sampled_from(ORACLE_FIELDS))
+    family = draw(st.sampled_from((FAMILY_TWO_POWER, FAMILY_SQUARE)))
+    p = draw(st.sampled_from((3, 5, 7)))
+    if draw(st.booleans()):
+        t = draw(RATIONAL.filter(bool))
+        if family == FAMILY_TWO_POWER:
+            r = draw(st.sampled_from(TWO_R_ON_CURVE[p]))
+            triple = (t, t, t / Fraction(2) ** ((r - 1) // p))
+        else:
+            r = None
+            a0, b0, c0 = draw(st.sampled_from(PP2_ON_CURVE[p]))
+            sign = draw(st.sampled_from((1, -1)))
+            triple = (a0 * t * t, b0 * t * t, sign * c0 * t ** p)
+    else:
+        r = draw(st.integers(1, 6)) if family == FAMILY_TWO_POWER else None
+        triple = tuple(draw(RATIONAL) for _ in range(3))
+    return field, family, tuple(field.from_rational(x) for x in triple), r, p
+
+
+def reference_invariants(family, a, b, c, r, p):
+    """The Frey invariants evaluated on field elements: the closed forms
+    (delta, c4, j and the redundant j or c4) and the literal model's
+    (delta, c4, c6, j) through b2, b4, b6 = 0 and b8 (a1 = a3 = a6 = 0);
+    None for a singular model."""
+    ap, bp, cp = a ** p, b ** p, c ** p
+    if family == FAMILY_TWO_POWER:
+        core = (ap * bp * cp) ** 2
+        inner = ap * ap + bp * cp * 2 ** r
+        inner_alt = ap * ap + bp * bp + ap * bp
+        scale = Fraction(2) ** (8 - 2 * r)
+        closed = (core * 2 ** (4 + 2 * r), inner * 16,
+                  inner ** 3 * scale / core, inner_alt ** 3 * scale / core)
+        a2, a4 = bp - ap, -(ap * bp)
+    else:
+        core = ap * ap * bp
+        closed = (core * 2 ** 12, (c * c * 4 - ap * 3) * 64,
+                  (ap + bp * 4) ** 3 * 64 / core, (bp * 4 + ap) * 64)
+        a2, a4 = c * 4, ap * 4
+    b2, b4, b8 = a2 * 4, a4 * 2, -(a4 * a4)
+    delta = -(b2 * b2 * b8) - b4 ** 3 * 8
+    c4 = b2 * b2 - b4 * 24
+    c6 = -(b2 ** 3) + b2 * b4 * 36
+    model = None if delta.is_zero() else (delta, c4, c6, c4 ** 3 / delta)
+    return closed, model
+
+
+class TestRationalTriples:
+    """A rational triple is computed on ints and Fractions and lifted; the
+    values must be those of the same formulas on field elements."""
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(frey_requests())
+    def test_lifted_values_match_field_arithmetic(self, case):
+        field, family, (a, b, c), r, p = case
+        ap, bp, cp = a ** p, b ** p, c ** p
+        on_curve = (ap + bp == (cp * 2 ** r if r else c * c)
+                    and not (a * b * c).is_zero())
+        if not on_curve:
+            with pytest.raises(RelationViolated):
+                FreySpec(family, a, b, c, r=r, p=p)
+            return
+        closed, model = reference_invariants(family, a, b, c, r, p)
+        lifted = []
+        original = NumberField.from_rational
+
+        def spy(self, value):
+            lifted.append(value)
+            return original(self, value)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(NumberField, "from_rational", spy)
+            spec = FreySpec(family, a, b, c, r=r, p=p)
+            inv = invariants(spec)
+            model_values = weierstrass_invariants(spec)
+        assert all(type(x) in (int, Fraction) for x in spec.powers)
+        assert lifted and all(type(v) in (int, Fraction) for v in lifted)
+        alt = inv.j_alt if family == FAMILY_TWO_POWER else inv.c4_alt
+        assert (inv.delta, inv.c4, inv.j, alt) == closed
+        assert inv.forms_agree
+        assert model_values == model
+        assert concrete_cross_check(spec, inv)
+
+    def test_invariants_and_cross_check_multiply_no_field_element(
+            self, monkeypatch):
+        """frey 2r and frey pp2 on integer triples over a sextic: inside
+        invariants and concrete_cross_check no FieldElement is multiplied."""
+        depth, products, entered = [0], [0], []
+        original_mul = FieldElement.__mul__
+
+        def mul(self, other):
+            products[0] += depth[0] > 0
+            return original_mul(self, other)
+
+        def watched(fn):
+            def inside(*args, **kwargs):
+                entered.append(fn.__name__)
+                depth[0] += 1
+                try:
+                    return fn(*args, **kwargs)
+                finally:
+                    depth[0] -= 1
+            return inside
+
+        monkeypatch.setattr(FieldElement, "__mul__", mul)
+        for name in ("invariants", "concrete_cross_check"):
+            monkeypatch.setattr(cli, name, watched(getattr(frey, name)))
+        sextic = "x^6 - 6*x^4 + 9*x^2 - 3"
+        for argv in (["2r", sextic, "--a", "1", "--b", "1", "--c", "1",
+                      "--r", "1", "--p", "5"],
+                     ["pp2", sextic, "--a", "2", "--b", "1", "--c", "3",
+                      "--p", "3", "--prime", "2"]):
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.run(["--output", "json", "frey", *argv]) == 0
+        assert entered == ["invariants", "concrete_cross_check"] * 2
+        assert products == [0]
 
 
 class TestValuationForm:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from afcheck import make_field
+from afcheck import FieldElement, make_field
 from afcheck.errors import IndexDivisor, ZeroElement
 from afcheck.integerfactor import SMALL_PRIMES
 from afcheck.prime_ideals import (element_valuations, factor_rational_prime,
@@ -218,6 +218,43 @@ class TestValuation:
             for P in factor_rational_prime(K, q):
                 total *= Fraction(P.norm()) ** valuation(x, P)
         assert abs(x.norm()) == total
+
+
+def loop_valuation(x, prime):
+    """v_P(x) by the anti-uniformizer loop: the number of times num * beta^k
+    stays q-integral, less e * v_q(den)."""
+    q, beta = prime.q, prime.anti_uniformizer()
+    v, z = 0, FieldElement(x.field, x.num) * beta
+    while z.den % q:
+        v, z = v + 1, z * beta
+    den, k = x.den, 0
+    while den % q == 0:
+        den, k = den // q, k + 1
+    return v - prime.e * k
+
+
+# every prime above 2, 3, 5 and 7 of the census quadratics (the maximal-order
+# presentations of Q(sqrt d), d <= 100 squarefree) and of the benchmark cubic
+CENSUS_PRIMES = [
+    P for K in [quad_field(d) for d in range(2, 101)
+                if all(d % (k * k) for k in range(2, 11))]
+    + [make_field("x^3 - x^2 - 2*x + 1")]
+    for q in (2, 3, 5, 7) for P in factor_rational_prime(K, q)]
+SMOOTH = st.builds(lambda u, i, j, k, l: u * 2 ** i * 3 ** j * 5 ** k * 7 ** l,
+                   st.integers(1, 60), *[st.integers(0, 5)] * 4)
+
+
+class TestRationalValuation:
+    def test_census_primes(self):
+        assert len({P.field for P in CENSUS_PRIMES}) == 61
+        assert len(CENSUS_PRIMES) > 4 * 61
+
+    @settings(max_examples=40, deadline=None)
+    @given(SMOOTH, SMOOTH, st.sampled_from((1, -1)))
+    def test_matches_the_anti_uniformizer_loop(self, m, d, sign):
+        for P in CENSUS_PRIMES:
+            x = P.field.from_rational(Fraction(sign * m, d))
+            assert valuation(x, P) == loop_valuation(x, P)
 
 
 VALUATION_FIELDS = {spec: make_field(spec) for spec in (

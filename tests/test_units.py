@@ -2,8 +2,11 @@
 
 import json
 import math
+import gc
 import sys
 import time
+import traceback
+import weakref
 from itertools import product
 
 import pytest
@@ -249,13 +252,43 @@ class TestPerFieldMemo:
         assert len(calls) == 1
 
     def test_an_unsupported_field_stores_nothing(self):
-        # a stored error is raised again with a longer traceback, whose
-        # frames keep the field alive
+        # a field of degree 4 is refused before the memo is asked
         K = make_field("x^4 - 10*x^2 + 1")
         for _ in range(2):
             with pytest.raises(Unsupported):
                 unit_generators(K)
         assert "unit_group" not in K._memo
+
+    def test_a_stored_error_is_raised_bare(self):
+        """Each ask raises a copy of the stored error with its type,
+        message and payload, and a traceback of the same length; the field
+        is freed by reference counting alone."""
+        def fail():
+            raise IndexDivisor(7, note="kept")
+
+        def ask(field):
+            try:
+                field.memo("failing", fail)
+            except IndexDivisor as exc:
+                return exc
+
+        K = make_field("x^2 - 2")
+        errors = [ask(K) for _ in range(4)]
+        assert len({len(traceback.extract_tb(e.__traceback__))
+                    for e in errors}) == 1
+        for exc in errors:
+            assert type(exc) is IndexDivisor and exc.q == 7
+            assert str(exc) == str(errors[0])
+            assert exc.payload == {"q": 7, "note": "kept"}
+        del errors, exc
+        gc.disable()
+        try:
+            ask(K)
+            ref = weakref.ref(K)
+            del K
+            assert ref() is None
+        finally:
+            gc.enable()
 
     def test_class_data_once_per_field_and_arguments(self, monkeypatch):
         cubic = count_calls(monkeypatch, units, "_h_plus_from_unit_signs")
