@@ -176,7 +176,7 @@ def _metavar(name, choices):
     return "{" + ",".join(choices) + "}" if choices else name
 
 
-def _cmd_field(field, args):
+def _cmd_field(field, _args):
     # an index divisor at 2 or 3 ends the request here, before the
     # discriminant is factored; verified_field_disc raises nothing
     splitting = {f"splitting_{q}": splitting_type(field, q).to_dict()
@@ -192,15 +192,13 @@ def _cmd_field(field, args):
 
 def _cmd_sunit(field, args):
     bound = DEFAULT_BOUND if args["bound"] is None else args["bound"]
-    search = solve_sunit(field, s_k(field), bound,
-                         user_class_number=args["user_class_number"])
+    search = solve_sunit(field, s_k(field), bound)
     caveats = [f"bounded-search:B={bound}"]
     return search.to_dict(), caveats, EXIT_OK
 
 
-def _cmd_selmer(field, args):
-    group = selmer_group(field, s_k(field),
-                         user_class_number=args["user_class_number"])
+def _cmd_selmer(field, _args):
+    group = selmer_group(field, s_k(field))
     return group.to_dict(), [], EXIT_OK
 
 
@@ -235,17 +233,15 @@ def _cmd_frey(field, args):
     if prime is not None:
         reports = []
         for P in factor_rational_prime(field, prime):
-            va = 0 if a.is_zero() else max(0, valuation(a, P))
-            vb = 0 if b.is_zero() else max(0, valuation(b, P))
-            vc = 0 if c.is_zero() else max(0, valuation(c, P))
-            reports.append(valuation_profile(spec, P, va, vb, vc).to_dict())
+            reports.append(valuation_profile(
+                spec, P, *(valuation(x, P) for x in (a, b, c))).to_dict())
         payload["reduction_reports"] = reports
     try:
         rep = None
         if family == FAMILY_TWO_POWER:
             # m is printed only where h is known or supplied, as the paper
             # takes it from a set of class representatives
-            class_data(field, user_class_number=args["user_class_number"])
+            class_data(field)
             rep = least_odd_prime(field)
         shape = conductor_shape(field, family, rep,
                                 odd_multiplicative_primes(spec))
@@ -274,7 +270,9 @@ def _cmd_check(field, args):
         raise ParseError(f"check {theorem} needs --l")
     values = dict(args, bound=DEFAULT_BOUND if args["bound"] is None
                   else args["bound"])
-    verdict = criterion.check(field, *(values[o] for o in criterion.reads))
+    # the field carries the class number, so no checker takes it
+    verdict = criterion.check(field, *(values[o] for o in criterion.reads
+                                       if o != "user_class_number"))
     return (verdict.to_dict(), verdict.caveats,
             _VERDICT_EXIT[verdict.applies])
 
@@ -313,8 +311,8 @@ def run(argv) -> int:
         if args.get("family") == FAMILY_TWO_POWER and args["r"] < 1:
             raise ParseError(f"--r must be at least 1 for {FAMILY_TWO_POWER}, "
                              f"got {args['r']}")
-        field = make_field(args["poly"])
-        # class_data takes a class number from the user for cubics only
+        field = make_field(args["poly"], class_number)
+        # class_data reads the field's class number for cubics only
         if class_number is not None and field.degree != 3:
             raise ParseError("--user-class-number is read only for cubic "
                              f"fields, not for degree {field.degree}")

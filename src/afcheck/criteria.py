@@ -170,13 +170,11 @@ def _empty_box_note(search, bound):
     return []
 
 
-def check_thm_3_2(field: NumberField, bound: int,
-                  user_class_number=None) -> Verdict:
+def check_thm_3_2(field: NumberField, bound: int) -> Verdict:
     """Every S_K-unit solution must satisfy max(|v(lam)|,|v(mu)|) <= 4 v(2)
     at some prime over 2; bounded box, so confirmation is always 'unknown'."""
     primes = s_k(field)
-    search = solve_sunit(field, primes, bound,
-                         user_class_number=user_class_number)
+    search = solve_sunit(field, primes, bound)
     hyps = [_hyp_totally_real(field), _box_hypothesis(
         "every solution of lambda + mu = 1 in S_K-units meets "
         "max(|v(lambda)|, |v(mu)|) <= 4*v(2) at some prime over 2",
@@ -196,13 +194,11 @@ def _hyp_lifting(field):
                 "Hilbert-newform lifting statement is assumed-if-needed"))
 
 
-def check_thm_3_3(field: NumberField, bound: int,
-                  user_class_number=None) -> Verdict:
+def check_thm_3_3(field: NumberField, bound: int) -> Verdict:
     """U_K version: the witness prime must also satisfy
     v(lambda*mu) = v(2) mod 3."""
     primes_u = u_k(field)
-    search = solve_sunit(field, s_k(field), bound,
-                         user_class_number=user_class_number)
+    search = solve_sunit(field, s_k(field), bound)
 
     def pred(sol, P):
         vl, vm = sol.val_profile[P]
@@ -217,14 +213,12 @@ def check_thm_3_3(field: NumberField, bound: int,
     return Verdict("thm-3-3", hyps, notes + _empty_box_note(search, bound))
 
 
-def check_cor_3_4(field: NumberField, bound: int,
-                  user_class_number=None) -> Verdict:
+def check_cor_3_4(field: NumberField, bound: int) -> Verdict:
     """Single equality condition max(|v(lambda)|,|v(mu)|) = v(2) at a prime
     of U_K; the mod-3 congruence of the parent theorem is re-derived and
     re-checked on every witness."""
     primes_u = u_k(field)
-    search = solve_sunit(field, s_k(field), bound,
-                         user_class_number=user_class_number)
+    search = solve_sunit(field, s_k(field), bound)
 
     def pred(sol, P):
         return max(abs(v) for v in sol.val_profile[P]) == P.e
@@ -245,14 +239,14 @@ def check_cor_3_4(field: NumberField, bound: int,
     return Verdict("cor-3-4", hyps, _empty_box_note(search, bound))
 
 
-def check_thm_5_2(field: NumberField, bound: int,
-                  user_class_number=None) -> Verdict:
+def check_thm_5_2(field: NumberField, bound: int) -> Verdict:
     """Narrow class number one, the S_K condition on K, and the S_L condition
-    on every quadratic extension K(sqrt(a)) over the 2-Selmer classes."""
+    on every quadratic extension K(sqrt(a)) over the 2-Selmer classes.  Each
+    L is built without a class number: the user's is K's, on field."""
     hyps = [_hyp_totally_real(field)]
     narrow = "narrow class number equals 1"
     try:
-        info = class_data(field, user_class_number=user_class_number)
+        info = class_data(field)
         hyps.append(_hyp(narrow, info.h_plus == 1,
                          {"h": info.h, "h_plus": info.h_plus},
                          f"computed h+ = {info.h_plus}", info.completeness))
@@ -261,16 +255,13 @@ def check_thm_5_2(field: NumberField, bound: int,
                                      status=("assumed", str(exc))))
 
     primes = s_k(field)
-    # user_class_number is K's class number, so only the search over K gets
-    # it; the searches over the extensions L below do not
-    search = solve_sunit(field, primes, bound,
-                         user_class_number=user_class_number)
+    search = solve_sunit(field, primes, bound)
     hyps.append(_box_hypothesis(
         "every S_K-unit solution over the base field meets "
         "max(|v(lambda)|, |v(mu)|) <= 4*v(2) at some prime over 2",
         search, primes, _within_4v2, bound))
 
-    selmer = selmer_group(field, primes, user_class_number=user_class_number)
+    selmer = selmer_group(field, primes)
     for rep in selmer.representatives:
         if rep == 1:
             continue
@@ -336,7 +327,7 @@ def check_thm_7_3_2(field: NumberField) -> Verdict:
 
 class Criterion(NamedTuple):
     conclusion: str
-    reads: tuple      # the check options the checker takes, in its order
+    reads: tuple      # the check options read, in the checker's order
     check: object     # check(field, *values of those options) -> Verdict
 
 

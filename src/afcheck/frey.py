@@ -21,6 +21,7 @@ function here decides whether a triple is trivial or lies in W_K.
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import cached_property
+from math import prod
 
 from .errors import InconsistentDivisibility, RelationViolated, UnsupportedCase
 from .numberfield import FieldElement, NumberField
@@ -51,8 +52,9 @@ class ValuationForm:
 
 @dataclass(frozen=True)
 class FreySpec:
-    """A Frey curve request; a concrete exponent p is checked against the
-    defining relation once, when the spec is built."""
+    """A Frey curve request.  A zero entry is refused at every exponent; a
+    concrete exponent p is checked against the defining relation once, when
+    the spec is built."""
     family: str
     a: FieldElement
     b: FieldElement
@@ -65,6 +67,8 @@ class FreySpec:
             raise ValueError(f"unknown family {self.family!r}")
         if self.family == FAMILY_TWO_POWER and (self.r is None or self.r < 1):
             raise ValueError("family '2r' needs a positive twist exponent r")
+        if 0 in self.triple:
+            raise RelationViolated("triple with abc = 0 gives a singular curve")
         if self.p is not None:
             self.validate()
 
@@ -97,8 +101,6 @@ class FreySpec:
     def validate(self):
         """Exact check of the defining relation for a concrete exponent."""
         p = self.p
-        if 0 in self.triple:
-            raise RelationViolated("triple with abc = 0 gives a singular curve")
         ap, bp, cp = self.powers
         if self.family == FAMILY_TWO_POWER:
             if ap + bp != cp * (2 ** self.r):
@@ -276,12 +278,15 @@ def valuation_profile(spec: FreySpec, prime: PrimeIdeal,
                       v_a: int, v_b: int, v_c: int) -> ReductionReport:
     """Symbolic reduction data at a prime under a declared divisibility pattern.
 
-    The pattern gives v_P(a), v_P(b), v_P(c) >= 0; normalized solutions admit
-    at most one positive entry (two positives contradict the gcd ideal being
-    an odd prime), so anything else is rejected.
+    The pattern gives v_P(a), v_P(b), v_P(c); the triple must be integral at
+    the prime, and normalized solutions admit at most one positive entry
+    (two positives contradict the gcd ideal being an odd prime), so anything
+    else is rejected.
     """
     if min(v_a, v_b, v_c) < 0:
-        raise ValueError("valuations must be non-negative")
+        raise InconsistentDivisibility(
+            "the triple is not integral at the prime: valuations "
+            f"({v_a}, {v_b}, {v_c})")
     if spec.family == FAMILY_TWO_POWER:
         relevant = [v_a, v_b, v_c]
     else:
@@ -408,9 +413,5 @@ def odd_multiplicative_primes(spec: FreySpec):
     elems = spec.triple if spec.family == FAMILY_TWO_POWER else spec.triple[:2]
     # v_P of the product is the sum of the entries' valuations; 2 is skipped
     # unfactored, so an index divisor at 2 does not block the odd primes
-    prod = 1
-    for x in elems:
-        if x != 0:
-            prod = x * prod
-    return [P for P, v in element_valuations(spec.lift(prod), skip=(2,))
-            if v > 0]
+    return [P for P, v in element_valuations(spec.lift(prod(elems)),
+                                             skip=(2,)) if v > 0]

@@ -46,7 +46,8 @@ MAX_DEGREE = 6
 class NumberField:
     """Q[x]/(f) for a monic irreducible integer polynomial f of degree <= 6."""
 
-    def __init__(self, coeffs, poly_disc_value, real_roots):
+    def __init__(self, coeffs, poly_disc_value, real_roots,
+                 user_class_number=None):
         self.coeffs = tuple(int(c) for c in coeffs)
         self.degree = len(self.coeffs) - 1
         self.poly_disc = poly_disc_value
@@ -54,6 +55,7 @@ class NumberField:
         r1 = len(real_roots)
         self.signature = (r1, (self.degree - r1) // 2)
         self.field_disc = None  # set once the index is verified at all squares
+        self.user_class_number = user_class_number  # see make_field
         self._memo = {}
 
     def memo(self, key, compute):
@@ -385,8 +387,9 @@ def _poly_str(coords):
 
 # ---------------------------------------------------------------- factory
 
-def make_field(spec):
-    """Build a NumberField from a polynomial string or coefficient list.
+def make_field(spec, user_class_number=None):
+    """Build a NumberField from a polynomial string or coefficient list; it
+    carries user_class_number, which units.class_data reads for a cubic.
 
     Verifies monicity and irreducibility over Q.  The rational-root test
     comes first (``integer_roots``): a polynomial of degree >= 2 with an
@@ -424,7 +427,7 @@ def make_field(spec):
             coeffs, disc, no_linear=complete and not linear):
         _refuse_reducible(coeffs)
     roots = isolate_real_roots(coeffs)
-    field = NumberField(coeffs, disc, roots)
+    field = NumberField(coeffs, disc, roots, user_class_number)
     if field.degree == 1:
         field.field_disc = 1
     return field

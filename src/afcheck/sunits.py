@@ -3,7 +3,7 @@
 The S-unit basis is the torsion generator, the fundamental units and, for
 each P in S, a generator pi_P of P^(k_P).  The pi_P, the k_P and the check
 that v_P(pi_P) = k_P and v_Q(pi_P) = 0 at the other Q of S are computed
-once per field, S and h (NumberField.memo); units have valuation 0, so
+once per field and S (NumberField.memo); units have valuation 0, so
 v_P(lambda) = k_P e_P for the exponent e_P of pi_P.
 
 solve_sunit walks a bounded exponent box on the S-unit generators and tests
@@ -56,8 +56,7 @@ class SUnitBasis:
         return self.units + self.pis
 
 
-def build_sunit_basis(field: NumberField, S, bound: int, *,
-                      user_class_number=None) -> SUnitBasis:
+def build_sunit_basis(field: NumberField, S, bound: int) -> SUnitBasis:
     """Torsion, fundamental units and P-power generators for the S-units."""
     try:
         units = unit_generators(field)
@@ -66,7 +65,7 @@ def build_sunit_basis(field: NumberField, S, bound: int, *,
     pis, orders = [], []
     if S:
         try:
-            info = class_data(field, user_class_number=user_class_number)
+            info = class_data(field)
         except (MissingUserClassNumber, Unsupported, SearchExhausted) as exc:
             raise BasisUnavailable(f"class data unavailable: {exc}") from exc
         pis, orders = _prime_power_generators(field, S, info.h)
@@ -78,7 +77,7 @@ def _prime_power_generators(field, S, h):
     """(pis, orders): for each P in S the least k dividing h for which
     principal_generator finds a generator pi of P^k, and that pi, checked
     to have valuation k at P and 0 at the other primes of S.  Searched and
-    checked once per field, S and h."""
+    checked once per field and S."""
 
     def search():
         pis, orders = [], []
@@ -103,7 +102,7 @@ def _prime_power_generators(field, S, h):
                     raise ArithmeticError("pi generator meets another prime of S")
         return pis, orders
 
-    return field.memo(("prime_power_generators", tuple(S), h), search)
+    return field.memo(("prime_power_generators", tuple(S)), search)
 
 
 # -------------------------------------------------------------- solutions
@@ -149,8 +148,7 @@ class SUnitSearch:
 MAX_CANDIDATES = 500_000
 
 
-def solve_sunit(field: NumberField, S, bound: int, *,
-                user_class_number=None) -> SUnitSearch:
+def solve_sunit(field: NumberField, S, bound: int) -> SUnitSearch:
     """All solutions of lambda + mu = 1 in S-units found inside the exponent box.
 
     The box covers lambda = zeta^j * prod g_i^{e_i} with |e_i| <= bound; the
@@ -175,8 +173,7 @@ def solve_sunit(field: NumberField, S, bound: int, *,
     if bound <= 0:
         # degenerate empty box: a vacuous search, reported as such
         return SUnitSearch(bound, [])
-    basis = build_sunit_basis(field, S, bound,
-                              user_class_number=user_class_number)
+    basis = build_sunit_basis(field, S, bound)
     gens = basis.free_generators
     n_boxes = basis.torsion_order * (2 * bound + 1) ** len(gens)
     if n_boxes > MAX_CANDIDATES:
@@ -475,8 +472,7 @@ class SelmerGroup:
                                     for r in self.representatives]}
 
 
-def selmer_group(field: NumberField, S, *,
-                 user_class_number=None) -> SelmerGroup:
+def selmer_group(field: NumberField, S) -> SelmerGroup:
     """K(S, 2): square classes with even valuation outside S.
 
     Generated by the torsion generator, the fundamental units and the pi_P.
@@ -484,7 +480,7 @@ def selmer_group(field: NumberField, S, *,
     far, in the order of the bitmask of the subset; a generator joins the
     basis when its product with no representative is a square.
     """
-    basis = build_sunit_basis(field, S, 1, user_class_number=user_class_number)
+    basis = build_sunit_basis(field, S, 1)
     gens = []
     if basis.torsion_order > 1:
         gens.append(basis.torsion_gen)

@@ -16,10 +16,11 @@ certificate is a proof, so the first certified pair is the same in either
 order.  The class data is h, h+ and how they are known; the odd prime of
 the conductor of the 2r Frey curve is the first odd prime ideal in norm
 order (least_odd_prime), found by factoring odd q in increasing order
-until q passes the least norm so far.  Computed once per field
+until q passes the least norm so far.  A cubic's h is the one its field
+carries (make_field), read only by class_data.  Computed once per field
 (NumberField.memo): a quadratic field's (d, m, b, D) and, in its own entry
 when first read, its fundamental unit; the unit group of a supported
-field; the class data, the cubic class data per class number."""
+field; the class data."""
 
 from dataclasses import dataclass
 from itertools import product
@@ -500,21 +501,22 @@ def _canonical_sign(x: FieldElement):
 
 # ----------------------------------------------------------------- class data
 
-def class_data(field: NumberField, *,
-               user_class_number: int | None = None) -> ClassData:
-    """Class number and narrow class number."""
+def class_data(field: NumberField) -> ClassData:
+    """Class number and narrow class number: proven in degree <= 2; for a
+    cubic, h is the class number the field was built with (make_field) and
+    h+ follows from the signs of the units."""
     n = field.degree
     if n == 1:
         return ClassData(1, 1, ("proven",))
     if n == 2:
         return field.memo("class_data", lambda: _quadratic_class_data(field))
     if n == 3:
-        if user_class_number is None:
+        h = field.user_class_number
+        if h is None:
             raise MissingUserClassNumber(
                 "cubic class numbers are not computed; supply one with "
                 "--user-class-number")
-        h = user_class_number
-        return field.memo(("class_data", h), lambda: ClassData(
+        return field.memo("class_data", lambda: ClassData(
             h, _h_plus_from_unit_signs(field, h), ("user-supplied",)))
     raise Unsupported(f"class data for degree {n}")
 

@@ -204,6 +204,23 @@ class TestCommands:
         assert code == 1
         assert rep["result"]["error"]["type"] == "RelationViolated"
 
+    @pytest.mark.parametrize("argv, error", [
+        # v_3 = -1 for every entry: Delta = 64/3^30, not a good prime
+        (["2r", "x", "--a", "1/3", "--b", "1/3", "--c", "1/3", "--r", "1",
+          "--p", "5", "--prime", "3"], "InconsistentDivisibility"),
+        # +1 and -1 at one prime no longer cancel in a product
+        (["2r", "x^2-10", "--a", "3", "--b", "1/3", "--c", "1",
+          "--prime", "3"], "InconsistentDivisibility"),
+        (["pp2", "x", "--a", "0", "--b", "1", "--c", "1", "--prime", "3"],
+         "RelationViolated"),
+        (["2r", "x^2-2", "--a", "0", "--b", "1", "--c", "1"],
+         "RelationViolated")])
+    def test_frey_reports_need_an_integral_nonzero_triple(self, capsys, argv,
+                                                          error):
+        code, rep = run_json(capsys, ["frey", *argv])
+        assert code == 1
+        assert rep["result"]["error"]["type"] == error
+
     def test_scan_command(self, capsys):
         code, rep = run_json(capsys, ["scan", "x^3 - x^2 + 1"])
         assert code == 0
@@ -834,6 +851,32 @@ def check_cases():
         id="cor-7-2 x --bound 2")
 
 
+# every command that reads a cubic's class number, on the simplest cubic with
+# h = 2 and h = 3 (so h+ != 1 and thm-5-2 says no), taken while the class
+# number was still passed to each function as a keyword
+_CUBIC = "x^3-x^2-2*x+1"
+CLASS_NUMBER_GOLDEN = [
+    (["sunit", _CUBIC, "--bound", "2", "--user-class-number", "2"], 0,
+     "50351af90314f54368832f523f03a34983b92dc70776a3e11a409eb3a7aba95b"),
+    (["selmer", _CUBIC, "--user-class-number", "2"], 0,
+     "d92354d5fb5603bcf8ab8d20a4b13c2042400f2b89b380956aebc89ac3e7d4df"),
+    (["check", "thm-5-2", _CUBIC, "--bound", "2", "--user-class-number", "2"],
+     2, "b0de3cd0f8a25203f57f3788f7a8d7e3bb6c1e079e7fdf272dabf0a07257b344"),
+    (["frey", "2r", _CUBIC, "--a", "1", "--b", "1", "--c", "1", "--r", "1",
+      "--p", "5", "--user-class-number", "2"], 0,
+     "8af19a66aa02cdc201cdbe137e126c2474f4ad458bf048c83972db88209f456c"),
+    (["sunit", _CUBIC, "--bound", "2", "--user-class-number", "3"], 0,
+     "607b7aca397516a655e54ac17a2ade0655c6ea6b970a7823c422f53f53be1b39"),
+    (["selmer", _CUBIC, "--user-class-number", "3"], 0,
+     "c9d43ff10362093b4119089f6f22d0415d4da676eb5e4b7bf2e800041e1498e4"),
+    (["check", "thm-5-2", _CUBIC, "--bound", "2", "--user-class-number", "3"],
+     2, "57b60ef2e0657abd5c78e4943709b013d694faffecf676cea5797883b56fd2f2"),
+    (["frey", "2r", _CUBIC, "--a", "1", "--b", "1", "--c", "1", "--r", "1",
+      "--p", "5", "--user-class-number", "3"], 0,
+     "eb49c6b9a52d44d1c809e921292bda535a771e5d0d19af31caf9806a359eda7e"),
+]
+
+
 class TestGoldenBytes:
     """sha256 of the --output json bytes of the sunit-box requests of the
     benchmark and of one thm-5-2 check, taken when elements were still
@@ -855,7 +898,11 @@ class TestGoldenBytes:
     on field elements: a 2r triple of halves, a 2r request with r = 6 (so
     the scale 2^(8 - 2r) is a fraction), and the README's pp2 request with
     the irrational c = x.  The pp2 one was taken again when pp2 began to
-    refuse --r; only command.r went."""
+    refuse --r; only command.r went.  CLASS_NUMBER_GOLDEN was taken while
+    every S-unit function still took the class number as a keyword.  The
+    last two frey rows were taken when frey began to refuse a triple that is
+    not integral at --prime or has a zero entry; before, both exited 0 with
+    a "good" report at 3."""
 
     @pytest.mark.parametrize("argv, code, digest", [
         (["sunit", "x^2-2", "--bound", "20"], 0,
@@ -878,9 +925,19 @@ class TestGoldenBytes:
         (["frey", "pp2", "x^2 - 2", "--a", "1", "--b", "1", "--c", "x",
           "--p", "3", "--prime", "2"], 0,
          "8b84561a12ba8b35e256ea8d4db7dadbd6a4c0dfe31296c7b3472c532f014a8a"),
+        *CLASS_NUMBER_GOLDEN,
+        (["frey", "2r", "x", "--a", "1/3", "--b", "1/3", "--c", "1/3",
+          "--r", "1", "--p", "5", "--prime", "3"], 1,
+         "d0d241ad8a2836ed603148c63f2da6bcddec3c1ae7227f62648b6aa64c0364bd"),
+        (["frey", "pp2", "x", "--a", "0", "--b", "1", "--c", "1",
+          "--prime", "3"], 1,
+         "589fc096ede79d94bc5e21bb650aaecb23c088a7c391232901fee886b9c93551"),
     ], ids=["sunit-sqrt2", "sunit-x2-x-4", "sunit-cubic", "thm-5-2-sqrt2",
             "frey-2r-x2-10", "frey-2r-halves", "frey-2r-r6-cubic",
-            "frey-pp2-sqrt2-readme"])
+            "frey-pp2-sqrt2-readme",
+            *(f"{'-'.join(argv[:argv.index(_CUBIC)])}-cubic-h{argv[-1]}"
+              for argv, _, _ in CLASS_NUMBER_GOLDEN),
+            "frey-2r-thirds", "frey-pp2-zero-entry"])
     def test_json_bytes(self, capsys, argv, code, digest):
         assert_json_bytes(capsys, argv, code, digest)
 

@@ -159,7 +159,7 @@ class TestThm52:
         assert narrow.status == ("proven",)
 
     def test_narrow_class_status_of_a_cubic_is_user_supplied(self):
-        v = check_thm_5_2(make_field("x^3 - 4*x + 1"), 1, user_class_number=1)
+        v = check_thm_5_2(make_field("x^3 - 4*x + 1", user_class_number=1), 1)
         assert v.applies == "no"
         narrow = next(h for h in v.hypotheses if "narrow" in h.name)
         assert not narrow.holds and narrow.status == ("user-supplied",)
@@ -168,7 +168,7 @@ class TestThm52:
     def test_class_data_error_is_assumed(self, monkeypatch):
         import afcheck.criteria as crit
 
-        def exhausted(field, user_class_number=None):
+        def exhausted(field):
             raise SearchExhausted("walk gave up")
 
         monkeypatch.setattr(crit, "class_data", exhausted)
@@ -184,9 +184,10 @@ class TestThm52:
 
     def test_user_class_number_reaches_base_search(self):
         # the cubic's class data needs the supplied class number; the S_K
-        # search over K must get it instead of raising BasisUnavailable
-        K = make_field("x^3 - x^2 - 2*x + 1")
-        v = check_thm_5_2(K, 3, user_class_number=1)
+        # search over K must read it off K instead of raising
+        # BasisUnavailable
+        K = make_field("x^3 - x^2 - 2*x + 1", user_class_number=1)
+        v = check_thm_5_2(K, 3)
         assert v.applies == "unknown"
         base = next(h for h in v.hypotheses if "over the base field" in h.name)
         assert base.holds and base.status == ("bounded-search", 3)

@@ -55,6 +55,15 @@ class TestInvariants:
         with pytest.raises(RelationViolated):
             q_spec(FAMILY_TWO_POWER, 1, -1, 0, r=2, p=3)
 
+    @pytest.mark.parametrize("family, triple, r", [
+        (FAMILY_TWO_POWER, (1, -1, 0), 2), (FAMILY_TWO_POWER, (0, 1, 1), 1),
+        (FAMILY_SQUARE, (0, 1, 1), None), (FAMILY_SQUARE, (1, 0, 1), None),
+        (FAMILY_SQUARE, (1, 1, 0), None)])
+    def test_zero_entry_refused_at_a_symbolic_exponent(self, family, triple,
+                                                       r):
+        with pytest.raises(RelationViolated, match="abc = 0"):
+            q_spec(family, *triple, r=r)
+
     def test_cross_check_family_a(self):
         for t in (1, 2, 3, -1):
             for p in (2, 3, 5, 7):
@@ -323,6 +332,17 @@ class TestValuationProfile:
         spec = q_spec(FAMILY_TWO_POWER, 1, 1, 1, r=2)
         with pytest.raises(InconsistentDivisibility):
             valuation_profile(spec, s_k(Q)[0], 1, 1, 0)
+
+    @pytest.mark.parametrize("family, valuations", [
+        (FAMILY_TWO_POWER, (-1, -1, -1)), (FAMILY_TWO_POWER, (0, 0, -1)),
+        (FAMILY_SQUARE, (-1, 0, 0)), (FAMILY_SQUARE, (0, 0, -1))])
+    def test_negative_valuation_is_inconsistent(self, family, valuations):
+        spec = q_spec(family, 1, 1, 1, r=2 if family == FAMILY_TWO_POWER
+                      else None)
+        for P in (s_k(Q)[0], factor_rational_prime(Q, 3)[0]):
+            with pytest.raises(InconsistentDivisibility,
+                               match="not integral at the prime"):
+                valuation_profile(spec, P, *valuations)
 
     def test_pp2_above_two(self):
         spec = q_spec(FAMILY_SQUARE, 1, 1, 1)

@@ -1,6 +1,6 @@
 """Every top-level definition of the package has a caller, every name a
-module of the package imports is used there, and every dataclass field is
-read.
+module of the package imports is used there, every parameter is read, and
+every dataclass field is read.
 
 A definition is a def, a class or a module-level name binding (a constant
 such as a budget); dunder names such as __version__ are left out.  A name
@@ -15,6 +15,11 @@ top-level class, dunder methods left out, counts as reached on the same
 terms when some code mentions its name outside the method's own def.  An imported name
 counts as used when its module mentions it as a name, or lists it in
 __all__.
+
+Every parameter of a function of the package, methods and nested functions
+included, is read by the function's body, unless its name begins with "_"
+(a handler that a table calls with arguments it does not need).  A
+parameter that the body only assigns is unread.
 
 A field of a top-level dataclass of the package counts as read when some
 code in src/afcheck/ or perfbench/ reads an attribute of that name; tests
@@ -150,6 +155,39 @@ def unused_imports(package=PACKAGE):
     return sorted(unused)
 
 
+def _functions(node, prefix):
+    """("prefix.Class.function", def) of every function under node, methods
+    and nested functions included."""
+    for child in ast.iter_child_nodes(node):
+        name = prefix
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                              ast.ClassDef)):
+            name = f"{prefix}.{child.name}"
+            if not isinstance(child, ast.ClassDef):
+                yield name, child
+        yield from _functions(child, name)
+
+
+def unread_parameters(package=PACKAGE):
+    """Sorted "module.function.parameter" of the parameters of the functions
+    in package that the function's body never reads; names that begin with
+    "_" are exempt."""
+    unread = []
+    for path in sorted(package.glob("*.py")):
+        for name, func in _functions(_parse(path), path.stem):
+            args = func.args
+            read = {node.id for stmt in func.body for node in ast.walk(stmt)
+                    if isinstance(node, ast.Name)
+                    and isinstance(node.ctx, ast.Load)}
+            unread.extend(
+                f"{name}.{arg.arg}" for arg in (
+                    *args.posonlyargs, *args.args, args.vararg,
+                    *args.kwonlyargs, args.kwarg)
+                if arg is not None and not arg.arg.startswith("_")
+                and arg.arg not in read)
+    return sorted(unread)
+
+
 def _is_dataclass(decorator):
     """decorator is @dataclass or @dataclasses.dataclass, with or without
     arguments."""
@@ -270,6 +308,31 @@ def test_the_import_check_finds_an_unused_name(tmp_path):
         "__all__ = ['exported']\n"
         "def f(): return os.sep, gcd(4, 6)\n", encoding="utf-8")
     assert unused_imports(tmp_path) == ["mod.codec", "mod.dead", "mod.lcm"]
+
+
+def test_every_parameter_is_read():
+    assert unread_parameters() == []
+
+
+def test_the_parameter_check_finds_an_unread_parameter(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "def used(a, /, b=1, *rest, c, **options):\n"
+        "    return a, b, rest, c, options\n"
+        "def unread(a, b=None): return a\n"
+        "def table_handler(_args, field): return field\n"
+        "def only_written(x): x = 1\n"
+        "async def waiting(item): return None\n"
+        "def closure(outer):\n"
+        "    def inner(y, z=None): return outer, y\n"
+        "    return inner\n"
+        "class Shape:\n"
+        "    def area(self, scale): return self\n"
+        "    def spare(self, *extra, **named): return 0\n", encoding="utf-8")
+    assert unread_parameters(tmp_path) == [
+        "mod.Shape.area.scale", "mod.Shape.spare.extra",
+        "mod.Shape.spare.named", "mod.Shape.spare.self",
+        "mod.closure.inner.z", "mod.only_written.x", "mod.unread.b",
+        "mod.waiting.item"]
 
 
 def test_every_dataclass_field_is_read():

@@ -240,7 +240,8 @@ class TestSolveSUnit:
         K = make_field("x^3 - x^2 - 2*x + 1")
         with pytest.raises(BasisUnavailable):
             solve_sunit(K, s_k(K), 2)
-        res = solve_sunit(K, s_k(K), 2, user_class_number=1)
+        K = make_field("x^3 - x^2 - 2*x + 1", user_class_number=1)
+        res = solve_sunit(K, s_k(K), 2)
         for sol in res.solutions:
             assert sol.lam + sol.mu == 1
 
@@ -363,9 +364,9 @@ ORACLE_FIELDS = ("x^2 - 2", "x^2 - x - 4", "x^3 - x^2 - 2*x + 1")
 
 @lru_cache(maxsize=None)
 def oracle_setup(poly):
-    K = make_field(poly)
+    K = make_field(poly, user_class_number=1)
     S = s_k(K)
-    basis = build_sunit_basis(K, S, 1, user_class_number=1)
+    basis = build_sunit_basis(K, S, 1)
     gen_vals = [{P: valuation(g, P) for P in S}
                 for g in basis.free_generators]
     # one prime of a split 2 alone: the derived profile is checked against
@@ -576,12 +577,11 @@ class TestNormTestWork:
                                              ("x^3 - x^2 - 2*x + 1", 3)])
     def test_calls_follow_prefixes_entries_and_survivors(self, poly, bound,
                                                          monkeypatch):
-        K = make_field(poly)
+        K = make_field(poly, user_class_number=1)
         S = s_k(K)
-        gens = len(build_sunit_basis(K, S, bound,
-                                     user_class_number=1).free_generators)
+        gens = len(build_sunit_basis(K, S, bound).free_generators)
         # a first walk fills the field's memos
-        expected = solve_sunit(K, S, bound, user_class_number=1)
+        expected = solve_sunit(K, S, bound)
         counts = Counter()
         in_valuation = []
 
@@ -621,7 +621,7 @@ class TestNormTestWork:
             monkeypatch.setattr(sunits, name,
                                 flagged(getattr(sunits, name)))
         monkeypatch.setattr(sunits, "_norm_screen", counting_screen)
-        got = solve_sunit(K, S, bound, user_class_number=1)
+        got = solve_sunit(K, S, bound)
         assert got.to_dict() == expected.to_dict()
         prefixes, survivors = counts["prefixes"], counts["survivors"]
         entries = 2 * bound + 1
@@ -643,9 +643,9 @@ class TestBoxWalkCoverage:
     @pytest.mark.parametrize("poly, bound", [("x^2 - x - 4", 2),
                                              ("x^3 - x^2 - 2*x + 1", 1)])
     def test_matches_brute_force(self, poly, bound):
-        K = make_field(poly)
+        K = make_field(poly, user_class_number=1)
         S = s_k(K)
-        basis = build_sunit_basis(K, S, bound, user_class_number=1)
+        basis = build_sunit_basis(K, S, bound)
         ref = {}
         for lam in box_lambdas(basis, bound):
             mu = 1 - lam
@@ -657,7 +657,7 @@ class TestBoxWalkCoverage:
             if mu not in ref:
                 swapped = {P: (v[1], v[0]) for P, v in profile.items()}
                 ref[mu] = (mu, lam, swapped, False)
-        res = solve_sunit(K, S, bound, user_class_number=1)
+        res = solve_sunit(K, S, bound)
         got = [(s.lam.coords, s.mu.coords, s.val_profile, s.from_box)
                for s in res.solutions]
         assert sorted(got, key=lambda t: t[0]) == sorted(
@@ -667,8 +667,8 @@ class TestBoxWalkCoverage:
     @pytest.mark.parametrize("poly, bound, count", [
         ("x^2-2", 20, 33), ("x^2-x-4", 6, 123), ("x^3-x^2-2*x+1", 3, 89)])
     def test_benchmark_field_counts(self, poly, bound, count):
-        K = make_field(poly)
-        res = solve_sunit(K, s_k(K), bound, user_class_number=1)
+        K = make_field(poly, user_class_number=1)
+        res = solve_sunit(K, s_k(K), bound)
         assert len(res.solutions) == count
 
 
@@ -693,7 +693,7 @@ def reference_walk(K, S, bound):
     vacuous search."""
     if bound <= 0:
         return []
-    basis = build_sunit_basis(K, S, bound, user_class_number=1)
+    basis = build_sunit_basis(K, S, bound)
 
     def key(x):  # the solver's output order
         return tuple((c.numerator, c.denominator) for c in x.coords)
@@ -727,9 +727,9 @@ def random_field_setup(coeffs):
     for a reducible polynomial, an index divisor at 2, or a basis that
     cannot be built."""
     try:
-        K = make_field(list(coeffs))
+        K = make_field(list(coeffs), user_class_number=1)
         S = s_k(K)
-        build_sunit_basis(K, S, 1, user_class_number=1)
+        build_sunit_basis(K, S, 1)
     except AfcheckError:
         return None
     return K, S
@@ -756,8 +756,8 @@ def fraction_key(x):
 def test_output_order_is_the_fraction_order(poly, bound):
     # the sunit-box fields of the benchmark: solutions come sorted by the
     # (numerator, denominator) pairs of the Fraction coordinates of lambda
-    K = make_field(poly)
-    res = solve_sunit(K, s_k(K), bound, user_class_number=1)
+    K = make_field(poly, user_class_number=1)
+    res = solve_sunit(K, s_k(K), bound)
     keys = [fraction_key(s.lam) for s in res.solutions]
     assert keys and keys == sorted(set(keys))
     assert [s.lam.key() for s in res.solutions] == keys
@@ -777,7 +777,7 @@ class TestReferenceWalk:
     @given(random_box())
     def test_solutions_profiles_and_warnings(self, drawn):
         (K, S), bound = drawn
-        res = solve_sunit(K, S, bound, user_class_number=1)
+        res = solve_sunit(K, S, bound)
         got = [(s.lam.coords, s.mu.coords, s.val_profile, s.from_box,
                 s.mu.key()) for s in res.solutions]
         assert got == reference_walk(K, S, bound)
@@ -793,9 +793,9 @@ class TestReferenceWalk:
         # x^2 - 18: 3 divides the index of Z[theta], and the 24 candidates
         # with 3 in the denominator of mu are solutions all the same;
         # x^2 + 1 and x^2 + x + 1 have torsion of order 4 and 6
-        K = make_field(poly)
+        K = make_field(poly, user_class_number=1)
         S = s_k(K)
-        res = solve_sunit(K, S, bound, user_class_number=1)
+        res = solve_sunit(K, S, bound)
         assert [(s.lam.coords, s.mu.coords, s.val_profile, s.from_box,
                  s.mu.key()) for s in res.solutions] == reference_walk(
                      K, S, bound)
@@ -1140,8 +1140,8 @@ class TestQuadraticExtension:
 
     @pytest.mark.parametrize("poly, h", list(SELMER_EXTENSIONS))
     def test_selmer_extensions_unchanged(self, poly, h):
-        K = make_field(poly)
-        group = selmer_group(K, s_k(K), user_class_number=h)
+        K = make_field(poly, user_class_number=h)
+        group = selmer_group(K, s_k(K))
         got = {tuple(str(c) for c in r.coords): quadratic_extension(K, r).coeffs
                for r in group.representatives if r != 1}
         assert got == self.SELMER_EXTENSIONS[poly, h]
@@ -1157,8 +1157,8 @@ def test_thm_5_2_builds_one_field_and_factors_each_representative_once(
             return fn(*args, **kwargs)
         return wrapper
 
-    K = make_field("x^3-x^2-2*x+1")
-    reps = selmer_group(K, s_k(K), user_class_number=1).representatives
+    K = make_field("x^3-x^2-2*x+1", user_class_number=1)
+    reps = selmer_group(K, s_k(K)).representatives
     # make_field under every name that binds it; the square tests that
     # is_square does not answer from the field's memo, and the factoring
     # that the norm screen leaves to them
@@ -1227,9 +1227,9 @@ def test_thm_5_2_factors_the_discriminant_and_walks_the_unit_once(
 def test_basis_orders_are_the_valuations_of_the_pis(poly):
     # the sunit-box fields and census fields with h = 2, 3, 4, 2 split or
     # ramified; solve_sunit reads v_P(lambda) = k_P e_P off this
-    K = make_field(poly)
+    K = make_field(poly, user_class_number=1)
     S = s_k(K)
-    basis = build_sunit_basis(K, S, 1, user_class_number=1)
+    basis = build_sunit_basis(K, S, 1)
     assert len(basis.pis) == len(basis.orders) == len(S)
     assert [[valuation(pi, Q) for Q in S] for pi in basis.pis] == [
         [k if Q == P else 0 for Q in S] for P, k in zip(S, basis.orders)]

@@ -11,14 +11,16 @@ from itertools import product
 
 import pytest
 
-from afcheck import linalg, make_field, prime_ideals, units
+from afcheck import criteria, linalg, make_field, prime_ideals, sunits, units
 from afcheck.cli import run
-from afcheck.errors import (IndexDivisor, MissingUserClassNumber,
-                            SearchExhausted, Unsupported)
+from afcheck.criteria import check_thm_5_2
+from afcheck.errors import (BasisUnavailable, IndexDivisor,
+                            MissingUserClassNumber, SearchExhausted,
+                            Unsupported)
 from afcheck.integerfactor import SMALL_PRIMES
 from afcheck.numberfield import FieldElement
 from afcheck.prime_ideals import valuation, factor_rational_prime, s_k
-from afcheck.sunits import build_sunit_basis
+from afcheck.sunits import build_sunit_basis, solve_sunit
 from afcheck.integerfactor import squarefree_part
 from afcheck.units import (class_data, least_odd_prime, principal_generator,
                            unit_generators, _certified_independent, _by_norm,
@@ -185,13 +187,13 @@ CUBIC_UNIT_PAIRS = {
 class TestCubicUnitPair:
     @pytest.mark.parametrize("poly", TOTALLY_REAL_CUBICS)
     def test_pinned_pair_and_narrow_class_number(self, poly):
-        K = make_field(poly)
+        K = make_field(poly, user_class_number=1)
         pair = _cubic_fundamental_pair(K)
         coords, height, h_plus = CUBIC_UNIT_PAIRS[poly]
         assert tuple(u.num for u in pair) == coords and all(
             u.den == 1 for u in pair)
         assert max(map(abs, pair[1].num)) == height
-        assert class_data(K, user_class_number=1).h_plus == h_plus
+        assert class_data(K).h_plus == h_plus
 
     @pytest.mark.parametrize("poly", TOTALLY_REAL_CUBICS)
     def test_certificate_first_equals_relation_first(self, poly):
@@ -292,29 +294,89 @@ class TestPerFieldMemo:
 
     def test_class_data_once_per_field_and_arguments(self, monkeypatch):
         cubic = count_calls(monkeypatch, units, "_h_plus_from_unit_signs")
-        K = make_field(self.CUBIC)
-        cd = class_data(K, user_class_number=1)
-        assert class_data(K, user_class_number=1) is cd
+        K = make_field(self.CUBIC, user_class_number=1)
+        cd = class_data(K)
+        assert class_data(K) is cd
         assert len(cubic) == 1
-        class_data(K, user_class_number=2)
+        assert class_data(make_field(self.CUBIC, user_class_number=2)).h == 2
         assert len(cubic) == 2
+        # a quadratic field's class number is computed; the user's is unread
         quad = count_calls(monkeypatch, units, "_quadratic_class_data")
-        Q2 = make_field("x^2 - 10")
-        assert class_data(Q2) is class_data(Q2, user_class_number=3)
+        Q2 = make_field("x^2 - 10", user_class_number=3)
+        assert class_data(Q2) is class_data(Q2)
+        assert class_data(Q2).h == 2
         assert len(quad) == 1
 
     def test_prime_power_generators_once_per_field(self, monkeypatch):
         # principal_generator calls the walk through the units module
         calls = count_calls(monkeypatch, units, "_find_generator")
-        K = make_field(self.CUBIC)
+        K = make_field(self.CUBIC, user_class_number=1)
         S = s_k(K)
-        first = build_sunit_basis(K, S, 1, user_class_number=1)
+        first = build_sunit_basis(K, S, 1)
         searched = len(calls)
         assert searched >= len(S)
-        second = build_sunit_basis(K, S, 3, user_class_number=1)
+        second = build_sunit_basis(K, S, 3)
         assert len(calls) == searched
         assert first.free_generators == second.free_generators
         assert (first.exponent_bound, second.exponent_bound) == (1, 3)
+
+
+class TestClassNumberOnTheField:
+    """A cubic's class number is supplied to make_field and carried by the
+    field it builds; class_data reads it there, and nowhere else."""
+    CUBIC = "x^3 - x^2 - 2*x + 1"
+
+    def test_fields_of_one_polynomial_keep_their_own_class_data(self):
+        K1 = make_field(self.CUBIC, user_class_number=1)
+        S1 = s_k(K1)
+        build_sunit_basis(K1, S1, 1)
+        K2 = make_field(self.CUBIC, user_class_number=2)
+        # the factor cache serves K2 the primes it made for K1 or for an
+        # earlier field of the same polynomial
+        S2 = s_k(K2)
+        assert S2 == S1 and all(P.field is not K2 for P in S2)
+        basis = build_sunit_basis(K2, S2, 1)
+        assert [class_data(K).h for K in (K1, K2)] == [1, 2]
+        assert class_data(K2).h_plus == 2 * class_data(K1).h_plus
+        assert basis.orders == [1] * len(S2)
+        narrow = [next(h for h in check_thm_5_2(K, 1).hypotheses
+                       if "narrow" in h.name).witness for K in (K1, K2)]
+        assert [w["h"] for w in narrow] == [1, 2]
+
+    def test_every_extension_of_thm_5_2_has_no_class_number(
+            self, monkeypatch, capsys):
+        built = []
+
+        def spy(base, a):
+            built.append((base, sunits.quadratic_extension(base, a)))
+            return built[-1][1]
+
+        monkeypatch.setattr(criteria, "quadratic_extension", spy)
+        code = run(["--output", "json", "check", "thm-5-2", self.CUBIC,
+                    "--bound", "1", "--user-class-number", "2"])
+        capsys.readouterr()
+        assert code == 2
+        assert built
+        for base, ext in built:
+            assert base.user_class_number == 2
+            assert ext.degree == 6 and ext.user_class_number is None
+
+    def test_a_cubic_class_data_is_one_memo_entry(self):
+        K = make_field(self.CUBIC, user_class_number=3)
+        cd = class_data(K)
+        assert class_data(K) is cd and cd.h == 3
+        entries = [key for key in K._memo if "class_data" in (
+            key if isinstance(key, tuple) else (key,))]
+        assert entries == ["class_data"]
+
+    def test_a_cubic_built_without_class_number_has_no_basis(self):
+        K = make_field(self.CUBIC)
+        with pytest.raises(MissingUserClassNumber):
+            class_data(K)
+        with pytest.raises(BasisUnavailable) as info:
+            solve_sunit(K, s_k(K), 1)
+        assert isinstance(info.value.__cause__, MissingUserClassNumber)
+        assert str(info.value).startswith("class data unavailable: cubic")
 
 
 class TestClassData:
@@ -382,7 +444,8 @@ class TestClassData:
         K = make_field("x^3 - x^2 - 2*x + 1")
         with pytest.raises(MissingUserClassNumber):
             class_data(K)
-        cd = class_data(K, user_class_number=1)
+        K = make_field("x^3 - x^2 - 2*x + 1", user_class_number=1)
+        cd = class_data(K)
         assert cd.h == 1 and cd.completeness == ("user-supplied",)
         assert cd.h_plus in (1, 2, 4, 8)
         # the ramified prime of norm 7 beats the inert 3
