@@ -17,7 +17,7 @@ from .frey import (FAMILY_SQUARE, FAMILY_TWO_POWER, FreySpec,
                    odd_multiplicative_primes, valuation_profile)
 from .integerfactor import is_prime
 from .numberfield import make_field
-from .parsing import ParseError
+from .parsing import MAX_PARSED_DIGITS, ParseError
 from .prime_ideals import (factor_rational_prime, s_k, splitting_type, u_k,
                            valuation, verified_field_disc)
 from .report import build_report, emit_human, emit_json
@@ -213,7 +213,8 @@ def _cmd_frey(field, args):
     p = None
     if p_text != "symbolic":
         try:
-            p = int(p_text)
+            # a longer p_text is refused before int(), whatever the limit
+            p = int(p_text) if len(p_text) <= MAX_PARSED_DIGITS else None
         except ValueError:
             pass
         if p is None or not is_prime(p):
@@ -295,6 +296,21 @@ def run(argv) -> int:
         return EXIT_ERROR
     if args is None:  # -h printed help
         return EXIT_OK
+    # a derived integer (a discriminant, a Frey delta) can pass the 4300
+    # digits Python 3.11+ converts to str by default; the parser caps what a
+    # request gives, so the limit is lifted while it is answered
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return _answer(args)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return _answer(args)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _answer(args):
+    """Write the report of a parsed request; return the exit code."""
     # r is the twist exponent of the 2r family, 2 unless given; it is set
     # here so that every report on the request echoes it
     if args.get("family") == FAMILY_TWO_POWER and args["r"] is None:

@@ -1,7 +1,7 @@
 """Small exact linear algebra over the integers (matrices as row lists).
 
-Everything here is fraction-free: determinants and solutions use Bareiss
-elimination (Math. Comp. 22, 1968), whose every division is exact, and the
+Everything here is fraction-free: the determinant uses Bareiss elimination
+(Math. Comp. 22, 1968), whose every division is exact, and the
 characteristic polynomial uses Faddeev-LeVerrier, whose divisions are exact
 on integer matrices.
 """
@@ -21,17 +21,6 @@ def trace(a):
     return sum(a[i][i] for i in range(len(a)))
 
 
-def _pivot(m, k):
-    """Swap a row with a nonzero entry in column k into row k; False if none."""
-    if m[k][k]:
-        return True
-    swap = next((r for r in range(k + 1, len(m)) if m[r][k]), None)
-    if swap is None:
-        return False
-    m[k], m[swap] = m[swap], m[k]
-    return True
-
-
 def det(a):
     """Determinant of an integer matrix by fraction-free Bareiss elimination."""
     n = len(a)
@@ -40,8 +29,10 @@ def det(a):
     for k in range(n - 1):
         row_k = m[k]
         if not row_k[k]:
-            if not _pivot(m, k):
+            swap = next((r for r in range(k + 1, n) if m[r][k]), None)
+            if swap is None:
                 return 0
+            m[k], m[swap] = m[swap], m[k]
             sign, row_k = -sign, m[k]
         pivot = row_k[k]
         for row in m[k + 1:]:
@@ -50,30 +41,6 @@ def det(a):
                 row[j] = (pivot * row[j] - f * row_k[j]) // prev
         prev = pivot
     return sign * m[-1][-1] if n else 1
-
-
-def solve(a, b):
-    """(d, y) with a*y = d*b for a nonsingular integer matrix a and integer
-    vector b, d = +-det(a), by fraction-free Gauss-Jordan elimination.
-
-    Raises ZeroDivisionError when a is singular."""
-    n = len(a)
-    m = [list(row) + [v] for row, v in zip(a, b)]
-    prev = 1
-    for k in range(n):
-        if not _pivot(m, k):
-            raise ZeroDivisionError("singular matrix")
-        row_k = m[k]
-        pivot = row_k[k]
-        for i, row in enumerate(m):
-            if i == k:
-                continue
-            f = row[k]
-            for j in range(k + 1, n + 1):
-                row[j] = (pivot * row[j] - f * row_k[j]) // prev
-            row[k] = 0
-        prev = pivot
-    return prev, [row[n] for row in m]
 
 
 def charpoly(a):

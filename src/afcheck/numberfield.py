@@ -18,13 +18,13 @@ of a FieldElement are these on ``num``, with the denominator kept aside, so
 a caller that tests many candidates can skip building elements.  A
 rational operand skips the kernels: an int or Fraction becomes (num, den)
 with no Fraction built, a product with a rational element scales the other
-factor's ``num``, and a rational element inverts to den/num[0].
-Characteristic polynomials and other inverses go through fraction-free
-integer linear algebra on the multiplication matrix of ``num``.  A real
-place is the dyadic interval (lo, hi, k) of its root from integer Sturm
-isolation, standing for [lo / 2^k, hi / 2^k]; every embedding question is
-decided by bisecting it on the integers and bounding ``num`` over it by
-integer interval Horner.
+factor's ``num``, and a rational element inverts to den/num[0]; any other
+inverse is Cramer's rule, n + 1 Bareiss determinants on the multiplication
+matrix of ``num``.  A real place is the dyadic interval (lo, hi, k) of its
+root from integer Sturm isolation, standing for [lo / 2^k, hi / 2^k]; an
+element is bounded over it by integer interval Horner, the root's interval
+bisected on the integers (embedding_interval), and embedding_bounds doubles
+that precision until the bounds leave out zero, which gives the sign.
 """
 
 from fractions import Fraction
@@ -35,10 +35,9 @@ from . import linalg
 from .errors import (AfcheckError, DegreeZero, DivisionByZero, NotMonic,
                      Reducible, Unsupported, ZeroElement)
 from .parsing import parse_poly
-from .polynomials import (_zx_divides, integer_roots, interval_eval,
+from .polynomials import (integer_roots, interval_eval,
                           irreducible_by_degree_patterns, isolate_real_roots,
-                          mul_matrix, pderiv, poly_disc, refine_root, strip,
-                          zx_factor, zx_gcd)
+                          mul_matrix, poly_disc, refine_root, strip, zx_factor)
 
 MAX_DEGREE = 6
 
@@ -167,9 +166,6 @@ class NumberField:
         return FieldElement(self, [value.numerator] + [0] * (self.degree - 1),
                             value.denominator)
 
-    def zero(self):
-        return self.from_rational(0)
-
     def one(self):
         return self.from_rational(1)
 
@@ -290,18 +286,22 @@ class FieldElement:
         return result
 
     def inverse(self):
-        """1/x = den * y for the integer solution of num * y = 1, found by
-        fraction-free elimination on the multiplication matrix of num; a
-        rational x = num[0]/den inverts to den/num[0] directly."""
+        """1/x = den * y for y = 1/num, by Cramer's rule on the
+        multiplication matrix M of num: y_i is the determinant of M with
+        column i replaced by e_1, over det M, the norm of num.  A rational
+        x = num[0]/den inverts to den/num[0] directly."""
         if self.is_zero():
             raise DivisionByZero("division by zero field element")
-        n = self.field.degree
+        field = self.field
         if self.is_rational():
             # den/num[0]; the constructor moves a negative sign up
-            return FieldElement(self.field, [self.den] + [0] * (n - 1),
+            return FieldElement(field, [self.den] + [0] * (field.degree - 1),
                                 self.num[0])
-        d, y = linalg.solve(self.num_matrix(), [1] + [0] * (n - 1))
-        return FieldElement(self.field, [self.den * c for c in y], d)
+        m = self.num_matrix()
+        return FieldElement(field, [
+            self.den * linalg.det([row[:i] + [int(r == 0)] + row[i + 1:]
+                                   for r, row in enumerate(m)])
+            for i in range(field.degree)], linalg.det(m))
 
     def _coerce(self, other):
         if isinstance(other, FieldElement):
@@ -336,15 +336,6 @@ class FieldElement:
     def norm(self):
         return Fraction(self.field.num_norm(self.num),
                         self.den ** self.field.degree)
-
-    def min_poly(self):
-        """Monic minimal polynomial over Q: the squarefree part of the
-        integer charpoly of num (a power of the minimal polynomial of num),
-        with the coefficient of t^i divided by den^(k-i), k its degree."""
-        ch = linalg.charpoly(self.num_matrix())
-        mp = _zx_divides(zx_gcd(ch, pderiv(ch)), ch)
-        k = len(mp) - 1
-        return [Fraction(c, self.den ** (k - i)) for i, c in enumerate(mp)]
 
 
 def _bare_copy(exc):
@@ -445,22 +436,6 @@ def _refuse_reducible(coeffs):
 
 # ----------------------------------------------------- spec-level helpers
 
-def embedding_sign(x: FieldElement, root_index: int) -> int:
-    """Sign of x under the real embedding sending theta to the given root:
-    the root's interval is bisected four bits at a time until interval
-    Horner bounds num = den * x (den > 0) away from zero there."""
-    if x.is_zero():
-        raise ZeroElement("sign of zero is undefined")
-    f, root = x.field.coeffs, x.field.real_roots[root_index]
-    while True:
-        vlo, vhi = interval_eval(x.num, *root)
-        if vlo > 0:
-            return 1
-        if vhi < 0:
-            return -1
-        root = refine_root(f, root, root[2] + 4)
-
-
 def embedding_interval(x: FieldElement, root_index: int, p: int):
     """Integers (lo, hi) with lo / 2^p <= x <= hi / 2^p under the real
     embedding sending theta to the given root, and hi - lo <= 2.
@@ -479,3 +454,22 @@ def embedding_interval(x: FieldElement, root_index: int, p: int):
         if width <= scale:
             return (vlo << p) // scale, -((-vhi << p) // scale)
         root = refine_root(f, root, root[2] + (width // scale).bit_length())
+
+
+def embedding_bounds(x: FieldElement, root_index: int, p: int):
+    """(lo, hi, q) from embedding_interval(x, root_index, q) for the first q
+    of p, 2p, 4p, ... (p >= 1) whose interval leaves out zero, so lo and hi
+    have the sign of x under that real embedding.  Zero raises
+    ZeroElement, since no interval leaves it out."""
+    if x.is_zero():
+        raise ZeroElement("sign of zero is undefined")
+    while True:
+        lo, hi = embedding_interval(x, root_index, p)
+        if lo > 0 or hi < 0:
+            return lo, hi, p
+        p *= 2
+
+
+def embedding_sign(x: FieldElement, root_index: int) -> int:
+    """Sign of x under the real embedding sending theta to the given root."""
+    return 1 if embedding_bounds(x, root_index, 1)[0] > 0 else -1

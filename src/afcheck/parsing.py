@@ -9,7 +9,7 @@ that is not, which needs a division or a rational literal in the text
 MAX_PARSED_DEGREE (the exponent of a constant counts as its degree), and no
 integer literal, constant power or returned coefficient may have more than
 MAX_PARSED_DIGITS digits in its numerator or denominator, so the work per
-input stays small and every coefficient can be printed.
+input stays small.
 """
 
 import re
@@ -20,8 +20,10 @@ from .polynomials import degree, pmul, pneg, strip
 # Defining polynomials stop at degree 6 and element strings are reduced mod
 # f afterwards, so no sensible input comes near this.
 MAX_PARSED_DEGREE = 64
-# int() and str() refuse integers of more than 4300 decimal digits by
-# default (Python 3.11+), and a report prints every coefficient in decimal.
+# The most digits of a number a request may give, so the work per input
+# stays small: the 4300 that int() and str() convert by default (Python
+# 3.11+).  cli.run lifts that limit while it answers, since a derived value
+# such as a discriminant can be longer.
 MAX_PARSED_DIGITS = 4300
 _DIGITS_BOUND = 10 ** MAX_PARSED_DIGITS
 
@@ -32,6 +34,8 @@ class ParseError(ValueError):
 
 # an integer literal, an operator or x, or any other character but whitespace
 _TOKEN = re.compile(r"(\d+)|(\*\*|[-+*/^()xX])|(\S)")
+# the digits of one int() call in Fraction(), which allows "_" between them
+_DIGIT_RUN = re.compile(r"[\d_]+")
 
 
 def _tokenize(text):
@@ -41,15 +45,21 @@ def _tokenize(text):
     tokens = []
     for digits, op, other in _TOKEN.findall(text):
         if digits:
-            if len(digits) > MAX_PARSED_DIGITS:
-                raise ParseError("integer literal above the parser's cap of "
-                                 f"{MAX_PARSED_DIGITS} digits")
+            _check_literal(digits)
             tokens.append(int(digits))
         elif op:
             tokens.append("^" if op == "**" else op.lower())
         else:
             raise ParseError(f"unexpected character {other!r} in polynomial")
     return tokens
+
+
+def _check_literal(digits):
+    """Refuse a run of decimal digits longer than MAX_PARSED_DIGITS before
+    int() converts it, whatever Python's own conversion limit is."""
+    if len(digits.replace("_", "")) > MAX_PARSED_DIGITS:
+        raise ParseError("integer literal above the parser's cap of "
+                         f"{MAX_PARSED_DIGITS} digits")
 
 
 def _check_digits(c, what):
@@ -190,6 +200,8 @@ def parse_poly(text: str):
         result = []
         for part in text.split(","):
             part = part.strip()
+            for digits in _DIGIT_RUN.findall(part):
+                _check_literal(digits)
             try:
                 result.append(Fraction(part))
             except (ValueError, ZeroDivisionError) as exc:

@@ -6,7 +6,6 @@ that consumers in any language reproduce them exactly.
 """
 
 import json
-from dataclasses import is_dataclass
 from fractions import Fraction
 
 SCHEMA_VERSION = "1"
@@ -18,9 +17,8 @@ _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
 def to_jsonable(obj):
     """Recursive conversion to JSON-safe values under the exactness rules.
 
-    The exact types that reports are made of (int, dict, list, tuple, str,
-    bool, None) are told apart by type() first; everything else falls to
-    _convert."""
+    A report is made of int, Fraction, dict, list, tuple, str, bool and
+    None, told apart by type(); a float or any other value is refused."""
     t = type(obj)
     if t is int:
         return obj if -_SAFE_INT <= obj <= _SAFE_INT else str(obj)
@@ -31,32 +29,13 @@ def to_jsonable(obj):
         return [to_jsonable(v) for v in obj]
     if t is str or t is bool or obj is None:
         return obj
-    return _convert(obj)
-
-
-def _convert(obj):
-    """to_jsonable for the values that are not of an exact report type:
-    subclasses, Fractions, floats (refused) and objects with to_dict or
-    dataclass fields."""
-    if isinstance(obj, (bool, str)):
-        return obj
-    if isinstance(obj, int):
-        return obj if abs(obj) <= _SAFE_INT else str(obj)
-    if isinstance(obj, Fraction):
+    if t is Fraction:
         if obj.denominator == 1:
             return to_jsonable(obj.numerator)
         return f"{obj.numerator}/{obj.denominator}"
-    if isinstance(obj, float):
+    if t is float:
         raise TypeError("floating point is not allowed in reports")
-    if isinstance(obj, dict):
-        return {str(k): to_jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [to_jsonable(v) for v in obj]
-    if hasattr(obj, "to_dict"):
-        return to_jsonable(obj.to_dict())
-    if is_dataclass(obj):
-        return to_jsonable(vars(obj))
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
+    raise TypeError(f"cannot serialize {t.__name__}")
 
 
 def field_summary(field):

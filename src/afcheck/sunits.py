@@ -433,10 +433,11 @@ def _square_test(x: FieldElement) -> bool:
     """0 is a square.  A rational u/v is a square when u*v is one, and in
     degree 2 also when u*v*poly_disc is one (sqrt(poly_disc) lies in K);
     odd degree has no quadratic subfield, so no other rational is.  Any
-    other x generates K.  Its norm must be the square of a rational
-    (N(y^2) = N(y)^2); then x is a square exactly when m(t^2) has a factor
-    of degree deg m, m the minimal polynomial of den^2 x (integral, as
-    den^2 x lies in Z[theta]): a root y of that factor squares to a
+    other x generates K, as is_square admits only degrees 1, 2, 3 and 5, so
+    the characteristic polynomial chi of den^2 x (integral, as den^2 x lies
+    in Z[theta]) is its minimal polynomial.  The norm of x must be the
+    square of a rational (N(y^2) = N(y)^2); then x is a square exactly when
+    chi(t^2) has a factor of degree n: a root y of that factor squares to a
     conjugate of x and generates that conjugate's field, so that
     conjugate, and with it x, is a square.
     """
@@ -449,10 +450,17 @@ def _square_test(x: FieldElement) -> bool:
                                       _is_int_square(uv * field.poly_disc))
     if not _is_int_square(field.num_norm(x.num) * x.den ** field.degree):
         return False
-    mp = (x * (x.den * x.den)).min_poly()
-    doubled = [0] * (2 * len(mp) - 1)
-    doubled[::2] = [int(c) for c in mp]
-    return any(len(fac) == len(mp) for fac, _ in zx_factor(doubled))
+    return any(len(fac) == field.degree + 1
+               for fac, _ in zx_factor(_charpoly_of_square_root(x)))
+
+
+def _charpoly_of_square_root(x: FieldElement):
+    """chi(t^2), chi the characteristic polynomial of the integral den^2 x:
+    its roots are the square roots of the conjugates of den^2 x."""
+    chi = linalg.charpoly(x.field.num_matrix([x.den * c for c in x.num]))
+    doubled = [0] * (2 * len(chi) - 1)
+    doubled[::2] = chi
+    return doubled
 
 
 @dataclass
@@ -509,33 +517,25 @@ def quadratic_extension(base: NumberField, a: FieldElement) -> NumberField:
     gamma, is irreducible exactly when it is squarefree, that is when
     poly_disc(g) != 0: the defining polynomial is g for the first shift t
     with a nonzero discriminant, and no factoring is needed.  At t = 0, g is
-    chi(x^2) for chi the characteristic polynomial of the scaled a, the
+    chi(x^2) for chi the characteristic polynomial of the scaled a
+    (_charpoly_of_square_root, which the square test factors too), the
     resultant of the defining polynomial with x^2 - a.
     """
     if a.is_zero():
         raise ZeroElement("cannot adjoin sqrt(0)")
-    _raise_if_square(a)
+    if is_square(a):
+        raise IsSquare("element is already a square in the base field")
     n = base.degree
     if 2 * n > MAX_DEGREE:
         raise Unsupported(f"extension degree {2 * n} > {MAX_DEGREE}")
-    den = a.den
-    a_int = a * (den * den)
+    a_int = a * (a.den * a.den)
     for t in _GENERATOR_SHIFTS:
-        if t:
-            g = linalg.charpoly(_gamma_matrix(base, a_int, t))
-        else:
-            # det(x^2 I - A) of the block matrix at t = 0
-            g = [0] * (2 * n + 1)
-            g[::2] = linalg.charpoly(a_int.num_matrix())
+        g = (linalg.charpoly(_gamma_matrix(base, a_int, t)) if t
+             else _charpoly_of_square_root(a))
         disc = poly_disc(g)
         if disc:
             return NumberField(g, disc, isolate_real_roots(g))
     raise ArithmeticError("no primitive generator among the shift candidates")
-
-
-def _raise_if_square(a: FieldElement):
-    if is_square(a):
-        raise IsSquare("element is already a square in the base field")
 
 
 def _gamma_matrix(base: NumberField, a_int: FieldElement, t: int):

@@ -7,7 +7,8 @@ through the reduced forms and their cycles, h and h+.  Totally real
 cubic fields get one budgeted coordinate walk, shell by shell of growing
 height, for their unit pair and their principal generators; the unit pairs
 are certified multiplicatively independent through integer log intervals:
-the atanh series in fixed point, on dyadic embedding intervals.
+the atanh series in fixed point, on the absolute bounds that
+numberfield.embedding_bounds gives at each real place.
 Each new unit is paired with the earlier ones in search order: a one-round
 interval certificate comes first, since it proves most independent pairs at
 once; only a pair it leaves open is scanned for a small relation u^m v^k =
@@ -29,7 +30,7 @@ from math import gcd, isqrt, prod
 from .errors import (IndexDivisor, MissingUserClassNumber, SearchExhausted,
                      Unsupported)
 from .integerfactor import SMALL_PRIMES, factorint, squarefree_part
-from .numberfield import (FieldElement, NumberField, embedding_interval,
+from .numberfield import (FieldElement, NumberField, embedding_bounds,
                           embedding_sign)
 from .prime_ideals import PrimeIdeal, factor_rational_prime, valuation
 
@@ -216,30 +217,20 @@ def _ln_interval(lo, hi, p, w):
     return bound(lo, 0), bound(hi, 1)
 
 
-def _abs_embedding(x: FieldElement, idx: int, p: int):
-    """(lo, hi, q) with 0 < lo / 2^q <= |x| <= hi / 2^q under the real
-    embedding idx, for a nonzero x: q is the first of p, 2p, 4p, ... whose
-    interval leaves out zero."""
-    while True:
-        lo, hi = embedding_interval(x, idx, p)
-        if lo > 0:
-            return lo, hi, p
-        if hi < 0:
-            return -hi, -lo, p
-        p *= 2
-
-
 def _certified_independent(u: FieldElement, v: FieldElement, max_rounds=12):
     """True when the log-embedding vectors of u, v are provably non-parallel.
 
     Round r bounds ln|u| and ln|v| at the first two real places by integers
-    over 2^w, w = 8r + 8, from embeddings to 8r bits; the 2x2 determinant
+    over 2^w, w = 8r + 8, from embedding_bounds started at 8r bits (a unit
+    is nonzero, so its bounds leave out zero); the 2x2 determinant
     ad - bc is then certified nonzero when the integer bounds of ad and bc,
     over 2^(2w), do not overlap."""
     for r in range(1, max_rounds + 1):
         p = 8 * r
-        (a, b), (c, d) = [[_ln_interval(*_abs_embedding(x, idx, p), p + 8)
-                           for idx in (0, 1)] for x in (u, v)]
+        (a, b), (c, d) = [
+            [_ln_interval(*sorted((abs(lo), abs(hi))), q, p + 8)
+             for lo, hi, q in (embedding_bounds(x, idx, p) for idx in (0, 1))]
+            for x in (u, v)]
         ad = [s * t for s in a for t in d]
         bc = [s * t for s in b for t in c]
         if min(ad) > max(bc) or max(ad) < min(bc):

@@ -25,6 +25,7 @@ from afcheck.cli import run
 from afcheck.criteria import CRITERIA
 from afcheck.frey import FAMILY_SQUARE, FAMILY_TWO_POWER
 from afcheck.frey import ValuationForm
+from afcheck.parsing import ParseError, parse_poly
 from afcheck.report import build_report, emit_json, to_jsonable
 
 
@@ -127,7 +128,7 @@ class TestCanonicalJson:
             to_jsonable(1.5)
 
     def test_valuation_form_schema(self):
-        data = to_jsonable(ValuationForm(4, -2))
+        data = to_jsonable(ValuationForm(4, -2).to_dict())
         assert data == {"alpha": 4, "beta": -2, "threshold": 2}
 
     def test_round_trip_exact(self, capsys):
@@ -537,6 +538,81 @@ class TestErrorReportsCarryTheField:
         code, rep = run_json(capsys, argv)
         assert code == 1 and rep["result"]["error"]["type"] == error
         assert rep["field"] is None
+
+
+@contextlib.contextmanager
+def int_str_limit(digits):
+    """Python's int/str conversion limit set to digits (0: none), then put
+    back."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(digits)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="no int/str digit limit in this Python")
+class TestLongDerivedIntegers:
+    """A value derived from a request can have more digits than Python
+    converts to str by default (4300 in Python 3.11+); the report prints it
+    in full, in json and in human output.  What a request gives is still
+    capped, and refused before it is converted."""
+
+    TEN_300 = "1" + "0" * 300
+    SEVENS = "7" * 2000
+    REQUESTS = [
+        # delta = 2^6 (abc)^10 has 9002 digits
+        (["frey", "2r", "x", "--a", TEN_300, "--b", TEN_300, "--c",
+          TEN_300, "--r", "1", "--p", "5"], 0,
+         ("result", "invariants", "delta", 0), lambda: 2 ** 6 * 10 ** 9000),
+        # poly_disc = -4 b^3 - 27 has 6001 digits
+        (["check", "cor-7-2", f"x^3 + {SEVENS}*x + 1"], 2,
+         ("field", "poly_disc"), lambda: -4 * int("7" * 2000) ** 3 - 27),
+    ]
+
+    @pytest.mark.parametrize("argv, code, path, value", REQUESTS,
+                             ids=["frey-delta", "cor-7-2-poly-disc"])
+    def test_reported_in_full(self, capsys, argv, code, path, value):
+        limit = sys.get_int_max_str_digits()
+        started = time.perf_counter()
+        got, rep = run_json(capsys, argv)
+        assert run(["--output", "human", *argv]) == got == code
+        human = capsys.readouterr().out
+        assert time.perf_counter() - started < 5.0
+        assert sys.get_int_max_str_digits() == limit
+        for key in path:
+            rep = rep[key]
+        with int_str_limit(0):
+            expected = str(value())
+        assert len(expected) > 4300 and rep == expected
+        assert expected in human
+
+    def test_long_inputs_are_still_refused_at_once(self, capsys):
+        long_digits = "1" * 100_000
+        with int_str_limit(0):
+            # no prime below 300 divides it, so only a Miller-Rabin round
+            # of seconds could refuse it once it is converted
+            long_p = str(1000003 ** 1700)
+        for limit in (4300, 0):
+            with int_str_limit(limit):
+                started = time.perf_counter()
+                with pytest.raises(ParseError, match="integer literal"):
+                    parse_poly(f"1, {long_digits}, 1")
+                with pytest.raises(ParseError, match="integer literal"):
+                    parse_poly(f"1_{long_digits}/3, 1")
+                assert time.perf_counter() - started < 0.5
+        for argv, message in (
+                (["field", f"1, {long_digits}, 1"], "integer literal"),
+                (["frey", "2r", "x", "--a", "1", "--b", "1", "--c", "1",
+                  "--p", long_p], "--p must be a prime")):
+            started = time.perf_counter()
+            code, rep = run_json(capsys, argv)
+            assert time.perf_counter() - started < 0.5
+            assert code == 1
+            assert rep["result"]["error"]["type"] == "ParseError"
+            assert rep["result"]["error"]["message"].startswith(message)
 
 
 class TestHardFactorizations:

@@ -11,8 +11,10 @@ strings).  That holds for private names too, so an orphaned helper is
 found.  A name in a module's __all__ is exported on purpose and counts as
 reached too.  Tests do not count: a function that only tests call is dead
 library, and so is a constant that only tests read.  A method of a
-top-level class, dunder methods left out, counts as reached on the same
-terms when some code mentions its name outside the method's own def.  An imported name
+top-level class, dunder methods left out, counts as reached only when some
+code outside the method's own def mentions it as an attribute (.name) or in
+a dotted string: a bare name, such as a local variable that shares the
+method's name, reaches no method.  An imported name
 counts as used when its module mentions it as a name, or lists it in
 __all__.
 
@@ -108,14 +110,26 @@ def unreached(package=PACKAGE, callers=CALLERS):
     return sorted(missing)
 
 
+def _method_mentions(node):
+    """Names that node mentions as an attribute (.name) or as a segment of
+    a dotted string, once per mention: the ways a method can be reached."""
+    for current in ast.walk(node):
+        if isinstance(current, ast.Attribute):
+            yield current.attr
+        elif (isinstance(current, ast.Constant)
+              and isinstance(current.value, str) and "." in current.value):
+            yield from current.value.split(".")
+
+
 def unreached_methods(package=PACKAGE, callers=CALLERS):
     """Sorted "module.Class.method" of the methods of the top-level classes
     in package, dunder methods left out, that nothing in the caller
-    directories mentions outside the method's own def."""
+    directories mentions as an attribute or in a dotted string outside the
+    method's own def."""
     trees = {path: _parse(path) for base in callers
              for path in sorted(base.glob("*.py"))}
     counts = Counter(name for tree in trees.values()
-                     for name in _mentioned(tree))
+                     for name in _method_mentions(tree))
     missing = []
     for path in sorted(package.glob("*.py")):
         for cls in trees[path].body:
@@ -125,7 +139,7 @@ def unreached_methods(package=PACKAGE, callers=CALLERS):
                 if (isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef))
                         and not _is_dunder(method.name)
                         and counts[method.name] == Counter(
-                            _mentioned(method))[method.name]):
+                            _method_mentions(method))[method.name]):
                     missing.append(f"{path.stem}.{cls.name}.{method.name}")
     return sorted(missing)
 
@@ -293,6 +307,30 @@ def test_the_method_walk_finds_a_dead_method(tmp_path):
         "def test_tested(): Shape().tested()\n", encoding="utf-8")
     assert unreached_methods(package, (package, bench)) == [
         "mod.Shape.recursive", "mod.Shape.tested", "mod._Spare.dead"]
+
+
+def test_a_bare_name_reaches_no_method(tmp_path):
+    package, bench = tmp_path / "pkg", tmp_path / "bench"
+    package.mkdir()
+    bench.mkdir()
+    (package / "field.py").write_text(
+        "class Field:\n"
+        "    def zero(self): return 0\n"
+        "    def one(self): return 1\n"
+        "    def theta(self): return 2\n"
+        "    def spare(self): return 3\n"
+        "    def named(self): return 4\n"
+        "def build(field): return field.one()\n", encoding="utf-8")
+    (package / "frey.py").write_text(
+        "def profile():\n"
+        "    zero = 0\n"
+        "    spare = 'spare'\n"
+        "    return zero, spare, named\n"
+        "def named(): return None\n", encoding="utf-8")
+    (bench / "wrap.py").write_text("WRAPPED = {'theta': 'Field.theta'}\n",
+                                   encoding="utf-8")
+    assert unreached_methods(package, (package, bench)) == [
+        "field.Field.named", "field.Field.spare", "field.Field.zero"]
 
 
 def test_every_import_is_used():

@@ -1,13 +1,16 @@
 """The dyadic real places against mpmath at 200 digits: root intervals,
-embedding intervals and signs, and the fixed-point logarithm."""
+embedding intervals, bounds and signs, and the fixed-point logarithm."""
 
 import mpmath
+import pytest
 import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from afcheck.numberfield import (FieldElement, embedding_interval,
-                                 embedding_sign, make_field)
+from afcheck.errors import ZeroElement
+from afcheck.numberfield import (FieldElement, embedding_bounds,
+                                 embedding_interval, embedding_sign,
+                                 make_field)
 from afcheck.polynomials import isolate_real_roots
 from afcheck.units import _ln_interval
 
@@ -101,6 +104,27 @@ def test_embedding_sign_near_zero(poly, den):
             m = int(mpmath.nint(root * den))
             x = FieldElement(K, [-m, den] + [0] * (K.degree - 2), den)
             assert embedding_sign(x, idx) == mpmath.sign(mp_value(x, root))
+
+
+@settings(max_examples=200, deadline=None)
+@given(ELEMENTS, st.integers(1, 64))
+def test_embedding_bounds_leave_out_zero_at_the_first_doubling(drawn, p):
+    K, x = element(*drawn)
+    if x.is_zero():
+        with pytest.raises(ZeroElement):
+            embedding_bounds(x, 0, p)
+        return
+    with mpmath.workdps(DPS):
+        for idx, root in enumerate(mp_roots(K.coeffs)):
+            lo, hi, q = embedding_bounds(x, idx, p)
+            assert (lo, hi) == embedding_interval(x, idx, q)
+            assert lo > 0 or hi < 0
+            assert dyadic(lo, q) <= mp_value(x, root) <= dyadic(hi, q)
+            # q is p doubled until the interval leaves out zero, no further
+            assert q % p == 0 and (q // p).bit_count() == 1
+            if q > p:
+                below = embedding_interval(x, idx, q // 2)
+                assert below[0] <= 0 <= below[1]
 
 
 @settings(max_examples=300, deadline=None)

@@ -4,7 +4,7 @@ rules."""
 
 import enum
 import json
-from dataclasses import dataclass, is_dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 from unittest import mock
 
@@ -17,7 +17,8 @@ _SAFE_INT = (1 << 53) - 1
 
 
 def reference_to_jsonable(obj):
-    """The isinstance chain that to_jsonable replaced."""
+    """The isinstance chain that to_jsonable replaced, less its branches for
+    objects with to_dict and for dataclasses, which no report reached."""
     if obj is None or isinstance(obj, (bool, str)):
         return obj
     if isinstance(obj, int):
@@ -32,10 +33,6 @@ def reference_to_jsonable(obj):
         return {str(k): reference_to_jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [reference_to_jsonable(v) for v in obj]
-    if hasattr(obj, "to_dict"):
-        return reference_to_jsonable(obj.to_dict())
-    if is_dataclass(obj):
-        return reference_to_jsonable(vars(obj))
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
@@ -117,32 +114,6 @@ class TestEmitJson:
         assert to_jsonable(2 ** 53) == str(2 ** 53)
         assert to_jsonable(-(2 ** 53)) == str(-(2 ** 53))
 
-    def test_subclasses_and_objects(self):
-        class Flag(enum.IntEnum):
-            ON = 1
-
-        class Name(str):
-            pass
-
-        @dataclass
-        class Point:
-            x: int
-            y: Fraction
-
-        class Holder:
-            def __init__(self, inner):
-                self.inner = inner
-
-            def to_dict(self):
-                return {"inner": self.inner, "point": Point(2 ** 60, Fraction(1, 3))}
-
-        for value in (Flag.ON, Name("n"), {Name("k"): Flag.ON},
-                      Point(1, Fraction(4, 2)),
-                      Holder(Holder([Fraction(7, 1), (Flag.ON,)]))):
-            assert to_jsonable(value) == reference_to_jsonable(value)
-            report = {"result": value, "timing": None}
-            assert emit_json(report) == reference_emit_json(report)
-
     @pytest.mark.parametrize("value", [
         1.5, [0.0], {"a": (1, 2.5)}, {"a": Fraction(1, 2), "b": float("nan")},
     ])
@@ -153,5 +124,27 @@ class TestEmitJson:
             reference_to_jsonable(value)
 
     def test_unknown_object_is_refused(self):
-        with pytest.raises(TypeError, match="cannot serialize object"):
-            to_jsonable(object())
+        # a report is built of the exact types: an object with to_dict, a
+        # dataclass or a subclass of int, str or Fraction is refused too
+        class Flag(enum.IntEnum):
+            ON = 1
+
+        class Name(str):
+            pass
+
+        @dataclass
+        class Point:
+            x: int
+
+        class Holder:
+            def to_dict(self):
+                return {"x": 1}
+
+        class Ratio(Fraction):
+            pass
+
+        for value in (object(), Flag.ON, Name("n"), Point(1), Holder(),
+                      Ratio(1, 2)):
+            with pytest.raises(TypeError, match="cannot serialize "
+                               + type(value).__name__):
+                to_jsonable({"result": [value]})

@@ -888,10 +888,11 @@ class TestIsSquare:
 
 def factor_square_test(x):
     """Reference: the square test without the norm screen, x != 0 a square
-    iff minpoly(den^2 x)(t^2) has a factor of odd degree."""
-    mp = (x * (x.den * x.den)).min_poly()
-    doubled = [0] * (2 * len(mp) - 1)
-    doubled[::2] = [int(c) for c in mp]
+    iff chi(t^2) has a factor of odd degree, chi the characteristic
+    polynomial of den^2 x (a power of its minimal polynomial)."""
+    chi = charpoly((x * (x.den * x.den)).num_matrix())
+    doubled = [0] * (2 * len(chi) - 1)
+    doubled[::2] = chi
     return any((len(fac) - 1) % 2 for fac, _ in zx_factor(doubled))
 
 
@@ -978,12 +979,12 @@ def element_gamma_matrix(base, a_int, t):
     column by column from field arithmetic, the image of theta^i and then
     of z*theta^i."""
     n = base.degree
-    theta = base.theta()
+    theta, zero = base.theta(), base.from_rational(0)
     cols = []
     for j in (0, 1):
         for i in range(n):
             e = theta ** i
-            u, v = (e, base.zero()) if j == 0 else (base.zero(), e)
+            u, v = (e, zero) if j == 0 else (zero, e)
             # gamma * (u + v z) = (t*theta*u + a*v) + (u + t*theta*v) z
             ru = theta * t * u + a_int * v
             rv = u + theta * t * v
@@ -1039,7 +1040,7 @@ class TestQuadraticExtension:
         with pytest.raises(IsSquare):
             quadratic_extension(Q, Q.from_rational(1))
         with pytest.raises(ZeroElement):
-            quadratic_extension(Q, Q.zero())
+            quadratic_extension(Q, Q.from_rational(0))
 
     def test_nonprimitive_adjunction(self):
         # sqrt(3) does not generate K(sqrt3) over Q(sqrt2); needs a shifted generator

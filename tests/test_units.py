@@ -32,9 +32,12 @@ from afcheck.units import (class_data, least_odd_prime, principal_generator,
 
 
 def is_algebraic_integer(x):
-    """x is integral over Z: its minimal polynomial has integer
-    coefficients."""
-    return x.den == 1 or all(c.denominator == 1 for c in x.min_poly())
+    """x is integral over Z: its characteristic polynomial, a power of its
+    minimal polynomial, has integer coefficients, that is the charpoly of
+    num = den * x has den^(n-i) | c_i."""
+    n = x.field.degree
+    return all(c % x.den ** (n - i) == 0
+               for i, c in enumerate(linalg.charpoly(x.num_matrix())))
 
 
 def quad_cmp_positive(a, b, d):
