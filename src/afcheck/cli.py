@@ -15,7 +15,7 @@ from .errors import AfcheckError
 from .frey import (FAMILY_SQUARE, FAMILY_TWO_POWER, FreySpec,
                    concrete_cross_check, conductor_shape, invariants,
                    odd_multiplicative_primes, valuation_profile)
-from .integerfactor import is_prime
+from .integerfactor import PRIME_PROOF_BOUND, is_prime
 from .numberfield import make_field
 from .parsing import MAX_PARSED_DIGITS, ParseError
 from .prime_ideals import (factor_rational_prime, s_k, splitting_type, u_k,
@@ -202,12 +202,21 @@ def _cmd_selmer(field, _args):
     return group.to_dict(), [], EXIT_OK
 
 
+def _refuse_unproven(option, n):
+    """Refuse an option's integer at or above PRIME_PROOF_BOUND, where
+    is_prime proves nothing."""
+    if n is not None and n >= PRIME_PROOF_BOUND:
+        raise ParseError(f"--{option} must be below {PRIME_PROOF_BOUND}, "
+                         f"where primality is proven; got {n}")
+
+
 def _cmd_frey(field, args):
     family, prime, p_text = args["family"], args["prime"], args["p"]
     for option in ("user_class_number", "r"):
         if family != FAMILY_TWO_POWER and args[option] is not None:
             raise ParseError(f"--{option.replace('_', '-')} is read only by "
                              f"frey {FAMILY_TWO_POWER}, not by frey {family}")
+    _refuse_unproven("prime", prime)
     if prime is not None and not is_prime(prime):
         raise ParseError(f"--prime must be a prime, got {prime}")
     p = None
@@ -217,6 +226,7 @@ def _cmd_frey(field, args):
             p = int(p_text) if len(p_text) <= MAX_PARSED_DIGITS else None
         except ValueError:
             pass
+        _refuse_unproven("p", p)
         if p is None or not is_prime(p):
             raise ParseError(f"--p must be a prime or 'symbolic', got {p_text!r}")
     a, b, c = (field.element_from_str(args[key]) for key in "abc")
@@ -230,7 +240,7 @@ def _cmd_frey(field, args):
             "j": list(inv.j.coords), "forms_agree": inv.forms_agree}
         payload["cross_check"] = concrete_cross_check(spec, inv)
     else:
-        payload["invariants"] = invariants(spec).to_dict()
+        payload["invariants"] = invariants(spec)
     if prime is not None:
         reports = []
         for P in factor_rational_prime(field, prime):
@@ -244,9 +254,8 @@ def _cmd_frey(field, args):
             # takes it from a set of class representatives
             class_data(field)
             rep = least_odd_prime(field)
-        shape = conductor_shape(field, family, rep,
-                                odd_multiplicative_primes(spec))
-        payload["conductor"] = shape.to_dict()
+        payload["conductor"] = conductor_shape(
+            field, family, rep, odd_multiplicative_primes(spec))
     except AfcheckError as exc:
         caveats.append(f"conductor shape unavailable: {exc}")
     return payload, caveats, EXIT_OK
@@ -269,6 +278,7 @@ def _cmd_check(field, args):
                              f"{', '.join(readers)}, not by {theorem}")
     if "l" in reads and args["l"] is None:
         raise ParseError(f"check {theorem} needs --l")
+    _refuse_unproven("l", args["l"])
     values = dict(args, bound=DEFAULT_BOUND if args["bound"] is None
                   else args["bound"])
     # the field carries the class number, so no checker takes it

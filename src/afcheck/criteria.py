@@ -10,9 +10,7 @@ CRITERIA lists every criterion once: its conclusion, the check options it
 reads and its checker.
 """
 
-from dataclasses import dataclass
 from math import gcd
-from typing import NamedTuple
 
 from .errors import (BasisUnavailable, FactorizationIncomplete, IndexDivisor,
                      MissingUserClassNumber, SearchExhausted, Unsupported)
@@ -29,13 +27,16 @@ _ABC_OVER_2 = ("for all sufficiently large prime exponents p, "
                "every prime over 2 divides a*b*c")
 
 
-@dataclass
 class HypothesisStatus:
-    name: str
-    holds: bool
-    witness: object = None
-    status: tuple = ("proven",)
-    note: str = None
+    __slots__ = ("name", "holds", "witness", "status", "note")
+
+    def __init__(self, name: str, holds: bool, witness: object = None,
+                 status: tuple = ("proven",), note: str = None):
+        self.name = name
+        self.holds = holds
+        self.witness = witness
+        self.status = status
+        self.note = note
 
     @property
     def proven(self):
@@ -52,16 +53,15 @@ class HypothesisStatus:
         return out
 
 
-@dataclass
 class Verdict:
     """Read off its hypotheses; the notes are the checker's, then the note
     of each failing hypothesis."""
-    theorem_id: str
-    hypotheses: list
-    notes: list = ()
+    __slots__ = ("theorem_id", "hypotheses", "notes")
 
-    def __post_init__(self):
-        self.notes = [*self.notes, *(h.note for h in self.hypotheses if h.note)]
+    def __init__(self, theorem_id: str, hypotheses: list, notes: list = ()):
+        self.theorem_id = theorem_id
+        self.hypotheses = hypotheses
+        self.notes = [*notes, *(h.note for h in hypotheses if h.note)]
 
     @property
     def applies(self):
@@ -325,10 +325,13 @@ def check_thm_7_3_2(field: NumberField) -> Verdict:
 
 # ------------------------------------------------------------ the criteria
 
-class Criterion(NamedTuple):
-    conclusion: str
-    reads: tuple      # the check options read, in the checker's order
-    check: object     # check(field, *values of those options) -> Verdict
+class Criterion:
+    __slots__ = ("conclusion", "reads", "check")
+
+    def __init__(self, conclusion: str, reads: tuple, check: object):
+        self.conclusion = conclusion
+        self.reads = reads  # the check options read, in the checker's order
+        self.check = check  # check(field, *values of those options) -> Verdict
 
 
 _SUNIT_OPTIONS = ("bound", "user_class_number")

@@ -18,7 +18,6 @@ range at each prime and the odd primes that level lowering deletes.  No
 function here decides whether a triple is trivial or lies in W_K.
 """
 
-from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import cached_property
 from math import prod
@@ -33,11 +32,20 @@ FAMILY_SQUARE = "pp2"
 
 # ----------------------------------------------------------- symbolic forms
 
-@dataclass(frozen=True)
 class ValuationForm:
     """The affine form alpha + beta*p in the symbolic prime exponent p."""
-    alpha: int
-    beta: int
+    __slots__ = ("alpha", "beta")
+
+    def __init__(self, alpha: int, beta: int):
+        self.alpha = alpha
+        self.beta = beta
+
+    def __eq__(self, other):
+        return (isinstance(other, ValuationForm)
+                and (self.alpha, self.beta) == (other.alpha, other.beta))
+
+    def __hash__(self):
+        return hash((self.alpha, self.beta))
 
     @property
     def threshold(self) -> Fraction:
@@ -50,27 +58,29 @@ class ValuationForm:
 
 # ------------------------------------------------------------------- specs
 
-@dataclass(frozen=True)
 class FreySpec:
     """A Frey curve request.  A zero entry is refused at every exponent; a
     concrete exponent p is checked against the defining relation once, when
-    the spec is built."""
-    family: str
-    a: FieldElement
-    b: FieldElement
-    c: FieldElement
-    r: int = None
-    p: int = None  # None means symbolic
+    the spec is built, so the spec is frozen.  p None means symbolic."""
+    # the cached properties live in __dict__
+    __slots__ = ("family", "a", "b", "c", "r", "p", "__dict__")
 
-    def __post_init__(self):
-        if self.family not in (FAMILY_TWO_POWER, FAMILY_SQUARE):
-            raise ValueError(f"unknown family {self.family!r}")
-        if self.family == FAMILY_TWO_POWER and (self.r is None or self.r < 1):
+    def __init__(self, family: str, a: FieldElement, b: FieldElement,
+                 c: FieldElement, r: int = None, p: int = None):
+        if family not in (FAMILY_TWO_POWER, FAMILY_SQUARE):
+            raise ValueError(f"unknown family {family!r}")
+        if family == FAMILY_TWO_POWER and (r is None or r < 1):
             raise ValueError("family '2r' needs a positive twist exponent r")
+        for name, value in zip(self.__slots__, (family, a, b, c, r, p)):
+            object.__setattr__(self, name, value)
         if 0 in self.triple:
             raise RelationViolated("triple with abc = 0 gives a singular curve")
-        if self.p is not None:
+        if p is not None:
             self.validate()
+
+    def __setattr__(self, name, _value):
+        raise AttributeError(f"{type(self).__name__} is frozen: cannot set "
+                             f"{name!r}")
 
     @property
     def field(self) -> NumberField:
@@ -114,13 +124,16 @@ class FreySpec:
 
 # -------------------------------------------------------------- invariants
 
-@dataclass
 class FreyInvariants:
-    delta: FieldElement
-    c4: FieldElement
-    j: FieldElement
-    j_alt: FieldElement = None
-    c4_alt: FieldElement = None
+    __slots__ = ("delta", "c4", "j", "j_alt", "c4_alt")
+
+    def __init__(self, delta: FieldElement, c4: FieldElement, j: FieldElement,
+                 j_alt: FieldElement = None, c4_alt: FieldElement = None):
+        self.delta = delta
+        self.c4 = c4
+        self.j = j
+        self.j_alt = j_alt
+        self.c4_alt = c4_alt
 
     @property
     def forms_agree(self):
@@ -132,20 +145,9 @@ class FreyInvariants:
         return ok
 
 
-@dataclass
-class SymbolicInvariants:
-    family: str
-    delta_formula: str
-    c4_formula: str
-    j_formula: str
-
-    def to_dict(self):
-        return {"family": self.family, "delta": self.delta_formula,
-                "c4": self.c4_formula, "j": self.j_formula}
-
-
 def invariants(spec: FreySpec):
-    """Closed-form Delta, c4, j; exact values for a concrete exponent.
+    """Closed-form Delta, c4, j: exact values (FreyInvariants) for a
+    concrete exponent, else the formulas in p as a report dict.
 
     Both published shapes of the single redundant invariant (j for "2r",
     c4 for "pp2") are evaluated; agreement is exposed, never assumed.
@@ -189,16 +191,15 @@ def _quotient(x, y):
 def _symbolic_invariants(spec):
     if spec.family == FAMILY_TWO_POWER:
         r = spec.r
-        return SymbolicInvariants(
-            spec.family,
-            f"2^{4 + 2 * r} * (a*b*c)^(2p)",
-            f"2^4 * (a^(2p) + 2^{r} * b^p * c^p)",
-            f"2^{8 - 2 * r} * (a^(2p) + 2^{r} * b^p * c^p)^3 / (a*b*c)^(2p)")
-    return SymbolicInvariants(
-        spec.family,
-        "2^12 * (a^2*b)^p",
-        "2^6 * (4*b^p + a^p)",
-        "2^6 * (a^p + 4*b^p)^3 / (a^2*b)^p")
+        return {"family": spec.family,
+                "delta": f"2^{4 + 2 * r} * (a*b*c)^(2p)",
+                "c4": f"2^4 * (a^(2p) + 2^{r} * b^p * c^p)",
+                "j": f"2^{8 - 2 * r} * (a^(2p) + 2^{r} * b^p * c^p)^3 "
+                     "/ (a*b*c)^(2p)"}
+    return {"family": spec.family,
+            "delta": "2^12 * (a^2*b)^p",
+            "c4": "2^6 * (4*b^p + a^p)",
+            "j": "2^6 * (a^p + 4*b^p)^3 / (a^2*b)^p"}
 
 
 def weierstrass_invariants(spec: FreySpec):
@@ -244,16 +245,22 @@ def concrete_cross_check(spec: FreySpec, inv: FreyInvariants = None) -> bool:
 
 # ------------------------------------------------------- reduction reports
 
-@dataclass
 class ReductionReport:
-    prime: PrimeIdeal
-    family: str
-    v_delta: ValuationForm
-    v_c4: ValuationForm
-    v_j: ValuationForm
-    reduction_type: str
-    p_threshold: int
-    notes: list = dc_field(default_factory=list)
+    __slots__ = ("prime", "family", "v_delta", "v_c4", "v_j",
+                 "reduction_type", "p_threshold", "notes")
+
+    def __init__(self, prime: PrimeIdeal, family: str,
+                 v_delta: ValuationForm, v_c4: ValuationForm,
+                 v_j: ValuationForm, reduction_type: str, p_threshold: int,
+                 notes: list = ()):
+        self.prime = prime
+        self.family = family
+        self.v_delta = v_delta
+        self.v_c4 = v_c4
+        self.v_j = v_j
+        self.reduction_type = reduction_type
+        self.p_threshold = p_threshold
+        self.notes = list(notes)
 
     @property
     def flag_p_in_inertia(self):
@@ -363,49 +370,27 @@ def _profile_odd(spec, prime, v_a, v_b, v_c):
 
 # ---------------------------------------------------------------- conductor
 
-@dataclass
-class ConductorFactor:
-    prime: PrimeIdeal
-    exponent: tuple  # (lo, hi) range or (k, k) exact
-
-    def to_dict(self):
-        lo, hi = self.exponent
-        return {"prime": self.prime.to_dict(),
-                "exponent": lo if lo == hi else {"min": lo, "max": hi}}
-
-
-@dataclass
-class ConductorShape:
-    conductor: list
-    level_lowered: list
-    deleted: list
-
-    def to_dict(self):
-        return {"conductor": [f.to_dict() for f in self.conductor],
-                "level_lowered": [f.to_dict() for f in self.level_lowered],
-                "deleted": [p.to_dict() for p in self.deleted]}
-
-
 def conductor_shape(field: NumberField, family: str,
                     class_rep: PrimeIdeal | None,
-                    odd_multiplicative: list) -> ConductorShape:
-    """Formal conductor with exponent ranges, and the level-lowered part.
+                    odd_multiplicative: list) -> dict:
+    """Formal conductor with exponent ranges, and the level-lowered part,
+    as the report dict {"conductor", "level_lowered", "deleted"}.
 
     Primes above 2 carry the bound 2 + 6*v_P(2); the class representative
     carries 2 + 3*v_m(3); odd multiplicative primes appear with exponent 1
     and are the ones deleted in the level-lowered ideal.
     """
-    factors = []
-    for P in s_k(field):
-        factors.append(ConductorFactor(P, (0, 2 + 6 * P.e)))
+    factors = [{"prime": P.to_dict(), "exponent": {"min": 0, "max": 2 + 6 * P.e}}
+               for P in s_k(field)]
     if class_rep is not None:
         if family == FAMILY_SQUARE:
             raise ValueError("the pp2 family carries no class-representative prime")
         v3 = class_rep.e if class_rep.q == 3 else 0
-        factors.append(ConductorFactor(class_rep, (0, 2 + 3 * v3)))
-    lowered = list(factors)
-    mult = [ConductorFactor(P, (1, 1)) for P in odd_multiplicative]
-    return ConductorShape(factors + mult, lowered, list(odd_multiplicative))
+        factors.append({"prime": class_rep.to_dict(),
+                        "exponent": {"min": 0, "max": 2 + 3 * v3}})
+    mult = [{"prime": P.to_dict(), "exponent": 1} for P in odd_multiplicative]
+    return {"conductor": factors + mult, "level_lowered": factors,
+            "deleted": [P.to_dict() for P in odd_multiplicative]}
 
 
 def odd_multiplicative_primes(spec: FreySpec):

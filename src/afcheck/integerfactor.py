@@ -1,13 +1,15 @@
 """Deterministic integer primality and factorization.
 
 Trial division by a fixed small-prime table, then Miller-Rabin with a fixed
-base set (deterministic for n < 3.3e24), then Brent's variant of Pollard rho
-with a fixed parameter schedule and a fixed budget of rho steps per cofactor.
-All paths are reproducible; if the schedule or its budget is exhausted with a
-composite cofactor left, FactorizationIncomplete is raised so callers can
-reject soundly instead of mislabeling.  The budget finds prime factors up to
-about 10^11 (rho needs about sqrt(p) steps for a prime factor p) and bounds
-the time a hard cofactor costs to about a second.
+base set, a proof of primality below PRIME_PROOF_BOUND only, then Brent's
+variant of Pollard rho with a fixed parameter schedule and a fixed budget of
+rho steps per cofactor.  All paths are reproducible; if the schedule or its
+budget is exhausted with a composite cofactor left, or a cofactor at or
+above PRIME_PROOF_BOUND passes Miller-Rabin, FactorizationIncomplete is
+raised so callers can reject soundly instead of mislabeling.  The budget
+finds prime factors up to about 10^11 (rho needs about sqrt(p) steps for a
+prime factor p) and bounds the time a hard cofactor costs to about a
+second.
 """
 
 from math import gcd, isqrt
@@ -29,11 +31,16 @@ def _sieve(limit):
 
 SMALL_PRIMES = _sieve(_TRIAL_LIMIT)
 
-# Deterministic MR base set for n < 3.317e24 (Sorenson-Webster).
+# Miller-Rabin on these bases proves n prime for n below PRIME_PROOF_BOUND,
+# psi_12 = 1287836182261 * 2575672364521, the least strong pseudoprime to
+# all of them (Sorenson-Webster).
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+PRIME_PROOF_BOUND = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
+    """True when n is a prime below PRIME_PROOF_BOUND; a prime at or above
+    it is not proven, so it gets False too."""
     if n < 2:
         return False
     for p in SMALL_PRIMES[:60]:
@@ -41,6 +48,11 @@ def is_prime(n: int) -> bool:
             return True
         if n % p == 0:
             return False
+    return n < PRIME_PROOF_BOUND and _passes_miller_rabin(n)
+
+
+def _passes_miller_rabin(n: int) -> bool:
+    """n, odd and above 37, is a strong probable prime to every base."""
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
@@ -99,7 +111,9 @@ def factorint(n: int) -> dict:
 
     Raises FactorizationIncomplete when a composite cofactor survives the
     rho schedule or its step budget, as one with two prime factors above
-    about 10^11 does; callers must treat it as "unknown", never as "prime".
+    about 10^11 does, and when a cofactor at or above PRIME_PROOF_BOUND
+    passes Miller-Rabin, so that its primality is not proven; callers must
+    treat it as "unknown", never as "prime".
     The exception's partial factorization holds every prime factor below
     the trial limit 10^4.
     """
@@ -123,6 +137,10 @@ def factorint(n: int) -> dict:
         if is_prime(m):
             out[m] = out.get(m, 0) + 1
             continue
+        if m >= PRIME_PROOF_BOUND and _passes_miller_rabin(m):
+            raise FactorizationIncomplete(
+                m, out, f"cofactor {m} passes Miller-Rabin but is not below "
+                f"{PRIME_PROOF_BOUND}, where that proves it prime")
         d = _brent(m)
         if d in (0, 1, m):
             raise FactorizationIncomplete(m, out)

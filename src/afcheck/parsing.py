@@ -36,6 +36,8 @@ class ParseError(ValueError):
 _TOKEN = re.compile(r"(\d+)|(\*\*|[-+*/^()xX])|(\S)")
 # the digits of one int() call in Fraction(), which allows "_" between them
 _DIGIT_RUN = re.compile(r"[\d_]+")
+# the exponent of a Fraction() string, as Fraction() reads it
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)")
 
 
 def _tokenize(text):
@@ -202,6 +204,11 @@ def parse_poly(text: str):
             part = part.strip()
             for digits in _DIGIT_RUN.findall(part):
                 _check_literal(digits)
+            # Fraction() would build 10^N for "1eN" before _check_digits
+            exponent = _EXPONENT.search(part)
+            if exponent and abs(int(exponent[1])) > MAX_PARSED_DIGITS:
+                raise ParseError("coefficient above the parser's cap of "
+                                 f"{MAX_PARSED_DIGITS} digits")
             try:
                 result.append(Fraction(part))
             except (ValueError, ZeroDivisionError) as exc:

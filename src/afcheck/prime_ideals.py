@@ -8,7 +8,6 @@ integers: v_P(m/d) = e * (v_q(m) - v_q(d)).  Other valuations are computed
 by repeated multiplication with a cached anti-uniformizer.
 """
 
-from dataclasses import dataclass
 from math import gcd
 
 from .errors import FactorizationIncomplete, IndexDivisor, ZeroElement
@@ -75,18 +74,22 @@ class PrimeIdeal:
         return self._beta
 
 
-@dataclass(frozen=True)
 class SplittingType:
     """Shape of q*O_K with the three named predicates of interest.
 
     For degree-one fields all predicates hold simultaneously and the kind
     reported is "totally-split".
     """
-    pattern: tuple
-    kind: str
-    inert: bool
-    totally_ramified: bool
-    totally_split: bool
+    __slots__ = ("pattern", "kind", "inert", "totally_ramified",
+                 "totally_split")
+
+    def __init__(self, pattern: tuple, kind: str, inert: bool,
+                 totally_ramified: bool, totally_split: bool):
+        self.pattern = pattern
+        self.kind = kind
+        self.inert = inert
+        self.totally_ramified = totally_ramified
+        self.totally_split = totally_split
 
     def to_dict(self):
         return {"pattern": [list(p) for p in self.pattern], "kind": self.kind,

@@ -28,7 +28,6 @@ and its integer norm (_mu_valuations): nothing is factored.  Its mirror
 Completeness is always reported as a bounded-search caveat, never claimed.
 """
 
-from dataclasses import dataclass
 from math import isqrt
 
 from .errors import (BasisUnavailable, IsSquare, MissingUserClassNumber,
@@ -42,14 +41,18 @@ from .units import class_data, principal_generator, unit_generators
 
 # ------------------------------------------------------------------ basis
 
-@dataclass
 class SUnitBasis:
-    torsion_gen: FieldElement
-    torsion_order: int
-    units: list
-    pis: list       # pi_P for each P in S, in the order of S
-    orders: list    # k_P for each P in S
-    exponent_bound: int
+    __slots__ = ("torsion_gen", "torsion_order", "units", "pis", "orders",
+                 "exponent_bound")
+
+    def __init__(self, torsion_gen: FieldElement, torsion_order: int,
+                 units: list, pis: list, orders: list, exponent_bound: int):
+        self.torsion_gen = torsion_gen
+        self.torsion_order = torsion_order
+        self.units = units
+        self.pis = pis          # pi_P for each P in S, in the order of S
+        self.orders = orders    # k_P for each P in S
+        self.exponent_bound = exponent_bound
 
     @property
     def free_generators(self):
@@ -107,12 +110,15 @@ def _prime_power_generators(field, S, h):
 
 # -------------------------------------------------------------- solutions
 
-@dataclass
 class SUnitSolution:
-    lam: FieldElement
-    mu: FieldElement
-    val_profile: dict        # P -> (v_P(lambda), v_P(mu))
-    from_box: bool
+    __slots__ = ("lam", "mu", "val_profile", "from_box")
+
+    def __init__(self, lam: FieldElement, mu: FieldElement, val_profile: dict,
+                 from_box: bool):
+        self.lam = lam
+        self.mu = mu
+        self.val_profile = val_profile  # P -> (v_P(lambda), v_P(mu))
+        self.from_box = from_box
 
     def pair_dict(self):
         return {"lambda": self.lam.coord_strs(), "mu": self.mu.coord_strs()}
@@ -126,10 +132,12 @@ class SUnitSolution:
                 "from_box": self.from_box}
 
 
-@dataclass
 class SUnitSearch:
-    bound: int
-    solutions: list
+    __slots__ = ("bound", "solutions")
+
+    def __init__(self, bound: int, solutions: list):
+        self.bound = bound
+        self.solutions = solutions
 
     @property
     def completeness(self):
@@ -463,10 +471,12 @@ def _charpoly_of_square_root(x: FieldElement):
     return doubled
 
 
-@dataclass
 class SelmerGroup:
-    basis: list
-    representatives: list
+    __slots__ = ("basis", "representatives")
+
+    def __init__(self, basis: list, representatives: list):
+        self.basis = basis
+        self.representatives = representatives
 
     @property
     def basis_size(self):

@@ -23,7 +23,6 @@ carries (make_field), read only by class_data.  Computed once per field
 when first read, its fundamental unit; the unit group of a supported
 field; the class data."""
 
-from dataclasses import dataclass
 from itertools import product
 from math import gcd, isqrt, prod
 
@@ -51,21 +50,26 @@ QUADRATIC_STEP_BUDGET = 1 << 14
 
 # --------------------------------------------------------------- containers
 
-@dataclass
 class UnitGroup:
-    fundamental_units: list
-    torsion_order: int
-    torsion_gen: FieldElement
+    __slots__ = ("fundamental_units", "torsion_order", "torsion_gen")
+
+    def __init__(self, fundamental_units: list, torsion_order: int,
+                 torsion_gen: FieldElement):
+        self.fundamental_units = fundamental_units
+        self.torsion_order = torsion_order
+        self.torsion_gen = torsion_gen
 
     def generators(self):
         return [self.torsion_gen] + list(self.fundamental_units)
 
 
-@dataclass
 class ClassData:
-    h: int
-    h_plus: int
-    completeness: tuple
+    __slots__ = ("h", "h_plus", "completeness")
+
+    def __init__(self, h: int, h_plus: int, completeness: tuple):
+        self.h = h
+        self.h_plus = h_plus
+        self.completeness = completeness
 
 
 # --------------------------------------------------- quadratic field data

@@ -25,6 +25,7 @@ from afcheck.cli import run
 from afcheck.criteria import CRITERIA
 from afcheck.frey import FAMILY_SQUARE, FAMILY_TWO_POWER
 from afcheck.frey import ValuationForm
+from afcheck.integerfactor import PRIME_PROOF_BOUND
 from afcheck.parsing import ParseError, parse_poly
 from afcheck.report import build_report, emit_json, to_jsonable
 
@@ -198,6 +199,23 @@ class TestCommands:
                                       "1", "--c", "1", "--r", "2", flag, value])
         assert code == 1
         assert rep["result"]["error"]["type"] == "ParseError"
+
+    # psi_12 passes Miller-Rabin on every base that is_prime uses;
+    # 2^89 - 1 is a prime past the bound
+    @pytest.mark.parametrize("argv", [
+        ["frey", "2r", "x", "--a", "1", "--b", "1", "--c", "1", "--r", "1",
+         "--p", str(PRIME_PROOF_BOUND)],
+        ["frey", "2r", "x", "--a", "1", "--b", "1", "--c", "1", "--r", "1",
+         "--p", "5", "--prime", str(2 ** 89 - 1)],
+        ["check", "thm-7-1", "x^2-2", "--l", str(PRIME_PROOF_BOUND)],
+        ["check", "thm-7-3", "x^3-x^2-2*x+1", "--mode", "1",
+         "--l", str(2 ** 89 - 1)]])
+    def test_a_prime_above_the_proven_range_is_refused(self, capsys, argv):
+        code, rep = run_json(capsys, argv)
+        assert code == 1
+        error = rep["result"]["error"]
+        assert error["type"] == "ParseError"
+        assert f"must be below {PRIME_PROOF_BOUND}" in error["message"]
 
     def test_frey_relation_violation(self, capsys):
         code, rep = run_json(capsys, ["frey", "2r", "x", "--a", "1", "--b", "1",
@@ -514,11 +532,11 @@ class TestErrorReportsCarryTheField:
         (["field", "x^3-x^2-2*x-8"], "IndexDivisor",
          {"poly": [-8, -2, -1, 1], "degree": 3, "signature": [1, 1],
           "poly_disc": -2012, "field_disc": None}),
-        (["check", "thm-5-2", "x^2 - 1000000000000000000000000000099"],
+        (["check", "thm-5-2", "x^2 - 1000000000000000000000007"],
          "BasisUnavailable",
-         {"poly": ["-1000000000000000000000000000099", 0, 1], "degree": 2,
+         {"poly": ["-1000000000000000000000007", 0, 1], "degree": 2,
           "signature": [2, 0],
-          "poly_disc": "4000000000000000000000000000396", "field_disc": None}),
+          "poly_disc": "4000000000000000000000028", "field_disc": None}),
     ])
     def test_field_built_before_the_error(self, capsys, argv, error, summary):
         started = time.perf_counter()
@@ -655,9 +673,10 @@ class TestHardFactorizations:
         assert -4 * 99999999999999999999 ** 3 - 27 not in factored
 
     def test_pell_period_beyond_the_budget_is_an_error(self, capsys):
-        # a 31-digit prime d = 3 mod 4: the continued fraction of sqrt(d)
-        # has a period of about sqrt(d) steps
-        d = 10 ** 30 + 99
+        # a 25-digit prime d = 3 mod 4, below the bound where is_prime
+        # proves primality: the continued fraction of sqrt(d) has a period
+        # of about sqrt(d) steps
+        d = 10 ** 24 + 7
         code, rep = self.timed(capsys, ["sunit", f"x^2 - {d}",
                                         "--bound", "2"])
         assert code == 1
@@ -727,9 +746,9 @@ class TestHardFactorizations:
             "-1000000000039 need more than 16384 steps"]
 
     def test_reduced_forms_beyond_the_budget(self, capsys):
-        # the class number of a 31-digit discriminant would take about
-        # 3*10^30 reduced-form steps
-        poly = f"x^2 - {10 ** 30 + 99}"
+        # the class number of a 25-digit discriminant would take about
+        # 10^24 reduced-form steps
+        poly = f"x^2 - {10 ** 24 + 7}"
         # the exhausted class number leaves h+ = 1 assumed; the unit
         # search of the S-unit basis then gives up as well
         code, rep = self.timed(capsys, ["check", "thm-5-2", poly])
@@ -1347,10 +1366,21 @@ class TestCommandTable:
         assert error == f"afcheck: error: {reason}"
 
     def test_import_leaves_argparse_out(self):
-        src = str(Path(afcheck.__file__).resolve().parents[1])
-        proc = subprocess.run(
-            [sys.executable, "-c", "import sys, afcheck.cli; "
-             "print(sorted({'argparse', 'gettext'} & set(sys.modules)))"],
-            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
-            timeout=120, check=True)
-        assert proc.stdout.strip() == "[]"
+        assert imported_of(("argparse", "gettext")) == []
+
+    def test_import_leaves_dataclasses_inspect_and_typing_out(self):
+        # -S: without site, sys.modules holds only what afcheck.cli loads
+        assert imported_of(("dataclasses", "inspect", "typing", "ast", "dis",
+                            "tokenize"), "-S") == []
+
+
+def imported_of(modules, *flags):
+    """The names among modules that importing afcheck.cli loads, in a new
+    interpreter started with flags."""
+    src = str(Path(afcheck.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", "import sys, afcheck.cli; "
+         f"print(*sorted({set(modules)!r} & set(sys.modules)))"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+        timeout=120, check=True)
+    return proc.stdout.split()

@@ -131,8 +131,8 @@ class TestInvariants:
     def test_symbolic_formulas(self):
         spec = q_spec(FAMILY_TWO_POWER, 1, 1, 1, r=2)
         sym = invariants(spec)
-        assert "2^8" in sym.delta_formula
-        assert "(a*b*c)^(2p)" in sym.delta_formula
+        assert "2^8" in sym["delta"]
+        assert "(a*b*c)^(2p)" in sym["delta"]
 
 
 # Fields of degree 1 to 6; the sextic is the first field of the benchmark's
@@ -394,18 +394,21 @@ class TestConductor:
         rep = factor_rational_prime(Q, 3)[0]
         odd = [factor_rational_prime(Q, 5)[0], factor_rational_prime(Q, 7)[0]]
         shape = conductor_shape(Q, FAMILY_TWO_POWER, rep, odd)
-        assert len(shape.conductor) == 1 + 1 + 2
-        assert len(shape.level_lowered) == 2
-        assert shape.deleted == odd
-        two_factor = shape.conductor[0]
-        assert two_factor.exponent == (0, 8)  # 2 + 6*v(2) over Q
-        rep_factor = shape.conductor[1]
-        assert rep_factor.exponent == (0, 5)  # 2 + 3*v_m(3) at m = (3)
+        assert len(shape["conductor"]) == 1 + 1 + 2
+        assert len(shape["level_lowered"]) == 2
+        assert shape["deleted"] == [P.to_dict() for P in odd]
+        two_factor = shape["conductor"][0]
+        # 2 + 6*v(2) over Q
+        assert two_factor["exponent"] == {"min": 0, "max": 8}
+        rep_factor = shape["conductor"][1]
+        # 2 + 3*v_m(3) at m = (3)
+        assert rep_factor["exponent"] == {"min": 0, "max": 5}
+        assert [f["exponent"] for f in shape["conductor"][2:]] == [1, 1]
 
     def test_family_b_supported_on_two(self):
         shape = conductor_shape(Q, FAMILY_SQUARE, None, [])
-        assert len(shape.level_lowered) == 1
-        assert shape.level_lowered[0].prime.q == 2
+        assert len(shape["level_lowered"]) == 1
+        assert shape["level_lowered"][0]["prime"]["q"] == 2
 
     def test_odd_support_detection(self):
         spec = q_spec(FAMILY_SQUARE, 1, 2, 3, p=3)

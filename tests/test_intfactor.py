@@ -5,9 +5,12 @@ import time
 
 import pytest
 import sympy
+from hypothesis import given
+from hypothesis import strategies as st
 
 from afcheck.errors import FactorizationIncomplete
-from afcheck.integerfactor import factorint, is_prime, squarefree_part
+from afcheck.integerfactor import (PRIME_PROOF_BOUND, factorint, is_prime,
+                                   squarefree_part)
 
 
 def test_is_prime_small_range():
@@ -18,6 +21,24 @@ def test_is_prime_small_range():
 def test_is_prime_carmichael_and_strong_pseudoprimes():
     for n in (561, 1105, 1729, 2465, 2821, 6601, 3215031751):
         assert not is_prime(n)
+
+
+@given(st.integers(min_value=-10, max_value=PRIME_PROOF_BOUND - 1))
+def test_is_prime_below_the_proven_bound(n):
+    assert is_prime(n) == sympy.isprime(n)
+
+
+# psi_12, a strong pseudoprime to every base is_prime uses, and the prime
+# 2^89 - 1 lie past the proven range: neither is called prime
+@pytest.mark.parametrize("n, prime", [(PRIME_PROOF_BOUND, False),
+                                      (2 ** 89 - 1, True)])
+def test_past_the_proven_bound_nothing_is_prime(n, prime):
+    assert sympy.isprime(n) == prime
+    assert not is_prime(n)
+    with pytest.raises(FactorizationIncomplete) as exc:
+        factorint(12 * n)
+    assert exc.value.leftover == n
+    assert exc.value.partial == {2: 2, 3: 1}
 
 
 def test_factorint_reconstructs():

@@ -11,6 +11,7 @@ import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from afcheck import parsing
 from afcheck.cli import run
 from afcheck.parsing import (MAX_PARSED_DEGREE, MAX_PARSED_DIGITS, ParseError,
                              parse_poly)
@@ -27,6 +28,7 @@ class TestCoefficients:
         ("x^0", [1]),
         ("x - x", []),
         ("\u0663x + 1", [1, 3]),  # a decimal digit of another script
+        ("1.5e3, 1", [1500, 1]),
     ])
     def test_integer_text_gives_ints(self, text, coeffs):
         got = parse_poly(text)
@@ -252,6 +254,20 @@ class TestDigitCap:
         assert parse_poly("2^64 + (-3)^3 x") == [2 ** 64, -27]
         assert all(type(c) is int for c in parse_poly("2^64 + (-3)^3 x"))
         assert parse_poly("(2/4)^2 x") == [0, Fraction(1, 4)]
+
+    @pytest.mark.parametrize("text", [
+        "1e1000000, 1", "1, 1E3000000", "1, 2.5e-4301", "1e4_301, 1"])
+    def test_a_long_exponent_never_reaches_fraction(self, monkeypatch, text):
+        seen = []
+
+        def spy(*args):
+            seen.append(args)
+            return Fraction(*args)
+
+        monkeypatch.setattr(parsing, "Fraction", spy)
+        with pytest.raises(ParseError, match="coefficient above"):
+            parse_poly(text)
+        assert [a for a in seen if "e" in str(a[0]).lower()] == []
 
     def test_cli_reports_a_parse_error(self, capsys):
         code = run(["--output", "json", "field", "1" * 5000 + "+x"])

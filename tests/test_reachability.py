@@ -1,6 +1,6 @@
 """Every top-level definition of the package has a caller, every name a
 module of the package imports is used there, every parameter is read, and
-every dataclass field is read.
+every field of a record class is read.
 
 A definition is a def, a class or a module-level name binding (a constant
 such as a budget); dunder names such as __version__ are left out.  A name
@@ -23,12 +23,14 @@ included, is read by the function's body, unless its name begins with "_"
 (a handler that a table calls with arguments it does not need).  A
 parameter that the body only assigns is unread.
 
-A field of a top-level dataclass of the package counts as read when some
-code in src/afcheck/ or perfbench/ reads an attribute of that name; tests
-do not count, and neither does a write.  A read of self.<name> inside a
-top-level class counts only for that class's own fields.  Other reads match
-names only, not the object read: a field such as `field` or `notes` whose
-name another object also has passes if any code reads that name.
+A record class is a top-level class of the package that declares
+__slots__, and its fields are the names listed there, __dict__ left out.
+A field counts as read when some code in src/afcheck/ or perfbench/ reads
+an attribute of that name; tests do not count, and neither does a write.
+A read of self.<name> inside a top-level class counts only for that class's
+own fields.  Other reads match names only, not the object read: a field
+such as `field` or `notes` whose name another object also has passes if
+any code reads that name.
 """
 
 import ast
@@ -202,24 +204,27 @@ def unread_parameters(package=PACKAGE):
     return sorted(unread)
 
 
-def _is_dataclass(decorator):
-    """decorator is @dataclass or @dataclasses.dataclass, with or without
-    arguments."""
-    target = decorator.func if isinstance(decorator, ast.Call) else decorator
-    name = target.id if isinstance(target, ast.Name) else getattr(
-        target, "attr", None)
-    return name == "dataclass"
+def _slots(stmt):
+    """The names a class-body statement lists in __slots__, if it assigns
+    __slots__ a string or a tuple or list of strings."""
+    if not (isinstance(stmt, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "__slots__"
+                    for t in stmt.targets)):
+        return []
+    value = stmt.value
+    items = value.elts if isinstance(value, (ast.Tuple, ast.List)) else [value]
+    return [item.value for item in items if isinstance(item, ast.Constant)]
 
 
-def _dataclass_fields(tree):
-    """(class, field) of the fields of each top-level dataclass in tree."""
+def _record_fields(tree):
+    """(class, field) of the fields of each top-level record class in tree:
+    the names in its __slots__, dunder names such as __dict__ left out."""
     for node in tree.body:
-        if isinstance(node, ast.ClassDef) and any(
-                map(_is_dataclass, node.decorator_list)):
+        if isinstance(node, ast.ClassDef):
             for stmt in node.body:
-                if (isinstance(stmt, ast.AnnAssign)
-                        and isinstance(stmt.target, ast.Name)):
-                    yield node.name, stmt.target.id
+                for name in _slots(stmt):
+                    if not _is_dunder(name):
+                        yield node.name, name
 
 
 def _attribute_reads(path):
@@ -237,13 +242,13 @@ def _attribute_reads(path):
 
 
 def unread_fields(package=PACKAGE, callers=CALLERS):
-    """Sorted "module.Class.field" of the dataclass fields in package that
-    nothing in the caller directories reads as an attribute."""
+    """Sorted "module.Class.field" of the record class fields in package
+    that nothing in the caller directories reads as an attribute."""
     read = {pair for base in callers for path in base.glob("*.py")
             for pair in _attribute_reads(path)}
     return sorted(f"{path.stem}.{cls}.{name}"
                   for path in sorted(package.glob("*.py"))
-                  for cls, name in _dataclass_fields(_parse(path))
+                  for cls, name in _record_fields(_parse(path))
                   if not {(None, name), (f"{path.stem}.{cls}", name)} & read)
 
 
@@ -373,7 +378,7 @@ def test_the_parameter_check_finds_an_unread_parameter(tmp_path):
         "mod.waiting.item"]
 
 
-def test_every_dataclass_field_is_read():
+def test_every_record_field_is_read():
     assert unread_fields() == []
 
 
@@ -382,23 +387,24 @@ def test_the_field_check_finds_an_unread_field(tmp_path):
     package.mkdir()
     bench.mkdir()
     (package / "mod.py").write_text(
-        "import dataclasses\n"
-        "from dataclasses import dataclass\n"
-        "@dataclass\n"
         "class Record:\n"
-        "    read: int\n"
-        "    written: int\n"
-        "    unread: int = 0\n"
+        "    __slots__ = ('read', 'written', 'unread')\n"
+        "    def __init__(self, read, written, unread=0):\n"
+        "        self.read = read\n"
+        "        self.written = written\n"
+        "        self.unread = unread\n"
         "    def total(self): return self.read\n"
-        "@dataclasses.dataclass(frozen=True)\n"
         "class Frozen:\n"
-        "    benched: str\n"
-        "    spare: str\n"
+        "    __slots__ = ['benched', 'spare', '__dict__']\n"
+        "    def __init__(self, benched, spare):\n"
+        "        object.__setattr__(self, 'benched', benched)\n"
+        "        object.__setattr__(self, 'spare', spare)\n"
+        "    def __setattr__(self, name, value): raise AttributeError(name)\n"
         "class Plain:\n"
         "    annotated: int\n"
-        "@dataclass\n"
+        "    def __init__(self): self.loose = 0\n"
         "class Tagged:\n"
-        "    tag: str\n"
+        "    __slots__ = 'tag'\n"
         "class Search:\n"
         "    @property\n"
         "    def tag(self): return 'bounded'\n"
