@@ -179,7 +179,7 @@ def _metavar(name, choices):
 def _cmd_field(field, _args):
     # an index divisor at 2 or 3 ends the request here, before the
     # discriminant is factored; verified_field_disc raises nothing
-    splitting = {f"splitting_{q}": splitting_type(field, q).to_dict()
+    splitting = {f"splitting_{q}": splitting_type(field, q)
                  for q in (2, 3)}
     verified_field_disc(field)
     payload = {"signature": list(field.signature),

@@ -28,6 +28,8 @@ _ABC_OVER_2 = ("for all sufficiently large prime exponents p, "
 
 
 class HypothesisStatus:
+    """A checked hypothesis; the note explains a failure, so it is kept only
+    when the hypothesis fails."""
     __slots__ = ("name", "holds", "witness", "status", "note")
 
     def __init__(self, name: str, holds: bool, witness: object = None,
@@ -36,7 +38,7 @@ class HypothesisStatus:
         self.holds = holds
         self.witness = witness
         self.status = status
-        self.note = note
+        self.note = None if holds else note
 
     @property
     def proven(self):
@@ -81,37 +83,30 @@ class Verdict:
                 "caveats": self.caveats, "notes": self.notes}
 
 
-def _hyp(name, holds, witness=None, note=None, status=("proven",)):
-    """A checked hypothesis; the note explains a failure, so it is kept only
-    when the hypothesis fails."""
-    return HypothesisStatus(name, holds, witness, status,
-                            None if holds else note)
-
-
 def _hyp_totally_real(field):
-    return _hyp("field is totally real", field.is_totally_real,
-                {"signature": list(field.signature)},
-                f"computed signature {field.signature}")
+    return HypothesisStatus("field is totally real", field.is_totally_real,
+                            {"signature": list(field.signature)},
+                            note=f"computed signature {field.signature}")
 
 
 def _hyp_odd_degree(field):
     n = field.degree
-    return _hyp("degree is odd", n % 2 == 1, {"degree": n}, f"degree {n} is even")
+    return HypothesisStatus("degree is odd", n % 2 == 1, {"degree": n},
+                            note=f"degree {n} is even")
 
 
 def _hyp_shape(field, q, name, predicate):
-    """q factors with the shape named by `predicate`, an attribute of
-    SplittingType; the witness lists every prime over q."""
+    """q factors with the shape named by `predicate`, a key of
+    splitting_type; the witness lists every prime over q."""
     st = splitting_type(field, q)
-    wit = st.to_dict()
-    wit["primes"] = []
+    wit = {**st, "pattern": [list(p) for p in st["pattern"]], "primes": []}
     for P in factor_rational_prime(field, q):
         entry = P.to_dict()
         if (root := P.residue_root()) is not None:
             entry["root"] = root
         wit["primes"].append(entry)
-    return _hyp(name, getattr(st, predicate), wit,
-                f"{q} factors with shape {list(st.pattern)}")
+    return HypothesisStatus(name, st[predicate], wit, note=f"{q} factors "
+                            f"with shape {list(st['pattern'])}")
 
 
 _TWO_INERT = (2, "2 is inert", "inert")
@@ -124,13 +119,15 @@ def _hyps_aux_prime(field, ell):
     n, g, prime = field.degree, gcd(field.degree, ell - 1), is_prime(ell)
     ramified = "l is totally ramified"
     return [
-        _hyp("l is a prime larger than 5", prime and ell > 5,
-             {"l": ell}, f"l = {ell}"),
-        _hyp("gcd(degree, l - 1) = 1", g == 1,
-             {"degree": n, "l": ell, "gcd": g}, f"gcd({n}, {ell - 1}) = {g}"),
+        HypothesisStatus("l is a prime larger than 5", prime and ell > 5,
+                         {"l": ell}, note=f"l = {ell}"),
+        HypothesisStatus("gcd(degree, l - 1) = 1", g == 1,
+                         {"degree": n, "l": ell, "gcd": g},
+                         note=f"gcd({n}, {ell - 1}) = {g}"),
         _hyp_shape(field, ell, ramified, "totally_ramified") if prime
-        else _hyp(ramified, False,
-                  note=f"{ell} is not a prime; ramification not evaluated"),
+        else HypothesisStatus(
+            ramified, False,
+            note=f"{ell} is not a prime; ramification not evaluated"),
     ]
 
 
@@ -186,8 +183,9 @@ def check_thm_3_2(field: NumberField, bound: int) -> Verdict:
 
 def _hyp_lifting(field):
     if field.degree % 2 == 1:
-        return _hyp("degree of the field is odd (lifting hypothesis satisfied "
-                    "unconditionally)", True, {"degree": field.degree})
+        return HypothesisStatus("degree of the field is odd (lifting "
+                                "hypothesis satisfied unconditionally)", True,
+                                {"degree": field.degree})
     return HypothesisStatus(
         "modularity-lift statement for even-degree fields", True,
         status=("assumed", f"[K:Q] = {field.degree} is even; the "
@@ -234,8 +232,9 @@ def check_cor_3_4(field: NumberField, bound: int) -> Verdict:
         "every solution meets max(|v(lambda)|, |v(mu)|) = v(2) exactly at "
         "some prime over 2 with v(2) coprime to 3",
         search, primes_u, pred, bound),
-        _hyp("derived congruence v(lambda*mu) = t (mod 3) for t > 0",
-             derivation_ok, status=search.completeness)]
+        HypothesisStatus(
+            "derived congruence v(lambda*mu) = t (mod 3) for t > 0",
+            derivation_ok, status=search.completeness)]
     return Verdict("cor-3-4", hyps, _empty_box_note(search, bound))
 
 
@@ -247,9 +246,10 @@ def check_thm_5_2(field: NumberField, bound: int) -> Verdict:
     narrow = "narrow class number equals 1"
     try:
         info = class_data(field)
-        hyps.append(_hyp(narrow, info.h_plus == 1,
-                         {"h": info.h, "h_plus": info.h_plus},
-                         f"computed h+ = {info.h_plus}", info.completeness))
+        hyps.append(HypothesisStatus(narrow, info.h_plus == 1,
+                                     {"h": info.h, "h_plus": info.h_plus},
+                                     info.completeness,
+                                     note=f"computed h+ = {info.h_plus}"))
     except (MissingUserClassNumber, Unsupported, SearchExhausted) as exc:
         hyps.append(HypothesisStatus(narrow, True,
                                      status=("assumed", str(exc))))
@@ -302,8 +302,8 @@ def check_cor_7_2(field: NumberField) -> Verdict:
     """Purely local: odd degree prime to 3, 2 inert, 3 totally split."""
     n = field.degree
     hyps = [_hyp_totally_real(field), _hyp_odd_degree(field),
-            _hyp("3 does not divide the degree", n % 3 != 0, {"degree": n},
-                 f"3 divides degree {n}"),
+            HypothesisStatus("3 does not divide the degree", n % 3 != 0,
+                             {"degree": n}, note=f"3 divides degree {n}"),
             _hyp_shape(field, *_TWO_INERT), _hyp_shape(field, *_THREE_SPLIT)]
     return Verdict("cor-7-2", hyps)
 
@@ -371,8 +371,8 @@ def scan_ramified_l(field: NumberField, l_max: int):
         entry = {"l": ell, "gcd_ok": gcd(field.degree, ell - 1) == 1}
         try:
             st = splitting_type(field, ell)
-            entry["totally_ramified"] = st.totally_ramified
-            entry["pattern"] = [list(p) for p in st.pattern]
+            entry["totally_ramified"] = st["totally_ramified"]
+            entry["pattern"] = [list(p) for p in st["pattern"]]
         except IndexDivisor:
             entry["skipped"] = f"index divisor at {ell}"
         out.append(entry)

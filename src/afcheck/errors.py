@@ -37,10 +37,10 @@ class IndexDivisor(AfcheckError):
     """The power basis is not maximal at q; re-present the field with a
     different defining polynomial."""
 
-    def __init__(self, q, message=None, **payload):
-        super().__init__(
-            message or f"{q} divides the index of the power-basis order; "
-            f"supply a different defining polynomial", q=q, **payload)
+    def __init__(self, q, **payload):
+        super().__init__(f"{q} divides the index of the power-basis order; "
+                         "supply a different defining polynomial", q=q,
+                         **payload)
         self.q = q
 
 

@@ -66,7 +66,7 @@ class FreySpec:
     __slots__ = ("family", "a", "b", "c", "r", "p", "__dict__")
 
     def __init__(self, family: str, a: FieldElement, b: FieldElement,
-                 c: FieldElement, r: int = None, p: int = None):
+                 c: FieldElement, r: int, p: int):
         if family not in (FAMILY_TWO_POWER, FAMILY_SQUARE):
             raise ValueError(f"unknown family {family!r}")
         if family == FAMILY_TWO_POWER and (r is None or r < 1):
@@ -233,11 +233,9 @@ def weierstrass_invariants(spec: FreySpec):
     return tuple(map(spec.lift, (delta, c4, c6, _quotient(c4 ** 3, delta))))
 
 
-def concrete_cross_check(spec: FreySpec, inv: FreyInvariants = None) -> bool:
+def concrete_cross_check(spec: FreySpec, inv: FreyInvariants) -> bool:
     """Closed forms against the literal Weierstrass computation; exact.
-    inv is invariants(spec) when the caller has it already."""
-    if inv is None:
-        inv = invariants(spec)
+    inv is invariants(spec)."""
     delta, c4, _c6, j = weierstrass_invariants(spec)
     return (inv.forms_agree and inv.delta == delta
             and inv.c4 == c4 and inv.j == j)

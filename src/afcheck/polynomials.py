@@ -742,7 +742,7 @@ _PATTERN_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
 _PATTERN_TRIES = 6
 
 
-def irreducible_by_degree_patterns(f, disc, no_linear=False):
+def irreducible_by_degree_patterns(f, disc, no_linear):
     """True when the factor degrees of the monic f modulo small primes prove
     it irreducible over Z; False when they leave the question open.
 

@@ -4,8 +4,11 @@ Rational primes are factored through the reduction of the defining
 polynomial, guarded by the Dedekind index criterion: a prime dividing the
 index of Z[theta] in the maximal order raises IndexDivisor rather than
 producing silently wrong data.  Valuations of rationals come from the
-integers: v_P(m/d) = e * (v_q(m) - v_q(d)).  Other valuations are computed
-by repeated multiplication with a cached anti-uniformizer.
+integers: v_P(m/d) = e * (v_q(m) - v_q(d)).  Other valuations come from the
+integers too: the numerator is multiplied by the cofactor f/g mod q of the
+prime's generator g, and one count is taken per division by q that leaves
+integer coordinates (see valuation); no anti-uniformizer is searched for
+or stored.
 """
 
 from math import gcd
@@ -14,7 +17,7 @@ from .errors import FactorizationIncomplete, IndexDivisor, ZeroElement
 from .integerfactor import factorint, is_prime
 from .numberfield import FieldElement, NumberField
 from .polynomials import (degree, fp_divmod, fp_factor, fp_gcd, fp_mul,
-                          fp_norm, padd, pmul, psub)
+                          fp_norm, pmul, psub)
 
 
 class PrimeIdeal:
@@ -26,7 +29,6 @@ class PrimeIdeal:
         self.e = e
         self.f = f
         self.gen_coeffs = tuple(int(c) % q for c in gen_coeffs)
-        self._beta = None  # anti-uniformizer, cached on first valuation
 
     def norm(self):
         return self.q ** self.f
@@ -36,9 +38,6 @@ class PrimeIdeal:
         if self.f == 1 and len(self.gen_coeffs) == 2:
             return (-self.gen_coeffs[0]) % self.q
         return None
-
-    def generator_element(self):
-        return FieldElement(self.field, self.field.reduce(self.gen_coeffs))
 
     def sort_key(self):
         root = self.residue_root()
@@ -65,37 +64,6 @@ class PrimeIdeal:
         gens = ",".join(map(str, self.gen_coeffs))
         return f"{self.q}|e{self.e}f{self.f}|[{gens}]"
 
-    # -- valuations ----------------------------------------------------
-
-    def anti_uniformizer(self):
-        """beta in P^(-1) \\ O_K with beta*P integral; cached."""
-        if self._beta is None:
-            self._beta = _build_anti_uniformizer(self)
-        return self._beta
-
-
-class SplittingType:
-    """Shape of q*O_K with the three named predicates of interest.
-
-    For degree-one fields all predicates hold simultaneously and the kind
-    reported is "totally-split".
-    """
-    __slots__ = ("pattern", "kind", "inert", "totally_ramified",
-                 "totally_split")
-
-    def __init__(self, pattern: tuple, kind: str, inert: bool,
-                 totally_ramified: bool, totally_split: bool):
-        self.pattern = pattern
-        self.kind = kind
-        self.inert = inert
-        self.totally_ramified = totally_ramified
-        self.totally_split = totally_split
-
-    def to_dict(self):
-        return {"pattern": [list(p) for p in self.pattern], "kind": self.kind,
-                "inert": self.inert, "totally_ramified": self.totally_ramified,
-                "totally_split": self.totally_split}
-
 
 _factor_cache: dict = {}
 
@@ -111,10 +79,7 @@ def factor_rational_prime(field: NumberField, q: int):
         return list(_factor_cache[cache_key])
     if not is_prime(q):
         raise ValueError(f"{q} is not a prime")
-    fbar = fp_norm(list(field.coeffs), q)
-    if degree(fbar) != field.degree:
-        raise ArithmeticError("monic polynomial degenerated mod q")
-    factors = fp_factor(fbar, q)
+    factors = fp_factor(field.coeffs, q)
     _dedekind_gate(field, q, factors)
     primes = [PrimeIdeal(field, q, e, degree(g), g) for g, e in factors]
     primes.sort(key=PrimeIdeal.sort_key)
@@ -136,12 +101,15 @@ def _dedekind_gate(field, q, factors):
     if any(c % q for c in diff):
         raise ArithmeticError("lift product not congruent to f")
     t_bar = fp_norm([c // q for c in diff], q)
-    common = fp_gcd(fp_gcd(t_bar if t_bar else [], g_rad, q), h_cof, q)
+    common = fp_gcd(fp_gcd(t_bar, g_rad, q), h_cof, q)
     if degree(common) > 0:
         raise IndexDivisor(q)
 
 
-def splitting_type(field: NumberField, q: int) -> SplittingType:
+def splitting_type(field: NumberField, q: int) -> dict:
+    """Shape of q*O_K: its (e, f) pattern, its kind and the three named
+    predicates of interest.  For degree-one fields all predicates hold
+    simultaneously and the kind reported is "totally-split"."""
     primes = factor_rational_prime(field, q)
     n = field.degree
     pattern = tuple((p.e, p.f) for p in primes)
@@ -156,7 +124,8 @@ def splitting_type(field: NumberField, q: int) -> SplittingType:
         kind = "totally-ramified"
     else:
         kind = "mixed"
-    return SplittingType(pattern, kind, inert, ram, split)
+    return {"pattern": pattern, "kind": kind, "inert": inert,
+            "totally_ramified": ram, "totally_split": split}
 
 
 def verified_field_disc(field: NumberField):
@@ -194,34 +163,6 @@ def u_k(field: NumberField):
 
 # ------------------------------------------------------------- valuations
 
-def _is_q_integral(x: FieldElement, q: int) -> bool:
-    """Denominators coprime to q; equals local integrality at primes over q
-    whenever the power basis is q-maximal (guaranteed by the Dedekind gate)."""
-    return x.den % q != 0
-
-
-def _build_anti_uniformizer(prime: PrimeIdeal):
-    field, q = prime.field, prime.q
-    fbar = fp_norm(list(field.coeffs), q)
-    quot, rem = fp_divmod(fbar, prime.gen_coeffs, q)
-    if rem:
-        raise ArithmeticError("generator does not divide f mod q")
-    candidates = [quot]
-    # lift tweaks of the cofactor, in case the canonical lift lands in O_K
-    for k in range(field.degree):
-        tweak = [0] * k + [1]
-        candidates.append(fp_norm(pmul(quot, padd(prime.gen_coeffs, tweak)), q))
-    for cof in candidates:
-        beta = FieldElement(field, field.reduce(cof), q)
-        if _is_q_integral(beta, q):
-            continue
-        shifted = beta * prime.generator_element()
-        if _is_q_integral(shifted, q):
-            return beta
-    raise ArithmeticError(
-        f"anti-uniformizer search failed at q={q} (unexpected after index gate)")
-
-
 def int_valuation(n: int, q: int) -> int:
     """Exponent of q in the nonzero integer n."""
     v = 0
@@ -232,22 +173,45 @@ def int_valuation(n: int, q: int) -> int:
 
 
 def valuation(x: FieldElement, prime: PrimeIdeal) -> int:
-    """v_P(x) for nonzero x, as a fractional-ideal valuation."""
+    """v_P(x) for nonzero x, as a fractional-ideal valuation.
+
+    A non-rational x = num/den is valued on the integers.  Let P = (q, g(theta))
+    and h the cofactor f/g mod q, lifted to Z[x]; beta = h(theta)/q.
+    - h(theta)*g(theta) = (f + q*t)(theta) = q*t(theta) for an integer
+      polynomial t, so beta takes both generators of P into Z[theta]:
+      beta*P is integral and v_P(beta) >= -1.
+    - h holds every other factor of f mod q at its full power, so
+      v_P'(h(theta)) >= e' = v_P'(q) at each other prime P' over q, and
+      v_P'(beta) >= 0.
+    - h is nonzero mod q of degree < n, so beta is not in Z[theta] localized
+      at q.  The Dedekind gate makes Z[theta] q-maximal, so beta is not
+      integral at q, and only P is left to fail: v_P(beta) = -1.
+    - By q-maximality again, y/q with y in Z[theta] is integral at q
+      exactly when every coordinate of y is divisible by q.
+    So num*beta^k is integral at q exactly for k <= v_P(num).  Starting
+    from y = num*h, count one and set y = (y/q)*h while every coordinate of
+    y is divisible by q: the count is v_P(num), and v_P(x) is that count
+    less e * v_q(den).
+    """
     if x.is_zero():
         raise ZeroElement("valuation of zero is undefined")
     q = prime.q
     if x.is_rational():
         return prime.e * (int_valuation(x.num[0], q) - int_valuation(x.den, q))
-    beta = prime.anti_uniformizer()
+    field = x.field
+    cof, rem = fp_divmod(fp_norm(field.coeffs, q), prime.gen_coeffs, q)
+    if rem:
+        raise ArithmeticError("generator does not divide f mod q")
+    h = field.reduce(cof)
     v = 0
-    z = FieldElement(x.field, x.num) * beta
-    while _is_q_integral(z, q):
+    y = field.mul_num(x.num, h)
+    while not any(c % q for c in y):
         v += 1
-        z = z * beta
+        y = field.mul_num([c // q for c in y], h)
     return v - prime.e * int_valuation(x.den, q)
 
 
-def element_valuations(x: FieldElement, *, skip=()):
+def element_valuations(x: FieldElement, *, skip):
     """Yield (P, v_P(x)) for each prime P with v_P(x) != 0, lazily.
 
     Only rational primes q dividing the denominator of x or the norm of its

@@ -48,13 +48,13 @@ def field_summary(field):
     }
 
 
-def build_report(field, command, payload, caveats=None, timing=None):
+def build_report(field, command, payload, caveats, timing):
     return {
         "schema_version": SCHEMA_VERSION,
         "field": field_summary(field) if field is not None else None,
         "command": command,
         "result": payload,
-        "caveats": caveats or [],
+        "caveats": caveats,
         "timing": timing,
     }
 

@@ -242,10 +242,10 @@ def _certified_independent(u: FieldElement, v: FieldElement, max_rounds=12):
     return False
 
 
-def _small_relation(u: FieldElement, v: FieldElement, box=6):
-    """Exact scan for u^m * v^k in {1, -1} with 0 < max(|m|,|k|) <= box."""
-    for m in range(-box, box + 1):
-        for k in range(-box, box + 1):
+def _small_relation(u: FieldElement, v: FieldElement):
+    """Exact scan for u^m * v^k in {1, -1} with 0 < max(|m|,|k|) <= 6."""
+    for m in range(-6, 7):
+        for k in range(-6, 7):
             if m == 0 and k == 0:
                 continue
             w = (u ** m) * (v ** k)

@@ -17,7 +17,7 @@ from afcheck.cli import run
 from afcheck.criteria import (check_cor_3_4, check_cor_7_2, check_thm_3_2,
                               check_thm_5_2, check_thm_7_3_2)
 from afcheck.frey import (FAMILY_SQUARE, FAMILY_TWO_POWER, FreySpec,
-                          ValuationForm, concrete_cross_check,
+                          ValuationForm, concrete_cross_check, invariants,
                           weierstrass_invariants)
 from afcheck.prime_ideals import s_k, valuation
 from afcheck.sunits import is_square, selmer_group, solve_sunit
@@ -82,7 +82,8 @@ def test_criterion_01_frey_invariant_oracle():
             elems = [x if not isinstance(x, int) else field.from_rational(x)
                      for x in triple]
             spec = FreySpec(family, *elems, r=r, p=p)
-            assert concrete_cross_check(spec), (family, triple, r, p)
+            assert concrete_cross_check(spec, invariants(spec)), \
+                (family, triple, r, p)
             # c4^3 - c6^2 = 1728*Delta is verified inside (raises on failure)
             weierstrass_invariants(spec)
 

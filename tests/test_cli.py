@@ -139,7 +139,8 @@ class TestCanonicalJson:
         assert again["result"] == rep["result"]
 
     def test_sorted_keys(self):
-        report = build_report(None, {"command": "t"}, {"b": 1, "a": 2})
+        report = build_report(None, {"command": "t"}, {"b": 1, "a": 2},
+                              [], None)
         text = emit_json(report)
         assert text.index('"a"') < text.index('"b"')
 

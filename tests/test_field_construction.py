@@ -137,7 +137,7 @@ class TestIrreducibility:
     def test_patterns_prove_only_irreducible_polys(self, coeffs):
         disc = poly_disc(coeffs)
         assume(disc != 0)
-        if irreducible_by_degree_patterns(coeffs, disc):
+        if irreducible_by_degree_patterns(coeffs, disc, no_linear=False):
             assert to_sympy(coeffs).is_irreducible
 
     @pytest.mark.parametrize("text, coeffs, signature", [
@@ -147,7 +147,8 @@ class TestIrreducibility:
     def test_fields_the_patterns_leave_open(self, text, coeffs, signature):
         # every reduction splits into factors of degree <= 2, so only the
         # Hensel factoring proves these irreducible
-        assert not irreducible_by_degree_patterns(coeffs, poly_disc(coeffs))
+        assert not irreducible_by_degree_patterns(coeffs, poly_disc(coeffs),
+                                                  no_linear=False)
         K = make_field(text)
         assert K.signature == signature
 
@@ -160,7 +161,7 @@ class TestIrreducibility:
         assert exc.value.payload == {"factor": [-1, 1]}
 
     def test_degree_one_needs_no_prime(self):
-        assert irreducible_by_degree_patterns([5, 1], 1)
+        assert irreducible_by_degree_patterns([5, 1], 1, no_linear=False)
 
     @settings(max_examples=150, deadline=None)
     @given(MONIC)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from afcheck import FieldElement, make_field
 from afcheck.errors import IndexDivisor, ZeroElement
 from afcheck.integerfactor import SMALL_PRIMES
+from afcheck.polynomials import fp_divmod, fp_norm
 from afcheck.prime_ideals import (element_valuations, factor_rational_prime,
                                   s_k, splitting_type, u_k, valuation,
                                   verified_field_disc)
@@ -103,7 +104,7 @@ class TestFactorization:
             K = make_field(poly)
             for q in (2, 3, 5, 7, 23):
                 for P in factor_rational_prime(K, q):
-                    gen = P.generator_element()
+                    gen = K.element(list(P.gen_coeffs))
                     if not gen.is_zero():
                         assert valuation(gen, P) >= 1
 
@@ -128,18 +129,18 @@ class TestFactorization:
 class TestSplittingType:
     def test_degenerate_rationals(self):
         st = splitting_type(make_field("x"), 2)
-        assert st.kind == "totally-split"
-        assert st.inert and st.totally_ramified and st.totally_split
+        assert st["kind"] == "totally-split"
+        assert st["inert"] and st["totally_ramified"] and st["totally_split"]
 
     def test_mixed_pattern(self):
         st = splitting_type(make_field("x^3 - x^2 + 1"), 23)
-        assert st.kind == "mixed"
-        assert st.pattern == ((2, 1), (1, 1))
+        assert st["kind"] == "mixed"
+        assert st["pattern"] == ((2, 1), (1, 1))
 
     def test_totally_ramified(self):
         st = splitting_type(make_field("x^2 - 2"), 2)
-        assert st.kind == "totally-ramified"
-        assert not st.inert and not st.totally_split
+        assert st["kind"] == "totally-ramified"
+        assert not st["inert"] and not st["totally_split"]
 
     def test_quadratic_congruence_oracle(self):
         for d in (2, 3, 5, 7, 11, 13, 17, 19):
@@ -220,17 +221,26 @@ class TestValuation:
         assert abs(x.norm()) == total
 
 
+def v_q(n, q):
+    """Exponent of q in the nonzero integer n (oracle)."""
+    v = 0
+    while n % q == 0:
+        n, v = n // q, v + 1
+    return v
+
+
 def loop_valuation(x, prime):
-    """v_P(x) by the anti-uniformizer loop: the number of times num * beta^k
-    stays q-integral, less e * v_q(den)."""
-    q, beta = prime.q, prime.anti_uniformizer()
-    v, z = 0, FieldElement(x.field, x.num) * beta
+    """v_P(x) by the anti-uniformizer loop: with beta = h(theta)/q for the
+    cofactor h = f/g mod q of P = (q, g(theta)), the number of times
+    num * beta^k stays q-integral, less e * v_q(den)."""
+    K, q = x.field, prime.q
+    h, rem = fp_divmod(fp_norm(K.coeffs, q), prime.gen_coeffs, q)
+    assert rem == []
+    beta = K.element([Fraction(c, q) for c in h])
+    v, z = 0, FieldElement(K, x.num) * beta
     while z.den % q:
         v, z = v + 1, z * beta
-    den, k = x.den, 0
-    while den % q == 0:
-        den, k = den // q, k + 1
-    return v - prime.e * k
+    return v - prime.e * v_q(x.den, q)
 
 
 # every prime above 2, 3, 5 and 7 of the census quadratics (the maximal-order
@@ -257,6 +267,88 @@ class TestRationalValuation:
             assert valuation(x, P) == loop_valuation(x, P)
 
 
+def q_adic_root(coeffs, r, q, digits):
+    """The root of f in Z_q congruent to the simple root r mod q, to
+    q^digits, by Newton's iteration on plain integers (oracle)."""
+    m = q ** digits
+    df = [i * c for i, c in enumerate(coeffs)][1:]
+    for _ in range(digits):
+        fr = sum(c * r ** i for i, c in enumerate(coeffs))
+        dfr = sum(c * r ** i for i, c in enumerate(df))
+        r = (r - fr * pow(dfr, -1, m)) % m
+    return r
+
+
+# fields of degree 2 to 6, each prime q in {2, 3, 5, 7} kept where the
+# Dedekind test passes; every degree has a prime with e = f = 1
+COFACTOR_PRIMES = []
+for _spec in ("x^2 - 2", "x^2 + 1", "x^2 - 7", "x^2 + 5", "x^2 - x - 1",
+              "x^3 - 2", "x^3 - 4*x - 1", "x^3 - x^2 - 2*x + 1",
+              "x^4 - 2", "x^4 - x - 1", "x^4 - 10*x^2 + 1", "x^5 - 2",
+              "x^5 - x + 1", "x^6 + x + 1", "x^6 - 6*x^4 + 9*x^2 - 3"):
+    _K = make_field(_spec)
+    for _q in (2, 3, 5, 7):
+        try:
+            COFACTOR_PRIMES.append((_q, factor_rational_prime(_K, _q)))
+        except IndexDivisor:
+            pass
+DIGITS = 40
+# (P, q-adic root of f for P) at each prime with e = f = 1
+DEGREE_ONE = [(P, q_adic_root(P.field.coeffs, P.residue_root(), q, DIGITS))
+              for q, primes in COFACTOR_PRIMES for P in primes
+              if P.e == P.f == 1]
+ALONE = [primes[0] for _, primes in COFACTOR_PRIMES if len(primes) == 1]
+
+
+@st.composite
+def valued_element(draw, P):
+    """A nonzero element of P's field: drawn coordinates over a drawn
+    denominator, times a drawn power of q and of theta - r for the residue
+    root r of P, when P has one, so that high valuations occur."""
+    K = P.field
+    num = draw(st.lists(st.integers(-300, 300), min_size=K.degree,
+                        max_size=K.degree).filter(any))
+    x = FieldElement(K, num, draw(st.integers(1, 400)))
+    x = x * K.from_rational(P.q ** draw(st.integers(0, 2)))
+    root = P.residue_root()
+    if root is not None:
+        x = x * (K.theta() - K.from_rational(root)) ** draw(st.integers(0, 5))
+    return x
+
+
+class TestCofactorValuation:
+    """v_P from the cofactor against oracles that never build it."""
+
+    def test_every_degree_has_a_degree_one_prime(self):
+        assert {P.field.degree for P, _ in DEGREE_ONE} == {2, 3, 4, 5, 6}
+        assert {P.q for P, _ in DEGREE_ONE} == {2, 3, 5, 7}
+        assert {P.field.degree for P in ALONE} == {2, 3, 4, 5, 6}
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(st.data())
+    def test_matches_the_q_adic_root(self, data):
+        # at e = f = 1 the completion at P is Q_q with theta -> r_K, so
+        # v_P(num/den) = v_q(num(r_K)) - v_q(den)
+        P, root = data.draw(st.sampled_from(DEGREE_ONE))
+        x = data.draw(valued_element(P))
+        q = P.q
+        at_root = sum(c * root ** i for i, c in enumerate(x.num)) % q ** DIGITS
+        assert at_root != 0
+        assert valuation(x, P) == v_q(at_root, q) - v_q(x.den, q)
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(st.data())
+    def test_single_prime_matches_the_norm(self, data):
+        # with P alone over q, N(x) = q^(f * v_P(x)) times a q-unit
+        P = data.draw(st.sampled_from(ALONE))
+        x = data.draw(valued_element(P))
+        norm = x.norm()
+        assert P.f * valuation(x, P) == (v_q(norm.numerator, P.q)
+                                         - v_q(norm.denominator, P.q))
+
+
 VALUATION_FIELDS = {spec: make_field(spec) for spec in (
     "x", "x^2 - 2", "x^2 - x - 1", "x^2 + 1", "x^3 - x^2 - 2*x + 1")}
 
@@ -279,7 +371,7 @@ class TestElementValuations:
     @given(nonzero_element())
     def test_support_against_norm(self, x):
         try:
-            support = list(element_valuations(x))
+            support = list(element_valuations(x, skip=()))
         except IndexDivisor:
             return
         assert all(v != 0 for _, v in support)
@@ -295,21 +387,21 @@ class TestElementValuations:
         # 2 ramifies, 3 is inert and 7 splits in Q(sqrt 2)
         K = make_field("x^2 - 2")
         x = K.from_rational(Fraction(14, 9)) * (1 + K.theta())
-        assert [(P.q, v) for P, v in element_valuations(x)] == \
+        assert [(P.q, v) for P, v in element_valuations(x, skip=())] == \
             [(2, 2), (3, -2), (7, 1), (7, 1)]
 
     def test_unit_has_empty_support(self):
         K = make_field("x^2 - 2")
-        assert list(element_valuations(1 + K.theta())) == []
+        assert list(element_valuations(1 + K.theta(), skip=())) == []
 
     def test_skipped_prime_is_not_factored(self):
         K = make_field("x^2 - 5")  # 2 divides the index of Z[sqrt 5]
         with pytest.raises(IndexDivisor):
-            list(element_valuations(K.from_rational(6)))
+            list(element_valuations(K.from_rational(6), skip=()))
         assert list(element_valuations(K.from_rational(6), skip=(2,))) == \
             [(P, 1) for P in factor_rational_prime(K, 3)]
 
     def test_zero_rejected(self):
         Q = make_field("x")
         with pytest.raises(ZeroElement):
-            list(element_valuations(Q.from_rational(0)))
+            list(element_valuations(Q.from_rational(0), skip=()))

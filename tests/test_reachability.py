@@ -1,6 +1,7 @@
 """Every top-level definition of the package has a caller, every name a
-module of the package imports is used there, every parameter is read, and
-every field of a record class is read.
+module of the package imports is used there, every parameter is read,
+every default is both needed and overridden, and every field of a record
+class is read.
 
 A definition is a def, a class or a module-level name binding (a constant
 such as a budget); dunder names such as __version__ are left out.  A name
@@ -22,6 +23,14 @@ Every parameter of a function of the package, methods and nested functions
 included, is read by the function's body, unless its name begins with "_"
 (a handler that a table calls with arguments it does not need).  A
 parameter that the body only assigns is unread.
+
+A defaulted parameter of a function of the package, methods, nested
+functions and __init__ included, is matched against the calls in
+src/afcheck/ and perfbench/ that name the function (its class, for an
+__init__), by name as above.  Some call must omit the parameter, or its
+default serves no call and should be a literal; and some call must pass
+it, or the default serves only tests and the parameter should be
+required.  Functions named in an __all__ of the package are exempt.
 
 A record class is a top-level class of the package that declares
 __slots__, and its fields are the names listed there, __dict__ left out.
@@ -204,6 +213,105 @@ def unread_parameters(package=PACKAGE):
     return sorted(unread)
 
 
+def _signatures(node, prefix, in_class=False):
+    """("prefix.Class.function", call name, def, shift) of every function
+    under node that a call names: a function or method by its own name, an
+    __init__ by its class's name; other dunder methods are left out.  shift
+    is 1 when a call's first positional argument fills the second parameter
+    (a method other than a staticmethod), else 0."""
+    for child in ast.iter_child_nodes(node):
+        name = prefix
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            name = f"{prefix}.{child.name}"
+            static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                         for d in child.decorator_list)
+            called = prefix.rsplit(".", 1)[-1] if (
+                in_class and child.name == "__init__") else child.name
+            if not _is_dunder(called):
+                yield name, called, child, int(in_class and not static)
+            yield from _signatures(child, name)
+        elif isinstance(child, ast.ClassDef):
+            yield from _signatures(child, f"{prefix}.{child.name}", True)
+        else:
+            yield from _signatures(child, prefix, in_class)
+
+
+def _defaulted(func, shift):
+    """(parameter, position or None) of the parameters of func that have a
+    default; position counts the call's positional arguments."""
+    args = func.args
+    positional = [*args.posonlyargs, *args.args]
+    first = len(positional) - len(args.defaults)
+    for index, arg in enumerate(positional[first:], first):
+        yield arg.arg, index - shift
+    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+        if default is not None:
+            yield arg.arg, None
+
+
+def _positional_count(call):
+    """How many positional arguments call passes: a * argument counts its
+    items when they are written out, in a tuple or list or in map() over
+    one; any other * argument makes the count unknown (None)."""
+    count = 0
+    for arg in call.args:
+        if not isinstance(arg, ast.Starred):
+            count += 1
+            continue
+        items = arg.value
+        if (isinstance(items, ast.Call) and isinstance(items.func, ast.Name)
+                and items.func.id == "map" and len(items.args) == 2):
+            items = items.args[1]
+        if not isinstance(items, (ast.Tuple, ast.List)) or any(
+                isinstance(item, ast.Starred) for item in items.elts):
+            return None
+        count += len(items.elts)
+    return count
+
+
+def _passes(call, parameter, position):
+    """Whether call passes the parameter: by keyword, by position, or
+    possibly through a ** argument or a * argument of unknown length."""
+    if any(keyword.arg in (None, parameter) for keyword in call.keywords):
+        return True
+    count = _positional_count(call)
+    return position is not None and (count is None or position < count)
+
+
+def unneeded_defaults(package=PACKAGE, callers=CALLERS):
+    """Sorted "module.function.parameter (why)" of the defaulted parameters
+    of the functions in package whose default no call needs or no call
+    overrides.  Calls in the caller directories are matched to a function
+    by name, as a bare name or an attribute.  A default is needed when some
+    call omits the parameter, and it is a real option when some call passes
+    it; a default that every call passes should be a required parameter,
+    and one that no call passes a literal.  Functions named in an __all__
+    of the package are exempt."""
+    calls = {}
+    for base in callers:
+        for path in base.glob("*.py"):
+            for node in ast.walk(_parse(path)):
+                if isinstance(node, ast.Call):
+                    callee = node.func
+                    name = getattr(callee, "id", getattr(callee, "attr", None))
+                    calls.setdefault(name, []).append(node)
+    trees = {path: _parse(path) for path in sorted(package.glob("*.py"))}
+    exported = set().union(*map(_exported, trees.values()))
+    found = []
+    for path, tree in trees.items():
+        for qualname, called, func, shift in _signatures(tree, path.stem):
+            if called in exported:
+                continue
+            sites = calls.get(called, [])
+            for parameter, position in _defaulted(func, shift):
+                passed = [_passes(call, parameter, position) for call in sites]
+                if not any(passed):
+                    found.append(f"{qualname}.{parameter} (never passed)")
+                elif all(passed):
+                    found.append(f"{qualname}.{parameter} (always passed)")
+    return sorted(found)
+
+
 def _slots(stmt):
     """The names a class-body statement lists in __slots__, if it assigns
     __slots__ a string or a tuple or list of strings."""
@@ -376,6 +484,44 @@ def test_the_parameter_check_finds_an_unread_parameter(tmp_path):
         "mod.Shape.spare.named", "mod.Shape.spare.self",
         "mod.closure.inner.z", "mod.only_written.x", "mod.unread.b",
         "mod.waiting.item"]
+
+
+def test_every_default_is_needed_and_overridden():
+    assert unneeded_defaults() == []
+
+
+def test_the_default_check_finds_an_unneeded_default(tmp_path):
+    package, bench = tmp_path / "pkg", tmp_path / "bench"
+    package.mkdir()
+    bench.mkdir()
+    (package / "__init__.py").write_text(
+        "__all__ = ['api']\n", encoding="utf-8")
+    (package / "mod.py").write_text(
+        "def api(x, flag=False): return x, flag\n"
+        "def mixed(x, flag=False): return x, flag\n"
+        "def always(x, flag=False): return x, flag\n"
+        "def never(x, box=6): return x, box\n"
+        "def keyword(x, *, skip=()): return x, skip\n"
+        "def splat(x, a=0, b=0): return x, a, b\n"
+        "class Shape:\n"
+        "    def __init__(self, sides, name=None): self.sides = name\n"
+        "    def scale(self, by=1): return by\n"
+        "    @staticmethod\n"
+        "    def unit(by=1): return by\n"
+        "def calls(shape, args, named):\n"
+        "    mixed(1), mixed(1, True), always(1, flag=True)\n"
+        "    never(1), keyword(1, skip=(2,)), splat(*args), splat(1, **named)\n"
+        "    Shape(3), Shape(4), shape.scale(), shape.scale(2)\n"
+        "    return Shape.unit(2)\n", encoding="utf-8")
+    (bench / "run.py").write_text(
+        "def drive(m): return m.always(0, False), m.splat(*map(abs, (1,)))\n",
+        encoding="utf-8")
+    assert unneeded_defaults(package, (package, bench)) == [
+        "mod.Shape.__init__.name (never passed)",
+        "mod.Shape.unit.by (always passed)",
+        "mod.always.flag (always passed)",
+        "mod.keyword.skip (always passed)",
+        "mod.never.box (never passed)"]
 
 
 def test_every_record_field_is_read():

@@ -276,7 +276,7 @@ def box_lambdas(basis, bound):
 def reference_profile(x, S):
     """{P: v_P(x)} over S when every prime outside S has v_P(x) = 0, else
     None, from the full factorization of x."""
-    vals = dict(element_valuations(x))
+    vals = dict(element_valuations(x, skip=()))
     if any(P not in S for P in vals):
         return None
     return {P: vals.get(P, 0) for P in S}
