@@ -22,8 +22,10 @@ from fractions import Fraction
 from functools import cached_property
 from math import prod
 
-from .errors import InconsistentDivisibility, RelationViolated, UnsupportedCase
+from .errors import (InconsistentDivisibility, RelationViolated,
+                     UnsupportedCase, WorkExceeded)
 from .numberfield import FieldElement, NumberField
+from .parsing import _DIGITS_BOUND, MAX_PARSED_DIGITS
 from .prime_ideals import PrimeIdeal, element_valuations, s_k
 
 FAMILY_TWO_POWER = "2r"
@@ -61,7 +63,9 @@ class ValuationForm:
 class FreySpec:
     """A Frey curve request.  A zero entry is refused at every exponent; a
     concrete exponent p is checked against the defining relation once, when
-    the spec is built, so the spec is frozen.  p None means symbolic."""
+    the spec is built, so the spec is frozen.  p None means symbolic.  A
+    concrete p whose powers could pass MAX_PARSED_DIGITS digits is refused
+    before they are built (see _refuse_long_powers)."""
     # the cached properties live in __dict__
     __slots__ = ("family", "a", "b", "c", "r", "p", "__dict__")
 
@@ -76,11 +80,31 @@ class FreySpec:
         if 0 in self.triple:
             raise RelationViolated("triple with abc = 0 gives a singular curve")
         if p is not None:
+            self._refuse_long_powers()
             self.validate()
 
     def __setattr__(self, name, _value):
         raise AttributeError(f"{type(self).__name__} is frozen: cannot set "
                              f"{name!r}")
+
+    def _refuse_long_powers(self):
+        """WorkExceeded when 2^r, or a^p, b^p or c^p, could pass the bits of
+        10^MAX_PARSED_DIGITS.  For an entry num/den let h be the larger of
+        den and the row-sum norm of the multiplication matrix of num: h^p
+        bounds every coordinate of the p-th power and its denominator, so
+        p * bit_length(h - 1) >= log2(h^p) bounds its bits.  An entry +-1
+        has h = 1 and passes at every p."""
+        bits = _DIGITS_BOUND.bit_length()
+        if self.r is not None and self.r > bits:
+            raise WorkExceeded(f"2^{self.r} would pass {MAX_PARSED_DIGITS} "
+                               "digits")
+        for name, x in zip("abc", (self.a, self.b, self.c)):
+            # a rational num is num[0] times the identity matrix
+            rows = (x.num,) if x.is_rational() else x.num_matrix()
+            h = max(x.den, *(sum(map(abs, row)) for row in rows))
+            if self.p * (h - 1).bit_length() > bits:
+                raise WorkExceeded(f"{name}^{self.p} could pass "
+                                   f"{MAX_PARSED_DIGITS} digits")
 
     @property
     def field(self) -> NumberField:

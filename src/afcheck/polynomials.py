@@ -22,17 +22,20 @@ proves reducibility at once; a complete empty list proves a quadratic or
 cubic irreducible with no prime spent, and rules out factors of degree 1
 and n - 1 in degrees 4-6.  Irreducibility over Z is otherwise proven from
 the factor degrees modulo small primes (distinct-degree factorization
-only).  ``zx_factor`` divides the integer roots out of each squarefree
-part first; Zassenhaus factoring with Hensel lifting covers what is left
-unless a complete list leaves it irreducible.
+only).  ``zx_factor`` divides the integer roots out of the squarefree
+part f / gcd(f, f') first; Zassenhaus factoring with Hensel lifting covers
+what is left unless a complete list leaves it irreducible.
 
-Modular work on one f runs on an F_q kernel built per (f, q) and dropped
-with the call (``FqKernel``): a table of x^k mod f filled by shifts, a
-multiply-and-reduce over it, and the Frobenius matrix whose rows are
-x^(iq) mod f.  Distinct-degree factorization steps h -> h^q as one
-matrix-vector product (Cohen, GTM 138, Section 3.4), so both the degree
-patterns and ``fp_factor`` (Dedekind, splitting types, Zassenhaus) pay for
-x^q once per prime.  The discriminant of a monic f of degree n is
+A value mod q is the Z value reduced: products and differences are taken
+over Z and reduced once, and ``fp_gcd`` reduces its own copies.  Powers
+mod (f, q) run on an F_q kernel built per (f, q) and dropped with the call
+(``FqKernel``): a table of x^k mod f filled by shifts, a multiply-and-reduce
+over it, and the Frobenius matrix whose rows are x^(iq) mod f.
+Distinct-degree factorization steps h -> h^q as one matrix-vector product,
+and equal-degree splitting takes the conjugates h^(q^i) the same way
+(Cohen, GTM 138, Section 3.4), so both the degree patterns and
+``fp_factor`` (Dedekind, splitting types, Zassenhaus) pay for x^q once per
+squarefree part.  The discriminant of a monic f of degree n is
 (-1)^(n(n-1)/2) N(f'(theta)), the determinant of the n x n multiplication
 matrix of f'(theta), since Res(f, f') = N(f'(theta)).  Hensel lifting is
 quadratic (von zur Gathen and Gerhard, Modern Computer Algebra, Alg.
@@ -40,6 +43,7 @@ quadratic (von zur Gathen and Gerhard, Modern Computer Algebra, Alg.
 p^(2j).
 """
 
+from functools import reduce
 from itertools import combinations
 from math import gcd, isqrt
 
@@ -251,17 +255,6 @@ def fp_norm(p, q):
     return strip([c % q for c in p])
 
 
-def fp_mul(a, b, q):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] = (out[i + j] + ca * cb) % q
-    return strip(out)
-
-
 def fp_divmod(a, b, q):
     """Quotient and remainder of a by b over F_q, q prime, or modulo any q
     when b is monic: one top-down pass over a copy of a."""
@@ -305,24 +298,10 @@ def fp_gcd(a, b, q):
     return fp_monic(a, q)
 
 
-def fp_pow_mod(base, e, mod, q):
-    result, acc = [1], fp_divmod(base, mod, q)[1]
-    while e:
-        if e & 1:
-            result = fp_divmod(fp_mul(result, acc, q), mod, q)[1]
-        acc = fp_divmod(fp_mul(acc, acc, q), mod, q)[1]
-        e >>= 1
-    return result
-
-
-def _fp_deriv(p, q):
-    return strip([i * c % q for i, c in enumerate(p)][1:])
-
-
 def _fp_sqf(f, q):
     """Squarefree decomposition over F_q, q prime: list of (factor, mult)."""
     out = []
-    d = _fp_deriv(f, q)
+    d = fp_norm(pderiv(f), q)
     if not d:
         # f = g(x^q) = g(x)^q since Frobenius fixes F_q
         g = [f[i] for i in range(0, len(f), q)]
@@ -350,8 +329,9 @@ class FqKernel:
     x^k mod f for k <= top, each from the one before by a shift, where
     top = 2n - 2, or q when shifting on to x^q is cheaper than squaring;
     ``mulmod`` multiplies two residues and folds the high part of the
-    product back through it, reducing mod q once per coefficient.  ``xq``
-    is x^q mod f.  The Frobenius matrix has the rows x^(iq) mod f,
+    product back through it, reducing mod q once per coefficient; ``pow``
+    squares and multiplies on it, and gives ``xq`` = x^q mod f when q is
+    past the table.  The Frobenius matrix has the rows x^(iq) mod f,
     0 <= i < n (Cohen, GTM 138, Section 3.4): the q-th power is F_q-linear
     and fixes F_q, so h^q = sum_i h_i x^(iq), one matrix-vector product.
     It is built on the first ``frobenius`` call.
@@ -371,15 +351,7 @@ class FqKernel:
         while len(powers) <= top:
             powers.append(self._times_x(powers[-1]))
         self._powers, self._high = powers, powers[n:]
-        if q <= top:
-            xq = powers[q]
-        else:
-            xq = powers[1]
-            for bit in bin(q)[3:]:
-                xq = self.mulmod(xq, xq)
-                if bit == "1":
-                    xq = self._times_x(xq)
-        self.xq = xq
+        self.xq = powers[q] if q <= top else self.pow(powers[1], q)
         self._frob = None
 
     def _times_x(self, r):
@@ -396,6 +368,16 @@ class FqKernel:
                 for j, cb in enumerate(b, i):
                     prod[j] += ca * cb
         return self._fold(prod[:n], prod[n:], self._high)
+
+    def pow(self, h, e):
+        """h^e mod f for e >= 1: from the top bit of e down, square and
+        multiply by h at each set bit."""
+        out = h
+        for bit in bin(e)[3:]:
+            out = self.mulmod(out, out)
+            if bit == "1":
+                out = self.mulmod(out, h)
+        return out
 
     def frobenius(self, h):
         """h^q mod f."""
@@ -418,20 +400,20 @@ class FqKernel:
         return [o % q for o in out]
 
 
-def _fp_ddf(f, q):
+def _fp_ddf(f, q, kernel):
     """Distinct-degree split of monic squarefree f: list of (product, d).
 
-    h = x^(q^d) mod f steps through the Frobenius matrix of f.  The factors
-    of degree d of what is left of f divide h - x, and h mod f reduced mod
-    a divisor of f is h mod that divisor, so the kernel of f serves
+    kernel is the FqKernel of f, or of a multiple of f; None when f has
+    degree < 2.  h = x^(q^d) mod f steps through its Frobenius matrix.  The
+    factors of degree d of what is left of f divide h - x, and h reduced
+    mod a divisor of f is h mod that divisor, so the one kernel serves
     throughout."""
     out = []
-    kernel = FqKernel(f, q) if degree(f) >= 2 else None
     d, h = 0, None
     while 2 * (d + 1) <= degree(f):
         d += 1
         h = kernel.xq if h is None else kernel.frobenius(h)
-        g = fp_gcd(psub_mod(h, [0, 1], q), f, q)
+        g = fp_gcd(psub(h, [0, 1]), f, q)
         if degree(g) > 0:
             out.append((g, d))
             f = fp_divmod(f, g, q)[0]
@@ -440,45 +422,44 @@ def _fp_ddf(f, q):
     return out
 
 
-def psub_mod(a, b, q):
-    n = max(len(a), len(b))
-    return strip([((a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)) % q
-                  for i in range(n)])
-
-
 def _candidate_polys(deg_lim, q):
     """Deterministic finite stream of nonconstant polys of degree < deg_lim
-    over F_q (digits of k in base q)."""
+    over F_q: the digits of k in base q, k >= q, so the top one is nonzero."""
     for k in range(q, q ** deg_lim):
-        digits, m = [], k
-        while m:
-            digits.append(m % q)
-            m //= q
-        if len(digits) >= 2:
-            yield strip(digits)
+        digits = []
+        while k:
+            digits.append(k % q)
+            k //= q
+        yield digits
 
 
-def _fp_edf(f, d, q):
-    """Equal-degree split: f monic squarefree, all factors of degree d."""
+def _split_witness(h, d, kernel):
+    """w mod kernel.f from the conjugates h^(q^i), 0 <= i < d, each from the
+    last by the Frobenius matrix: their sum (the trace) for q = 2, else
+    their product (the norm) to the power (q-1)/2, less 1, which is
+    h^((q^d-1)/2) - 1 (Cohen, GTM 138, Section 3.4)."""
+    q = kernel.q
+    conj = acc = h
+    for _ in range(d - 1):
+        conj = kernel.frobenius(conj)
+        acc = padd(acc, conj) if q == 2 else kernel.mulmod(acc, conj)
+    return acc if q == 2 else psub(kernel.pow(acc, (q - 1) // 2), [1])
+
+
+def _fp_edf(f, d, q, kernel):
+    """Equal-degree split: f monic squarefree, all factors of degree d, by
+    gcd(h, f) or gcd(_split_witness, f) for candidates h; kernel as for
+    _fp_ddf."""
     n = degree(f)
     if n == d:
         return [f]
     for h in _candidate_polys(n, q):
         g = fp_gcd(h, f, q)
+        if degree(g) == 0:
+            g = fp_gcd(_split_witness(h, d, kernel), f, q)
         if 0 < degree(g) < n:
-            return _fp_edf(g, d, q) + _fp_edf(fp_divmod(f, g, q)[0], d, q)
-        if q == 2:
-            t, acc = h, h
-            for _ in range(d - 1):
-                t = fp_pow_mod(t, 2, f, 2)
-                acc = padd(acc, t)
-                acc = fp_norm(acc, 2)
-            w = fp_divmod(acc, f, 2)[1]
-        else:
-            w = psub_mod(fp_pow_mod(h, (q ** d - 1) // 2, f, q), [1], q)
-        g = fp_gcd(w, f, q)
-        if 0 < degree(g) < n:
-            return _fp_edf(g, d, q) + _fp_edf(fp_divmod(f, g, q)[0], d, q)
+            return _fp_edf(g, d, q, kernel) + _fp_edf(
+                fp_divmod(f, g, q)[0], d, q, kernel)
     raise AssertionError("unreachable: split candidates exhausted")
 
 
@@ -489,8 +470,9 @@ def fp_factor(f, q):
         return []
     out = []
     for part, mult in _fp_sqf(fp_monic(f, q), q):
-        for prod, d in _fp_ddf(part, q):
-            for irr in _fp_edf(prod, d, q):
+        kernel = FqKernel(part, q) if degree(part) >= 2 else None
+        for prod, d in _fp_ddf(part, q, kernel):
+            for irr in _fp_edf(prod, d, q, kernel):
                 out.append((irr, mult))
     out.sort(key=lambda t: (degree(t[0]), t[0]))
     return out
@@ -533,22 +515,18 @@ def _fp_xgcd(a, b, q):
     while r1:
         quo, rem = fp_divmod(r0, r1, q)
         r0, r1 = r1, rem
-        s0, s1 = s1, psub_mod(s0, fp_mul(quo, s1, q), q)
-        t0, t1 = t1, psub_mod(t0, fp_mul(quo, t1, q), q)
+        s0, s1 = s1, fp_norm(psub(s0, pmul(quo, s1)), q)
+        t0, t1 = t1, fp_norm(psub(t0, pmul(quo, t1)), q)
     inv = pow(r0[-1], q - 2, q)
-    return ([c * inv % q for c in r0], [c * inv % q for c in s0],
-            [c * inv % q for c in t0])
+    return tuple([c * inv % q for c in p] for p in (r0, s0, t0))
 
 
 def _hensel_list(f, facs, p, pk):
     """Lift a list of pairwise-coprime monic factors of f mod p to mod pk."""
     if len(facs) == 1:
         return [strip([c % pk for c in f])]
-    g0 = facs[0]
-    h0 = [1]
-    for fac in facs[1:]:
-        h0 = fp_mul(h0, fac, p)
-    g, h = _hensel_pair(f, g0, h0, p, pk)
+    h0 = fp_norm(reduce(pmul, facs[1:]), p)
+    g, h = _hensel_pair(f, facs[0], h0, p, pk)
     return [g] + _hensel_list(h, facs[1:], p, pk)
 
 
@@ -605,7 +583,7 @@ def _zx_factor_squarefree(f):
     n = degree(f)
     for p in _odd_primes():
         fb = fp_norm(f, p)
-        if degree(fb) == n and degree(fp_gcd(fb, _fp_deriv(fb, p), p)) == 0:
+        if degree(fb) == n and degree(fp_gcd(fb, pderiv(fb), p)) == 0:
             break
     modular = [g for g, _ in fp_factor(f, p)]
     if len(modular) == 1:
@@ -623,9 +601,7 @@ def _zx_factor_squarefree(f):
     while 2 * size <= len(remaining):
         found = False
         for subset in combinations(remaining, size):
-            prod = [1]
-            for i in subset:
-                prod = pmul(prod, lifted[i])
+            prod = reduce(pmul, [lifted[i] for i in subset])
             cand = strip([_center(c % pk, pk) for c in prod])
             if not cand or cand[-1] != 1:
                 continue
@@ -643,43 +619,25 @@ def _zx_factor_squarefree(f):
     return factors
 
 
-def _yun_squarefree(f):
-    """Yun decomposition of a monic integer f: list of (monic integer part,
-    multiplicity).  Every gcd divides f, so every quotient is exact over Z."""
-    d = pderiv(f)
-    g = zx_gcd(f, d)
-    if degree(g) == 0:
-        return [(f, 1)]
-    out = []
-    w = _zx_divides(g, f)
-    y = _zx_divides(g, d)
-    z = psub(y, pderiv(w))
-    i = 1
-    while degree(w) > 0:
-        g_i = zx_gcd(w, z)
-        if degree(g_i) > 0:
-            out.append((g_i, i))
-        w = _zx_divides(g_i, w)
-        y = _zx_divides(g_i, z)
-        z = psub(y, pderiv(w))
-        i += 1
-    return out
-
-
 def zx_factor(f):
     """Factor a monic integer polynomial into monic irreducibles.
 
     Returns a list of (factor, multiplicity), sorted by (degree, coefficients).
+    g = gcd(f, f') holds each factor to one power less than f, so f / g is
+    squarefree and a multiplicity is 1 plus the times the factor divides g.
     """
     f = strip(list(f))
     if not f or f[-1] != 1:
         raise ValueError("zx_factor expects a monic integer polynomial")
     if degree(f) == 0:
         return []
+    g = zx_gcd(f, pderiv(f))
     out = []
-    for part, mult in _yun_squarefree(f):
-        for irr in _zx_factor_part(part):
-            out.append((irr, mult))
+    for irr in _zx_factor_part(_zx_divides(g, f)):
+        mult = 1
+        while degree(g) > 0 and (quo := _zx_divides(irr, g)) is not None:
+            mult, g = mult + 1, quo
+        out.append((irr, mult))
     out.sort(key=lambda t: (degree(t[0]), t[0]))
     return out
 
@@ -765,7 +723,8 @@ def irreducible_by_degree_patterns(f, disc, no_linear):
             continue
         tries += 1
         sums = {0}
-        for prod, d in _fp_ddf(fp_norm(f, q), q):
+        fq = fp_norm(f, q)
+        for prod, d in _fp_ddf(fq, q, FqKernel(fq, q)):
             for _ in range(degree(prod) // d):
                 sums |= {s + d for s in sums}
         possible &= sums

@@ -16,8 +16,8 @@ from math import gcd
 from .errors import FactorizationIncomplete, IndexDivisor, ZeroElement
 from .integerfactor import factorint, is_prime
 from .numberfield import FieldElement, NumberField
-from .polynomials import (degree, fp_divmod, fp_factor, fp_gcd, fp_mul,
-                          fp_norm, pmul, psub)
+from .polynomials import (degree, fp_divmod, fp_factor, fp_gcd, fp_norm,
+                          pmul, psub)
 
 
 class PrimeIdeal:
@@ -88,16 +88,13 @@ def factor_rational_prime(field: NumberField, q: int):
 
 
 def _dedekind_gate(field, q, factors):
-    g_rad = [1]
-    h_cof = [1]
+    g_rad, h_cof = [1], [1]
     for gbar, e in factors:
-        g_rad = fp_mul(g_rad, gbar, q)
+        g_rad = pmul(g_rad, gbar)
         for _ in range(e - 1):
-            h_cof = fp_mul(h_cof, gbar, q)
-    g_lift = [c % q for c in g_rad]
-    h_lift = [c % q for c in h_cof]
-    prod = pmul(g_lift, h_lift)
-    diff = psub(prod, list(field.coeffs))
+            h_cof = pmul(h_cof, gbar)
+    g_rad, h_cof = fp_norm(g_rad, q), fp_norm(h_cof, q)
+    diff = psub(pmul(g_rad, h_cof), list(field.coeffs))
     if any(c % q for c in diff):
         raise ArithmeticError("lift product not congruent to f")
     t_bar = fp_norm([c // q for c in diff], q)

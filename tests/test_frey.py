@@ -2,7 +2,9 @@
 
 import contextlib
 import io
+import json
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -11,13 +13,14 @@ from hypothesis import strategies as st
 
 from afcheck import cli, frey, make_field
 from afcheck.errors import (InconsistentDivisibility, RelationViolated,
-                            UnsupportedCase)
+                            UnsupportedCase, WorkExceeded)
 from afcheck.frey import (FAMILY_SQUARE, FAMILY_TWO_POWER,
                           FreySpec, ValuationForm, concrete_cross_check,
                           conductor_shape, invariants,
                           odd_multiplicative_primes, valuation_profile,
                           weierstrass_invariants)
 from afcheck.numberfield import FieldElement, NumberField
+from afcheck.parsing import MAX_PARSED_DIGITS
 from afcheck.prime_ideals import factor_rational_prime, s_k
 from afcheck.sunits import solve_sunit
 
@@ -198,6 +201,55 @@ def reference_invariants(family, a, b, c, r, p):
     c6 = -(b2 ** 3) + b2 * b4 * 36
     model = None if delta.is_zero() else (delta, c4, c6, c4 ** 3 / delta)
     return closed, model
+
+
+class TestLongPowers:
+    """A concrete p whose powers a^p, b^p, c^p or 2^r could pass
+    MAX_PARSED_DIGITS digits is refused before any of them is built."""
+
+    BITS = (10 ** MAX_PARSED_DIGITS).bit_length()
+
+    def test_refused_at_once(self):
+        started = time.perf_counter()
+        for triple, r, p, name in (
+                ((3, 1, 1), 2, 10000019, "a"), ((1, 1, 1), 10 ** 8, 5, "2"),
+                ((1, Fraction(1, 2), 1), 1, 3317044064679887385961813, "b"),
+                ((1, 1, -2), 1, 10 ** 6, "c")):
+            with pytest.raises(WorkExceeded, match=f"^{name}\\^"):
+                q_spec(FAMILY_TWO_POWER, *triple, r=r, p=p)
+        s = K2.theta()
+        with pytest.raises(WorkExceeded, match="^c"):
+            FreySpec(FAMILY_SQUARE, K2.one(), K2.one(), s, r=None, p=10 ** 5)
+        assert time.perf_counter() - started < 0.5
+
+    def test_bound_is_the_bits_of_the_digit_cap(self):
+        # a = 2 has h = 2, one bit per unit of p: p = BITS builds the powers
+        # and fails the relation, p = BITS + 1 is refused; 2^BITS is built
+        with pytest.raises(RelationViolated):
+            q_spec(FAMILY_TWO_POWER, 2, 1, 1, r=1, p=self.BITS)
+        with pytest.raises(WorkExceeded):
+            q_spec(FAMILY_TWO_POWER, 2, 1, 1, r=1, p=self.BITS + 1)
+        with pytest.raises(RelationViolated):
+            q_spec(FAMILY_TWO_POWER, 1, 1, 1, r=self.BITS, p=3)
+        with pytest.raises(WorkExceeded):
+            q_spec(FAMILY_TWO_POWER, 1, 1, 1, r=self.BITS + 1, p=3)
+
+    def test_unit_entries_pass_at_any_p(self):
+        p = 3317044064679887385961813
+        inv = invariants(q_spec(FAMILY_TWO_POWER, 1, 1, 1, r=1, p=p))
+        assert (inv.delta, inv.c4, inv.j) == (64, 48, 1728)
+        inv = invariants(q_spec(FAMILY_TWO_POWER, -1, -1, -1, r=1, p=p))
+        assert (inv.delta, inv.c4, inv.j) == (64, 48, 1728)
+
+    def test_cli_refuses_a_long_power(self):
+        started = time.perf_counter()
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.run(["--output", "json", "frey", "2r", "x", "--a", "3",
+                            "--b", "1", "--c", "1", "--p", "10000019"])
+        assert time.perf_counter() - started < 0.5
+        error = json.loads(out.getvalue())["result"]["error"]
+        assert (code, error["type"]) == (1, "WorkExceeded")
 
 
 class TestRationalTriples:

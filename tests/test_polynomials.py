@@ -10,16 +10,17 @@ import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from sympy.polys.domains import ZZ
-from sympy.polys.galoistools import (gf_ddf_zassenhaus, gf_from_int_poly,
-                                     gf_gcd, gf_sqf_p)
+from sympy.polys.galoistools import (gf_add, gf_ddf_zassenhaus, gf_degree,
+                                     gf_factor_sqf, gf_from_int_poly, gf_gcd,
+                                     gf_irreducible_p, gf_mul, gf_pow_mod,
+                                     gf_quo, gf_rem, gf_sqf_p, gf_sub)
 
 from afcheck import polynomials
-from afcheck.polynomials import (FqKernel, _fp_ddf, _yun_squarefree, degree,
-                                 fp_divmod, fp_factor, fp_gcd, fp_mul,
-                                 fp_norm, fp_pow_mod, integer_roots,
-                                 interval_eval, isolate_real_roots, padd,
-                                 pmul, poly_disc, psub_mod, sign, strip,
-                                 sturm_chain, zx_factor, zx_gcd)
+from afcheck.polynomials import (FqKernel, _fp_ddf, _fp_edf, _split_witness,
+                                 degree, fp_divmod, fp_factor, fp_gcd,
+                                 fp_norm, integer_roots, interval_eval,
+                                 isolate_real_roots, padd, pmul, poly_disc,
+                                 sign, strip, sturm_chain, zx_factor, zx_gcd)
 
 X = sympy.symbols("x")
 
@@ -204,22 +205,30 @@ class TestFpFactor:
         assert fp_factor([1, 0, 1, 1], 2) == [([1, 0, 1, 1], 1)]
 
 
+def to_gf(p, q):
+    """p as sympy's galoistools writes it mod q: highest degree first."""
+    return gf_from_int_poly(p[::-1], q)
+
+
+def from_gf(g):
+    return [int(c) for c in reversed(g)]
+
+
 def loop_ddf(f, q):
     """Distinct-degree factorization as it stood before the Frobenius
-    kernel: one fp_pow_mod per degree, reducing mod what is left of f."""
-    out = []
-    h = [0, 1]
-    d = 0
-    while degree(f) > 0 and 2 * (d + 1) <= degree(f):
+    kernel, on sympy's F_q arithmetic: one powering mod f per degree,
+    reducing mod what is left of f."""
+    f, h, d, out = to_gf(f, q), [1, 0], 0, []
+    while 2 * (d + 1) <= gf_degree(f):
         d += 1
-        h = fp_pow_mod(h, q, f, q)
-        g = fp_gcd(psub_mod(h, [0, 1], q), f, q)
-        if degree(g) > 0:
-            out.append((g, d))
-            f = fp_divmod(f, g, q)[0]
-            h = fp_divmod(h, f, q)[1]
-    if degree(f) > 0:
-        out.append((f, degree(f)))
+        h = gf_pow_mod(h, q, f, q, ZZ)
+        g = gf_gcd(gf_sub(h, [1, 0], q, ZZ), f, q, ZZ)
+        if gf_degree(g) > 0:
+            out.append((from_gf(g), d))
+            f = gf_quo(f, g, q, ZZ)
+            h = gf_rem(h, f, q, ZZ)
+    if gf_degree(f) > 0:
+        out.append((from_gf(f), gf_degree(f)))
     return out
 
 
@@ -236,6 +245,18 @@ def squarefree_mod_q(draw, max_degree=8):
     return f, q
 
 
+EDF_PRIMES = (2, 3, 5, 997)
+# F_2 has one irreducible quadratic, so no product of two
+EDF_CASES = [(q, d) for q in EDF_PRIMES for d in (1, 2, 3) if (q, d) != (2, 2)]
+
+
+def irreducible(q, d):
+    """Monic irreducibles of degree d over F_q, as coefficient tuples."""
+    low = st.tuples(*[st.integers(0, q - 1)] * d)
+    return low.map(lambda c: c + (1,)).filter(
+        lambda g: gf_irreducible_p(list(g[::-1]), q, ZZ))
+
+
 def residue(p, n):
     return p + [0] * (n - len(p))
 
@@ -247,7 +268,8 @@ class TestFpKernel:
         f, q = drawn
         theirs = [([int(c) for c in reversed(g)], d)
                   for g, d in gf_ddf_zassenhaus(list(reversed(f)), q, ZZ)]
-        assert _fp_ddf(f, q) == theirs == loop_ddf(f, q)
+        kernel = FqKernel(f, q) if degree(f) >= 2 else None
+        assert _fp_ddf(f, q, kernel) == theirs == loop_ddf(f, q)
 
     @settings(max_examples=200, deadline=None)
     @given(st.sampled_from(DDF_PRIMES), st.data())
@@ -257,11 +279,25 @@ class TestFpKernel:
         f = data.draw(coeffs) + [1]
         a, b = data.draw(coeffs), data.draw(coeffs)
         kernel = FqKernel(f, q)
-        assert kernel.mulmod(a, b) == residue(
-            fp_divmod(fp_mul(strip(a), strip(b), q), f, q)[1], n)
-        assert kernel.xq == residue(fp_pow_mod([0, 1], q, f, q), n)
-        assert kernel.frobenius(a) == residue(
-            fp_pow_mod(strip(a), q, f, q), n)
+        F, A = to_gf(f, q), to_gf(a, q)
+        assert kernel.mulmod(a, b) == residue(from_gf(
+            gf_rem(gf_mul(A, to_gf(b, q), q, ZZ), F, q, ZZ)), n)
+        assert kernel.xq == residue(from_gf(
+            gf_pow_mod([1, 0], q, F, q, ZZ)), n)
+        assert kernel.frobenius(a) == residue(from_gf(
+            gf_pow_mod(A, q, F, q, ZZ)), n)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(DDF_PRIMES), st.data())
+    def test_pow_against_sympy(self, q, data):
+        n = data.draw(st.integers(2, 8))
+        coeffs = st.lists(st.integers(0, q - 1), min_size=n, max_size=n)
+        f, a = data.draw(coeffs) + [1], data.draw(coeffs)
+        kernel, F, A = FqKernel(f, q), to_gf(f, q), to_gf(a, q)
+        # e = 1, e just past q, and a drawn e >= 2
+        for e in (1, q + 1, data.draw(st.integers(2, q ** 3))):
+            assert kernel.pow(a, e) == residue(from_gf(
+                gf_pow_mod(A, e, F, q, ZZ)), n)
 
     @settings(max_examples=300, deadline=None)
     @given(st.sampled_from((2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)),
@@ -283,6 +319,35 @@ class TestFpKernel:
         assert fp_gcd(a, b, q) == [int(c) for c in reversed(theirs)]
         assert (a, b) == (a_in, b_in)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_edf_against_sympy(self, data):
+        q, d = data.draw(st.sampled_from(EDF_CASES))
+        factors = data.draw(st.lists(irreducible(q, d), min_size=2,
+                                     max_size=3, unique=True))
+        f = fp_norm(product((list(g), 1) for g in factors), q)
+        _, theirs = gf_factor_sqf(to_gf(f, q), q, ZZ)
+        assert sorted(_fp_edf(f, d, q, FqKernel(f, q))) == sorted(
+            from_gf(g) for g in theirs) == sorted(map(list, factors))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(EDF_PRIMES), st.integers(1, 3), st.data())
+    def test_split_witness_against_sympy(self, q, d, data):
+        # odd q: h^((q^d-1)/2) - 1; q = 2: the trace sum_i h^(2^i), both
+        # mod the kernel's f
+        n = data.draw(st.integers(2, 7))
+        coeffs = st.lists(st.integers(0, q - 1), min_size=n, max_size=n)
+        f, h = data.draw(coeffs) + [1], data.draw(coeffs)
+        F, H = to_gf(f, q), to_gf(h, q)
+        if q == 2:
+            want = []
+            for i in range(d):
+                want = gf_add(want, gf_pow_mod(H, 2 ** i, F, q, ZZ), q, ZZ)
+        else:
+            want = gf_sub(gf_pow_mod(H, (q ** d - 1) // 2, F, q, ZZ), [1],
+                          q, ZZ)
+        assert fp_norm(_split_witness(h, d, FqKernel(f, q)), q) == from_gf(
+            want)
 
 def sturm_count(p):
     """Real roots of a squarefree p by Sturm's theorem: the sign variations
@@ -481,16 +546,8 @@ class TestGcd:
         assert zx_gcd(a, b) == expected
         assert zx_gcd(a, [-c for c in b]) == expected
 
-    @settings(max_examples=150, deadline=None)
-    @given(with_repeats(3))
-    def test_yun_against_sqf_list(self, factors):
-        f = product(factors)
-        _, theirs = to_sympy(f).sqf_list()
-        assert sorted(_yun_squarefree(f)) == sorted(
-            (from_sympy(g), m) for g, m in theirs)
-
     @settings(max_examples=100, deadline=None)
-    @given(with_repeats(2))
+    @given(with_repeats(3))
     def test_zx_factor_multiplicities_against_sympy(self, factors):
         f = product(factors)
         _, theirs = to_sympy(f).factor_list()
@@ -507,7 +564,7 @@ class TestFpDivmod:
         b = strip(data.draw(residues))
         assume(b)
         quo, rem = fp_divmod(a, b, q)
-        assert fp_norm(padd(fp_mul(quo, b, q), rem), q) == a
+        assert fp_norm(padd(pmul(quo, b), rem), q) == a
         assert degree(rem) < degree(b)
         assert all(0 <= c < q for c in quo + rem)
         assert quo == strip(quo) and rem == strip(rem)
