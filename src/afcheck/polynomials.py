@@ -11,7 +11,10 @@ of scaled pseudo-remainders freed of their content, and a root is held as
 a dyadic interval (lo, hi, k), integers lo <= hi standing for
 [lo / 2^k, hi / 2^k].  Signs at such an endpoint come from integer Horner
 with shifts, refinement bisects on the same integers, and interval Horner
-bounds a polynomial over the interval by integers over a power of 2.
+bounds a polynomial over the interval by integers over a power of 2.  The
+bisection starts from (-b, b), b the Cauchy bound; its end counts are the
+chain's sign variations at -oo and +oo, read off the leading coefficients,
+since no root lies outside it and only differences of counts are used.
 
 Linear factors are settled by the rational-root test before any modular
 work (``integer_roots``): a nonzero integer root of a monic f divides its
@@ -35,12 +38,13 @@ Distinct-degree factorization steps h -> h^q as one matrix-vector product,
 and equal-degree splitting takes the conjugates h^(q^i) the same way
 (Cohen, GTM 138, Section 3.4), so both the degree patterns and
 ``fp_factor`` (Dedekind, splitting types, Zassenhaus) pay for x^q once per
-squarefree part.  The discriminant of a monic f of degree n is
-(-1)^(n(n-1)/2) N(f'(theta)), the determinant of the n x n multiplication
-matrix of f'(theta), since Res(f, f') = N(f'(theta)).  Hensel lifting is
-quadratic (von zur Gathen and Gerhard, Modern Computer Algebra, Alg.
-15.10): the factors and their Bezout pair are lifted together from p^j to
-p^(2j).
+squarefree part.  A constant gcd(f, f') ends the squarefree decomposition
+at once: f is its own and only part.  The discriminant of a monic f of
+degree n is (-1)^(n(n-1)/2) N(f'(theta)), the determinant of the n x n
+multiplication matrix of f'(theta), since Res(f, f') = N(f'(theta)).
+Hensel lifting is quadratic (von zur Gathen and Gerhard, Modern Computer
+Algebra, Alg. 15.10): the factors and their Bezout pair are lifted together
+from p^j to p^(2j).
 """
 
 from functools import reduce
@@ -167,6 +171,16 @@ def _chain_variations(chain, m, j):
     return count
 
 
+def _end_variations(chain):
+    """Sign variations of the chain at -oo and at +oo: each member has the
+    sign of its leading coefficient at +oo, times (-1)^degree at -oo, and
+    none of these signs is zero."""
+    top = [sign(p[-1]) for p in chain]
+    low = [s if len(p) % 2 else -s for s, p in zip(top, chain)]
+    return tuple(sum(a != b for a, b in zip(signs, signs[1:]))
+                 for signs in (low, top))
+
+
 def isolate_real_roots(f):
     """Isolating intervals for the real roots of a monic squarefree integer
     polynomial f.
@@ -181,7 +195,7 @@ def isolate_real_roots(f):
 
     The search bisects (-b, b), b the Cauchy bound 1 + max |f_i|, so every
     endpoint at depth k is an integer over 2^k, and the Sturm chain is
-    evaluated there by integer Horner with shifts.
+    evaluated at each midpoint by integer Horner with shifts.
     """
     if not f or f[-1] != 1:
         raise ValueError("isolate_real_roots expects a monic polynomial")
@@ -195,9 +209,11 @@ def isolate_real_roots(f):
     bound = 1 + max(abs(c) for c in f[:-1])
     out = []
     # (lo, hi, depth, variations at lo, at hi), endpoints over 2^depth: the
-    # interval holds the difference in roots, in (lo, hi]
-    work = [(-bound, bound, 0, _chain_variations(chain, -bound, 0),
-             _chain_variations(chain, bound, 0))]
+    # interval holds the difference in roots, in (lo, hi].  At -bound and
+    # bound the counts at -oo and +oo stand in, read off the leading
+    # signs: no root lies outside (-bound, bound), so each difference they
+    # enter into is unchanged
+    work = [(-bound, bound, 0, *_end_variations(chain))]
     while work:
         lo, hi, k, vlo, vhi = work.pop()
         cnt = vlo - vhi
@@ -299,7 +315,9 @@ def fp_gcd(a, b, q):
 
 
 def _fp_sqf(f, q):
-    """Squarefree decomposition over F_q, q prime: list of (factor, mult)."""
+    """Squarefree decomposition of a monic nonconstant f over F_q, q prime,
+    with coefficients in [0, q): list of (factor, mult).  A constant
+    gcd(f, f') makes f squarefree, and f is returned as its only part."""
     out = []
     d = fp_norm(pderiv(f), q)
     if not d:
@@ -307,6 +325,8 @@ def _fp_sqf(f, q):
         g = [f[i] for i in range(0, len(f), q)]
         return [(fac, m * q) for fac, m in _fp_sqf(strip(g), q)]
     c = fp_gcd(f, d, q)
+    if degree(c) == 0:
+        return [(f, 1)]
     w = fp_divmod(f, c, q)[0]
     i = 1
     while degree(w) > 0:

@@ -3,7 +3,9 @@
 Rational primes are factored through the reduction of the defining
 polynomial, guarded by the Dedekind index criterion: a prime dividing the
 index of Z[theta] in the maximal order raises IndexDivisor rather than
-producing silently wrong data.  Valuations of rationals come from the
+producing silently wrong data.  The index squares into poly_disc, so the
+criterion runs only at a prime whose square divides poly_disc; every other
+prime is prime to the index.  Valuations of rationals come from the
 integers: v_P(m/d) = e * (v_q(m) - v_q(d)).  Other valuations come from the
 integers too: the numerator is multiplied by the cofactor f/g mod q of the
 prime's generator g, and one count is taken per division by q that leaves
@@ -71,8 +73,11 @@ _factor_cache: dict = {}
 def factor_rational_prime(field: NumberField, q: int):
     """Primes of O_K above q via Dedekind factorization, canonically sorted.
 
-    Runs the index criterion at q first; failure raises IndexDivisor(q).
-    A q that is not prime raises ValueError.
+    poly_disc = [O_K : Z[theta]]^2 * d_K (Cohen, GTM 138, Section 6.1), so q
+    can divide the index only when q^2 divides poly_disc; only then does
+    the index criterion run, and its failure raises IndexDivisor(q).  Either
+    way Z[theta] is q-maximal when primes are returned.  A q that is not
+    prime raises ValueError.
     """
     cache_key = (field.coeffs, q)
     if cache_key in _factor_cache:
@@ -80,7 +85,8 @@ def factor_rational_prime(field: NumberField, q: int):
     if not is_prime(q):
         raise ValueError(f"{q} is not a prime")
     factors = fp_factor(field.coeffs, q)
-    _dedekind_gate(field, q, factors)
+    if field.poly_disc % (q * q) == 0:
+        _dedekind_gate(field, q, factors)
     primes = [PrimeIdeal(field, q, e, degree(g), g) for g, e in factors]
     primes.sort(key=PrimeIdeal.sort_key)
     _factor_cache[cache_key] = tuple(primes)
@@ -181,8 +187,10 @@ def valuation(x: FieldElement, prime: PrimeIdeal) -> int:
       v_P'(h(theta)) >= e' = v_P'(q) at each other prime P' over q, and
       v_P'(beta) >= 0.
     - h is nonzero mod q of degree < n, so beta is not in Z[theta] localized
-      at q.  The Dedekind gate makes Z[theta] q-maximal, so beta is not
-      integral at q, and only P is left to fail: v_P(beta) = -1.
+      at q.  Z[theta] is q-maximal, as factor_rational_prime returned P:
+      either the Dedekind gate passed at q, or q^2 does not divide
+      poly_disc = index^2 * d_K, so q is prime to the index.  So beta is
+      not integral at q, and only P is left to fail: v_P(beta) = -1.
     - By q-maximality again, y/q with y in Z[theta] is integral at q
       exactly when every coordinate of y is divisible by q.
     So num*beta^k is integral at q exactly for k <= v_P(num).  Starting

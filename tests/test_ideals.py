@@ -2,15 +2,20 @@
 
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+import sympy
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
+from sympy.polys.numberfields.basis import (_apply_Dedekind_criterion,
+                                            round_two)
+from sympy.polys.numberfields.exceptions import ClosureFailure
+from sympy.polys.numberfields.primes import prime_decomp
 
 from afcheck import FieldElement, make_field
-from afcheck.errors import IndexDivisor, ZeroElement
-from afcheck.integerfactor import SMALL_PRIMES
+from afcheck.errors import IndexDivisor, Reducible, ZeroElement
+from afcheck.integerfactor import SMALL_PRIMES, is_prime
 from afcheck.polynomials import fp_divmod, fp_norm
 from afcheck.prime_ideals import (element_valuations, factor_rational_prime,
                                   s_k, splitting_type, u_k, valuation,
@@ -109,8 +114,6 @@ class TestFactorization:
                         assert valuation(gen, P) >= 1
 
     def test_ef_data_matches_sympy_prime_decomp(self):
-        import sympy
-        from sympy.polys.numberfields.primes import prime_decomp
         x = sympy.symbols("x")
         polys = ["x^2 - 2", "x^2 - x - 1", "x^3 - x^2 + 1", "x^3 - 2",
                  "x^3 - 4*x - 1", "x^4 - 2"]
@@ -124,6 +127,74 @@ class TestFactorization:
                     continue
                 theirs = sorted((p.e, p.f) for p in prime_decomp(q, T))
                 assert mine == theirs, (poly_str, q)
+
+
+INDEX_PRIMES = [q for q in range(2, 30) if is_prime(q)]
+
+
+def sympy_index(T, disc):
+    """(index, O_K, d_K) from sympy's Round 2 with index^2 = disc / d_K, or
+    None where Round 2 raises or returns a d_K that leaves no square
+    quotient, as sympy 1.14 does on some fields: x^4 + 5x^3 - 7x^2 + 2x + 8
+    gets d_K = -194127, which does not divide its disc -3106028, and
+    x^5 - 3x^4 + 5x^3 - 3x^2 + 8x + 9 gets d_K = 0."""
+    try:
+        ZK, dK = round_two(T)
+    except ClosureFailure:
+        return None
+    dK = int(dK)
+    index = isqrt(disc // dK) if dK and disc % dK == 0 else 0
+    return (index, ZK, dK) if index and index * index * dK == disc else None
+
+
+@st.composite
+def drawn_field(draw):
+    """A field of a monic f of degree 2-6, coefficients in [-9, 9]."""
+    n = draw(st.integers(2, 6))
+    coeffs = draw(st.lists(st.integers(-9, 9), min_size=n, max_size=n))
+    try:
+        return make_field(coeffs + [1])
+    except Reducible:
+        assume(False)
+
+
+class TestIndexDecision:
+    """factor_rational_prime at every prime q <= 29 against sympy.
+
+    IndexDivisor is raised exactly when q divides [O_K : Z[theta]], by
+    sympy's Dedekind criterion, run at every q, and by sympy's Round 2
+    where it returns a discriminant.  Since poly_disc = index^2 * d_K, no
+    q with q^2 not dividing poly_disc raises; at a q that does not raise,
+    the (e, f) data equal prime_decomp's."""
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow,
+                                     HealthCheck.filter_too_much])
+    @given(drawn_field())
+    # 2 divides the index of x^3 - x^2 - 2x - 8 (Dedekind's example) and of
+    # x^2 - 5; Round 2 fails on x^4 + 5x^3 - 7x^2 + 2x + 8, whose index 2
+    # only the criterion sees
+    @example(make_field("x^3 - x^2 - 2*x - 8"))
+    @example(make_field("x^2 - 5"))
+    @example(make_field("x^4 + 5*x^3 - 7*x^2 + 2*x + 8"))
+    def test_against_sympy(self, K):
+        T = sympy.Poly(list(reversed(K.coeffs)), sympy.symbols("x"))
+        disc = K.poly_disc
+        maximal = sympy_index(T, disc)
+        for q in INDEX_PRIMES:
+            divides = _apply_Dedekind_criterion(T, q)[1] > 0
+            if maximal is not None:
+                assert divides == (maximal[0] % q == 0), q
+            try:
+                mine = sorted((P.e, P.f) for P in factor_rational_prime(K, q))
+            except IndexDivisor:
+                assert divides and disc % (q * q) == 0, q
+                continue
+            assert not divides, q
+            if maximal is not None:
+                _, ZK, dK = maximal
+                assert mine == sorted(
+                    (P.e, P.f) for P in prime_decomp(q, T, ZK=ZK, dK=dK)), q
 
 
 class TestSplittingType:

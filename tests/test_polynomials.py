@@ -7,18 +7,19 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import (gf_add, gf_ddf_zassenhaus, gf_degree,
                                      gf_factor_sqf, gf_from_int_poly, gf_gcd,
                                      gf_irreducible_p, gf_mul, gf_pow_mod,
-                                     gf_quo, gf_rem, gf_sqf_p, gf_sub)
+                                     gf_quo, gf_rem, gf_sqf_list, gf_sqf_p,
+                                     gf_sub)
 
 from afcheck import polynomials
-from afcheck.polynomials import (FqKernel, _fp_ddf, _fp_edf, _split_witness,
-                                 degree, fp_divmod, fp_factor, fp_gcd,
-                                 fp_norm, integer_roots, interval_eval,
+from afcheck.polynomials import (FqKernel, _fp_ddf, _fp_edf, _fp_sqf,
+                                 _split_witness, degree, fp_divmod, fp_factor,
+                                 fp_gcd, fp_norm, integer_roots, interval_eval,
                                  isolate_real_roots, padd, pmul, poly_disc,
                                  sign, strip, sturm_chain, zx_factor, zx_gcd)
 
@@ -349,6 +350,57 @@ class TestFpKernel:
         assert fp_norm(_split_witness(h, d, FqKernel(f, q)), q) == from_gf(
             want)
 
+
+SQF_PRIMES = (2, 3, 5, 7, 23)
+
+
+def monic_mod_q(q, min_degree, max_degree):
+    """Monic polynomials over F_q, coefficients in [0, q)."""
+    return st.integers(min_degree, max_degree).flatmap(
+        lambda n: st.lists(st.integers(0, q - 1), min_size=n, max_size=n)
+        .map(lambda low: low + [1]))
+
+
+def sympy_sqf(f, q):
+    """Squarefree decomposition of f over F_q from galoistools (oracle)."""
+    _, parts = gf_sqf_list(to_gf(f, q), q, ZZ)
+    return sorted((from_gf(g), m) for g, m in parts)
+
+
+class TestFpSqf:
+    """_fp_sqf against sympy's gf_sqf_list on its three paths."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(SQF_PRIMES), st.data())
+    def test_squarefree_is_its_own_part(self, q, data):
+        # gcd(f, f') = 1: the early return
+        f = data.draw(monic_mod_q(q, 1, 8))
+        assume(gf_sqf_p(to_gf(f, q), q, ZZ))
+        assert _fp_sqf(f, q) == [(f, 1)] == sympy_sqf(f, q)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(SQF_PRIMES), st.data())
+    def test_planted_multiplicities(self, q, data):
+        # a factor of multiplicity 2 or 3, so gcd(f, f') is nonconstant;
+        # at q = 2 and 3 the multiplicity q reaches the q-th root branch
+        planted = data.draw(st.lists(
+            st.tuples(monic_mod_q(q, 1, 3), st.integers(2, 3)),
+            min_size=1, max_size=2))
+        rest = data.draw(st.lists(
+            st.tuples(monic_mod_q(q, 1, 3), st.just(1)), max_size=2))
+        f = fp_norm(product(planted + rest), q)
+        assert sorted(_fp_sqf(f, q)) == sympy_sqf(f, q)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from(SQF_PRIMES), st.data())
+    def test_qth_power(self, q, data):
+        # f = g^q = g(x^q) has f' = 0 mod q
+        g = data.draw(monic_mod_q(q, 1, 3))
+        f = fp_norm(product([(g, q)]), q)
+        assert not fp_norm(polynomials.pderiv(f), q)
+        assert sorted(_fp_sqf(f, q)) == sympy_sqf(f, q)
+
+
 def sturm_count(p):
     """Real roots of a squarefree p by Sturm's theorem: the sign variations
     of its Sturm chain at -infinity less those at +infinity."""
@@ -479,6 +531,12 @@ class TestIntegerIsolation:
 
     @settings(max_examples=300, deadline=None)
     @given(MONIC_POLYS)
+    # chain members with a root outside (-b, b), where their signs at -b
+    # and b differ from those at -oo and +oo: 2x - 7 (root 3.5, b = 3) in
+    # the chain of x^3 + 2x^2 + x + 1, and a quadratic member with a root
+    # near 15.5 (b = 10) in that of x^6 + 9x^5 + 3x^4 - 8x^3 - 8x^2 - 6x + 4
+    @example([1, 1, 2, 1])
+    @example([4, -6, -8, -8, 3, 9, 1])
     def test_squarefree_integer_polys(self, p):
         assume(squarefree(p))
         got = outcome(dyadic_isolation, p)
