@@ -106,7 +106,7 @@ def _parse_argv(argv):
     value is always the next argument.  Unknown options and surplus words
     are reported last, so that a later -h still prints help."""
     _, positionals, options, required = _TOP
-    args = {_dest(name): default for name, (_, default, _) in options.items()}
+    args = _unset(positionals, options)
     slots, rest = list(positionals), iter(argv)
     command, strays, options_end = None, [], False
     for arg in rest:
@@ -121,8 +121,7 @@ def _parse_argv(argv):
                 command = arg
                 _, positionals, options, required = _COMMANDS[arg]
                 slots = list(positionals)
-                args.update((_dest(option), default) for option, (
-                    _, default, _) in options.items())
+                args.update(_unset(positionals, options))
         elif name in _HELP and value is None:
             sys.stdout.write(_usage(command, full=True))
             return None
@@ -140,6 +139,15 @@ def _parse_argv(argv):
                           + ", ".join(missing) if missing else
                           "unrecognized arguments: " + " ".join(strays))
     return args
+
+
+def _unset(positionals, options):
+    """The keys of a table entry before the command line is read, in the
+    order the report echoes them: the positionals, None until read, then
+    the options at their defaults."""
+    return {**dict.fromkeys(slot for slot, _ in positionals),
+            **{_dest(name): default
+               for name, (_, default, _) in options.items()}}
 
 
 def _value(name, text, entry, command):
@@ -193,7 +201,9 @@ def _cmd_field(field, _args):
 def _cmd_sunit(field, args):
     bound = DEFAULT_BOUND if args["bound"] is None else args["bound"]
     search = solve_sunit(field, s_k(field), bound)
-    caveats = [f"bounded-search:B={bound}"]
+    # ("bounded-search", B), or ("proven",), which needs no caveat
+    status = search.completeness
+    caveats = [] if status[0] == "proven" else [f"{status[0]}:B={status[1]}"]
     return search.to_dict(), caveats, EXIT_OK
 
 
@@ -360,12 +370,10 @@ def _answer(args):
 
 
 def _echo(args):
-    echo = {"command": args["command"], "seed": args["seed"]}
-    for key in ("poly", "theorem", "family", "bound", "r", "l", "mode",
-                "prime", "a", "b", "c", "l_max", "p", "user_class_number"):
-        if args.get(key) is not None:
-            echo[key] = args[key]
-    return echo
+    """The request as the report echoes it: every key given a value, but
+    the output format."""
+    return {key: value for key, value in args.items()
+            if value is not None and key != "output"}
 
 
 def main():

@@ -19,7 +19,6 @@ function here decides whether a triple is trivial or lies in W_K.
 """
 
 from fractions import Fraction
-from functools import cached_property
 from math import prod
 
 from .errors import (InconsistentDivisibility, RelationViolated,
@@ -63,11 +62,14 @@ class ValuationForm:
 class FreySpec:
     """A Frey curve request.  A zero entry is refused at every exponent; a
     concrete exponent p is checked against the defining relation once, when
-    the spec is built, so the spec is frozen.  p None means symbolic.  A
-    concrete p whose powers could pass MAX_PARSED_DIGITS digits is refused
-    before they are built (see _refuse_long_powers)."""
-    # the cached properties live in __dict__
-    __slots__ = ("family", "a", "b", "c", "r", "p", "__dict__")
+    the spec is built, so the spec is frozen.  p None means symbolic.
+
+    triple is (a, b, c) in the smallest ring that holds all three: an int
+    or a Fraction each when all are rational, else the field elements.
+    powers is (a^p, b^p, c^p) in that ring for a concrete p, None for a
+    symbolic one; a p whose powers could pass MAX_PARSED_DIGITS digits is
+    refused before they are built (see _refuse_long_powers)."""
+    __slots__ = ("family", "a", "b", "c", "r", "p", "triple", "powers")
 
     def __init__(self, family: str, a: FieldElement, b: FieldElement,
                  c: FieldElement, r: int, p: int):
@@ -75,12 +77,18 @@ class FreySpec:
             raise ValueError(f"unknown family {family!r}")
         if family == FAMILY_TWO_POWER and (r is None or r < 1):
             raise ValueError("family '2r' needs a positive twist exponent r")
-        for name, value in zip(self.__slots__, (family, a, b, c, r, p)):
+        triple = (a, b, c)
+        if all(x.is_rational() for x in triple):
+            triple = tuple(x.num[0] if x.den == 1 else Fraction(x.num[0], x.den)
+                           for x in triple)
+        values = (family, a, b, c, r, p, triple, None)
+        for name, value in zip(self.__slots__, values):
             object.__setattr__(self, name, value)
-        if 0 in self.triple:
+        if 0 in triple:
             raise RelationViolated("triple with abc = 0 gives a singular curve")
         if p is not None:
             self._refuse_long_powers()
+            object.__setattr__(self, "powers", tuple(x ** p for x in triple))
             self.validate()
 
     def __setattr__(self, name, _value):
@@ -110,27 +118,11 @@ class FreySpec:
     def field(self) -> NumberField:
         return self.a.field
 
-    @cached_property
-    def triple(self):
-        """(a, b, c) in the smallest ring that holds all three: an int or a
-        Fraction each when all are rational, else the field elements."""
-        entries = (self.a, self.b, self.c)
-        if not all(x.is_rational() for x in entries):
-            return entries
-        return tuple(x.num[0] if x.den == 1 else Fraction(x.num[0], x.den)
-                     for x in entries)
-
     def lift(self, value):
         """A value of the ring of the triple as an element of the field."""
         if isinstance(value, FieldElement):
             return value
         return self.field.from_rational(value)
-
-    @cached_property
-    def powers(self):
-        """(a^p, b^p, c^p) for the concrete exponent, computed once."""
-        p = self.p
-        return tuple(x ** p for x in self.triple)
 
     def validate(self):
         """Exact check of the defining relation for a concrete exponent."""

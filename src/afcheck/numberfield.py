@@ -37,7 +37,8 @@ from .errors import (AfcheckError, DegreeZero, DivisionByZero, NotMonic,
 from .parsing import parse_poly
 from .polynomials import (integer_roots, interval_eval,
                           irreducible_by_degree_patterns, isolate_real_roots,
-                          mul_matrix, poly_disc, refine_root, strip, zx_factor)
+                          mul_matrix, poly_disc, refine_root, strip, zx_divmod,
+                          zx_factor)
 
 MAX_DEGREE = 6
 
@@ -92,14 +93,8 @@ class NumberField:
 
     def reduce(self, num):
         """Integer polynomial num reduced mod the monic f, padded to degree n."""
-        n, f = self.degree, self.coeffs
-        num = list(num)
-        for k in range(len(num) - 1, n - 1, -1):
-            c = num[k]
-            if c:
-                for i in range(n):
-                    num[k - n + i] -= c * f[i]
-        return num[:n] + [0] * (n - len(num))
+        rem = zx_divmod(num, self.coeffs)[1]
+        return rem + [0] * (self.degree - len(rem))
 
     # -- integer kernels on coordinate sequences ------------------------
 

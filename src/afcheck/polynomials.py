@@ -2,9 +2,10 @@
 
 Polynomials are dense coefficient lists, lowest degree first, with no
 trailing zeros; [] is the zero polynomial.  Coefficients are ints, in
-[0, p) for modular ones; division and gcds work over Z by pseudo-remainders
-freed of their content, and over F_p by one top-down pass.  Everything
-here is exact integer arithmetic; no Fraction and no floating point enters.
+[0, p) for modular ones.  Division by a monic polynomial is one top-down
+pass, over Z (``zx_divmod``) and over F_p (``fp_divmod``); over Z the only
+gcd is gcd(f, f'), the last member of the Sturm chain.  Everything here is
+exact integer arithmetic; no Fraction and no floating point enters.
 
 Real roots of a monic f are isolated over Z: the Sturm chain is a sequence
 of scaled pseudo-remainders freed of their content, and a root is held as
@@ -15,6 +16,9 @@ bounds a polynomial over the interval by integers over a power of 2.  The
 bisection starts from (-b, b), b the Cauchy bound; its end counts are the
 chain's sign variations at -oo and +oo, read off the leading coefficients,
 since no root lies outside it and only differences of counts are used.
+The chain is a primitive remainder sequence of f and f', so its last member
+is gcd(f, f') up to sign: constant for a squarefree f, and the divisor
+that ``zx_factor`` takes out of f.
 
 Linear factors are settled by the rational-root test before any modular
 work (``integer_roots``): a nonzero integer root of a monic f divides its
@@ -137,7 +141,8 @@ def sturm_chain(p):
 
     Each member is a positive multiple of the classical member over Q (the
     remainders are scaled by powers of |lc| and freed of their content), so
-    the two chains have the same signs everywhere."""
+    the two chains have the same signs everywhere.  For any p of degree
+    >= 1 the last member is gcd(p, p') up to a constant factor."""
     p = _primitive(p)
     if degree(p) < 1:
         return [p] if p else []
@@ -555,33 +560,18 @@ def _center(c, pk):
     return c - pk if c > pk // 2 else c
 
 
-def _zx_divides(cand, f):
-    """f / cand over Z for a monic cand, or None when cand does not divide f."""
-    f = list(f)
-    n = degree(cand)
-    quo = [0] * (len(f) - n)
+def zx_divmod(a, b):
+    """Quotient and remainder of the integer polynomial a by the monic b
+    over Z: one top-down pass over a copy of a."""
+    a = list(a)
+    n = len(b) - 1
+    quo = [0] * max(0, len(a) - n)
     for k in range(len(quo) - 1, -1, -1):
-        c = quo[k] = f[k + n]
+        c = quo[k] = a[k + n]
         if c:
-            for i, cb in enumerate(cand):
-                f[i + k] -= c * cb
-    return None if any(f[:n]) else quo
-
-
-def zx_gcd(a, b):
-    """Monic gcd of a monic integer polynomial a and an integer polynomial b.
-
-    A primitive pseudo-remainder sequence over Z.  Once freed of its content,
-    a divisor of a monic integer polynomial is monic up to sign (Gauss), so
-    the result equals the monic gcd over Q."""
-    b = _primitive(strip(b))
-    if not b:
-        return list(a)
-    while True:
-        rem = _scaled_rem(a, b)
-        if not rem:
-            return b if b[-1] > 0 else pneg(b)
-        a, b = b, _primitive(rem)
+            for i in range(n):
+                a[i + k] -= c * b[i]
+    return strip(quo), strip(a[:n])
 
 
 def _odd_primes():
@@ -625,8 +615,8 @@ def _zx_factor_squarefree(f):
             cand = strip([_center(c % pk, pk) for c in prod])
             if not cand or cand[-1] != 1:
                 continue
-            quo = _zx_divides(cand, current)
-            if quo is not None:
+            quo, rem = zx_divmod(current, cand)
+            if not rem:
                 factors.append(cand)
                 current = quo
                 remaining = [i for i in remaining if i not in subset]
@@ -645,17 +635,25 @@ def zx_factor(f):
     Returns a list of (factor, multiplicity), sorted by (degree, coefficients).
     g = gcd(f, f') holds each factor to one power less than f, so f / g is
     squarefree and a multiplicity is 1 plus the times the factor divides g.
+    g is the last member of the Sturm chain of f with its sign made
+    positive: the chain is a primitive remainder sequence of f and f', and a
+    primitive divisor of the monic f is monic up to sign (Gauss).
     """
     f = strip(list(f))
     if not f or f[-1] != 1:
         raise ValueError("zx_factor expects a monic integer polynomial")
     if degree(f) == 0:
         return []
-    g = zx_gcd(f, pderiv(f))
+    g = sturm_chain(f)[-1]
+    if g[-1] < 0:
+        g = pneg(g)
     out = []
-    for irr in _zx_factor_part(_zx_divides(g, f)):
+    for irr in _zx_factor_part(zx_divmod(f, g)[0]):
         mult = 1
-        while degree(g) > 0 and (quo := _zx_divides(irr, g)) is not None:
+        while degree(g) > 0:
+            quo, rem = zx_divmod(g, irr)
+            if rem:
+                break
             mult, g = mult + 1, quo
         out.append((irr, mult))
     out.sort(key=lambda t: (degree(t[0]), t[0]))
@@ -671,7 +669,7 @@ def _zx_factor_part(f):
     factors = []
     for r in roots:
         factors.append([-r, 1])
-        f = _zx_divides([-r, 1], f)
+        f = zx_divmod(f, [-r, 1])[0]
     if degree(f) == 0:
         return factors
     if degree(f) == 1 or (degree(f) <= 3 and complete):

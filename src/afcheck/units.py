@@ -9,16 +9,18 @@ height, for their unit pair and their principal generators; the unit pairs
 are certified multiplicatively independent through integer log intervals:
 the atanh series in fixed point, on the absolute bounds that
 numberfield.embedding_bounds gives at each real place.
-Each new unit is paired with the earlier ones in search order: a one-round
-interval certificate comes first, since it proves most independent pairs at
-once; only a pair it leaves open is scanned for a small relation u^m v^k =
-+-1 and, when none exists, certified with the full refinement schedule.  A
-certificate is a proof, so the first certified pair is the same in either
-order.  The class data is h, h+ and how they are known; the odd prime of
-the conductor of the 2r Frey curve is the first odd prime ideal in norm
-order (least_odd_prime), found by factoring odd q in increasing order
-until q passes the least norm so far.  A cubic's h is the one its field
-carries (make_field), read only by class_data.  Computed once per field
+Each new unit is paired with the earlier ones in search order, and the
+first pair the certificate proves independent is returned.  The
+certificate is a proof, so it never passes a dependent pair; such a pair
+costs its full refinement schedule.  A real quadratic field's fundamental
+unit is kept as (x, y, norm), the unit being (x + y sqrt d)/2, the form
+its products and generators take.  The class data is h, h+ and how they
+are known; a cubic's h+ comes from the F_2-rank of the sign bitmasks of
+its unit generators, read off the size of their xor span.  The odd prime
+of the conductor of the 2r Frey curve is the first odd prime ideal in
+norm order (least_odd_prime), found by factoring odd q in increasing
+order until q passes the least norm so far.  A cubic's h is the one its
+field carries (make_field), read only by class_data.  Computed once per field
 (NumberField.memo): a quadratic field's (d, m, b, D) and, in its own entry
 when first read, its fundamental unit; the unit group of a supported
 field; the class data."""
@@ -154,8 +156,8 @@ def _multiplier_product(d, D, path):
 
 
 def _quad_fundamental_unit(field: NumberField):
-    """(x, y, den, norm) with (x + y sqrt d)/den the fundamental unit > 1 of
-    a real quadratic field; kept in the field's memo.
+    """(x, y, norm) with (x + y sqrt d)/2 the fundamental unit > 1 of a real
+    quadratic field; kept in the field's memo.
 
     The principal form (1, b, c), b the largest below sqrt D with b = D mod
     2, is reduced.  Its cycle up to the next form with |a| = 1 runs over
@@ -172,10 +174,7 @@ def _quad_fundamental_unit(field: NumberField):
         x, y = _multiplier_product(d, D, path)
         if x < 0:
             x, y = -x, -y
-        norm = (x * x - d * y * y) // 4
-        if x % 2 or y % 2:
-            return x, y, 2, norm
-        return x // 2, y // 2, 1, norm
+        return x, y, (x * x - d * y * y) // 4
 
     return field.memo("quadratic_unit", walk)
 
@@ -221,15 +220,15 @@ def _ln_interval(lo, hi, p, w):
     return bound(lo, 0), bound(hi, 1)
 
 
-def _certified_independent(u: FieldElement, v: FieldElement, max_rounds=12):
+def _certified_independent(u: FieldElement, v: FieldElement):
     """True when the log-embedding vectors of u, v are provably non-parallel.
 
-    Round r bounds ln|u| and ln|v| at the first two real places by integers
-    over 2^w, w = 8r + 8, from embedding_bounds started at 8r bits (a unit
-    is nonzero, so its bounds leave out zero); the 2x2 determinant
-    ad - bc is then certified nonzero when the integer bounds of ad and bc,
-    over 2^(2w), do not overlap."""
-    for r in range(1, max_rounds + 1):
+    Round r = 1, ..., 12 bounds ln|u| and ln|v| at the first two real places
+    by integers over 2^w, w = 8r + 8, from embedding_bounds started at 8r
+    bits (a unit is nonzero, so its bounds leave out zero); the 2x2
+    determinant ad - bc is then certified nonzero when the integer bounds
+    of ad and bc, over 2^(2w), do not overlap."""
+    for r in range(1, 13):
         p = 8 * r
         (a, b), (c, d) = [
             [_ln_interval(*sorted((abs(lo), abs(hi))), q, p + 8)
@@ -239,18 +238,6 @@ def _certified_independent(u: FieldElement, v: FieldElement, max_rounds=12):
         bc = [s * t for s in b for t in c]
         if min(ad) > max(bc) or max(ad) < min(bc):
             return True
-    return False
-
-
-def _small_relation(u: FieldElement, v: FieldElement):
-    """Exact scan for u^m * v^k in {1, -1} with 0 < max(|m|,|k|) <= 6."""
-    for m in range(-6, 7):
-        for k in range(-6, 7):
-            if m == 0 and k == 0:
-                continue
-            w = (u ** m) * (v ** k)
-            if w == 1 or w == -1:
-                return True
     return False
 
 
@@ -292,12 +279,6 @@ def _cubic_fundamental_pair(field: NumberField):
             continue
         found.append(x)
         for prev in found[:-1]:
-            # one round proves most independent pairs; the relation scan
-            # is only for the pairs it leaves open
-            if _certified_independent(prev, x, max_rounds=1):
-                return [prev, x]
-            if _small_relation(prev, x):
-                continue
             if _certified_independent(prev, x):
                 return [prev, x]
     raise SearchExhausted(
@@ -325,8 +306,8 @@ def unit_generators(field: NumberField) -> UnitGroup:
             if d < 0:
                 order, (x, y) = _quad_torsion(d)
                 return UnitGroup([], order, _quad_element(field, x, y, 2))
-            x, y, den, _norm = _quad_fundamental_unit(field)
-            return UnitGroup([_quad_element(field, x, y, den)], 2,
+            x, y, _norm = _quad_fundamental_unit(field)
+            return UnitGroup([_quad_element(field, x, y, 2)], 2,
                              field.from_rational(-1))
         return UnitGroup(_cubic_fundamental_pair(field), 2,
                          field.from_rational(-1))
@@ -450,9 +431,8 @@ def _least_y(field, alpha):
         for _ in range(order - 1):
             gens.append(_times(d, gens[-1], zeta))
     else:
-        x, y, den, norm = _quad_fundamental_unit(field)
-        eps = (2 * x // den, 2 * y // den)
-        for step, side in ((eps, 1), ((norm * eps[0], -norm * eps[1]), -1)):
+        ex, ey, norm = _quad_fundamental_unit(field)
+        for step, side in (((ex, ey), 1), ((norm * ex, -norm * ey), -1)):
             x, y = alpha
             while not (side * x * y >= 0 and min(x * x, d * y * y)
                        > d * min(abs(g[1]) for g in gens) ** 2):
@@ -523,7 +503,7 @@ def _quadratic_class_data(field):
         h = h_plus = len(forms)
     else:
         h_plus = _cycle_count(forms, D)
-        unit_norm = _quad_fundamental_unit(field)[3]
+        unit_norm = _quad_fundamental_unit(field)[2]
         h = h_plus if unit_norm == -1 else h_plus // 2
     return ClassData(h, h_plus, ("proven",))
 
@@ -556,32 +536,15 @@ def least_odd_prime(field: NumberField) -> PrimeIdeal:
 
 
 def _h_plus_from_unit_signs(field, h):
-    group = unit_generators(field)
+    """h 2^r1 / 2^rank, rank the F_2-rank of the unit generators' sign
+    vectors: bit i of a generator's mask is set when it is negative at the
+    real place i, and the xor span of the masks has 2^rank members."""
     r1 = field.signature[0]
-    vectors = []
-    for u in group.generators():
-        vec = tuple((1 - embedding_sign(u, i)) // 2 for i in range(r1))
-        vectors.append(vec)
-    rank = _f2_rank(vectors)
-    return h * (2 ** r1) // (2 ** rank)
-
-
-def _f2_rank(vectors):
-    rows = [list(v) for v in vectors if any(v)]
-    rank = 0
-    cols = len(rows[0]) if rows else 0
-    used = [False] * len(rows)
-    for c in range(cols):
-        pivot = next((i for i in range(len(rows))
-                      if not used[i] and rows[i][c]), None)
-        if pivot is None:
-            continue
-        used[pivot] = True
-        rank += 1
-        for i in range(len(rows)):
-            if i != pivot and rows[i][c]:
-                rows[i] = [(a + b) % 2 for a, b in zip(rows[i], rows[pivot])]
-    return rank
+    span = {0}
+    for u in unit_generators(field).generators():
+        mask = sum(1 << i for i in range(r1) if embedding_sign(u, i) < 0)
+        span |= {s ^ mask for s in span}
+    return h * 2 ** r1 // len(span)
 
 
 def _find_generator(field, profile):

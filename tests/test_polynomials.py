@@ -21,7 +21,8 @@ from afcheck.polynomials import (FqKernel, _fp_ddf, _fp_edf, _fp_sqf,
                                  _split_witness, degree, fp_divmod, fp_factor,
                                  fp_gcd, fp_norm, integer_roots, interval_eval,
                                  isolate_real_roots, padd, pmul, poly_disc,
-                                 sign, strip, sturm_chain, zx_factor, zx_gcd)
+                                 pderiv, sign, strip, sturm_chain, zx_divmod,
+                                 zx_factor)
 
 X = sympy.symbols("x")
 
@@ -591,18 +592,28 @@ class TestResultant:
 
 class TestGcd:
     @settings(max_examples=200, deadline=None)
-    @given(with_repeats(3), with_repeats(2), st.lists(st.integers(-6, 6), max_size=4),
-           st.integers(-3, 3).filter(bool))
-    def test_zx_gcd_against_sympy(self, shared, rest, other, scale):
-        # a monic, b = scale * shared * other: a nontrivial gcd, a b that is
-        # neither monic nor primitive, and b = 0 when other is zero
-        common = product(shared)
-        a = pmul(common, product(rest))
-        b = pmul(pmul(common, strip(other)), [scale])
-        g = to_sympy(a).gcd(to_sympy(b))
-        expected = from_sympy(g if g.LC() > 0 else -g)
-        assert zx_gcd(a, b) == expected
-        assert zx_gcd(a, [-c for c in b]) == expected
+    @given(with_repeats(3))
+    @example([([1, 1], 1)])
+    @example([([0, 1], 3)])
+    def test_sturm_tail_gcd_against_sympy(self, factors):
+        # the last member of the Sturm chain of a monic f, its sign made
+        # positive, is the monic gcd(f, f') that zx_factor divides out
+        f = product(factors)
+        g = sturm_chain(f)[-1]
+        g = g if g[-1] > 0 else [-c for c in g]
+        assert g == from_sympy(sympy.gcd(to_sympy(f), to_sympy(pderiv(f))))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(-50, 50), max_size=9), monic_wide(0, 5, 20))
+    @example([], [1])
+    @example([3, 1], [0, 0, 1])
+    def test_zx_divmod_against_sympy(self, a, b):
+        a = strip(a)
+        quo, rem = zx_divmod(a, b)
+        theirs = sympy.div(to_sympy(a), to_sympy(b))
+        assert (quo, rem) == tuple(from_sympy(t) if not t.is_zero else []
+                                   for t in theirs)
+        assert padd(pmul(quo, b), rem) == a and degree(rem) < degree(b)
 
     @settings(max_examples=100, deadline=None)
     @given(with_repeats(3))

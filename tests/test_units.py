@@ -10,6 +10,8 @@ import weakref
 from itertools import product
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from afcheck import criteria, linalg, make_field, prime_ideals, sunits, units
 from afcheck.cli import run
@@ -27,8 +29,7 @@ from afcheck.units import (class_data, least_odd_prime, principal_generator,
                            _canonical_sign, _cubic_fundamental_pair,
                            _cycle_count, _find_generator,
                            _quad_element, _quad_fundamental_unit,
-                           _quadratic, _reduced_forms, _shell,
-                           _small_relation)
+                           _quadratic, _reduced_forms, _shell)
 
 
 def is_algebraic_integer(x):
@@ -76,16 +77,15 @@ class TestFundamentalUnits:
 
     def test_golden_ratio_unit(self):
         # O_K of Q(sqrt5) has fundamental unit (1+sqrt5)/2
-        assert fundamental_unit(5) == (1, 1, 2, -1)
+        assert fundamental_unit(5) == (1, 1, -1)
 
     @pytest.mark.parametrize("d", [2, 3, 7, 10, 11, 13])
     def test_minimality_by_exhaustion(self, d):
         """No unit strictly between 1 and the reported fundamental unit."""
-        x, y, den, norm = fundamental_unit(d)
-        assert (x * x - d * y * y) == norm * den * den
-        unit = (x / den, y / den) if den == 1 else None
+        x, y, norm = fundamental_unit(d)
+        assert x * x - d * y * y == 4 * norm
         from fractions import Fraction
-        u = (Fraction(x, den), Fraction(y, den))
+        u = (Fraction(x, 2), Fraction(y, 2))
         for yy in range(0, y + 1):
             for ss in (-4, 4):
                 t = d * yy * yy + ss
@@ -123,9 +123,15 @@ class TestFundamentalUnits:
         assert g3.torsion_order == 6 and g3.torsion_gen ** 6 == 1
 
 
+def small_relation(u, v):
+    """Exact scan for u^m * v^k in {1, -1} with 0 < max(|m|, |k|) <= 6."""
+    return any((u ** m) * (v ** k) in (1, -1)
+               for m in range(-6, 7) for k in range(-6, 7) if m or k)
+
+
 def relation_first_pair(field, height_bound):
-    """The cubic pair search with the relation scan before any certificate,
-    the order used before the one-round certificate was tried first."""
+    """The cubic pair search with an exact relation scan before the
+    certificate: a pair with a small relation is skipped uncertified."""
     found = []
     for h in range(1, height_bound + 1):
         for coords in _shell(3, h):
@@ -134,7 +140,7 @@ def relation_first_pair(field, height_bound):
                 continue
             found.append(x)
             for prev in found[:-1]:
-                if _small_relation(prev, x):
+                if small_relation(prev, x):
                     continue
                 if _certified_independent(prev, x):
                     return [prev, x]
@@ -204,21 +210,58 @@ class TestCubicUnitPair:
         assert _cubic_fundamental_pair(K) == relation_first_pair(K, 50)
 
     @pytest.mark.parametrize("poly", ["x^3-4*x-1", "x^3-x^2-9*x+8"])
-    def test_dependent_pairs_reach_the_relation_scan(self, poly, monkeypatch):
-        relations = []
+    def test_dependent_pairs_are_refused(self, poly, monkeypatch):
+        # dependent pairs come before the first independent one here; the
+        # certificate refuses each of them, and each has a small relation
+        refused = []
 
         def spy(u, v):
-            relations.append(_small_relation(u, v))
-            return relations[-1]
+            certified = _certified_independent(u, v)
+            if not certified:
+                refused.append((u, v))
+            return certified
 
-        monkeypatch.setattr(units, "_small_relation", spy)
-        pair = _cubic_fundamental_pair(make_field(poly))
-        assert relations and all(relations)
-        assert _certified_independent(*pair)
+        monkeypatch.setattr(units, "_certified_independent", spy)
+        _cubic_fundamental_pair(make_field(poly))
+        assert refused and all(small_relation(u, v) for u, v in refused)
 
-    def test_benchmark_cubic_needs_no_relation_scan(self, monkeypatch):
-        monkeypatch.setattr(units, "_small_relation", None)
+    def test_benchmark_cubic_certifies_its_first_pair(self, monkeypatch):
+        calls = count_calls(monkeypatch, units, "_certified_independent")
         _cubic_fundamental_pair(make_field("x^3-x^2-2*x+1"))
+        assert len(calls) == 1
+
+
+class TestCertificateOracle:
+    """The certificate against the exponents: (+-u^a, +-u^b) for a unit u
+    is dependent, so it must never be certified; (u1^a u2^b, u1^c u2^d)
+    for the independent pair (u1, u2) is independent exactly when
+    ad - bc != 0, so it must always be."""
+
+    FIELDS = ("x^3-x^2-2*x+1", "x^3-4*x-1")
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from(FIELDS), st.integers(0, 1),
+           st.integers(-3, 3), st.integers(-3, 3),
+           st.sampled_from((1, -1)), st.sampled_from((1, -1)))
+    @example("x^3-4*x-1", 0, 0, 1, 1, 1)
+    @example("x^3-x^2-2*x+1", 1, 2, -3, -1, 1)
+    def test_dependent_pairs_are_never_certified(self, poly, which, a, b,
+                                                 s, t):
+        u = _cubic_fundamental_pair(make_field(poly))[which]
+        assert not _certified_independent(s * u ** a, t * u ** b)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(FIELDS),
+           st.tuples(*[st.integers(-3, 3)] * 4).filter(
+               lambda e: e[0] * e[3] != e[1] * e[2]),
+           st.sampled_from((1, -1)), st.sampled_from((1, -1)))
+    @example("x^3-4*x-1", (1, 0, 0, 1), 1, 1)
+    @example("x^3-x^2-2*x+1", (2, 1, 1, 1), -1, 1)
+    def test_independent_pairs_are_always_certified(self, poly, e, s, t):
+        u1, u2 = _cubic_fundamental_pair(make_field(poly))
+        a, b, c, d = e
+        assert _certified_independent(s * u1 ** a * u2 ** b,
+                                      t * u1 ** c * u2 ** d)
 
 
 def count_calls(monkeypatch, module, name):
@@ -414,7 +457,7 @@ class TestClassData:
         for d in (2, 3, 5, 7, 10, 11, 13):
             K = make_field([(1 - d) // 4, -1, 1] if d % 4 == 1 else [-d, 0, 1])
             cd = class_data(K)
-            norm = fundamental_unit(d)[3]
+            norm = fundamental_unit(d)[2]
             assert (cd.h_plus == cd.h) == (norm == -1)
 
     def test_sqrt10_nonprincipal_rep(self):
@@ -508,7 +551,8 @@ def quadratic_poly(d):
 
 
 def fundamental_unit(d):
-    """(x, y, den, norm) of the fundamental unit of Q(sqrt(d)), d > 1."""
+    """(x, y, norm) of the fundamental unit (x + y sqrt d)/2 of Q(sqrt(d)),
+    d > 1."""
     return _quad_fundamental_unit(make_field(quadratic_poly(d)))
 
 
@@ -530,8 +574,8 @@ class TestQuadraticData:
         K = make_field("x^2 - 3")
         _quadratic(K)
         assert calls == []
-        assert _quad_fundamental_unit(K) == (2, 1, 1, 1)
-        assert _quad_fundamental_unit(K) == (2, 1, 1, 1)
+        assert _quad_fundamental_unit(K) == (4, 2, 1)
+        assert _quad_fundamental_unit(K) == (4, 2, 1)
         assert len(calls) == 1
 
 
@@ -561,9 +605,8 @@ class TestPellBudget:
     def pell_from_walk(d):
         d0 = squarefree_part(d)
         f = math.isqrt(d // d0)
-        x, y, den, _ = fundamental_unit(d0)
         # eps = (X + Y sqrt d0)/2; its powers are tracked in the same halves
-        eps = (2 * x // den, 2 * y // den)
+        eps = fundamental_unit(d0)[:2]
         X, Y = eps
         while X % 2 or Y % (2 * f):
             X, Y = ((X * eps[0] + d0 * Y * eps[1]) // 2,
@@ -578,7 +621,8 @@ class TestPellBudget:
     def test_budget_raises(self, monkeypatch):
         # the principal cycle of sqrt(94) is the principal form and 15 steps
         monkeypatch.setattr(units, "QUADRATIC_STEP_BUDGET", 15)
-        assert fundamental_unit(94) == (*self.reference(94), 1, 1)
+        p, q = self.reference(94)
+        assert fundamental_unit(94) == (2 * p, 2 * q, 1)
         monkeypatch.setattr(units, "QUADRATIC_STEP_BUDGET", 14)
         with pytest.raises(SearchExhausted, match="continued fraction"):
             fundamental_unit(94)
@@ -599,17 +643,17 @@ class TestHalfIntegerUnit:
             sols = [(abs(X), abs(Y)) for N in (r * r, -r * r)
                     for X, Y in diop_DN(d, N) if Y]
             X, Y = min(sols, key=lambda s: (s[1], s[0]))
-            x, y, den, norm = fundamental_unit(d)
-            assert (r * x, r * y) == (den * X, den * Y), d
+            x, y, norm = fundamental_unit(d)
+            assert (r * x, r * y) == (2 * X, 2 * Y), d
             assert X * X - d * Y * Y == r * r * norm, d
 
     def test_long_period_answers_at_once(self):
         # d = 100001: the unit of Z[sqrt(d)] has 110 digits, the cube of
         # the fundamental unit
         t0 = time.perf_counter()
-        x, y, den, norm = fundamental_unit(100001)
+        x, y, norm = fundamental_unit(100001)
         assert time.perf_counter() - t0 < 1
-        assert x * x - 100001 * y * y == norm * den * den
+        assert x * x - 100001 * y * y == 4 * norm
 
 
 class TestQuadraticBudget:
@@ -659,8 +703,8 @@ def scan_principal_generator(field, profile):
         target *= prime.norm() ** k
     eps = 1
     if d > 0:
-        x, y, den, _ = _quad_fundamental_unit(field)
-        eps = (x + y * (math.isqrt(d) + 1)) // den + 1
+        x, y, _ = _quad_fundamental_unit(field)
+        eps = (x + y * (math.isqrt(d) + 1)) // 2 + 1
     ybound = 2 * math.isqrt(target * eps // abs(d)) + 2
     for y in range(0, ybound + 1):
         candidates = []
